@@ -3,100 +3,25 @@
 //! ```text
 //! cargo run -p mdm-bench --bin repro -- all
 //! cargo run -p mdm-bench --bin repro -- fig4
-//! cargo run --release -p mdm-bench --bin repro -- bench   # writes BENCH_2.json
-//! cargo run --release -p mdm-bench --bin repro -- smoke   # CI: validate metrics JSON
+//! cargo run --release -p mdm-bench --bin repro -- e1
 //! ```
 //!
 //! Artifacts: fig1–fig15 (the paper's figures), t1 (the §4.1 storage
-//! arithmetic), and quel (the four §5.6 example queries). See
-//! EXPERIMENTS.md for the paper-vs-produced notes.
+//! arithmetic), and quel (the four §5.6 example queries); `all` prints
+//! these seventeen. See EXPERIMENTS.md for the paper-vs-produced notes.
 //!
-//! `bench` runs the multi-client commit sweep and writes `BENCH_2.json` —
-//! throughput per client count plus the engine's full metrics snapshot —
-//! to the repository root (or the path given as a second argument).
-//! `smoke` runs a scaled-down sweep and validates the emitted JSON with
-//! the observability crate's own parser, exiting non-zero if the document
-//! is malformed or a required metric is missing.
-//!
-//! `net-bench` runs the network axis — 1/2/4/8 loopback TCP clients
-//! committing scores and running QUEL reads against one `MdmServer` —
-//! and writes `BENCH_3.json`: throughput plus request-latency p50/p99
-//! from the server's own `mdm_net_request_micros` histogram, with the
-//! full server metrics snapshot embedded. `net-smoke` is the CI check:
-//! server start, client connect, one QUEL query, one score round-trip,
-//! and a clean drained shutdown, all within a deadline.
-//!
-//! `trace-bench` measures request-tracing overhead — each client count
-//! runs once untraced and once with the server tracer at its default
-//! 1-in-16 sampling — and writes `BENCH_4.json`. `trace-smoke` is the
-//! CI check: one traced QUEL execute over loopback must produce a span
-//! tree crossing net → quel → storage with a parseable Chrome
-//! trace-event export.
-//!
-//! `index-bench` runs the secondary-index axis — the same retrieve
-//! executed with and without `define index`, over a 10⁵-entity
-//! chord/note fixture — and writes `BENCH_6.json`: per-query access
-//! paths, tuples fetched, and wall time for the scan and indexed
-//! plans. Every indexed plan must fetch ≥50× fewer tuples than its
-//! scan twin or the bench exits non-zero. `index-smoke` is the CI
-//! check: on a small fixture, the planner must pick a non-scan path
-//! for each probe query, return scan-identical rows, and beat the
-//! scan's tuple traffic.
-//!
-//! `stats-bench` measures statement-statistics overhead — each client
-//! count runs the same QUEL read/write mix once with the statement
-//! store disabled and once recording — and writes `BENCH_7.json`. The
-//! document self-validates: recording must cost ≤5% throughput, and
-//! the recording runs must actually have recorded statements.
-//! `stats-smoke` is the CI check: a scaled-down sweep plus a live
-//! `$statements` retrieve and `Top` request over loopback.
-//!
-//! `torture` runs the full crash-point exploration sweep — a hard crash
-//! at every I/O boundary plus a torn write at every write boundary —
-//! and writes `BENCH_5.json`: the boundary census, explored crash
-//! points, reopen-latency quantiles, any invariant violations, and the
-//! `mdm_fault_*` metric snapshot. It exits non-zero if any violation
-//! was found. `torture-smoke` is the CI check: a strided sweep that
-//! must still explore a healthy number of distinct crash states with
-//! zero violations.
-//!
-//! `repl-bench` runs the replication read fan-out axis — the same QUEL
-//! read mix against 0 (primary only), 1, 2, and 4 streaming replicas
-//! while a writer keeps appending on the primary — and writes
-//! `BENCH_8.json`: read throughput per topology plus replication-lag
-//! p50/p99 (in records behind the primary's durable watermark) sampled
-//! during the run. `repl-smoke` is the CI check: a primary and one
-//! replica over loopback; rows written on the primary must become
-//! readable on the replica within a lag bound, the replica must refuse
-//! writes with the typed code, and a validated 1-replica sweep runs.
-//!
-//! `obs-bench` measures continuous-monitoring overhead — each client
-//! count runs the same QUEL read/write mix once with the monitor
-//! passive and once sampling every 10 ms (100× the production default
-//! rate) — and writes `BENCH_9.json`. The document self-validates:
-//! sampling must cost ≤2% throughput, the sampling runs must actually
-//! have sampled, and the passive runs must not have. `health-smoke`
-//! is the CI drill: a replica held behind a live primary must flip its
-//! `/healthz` from 200 to 503 when the lag alert fires and back to 200
-//! once the stream catches up.
-//!
-//! `mvcc-bench` measures the MVCC read path — at each reader count the
-//! same scan loop runs twice against a table under constant 8-client
-//! write load, once as 2PL shared-lock transactions (with wait-die
-//! retry) and once as lock-free snapshot reads — and writes
-//! `BENCH_10.json`. The document self-validates: snapshot reads must
-//! meet or beat the locked baseline at every reader count, and the
-//! snapshot cells must record exactly zero reader aborts (the snapshot
-//! path cannot lose wait-die — it never enters it). `mvcc-smoke` is
-//! the CI check: a scaled-down validated sweep plus a pinned-snapshot
-//! stability drill.
+//! `e1` is the one performance argument the paper makes itself (§5.2):
+//! modelled hierarchical ordering against client-kept sort keys, over
+//! the three [`OrderedStore`] implementations in `mdm_bench::baseline`.
+//! Every other timing in this repository is taken by `mdm-benchmark`
+//! (see `benchmark/README.md`).
 //!
 //! `replay-to <src> <dest> --lsn N` is point-in-time recovery from a
 //! WAL-archived database directory: it rebuilds a fresh directory at
 //! `dest` holding exactly the records of `src` below LSN `N`
 //! (`--lsn max` for the full history) and reports the restore point.
 
-use mdm_bench::workload;
+use mdm_bench::{workload, FloatKeyStore, ModeledOrderingStore, OrderedStore, PositionStore};
 use mdm_core::{Analyst, Composer, Library, MusicDataManager};
 use mdm_lang::Session;
 use mdm_model::{diagram, graphdef, meta, Database, Value};
@@ -106,223 +31,8 @@ use mdm_notation::{beam, group, perform, rat, sync, BaseDuration, Duration, Time
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
     match which.as_str() {
-        "bench" => {
-            let doc = bench_json(&[1, 2, 4, 8], 200);
-            if let Err(e) = validate_bench_json(&doc) {
-                eprintln!("bench JSON failed self-validation: {e}");
-                std::process::exit(1);
-            }
-            let path = std::env::args()
-                .nth(2)
-                .unwrap_or_else(|| format!("{}/../../BENCH_2.json", env!("CARGO_MANIFEST_DIR")));
-            std::fs::write(&path, &doc).expect("write BENCH_2.json");
-            println!("wrote {path}");
-            return;
-        }
-        "smoke" => {
-            let doc = bench_json(&[1, 2], 25);
-            match validate_bench_json(&doc) {
-                Ok(()) => println!("metrics JSON smoke: ok ({} bytes)", doc.len()),
-                Err(e) => {
-                    eprintln!("metrics JSON smoke FAILED: {e}");
-                    std::process::exit(1);
-                }
-            }
-            return;
-        }
-        "net-bench" => {
-            let doc = net_bench_json(&[1, 2, 4, 8], 50);
-            if let Err(e) = validate_net_bench_json(&doc) {
-                eprintln!("net bench JSON failed self-validation: {e}");
-                std::process::exit(1);
-            }
-            let path = std::env::args()
-                .nth(2)
-                .unwrap_or_else(|| format!("{}/../../BENCH_3.json", env!("CARGO_MANIFEST_DIR")));
-            std::fs::write(&path, &doc).expect("write BENCH_3.json");
-            println!("wrote {path}");
-            return;
-        }
-        "net-smoke" => {
-            match net_smoke() {
-                Ok(report) => println!("{report}"),
-                Err(e) => {
-                    eprintln!("net smoke FAILED: {e}");
-                    std::process::exit(1);
-                }
-            }
-            return;
-        }
-        "trace-bench" => {
-            let doc = trace_bench_json(&[1, 2, 4, 8], 200);
-            if let Err(e) = validate_trace_bench_json(&doc) {
-                eprintln!("trace bench JSON failed self-validation: {e}");
-                std::process::exit(1);
-            }
-            let path = std::env::args()
-                .nth(2)
-                .unwrap_or_else(|| format!("{}/../../BENCH_4.json", env!("CARGO_MANIFEST_DIR")));
-            std::fs::write(&path, &doc).expect("write BENCH_4.json");
-            println!("wrote {path}");
-            return;
-        }
-        "trace-smoke" => {
-            match trace_smoke() {
-                Ok(report) => println!("{report}"),
-                Err(e) => {
-                    eprintln!("trace smoke FAILED: {e}");
-                    std::process::exit(1);
-                }
-            }
-            return;
-        }
-        "index-bench" => {
-            let doc = index_bench_json(500, 200);
-            if let Err(e) = validate_index_bench_json(&doc, 50.0) {
-                eprintln!("index bench JSON failed self-validation: {e}");
-                std::process::exit(1);
-            }
-            let path = std::env::args()
-                .nth(2)
-                .unwrap_or_else(|| format!("{}/../../BENCH_6.json", env!("CARGO_MANIFEST_DIR")));
-            std::fs::write(&path, &doc).expect("write BENCH_6.json");
-            println!("wrote {path}");
-            return;
-        }
-        "index-smoke" => {
-            match index_smoke() {
-                Ok(report) => println!("{report}"),
-                Err(e) => {
-                    eprintln!("index smoke FAILED: {e}");
-                    std::process::exit(1);
-                }
-            }
-            return;
-        }
-        "stats-bench" => {
-            let doc = stats_bench_json(&[1, 4, 8], 2000, 3);
-            if let Err(e) = validate_stats_bench_json(&doc, 5.0) {
-                eprintln!("stats bench JSON failed self-validation: {e}");
-                std::process::exit(1);
-            }
-            let path = std::env::args()
-                .nth(2)
-                .unwrap_or_else(|| format!("{}/../../BENCH_7.json", env!("CARGO_MANIFEST_DIR")));
-            std::fs::write(&path, &doc).expect("write BENCH_7.json");
-            println!("wrote {path}");
-            return;
-        }
-        "stats-smoke" => {
-            match stats_smoke() {
-                Ok(report) => println!("{report}"),
-                Err(e) => {
-                    eprintln!("stats smoke FAILED: {e}");
-                    std::process::exit(1);
-                }
-            }
-            return;
-        }
-        "torture" => {
-            let (doc, report) = torture_json(&mdm_storage::TortureConfig::full());
-            if let Err(e) = validate_torture_json(&doc) {
-                eprintln!("torture JSON failed self-validation: {e}");
-                std::process::exit(1);
-            }
-            let path = std::env::args()
-                .nth(2)
-                .unwrap_or_else(|| format!("{}/../../BENCH_5.json", env!("CARGO_MANIFEST_DIR")));
-            std::fs::write(&path, &doc).expect("write BENCH_5.json");
-            println!(
-                "wrote {path} ({} crash points over {} boundaries, {} violations)",
-                report.crash_points,
-                report.boundaries,
-                report.violations.len()
-            );
-            if !report.violations.is_empty() {
-                for v in report.violations.iter().take(8) {
-                    eprintln!("violation: {v}");
-                }
-                std::process::exit(1);
-            }
-            return;
-        }
-        "torture-smoke" => {
-            match torture_smoke() {
-                Ok(report) => println!("{report}"),
-                Err(e) => {
-                    eprintln!("torture smoke FAILED: {e}");
-                    std::process::exit(1);
-                }
-            }
-            return;
-        }
-        "repl-bench" => {
-            let doc = repl_bench_json(&[0, 1, 2, 4], 4, 300);
-            if let Err(e) = validate_repl_bench_json(&doc) {
-                eprintln!("repl bench JSON failed self-validation: {e}");
-                std::process::exit(1);
-            }
-            let path = std::env::args()
-                .nth(2)
-                .unwrap_or_else(|| format!("{}/../../BENCH_8.json", env!("CARGO_MANIFEST_DIR")));
-            std::fs::write(&path, &doc).expect("write BENCH_8.json");
-            println!("wrote {path}");
-            return;
-        }
-        "repl-smoke" => {
-            match repl_smoke() {
-                Ok(report) => println!("{report}"),
-                Err(e) => {
-                    eprintln!("repl smoke FAILED: {e}");
-                    std::process::exit(1);
-                }
-            }
-            return;
-        }
-        "obs-bench" => {
-            let doc = obs_bench_json(&[1, 4, 8], 2000, 3);
-            if let Err(e) = validate_obs_bench_json(&doc, 2.0) {
-                eprintln!("obs bench JSON failed self-validation: {e}");
-                std::process::exit(1);
-            }
-            let path = std::env::args()
-                .nth(2)
-                .unwrap_or_else(|| format!("{}/../../BENCH_9.json", env!("CARGO_MANIFEST_DIR")));
-            std::fs::write(&path, &doc).expect("write BENCH_9.json");
-            println!("wrote {path}");
-            return;
-        }
-        "health-smoke" => {
-            match health_smoke() {
-                Ok(report) => println!("{report}"),
-                Err(e) => {
-                    eprintln!("health smoke FAILED: {e}");
-                    std::process::exit(1);
-                }
-            }
-            return;
-        }
-        "mvcc-bench" => {
-            let doc = mvcc_bench_json(&[1, 4, 8], 8, 64, 600);
-            if let Err(e) = validate_mvcc_bench_json(&doc, 8) {
-                eprintln!("mvcc bench JSON failed self-validation: {e}");
-                std::process::exit(1);
-            }
-            let path = std::env::args()
-                .nth(2)
-                .unwrap_or_else(|| format!("{}/../../BENCH_10.json", env!("CARGO_MANIFEST_DIR")));
-            std::fs::write(&path, &doc).expect("write BENCH_10.json");
-            println!("wrote {path}");
-            return;
-        }
-        "mvcc-smoke" => {
-            match mvcc_smoke() {
-                Ok(report) => println!("{report}"),
-                Err(e) => {
-                    eprintln!("mvcc smoke FAILED: {e}");
-                    std::process::exit(1);
-                }
-            }
+        "e1" => {
+            println!("{}", e1());
             return;
         }
         "replay-to" => {
@@ -366,11 +76,7 @@ fn main() {
             .collect::<Vec<_>>();
         if found.is_empty() {
             eprintln!(
-                "unknown artifact {which}; use fig1..fig15, t1, quel, bench, smoke, \
-                 net-bench, net-smoke, trace-bench, trace-smoke, index-bench, \
-                 index-smoke, stats-bench, stats-smoke, torture, torture-smoke, \
-                 repl-bench, repl-smoke, obs-bench, health-smoke, \
-                 mvcc-bench, mvcc-smoke, \
+                "unknown artifact {which}; use fig1..fig15, t1, quel, e1, \
                  replay-to <src> <dest> --lsn <N>, or all"
             );
             std::process::exit(2);
@@ -914,1784 +620,65 @@ fn t1() -> String {
     out
 }
 
-/// The E2 multi-client commit sweep as a JSON document: per-client-count
-/// throughput in `runs`, plus the final engine's full metrics snapshot
-/// under `engine_metrics` so the bench trajectory records pool hit
-/// rates, fsync latency, and group-commit batch sizes alongside the
-/// numbers they explain.
-fn bench_json(client_counts: &[usize], ops_per_client: usize) -> String {
-    let mut runs = String::new();
-    let mut last_snapshot = None;
-    for (i, &clients) in client_counts.iter().enumerate() {
-        let dir =
-            std::env::temp_dir().join(format!("mdm-repro-bench-{clients}-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let eng = mdm_storage::StorageEngine::open_with_capacity(&dir, 256).expect("open");
-        let tables: Vec<_> = (0..clients)
-            .map(|t| eng.create_table(&format!("t{t}")).expect("table"))
-            .collect();
-        let started = std::time::Instant::now();
-        std::thread::scope(|scope| {
-            for &t in &tables {
-                let eng = eng.clone();
-                scope.spawn(move || {
-                    for op in 0..ops_per_client {
-                        let mut txn = eng.begin().expect("begin");
-                        eng.insert(&mut txn, t, format!("row {op}").as_bytes())
-                            .expect("insert");
-                        eng.commit(txn).expect("commit");
-                    }
-                });
-            }
-        });
-        let elapsed = started.elapsed();
-        let txns = clients * ops_per_client;
-        let per_sec = txns as f64 / elapsed.as_secs_f64();
-        if i > 0 {
-            runs.push(',');
+/// E1 (§5.2): modelled ordering against client-kept sort keys. For each
+/// N the three stores are built by N appends, probed read-side
+/// (`before`, `nth`, ordered scan), then edited with middle inserts;
+/// every cell is the mean wall time of one operation.
+fn e1() -> String {
+    use std::hint::black_box;
+    use std::time::Instant;
+    const SIZES: [usize; 3] = [100, 1_000, 5_000];
+    const READS: usize = 1_000;
+    const SCANS: usize = 20;
+    const INSERTS: usize = 10;
+
+    fn mean_us(reps: usize, mut op: impl FnMut()) -> f64 {
+        let started = Instant::now();
+        for _ in 0..reps {
+            op();
         }
-        runs.push_str(&format!(
-            "{{\"clients\":{clients},\"txns\":{txns},\"micros\":{},\"txns_per_sec\":{per_sec:.1}}}",
-            elapsed.as_micros()
-        ));
-        last_snapshot = Some(eng.metrics_snapshot());
-        drop(eng);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-    format!(
-        "{{\"bench\":\"e2_concurrent_commit\",\"ops_per_client\":{ops_per_client},\
-         \"runs\":[{runs}],\"engine_metrics\":{}}}\n",
-        last_snapshot.expect("at least one client count").to_json()
-    )
-}
-
-/// Validates a `bench_json` document with the observability crate's own
-/// parser: well-formed JSON, a non-empty run list with the expected
-/// fields, and every engine metric the ROADMAP cares about present in
-/// the embedded snapshot.
-fn validate_bench_json(doc: &str) -> Result<(), String> {
-    use mdm_obs::json::{parse, Value};
-    let v = parse(doc).map_err(|e| e.to_string())?;
-    let runs = v
-        .get("runs")
-        .and_then(Value::as_array)
-        .ok_or("missing runs array")?;
-    if runs.is_empty() {
-        return Err("runs array is empty".into());
-    }
-    for run in runs {
-        for key in ["clients", "txns", "micros"] {
-            run.get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("run is missing integer field {key}"))?;
-        }
-        if !matches!(run.get("txns_per_sec"), Some(Value::Number(_))) {
-            return Err("run is missing txns_per_sec".into());
-        }
-    }
-    let metrics = v
-        .get("engine_metrics")
-        .and_then(|m| m.get("metrics"))
-        .and_then(Value::as_array)
-        .ok_or("missing engine_metrics.metrics array")?;
-    for required in [
-        "mdm_pool_hits_total",
-        "mdm_pool_misses_total",
-        "mdm_pool_evictions_total",
-        "mdm_wal_appends_total",
-        "mdm_wal_fsyncs_total",
-        "mdm_wal_fsync_micros",
-        "mdm_wal_group_commit_batch",
-        "mdm_wal_eviction_syncs_total",
-        "mdm_txn_begins_total",
-        "mdm_txn_commits_total",
-        "mdm_txn_aborts_total",
-        "mdm_txn_active",
-        "mdm_lock_waits_total",
-        "mdm_lock_wait_die_aborts_total",
-    ] {
-        if !metrics
-            .iter()
-            .any(|m| m.get("name").and_then(Value::as_str) == Some(required))
-        {
-            return Err(format!("metric {required} missing from snapshot"));
-        }
-    }
-    Ok(())
-}
-
-/// The network axis: `clients` loopback TCP connections against one
-/// `MdmServer`, each alternating score commits with QUEL reads. Reads go
-/// down the server's shared read path, commits serialize on the write
-/// half — the sweep measures what concurrent music clients actually get
-/// end-to-end (framing, checksums, dispatch, storage) rather than the
-/// engine alone. Latency quantiles come from the server's own
-/// `mdm_net_request_micros` histogram.
-fn net_bench_json(client_counts: &[usize], ops_per_client: usize) -> String {
-    use mdm_net::{ClientConfig, MdmClient, MdmServer, ServerConfig};
-    let mut runs = String::new();
-    let mut last_snapshot = None;
-    for (i, &clients) in client_counts.iter().enumerate() {
-        let dir =
-            std::env::temp_dir().join(format!("mdm-repro-net-{clients}-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let mdm = MusicDataManager::open(&dir).expect("open MDM");
-        let server =
-            MdmServer::start(mdm, "127.0.0.1:0", ServerConfig::default()).expect("start server");
-        let addr = server.local_addr().to_string();
-        let score = bwv578_subject();
-
-        let started = std::time::Instant::now();
-        std::thread::scope(|scope| {
-            for worker in 0..clients {
-                let addr = addr.clone();
-                let score = score.clone();
-                scope.spawn(move || {
-                    let mut c = MdmClient::connect(
-                        &addr,
-                        ClientConfig {
-                            client_name: format!("bench-{worker}"),
-                            ..ClientConfig::default()
-                        },
-                    )
-                    .expect("connect");
-                    for op in 0..ops_per_client {
-                        if op % 2 == 0 {
-                            c.store_score(&score).expect("store");
-                        } else {
-                            c.query("range of s is SCORE\nretrieve (s.title)")
-                                .expect("query");
-                        }
-                    }
-                });
-            }
-        });
-        let elapsed = started.elapsed();
-        let requests = clients * ops_per_client;
-        let per_sec = requests as f64 / elapsed.as_secs_f64();
-
-        let mdm = server.shutdown().expect("shutdown");
-        let snap = mdm.metrics_snapshot();
-        let lat = snap
-            .histogram("mdm_net_request_micros")
-            .expect("latency histogram");
-        let p50 = lat.quantile(0.50).unwrap_or(0.0);
-        let p99 = lat.quantile(0.99).unwrap_or(0.0);
-        if i > 0 {
-            runs.push(',');
-        }
-        runs.push_str(&format!(
-            "{{\"clients\":{clients},\"requests\":{requests},\"micros\":{},\
-             \"requests_per_sec\":{per_sec:.1},\"p50_micros\":{p50:.1},\"p99_micros\":{p99:.1}}}",
-            elapsed.as_micros()
-        ));
-        last_snapshot = Some(snap);
-        drop(mdm);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-    format!(
-        "{{\"bench\":\"e3_net_loopback\",\"ops_per_client\":{ops_per_client},\
-         \"runs\":[{runs}],\"server_metrics\":{}}}\n",
-        last_snapshot.expect("at least one client count").to_json()
-    )
-}
-
-/// Validates a `net_bench_json` document: well-formed JSON, runs with
-/// throughput and latency-quantile fields, and the `mdm_net_*` families
-/// present in the embedded server snapshot.
-fn validate_net_bench_json(doc: &str) -> Result<(), String> {
-    use mdm_obs::json::{parse, Value};
-    let v = parse(doc).map_err(|e| e.to_string())?;
-    let runs = v
-        .get("runs")
-        .and_then(Value::as_array)
-        .ok_or("missing runs array")?;
-    if runs.is_empty() {
-        return Err("runs array is empty".into());
-    }
-    for run in runs {
-        for key in ["clients", "requests", "micros"] {
-            run.get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("run is missing integer field {key}"))?;
-        }
-        for key in ["requests_per_sec", "p50_micros", "p99_micros"] {
-            if !matches!(run.get(key), Some(Value::Number(_))) {
-                return Err(format!("run is missing {key}"));
-            }
-        }
-    }
-    let metrics = v
-        .get("server_metrics")
-        .and_then(|m| m.get("metrics"))
-        .and_then(Value::as_array)
-        .ok_or("missing server_metrics.metrics array")?;
-    for required in [
-        "mdm_net_connections_accepted_total",
-        "mdm_net_connections_refused_total",
-        "mdm_net_connections_active",
-        "mdm_net_decode_errors_total",
-        "mdm_net_bytes_in_total",
-        "mdm_net_bytes_out_total",
-        "mdm_net_request_micros",
-        "mdm_net_frame_bytes",
-        "mdm_net_requests_total",
-        // The net sweep still exercises the storage stack underneath.
-        "mdm_wal_appends_total",
-        "mdm_txn_commits_total",
-    ] {
-        if !metrics
-            .iter()
-            .any(|m| m.get("name").and_then(Value::as_str) == Some(required))
-        {
-            return Err(format!("metric {required} missing from snapshot"));
-        }
-    }
-    Ok(())
-}
-
-/// The CI network smoke: server start, client connect, one QUEL query,
-/// one score round-trip, clean drained shutdown — all within a deadline.
-fn net_smoke() -> Result<String, String> {
-    use mdm_net::{ClientConfig, MdmClient, MdmServer, ServerConfig};
-    let deadline = std::time::Duration::from_secs(30);
-    let started = std::time::Instant::now();
-
-    let dir = std::env::temp_dir().join(format!("mdm-repro-net-smoke-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let mdm = MusicDataManager::open(&dir).map_err(|e| format!("open: {e}"))?;
-    let server = MdmServer::start(mdm, "127.0.0.1:0", ServerConfig::default())
-        .map_err(|e| format!("start: {e}"))?;
-    let mut c = MdmClient::connect(&server.local_addr().to_string(), ClientConfig::default())
-        .map_err(|e| format!("connect: {e}"))?;
-
-    let score = bwv578_subject();
-    let id = c.store_score(&score).map_err(|e| format!("store: {e}"))?;
-    let loaded = c.load_score(id).map_err(|e| format!("load: {e}"))?;
-    if loaded != score {
-        return Err("score round-trip mismatch".into());
-    }
-    let table = c
-        .query("range of s is SCORE\nretrieve (s.title)")
-        .map_err(|e| format!("query: {e}"))?;
-    if table.rows.len() != 1 {
-        return Err(format!("expected 1 score row, got {}", table.rows.len()));
-    }
-    drop(c);
-    let mdm = server.shutdown().map_err(|e| format!("shutdown: {e}"))?;
-    let doc = net_bench_json(&[1, 2], 10);
-    validate_net_bench_json(&doc)?;
-    drop(mdm);
-    std::fs::remove_dir_all(&dir).ok();
-
-    let elapsed = started.elapsed();
-    if elapsed > deadline {
-        return Err(format!(
-            "smoke exceeded its {}s deadline ({:.1}s)",
-            deadline.as_secs(),
-            elapsed.as_secs_f64()
-        ));
-    }
-    Ok(format!(
-        "net smoke: ok — store/load/query round-trip and a validated \
-         2-point sweep in {:.2}s",
-        elapsed.as_secs_f64()
-    ))
-}
-
-/// One loopback sweep at `clients` workers alternating score commits
-/// with QUEL reads. With `sample_every = Some(n)` the server tracer
-/// records 1-in-`n` requests; `None` leaves tracing off. Returns
-/// `(requests_per_sec, p50_micros, p99_micros, server snapshot)`.
-fn trace_sweep(
-    clients: usize,
-    ops_per_client: usize,
-    sample_every: Option<u64>,
-) -> (f64, f64, f64, mdm_obs::Snapshot) {
-    use mdm_net::{ClientConfig, MdmClient, MdmServer, ServerConfig, TraceOp};
-    let dir = std::env::temp_dir().join(format!(
-        "mdm-repro-trace-{clients}-{}-{}",
-        sample_every.is_some(),
-        std::process::id()
-    ));
-    std::fs::remove_dir_all(&dir).ok();
-    let mdm = MusicDataManager::open(&dir).expect("open MDM");
-    let server =
-        MdmServer::start(mdm, "127.0.0.1:0", ServerConfig::default()).expect("start server");
-    let addr = server.local_addr().to_string();
-    if let Some(n) = sample_every {
-        let mut control = MdmClient::connect(&addr, ClientConfig::default()).expect("control");
-        control
-            .trace_control(TraceOp::Enable { sample_every: n })
-            .expect("enable tracing");
-        control.disconnect();
-    }
-    let score = bwv578_subject();
-    let started = std::time::Instant::now();
-    std::thread::scope(|scope| {
-        for worker in 0..clients {
-            let addr = addr.clone();
-            let score = score.clone();
-            scope.spawn(move || {
-                let mut c = MdmClient::connect(
-                    &addr,
-                    ClientConfig {
-                        client_name: format!("trace-bench-{worker}"),
-                        ..ClientConfig::default()
-                    },
-                )
-                .expect("connect");
-                for op in 0..ops_per_client {
-                    if op % 2 == 0 {
-                        c.store_score(&score).expect("store");
-                    } else {
-                        c.query("range of s is SCORE\nretrieve (s.title)")
-                            .expect("query");
-                    }
-                }
-            });
-        }
-    });
-    let elapsed = started.elapsed();
-    let per_sec = (clients * ops_per_client) as f64 / elapsed.as_secs_f64();
-    let mdm = server.shutdown().expect("shutdown");
-    let snap = mdm.metrics_snapshot();
-    let lat = snap
-        .histogram("mdm_net_request_micros")
-        .expect("latency histogram");
-    let p50 = lat.quantile(0.50).unwrap_or(0.0);
-    let p99 = lat.quantile(0.99).unwrap_or(0.0);
-    drop(mdm);
-    std::fs::remove_dir_all(&dir).ok();
-    (per_sec, p50, p99, snap)
-}
-
-/// The tracing-overhead axis: for each client count, sweeps untraced
-/// and with the server tracer on at the default 1-in-16 sampling. The
-/// conditions alternate and each reports its best of two rounds, which
-/// suppresses scheduler noise on small machines — on one core the
-/// run-to-run spread otherwise dwarfs the effect being measured. The
-/// acceptance bar is traced throughput within 10% of untraced.
-fn trace_bench_json(client_counts: &[usize], ops_per_client: usize) -> String {
-    let mut runs = String::new();
-    let mut last_traced_snapshot = None;
-    for (i, &clients) in client_counts.iter().enumerate() {
-        let mut best_base: Option<(f64, f64, f64, mdm_obs::Snapshot)> = None;
-        let mut best_traced: Option<(f64, f64, f64, mdm_obs::Snapshot)> = None;
-        for _ in 0..2 {
-            let b = trace_sweep(clients, ops_per_client, None);
-            if best_base.as_ref().is_none_or(|x| b.0 > x.0) {
-                best_base = Some(b);
-            }
-            let t = trace_sweep(clients, ops_per_client, Some(mdm_obs::DEFAULT_SAMPLE_EVERY));
-            if best_traced.as_ref().is_none_or(|x| t.0 > x.0) {
-                best_traced = Some(t);
-            }
-        }
-        let (base_ps, base_p50, base_p99, _) = best_base.expect("two rounds ran");
-        let (traced_ps, traced_p50, traced_p99, snap) = best_traced.expect("two rounds ran");
-        let overhead_pct = if base_ps > 0.0 {
-            (base_ps - traced_ps) / base_ps * 100.0
-        } else {
-            0.0
-        };
-        if i > 0 {
-            runs.push(',');
-        }
-        runs.push_str(&format!(
-            "{{\"clients\":{clients},\
-             \"untraced_requests_per_sec\":{base_ps:.1},\
-             \"traced_requests_per_sec\":{traced_ps:.1},\
-             \"overhead_pct\":{overhead_pct:.2},\
-             \"untraced_p50_micros\":{base_p50:.1},\"untraced_p99_micros\":{base_p99:.1},\
-             \"traced_p50_micros\":{traced_p50:.1},\"traced_p99_micros\":{traced_p99:.1}}}"
-        ));
-        last_traced_snapshot = Some(snap);
-    }
-    format!(
-        "{{\"bench\":\"e4_trace_overhead\",\"ops_per_client\":{ops_per_client},\
-         \"sample_every\":{},\"runs\":[{runs}],\"server_metrics\":{}}}\n",
-        mdm_obs::DEFAULT_SAMPLE_EVERY,
-        last_traced_snapshot
-            .expect("at least one client count")
-            .to_json()
-    )
-}
-
-/// Validates a `trace_bench_json` document: well-formed JSON, paired
-/// traced/untraced throughput per run, and evidence in the embedded
-/// snapshot that the traced sweep actually recorded traces.
-fn validate_trace_bench_json(doc: &str) -> Result<(), String> {
-    use mdm_obs::json::{parse, Value};
-    let v = parse(doc).map_err(|e| e.to_string())?;
-    let runs = v
-        .get("runs")
-        .and_then(Value::as_array)
-        .ok_or("missing runs array")?;
-    if runs.is_empty() {
-        return Err("runs array is empty".into());
-    }
-    for run in runs {
-        run.get("clients")
-            .and_then(Value::as_u64)
-            .ok_or("run is missing clients")?;
-        for key in [
-            "untraced_requests_per_sec",
-            "traced_requests_per_sec",
-            "overhead_pct",
-            "untraced_p50_micros",
-            "untraced_p99_micros",
-            "traced_p50_micros",
-            "traced_p99_micros",
-        ] {
-            if !matches!(run.get(key), Some(Value::Number(_))) {
-                return Err(format!("run is missing {key}"));
-            }
-        }
-    }
-    let metrics = v
-        .get("server_metrics")
-        .and_then(|m| m.get("metrics"))
-        .and_then(Value::as_array)
-        .ok_or("missing server_metrics.metrics array")?;
-    let recorded = metrics
-        .iter()
-        .find(|m| m.get("name").and_then(Value::as_str) == Some("mdm_trace_recorded_total"))
-        .ok_or("mdm_trace_recorded_total missing from snapshot")?;
-    if recorded.get("value").and_then(Value::as_u64) == Some(0) {
-        return Err("traced sweep recorded zero traces".into());
-    }
-    Ok(())
-}
-
-/// The CI tracing smoke: one traced QUEL `execute` end-to-end over
-/// loopback must yield a trace whose root (`net.request`) has at least
-/// three child spans and whose tree spans net → quel → storage, with a
-/// Chrome trace-event export our own JSON parser accepts.
-fn trace_smoke() -> Result<String, String> {
-    use mdm_net::{ClientConfig, MdmClient, MdmServer, ServerConfig, TraceOp};
-    use mdm_obs::json::{parse, Value};
-    let started = std::time::Instant::now();
-
-    let dir = std::env::temp_dir().join(format!("mdm-repro-trace-smoke-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let mdm = MusicDataManager::open(&dir).map_err(|e| format!("open: {e}"))?;
-    let server = MdmServer::start(mdm, "127.0.0.1:0", ServerConfig::default())
-        .map_err(|e| format!("start: {e}"))?;
-    let mut c = MdmClient::connect(&server.local_addr().to_string(), ClientConfig::default())
-        .map_err(|e| format!("connect: {e}"))?;
-    if c.negotiated_version() < 2 {
-        return Err(format!(
-            "expected a v2 session, negotiated v{}",
-            c.negotiated_version()
-        ));
+        started.elapsed().as_secs_f64() * 1e6 / reps as f64
     }
 
-    c.trace_control(TraceOp::Enable { sample_every: 1 })
-        .map_err(|e| format!("trace on: {e}"))?;
-    // An execute runs the full path: net framing, the QUEL pipeline, and
-    // a real storage transaction for the statement journal.
-    c.execute("append to PERSON (name = \"Smoke\")")
-        .map_err(|e| format!("execute: {e}"))?;
-    let (text, chrome) = c
-        .trace_fetch(false, 16)
-        .map_err(|e| format!("trace fetch: {e}"))?;
-    if !text.contains("net.request") {
-        return Err(format!("span-tree text has no net.request root:\n{text}"));
-    }
-
-    let v = parse(&chrome).map_err(|e| format!("chrome JSON unparseable: {e}"))?;
-    let events = v
-        .get("traceEvents")
-        .and_then(Value::as_array)
-        .ok_or("chrome JSON missing traceEvents array")?;
-    if events.is_empty() {
-        return Err("chrome JSON has no events".into());
-    }
-    let arg = |e: &Value, k: &str| {
-        e.get("args")
-            .and_then(|a| a.get(k))
-            .and_then(Value::as_str)
-            .map(str::to_string)
-    };
-    let name = |e: &Value| {
-        e.get("name")
-            .and_then(Value::as_str)
-            .unwrap_or("")
-            .to_string()
-    };
-    // The execute's trace: the one containing a quel.exec span.
-    let quel_exec = events
-        .iter()
-        .find(|e| name(e) == "quel.exec")
-        .ok_or("no quel.exec span in any trace")?;
-    let trace_id = arg(quel_exec, "trace_id").ok_or("quel.exec has no trace_id")?;
-    let in_trace: Vec<&Value> = events
-        .iter()
-        .filter(|e| arg(e, "trace_id").as_deref() == Some(trace_id.as_str()))
-        .collect();
-    let root = in_trace
-        .iter()
-        .find(|e| name(e) == "net.request")
-        .ok_or("execute trace has no net.request root")?;
-    let root_id = arg(root, "span_id").ok_or("root has no span_id")?;
-    let direct_children = in_trace
-        .iter()
-        .filter(|e| arg(e, "parent_id").as_deref() == Some(root_id.as_str()))
-        .count();
-    if direct_children < 3 {
-        return Err(format!(
-            "root has {direct_children} direct children, expected >= 3 \
-             (decode/dispatch/encode)"
-        ));
-    }
-    for required in ["net.dispatch", "quel.exec", "storage.wal_append"] {
-        if !in_trace.iter().any(|e| name(e) == required) {
-            return Err(format!("execute trace is missing a {required} span"));
-        }
-    }
-
-    drop(c);
-    let mdm = server.shutdown().map_err(|e| format!("shutdown: {e}"))?;
-    drop(mdm);
-    std::fs::remove_dir_all(&dir).ok();
-    Ok(format!(
-        "trace smoke: ok — traced execute produced a {}-span tree \
-         (net → quel → storage) with a parseable Chrome export in {:.2}s",
-        in_trace.len(),
-        started.elapsed().as_secs_f64()
-    ))
-}
-
-/// The E6 secondary-index sweep: one chord/note fixture
-/// (`chords × notes_per_chord` notes, §5.6 shape), three probe
-/// queries — an equality probe, a range probe, and an
-/// ordering-derived `under` — each EXPLAINed before and after
-/// `define index`. Per query the document records the access paths
-/// the planner chose, the tuples fetched, and the wall time for both
-/// plans; the QUEL pipeline's metric snapshot is embedded so the
-/// `mdm_quel_rows_scanned_total` trajectory backs the per-run deltas.
-/// Indexed and scan plans must return identical tables — the sweep
-/// panics otherwise, because a fast wrong plan is not a result.
-fn index_bench_json(chords: usize, notes_per_chord: usize) -> String {
-    let registry = mdm_obs::Registry::new();
-    let mut session = Session::with_metrics(mdm_lang::QuelMetrics::register(&registry));
-    let mut db = workload::chord_database(chords, notes_per_chord);
-    let notes = chords * notes_per_chord;
-    let entities = notes + chords;
-    let mid_note = (notes / 2) as i64;
-    let mid_chord = (chords / 2) as i64;
-    let queries = [
-        (
-            "eq-probe",
-            format!("range of n is NOTE\nretrieve (n.name) where n.name = {mid_note}"),
-        ),
-        (
-            "range-probe",
-            format!(
-                "range of n is NOTE\nretrieve (n.name) where n.name >= {mid_note} and n.name < {}",
-                mid_note + 64
-            ),
-        ),
-        (
-            "ord-under",
-            format!(
-                "range of n is NOTE\nrange of c is CHORD\n\
-                 retrieve (n.name) where n under c in note_in_chord and c.name = {mid_chord}"
-            ),
-        ),
+    type Make = fn() -> Box<dyn OrderedStore>;
+    let stores: [Make; 3] = [
+        || Box::new(ModeledOrderingStore::new()),
+        || Box::new(PositionStore::new()),
+        || Box::new(FloatKeyStore::new()),
     ];
-
-    // Scan phase: no indexes defined yet, every variable full-scans.
-    let mut scans = Vec::new();
-    for (name, q) in &queries {
-        let started = std::time::Instant::now();
-        let (ex, table) = session.explain(&db, q).expect(name);
-        scans.push((ex, table, started.elapsed()));
-    }
-    session
-        .execute(
-            &mut db,
-            "define index note_by_name on NOTE (name)\n\
-             define index chord_by_name on CHORD (name)",
-        )
-        .expect("define indexes");
-
-    let mut runs = String::new();
-    for (i, (name, q)) in queries.iter().enumerate() {
-        let started = std::time::Instant::now();
-        let (ex, table) = session.explain(&db, q).expect(name);
-        let indexed_elapsed = started.elapsed();
-        let (scan_ex, scan_table, scan_elapsed) = &scans[i];
-        assert_eq!(
-            &table, scan_table,
-            "indexed and scan plans must agree for {name}"
-        );
-        let paths = ex
-            .vars
-            .iter()
-            .map(|v| format!("\"{}\"", json_escape(&v.path)))
-            .collect::<Vec<_>>()
-            .join(",");
-        let reduction = scan_ex.rows_scanned as f64 / ex.rows_scanned.max(1) as f64;
-        let speedup = scan_elapsed.as_secs_f64() / indexed_elapsed.as_secs_f64().max(1e-9);
-        if i > 0 {
-            runs.push(',');
-        }
-        runs.push_str(&format!(
-            "{{\"query\":\"{name}\",\"rows\":{},\
-             \"scan_rows_scanned\":{},\"scan_micros\":{},\
-             \"indexed_rows_scanned\":{},\"indexed_micros\":{},\
-             \"indexed_paths\":[{paths}],\
-             \"scanned_reduction\":{reduction:.1},\"speedup\":{speedup:.2}}}",
-            table.rows.len(),
-            scan_ex.rows_scanned,
-            scan_elapsed.as_micros(),
-            ex.rows_scanned,
-            indexed_elapsed.as_micros(),
-        ));
-    }
-    format!(
-        "{{\"bench\":\"e6_index_planner\",\"entities\":{entities},\
-         \"chords\":{chords},\"notes_per_chord\":{notes_per_chord},\
-         \"runs\":[{runs}],\"quel_metrics\":{}}}\n",
-        registry.snapshot().to_json()
-    )
-}
-
-/// Validates an `index_bench_json` document: well-formed JSON, a run
-/// per probe query, at least one non-scan access path per run, the
-/// scanned-tuple reduction at or above `min_reduction`, and the QUEL
-/// pipeline counters present in the embedded snapshot.
-fn validate_index_bench_json(doc: &str, min_reduction: f64) -> Result<(), String> {
-    use mdm_obs::json::{parse, Value};
-    let v = parse(doc).map_err(|e| e.to_string())?;
-    v.get("entities")
-        .and_then(Value::as_u64)
-        .ok_or("missing entities count")?;
-    let runs = v
-        .get("runs")
-        .and_then(Value::as_array)
-        .ok_or("missing runs array")?;
-    if runs.len() < 3 {
-        return Err(format!("expected 3 probe runs, found {}", runs.len()));
-    }
-    for run in runs {
-        let name = run
-            .get("query")
-            .and_then(Value::as_str)
-            .ok_or("run is missing query name")?;
-        for key in [
-            "rows",
-            "scan_rows_scanned",
-            "scan_micros",
-            "indexed_rows_scanned",
-            "indexed_micros",
-        ] {
-            run.get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("run {name} is missing integer field {key}"))?;
-        }
-        let paths = run
-            .get("indexed_paths")
-            .and_then(Value::as_array)
-            .ok_or_else(|| format!("run {name} is missing indexed_paths"))?;
-        if !paths
-            .iter()
-            .any(|p| p.as_str().is_some_and(|p| p != "scan"))
-        {
-            return Err(format!("run {name} chose no non-scan access path"));
-        }
-        match run.get("scanned_reduction") {
-            Some(Value::Number(r)) if *r >= min_reduction => {}
-            Some(Value::Number(r)) => {
-                return Err(format!(
-                    "run {name} reduced tuple traffic only {r:.1}×, need ≥{min_reduction:.0}×"
-                ))
-            }
-            _ => return Err(format!("run {name} is missing scanned_reduction")),
-        }
-        if !matches!(run.get("speedup"), Some(Value::Number(_))) {
-            return Err(format!("run {name} is missing speedup"));
-        }
-    }
-    let metrics = v
-        .get("quel_metrics")
-        .and_then(|m| m.get("metrics"))
-        .and_then(Value::as_array)
-        .ok_or("missing quel_metrics.metrics array")?;
-    for required in [
-        "mdm_quel_rows_scanned_total",
-        "mdm_quel_rows_returned_total",
-        "mdm_quel_exec_micros",
-    ] {
-        if !metrics
-            .iter()
-            .any(|m| m.get("name").and_then(Value::as_str) == Some(required))
-        {
-            return Err(format!("metric {required} missing from snapshot"));
-        }
-    }
-    Ok(())
-}
-
-/// The CI index smoke: on a small fixture, every probe query's indexed
-/// plan must pick a non-scan path, return rows identical to the scan
-/// plan (checked inside `index_bench_json`), and fetch strictly fewer
-/// tuples than the scan did — `min_reduction` just above 1 rather than
-/// the full bench's 50×, which a 2 460-entity fixture cannot reach on
-/// the ordering probe.
-fn index_smoke() -> Result<String, String> {
-    let started = std::time::Instant::now();
-    let doc = index_bench_json(60, 40);
-    validate_index_bench_json(&doc, 1.5)?;
-    Ok(format!(
-        "index smoke: ok — 3 probe queries planned onto index/ord paths, \
-         scan-identical rows, validated JSON in {:.2}s",
-        started.elapsed().as_secs_f64()
-    ))
-}
-
-/// One loopback sweep at `clients` workers alternating QUEL appends
-/// with indexed-attribute retrieves, with the statement store recording
-/// (`enabled`) or bypassed. Returns `(requests_per_sec, server
-/// snapshot, distinct fingerprints recorded)`.
-fn stats_sweep(
-    clients: usize,
-    ops_per_client: usize,
-    enabled: bool,
-) -> (f64, mdm_obs::Snapshot, usize) {
-    use mdm_net::{ClientConfig, MdmClient, MdmServer, ServerConfig};
-    let dir = std::env::temp_dir().join(format!(
-        "mdm-repro-stats-{clients}-{enabled}-{}",
-        std::process::id()
-    ));
-    std::fs::remove_dir_all(&dir).ok();
-    let mdm = MusicDataManager::open(&dir).expect("open MDM");
-    mdm.statement_store().set_enabled(enabled);
-    let server =
-        MdmServer::start(mdm, "127.0.0.1:0", ServerConfig::default()).expect("start server");
-    let addr = server.local_addr().to_string();
-    let mut seeder = MdmClient::connect(&addr, ClientConfig::default()).expect("seeder");
-    seeder
-        .execute("define entity STAT_ITEM (name = string, rank = integer)")
-        .expect("seed schema");
-    seeder.disconnect();
-
-    let started = std::time::Instant::now();
-    std::thread::scope(|scope| {
-        for worker in 0..clients {
-            let addr = addr.clone();
-            scope.spawn(move || {
-                let mut c = MdmClient::connect(
-                    &addr,
-                    ClientConfig {
-                        client_name: format!("stats-bench-{worker}"),
-                        ..ClientConfig::default()
-                    },
-                )
-                .expect("connect");
-                for op in 0..ops_per_client {
-                    if op % 2 == 0 {
-                        c.execute(&format!(
-                            "append to STAT_ITEM (name = \"w{worker}\", rank = {op})"
-                        ))
-                        .expect("append");
-                    } else {
-                        c.query(&format!(
-                            "range of s is STAT_ITEM\nretrieve (s.name) where s.rank = {op}"
-                        ))
-                        .expect("query");
-                    }
-                }
+    let mut out = format!(
+        "mean µs per operation\n\n{:<20} {:>5} {:>10} {:>14} {:>10} {:>10} {:>10}\n",
+        "store", "N", "append", "middle-insert", "before", "nth", "scan"
+    );
+    for n in SIZES {
+        for make in stores {
+            let mut store = make();
+            let mut next = 0u64;
+            let append = mean_us(n, || {
+                store.append(next);
+                next += 1;
             });
-        }
-    });
-    let elapsed = started.elapsed();
-    let per_sec = (clients * ops_per_client) as f64 / elapsed.as_secs_f64();
-    let mdm = server.shutdown().expect("shutdown");
-    let snap = mdm.metrics_snapshot();
-    let recorded = mdm.statement_top(64).rows.len();
-    drop(mdm);
-    std::fs::remove_dir_all(&dir).ok();
-    (per_sec, snap, recorded)
-}
-
-/// The statement-statistics overhead axis: for each client count,
-/// sweeps with the store bypassed and recording in adjacent paired
-/// rounds, and reports the round with the smallest paired overhead.
-/// Pairing matters: scheduler and frequency-scaling noise is
-/// correlated within a round and cancels in the off/on ratio, where
-/// best-of-per-condition across rounds would compare throughputs taken
-/// minutes of machine-state apart. The acceptance bar — enforced by
-/// `validate_stats_bench_json` — is recording within 5% of bypassed
-/// throughput.
-fn stats_bench_json(client_counts: &[usize], ops_per_client: usize, rounds: usize) -> String {
-    let mut runs = String::new();
-    let mut last_snapshot = None;
-    for (i, &clients) in client_counts.iter().enumerate() {
-        // (off req/s, on req/s, on-round snapshot, on recorded, off recorded)
-        let mut best: Option<(f64, f64, mdm_obs::Snapshot, usize, usize)> = None;
-        for _ in 0..rounds {
-            let (off_ps, _, off_recorded) = stats_sweep(clients, ops_per_client, false);
-            let (on_ps, snap, on_recorded) = stats_sweep(clients, ops_per_client, true);
-            let paired = (off_ps - on_ps) / off_ps.max(1.0);
-            let keep = best
-                .as_ref()
-                .is_none_or(|(boff, bon, ..)| paired < (boff - bon) / boff.max(1.0));
-            if keep {
-                best = Some((off_ps, on_ps, snap, on_recorded, off_recorded));
-            }
-        }
-        let (off_ps, on_ps, snap, on_recorded, off_recorded) = best.expect("rounds ran");
-        let overhead_pct = if off_ps > 0.0 {
-            (off_ps - on_ps) / off_ps * 100.0
-        } else {
-            0.0
-        };
-        if i > 0 {
-            runs.push(',');
-        }
-        runs.push_str(&format!(
-            "{{\"clients\":{clients},\
-             \"off_requests_per_sec\":{off_ps:.1},\
-             \"on_requests_per_sec\":{on_ps:.1},\
-             \"overhead_pct\":{overhead_pct:.2},\
-             \"statements_recorded\":{on_recorded},\
-             \"statements_recorded_off\":{off_recorded}}}"
-        ));
-        last_snapshot = Some(snap);
-    }
-    format!(
-        "{{\"bench\":\"e7_stats_overhead\",\"ops_per_client\":{ops_per_client},\
-         \"rounds\":{rounds},\"runs\":[{runs}],\"server_metrics\":{}}}\n",
-        last_snapshot.expect("at least one client count").to_json()
-    )
-}
-
-/// Validates a `stats_bench_json` document: well-formed JSON, paired
-/// recording/bypassed throughput per run with overhead at or below
-/// `max_overhead_pct`, statements actually recorded (and none while
-/// bypassed), and the planner path counters present in the embedded
-/// server snapshot with the scan path exercised.
-fn validate_stats_bench_json(doc: &str, max_overhead_pct: f64) -> Result<(), String> {
-    use mdm_obs::json::{parse, Value};
-    let v = parse(doc).map_err(|e| e.to_string())?;
-    let runs = v
-        .get("runs")
-        .and_then(Value::as_array)
-        .ok_or("missing runs array")?;
-    if runs.is_empty() {
-        return Err("runs array is empty".into());
-    }
-    for run in runs {
-        let clients = run
-            .get("clients")
-            .and_then(Value::as_u64)
-            .ok_or("run is missing clients")?;
-        for key in ["off_requests_per_sec", "on_requests_per_sec"] {
-            if !matches!(run.get(key), Some(Value::Number(_))) {
-                return Err(format!("run is missing {key}"));
-            }
-        }
-        match run.get("overhead_pct") {
-            Some(Value::Number(o)) if *o <= max_overhead_pct => {}
-            Some(Value::Number(o)) => {
-                return Err(format!(
-                    "{clients}-client recording costs {o:.2}% throughput, \
-                     budget is {max_overhead_pct}%"
-                ))
-            }
-            _ => return Err("run is missing overhead_pct".into()),
-        }
-        let recorded = run
-            .get("statements_recorded")
-            .and_then(Value::as_u64)
-            .ok_or("run is missing statements_recorded")?;
-        if recorded < 2 {
-            return Err(format!(
-                "recording run captured only {recorded} distinct statements"
+            let (a, z) = ((n / 3) as u64, (2 * n / 3) as u64);
+            let before = mean_us(READS, || {
+                black_box(store.before(a, z));
+            });
+            let nth = mean_us(READS, || {
+                black_box(store.nth(n / 2));
+            });
+            let scan = mean_us(SCANS, || {
+                black_box(store.children().len());
+            });
+            let insert = mean_us(INSERTS, || {
+                store.insert_at(n / 2, next);
+                next += 1;
+            });
+            out.push_str(&format!(
+                "{:<20} {n:>5} {append:>10.1} {insert:>14.1} {before:>10.2} {nth:>10.2} {scan:>10.1}\n",
+                store.name()
             ));
-        }
-        if run.get("statements_recorded_off").and_then(Value::as_u64) != Some(0) {
-            return Err("bypassed run must record nothing".into());
-        }
-    }
-    let metrics = v
-        .get("server_metrics")
-        .and_then(|m| m.get("metrics"))
-        .and_then(Value::as_array)
-        .ok_or("missing server_metrics.metrics array")?;
-    for required in ["mdm_quel_plan_total", "mdm_net_requests_total"] {
-        if !metrics
-            .iter()
-            .any(|m| m.get("name").and_then(Value::as_str) == Some(required))
-        {
-            return Err(format!("metric {required} missing from snapshot"));
-        }
-    }
-    let scan_chosen = metrics.iter().any(|m| {
-        m.get("name").and_then(Value::as_str) == Some("mdm_quel_plan_total")
-            && m.get("labels")
-                .and_then(|l| l.get("path"))
-                .and_then(Value::as_str)
-                == Some("scan")
-            && m.get("value").and_then(Value::as_u64).unwrap_or(0) > 0
-    });
-    if !scan_chosen {
-        return Err("mdm_quel_plan_total{path=scan} never incremented".into());
-    }
-    Ok(())
-}
-
-/// The CI statement-statistics smoke: a scaled-down overhead sweep with
-/// a generous noise budget, then a live `$statements` retrieve and a
-/// `Top` request over loopback — the introspection surface end to end.
-fn stats_smoke() -> Result<String, String> {
-    use mdm_net::{ClientConfig, MdmClient, MdmServer, ServerConfig};
-    let started = std::time::Instant::now();
-    // Scaled down from the full bench but not so far that scheduler
-    // noise dominates the short measured sections; the budget here is a
-    // sanity bound, the real 5% gate is `stats-bench`.
-    let doc = stats_bench_json(&[1, 2], 150, 3);
-    validate_stats_bench_json(&doc, 30.0)?;
-
-    let dir = std::env::temp_dir().join(format!("mdm-repro-stats-smoke-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let mdm = MusicDataManager::open(&dir).map_err(|e| format!("open: {e}"))?;
-    let server = MdmServer::start(mdm, "127.0.0.1:0", ServerConfig::default())
-        .map_err(|e| format!("start: {e}"))?;
-    let mut c = MdmClient::connect(&server.local_addr().to_string(), ClientConfig::default())
-        .map_err(|e| format!("connect: {e}"))?;
-    c.execute("define entity SMOKE (n = integer)")
-        .map_err(|e| format!("execute: {e}"))?;
-    for n in 0..2 {
-        c.query(&format!(
-            "range of s is SMOKE\nretrieve (s.n) where s.n = {n}"
-        ))
-        .map_err(|e| format!("query: {e}"))?;
-    }
-    let t = c
-        .query(
-            "range of st is $statements\n\
-             retrieve (st.fingerprint, st.calls) where st.calls = 2",
-        )
-        .map_err(|e| format!("$statements: {e}"))?;
-    if t.rows.len() != 1 {
-        return Err(format!(
-            "expected the repeated query as one $statements row, got {}",
-            t.rows.len()
-        ));
-    }
-    let top = c.top(5).map_err(|e| format!("top: {e}"))?;
-    if top.rows.is_empty() {
-        return Err("Top returned no statements".into());
-    }
-    drop(c);
-    let mdm = server.shutdown().map_err(|e| format!("shutdown: {e}"))?;
-    drop(mdm);
-    std::fs::remove_dir_all(&dir).ok();
-    Ok(format!(
-        "stats smoke: ok — validated 2-point overhead sweep, live \
-         $statements retrieve and Top over loopback in {:.2}s",
-        started.elapsed().as_secs_f64()
-    ))
-}
-
-/// One loopback sweep at `clients` workers alternating QUEL appends
-/// with reads, with the continuous monitor either passive (`sampling =
-/// false`: a zero interval, so the sampler thread never starts) or
-/// sampling every 10 ms — two orders of magnitude hotter than the 1 s
-/// production default, so the measured overhead is an upper bound on
-/// what a deployed server pays. Returns `(requests_per_sec,
-/// samples_taken, server snapshot)`.
-fn obs_sweep(
-    clients: usize,
-    ops_per_client: usize,
-    sampling: bool,
-) -> (f64, u64, mdm_obs::Snapshot) {
-    use mdm_net::{ClientConfig, MdmClient, MdmServer, ServerConfig};
-    let dir = std::env::temp_dir().join(format!(
-        "mdm-repro-obs-{clients}-{sampling}-{}",
-        std::process::id()
-    ));
-    std::fs::remove_dir_all(&dir).ok();
-    let mdm = MusicDataManager::open(&dir).expect("open MDM");
-    let cfg = ServerConfig {
-        sample_interval: if sampling {
-            std::time::Duration::from_millis(10)
-        } else {
-            std::time::Duration::ZERO
-        },
-        ..ServerConfig::default()
-    };
-    let server = MdmServer::start(mdm, "127.0.0.1:0", cfg).expect("start server");
-    let addr = server.local_addr().to_string();
-    let mut seeder = MdmClient::connect(&addr, ClientConfig::default()).expect("seeder");
-    seeder
-        .execute("define entity OBS_ITEM (name = string, rank = integer)")
-        .expect("seed schema");
-    seeder.disconnect();
-
-    let started = std::time::Instant::now();
-    std::thread::scope(|scope| {
-        for worker in 0..clients {
-            let addr = addr.clone();
-            scope.spawn(move || {
-                let mut c = MdmClient::connect(
-                    &addr,
-                    ClientConfig {
-                        client_name: format!("obs-bench-{worker}"),
-                        ..ClientConfig::default()
-                    },
-                )
-                .expect("connect");
-                for op in 0..ops_per_client {
-                    if op % 2 == 0 {
-                        c.execute(&format!(
-                            "append to OBS_ITEM (name = \"w{worker}\", rank = {op})"
-                        ))
-                        .expect("append");
-                    } else {
-                        c.query(&format!(
-                            "range of s is OBS_ITEM\nretrieve (s.name) where s.rank = {op}"
-                        ))
-                        .expect("query");
-                    }
-                }
-            });
-        }
-    });
-    let elapsed = started.elapsed();
-    let per_sec = (clients * ops_per_client) as f64 / elapsed.as_secs_f64();
-    let mdm = server.shutdown().expect("shutdown");
-    let snap = mdm.metrics_snapshot();
-    let samples = snap.counter("mdm_monitor_samples_total").unwrap_or(0);
-    drop(mdm);
-    std::fs::remove_dir_all(&dir).ok();
-    (per_sec, samples, snap)
-}
-
-/// The continuous-monitoring overhead axis: for each client count,
-/// sweeps with the monitor passive and sampling at 10 ms in adjacent
-/// paired rounds, reporting the round with the smallest paired
-/// overhead (see `stats_bench_json` for why pairing beats
-/// best-of-per-condition). The acceptance bar — enforced by
-/// `validate_obs_bench_json` — is sampling within 2% of passive
-/// throughput, with the sampler demonstrably live when on and
-/// demonstrably absent when off.
-fn obs_bench_json(client_counts: &[usize], ops_per_client: usize, rounds: usize) -> String {
-    let mut runs = String::new();
-    let mut last_snapshot = None;
-    for (i, &clients) in client_counts.iter().enumerate() {
-        // (off req/s, on req/s, samples on, samples off, on-round snapshot)
-        let mut best: Option<(f64, f64, u64, u64, mdm_obs::Snapshot)> = None;
-        for _ in 0..rounds {
-            let (off_ps, off_samples, _) = obs_sweep(clients, ops_per_client, false);
-            let (on_ps, on_samples, snap) = obs_sweep(clients, ops_per_client, true);
-            let paired = (off_ps - on_ps) / off_ps.max(1.0);
-            let keep = best
-                .as_ref()
-                .is_none_or(|(boff, bon, ..)| paired < (boff - bon) / boff.max(1.0));
-            if keep {
-                best = Some((off_ps, on_ps, on_samples, off_samples, snap));
-            }
-        }
-        let (off_ps, on_ps, on_samples, off_samples, snap) = best.expect("rounds ran");
-        let overhead_pct = if off_ps > 0.0 {
-            (off_ps - on_ps) / off_ps * 100.0
-        } else {
-            0.0
-        };
-        if i > 0 {
-            runs.push(',');
-        }
-        runs.push_str(&format!(
-            "{{\"clients\":{clients},\
-             \"off_requests_per_sec\":{off_ps:.1},\
-             \"on_requests_per_sec\":{on_ps:.1},\
-             \"overhead_pct\":{overhead_pct:.2},\
-             \"samples\":{on_samples},\
-             \"samples_off\":{off_samples}}}"
-        ));
-        last_snapshot = Some(snap);
-    }
-    format!(
-        "{{\"bench\":\"e9_monitor_overhead\",\"ops_per_client\":{ops_per_client},\
-         \"rounds\":{rounds},\"sample_interval_ms\":10,\"runs\":[{runs}],\
-         \"server_metrics\":{}}}\n",
-        last_snapshot.expect("at least one client count").to_json()
-    )
-}
-
-/// Validates an `obs_bench_json` document: well-formed JSON, paired
-/// sampling/passive throughput per run with overhead at or below
-/// `max_overhead_pct`, samples actually taken while on (and none while
-/// passive), and the monitor and process families present in the
-/// embedded server snapshot.
-fn validate_obs_bench_json(doc: &str, max_overhead_pct: f64) -> Result<(), String> {
-    use mdm_obs::json::{parse, Value};
-    let v = parse(doc).map_err(|e| e.to_string())?;
-    let runs = v
-        .get("runs")
-        .and_then(Value::as_array)
-        .ok_or("missing runs array")?;
-    if runs.is_empty() {
-        return Err("runs array is empty".into());
-    }
-    for run in runs {
-        let clients = run
-            .get("clients")
-            .and_then(Value::as_u64)
-            .ok_or("run is missing clients")?;
-        for key in ["off_requests_per_sec", "on_requests_per_sec"] {
-            if !matches!(run.get(key), Some(Value::Number(_))) {
-                return Err(format!("run is missing {key}"));
-            }
-        }
-        match run.get("overhead_pct") {
-            Some(Value::Number(o)) if *o <= max_overhead_pct => {}
-            Some(Value::Number(o)) => {
-                return Err(format!(
-                    "{clients}-client sampling costs {o:.2}% throughput, \
-                     budget is {max_overhead_pct}%"
-                ))
-            }
-            _ => return Err("run is missing overhead_pct".into()),
-        }
-        let samples = run
-            .get("samples")
-            .and_then(Value::as_u64)
-            .ok_or("run is missing samples")?;
-        if samples < 2 {
-            return Err(format!("sampling run took only {samples} samples"));
-        }
-        if run.get("samples_off").and_then(Value::as_u64) != Some(0) {
-            return Err("passive run must take no samples".into());
-        }
-    }
-    let metrics = v
-        .get("server_metrics")
-        .and_then(|m| m.get("metrics"))
-        .and_then(Value::as_array)
-        .ok_or("missing server_metrics.metrics array")?;
-    for required in [
-        "mdm_monitor_samples_total",
-        "mdm_process_resident_bytes",
-        "mdm_process_open_fds",
-        "mdm_process_threads",
-        "mdm_net_requests_total",
-    ] {
-        if !metrics
-            .iter()
-            .any(|m| m.get("name").and_then(Value::as_str) == Some(required))
-        {
-            return Err(format!("metric {required} missing from snapshot"));
-        }
-    }
-    Ok(())
-}
-
-/// One `GET` against a std-only observability endpoint, returning
-/// `(status, body)`.
-fn obs_http_get(addr: std::net::SocketAddr, target: &str) -> Result<(u16, String), String> {
-    use std::io::{Read, Write};
-    let mut stream = std::net::TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
-    stream
-        .write_all(format!("GET {target} HTTP/1.1\r\nHost: smoke\r\n\r\n").as_bytes())
-        .map_err(|e| format!("write: {e}"))?;
-    let mut raw = String::new();
-    stream
-        .read_to_string(&mut raw)
-        .map_err(|e| format!("read: {e}"))?;
-    let status: u16 = raw
-        .strip_prefix("HTTP/1.1 ")
-        .and_then(|r| r.split_ascii_whitespace().next())
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("bad status line: {raw:?}"))?;
-    let body = raw
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    Ok((status, body))
-}
-
-/// Polls `target` until it answers `want` (or the deadline passes),
-/// returning the last `(status, body)` seen.
-fn obs_wait_for_status(
-    addr: std::net::SocketAddr,
-    target: &str,
-    want: u16,
-    deadline: std::time::Duration,
-) -> Result<(u16, String), String> {
-    let start = std::time::Instant::now();
-    loop {
-        let (status, body) = obs_http_get(addr, target)?;
-        if status == want || start.elapsed() > deadline {
-            return Ok((status, body));
-        }
-        std::thread::sleep(std::time::Duration::from_millis(25));
-    }
-}
-
-/// The CI monitoring drill: a primary and a replica both serving their
-/// observability endpoints; the replica is held behind (pulls continue,
-/// nothing applies) while the primary keeps writing, which must trip
-/// the seeded lag alert and flip the replica's `/healthz` to 503 — then
-/// resume, catch up, and flip back to 200. Finishes with a scaled-down
-/// validated overhead sweep; the budget here is a sanity bound, the
-/// real 2% gate is `obs-bench`.
-fn health_smoke() -> Result<String, String> {
-    use mdm_net::{ClientConfig, MdmClient, MdmServer, ServerConfig};
-    use mdm_repl::{ReplicaConfig, ReplicaNode};
-    use std::time::Duration;
-    let deadline = Duration::from_secs(60);
-    let started = std::time::Instant::now();
-
-    let base = std::env::temp_dir().join(format!("mdm-repro-health-smoke-{}", std::process::id()));
-    std::fs::remove_dir_all(&base).ok();
-    let mdm =
-        MusicDataManager::open(&base.join("primary")).map_err(|e| format!("open primary: {e}"))?;
-    let pcfg = ServerConfig {
-        http_addr: Some("127.0.0.1:0".into()),
-        sample_interval: Duration::from_millis(25),
-        ..ServerConfig::default()
-    };
-    let server =
-        MdmServer::start(mdm, "127.0.0.1:0", pcfg).map_err(|e| format!("start primary: {e}"))?;
-    let primary_http = server.http_addr().ok_or("primary has no http addr")?;
-    let mut pc = MdmClient::connect(&server.local_addr().to_string(), ClientConfig::default())
-        .map_err(|e| format!("connect: {e}"))?;
-    pc.execute("define entity HEALTH_ITEM (name = string)")
-        .map_err(|e| format!("ddl: {e}"))?;
-
-    // Hair-trigger lag thresholds so the drill runs in milliseconds.
-    let mut cfg = ReplicaConfig::new(&server.local_addr().to_string());
-    cfg.server.http_addr = Some("127.0.0.1:0".into());
-    cfg.server.sample_interval = Duration::from_millis(25);
-    cfg.lag_alert_bytes = 1;
-    cfg.lag_alert_seconds = 0.5;
-    let node = ReplicaNode::start(&base.join("replica"), "127.0.0.1:0", cfg)
-        .map_err(|e| format!("replica start: {e}"))?;
-    let replica_http = node
-        .server()
-        .http_addr()
-        .ok_or("replica has no http addr")?;
-
-    let target = server.with_manager(|m| m.engine().wal_durable_lsn());
-    if !node.wait_for_lsn(target, Duration::from_secs(15)) {
-        return Err(format!("replica stuck at lsn {}", node.applied_lsn()));
-    }
-    let (status, body) =
-        obs_wait_for_status(replica_http, "/healthz", 200, Duration::from_secs(5))?;
-    if status != 200 {
-        return Err(format!("caught-up replica unhealthy ({status}): {body}"));
-    }
-
-    node.set_apply_paused(true);
-    for i in 0..10 {
-        pc.execute(&format!("append to HEALTH_ITEM (name = \"e{i}\")"))
-            .map_err(|e| format!("primary append: {e}"))?;
-    }
-    let (status, body) =
-        obs_wait_for_status(replica_http, "/healthz", 503, Duration::from_secs(15))?;
-    if status != 503 {
-        return Err(format!("lag alert never fired ({status}): {body}"));
-    }
-    if !body.contains("repl_lag_bytes_high") || !body.contains("\"state\":\"firing\"") {
-        return Err(format!("503 body lacks the firing lag alert: {body}"));
-    }
-    let (status, body) = obs_http_get(primary_http, "/statusz")?;
-    if status != 200 || !body.contains("\"role\": \"primary\"") {
-        return Err(format!("primary /statusz wrong ({status}): {body}"));
-    }
-    let (status, _) = obs_http_get(primary_http, "/healthz")?;
-    if status != 200 {
-        return Err(format!("primary /healthz not 200 ({status})"));
-    }
-
-    node.set_apply_paused(false);
-    let target = server.with_manager(|m| m.engine().wal_durable_lsn());
-    if !node.wait_for_lsn(target, Duration::from_secs(15)) {
-        return Err(format!("replica never caught up to lsn {target}"));
-    }
-    let (status, body) =
-        obs_wait_for_status(replica_http, "/healthz", 200, Duration::from_secs(15))?;
-    if status != 200 {
-        return Err(format!("replica never recovered ({status}): {body}"));
-    }
-
-    drop(pc);
-    node.shutdown()
-        .map_err(|e| format!("replica shutdown: {e}"))?;
-    let mdm = server.shutdown().map_err(|e| format!("shutdown: {e}"))?;
-    drop(mdm);
-    std::fs::remove_dir_all(&base).ok();
-
-    let doc = obs_bench_json(&[1, 2], 150, 3);
-    validate_obs_bench_json(&doc, 30.0)?;
-
-    let elapsed = started.elapsed();
-    if elapsed > deadline {
-        return Err(format!(
-            "smoke exceeded its {}s deadline ({:.1}s)",
-            deadline.as_secs(),
-            elapsed.as_secs_f64()
-        ));
-    }
-    Ok(format!(
-        "health smoke: ok — /healthz 200 → 503 on a held-back replica \
-         with the lag alert firing, 200 again after catch-up, and a \
-         validated 2-point overhead sweep in {:.2}s",
-        elapsed.as_secs_f64()
-    ))
-}
-
-/// Escapes a string for embedding in a JSON document — violation
-/// messages quote row bodies via `Debug`, so they contain `"`.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
         }
     }
     out
-}
-
-/// The E5 crash-point torture sweep as a JSON document: the boundary
-/// census from the clean run, the number of distinct crash states
-/// explored, reopen (recovery) latency quantiles, every invariant
-/// violation verbatim, and the `mdm_fault_*` metric snapshot. Returns
-/// the report too so the caller can gate its exit code on violations.
-fn torture_json(cfg: &mdm_storage::TortureConfig) -> (String, mdm_storage::TortureReport) {
-    let scratch = std::env::temp_dir().join(format!("mdm-repro-torture-{}", std::process::id()));
-    std::fs::remove_dir_all(&scratch).ok();
-    std::fs::create_dir_all(&scratch).expect("create scratch dir");
-    let registry = mdm_obs::Registry::new();
-    let report = mdm_storage::crash_point_sweep(&scratch, cfg, &registry);
-    std::fs::remove_dir_all(&scratch).ok();
-    let violations = report
-        .violations
-        .iter()
-        .map(|v| format!("\"{}\"", json_escape(v)))
-        .collect::<Vec<_>>()
-        .join(",");
-    let doc = format!(
-        "{{\"bench\":\"e5_crash_torture\",\
-         \"config\":{{\"rounds\":{},\"pool_pages\":{},\"stride\":{},\"torn_writes\":{}}},\
-         \"boundaries\":{},\"writes\":{},\"syncs\":{},\"crash_points\":{},\
-         \"reopen_p50_micros\":{},\"reopen_p99_micros\":{},\"reopen_mean_micros\":{},\
-         \"violations\":[{violations}],\"fault_metrics\":{}}}\n",
-        cfg.rounds,
-        cfg.pool_pages,
-        cfg.stride,
-        cfg.torn_writes,
-        report.boundaries,
-        report.writes,
-        report.syncs,
-        report.crash_points,
-        report.reopen_percentile(0.50),
-        report.reopen_percentile(0.99),
-        report.reopen_mean(),
-        registry.snapshot().to_json()
-    );
-    (doc, report)
-}
-
-/// Validates a `torture_json` document: well-formed JSON, the census and
-/// latency fields present, a violations array (empty or not), and every
-/// `mdm_fault_*` family in the embedded snapshot.
-fn validate_torture_json(doc: &str) -> Result<(), String> {
-    use mdm_obs::json::{parse, Value};
-    let v = parse(doc).map_err(|e| e.to_string())?;
-    for key in [
-        "boundaries",
-        "writes",
-        "syncs",
-        "crash_points",
-        "reopen_p50_micros",
-        "reopen_p99_micros",
-        "reopen_mean_micros",
-    ] {
-        v.get(key)
-            .and_then(Value::as_u64)
-            .ok_or_else(|| format!("missing integer field {key}"))?;
-    }
-    v.get("violations")
-        .and_then(Value::as_array)
-        .ok_or("missing violations array")?;
-    let metrics = v
-        .get("fault_metrics")
-        .and_then(|m| m.get("metrics"))
-        .and_then(Value::as_array)
-        .ok_or("missing fault_metrics.metrics array")?;
-    for required in [
-        "mdm_fault_ops_total",
-        "mdm_fault_injected_total",
-        "mdm_fault_crashes_total",
-        "mdm_fault_crash_points_total",
-        "mdm_fault_violations_total",
-        "mdm_fault_reopen_micros",
-    ] {
-        if !metrics
-            .iter()
-            .any(|m| m.get("name").and_then(Value::as_str) == Some(required))
-        {
-            return Err(format!("metric {required} missing from snapshot"));
-        }
-    }
-    Ok(())
-}
-
-/// The CI torture smoke: a strided crash-point sweep that must explore a
-/// healthy number of distinct crash states, find zero invariant
-/// violations, and emit a JSON document our own parser accepts.
-fn torture_smoke() -> Result<String, String> {
-    let started = std::time::Instant::now();
-    let (doc, report) = torture_json(&mdm_storage::TortureConfig::smoke());
-    validate_torture_json(&doc)?;
-    if report.crash_points < 10 {
-        return Err(format!(
-            "only {} crash points explored — the boundary census collapsed",
-            report.crash_points
-        ));
-    }
-    if !report.violations.is_empty() {
-        let sample: Vec<&String> = report.violations.iter().take(5).collect();
-        return Err(format!(
-            "{} invariant violation(s), e.g. {sample:?}",
-            report.violations.len()
-        ));
-    }
-    Ok(format!(
-        "torture smoke: ok — {} crash points over {} boundaries \
-         ({} writes, {} syncs), 0 violations, reopen p99 {}µs, in {:.1}s",
-        report.crash_points,
-        report.boundaries,
-        report.writes,
-        report.syncs,
-        report.reopen_percentile(0.99),
-        started.elapsed().as_secs_f64()
-    ))
-}
-
-/// One replication fan-out sweep: a primary under constant write load,
-/// `replicas` streaming replicas (0 = readers hit the primary), and
-/// `readers` concurrent QUEL readers spread round-robin over the read
-/// endpoints. Returns `(reads_per_sec, lag samples in records, writes
-/// completed, snapshot of the last replica — or the primary when 0)`.
-fn repl_sweep(
-    replicas: usize,
-    readers: usize,
-    reads_per_reader: usize,
-) -> (f64, Vec<u64>, u64, mdm_obs::Snapshot) {
-    use mdm_net::{ClientConfig, MdmClient, MdmServer, ServerConfig};
-    use mdm_repl::{ReplicaConfig, ReplicaNode};
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-    let base =
-        std::env::temp_dir().join(format!("mdm-repro-repl-{replicas}-{}", std::process::id()));
-    std::fs::remove_dir_all(&base).ok();
-    let mdm = MusicDataManager::open(&base.join("primary")).expect("open primary");
-    let server =
-        MdmServer::start(mdm, "127.0.0.1:0", ServerConfig::default()).expect("start server");
-    let addr = server.local_addr().to_string();
-
-    // Fixture: one entity, a page of rows, so reads do real work.
-    let mut seed = MdmClient::connect(&addr, ClientConfig::default()).expect("seed connect");
-    let mut stmt = String::from("define entity TUNE (title = string)\n");
-    for i in 0..64 {
-        stmt.push_str(&format!("append to TUNE (title = \"air no. {i}\")\n"));
-    }
-    seed.execute(&stmt).expect("seed fixture");
-
-    let nodes: Vec<ReplicaNode> = (0..replicas)
-        .map(|i| {
-            let mut cfg = ReplicaConfig::new(&addr);
-            cfg.replica_id = i as u64 + 1;
-            ReplicaNode::start(&base.join(format!("replica-{i}")), "127.0.0.1:0", cfg)
-                .expect("start replica")
-        })
-        .collect();
-    let target = server.with_manager(|m| m.engine().wal_durable_lsn());
-    for node in &nodes {
-        assert!(
-            node.wait_for_lsn(target, std::time::Duration::from_secs(30)),
-            "replica never caught up: {:?}",
-            node.last_error()
-        );
-    }
-    let read_addrs: Vec<String> = if nodes.is_empty() {
-        vec![addr.clone()]
-    } else {
-        nodes.iter().map(|n| n.addr().to_string()).collect()
-    };
-
-    let stop = AtomicBool::new(false);
-    let writes = AtomicU64::new(0);
-    let mut lag_samples: Vec<u64> = Vec::new();
-    let started = std::time::Instant::now();
-    std::thread::scope(|scope| {
-        // Writer: keeps the primary's durable watermark moving so the
-        // lag samples measure replication under load, not at rest.
-        scope.spawn(|| {
-            let mut c = MdmClient::connect(&addr, ClientConfig::default()).expect("writer");
-            let mut i = 0u64;
-            while !stop.load(Ordering::Acquire) {
-                c.execute(&format!("append to TUNE (title = \"load {i}\")"))
-                    .expect("write");
-                writes.fetch_add(1, Ordering::Relaxed);
-                i += 1;
-            }
-        });
-        // Lag sampler: max records behind the primary's durable
-        // watermark across the fleet, sampled while readers run.
-        let sampler = scope.spawn(|| {
-            let mut samples = Vec::new();
-            while !stop.load(Ordering::Acquire) {
-                let lag = nodes
-                    .iter()
-                    .map(|n| n.primary_durable_lsn().saturating_sub(n.applied_lsn()))
-                    .max()
-                    .unwrap_or(0);
-                samples.push(lag);
-                std::thread::sleep(std::time::Duration::from_millis(2));
-            }
-            samples
-        });
-        let mut handles = Vec::new();
-        for r in 0..readers {
-            let target = read_addrs[r % read_addrs.len()].clone();
-            handles.push(scope.spawn(move || {
-                let mut c = MdmClient::connect(&target, ClientConfig::default()).expect("reader");
-                for _ in 0..reads_per_reader {
-                    let t = c
-                        .query("range of t is TUNE\nretrieve (t.title)")
-                        .expect("read");
-                    assert!(t.rows.len() >= 64, "reader saw a truncated fixture");
-                }
-            }));
-        }
-        for h in handles {
-            h.join().expect("reader thread");
-        }
-        stop.store(true, Ordering::Release);
-        lag_samples = sampler.join().expect("sampler thread");
-    });
-    let elapsed = started.elapsed();
-    let reads = readers * reads_per_reader;
-    let per_sec = reads as f64 / elapsed.as_secs_f64();
-    let writes = writes.load(Ordering::Acquire);
-
-    let snap = match nodes.is_empty() {
-        true => server.with_manager(|m| m.metrics_snapshot()),
-        false => nodes[0].server().with_manager(|m| m.metrics_snapshot()),
-    };
-    for node in nodes {
-        node.shutdown().expect("replica shutdown");
-    }
-    server.shutdown().expect("primary shutdown");
-    std::fs::remove_dir_all(&base).ok();
-    (per_sec, lag_samples, writes, snap)
-}
-
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-/// The E8 replication fan-out sweep as a JSON document: read throughput
-/// per replica count (0 = all reads on the primary) under a constant
-/// primary write load, with replication-lag quantiles per topology and
-/// the last replica's metrics snapshot (`mdm_repl_*`) embedded.
-fn repl_bench_json(replica_counts: &[usize], readers: usize, reads_per_reader: usize) -> String {
-    let mut runs = String::new();
-    let mut last_snapshot = None;
-    for (i, &replicas) in replica_counts.iter().enumerate() {
-        let (per_sec, mut lags, writes, snap) = repl_sweep(replicas, readers, reads_per_reader);
-        lags.sort_unstable();
-        if i > 0 {
-            runs.push(',');
-        }
-        runs.push_str(&format!(
-            "{{\"replicas\":{replicas},\"readers\":{readers},\
-             \"reads\":{},\"reads_per_sec\":{per_sec:.1},\
-             \"writes_during\":{writes},\
-             \"lag_p50_records\":{},\"lag_p99_records\":{}}}",
-            readers * reads_per_reader,
-            percentile(&lags, 0.50),
-            percentile(&lags, 0.99),
-        ));
-        if replicas > 0 {
-            last_snapshot = Some(snap);
-        }
-    }
-    format!(
-        "{{\"bench\":\"e8_repl_fanout\",\"reads_per_reader\":{reads_per_reader},\
-         \"runs\":[{runs}],\"replica_metrics\":{}}}\n",
-        last_snapshot
-            .expect("at least one replicated run")
-            .to_json()
-    )
-}
-
-/// Validates a `repl_bench_json` document: well-formed JSON, runs with
-/// throughput and lag-quantile fields, and the `mdm_repl_*` families
-/// present — with real traffic — in the embedded replica snapshot.
-fn validate_repl_bench_json(doc: &str) -> Result<(), String> {
-    use mdm_obs::json::{parse, Value};
-    let v = parse(doc).map_err(|e| e.to_string())?;
-    let runs = v
-        .get("runs")
-        .and_then(Value::as_array)
-        .ok_or("missing runs array")?;
-    if runs.is_empty() {
-        return Err("runs array is empty".into());
-    }
-    for run in runs {
-        for key in [
-            "replicas",
-            "readers",
-            "reads",
-            "writes_during",
-            "lag_p50_records",
-            "lag_p99_records",
-        ] {
-            run.get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("run is missing integer field {key}"))?;
-        }
-        if !matches!(run.get("reads_per_sec"), Some(Value::Number(_))) {
-            return Err("run is missing reads_per_sec".into());
-        }
-    }
-    let metrics = v
-        .get("replica_metrics")
-        .and_then(|m| m.get("metrics"))
-        .and_then(Value::as_array)
-        .ok_or("missing replica_metrics.metrics array")?;
-    for required in [
-        "mdm_repl_applied_lsn",
-        "mdm_repl_lag_bytes",
-        "mdm_repl_batches_total",
-        "mdm_repl_records_total",
-        "mdm_repl_statements_total",
-    ] {
-        if !metrics
-            .iter()
-            .any(|m| m.get("name").and_then(Value::as_str) == Some(required))
-        {
-            return Err(format!("metric {required} missing from snapshot"));
-        }
-    }
-    let applied = metrics
-        .iter()
-        .find(|m| m.get("name").and_then(Value::as_str) == Some("mdm_repl_records_total"))
-        .and_then(|m| m.get("value"))
-        .and_then(Value::as_u64)
-        .unwrap_or(0);
-    if applied == 0 {
-        return Err("replica snapshot shows zero replicated records".into());
-    }
-    Ok(())
-}
-
-/// The CI replication smoke: a primary and one replica over loopback.
-/// Rows written on the primary must become readable on the replica
-/// within the lag bound, the replica must refuse writes with the typed
-/// `ReadOnly` code, and a validated 1-replica mini-sweep must pass.
-fn repl_smoke() -> Result<String, String> {
-    use mdm_net::{ClientConfig, ErrorCode, MdmClient, MdmServer, NetError, ServerConfig};
-    use mdm_repl::{ReplicaConfig, ReplicaNode};
-    let deadline = std::time::Duration::from_secs(60);
-    let started = std::time::Instant::now();
-
-    let base = std::env::temp_dir().join(format!("mdm-repro-repl-smoke-{}", std::process::id()));
-    std::fs::remove_dir_all(&base).ok();
-    let mdm = MusicDataManager::open(&base.join("primary")).map_err(|e| format!("open: {e}"))?;
-    let server = MdmServer::start(mdm, "127.0.0.1:0", ServerConfig::default())
-        .map_err(|e| format!("start: {e}"))?;
-    let addr = server.local_addr().to_string();
-    let node = ReplicaNode::start(
-        &base.join("replica"),
-        "127.0.0.1:0",
-        ReplicaConfig::new(&addr),
-    )
-    .map_err(|e| format!("replica start: {e}"))?;
-
-    let mut pc =
-        MdmClient::connect(&addr, ClientConfig::default()).map_err(|e| format!("connect: {e}"))?;
-    pc.execute(
-        "define entity TUNE (title = string)\n\
-         append to TUNE (title = \"the old triangle\")\n\
-         append to TUNE (title = \"the parting glass\")",
-    )
-    .map_err(|e| format!("primary execute: {e}"))?;
-    let target = server.with_manager(|m| m.engine().wal_durable_lsn());
-    if !node.wait_for_lsn(target, std::time::Duration::from_secs(15)) {
-        return Err(format!(
-            "replica stuck at lsn {} of {target}: {:?}",
-            node.applied_lsn(),
-            node.last_error()
-        ));
-    }
-    let mut rc = MdmClient::connect(&node.addr().to_string(), ClientConfig::default())
-        .map_err(|e| format!("replica connect: {e}"))?;
-    let t = rc
-        .query("range of t is TUNE\nretrieve (t.title)")
-        .map_err(|e| format!("replica query: {e}"))?;
-    if t.rows.len() != 2 {
-        return Err(format!("expected 2 replicated rows, got {}", t.rows.len()));
-    }
-    match rc.execute("append to TUNE (title = \"nope\")") {
-        Err(NetError::Remote {
-            code: ErrorCode::ReadOnly,
-            ..
-        }) => {}
-        other => return Err(format!("expected typed ReadOnly refusal, got {other:?}")),
-    }
-    let rs = rc
-        .repl_status()
-        .map_err(|e| format!("replica status: {e}"))?;
-    if !rs.replica || rs.applied_lsn < target {
-        return Err(format!(
-            "replica status wrong: replica={} applied={}",
-            rs.replica, rs.applied_lsn
-        ));
-    }
-    drop(rc);
-    node.shutdown()
-        .map_err(|e| format!("replica shutdown: {e}"))?;
-    let mdm = server.shutdown().map_err(|e| format!("shutdown: {e}"))?;
-    drop(mdm);
-    std::fs::remove_dir_all(&base).ok();
-
-    let doc = repl_bench_json(&[1], 2, 25);
-    validate_repl_bench_json(&doc)?;
-
-    let elapsed = started.elapsed();
-    if elapsed > deadline {
-        return Err(format!(
-            "smoke exceeded its {}s deadline ({:.1}s)",
-            deadline.as_secs(),
-            elapsed.as_secs_f64()
-        ));
-    }
-    Ok(format!(
-        "repl smoke: ok — primary→replica stream, typed read-only \
-         refusal, status, and a validated 1-replica sweep in {:.2}s",
-        elapsed.as_secs_f64()
-    ))
 }
 
 /// Point-in-time recovery: `replay-to <src> <dest> --lsn <N>` rebuilds
@@ -2767,284 +754,4 @@ fn quel() -> String {
         out.push('\n');
     }
     out
-}
-
-/// One cell of the MVCC read sweep: `readers` read loops run for
-/// `duration_ms` against a `rows`-row table while `writers` clients
-/// update it continuously. `snapshot_mode` picks the read path — MVCC
-/// snapshots (lock-free) or 2PL shared-lock transactions with wait-die
-/// retry. Returns `(reads, reader_aborts, writes)` for the window.
-fn mvcc_cell(
-    eng: &mdm_storage::StorageEngine,
-    table: u32,
-    rids: &[mdm_storage::Rid],
-    writers: usize,
-    readers: usize,
-    duration_ms: u64,
-    snapshot_mode: bool,
-) -> (u64, u64, u64) {
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    let stop = AtomicBool::new(false);
-    let reads = AtomicU64::new(0);
-    let reader_aborts = AtomicU64::new(0);
-    let writes = AtomicU64::new(0);
-
-    std::thread::scope(|s| {
-        for w in 0..writers {
-            let eng = eng.clone();
-            let (stop, writes) = (&stop, &writes);
-            s.spawn(move || {
-                let mut n = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    let rid = rids[(w + n as usize * writers) % rids.len()];
-                    let mut txn = eng.begin().expect("begin");
-                    let body = format!("w{w}={n}");
-                    match eng.update(&mut txn, table, rid, body.as_bytes()) {
-                        Ok(_) => {
-                            eng.commit(txn).expect("commit");
-                            n += 1;
-                            writes.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(mdm_storage::StorageError::Deadlock) => {
-                            eng.abort(txn).expect("abort");
-                        }
-                        Err(e) => panic!("writer failed: {e}"),
-                    }
-                    std::thread::yield_now();
-                }
-            });
-        }
-        for _ in 0..readers {
-            let eng = eng.clone();
-            let (stop, reads, aborts) = (&stop, &reads, &reader_aborts);
-            s.spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    if snapshot_mode {
-                        // Lock-free: visibility resolved by tuple
-                        // stamps; there is no lock to lose.
-                        let snap = eng.snapshot();
-                        match snap.scan(table) {
-                            Ok(rows) => {
-                                assert_eq!(rows.len(), rids.len(), "snapshot saw a torn table");
-                                reads.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Err(_) => {
-                                aborts.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    } else {
-                        // 2PL baseline: a shared lock that contends
-                        // with every writer, retried on wait-die.
-                        let mut txn = eng.begin().expect("begin");
-                        match eng.scan(&mut txn, table) {
-                            Ok(rows) => {
-                                assert_eq!(rows.len(), rids.len(), "locked scan saw a torn table");
-                                eng.commit(txn).expect("commit");
-                                reads.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Err(mdm_storage::StorageError::Deadlock) => {
-                                eng.abort(txn).expect("abort");
-                                aborts.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Err(e) => panic!("reader failed: {e}"),
-                        }
-                    }
-                    std::thread::yield_now();
-                }
-            });
-        }
-        std::thread::sleep(std::time::Duration::from_millis(duration_ms));
-        stop.store(true, Ordering::Relaxed);
-    });
-
-    (
-        reads.load(std::sync::atomic::Ordering::Relaxed),
-        reader_aborts.load(std::sync::atomic::Ordering::Relaxed),
-        writes.load(std::sync::atomic::Ordering::Relaxed),
-    )
-}
-
-/// The MVCC read sweep as a JSON document: at each reader count, the
-/// same scan loop measured under constant write load through the 2PL
-/// shared-lock path and through snapshot reads, plus the engine's
-/// `mdm_mvcc_*` metric snapshot so the version-chain and GC story rides
-/// along with the throughput it explains.
-fn mvcc_bench_json(
-    reader_counts: &[usize],
-    writers: usize,
-    rows: usize,
-    duration_ms: u64,
-) -> String {
-    let dir = std::env::temp_dir().join(format!("mdm-repro-mvcc-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let eng = mdm_storage::StorageEngine::open_with_capacity(&dir, 256).expect("open");
-    let table = eng.create_table("bank").expect("table");
-    let mut seed = eng.begin().expect("begin");
-    let rids: Vec<_> = (0..rows)
-        .map(|i| {
-            eng.insert(&mut seed, table, format!("r{i}=0").as_bytes())
-                .expect("insert")
-        })
-        .collect();
-    eng.commit(seed).expect("commit");
-
-    let mut runs = String::new();
-    for (i, &readers) in reader_counts.iter().enumerate() {
-        let (lr, la, lw) = mvcc_cell(&eng, table, &rids, writers, readers, duration_ms, false);
-        let (sr, sa, sw) = mvcc_cell(&eng, table, &rids, writers, readers, duration_ms, true);
-        let secs = duration_ms as f64 / 1000.0;
-        if i > 0 {
-            runs.push(',');
-        }
-        runs.push_str(&format!(
-            "{{\"readers\":{readers},\
-             \"locked_reads\":{lr},\"locked_reads_per_sec\":{:.1},\
-             \"locked_reader_aborts\":{la},\"locked_writes\":{lw},\
-             \"snapshot_reads\":{sr},\"snapshot_reads_per_sec\":{:.1},\
-             \"snapshot_reader_aborts\":{sa},\"snapshot_writes\":{sw}}}",
-            lr as f64 / secs,
-            sr as f64 / secs,
-        ));
-    }
-    let metrics = eng.metrics_snapshot().filtered("mdm_mvcc_").to_json();
-    drop(eng);
-    std::fs::remove_dir_all(&dir).ok();
-    format!(
-        "{{\"bench\":\"mvcc_snapshot_reads\",\"writers\":{writers},\"rows\":{rows},\
-         \"duration_ms\":{duration_ms},\"runs\":[{runs}],\"mvcc_metrics\":{metrics}}}\n"
-    )
-}
-
-/// Validates an `mvcc_bench_json` document: the write load is at least
-/// `min_writers` clients and actually ran in every cell, snapshot reads
-/// meet or beat the locked baseline at every reader count, the snapshot
-/// cells recorded exactly zero reader aborts, and the MVCC metric
-/// snapshot shows the snapshots that were taken.
-fn validate_mvcc_bench_json(doc: &str, min_writers: u64) -> Result<(), String> {
-    use mdm_obs::json::{parse, Value};
-    let v = parse(doc).map_err(|e| e.to_string())?;
-    let writers = v
-        .get("writers")
-        .and_then(Value::as_u64)
-        .ok_or("missing writers")?;
-    if writers < min_writers {
-        return Err(format!(
-            "write load is {writers} clients, need at least {min_writers}"
-        ));
-    }
-    let runs = v
-        .get("runs")
-        .and_then(Value::as_array)
-        .ok_or("missing runs array")?;
-    if runs.is_empty() {
-        return Err("runs array is empty".into());
-    }
-    for run in runs {
-        let readers = run
-            .get("readers")
-            .and_then(Value::as_u64)
-            .ok_or("run is missing readers")?;
-        let num = |key: &str| -> Result<f64, String> {
-            match run.get(key) {
-                Some(Value::Number(n)) => Ok(*n),
-                _ => Err(format!("run is missing {key}")),
-            }
-        };
-        let locked = num("locked_reads_per_sec")?;
-        let snapshot = num("snapshot_reads_per_sec")?;
-        if snapshot < locked {
-            return Err(format!(
-                "{readers}-reader snapshot throughput {snapshot:.1}/s is below \
-                 the 2PL baseline {locked:.1}/s"
-            ));
-        }
-        if run.get("snapshot_reader_aborts").and_then(Value::as_u64) != Some(0) {
-            return Err(format!(
-                "{readers}-reader snapshot cell recorded reader aborts"
-            ));
-        }
-        for key in ["locked_writes", "snapshot_writes"] {
-            if run.get(key).and_then(Value::as_u64).unwrap_or(0) == 0 {
-                return Err(format!(
-                    "{readers}-reader cell has no {key}: write load did not run"
-                ));
-            }
-        }
-    }
-    let metrics = v
-        .get("mvcc_metrics")
-        .and_then(|m| m.get("metrics"))
-        .and_then(Value::as_array)
-        .ok_or("missing mvcc_metrics.metrics array")?;
-    for required in [
-        "mdm_mvcc_snapshots_total",
-        "mdm_mvcc_versions_reclaimed_total",
-        "mdm_mvcc_snapshots_open",
-    ] {
-        if !metrics
-            .iter()
-            .any(|m| m.get("name").and_then(Value::as_str) == Some(required))
-        {
-            return Err(format!("metric {required} missing from snapshot"));
-        }
-    }
-    let taken = metrics
-        .iter()
-        .find(|m| m.get("name").and_then(Value::as_str) == Some("mdm_mvcc_snapshots_total"))
-        .and_then(|m| m.get("value"))
-        .and_then(Value::as_u64)
-        .unwrap_or(0);
-    if taken == 0 {
-        return Err("mdm_mvcc_snapshots_total is zero: snapshot cells never ran".into());
-    }
-    Ok(())
-}
-
-/// CI smoke for the MVCC read path: a scaled-down validated sweep, then
-/// a pinned-snapshot drill — a snapshot opened before a burst of
-/// rewrites must still read the original row afterwards, and a fresh
-/// snapshot must see the newest commit.
-fn mvcc_smoke() -> Result<String, String> {
-    let started = std::time::Instant::now();
-    let doc = mvcc_bench_json(&[1, 2], 4, 32, 150);
-    validate_mvcc_bench_json(&doc, 4)?;
-
-    let dir = std::env::temp_dir().join(format!("mdm-mvcc-smoke-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let eng = mdm_storage::StorageEngine::open_with_capacity(&dir, 128)
-        .map_err(|e| format!("open: {e}"))?;
-    let t = eng.create_table("t").map_err(|e| format!("table: {e}"))?;
-    let mut txn = eng.begin().map_err(|e| format!("begin: {e}"))?;
-    let rid = eng
-        .insert(&mut txn, t, b"original")
-        .map_err(|e| format!("insert: {e}"))?;
-    eng.commit(txn).map_err(|e| format!("commit: {e}"))?;
-
-    let pinned = eng.snapshot();
-    for i in 0..20 {
-        let mut txn = eng.begin().map_err(|e| format!("begin: {e}"))?;
-        eng.update(&mut txn, t, rid, format!("rewrite {i}").as_bytes())
-            .map_err(|e| format!("update: {e}"))?;
-        eng.commit(txn).map_err(|e| format!("commit: {e}"))?;
-    }
-    let old = pinned.get(t, rid).map_err(|e| format!("get: {e}"))?;
-    if old.as_deref() != Some(&b"original"[..]) {
-        return Err(format!("pinned snapshot drifted: read {old:?}"));
-    }
-    let new = eng
-        .snapshot()
-        .get(t, rid)
-        .map_err(|e| format!("get: {e}"))?;
-    if new.as_deref() != Some(&b"rewrite 19"[..]) {
-        return Err(format!("fresh snapshot stale: read {new:?}"));
-    }
-    drop(pinned);
-    drop(eng);
-    std::fs::remove_dir_all(&dir).ok();
-
-    Ok(format!(
-        "mvcc smoke: ok — validated sweep, pinned snapshot stable across 20 rewrites, \
-         in {:.2}s",
-        started.elapsed().as_secs_f64()
-    ))
 }

@@ -1,8 +1,9 @@
 //! # mdm-bench
 //!
-//! The benchmark harness: workload generators, the relational baselines
-//! for the ordering study (EXPERIMENTS.md, E1), and the `repro` binary
-//! that regenerates every figure of the paper.
+//! The paper-reproduction tool: the `repro` binary that regenerates
+//! every figure of the paper, and the relational baselines for the
+//! §5.2 ordering study (`repro e1`; EXPERIMENTS.md, E1). Timings other
+//! than E1 are taken by `mdm-benchmark` (`benchmark/README.md`).
 
 pub mod baseline;
 pub mod workload;

@@ -1,35 +1,8 @@
-//! Workload generators shared by benches and the repro binary.
+//! The §5.6 chord/note fixture shared by the repro binary and the
+//! planner-estimate tests.
 
-use mdm_core::Composer;
 use mdm_lang::Session;
 use mdm_model::{Database, Value};
-use mdm_notation::{KeySignature, Score};
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
-
-/// A deterministic multi-voice score: `voices` random walks of `length`
-/// elements each, merged into one movement.
-pub fn generated_score(seed: u64, voices: usize, length: usize) -> Score {
-    let mut score = Score::new(&format!("generated-{seed}"));
-    let mut movement = mdm_notation::Movement::new(
-        "generated",
-        mdm_notation::TimeSignature::common(),
-        mdm_notation::TempoMap::constant(112.0),
-    );
-    for v in 0..voices {
-        let walk = Composer::random_walk(
-            seed.wrapping_add(v as u64),
-            length,
-            KeySignature::new(-2),
-            112.0,
-        );
-        movement
-            .voices
-            .extend(walk.movements.into_iter().flat_map(|m| m.voices));
-    }
-    score.movements.push(movement);
-    score
-}
 
 /// A chord/note database in the §5.6 shape: `chords` chords with
 /// `notes_per_chord` notes each, ordered under `note_in_chord`.
@@ -61,73 +34,9 @@ pub fn chord_database(chords: usize, notes_per_chord: usize) -> Database {
     db
 }
 
-/// Deterministic user-DARMS text of roughly `measures` measures.
-pub fn generated_darms(seed: u64, measures: usize) -> String {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut out = String::from("I1 'G 'K2- ");
-    for m in 0..measures {
-        if m > 0 {
-            out.push_str("/ ");
-        }
-        // Four beats: mix of quarters and beamed eighth pairs.
-        for _ in 0..4 {
-            if rng.random_bool(0.4) {
-                let a = rng.random_range(1..=9);
-                let b = rng.random_range(1..=9);
-                out.push_str(&format!("({a}E {b}) "));
-            } else {
-                let s = rng.random_range(1..=9);
-                out.push_str(&format!("{s}Q "));
-            }
-        }
-    }
-    out.push_str("//");
-    out
-}
-
-/// A synthetic thematic index of `n` works with random 12-note incipits
-/// (entry 578 is the real BWV 578 head, so searches have a known hit).
-pub fn generated_index(seed: u64, n: usize) -> mdm_biblio::ThematicIndex {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut idx = mdm_biblio::ThematicIndex::new("GEN");
-    for number in 0..n as u32 {
-        let keys: Vec<i32> = if number == 578 {
-            vec![67, 74, 70, 69, 67, 70, 69, 67, 66, 69, 62]
-        } else {
-            let mut k = rng.random_range(55..75);
-            (0..12)
-                .map(|_| {
-                    k += rng.random_range(-5..=5);
-                    k.clamp(36, 96)
-                })
-                .collect()
-        };
-        idx.insert(mdm_biblio::ThematicEntry {
-            number,
-            title: format!("Work {number}"),
-            setting: "Orgel".into(),
-            composed: "c. 1709".into(),
-            measures: Some(60),
-            incipit: mdm_biblio::Incipit::from_keys(keys),
-            manuscripts: Vec::new(),
-            editions: Vec::new(),
-            literature: Vec::new(),
-        });
-    }
-    idx
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn generated_score_is_deterministic() {
-        assert_eq!(generated_score(1, 2, 30), generated_score(1, 2, 30));
-        let s = generated_score(1, 2, 30);
-        assert_eq!(s.movements[0].voices.len(), 2);
-        assert_eq!(s.movements[0].voices[0].elements.len(), 30);
-    }
 
     #[test]
     fn chord_database_shape() {
@@ -139,23 +48,5 @@ mod tests {
             db.ord_children("note_in_chord", Some(first)).unwrap().len(),
             4
         );
-    }
-
-    #[test]
-    fn generated_darms_parses() {
-        let text = generated_darms(7, 8);
-        let items = mdm_darms::parse(&text).unwrap();
-        let canon = mdm_darms::canonize(&items);
-        assert!(mdm_darms::is_canonical(&canon));
-        assert!(mdm_darms::to_voice(&canon).is_ok());
-    }
-
-    #[test]
-    fn generated_index_has_known_hit() {
-        let idx = generated_index(3, 600);
-        assert_eq!(idx.len(), 600);
-        let frag = mdm_biblio::Incipit::from_keys(vec![67, 74, 70, 69, 67]);
-        let hits = idx.search_incipit(&frag, mdm_biblio::MatchKind::Exact);
-        assert!(hits.iter().any(|e| e.number == 578));
     }
 }

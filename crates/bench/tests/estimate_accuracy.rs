@@ -1,4 +1,4 @@
-//! Planner estimate accuracy on the BENCH_6 fixture: the
+//! Planner estimate accuracy on the 500-chord × 200-note fixture: the
 //! statistics-informed estimate (`est=` in the EXPLAIN annotation,
 //! live/distinct from the stored table and index cardinalities) must be
 //! at least as close to the actual row count as the static estimate a

@@ -370,14 +370,13 @@ impl MusicDataManager {
     /// statements are rejected; range declarations are local to the call
     /// rather than carried in the session.
     ///
-    /// The call pins an engine [`ReadSnapshot`](mdm_storage::ReadSnapshot)
-    /// for its duration: any
-    /// storage read it triggers resolves through MVCC visibility rather
-    /// than the lock manager, so shared queries take no read locks and
-    /// can never deadlock or abort under wait-die.
+    /// The program runs against the in-memory database alone and never
+    /// reads the storage engine, so it takes no engine locks, opens no
+    /// MVCC snapshot, and cannot deadlock or abort under wait-die. The
+    /// database it reads is replaced only through `&mut self`
+    /// (`reload_from_storage`), which a shared borrow excludes.
     pub fn query_shared(&self, text: &str) -> Result<Table> {
         self.requests.query_shared.inc();
-        let _pinned = self.engine.snapshot();
         let mut session = self.fresh_session();
         let results = session.execute_readonly(&self.db, text)?;
         match results.into_iter().last() {
@@ -848,6 +847,34 @@ mod tests {
         assert!(snap.counter("mdm_wal_appends_total").unwrap() > 0);
         assert!(snap.counter("mdm_quel_rows_returned_total").unwrap() >= 2);
         assert!(snap.histogram("mdm_quel_exec_micros").unwrap().count > 0);
+        let scans = snap.counter_with("mdm_quel_plan_total", &[("path", "scan")]);
+        assert!(
+            scans.unwrap() > 0,
+            "unindexed retrieves count as scan plans"
+        );
+        // The names the benchmark's probes and the operator surfaces
+        // read; a rename must fail here, not zero a probe silently.
+        for name in [
+            "mdm_pool_hits_total",
+            "mdm_pool_misses_total",
+            "mdm_pool_evictions_total",
+            "mdm_wal_fsyncs_total",
+            "mdm_wal_fsync_micros",
+            "mdm_wal_group_commit_batch",
+            "mdm_wal_eviction_syncs_total",
+            "mdm_txn_commits_total",
+            "mdm_txn_aborts_total",
+            "mdm_txn_active",
+            "mdm_lock_waits_total",
+            "mdm_lock_wait_die_aborts_total",
+            "mdm_quel_rows_scanned_total",
+            "mdm_monitor_samples_total",
+        ] {
+            assert!(
+                snap.entries.iter().any(|e| e.name == name),
+                "metric {name} missing from the snapshot"
+            );
+        }
         assert_eq!(
             mdm.engine()
                 .metrics_snapshot()

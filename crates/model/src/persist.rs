@@ -58,28 +58,13 @@ pub fn save(db: &Database, engine: &StorageEngine) -> Result<()> {
             ensure_table(engine, &entity_table(&e.name))?,
         );
     }
-    // Each named index gets an engine-level B-tree over its entity
-    // table, so index entries ride the same WAL records as the rows and
-    // survive crashes with them (auto-committed DDL, like the tables).
-    for (name, (ty_name, _)) in db.index_defs() {
-        engine.create_index(ent_tables[ty_name], name)?;
-    }
 
     let mut txn = engine.begin()?;
     engine.insert(&mut txn, schema_t, &encode::encode_schema(db.schema()))?;
 
-    // Entities, with engine-side index maintenance in the same
-    // transaction. Keys use the order-preserving value encoding; a key
-    // too large for a tree page falls back to unindexed (the in-memory
-    // index still covers it after load).
+    // Entities.
     for (ty_idx, ty) in db.schema().entity_types().iter().enumerate() {
         let table = ent_tables[&ty.name];
-        let defs: Vec<(&str, usize)> = db
-            .index_defs()
-            .iter()
-            .filter(|(_, (t, _))| *t == ty.name)
-            .filter_map(|(n, (_, a))| ty.attribute_index(a).map(|i| (n.as_str(), i)))
-            .collect();
         for &id in db.store().instances_of(ty_idx as u32) {
             let inst = db.store().entity(id)?;
             let mut rec = Vec::new();
@@ -88,17 +73,13 @@ pub fn save(db: &Database, engine: &StorageEngine) -> Result<()> {
             for v in &inst.attrs {
                 encode::encode_value(&mut rec, v);
             }
-            let rid = engine.insert(&mut txn, table, &rec)?;
-            for &(name, ai) in &defs {
-                let key = encode::value_key(&inst.attrs[ai]);
-                if key.len() <= mdm_storage::btree::MAX_KEY_SIZE {
-                    engine.index_insert(&mut txn, table, name, &key, rid)?;
-                }
-            }
+            engine.insert(&mut txn, table, &rec)?;
         }
     }
 
-    // Named index definitions: (name, entity type, attribute).
+    // Named index definitions: (name, entity type, attribute). Only the
+    // definition is stored; `load` rebuilds the in-memory attribute
+    // indexes from the entity rows.
     for (name, (ty_name, attr)) in db.index_defs() {
         let mut rec = Vec::new();
         encode::encode_value(&mut rec, &Value::String(name.clone()));
@@ -325,8 +306,20 @@ mod tests {
         let db = build_db();
         let engine = StorageEngine::open(&dir).unwrap();
         save(&db, &engine).unwrap();
+        // The image carries index definitions, not engine B-trees.
+        for ty in db.schema().entity_types() {
+            let table = engine.table_id(&entity_table(&ty.name)).unwrap();
+            assert!(engine.index_names(table).unwrap().is_empty());
+        }
         let back = load(&engine).unwrap();
         assert_eq!(back, db);
+        let note = back.schema().entity_type_id("NOTE").unwrap();
+        assert_eq!(
+            back.attr_index_get(note, 1, &Value::String("E4".into()))
+                .map(<[EntityId]>::len),
+            Some(1),
+            "the named index answers after load"
+        );
         drop(engine);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -9,11 +9,10 @@
 //! beyond [`ServerConfig::max_connections`] with a typed `Busy` error
 //! frame rather than letting them queue unanswered.
 //!
-//! Below the RwLock, each `query_shared` call pins an engine MVCC
-//! snapshot: storage-level reads resolve through tuple visibility, take
-//! no read locks, and can never lose wait-die to a writer — the read
-//! path never aborts, so clients never see a spurious deadlock error on
-//! a retrieve.
+//! Below the RwLock, `query_shared` reads the in-memory database only:
+//! it never touches the storage engine, so it takes no engine locks and
+//! cannot lose wait-die to a writer — clients never see a spurious
+//! deadlock error on a retrieve.
 //!
 //! Robustness: per-connection read timeouts double as idle reaping,
 //! handler panics are caught per request and reported as `Internal`

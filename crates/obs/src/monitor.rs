@@ -22,8 +22,8 @@
 //! Cost model: when no monitor is constructed nothing changes anywhere
 //! (metrics stay plain relaxed atomics). When sampling is on, the whole
 //! cost is one registry snapshot + ring push per interval on a dedicated
-//! thread — the hot paths are untouched, which is how `repro obs-bench`
-//! self-validates the ≤2% overhead bound.
+//! thread — the hot paths are untouched. The benchmark's wire workloads
+//! run with the sampler on, so its cost is part of their `cpu_us_per_op`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

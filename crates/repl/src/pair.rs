@@ -171,15 +171,13 @@ pub fn pair_crash_sweep(scratch: &Path, cfg: &TortureConfig, registry: &Registry
                 Some(desc) => format!("replica after primary crash at {desc}"),
                 None => format!("replica after primary crash at op {b}"),
             };
-            if let Some(us) = verify_reopen(
+            verify_reopen(
                 &dir_r,
                 cfg.pool_pages,
                 &ledger,
                 &what,
                 &mut report.violations,
-            ) {
-                report.reopen_micros.push(us);
-            }
+            );
         } else {
             report.violations.push(format!(
                 "pair crash at op {b}: boundary never reached (nondeterministic workload?)"

@@ -4,11 +4,12 @@
 //!
 //! The replica serves the normal read path — `query_shared` over the
 //! wire, metrics, score retrieval — while refusing every write with a
-//! typed `ReadOnly` error. Replica reads are pure MVCC snapshot
-//! readers: they pin a storage snapshot, resolve visibility through
-//! tuple stamps, take no read locks, and never abort — even while the
-//! pull loop applies the primary's WAL underneath them (folds exclude
-//! snapshots via the engine's fold gate rather than any reader lock).
+//! typed `ReadOnly` error. Replica reads run against the in-memory
+//! database under the server's read lock: they never touch the engine,
+//! take no engine locks, and never abort — even while the pull loop
+//! applies the primary's WAL underneath them. A fold rewrites engine
+//! pages only; the in-memory database is swapped afterwards under the
+//! server's write lock (`reload_from_storage`).
 //! Freshness comes from two mechanisms layered on the same stream:
 //!
 //! * **Checkpoint folds** (tier 1, exact): the primary guarantees no

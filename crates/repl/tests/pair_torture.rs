@@ -1,7 +1,7 @@
 //! The replication pair sweep: kill the primary at every explored I/O
 //! boundary, promote the replica, verify the survivor against the
 //! ledger oracle. Debug builds run a strided sweep; `--release` (CI's
-//! `repro repl-smoke` covers the release path) can afford more.
+//! `cargo test --release -p mdm-repl` step) can afford more.
 
 use mdm_obs::Registry;
 use mdm_repl::pair_crash_sweep;

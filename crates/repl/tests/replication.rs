@@ -98,6 +98,13 @@ fn replica_serves_reads_reports_status_and_survives_restart() {
     drop(rc);
     let mdm = node.shutdown().expect("replica shutdown");
     assert!(mdm.is_replica(), "role survives shutdown");
+    // The stream's progress is published in the replica's registry.
+    let snap = mdm.metrics_snapshot();
+    assert!(snap.gauge("mdm_repl_applied_lsn").unwrap_or(0) > 0);
+    assert!(snap.gauge("mdm_repl_lag_bytes").is_some());
+    assert!(snap.counter("mdm_repl_batches_total").unwrap_or(0) > 0);
+    assert!(snap.counter("mdm_repl_records_total").unwrap_or(0) > 0);
+    assert!(snap.counter("mdm_repl_statements_total").unwrap_or(0) > 0);
     // Local writes to a replica-role manager are refused too.
     let mut mdm = mdm;
     assert!(

@@ -116,29 +116,6 @@ pub struct TortureReport {
     /// Invariant violations, in discovery order. Empty means the engine
     /// survived every explored crash.
     pub violations: Vec<String>,
-    /// Wall-clock reopen (recovery) latency per explored crash, in µs.
-    pub reopen_micros: Vec<u64>,
-}
-
-impl TortureReport {
-    /// The `p`-th percentile (0.0..=1.0) of reopen latency, in µs.
-    pub fn reopen_percentile(&self, p: f64) -> u64 {
-        if self.reopen_micros.is_empty() {
-            return 0;
-        }
-        let mut sorted = self.reopen_micros.clone();
-        sorted.sort_unstable();
-        let rank = (p * (sorted.len() - 1) as f64).round() as usize;
-        sorted[rank.min(sorted.len() - 1)]
-    }
-
-    /// Mean reopen latency in µs.
-    pub fn reopen_mean(&self) -> u64 {
-        if self.reopen_micros.is_empty() {
-            return 0;
-        }
-        self.reopen_micros.iter().sum::<u64>() / self.reopen_micros.len() as u64
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -692,7 +669,6 @@ pub fn crash_point_sweep(
             if let Some(us) =
                 verify_reopen(&dir, cfg.pool_pages, &ledger, &what, &mut report.violations)
             {
-                report.reopen_micros.push(us);
                 h_reopen.observe(us);
             }
         } else {
@@ -726,7 +702,6 @@ pub fn crash_point_sweep(
                 if let Some(us) =
                     verify_reopen(&dir, cfg.pool_pages, &ledger, &what, &mut report.violations)
                 {
-                    report.reopen_micros.push(us);
                     h_reopen.observe(us);
                 }
             } else {

@@ -43,7 +43,11 @@ fn crash_point_sweep_smoke() {
         report.violations.join("\n")
     );
     assert!(report.boundaries > 0, "workload exposed no I/O boundaries");
-    assert!(report.crash_points > 0, "no crash points explored");
+    assert!(
+        report.crash_points >= 10,
+        "only {} crash points explored: the boundary census collapsed",
+        report.crash_points
+    );
 
     // Failpoint activity must be visible in the shared registry.
     let snap = registry.snapshot();
@@ -53,6 +57,11 @@ fn crash_point_sweep_smoke() {
     );
     assert!(snap.counter("mdm_fault_crashes_total").unwrap_or(0) >= report.crash_points);
     assert_eq!(snap.counter("mdm_fault_violations_total"), Some(0));
+    assert!(snap.counter("mdm_fault_ops_total").unwrap_or(0) > 0);
+    assert!(snap.counter("mdm_fault_injected_total").unwrap_or(0) > 0);
+    assert!(snap
+        .histogram("mdm_fault_reopen_micros")
+        .is_some_and(|h| h.count > 0));
 }
 
 /// The exhaustive sweep: every boundary, plus the torn-write pass.
