@@ -195,7 +195,6 @@ impl MusicDataManager {
         // are not re-recorded as fresh executions.
         let journal_seq = replay_journal(&engine, &mut session, &mut db)?;
         session.set_statement_store(Arc::clone(&stmt_store));
-        session.set_lock_registry(registry.clone());
         // The monitor opens passive — no background thread until a
         // server enables sampling — but carries the default health
         // rules (and process gauges) from the first moment, so
@@ -322,7 +321,6 @@ impl MusicDataManager {
         let mut session = Session::with_metrics(Arc::clone(&self.quel));
         let journal_seq = replay_journal(&self.engine, &mut session, &mut db)?;
         session.set_statement_store(Arc::clone(&self.stmt_store));
-        session.set_lock_registry(self.registry.clone());
         session.set_monitor(Arc::clone(&self.monitor));
         self.db = db;
         self.session = session;
@@ -371,8 +369,8 @@ impl MusicDataManager {
     /// rather than carried in the session.
     ///
     /// The program runs against the in-memory database alone and never
-    /// reads the storage engine, so it takes no engine locks, opens no
-    /// MVCC snapshot, and cannot deadlock or abort under wait-die. The
+    /// touches the storage engine, so it cannot wait at the engine's
+    /// gate behind a commit in progress. The
     /// database it reads is replaced only through `&mut self`
     /// (`reload_from_storage`), which a shared borrow excludes.
     pub fn query_shared(&self, text: &str) -> Result<Table> {
@@ -411,11 +409,10 @@ impl MusicDataManager {
 
     /// A throwaway session wired like the persistent one: same metrics,
     /// same statement store (so shared-path queries are recorded and
-    /// `$statements` sees the full history), same lock registry.
+    /// `$statements` sees the full history), same monitor.
     fn fresh_session(&self) -> Session {
         let mut session = Session::with_metrics(Arc::clone(&self.quel));
         session.set_statement_store(Arc::clone(&self.stmt_store));
-        session.set_lock_registry(self.registry.clone());
         session.set_monitor(Arc::clone(&self.monitor));
         session
     }
@@ -865,8 +862,7 @@ mod tests {
             "mdm_txn_commits_total",
             "mdm_txn_aborts_total",
             "mdm_txn_active",
-            "mdm_lock_waits_total",
-            "mdm_lock_wait_die_aborts_total",
+            "mdm_txn_begins_total",
             "mdm_quel_rows_scanned_total",
             "mdm_monitor_samples_total",
         ] {
@@ -882,60 +878,6 @@ mod tests {
             snap.counter("mdm_txn_begins_total"),
             "engine and MDM share one registry"
         );
-        drop(mdm);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// `$locks` must prove the snapshot-read story: while a writer
-    /// holds an exclusive lock and a long snapshot scan is pinned open,
-    /// a shared QUEL query sees zero shared (read) locks held, the
-    /// writer's exclusive lock, and the MVCC gauges riding along.
-    #[test]
-    fn locks_entity_shows_zero_read_locks_during_snapshot_scans() {
-        let dir = tmpdir("mvcc-locks");
-        let mut mdm = MusicDataManager::open(&dir).unwrap();
-        mdm.execute("append to PERSON (name = \"Bach\")").unwrap();
-
-        // A writer sits on an exclusive table lock for the whole check.
-        let engine = mdm.engine().clone();
-        let contended = engine.create_table("contended").unwrap();
-        let mut writer = engine.begin().unwrap();
-        engine.insert(&mut writer, contended, b"in flight").unwrap();
-
-        // The long-running snapshot scan the issue pins: held open
-        // across the query below.
-        let long_scan = engine.snapshot();
-        assert_eq!(long_scan.scan(contended).unwrap().len(), 0);
-
-        let t = mdm
-            .query_shared("range of l is $locks retrieve (l.name, l.value)")
-            .unwrap();
-        let value = |name: &str| {
-            t.rows.iter().find_map(|r| match (&r[0], &r[1]) {
-                (Value::String(n), Value::Integer(v)) if n == name => Some(*v),
-                _ => None,
-            })
-        };
-        assert_eq!(
-            value("mdm_lock_held_shared"),
-            Some(0),
-            "snapshot reads must hold zero read locks"
-        );
-        assert!(
-            value("mdm_lock_held_exclusive").unwrap() >= 1,
-            "the writer's exclusive lock should be visible"
-        );
-        assert!(
-            value("mdm_mvcc_snapshots_open").unwrap() >= 1,
-            "the pinned snapshot should show in the MVCC gauges"
-        );
-        assert!(
-            value("mdm_mvcc_snapshots_total").unwrap() >= 1,
-            "snapshot opens should be counted"
-        );
-
-        drop(long_scan);
-        engine.abort(writer).unwrap();
         drop(mdm);
         std::fs::remove_dir_all(&dir).ok();
     }

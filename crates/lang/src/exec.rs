@@ -27,7 +27,7 @@ use std::time::Instant;
 use mdm_model::encode::encode_value;
 use mdm_model::{Database, EntityId, RelTypeId, TypeId, Value};
 use mdm_obs::{
-    trace, Counter, Histogram, MetricValue, Monitor, PathMix, Registry, Severity, StatementStore,
+    trace, Counter, Histogram, Monitor, PathMix, Registry, Severity, StatementStore,
     LATENCY_MICROS_BOUNDS,
 };
 
@@ -121,8 +121,6 @@ pub enum VirtualEntity {
     Tables,
     /// Per-named-index access statistics.
     Indexes,
-    /// Lock and transaction counters from the attached registry.
-    Locks,
     /// Current value, last-window rate, and latency quantiles of every
     /// metric series, from the attached monitor.
     Metrics,
@@ -137,7 +135,6 @@ impl VirtualEntity {
             VirtualEntity::Statements => "$statements",
             VirtualEntity::Tables => "$tables",
             VirtualEntity::Indexes => "$indexes",
-            VirtualEntity::Locks => "$locks",
             VirtualEntity::Metrics => "$metrics",
             VirtualEntity::Alerts => "$alerts",
         }
@@ -149,7 +146,6 @@ impl VirtualEntity {
             "$statements" => VirtualEntity::Statements,
             "$tables" => VirtualEntity::Tables,
             "$indexes" => VirtualEntity::Indexes,
-            "$locks" => VirtualEntity::Locks,
             "$metrics" => VirtualEntity::Metrics,
             "$alerts" => VirtualEntity::Alerts,
             _ => return None,
@@ -323,7 +319,6 @@ pub struct Session {
     ranges: HashMap<String, String>, // var -> type name (resolved lazily)
     metrics: Option<Arc<QuelMetrics>>,
     stmt_store: Option<Arc<StatementStore>>,
-    lock_registry: Option<Registry>,
     monitor: Option<Arc<Monitor>>,
     accum: Arc<StmtAccum>,
 }
@@ -355,12 +350,6 @@ impl Session {
     /// The attached statement store, if any.
     pub fn statement_store(&self) -> Option<Arc<StatementStore>> {
         self.stmt_store.clone()
-    }
-
-    /// Attaches the metrics registry that `$locks` retrieves read their
-    /// lock and transaction counters from.
-    pub fn set_lock_registry(&mut self, registry: Registry) {
-        self.lock_registry = Some(registry);
     }
 
     /// Attaches the monitor that `$metrics` and `$alerts` retrieves read
@@ -756,40 +745,6 @@ impl Session {
                 }
                 VirtTable {
                     columns: columns.iter().map(|c| c.to_string()).collect(),
-                    rows,
-                }
-            }
-            VirtualEntity::Locks => {
-                let mut rows = Vec::new();
-                if let Some(reg) = &self.lock_registry {
-                    for m in reg.snapshot().entries {
-                        // MVCC gauges ride along so `$locks` shows the
-                        // snapshot-read side of the concurrency story
-                        // (open snapshots, live versions) next to the
-                        // lock counts they keep at zero.
-                        if !(m.name.starts_with("mdm_lock_")
-                            || m.name.starts_with("mdm_txn_")
-                            || m.name.starts_with("mdm_mvcc_"))
-                        {
-                            continue;
-                        }
-                        let value = match m.value {
-                            MetricValue::Counter(c) => c as i64,
-                            MetricValue::Gauge(g) => g,
-                            _ => continue,
-                        };
-                        let name = if m.labels.is_empty() {
-                            m.name
-                        } else {
-                            let labels: Vec<String> =
-                                m.labels.iter().map(|(k, v)| format!("{k}={v}")).collect();
-                            format!("{}{{{}}}", m.name, labels.join(","))
-                        };
-                        rows.push(vec![Value::String(name), Value::Integer(value)]);
-                    }
-                }
-                VirtTable {
-                    columns: vec!["name".into(), "value".into()],
                     rows,
                 }
             }
@@ -1722,7 +1677,7 @@ fn resolve_target(db: &Database, name: &str) -> Result<RangeTarget> {
     if name.starts_with('$') {
         return Err(LangError::Analyze(format!(
             "unknown system entity {name} \
-             (expected $statements, $tables, $indexes, $locks, $metrics, or $alerts)"
+             (expected $statements, $tables, $indexes, $metrics, or $alerts)"
         )));
     }
     if let Ok(t) = db.schema().entity_type_id(name) {

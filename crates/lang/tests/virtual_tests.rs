@@ -1,6 +1,6 @@
-//! System entities: `$statements`, `$tables`, `$indexes`, and `$locks`
-//! queryable through ordinary QUEL retrieves, plus the statement-store
-//! recording path that feeds `$statements`.
+//! System entities: `$statements`, `$tables` and `$indexes`, queryable
+//! through ordinary QUEL retrieves, plus the statement-store recording
+//! path that feeds `$statements`.
 
 use std::sync::Arc;
 
@@ -154,47 +154,6 @@ fn indexes_reports_cardinality_and_probes() {
             Value::Integer(3),
             Value::Integer(1),
         ]]
-    );
-}
-
-#[test]
-fn locks_reads_the_attached_registry() {
-    let mut s = Session::new();
-    let mut db = person_db(&mut s);
-    // Without a registry the entity exists but is empty.
-    let empty = rows(
-        s.execute(&mut db, "range of l is $locks retrieve (l.name, l.value)")
-            .unwrap(),
-    );
-    assert!(empty.is_empty());
-    let registry = Registry::new();
-    registry
-        .counter("mdm_lock_waits_total", "lock waits")
-        .add(7);
-    registry
-        .counter("mdm_http_requests_total", "not a lock counter")
-        .add(9);
-    registry
-        .gauge("mdm_mvcc_snapshots_open", "open snapshots")
-        .set(2);
-    s.set_lock_registry(registry);
-    let t = rows(
-        s.execute(&mut db, "range of l is $locks retrieve (l.name, l.value)")
-            .unwrap(),
-    );
-    assert_eq!(
-        t.rows,
-        vec![
-            vec![
-                Value::String("mdm_lock_waits_total".into()),
-                Value::Integer(7),
-            ],
-            vec![
-                Value::String("mdm_mvcc_snapshots_open".into()),
-                Value::Integer(2),
-            ],
-        ],
-        "only mdm_lock_/mdm_txn_/mdm_mvcc_ metrics appear"
     );
 }
 

@@ -125,9 +125,9 @@ pub fn save(db: &Database, engine: &StorageEngine) -> Result<()> {
 }
 
 /// Reads a database previously written with [`save`]. Returns an empty
-/// database if none was saved. The whole load runs against one MVCC
-/// snapshot: it takes no locks, never aborts, and sees a single
-/// consistent commit point even while writers are active.
+/// database if none was saved. The whole load runs against one
+/// [`mdm_storage::ReadSnapshot`]: no transaction can commit underneath
+/// it, so it sees a single consistent commit point.
 pub fn load(engine: &StorageEngine) -> Result<Database> {
     let Ok(schema_t) = engine.table_id(SCHEMA_TABLE) else {
         return Ok(Database::new());

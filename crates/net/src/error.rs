@@ -87,7 +87,7 @@ pub enum ErrorCode {
     NotFound = 3,
     /// The QUEL program failed to parse, analyze, or evaluate.
     Query = 4,
-    /// The storage layer failed (I/O, corruption, deadlock).
+    /// The storage layer failed (I/O, corruption).
     Storage = 5,
     /// The request decoded but the score data inside was invalid.
     BadScoreData = 6,

@@ -10,9 +10,8 @@
 //! frame rather than letting them queue unanswered.
 //!
 //! Below the RwLock, `query_shared` reads the in-memory database only:
-//! it never touches the storage engine, so it takes no engine locks and
-//! cannot lose wait-die to a writer — clients never see a spurious
-//! deadlock error on a retrieve.
+//! it never touches the storage engine, whose own one-writer gate is
+//! therefore only ever reached under the write half.
 //!
 //! Robustness: per-connection read timeouts double as idle reaping,
 //! handler panics are caught per request and reported as `Internal`
@@ -535,8 +534,8 @@ fn handle_request(shared: &Shared, request: Message, negotiated_version: &mut u1
         }
         Message::Ping => Message::Pong,
         // Read path: `query_shared(&self)` under the read half of the
-        // lock — reader clients run concurrently, each pinned to an
-        // MVCC snapshot below, never holding storage read locks.
+        // lock — reader clients run concurrently against the
+        // in-memory database, never reaching the storage engine.
         Message::Query { text } => {
             let mdm = shared.mdm.read().expect("mdm lock");
             match mdm.query_shared(&text) {

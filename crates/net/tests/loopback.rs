@@ -68,35 +68,26 @@ fn handshake_ping_and_query() {
 }
 
 /// Wire queries run against the in-memory database and leave the
-/// storage engine alone: after a batch of `Query` requests no shared
-/// lock is held and no MVCC snapshot is left open.
+/// storage engine alone: a batch of `Query` requests begins no engine
+/// transaction, so it never waits at the engine's gate.
 #[test]
-fn wire_queries_leave_no_engine_locks_or_snapshots() {
-    let server = start_server("mvcc", ServerConfig::default());
+fn wire_queries_begin_no_engine_transaction() {
+    let server = start_server("engine-idle", ServerConfig::default());
     let mut c = client(&server);
 
     c.execute("define entity GADGET (name = string)\nappend to GADGET (name = \"theremin\")")
         .expect("execute");
+    let begins = || server.with_manager(|m| m.metrics_snapshot().counter("mdm_txn_begins_total"));
+    let before = begins();
+    assert!(before.unwrap_or(0) > 0, "the journaled execute began one");
     for _ in 0..3 {
         let table = c
             .query("range of g is GADGET\nretrieve (g.name)")
             .expect("query");
         assert_eq!(table.rows.len(), 1);
     }
-    let mdm = server.shutdown().expect("shutdown");
-
-    let snap = mdm.metrics_snapshot();
-    assert_eq!(
-        snap.gauge("mdm_mvcc_snapshots_open").unwrap_or(-1),
-        0,
-        "no snapshot outlives the queries"
-    );
-    assert_eq!(
-        snap.gauge("mdm_lock_held_shared").unwrap_or(-1),
-        0,
-        "no read locks outlive the queries"
-    );
-    drop(mdm);
+    assert_eq!(begins(), before, "queries must not reach the engine");
+    drop(server.shutdown().expect("shutdown"));
 }
 
 #[test]

@@ -568,17 +568,6 @@ impl Monitor {
             for_samples: 3,
             severity: Severity::Warning,
         });
-        // Wait-die aborting more than 10/s sustained: lock storm.
-        self.add_rule(
-            Rule::above(
-                "wait_die_abort_rate",
-                "mdm_lock_wait_die_aborts_total",
-                10.0,
-                3,
-            )
-            .rate()
-            .warning(),
-        );
     }
 
     /// Seeds the replica-side lag rules (`lag_bytes` capped at
@@ -1214,8 +1203,8 @@ mod tests {
         let h = m.health();
         assert_eq!(
             h.alerts.len(),
-            6,
-            "4 engine rules + 2 replica rules, deduped: {:?}",
+            5,
+            "3 engine rules + 2 replica rules, deduped: {:?}",
             h.alerts.iter().map(|a| a.rule.clone()).collect::<Vec<_>>()
         );
         assert!(h.healthy);

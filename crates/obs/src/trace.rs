@@ -768,10 +768,10 @@ mod tests {
         {
             let _root = tracer.root_span("r", None).unwrap();
             let started = Instant::now();
-            child_since("storage.lock_wait", started, &[("table", "SCORE")]);
+            child_since("quel.ord_before", started, &[("table", "SCORE")]);
         }
         let t = &tracer.recent(1)[0];
-        let wait = t.span("storage.lock_wait").unwrap();
+        let wait = t.span("quel.ord_before").unwrap();
         assert_eq!(wait.parent, t.root().unwrap().id);
         assert_eq!(
             wait.annotations,

@@ -401,10 +401,8 @@ fn apply_batch(
             WalRecord::Insert {
                 txn, table, body, ..
             } if Some(*table) == *journal_table => {
-                // Journal row behind the engine's MVCC stamp:
-                // xmin (u64 LE) ++ seq (u64 LE) ++ statement text.
-                let row = mdm_storage::user_body(body);
-                if let Ok(text) = std::str::from_utf8(row.get(8..).unwrap_or(b"")) {
+                // Journal row: seq (u64 LE) ++ statement text.
+                if let Ok(text) = std::str::from_utf8(body.get(8..).unwrap_or(b"")) {
                     if !text.is_empty() {
                         pending.entry(*txn).or_default().push(text.to_string());
                     }

@@ -21,6 +21,14 @@ fn promoted_replicas_survive_primary_crashes_at_every_explored_boundary() {
     };
     let registry = Registry::new();
     let report = pair_crash_sweep(&scratch, &cfg, &registry);
+    println!(
+        "census: {} boundaries ({} writes, {} syncs), {} crash points, {} violations",
+        report.boundaries,
+        report.writes,
+        report.syncs,
+        report.crash_points,
+        report.violations.len()
+    );
 
     assert!(
         report.boundaries > 100,

@@ -37,12 +37,14 @@ pub struct Catalog {
     pub tables: BTreeMap<String, TableMeta>,
     /// Next table id to assign.
     pub next_table_id: TableId,
-    /// Transaction-id floor: every id strictly below this was settled
+    /// Transaction-id floor: every id strictly below this was handed out
     /// before the catalog was saved. Reopening restarts the allocator at
-    /// (at least) this value so tuple stamps from earlier incarnations
-    /// can never collide with a new transaction's id. Absent in catalogs
-    /// written before MVCC; those decode as floor 0 and the WAL scan at
-    /// open supplies the real bound.
+    /// (at least) this value, so an id never names two transactions in
+    /// one directory's history — point-in-time restore concatenates WAL
+    /// archive segments from every incarnation and must not mistake one
+    /// segment's winner for another's loser. Absent in the oldest
+    /// catalogs; those decode as floor 0 and the WAL scan at open
+    /// supplies the real bound.
     pub txn_floor: u64,
 }
 

@@ -1,49 +1,42 @@
 //! The storage engine facade: transactions over tables and indexes.
 //!
 //! [`StorageEngine`] combines the buffer pool, heap files, B+tree indexes,
-//! the write-ahead log, the lock manager, and the catalog into a single
-//! transactional record store. Concurrency control is table-level strict
-//! two-phase locking with wait-die deadlock avoidance *among writers*;
-//! read-only transactions run as [`ReadSnapshot`]s against MVCC tuple
-//! versions (see [`crate::mvcc`]) without taking locks and without ever
-//! aborting. Durability is undo/redo logical logging with checkpoint
-//! truncation.
+//! the write-ahead log, and the catalog into a single transactional
+//! record store. Concurrency control is one engine-wide gate (see
+//! [`crate::gate`]): *one writer or many readers*. [`StorageEngine::begin`]
+//! takes the exclusive side and the [`Txn`] holds it until commit, abort
+//! or drop; a [`ReadSnapshot`] holds the shared side. Durability is
+//! undo/redo logical logging with checkpoint truncation.
 //!
 //! # Latching
 //!
-//! The engine used to serialize every call through one `Mutex<State>`.
-//! It now latches each component separately so independent clients
-//! proceed in parallel:
+//! Below the gate each component has its own latch. The latches do not
+//! arbitrate between transactions (there is one at a time); they keep the
+//! threads that run *outside* the gate (replication's `wal_read_from`,
+//! the replica pull thread's `replica_apply`, DDL, eviction on a reader's
+//! behalf) safe against the writer and each other:
 //!
 //! - **catalog** — an `RwLock`: lookups share, DDL excludes.
 //! - **heap directory** — an `RwLock<HashMap>` of per-table handles;
 //!   each [`HeapFile`] (its first/last-page cache) sits behind its own
-//!   `Mutex`, so writers to *different* tables never contend.
+//!   `Mutex`.
 //! - **buffer pool** — internally sharded by page id (see
 //!   [`crate::buffer`]); the engine takes no latch at all around page
 //!   access.
 //! - **WAL** — one `Mutex` guards appends; commit durability uses
 //!   *group commit* (below) so the mutex is never held across an fsync.
-//! - **active-transaction set** — its own `Mutex`.
 //!
-//! The latch acquisition order is fixed to keep the engine deadlock-free:
+//! The acquisition order is fixed:
 //!
-//! > `active` → `catalog` → heap directory → per-table heap →
-//! > pool shard → `WAL` → commit state → MVCC tracker
-//!
-//! The MVCC latch is self-contained (it is never held across another
-//! latch acquisition), so placing it last is trivially safe; commit
-//! registration takes it after group commit returns, and the DML paths
-//! take it before touching the page they are about to overwrite.
+//! > gate → `catalog` → heap directory → per-table heap →
+//! > pool shard → `WAL` → commit state
 //!
 //! A latch may only be taken while holding latches that appear *earlier*
 //! in this order. Pool-shard latches sit before the WAL because dirty
 //! eviction (which runs under a shard latch) may need to sync the log
 //! (the flush barrier, below); no code path holds the WAL or commit
 //! latch while touching a page. Page closures never re-enter the pool.
-//! Transaction-level (lock-manager) waits are *not* part of this order —
-//! they happen before any latch is held and resolve via wait-die, never
-//! by blocking a latch holder.
+//! The gate is only ever waited on with no latch held.
 //!
 //! # Group commit
 //!
@@ -72,15 +65,16 @@
 //!
 //! Every engine opens against an `mdm_obs::Registry` (its own, or one
 //! shared by the caller via [`StorageEngine::open_with_registry`]) and
-//! exports counters and histograms for the buffer pool, WAL, lock
-//! manager, and transaction lifecycle; read them via
+//! exports counters and histograms for the buffer pool, WAL, and
+//! transaction lifecycle; read them via
 //! [`StorageEngine::metrics_snapshot`]. All instrumentation is relaxed
 //! atomics — cheap enough for the hot paths it sits on.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::thread::ThreadId;
 
 use mdm_obs::{
     trace, Counter, Gauge, Histogram, Registry, Snapshot, LATENCY_MICROS_BOUNDS, SMALL_COUNT_BOUNDS,
@@ -91,9 +85,8 @@ use crate::btree::BTree;
 use crate::buffer::BufferPool;
 use crate::catalog::{self, Catalog, IndexMeta, TableMeta};
 use crate::error::{Result, StorageError};
+use crate::gate::{Gate, Held};
 use crate::heap::HeapFile;
-use crate::lock::{LockManager, LockMode};
-use crate::mvcc::{self, Epoch, MvccState};
 use crate::page::{PageId, Rid};
 use crate::recovery::{self, RecoveryOutcome};
 use crate::wal::{TableId, TxnId, Wal, WalRecord};
@@ -101,11 +94,13 @@ use crate::wal::{TableId, TxnId, Wal, WalRecord};
 /// Default buffer pool capacity in pages (16 MiB).
 pub const DEFAULT_POOL_PAGES: usize = 2048;
 
-/// A transaction handle. Obtain via [`StorageEngine::begin`]; finish with
-/// [`StorageEngine::commit`] or [`StorageEngine::abort`]. Dropping an
-/// unfinished transaction aborts it: the drop rolls back its effects and
-/// releases its locks (leaking the handle with `std::mem::forget`
-/// simulates a crash instead, leaving rollback to recovery).
+/// A transaction handle: the engine's one writer. It holds the exclusive
+/// side of the gate from [`StorageEngine::begin`] until it is consumed by
+/// [`StorageEngine::commit`] or [`StorageEngine::abort`], or dropped.
+/// Dropping an unfinished transaction aborts it: the drop rolls back its
+/// effects before releasing the gate (leaking the handle with
+/// `std::mem::forget` simulates a crash instead, leaving rollback to
+/// recovery and the gate shut for the rest of the engine's life).
 pub struct Txn {
     id: TxnId,
     undo: Vec<UndoOp>,
@@ -115,7 +110,7 @@ pub struct Txn {
 }
 
 impl Txn {
-    /// The transaction's id (its wait-die timestamp).
+    /// The transaction's id: unique for the life of the data directory.
     pub fn id(&self) -> TxnId {
         self.id
     }
@@ -128,8 +123,9 @@ impl Drop for Txn {
             // report them, and recovery re-establishes consistency from
             // the log on the next open if rollback could not complete.
             let _ = self.inner.rollback(self.id, &mut self.undo, self.began);
-            self.inner.locks.release_all(self.id);
         }
+        self.inner.metrics.txn_active.add(-1);
+        self.inner.gate.unlock_exclusive();
     }
 }
 
@@ -195,9 +191,8 @@ struct EngineMetrics {
 }
 
 impl EngineMetrics {
-    fn register(registry: &Registry, pool: &BufferPool, locks: &LockManager) -> EngineMetrics {
+    fn register(registry: &Registry, pool: &BufferPool) -> EngineMetrics {
         pool.register_metrics(registry);
-        locks.register_metrics(registry);
         EngineMetrics {
             registry: registry.clone(),
             wal_appends: registry.counter("mdm_wal_appends_total", "WAL records appended"),
@@ -228,9 +223,12 @@ impl EngineMetrics {
             txn_commits: registry.counter("mdm_txn_commits_total", "transactions committed"),
             txn_aborts: registry.counter(
                 "mdm_txn_aborts_total",
-                "transactions rolled back (explicit abort, drop, or wait-die)",
+                "transactions rolled back (explicit abort or drop)",
             ),
-            txn_active: registry.gauge("mdm_txn_active", "transactions currently in flight"),
+            txn_active: registry.gauge(
+                "mdm_txn_active",
+                "1 while a transaction holds the gate's exclusive side",
+            ),
         }
     }
 }
@@ -257,15 +255,15 @@ struct Inner {
     commit_cv: Condvar,
     catalog: RwLock<Catalog>,
     heaps: RwLock<HashMap<TableId, Arc<Mutex<HeapFile>>>>,
-    active: Mutex<HashSet<TxnId>>,
+    /// One writer or many readers.
+    gate: Gate,
     indexes_need_rebuild: AtomicBool,
     recovery: RecoveryOutcome,
-    locks: LockManager,
-    /// Shared with the MVCC tracker so the frozen floor can advance to
-    /// "next id" without racing an allocation.
-    next_txn: Arc<AtomicU64>,
-    /// Tuple version stamps, version chains, snapshot visibility.
-    mvcc: MvccState,
+    /// The transaction-id allocator. Ids never repeat for the life of the
+    /// data directory (the catalog persists the floor), so concatenated
+    /// WAL archive segments cannot confuse one segment's winner with
+    /// another's loser.
+    next_txn: AtomicU64,
     dir: PathBuf,
     metrics: EngineMetrics,
     /// Replica mode: the log is fed by [`StorageEngine::replica_apply`]
@@ -475,11 +473,41 @@ impl Inner {
         Ok(BTree::open(idx.root))
     }
 
+    fn scan(&self, table: TableId) -> Result<Vec<(Rid, Vec<u8>)>> {
+        let heap = self.heap_handle(table)?;
+        let h = heap.lock().unwrap().clone();
+        h.scan_all(&self.pool)
+    }
+
+    fn index_lookup(&self, table: TableId, index: &str, key: &[u8]) -> Result<Vec<Rid>> {
+        let bt = self.index_tree(table, index)?;
+        Ok(bt
+            .lookup(&self.pool, key)?
+            .into_iter()
+            .map(Rid::from_u64)
+            .collect())
+    }
+
+    fn index_range(
+        &self,
+        table: TableId,
+        index: &str,
+        lo: Option<&[u8]>,
+        hi: Option<&[u8]>,
+    ) -> Result<Vec<(Vec<u8>, Rid)>> {
+        let bt = self.index_tree(table, index)?;
+        let mut out = Vec::new();
+        bt.range(&self.pool, lo, hi, |k, v| {
+            out.push((k.to_vec(), Rid::from_u64(v)));
+        })?;
+        Ok(out)
+    }
+
     /// Persists and logs the catalog after DDL. Callers hold the catalog
     /// write latch, which serializes catalog page writes. The saved copy
     /// carries the current transaction-id floor, so any open that
-    /// restores this catalog restarts the allocator above every id whose
-    /// stamps may survive in the pages.
+    /// restores this catalog restarts the allocator above every id
+    /// already handed out.
     fn snapshot_catalog(&self, catalog: &Catalog) -> Result<()> {
         let mut floored = catalog.clone();
         floored.txn_floor = self.next_txn.load(Ordering::Acquire);
@@ -495,9 +523,6 @@ impl Inner {
     /// transaction that never logged a `Begin` logs no `Abort` either:
     /// read-only work must leave the WAL untouched.
     fn rollback(&self, id: TxnId, undo: &mut Vec<UndoOp>, began: bool) -> Result<()> {
-        if !self.active.lock().unwrap().remove(&id) {
-            return Err(StorageError::TxnNotActive(id));
-        }
         for op in undo.drain(..).rev() {
             match op {
                 UndoOp::Insert { rid } => {
@@ -526,20 +551,10 @@ impl Inner {
                 }
             }
         }
-        // The pages hold no trace of the transaction any more; retract
-        // its chained versions and tombstone the id so captured-but-
-        // unresolved stamps stay invisible. A transaction that never
-        // wrote (`began` false) left no stamps and is simply forgotten.
-        if began {
-            self.mvcc.rollback(id);
-        } else {
-            self.mvcc.forget(id);
-        }
         if began {
             self.log(&WalRecord::Abort { txn: id })?;
         }
         self.metrics.txn_aborts.inc();
-        self.metrics.txn_active.add(-1);
         Ok(())
     }
 }
@@ -548,108 +563,43 @@ impl Inner {
 /// the replication stream ships.
 pub type WalBatch = Vec<(u64, Vec<u8>)>;
 
-/// A lock-free read-only transaction over a stable snapshot of the
-/// database. Obtain via [`StorageEngine::snapshot`]; the view is fixed
-/// at the commit epoch current when it opened. Reads resolve tuple
-/// visibility through the MVCC tracker instead of acquiring read locks,
-/// so a snapshot never blocks a writer, is never blocked by one, and
-/// can never abort under wait-die. Dropping the snapshot releases its
-/// pin on retained tuple versions (advancing the GC horizon).
+/// A read-only view of the committed database: the shared side of the
+/// gate, held for the snapshot's lifetime. Obtain via
+/// [`StorageEngine::snapshot`]. No transaction can be open while a
+/// snapshot is, so every read is a plain heap or B+tree read of committed
+/// data; a writer that arrives waits until the snapshot drops.
 pub struct ReadSnapshot {
     inner: Arc<Inner>,
-    epoch: Epoch,
+    /// The thread that opened the shared side, or the typed refusal every
+    /// read returns when that thread already held the exclusive side.
+    held: std::result::Result<ThreadId, Held>,
 }
 
 impl ReadSnapshot {
-    /// The commit epoch this snapshot observes: exactly the
-    /// transactions registered at or before it are visible.
-    pub fn epoch(&self) -> Epoch {
-        self.epoch
+    fn check_held(&self) -> Result<()> {
+        self.held?;
+        Ok(())
     }
 
-    /// Reads the version of a record visible to this snapshot, or
-    /// `None` if the rid holds no visible row at the snapshot's epoch.
-    pub fn get(&self, table: TableId, rid: Rid) -> Result<Option<Vec<u8>>> {
-        let stored = HeapFile::get(&self.inner.pool, rid)?;
-        Ok(self
-            .inner
-            .mvcc
-            .resolve(table, rid.to_u64(), stored.as_deref(), self.epoch))
+    /// Reads a record, or `None` if the rid holds no row.
+    pub fn get(&self, _table: TableId, rid: Rid) -> Result<Option<Vec<u8>>> {
+        self.check_held()?;
+        HeapFile::get(&self.inner.pool, rid)
     }
 
-    /// Scans every record of a table visible to this snapshot. Takes no
-    /// lock: current page tuples resolve through the visibility check,
-    /// and rows a concurrent (or later-committed) writer has deleted or
-    /// moved are recovered from their version chains.
+    /// Scans every record of a table.
     pub fn scan(&self, table: TableId) -> Result<Vec<(Rid, Vec<u8>)>> {
-        let heap = self.inner.heap_handle(table)?;
-        let h = heap.lock().unwrap().clone();
-        let mut seen = HashSet::new();
-        let mut out = Vec::new();
-        for (rid, stored) in h.scan_all(&self.inner.pool)? {
-            seen.insert(rid.to_u64());
-            if let Some(body) =
-                self.inner
-                    .mvcc
-                    .resolve(table, rid.to_u64(), Some(&stored), self.epoch)
-            {
-                out.push((rid, body));
-            }
-        }
-        // Rids the page walk no longer surfaces (deleted, or their page
-        // unlinked) can still hold versions this snapshot sees.
-        for rid64 in self.inner.mvcc.chained_rids(table) {
-            if seen.insert(rid64) {
-                let rid = Rid::from_u64(rid64);
-                let stored = HeapFile::get(&self.inner.pool, rid)?;
-                if let Some(body) =
-                    self.inner
-                        .mvcc
-                        .resolve(table, rid64, stored.as_deref(), self.epoch)
-                {
-                    out.push((rid, body));
-                }
-            }
-        }
-        Ok(out)
+        self.check_held()?;
+        self.inner.scan(table)
     }
 
-    /// Looks up `key` in a secondary index, filtered to rids visible to
-    /// this snapshot. The B+tree itself is unversioned (writers mutate
-    /// it in place under their exclusive lock), so the probe unions the
-    /// tree's hits with every chained rid of the table before applying
-    /// the visibility check — a conservative superset: the caller
-    /// re-qualifies each row against the key, exactly as it already must
-    /// for the scan plan, which keeps the two plans' results identical.
+    /// Looks up the rids stored under exactly `key`.
     pub fn index_lookup(&self, table: TableId, index: &str, key: &[u8]) -> Result<Vec<Rid>> {
-        let bt = self.inner.index_tree(table, index)?;
-        let mut rids = bt.lookup(&self.inner.pool, key)?;
-        for extra in self.inner.mvcc.chained_rids(table) {
-            if !rids.contains(&extra) {
-                rids.push(extra);
-            }
-        }
-        let mut out = Vec::new();
-        for rid64 in rids {
-            let rid = Rid::from_u64(rid64);
-            let stored = HeapFile::get(&self.inner.pool, rid)?;
-            if self
-                .inner
-                .mvcc
-                .resolve(table, rid64, stored.as_deref(), self.epoch)
-                .is_some()
-            {
-                out.push(rid);
-            }
-        }
-        Ok(out)
+        self.check_held()?;
+        self.inner.index_lookup(table, index, key)
     }
 
-    /// Range scan over an index, filtered to visible rids; bounds are
-    /// inclusive, `None` = unbounded. As with [`ReadSnapshot::index_lookup`],
-    /// entries a concurrent writer removed from the tree are recovered
-    /// via [`ReadSnapshot::chain_candidates`]; callers that need exact
-    /// range semantics under concurrency re-qualify those rows.
+    /// Range scan over an index; bounds are inclusive, `None` = unbounded.
     pub fn index_range(
         &self,
         table: TableId,
@@ -657,44 +607,16 @@ impl ReadSnapshot {
         lo: Option<&[u8]>,
         hi: Option<&[u8]>,
     ) -> Result<Vec<(Vec<u8>, Rid)>> {
-        let bt = self.inner.index_tree(table, index)?;
-        let mut entries = Vec::new();
-        bt.range(&self.inner.pool, lo, hi, |k, v| {
-            entries.push((k.to_vec(), v));
-        })?;
-        let mut out = Vec::new();
-        for (key, rid64) in entries {
-            let rid = Rid::from_u64(rid64);
-            let stored = HeapFile::get(&self.inner.pool, rid)?;
-            if self
-                .inner
-                .mvcc
-                .resolve(table, rid64, stored.as_deref(), self.epoch)
-                .is_some()
-            {
-                out.push((key, rid));
-            }
-        }
-        Ok(out)
-    }
-
-    /// Rids of `table` holding chained versions: the rows an index probe
-    /// may miss because a concurrent writer already unhooked their tree
-    /// entries. Visible ones are exactly the extras
-    /// [`ReadSnapshot::index_lookup`] unions in.
-    pub fn chain_candidates(&self, table: TableId) -> Vec<Rid> {
-        self.inner
-            .mvcc
-            .chained_rids(table)
-            .into_iter()
-            .map(Rid::from_u64)
-            .collect()
+        self.check_held()?;
+        self.inner.index_range(table, index, lo, hi)
     }
 }
 
 impl Drop for ReadSnapshot {
     fn drop(&mut self) {
-        self.inner.mvcc.close_snapshot(self.epoch);
+        if let Ok(opener) = self.held {
+            self.inner.gate.unlock_shared(opener);
+        }
     }
 }
 
@@ -755,12 +677,10 @@ impl StorageEngine {
             Err(e) => return Err(e),
         };
         let (outcome, mut recovered) = recovery::recover(&pool, &records, disk_catalog)?;
-        // Restart the transaction-id allocator above every id whose
-        // stamps can survive in the pages: the floor the last catalog
-        // save recorded, and anything the replayed log mentions (the
-        // catalog on disk may predate the log tail). Stamps below the
-        // floor resolve as frozen — visible to every snapshot — which is
-        // exactly right: recovery leaves only committed data in place.
+        // Restart the transaction-id allocator above every id ever
+        // handed out: the floor the last catalog save recorded, and
+        // anything the replayed log mentions (the catalog on disk may
+        // predate the log tail).
         let logged_txns = records.iter().filter_map(WalRecord::txn).max();
         let txn_floor = recovered
             .txn_floor
@@ -790,10 +710,7 @@ impl StorageEngine {
             wal.truncate()?;
         }
         let durable_lsn = wal.next_lsn();
-        let locks = LockManager::new();
-        let metrics = EngineMetrics::register(registry, &pool, &locks);
-        let next_txn = Arc::new(AtomicU64::new(txn_floor));
-        let mvcc = MvccState::register(registry, Arc::clone(&next_txn));
+        let metrics = EngineMetrics::register(registry, &pool);
         let inner = Arc::new(Inner {
             pool,
             wal: Mutex::new(WalInner {
@@ -809,12 +726,10 @@ impl StorageEngine {
             commit_cv: Condvar::new(),
             catalog: RwLock::new(recovered),
             heaps: RwLock::new(HashMap::new()),
-            active: Mutex::new(HashSet::new()),
+            gate: Gate::default(),
             indexes_need_rebuild: AtomicBool::new(needs_rebuild),
             recovery: outcome,
-            locks,
-            next_txn,
-            mvcc,
+            next_txn: AtomicU64::new(txn_floor),
             dir: dir.to_path_buf(),
             metrics,
             replica: AtomicBool::new(replica_marker),
@@ -879,17 +794,18 @@ impl StorageEngine {
     // Transactions
     // ------------------------------------------------------------------
 
-    /// Starts a transaction. The `Begin` record is logged lazily at the
+    /// Starts a transaction: waits for the gate's exclusive side (for
+    /// every open snapshot and any other thread's transaction to finish).
+    /// A second `begin` from the thread that already has a transaction or
+    /// snapshot open fails with [`StorageError::GateHeld`] instead of
+    /// waiting on itself. The `Begin` record is logged lazily at the
     /// transaction's first write: read-only transactions must leave the
     /// WAL untouched, both to keep it lean and because a replica's local
     /// LSN must track the primary's stream exactly — a locally logged
     /// record would desynchronise the replication cursor.
     pub fn begin(&self) -> Result<Txn> {
-        // The id is allocated by the MVCC tracker (one critical section
-        // with its in-flight registration) so the frozen floor can never
-        // advance past an id that is about to stamp tuples.
-        let id = self.inner.mvcc.begin_txn();
-        self.inner.active.lock().unwrap().insert(id);
+        let id = self.inner.next_txn.fetch_add(1, Ordering::AcqRel);
+        self.inner.gate.lock_exclusive(Some(id))?;
         self.inner.metrics.txn_begins.inc();
         self.inner.metrics.txn_active.add(1);
         Ok(Txn {
@@ -911,49 +827,29 @@ impl StorageEngine {
         Ok(())
     }
 
-    /// Commits: makes the log durable (group commit), registers the
-    /// commit epoch with the MVCC tracker, releases locks. A transaction
-    /// that never wrote logs nothing and syncs nothing.
+    /// Commits: makes the log durable (group commit), then releases the
+    /// gate (the handle drops). A transaction that never wrote logs
+    /// nothing and syncs nothing.
     pub fn commit(&self, mut txn: Txn) -> Result<()> {
-        if !self.inner.active.lock().unwrap().remove(&txn.id) {
-            txn.finished = true; // nothing left for drop to roll back
-            return Err(StorageError::TxnNotActive(txn.id));
-        }
-        if txn.began {
-            let synced = self
-                .inner
-                .log(&WalRecord::Commit { txn: txn.id })
-                .and_then(|seq| self.inner.sync_to(seq));
-            if let Err(e) = synced {
-                // Unknown outcome: the commit record may or may not have
-                // persisted, so recovery at the next open is the only
-                // authority. The id stays registered in flight forever —
-                // its stamps remain invisible to every snapshot — and
-                // nothing is rolled back (the drop below finds the id
-                // already out of the active set and leaves the pages
-                // alone, exactly as recovery semantics require).
-                self.inner.mvcc.abandon(txn.id);
-                return Err(e);
-            }
-            // Durable: register the commit epoch before releasing locks,
-            // so the epoch order is a serialization order.
-            self.inner.mvcc.commit(txn.id);
-        } else {
-            self.inner.mvcc.forget(txn.id);
-        }
+        self.check_active(&txn)?;
+        // Whatever happens below, the drop must not roll back: after a
+        // failed sync the commit record may or may not have persisted, so
+        // recovery at the next open is the only authority and the pages
+        // are left alone. The gate is released either way.
         txn.finished = true;
-        self.inner.locks.release_all(txn.id);
+        if txn.began {
+            let seq = self.inner.log(&WalRecord::Commit { txn: txn.id })?;
+            self.inner.sync_to(seq)?;
+        }
         self.inner.metrics.txn_commits.inc();
-        self.inner.metrics.txn_active.add(-1);
         Ok(())
     }
 
-    /// Aborts: rolls back the transaction's effects, releases locks.
+    /// Aborts: rolls back the transaction's effects, releases the gate.
     pub fn abort(&self, mut txn: Txn) -> Result<()> {
-        let res = self.inner.rollback(txn.id, &mut txn.undo, txn.began);
+        self.check_active(&txn)?;
         txn.finished = true;
-        self.inner.locks.release_all(txn.id);
-        res
+        self.inner.rollback(txn.id, &mut txn.undo, txn.began)
     }
 
     // ------------------------------------------------------------------
@@ -1064,17 +960,12 @@ impl StorageEngine {
     // DML
     // ------------------------------------------------------------------
 
-    /// Inserts a record, returning its rid. The stored tuple is the body
-    /// prefixed with the transaction's xmin stamp; the stamp travels
-    /// through the WAL, undo, replication, and recovery as part of the
-    /// record body and is stripped again on every read.
+    /// Inserts a record, returning its rid.
     pub fn insert(&self, txn: &mut Txn, table: TableId, body: &[u8]) -> Result<Rid> {
         self.check_active(txn)?;
-        self.inner.locks.lock(txn.id, table, LockMode::Exclusive)?;
-        let stored = mvcc::stamp(txn.id, body);
         let heap = self.inner.heap_handle(table)?;
         let mut h = heap.lock().unwrap();
-        let (rid, link) = h.insert(&self.inner.pool, &stored)?;
+        let (rid, link) = h.insert(&self.inner.pool, body)?;
         let mut recs = Vec::with_capacity(2);
         let mut pages = Vec::with_capacity(2);
         if let Some((from_page, new_page)) = link {
@@ -1089,7 +980,7 @@ impl StorageEngine {
             txn: txn.id,
             table,
             rid,
-            body: stored,
+            body: body.to_vec(),
         });
         pages.push(rid.page);
         self.begin_write(txn)?;
@@ -1099,11 +990,10 @@ impl StorageEngine {
         Ok(rid)
     }
 
-    /// Reads a record (shared lock).
-    pub fn get(&self, txn: &mut Txn, table: TableId, rid: Rid) -> Result<Option<Vec<u8>>> {
+    /// Reads a record.
+    pub fn get(&self, txn: &mut Txn, _table: TableId, rid: Rid) -> Result<Option<Vec<u8>>> {
         self.check_active(txn)?;
-        self.inner.locks.lock(txn.id, table, LockMode::Shared)?;
-        Ok(HeapFile::get(&self.inner.pool, rid)?.map(|b| mvcc::user_body(&b).to_vec()))
+        HeapFile::get(&self.inner.pool, rid)
     }
 
     /// Updates a record in place. If the new body no longer fits in the
@@ -1111,21 +1001,13 @@ impl StorageEngine {
     /// *new* rid is returned; otherwise the original rid is returned.
     pub fn update(&self, txn: &mut Txn, table: TableId, rid: Rid, body: &[u8]) -> Result<Rid> {
         self.check_active(txn)?;
-        self.inner.locks.lock(txn.id, table, LockMode::Exclusive)?;
         let heap = self.inner.heap_handle(table)?;
         let mut h = heap.lock().unwrap();
         let old = HeapFile::get(&self.inner.pool, rid)?.ok_or(StorageError::RecordNotFound {
             page: rid.page,
             slot: rid.slot,
         })?;
-        // Chain the superseded version *before* the page changes, so no
-        // snapshot ever observes a window where the old version is gone
-        // from both the page and the chain.
-        self.inner
-            .mvcc
-            .remember_old(txn.id, table, rid.to_u64(), &old);
-        let stored = mvcc::stamp(txn.id, body);
-        if HeapFile::update(&self.inner.pool, rid, &stored)? {
+        if HeapFile::update(&self.inner.pool, rid, body)? {
             self.begin_write(txn)?;
             self.inner.log_published(
                 &[WalRecord::Update {
@@ -1133,7 +1015,7 @@ impl StorageEngine {
                     table,
                     rid,
                     old: old.clone(),
-                    new: stored,
+                    new: body.to_vec(),
                 }],
                 &[rid.page],
             )?;
@@ -1156,7 +1038,7 @@ impl StorageEngine {
             rid,
             old: old.clone(),
         });
-        let (new_rid, link) = h.insert(&self.inner.pool, &stored)?;
+        let (new_rid, link) = h.insert(&self.inner.pool, body)?;
         let mut recs = Vec::with_capacity(2);
         let mut pages = Vec::with_capacity(2);
         if let Some((from_page, new_page)) = link {
@@ -1171,7 +1053,7 @@ impl StorageEngine {
             txn: txn.id,
             table,
             rid: new_rid,
-            body: stored,
+            body: body.to_vec(),
         });
         pages.push(new_rid.page);
         self.inner.log_published(&recs, &pages)?;
@@ -1183,17 +1065,6 @@ impl StorageEngine {
     /// Deletes a record, returning its old body.
     pub fn delete(&self, txn: &mut Txn, table: TableId, rid: Rid) -> Result<Vec<u8>> {
         self.check_active(txn)?;
-        self.inner.locks.lock(txn.id, table, LockMode::Exclusive)?;
-        // Pre-read and chain the doomed version before the slot empties:
-        // a snapshot scanning between the page delete and a later chain
-        // push would otherwise see the row in neither place.
-        let doomed = HeapFile::get(&self.inner.pool, rid)?.ok_or(StorageError::RecordNotFound {
-            page: rid.page,
-            slot: rid.slot,
-        })?;
-        self.inner
-            .mvcc
-            .remember_old(txn.id, table, rid.to_u64(), &doomed);
         let old = HeapFile::delete(&self.inner.pool, rid)?;
         self.begin_write(txn)?;
         self.inner.log_published(
@@ -1209,35 +1080,29 @@ impl StorageEngine {
             rid,
             old: old.clone(),
         });
-        Ok(mvcc::user_body(&old).to_vec())
+        Ok(old)
     }
 
-    /// Scans every record of a table (shared lock).
+    /// Scans every record of a table.
     pub fn scan(&self, txn: &mut Txn, table: TableId) -> Result<Vec<(Rid, Vec<u8>)>> {
         self.check_active(txn)?;
-        self.inner.locks.lock(txn.id, table, LockMode::Shared)?;
-        let heap = self.inner.heap_handle(table)?;
-        let h = heap.lock().unwrap().clone();
-        Ok(h.scan_all(&self.inner.pool)?
-            .into_iter()
-            .map(|(rid, stored)| (rid, mvcc::user_body(&stored).to_vec()))
-            .collect())
+        self.inner.scan(table)
     }
 
     // ------------------------------------------------------------------
     // Snapshot reads
     // ------------------------------------------------------------------
 
-    /// Opens a lock-free read-only transaction: a [`ReadSnapshot`] fixed
-    /// at the current commit epoch. It takes no lock-manager locks, can
-    /// never deadlock or wait-die, and sees exactly the transactions
-    /// that committed before it opened — writers proceed underneath it,
-    /// their old tuple versions retained until the snapshot drops.
+    /// Opens a [`ReadSnapshot`]: waits for the gate's shared side (for
+    /// any other thread's open transaction to finish), after which the
+    /// snapshot sees exactly the committed state until it drops. Opened
+    /// from the thread that itself has a transaction open, the snapshot
+    /// is refused rather than left waiting on its own thread: every read
+    /// through it returns [`StorageError::GateHeld`].
     pub fn snapshot(&self) -> ReadSnapshot {
-        let epoch = self.inner.mvcc.open_snapshot();
         ReadSnapshot {
             inner: Arc::clone(&self.inner),
-            epoch,
+            held: self.inner.gate.lock_shared(),
         }
     }
 
@@ -1257,7 +1122,6 @@ impl StorageEngine {
         rid: Rid,
     ) -> Result<()> {
         self.check_active(txn)?;
-        self.inner.locks.lock(txn.id, table, LockMode::Exclusive)?;
         let bt = self.inner.index_tree(table, index)?;
         if !bt.insert(&self.inner.pool, key, rid.to_u64())? {
             return Ok(());
@@ -1291,7 +1155,6 @@ impl StorageEngine {
         rid: Rid,
     ) -> Result<()> {
         self.check_active(txn)?;
-        self.inner.locks.lock(txn.id, table, LockMode::Exclusive)?;
         let bt = self.inner.index_tree(table, index)?;
         if !bt.delete(&self.inner.pool, key, rid.to_u64())? {
             return Ok(());
@@ -1322,13 +1185,7 @@ impl StorageEngine {
         key: &[u8],
     ) -> Result<Vec<Rid>> {
         self.check_active(txn)?;
-        self.inner.locks.lock(txn.id, table, LockMode::Shared)?;
-        let bt = self.inner.index_tree(table, index)?;
-        Ok(bt
-            .lookup(&self.inner.pool, key)?
-            .into_iter()
-            .map(Rid::from_u64)
-            .collect())
+        self.inner.index_lookup(table, index, key)
     }
 
     /// Range scan over an index; bounds are inclusive, `None` = unbounded.
@@ -1341,13 +1198,7 @@ impl StorageEngine {
         hi: Option<&[u8]>,
     ) -> Result<Vec<(Vec<u8>, Rid)>> {
         self.check_active(txn)?;
-        self.inner.locks.lock(txn.id, table, LockMode::Shared)?;
-        let bt = self.inner.index_tree(table, index)?;
-        let mut out = Vec::new();
-        bt.range(&self.inner.pool, lo, hi, |k, v| {
-            out.push((k.to_vec(), Rid::from_u64(v)));
-        })?;
-        Ok(out)
+        self.inner.index_range(table, index, lo, hi)
     }
 
     // ------------------------------------------------------------------
@@ -1357,30 +1208,26 @@ impl StorageEngine {
     /// Copies the live contents of this database into a fresh database at
     /// `dir`, reclaiming the space of dropped tables and dead records
     /// (heap pages and index trees are never shrunk in place). Record ids
-    /// change; index entries are remapped through the copy. Requires no
-    /// active transactions. Returns the new engine.
+    /// change; index entries are remapped through the copy. Reads the
+    /// source through one [`ReadSnapshot`], so it waits for another
+    /// thread's transaction and is refused on the thread that has one
+    /// open. Returns the new engine.
     pub fn vacuum_into(&self, dir: &Path) -> Result<StorageEngine> {
-        if !self.inner.active.lock().unwrap().is_empty() {
-            return Err(StorageError::Corrupt(
-                "vacuum requires no active transactions".into(),
-            ));
-        }
+        let source = self.snapshot();
+        source.check_held()?;
         let new = StorageEngine::open(dir)?;
         for name in self.table_names() {
             let old_table = self.table_id(&name)?;
             let new_table = new.create_table(&name)?;
             let mut rid_map: HashMap<Rid, Rid> = HashMap::new();
-            let mut old_txn = self.begin()?;
             let mut new_txn = new.begin()?;
-            for (old_rid, body) in self.scan(&mut old_txn, old_table)? {
+            for (old_rid, body) in source.scan(old_table)? {
                 let new_rid = new.insert(&mut new_txn, new_table, &body)?;
                 rid_map.insert(old_rid, new_rid);
             }
             for index in self.index_names(old_table)? {
                 new.create_index(new_table, &index)?;
-                for (key, old_rid) in
-                    self.index_range(&mut old_txn, old_table, &index, None, None)?
-                {
+                for (key, old_rid) in source.index_range(old_table, &index, None, None)? {
                     // Entries pointing at dead rids are dropped — vacuum
                     // also repairs index/table drift.
                     if let Some(&new_rid) = rid_map.get(&old_rid) {
@@ -1389,17 +1236,22 @@ impl StorageEngine {
                 }
             }
             new.commit(new_txn)?;
-            self.commit(old_txn)?;
         }
         new.checkpoint()?;
         Ok(new)
     }
 
-    /// Flushes all state and truncates the write-ahead log. Fails if any
-    /// transaction is active (their undo information lives in the log).
-    /// New transactions are held off (on the active-set latch) for the
-    /// duration.
+    /// Flushes all state and truncates the write-ahead log, under the
+    /// gate's exclusive side: an open transaction's undo information
+    /// lives in the log, so the checkpoint waits for another thread's
+    /// transaction to finish and is refused
+    /// ([`StorageError::GateHeld`]) on the thread that has one open.
     pub fn checkpoint(&self) -> Result<()> {
+        let _exclusive = self.inner.gate.maintenance()?;
+        self.checkpoint_gated()
+    }
+
+    fn checkpoint_gated(&self) -> Result<()> {
         if self.inner.replica.load(Ordering::Acquire) {
             // A replica's log holds the primary's stream; a local
             // checkpoint would append its own records into that LSN
@@ -1408,16 +1260,8 @@ impl StorageEngine {
                 "replica engines checkpoint via replica_checkpoint".into(),
             ));
         }
-        let active = self.inner.active.lock().unwrap();
-        if !active.is_empty() {
-            return Err(StorageError::Corrupt(
-                "checkpoint requires no active transactions".into(),
-            ));
-        }
         self.inner.sync_all()?;
         {
-            // No transaction is active, so every allocated id is settled
-            // and the persisted floor can jump straight to the allocator.
             let mut cat = self.inner.catalog.read().unwrap().clone();
             cat.txn_floor = self.inner.next_txn.load(Ordering::Acquire);
             catalog::save(&self.inner.pool, &cat)?;
@@ -1432,9 +1276,7 @@ impl StorageEngine {
         // stream up to here is checkpoint-consistent (no open txns).
         let seq = self.inner.log(&WalRecord::Checkpoint)?;
         self.inner.sync_to(seq)?;
-        self.inner.truncate_wal()?;
-        drop(active);
-        Ok(())
+        self.inner.truncate_wal()
     }
 
     // ------------------------------------------------------------------
@@ -1458,8 +1300,10 @@ impl StorageEngine {
     /// with a catalog snapshot and a full image of every page — history
     /// rotated away *before* archiving exists only in the data pages —
     /// then checkpoints, rotating the snapshot into the first segment.
-    /// Requires no active transactions. Idempotent; sticky across opens.
+    /// Takes the gate as [`StorageEngine::checkpoint`] does. Idempotent;
+    /// sticky across opens.
     pub fn enable_wal_archive(&self) -> Result<()> {
+        let _exclusive = self.inner.gate.maintenance()?;
         let newly = self.inner.wal.lock().unwrap().wal.enable_archive()?;
         if !newly {
             return Ok(());
@@ -1475,7 +1319,7 @@ impl StorageEngine {
             let bytes = self.inner.pool.with_page(page, |b| b.to_vec())?;
             self.inner.log(&WalRecord::PageImage { page, bytes })?;
         }
-        self.checkpoint()
+        self.checkpoint_gated()
     }
 
     /// Reads encoded records at and above `from_lsn`, up to roughly
@@ -1563,8 +1407,7 @@ impl StorageEngine {
                 StorageError::Replication(format!("undecodable record at lsn {lsn}"))
             })?;
             // Track the primary's id space: promotion must allocate
-            // above every replicated transaction, and the frozen floor
-            // (bumped at each fold) must cover every replicated stamp.
+            // above every replicated transaction.
             if let Some(t) = rec.txn() {
                 self.inner.next_txn.fetch_max(t + 1, Ordering::AcqRel);
             }
@@ -1640,15 +1483,9 @@ impl StorageEngine {
     fn fold_records(&self, records: &[WalRecord]) -> Result<()> {
         // The fold rewrites pages through the recovery machinery, whose
         // intermediate states (losers applied, not yet undone) no
-        // snapshot may observe: the gate drains open snapshots, blocks
-        // new ones, and on exit freezes every replicated stamp.
-        self.inner.mvcc.enter_fold();
-        let res = self.fold_records_gated(records);
-        self.inner.mvcc.exit_fold();
-        res
-    }
-
-    fn fold_records_gated(&self, records: &[WalRecord]) -> Result<()> {
+        // snapshot may observe: the exclusive side drains open snapshots
+        // and holds new ones off.
+        let _exclusive = self.inner.gate.maintenance()?;
         let base = self.inner.catalog.read().unwrap().clone();
         let (outcome, recovered) = recovery::recover(&self.inner.pool, records, Some(base))?;
         *self.inner.catalog.write().unwrap() = recovered;
@@ -1668,7 +1505,7 @@ impl StorageEngine {
     }
 
     /// A point-in-time snapshot of every metric registered with this
-    /// engine's registry (pool, WAL, locks, transactions — plus whatever
+    /// engine's registry (pool, WAL, transactions — plus whatever
     /// the embedding layer registered when it shared the registry).
     pub fn metrics_snapshot(&self) -> Snapshot {
         self.inner.metrics.registry.snapshot()
@@ -1684,8 +1521,10 @@ impl StorageEngine {
         self.inner.pool.num_pages()
     }
 
+    /// A live handle holds the gate, so it *is* the active transaction;
+    /// the one way to get this wrong is handing it to another engine.
     fn check_active(&self, txn: &Txn) -> Result<()> {
-        if txn.finished || !self.inner.active.lock().unwrap().contains(&txn.id) {
+        if !Arc::ptr_eq(&txn.inner, &self.inner) {
             return Err(StorageError::TxnNotActive(txn.id));
         }
         Ok(())
@@ -1694,10 +1533,11 @@ impl StorageEngine {
 
 impl Drop for Inner {
     fn drop(&mut self) {
-        // Best-effort clean shutdown: if no transaction is in flight,
-        // checkpoint so the next open skips recovery and keeps indexes.
-        // `Inner` is dropping, so these latches have no other holders;
-        // `into_inner` on a poisoned latch still yields the data.
+        // Best-effort clean shutdown: checkpoint so the next open skips
+        // recovery and keeps indexes. Every `Txn` and `ReadSnapshot`
+        // keeps `Inner` alive, so none is open here and the gate is
+        // free. `Inner` is dropping, so these latches have no other
+        // holders; `into_inner` on a poisoned latch still yields the data.
         fn unpoison<T>(r: std::sync::LockResult<T>) -> T {
             r.unwrap_or_else(std::sync::PoisonError::into_inner)
         }
@@ -1716,12 +1556,7 @@ impl Drop for Inner {
             let _ = unpoison(self.wal.lock()).wal.sync();
             return;
         }
-        let active_empty = unpoison(self.active.get_mut()).is_empty();
         let _ = unpoison(self.wal.lock()).wal.sync();
-        if !active_empty {
-            // Leave the log for recovery to roll the stragglers back.
-            return;
-        }
         // The barrier's `Weak` is dead by now, so saving the catalog may
         // fail if it needs to evict a dirty page; that just downgrades
         // the clean shutdown to a recovery on next open. The flush logs
@@ -1730,8 +1565,6 @@ impl Drop for Inner {
         // recoverable.
         let saved = {
             let mut cat = unpoison(self.catalog.read()).clone();
-            // No transaction is in flight, so the persisted floor can
-            // jump to the allocator: every surviving stamp freezes.
             cat.txn_floor = self.next_txn.load(Ordering::Acquire);
             catalog::save(&self.pool, &cat)
         };

@@ -22,9 +22,12 @@ pub enum StorageError {
     TableExists(String),
     /// An index with this name already exists.
     IndexExists(String),
-    /// The transaction was aborted to avoid deadlock (wait-die policy).
-    Deadlock,
-    /// An operation was attempted on a transaction that is not active.
+    /// The calling thread already holds the side of the engine's gate
+    /// this call would wait on: `txn` is the transaction it has open
+    /// (`None` for a read snapshot). Commit, abort or drop it first.
+    GateHeld { txn: Option<u64> },
+    /// A transaction handle was passed to an engine other than the one
+    /// that began it.
     TxnNotActive(u64),
     /// The write-ahead log was corrupt beyond the given offset.
     WalCorrupt(u64),
@@ -56,8 +59,15 @@ impl fmt::Display for StorageError {
             StorageError::NoSuchIndex(n) => write!(f, "no such index: {n}"),
             StorageError::TableExists(n) => write!(f, "table already exists: {n}"),
             StorageError::IndexExists(n) => write!(f, "index already exists: {n}"),
-            StorageError::Deadlock => write!(f, "transaction aborted by wait-die deadlock policy"),
-            StorageError::TxnNotActive(t) => write!(f, "transaction {t} is not active"),
+            StorageError::GateHeld { txn: Some(t) } => {
+                write!(f, "transaction {t} is still open on this thread")
+            }
+            StorageError::GateHeld { txn: None } => {
+                write!(f, "a read snapshot is still open on this thread")
+            }
+            StorageError::TxnNotActive(t) => {
+                write!(f, "transaction {t} is not active on this engine")
+            }
             StorageError::WalCorrupt(off) => write!(f, "write-ahead log corrupt at offset {off}"),
             StorageError::WalPoisoned => write!(
                 f,

@@ -16,9 +16,8 @@
 //! * [`backend`] / [`fault`] — pluggable file I/O and deterministic
 //!   fault injection (scripted failpoints, simulated crashes).
 //! * [`torture`] — the crash-point exploration harness built on them.
-//! * [`lock`] — table-level strict 2PL with wait-die deadlock avoidance.
-//! * [`mvcc`] — tuple version stamps, version chains, and snapshot
-//!   visibility: lock-free read-only transactions via [`ReadSnapshot`].
+//! * `gate` — the one concurrency scheme: one writer ([`Txn`]) or many
+//!   readers ([`ReadSnapshot`]), engine-wide.
 //! * [`catalog`] — the persistent system catalog.
 //! * [`engine`] — [`StorageEngine`], the transactional facade.
 //!
@@ -47,9 +46,8 @@ pub mod disk;
 pub mod engine;
 pub mod error;
 pub mod fault;
+mod gate;
 pub mod heap;
-pub mod lock;
-pub mod mvcc;
 pub mod page;
 pub mod recovery;
 pub mod torture;
@@ -62,8 +60,6 @@ pub use engine::{ReadSnapshot, StorageEngine, Txn, WalBatch, DEFAULT_POOL_PAGES}
 pub use error::{Result, StorageError};
 pub use fault::{At, FaultController, FaultKind, FaultPlan, FaultVfs};
 pub use heap::HeapFile;
-pub use lock::{LockManager, LockMode};
-pub use mvcc::{user_body, STAMP_LEN};
 pub use page::{PageId, Rid, PAGE_SIZE};
 pub use recovery::RecoveryOutcome;
 pub use torture::{

@@ -457,43 +457,6 @@ pub fn verify_reopen(
         }
     }
 
-    // Snapshot-read probe: a lock-free snapshot opened on the reopened
-    // engine must surface exactly what the 2PL scan above did — MVCC
-    // version metadata (tuple stamps, the persisted transaction-id
-    // floor) must come through recovery intact at every explored
-    // boundary, or the visibility rule would hide committed rows or
-    // resurrect losers here.
-    if scan_ok {
-        let snap = engine.snapshot();
-        let mut via_snapshot: BTreeSet<(String, String)> = BTreeSet::new();
-        let mut snap_ok = true;
-        for name in &ledger.tables {
-            let Ok(id) = engine.table_id(name) else {
-                continue; // already reported by the 2PL pass
-            };
-            match snap.scan(id) {
-                Ok(rows) => {
-                    for (_, body) in rows {
-                        via_snapshot
-                            .insert((name.clone(), String::from_utf8_lossy(&body).into_owned()));
-                    }
-                }
-                Err(e) => {
-                    violations.push(format!("{what}: snapshot scan of {name} failed: {e}"));
-                    snap_ok = false;
-                }
-            }
-        }
-        if snap_ok && via_snapshot != actual {
-            let missing: Vec<_> = actual.difference(&via_snapshot).take(3).collect();
-            let phantom: Vec<_> = via_snapshot.difference(&actual).take(3).collect();
-            violations.push(format!(
-                "{what}: snapshot read diverges from locked scan after recovery \
-                 (missing: {missing:?}; unexpected: {phantom:?})"
-            ));
-        }
-    }
-
     // Index/heap agreement on the indexed table. Recovery either
     // replayed the index exactly from the log or flagged it for rebuild
     // (it predates the log after a checkpoint truncation); in the

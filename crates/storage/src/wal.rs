@@ -20,8 +20,8 @@ use crate::backend::{FileVfs, StorageBackend, Vfs};
 use crate::error::{Result, StorageError};
 use crate::page::{PageId, Rid};
 
-/// Transaction identifier: a monotonically increasing timestamp, also used
-/// by the wait-die deadlock policy.
+/// Transaction identifier: monotonically increasing, never reused for the
+/// life of a data directory.
 pub type TxnId = u64;
 
 /// Table identifier as recorded in the catalog.

@@ -1,9 +1,15 @@
 //! Integration tests for the storage engine: transactions, persistence,
-//! crash recovery with failure injection, and concurrent clients.
+//! crash recovery with failure injection, and the one-writer-or-many-
+//! readers gate.
 
 use std::path::PathBuf;
+use std::sync::mpsc;
+use std::time::Duration;
 
-use mdm_storage::{encode_i64, Rid, StorageEngine, StorageError};
+use mdm_obs::Registry;
+use mdm_storage::{
+    encode_i64, At, FaultController, FaultKind, FaultPlan, Rid, StorageEngine, StorageError,
+};
 
 fn tmpdir(name: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("mdm-eng-{}-{}", std::process::id(), name));
@@ -93,23 +99,19 @@ fn crash(eng: StorageEngine) {
 fn crash_recovers_committed_discards_uncommitted() {
     let dir = tmpdir("crash");
     let t;
-    let other;
     let committed_rid;
     let uncommitted_rid;
     {
         let eng = StorageEngine::open(&dir).unwrap();
         t = eng.create_table("t").unwrap();
-        other = eng.create_table("other").unwrap();
         let mut txn = eng.begin().unwrap();
         committed_rid = eng.insert(&mut txn, t, b"committed before crash").unwrap();
         eng.commit(txn).unwrap();
         let mut txn = eng.begin().unwrap();
         uncommitted_rid = eng.insert(&mut txn, t, b"in flight at crash").unwrap();
-        // A later commit syncs the log, which also makes the in-flight
+        // DDL syncs the log, which also makes the in-flight
         // transaction's records durable — recovery must then undo them.
-        let mut txn2 = eng.begin().unwrap();
-        eng.insert(&mut txn2, other, b"bystander").unwrap();
-        eng.commit(txn2).unwrap();
+        eng.create_table("bystander").unwrap();
         // Neither commit nor abort for txn: crash with it open.
         std::mem::forget(txn);
         crash(eng);
@@ -117,7 +119,7 @@ fn crash_recovers_committed_discards_uncommitted() {
     let eng = StorageEngine::open(&dir).unwrap();
     let outcome = eng.last_recovery();
     assert!(outcome.replayed > 0, "recovery should replay the log");
-    assert_eq!(outcome.committed, 2);
+    assert_eq!(outcome.committed, 1);
     assert_eq!(outcome.undone, 1);
     let mut txn = eng.begin().unwrap();
     assert_eq!(
@@ -458,15 +460,52 @@ fn checkpoint_truncates_log_and_preserves_state() {
 }
 
 #[test]
-fn checkpoint_refused_with_active_txn() {
+fn checkpoint_on_the_writers_own_thread_fails_typed() {
     let dir = tmpdir("ckpt-active");
     let eng = StorageEngine::open(&dir).unwrap();
     let t = eng.create_table("t").unwrap();
     let mut txn = eng.begin().unwrap();
     eng.insert(&mut txn, t, b"x").unwrap();
-    assert!(eng.checkpoint().is_err());
+    let open = Some(txn.id());
+    assert!(matches!(
+        eng.checkpoint(),
+        Err(StorageError::GateHeld { txn }) if txn == open
+    ));
     eng.commit(txn).unwrap();
     eng.checkpoint().unwrap();
+    drop(eng);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An open transaction is a scheduling condition, not corruption: a
+/// checkpoint from another thread waits for the commit and then runs.
+#[test]
+fn checkpoint_from_a_second_thread_waits_for_the_commit() {
+    let dir = tmpdir("ckpt-waits");
+    let t;
+    {
+        let eng = StorageEngine::open(&dir).unwrap();
+        t = eng.create_table("t").unwrap();
+        let mut txn = eng.begin().unwrap();
+        eng.insert(&mut txn, t, b"committed under a queued checkpoint")
+            .unwrap();
+        let (tx, rx) = mpsc::channel();
+        let eng2 = eng.clone();
+        let checkpointer = std::thread::spawn(move || tx.send(eng2.checkpoint()).unwrap());
+        assert!(
+            rx.recv_timeout(Duration::from_millis(100)).is_err(),
+            "checkpoint ran inside an open transaction"
+        );
+        eng.commit(txn).unwrap();
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("checkpoint never ran")
+            .unwrap();
+        checkpointer.join().unwrap();
+        assert_eq!(std::fs::metadata(dir.join("wal.log")).unwrap().len(), 0);
+        crash(eng);
+    }
+    let eng = StorageEngine::open(&dir).unwrap();
+    assert_eq!(eng.snapshot().scan(t).unwrap().len(), 1);
     drop(eng);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -482,23 +521,12 @@ fn concurrent_clients_serialize_on_conflicting_tables() {
             std::thread::spawn(move || {
                 let mut inserted = 0;
                 for i in 0..50 {
-                    // Retry on wait-die aborts.
-                    loop {
-                        let mut txn = eng.begin().unwrap();
-                        let body = format!("thread {tid} row {i}");
-                        match eng.insert(&mut txn, t, body.as_bytes()) {
-                            Ok(_) => {
-                                eng.commit(txn).unwrap();
-                                inserted += 1;
-                                break;
-                            }
-                            Err(StorageError::Deadlock) => {
-                                eng.abort(txn).unwrap();
-                                std::thread::yield_now();
-                            }
-                            Err(e) => panic!("unexpected error: {e}"),
-                        }
-                    }
+                    // Writers simply queue at the gate.
+                    let mut txn = eng.begin().unwrap();
+                    let body = format!("thread {tid} row {i}");
+                    eng.insert(&mut txn, t, body.as_bytes()).unwrap();
+                    eng.commit(txn).unwrap();
+                    inserted += 1;
                 }
                 inserted
             })
@@ -605,14 +633,17 @@ fn vacuum_reclaims_dropped_space() {
 }
 
 #[test]
-fn vacuum_refused_mid_transaction() {
+fn vacuum_on_the_writers_own_thread_fails_typed() {
     let dir = tmpdir("vacuum-act");
     let dir2 = tmpdir("vacuum-act2");
     let eng = StorageEngine::open(&dir).unwrap();
     let t = eng.create_table("t").unwrap();
     let mut txn = eng.begin().unwrap();
     eng.insert(&mut txn, t, b"x").unwrap();
-    assert!(eng.vacuum_into(&dir2).is_err());
+    assert!(matches!(
+        eng.vacuum_into(&dir2),
+        Err(StorageError::GateHeld { txn: Some(_) })
+    ));
     eng.commit(txn).unwrap();
     assert!(eng.vacuum_into(&dir2).is_ok());
     drop(eng);
@@ -635,13 +666,13 @@ fn dropped_txn_aborts_and_its_writes_are_invisible() {
         gone = eng.insert(&mut txn, t, b"gone").unwrap();
         eng.update(&mut txn, t, keep, b"mutated").unwrap();
         // Dropped without commit/abort: the handle's Drop must roll the
-        // transaction back and release its table lock.
+        // transaction back and release the gate.
     }
 
     let mut txn = eng.begin().unwrap();
     assert_eq!(eng.get(&mut txn, t, keep).unwrap().unwrap(), b"keep");
     assert_eq!(eng.get(&mut txn, t, gone).unwrap(), None);
-    // The exclusive lock was released, so a writer gets through too.
+    // The gate was released, so this writer got through too.
     eng.insert(&mut txn, t, b"after").unwrap();
     eng.commit(txn).unwrap();
     drop(eng);
@@ -692,7 +723,7 @@ fn eviction_pressure_before_commit_is_undone_after_crash() {
 }
 
 /// The engine's metrics surface reports live values for the WAL, the
-/// transaction lifecycle, the buffer pool, and the lock manager.
+/// transaction lifecycle, and the buffer pool.
 #[test]
 fn metrics_snapshot_reports_live_engine_values() {
     let dir = tmpdir("metrics");
@@ -713,33 +744,6 @@ fn metrics_snapshot_reports_live_engine_values() {
     eng.insert(&mut txn, t, b"rolled back").unwrap();
     eng.abort(txn).unwrap();
 
-    // A wait-die abort: the younger of two conflicting writers dies.
-    let mut older = eng.begin().unwrap();
-    let mut younger = eng.begin().unwrap();
-    eng.insert(&mut older, t, b"older holds X").unwrap();
-    assert!(matches!(
-        eng.insert(&mut younger, t, b"younger dies"),
-        Err(StorageError::Deadlock)
-    ));
-    eng.abort(younger).unwrap();
-
-    // A lock wait: `older` (still open, and older than any new txn)
-    // blocks behind a younger holder on a second table.
-    let t2 = eng.create_table("t2").unwrap();
-    let mut holder = eng.begin().unwrap();
-    eng.insert(&mut holder, t2, b"young holder").unwrap();
-    std::thread::scope(|s| {
-        let eng2 = eng.clone();
-        let waiter = s.spawn(move || {
-            let mut w = older; // older than `holder`: allowed to wait
-            eng2.insert(&mut w, t2, b"older waits").unwrap();
-            eng2.commit(w).unwrap();
-        });
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        eng.commit(holder).unwrap();
-        waiter.join().unwrap();
-    });
-
     let snap = eng.metrics_snapshot();
     assert!(snap.counter("mdm_wal_appends_total").unwrap() >= 15);
     assert!(snap.counter("mdm_wal_fsyncs_total").unwrap() >= 2);
@@ -749,18 +753,206 @@ fn metrics_snapshot_reports_live_engine_values() {
     let batch = snap.histogram("mdm_wal_group_commit_batch").unwrap();
     assert!(batch.count >= 1);
     assert!(batch.sum >= batch.count, "each fsync covers >= 1 record");
-    assert_eq!(snap.counter("mdm_txn_begins_total"), Some(5));
-    assert_eq!(snap.counter("mdm_txn_commits_total"), Some(3));
-    assert_eq!(snap.counter("mdm_txn_aborts_total"), Some(2));
+    assert_eq!(snap.counter("mdm_txn_begins_total"), Some(2));
+    assert_eq!(snap.counter("mdm_txn_commits_total"), Some(1));
+    assert_eq!(snap.counter("mdm_txn_aborts_total"), Some(1));
     assert_eq!(snap.gauge("mdm_txn_active"), Some(0));
-    assert!(snap.counter("mdm_lock_wait_die_aborts_total").unwrap() >= 1);
-    assert!(snap.counter("mdm_lock_waits_total").unwrap() >= 1);
     // Per-shard pool counters sum to the legacy stats() totals.
     let (hits, misses, evictions) = eng.pool_stats();
     assert_eq!(snap.counter("mdm_pool_hits_total"), Some(hits));
     assert_eq!(snap.counter("mdm_pool_misses_total"), Some(misses));
     assert_eq!(snap.counter("mdm_pool_evictions_total"), Some(evictions));
     assert!(hits > 0 && misses > 0);
+    drop(eng);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+// ----------------------------------------------------------------------
+// The gate: one writer or many readers
+// ----------------------------------------------------------------------
+
+/// Opens a writer on this thread, proves a second thread's snapshot scan
+/// does not return while it is open, finishes the writer with `finish`,
+/// and returns what the scan then saw.
+fn scan_across_open_writer(
+    name: &str,
+    finish: impl FnOnce(&StorageEngine, mdm_storage::Txn),
+) -> Vec<Vec<u8>> {
+    let dir = tmpdir(name);
+    let eng = StorageEngine::open(&dir).unwrap();
+    let t = eng.create_table("t").unwrap();
+    let mut txn = eng.begin().unwrap();
+    eng.insert(&mut txn, t, b"the writer's row").unwrap();
+    let (tx, rx) = mpsc::channel();
+    let eng2 = eng.clone();
+    let reader = std::thread::spawn(move || tx.send(eng2.snapshot().scan(t)).unwrap());
+    assert!(
+        rx.recv_timeout(Duration::from_millis(100)).is_err(),
+        "a snapshot read returned while a transaction was open"
+    );
+    finish(&eng, txn);
+    let rows = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the reader never got through the gate")
+        .unwrap();
+    reader.join().unwrap();
+    drop(eng);
+    std::fs::remove_dir_all(&dir).ok();
+    rows.into_iter().map(|(_, body)| body).collect()
+}
+
+#[test]
+fn snapshot_waits_for_the_writer_and_sees_its_commit() {
+    let rows = scan_across_open_writer("gate-commit", |eng, txn| eng.commit(txn).unwrap());
+    assert_eq!(rows, vec![b"the writer's row".to_vec()]);
+}
+
+#[test]
+fn snapshot_waits_for_the_writer_and_sees_nothing_of_its_abort() {
+    let rows = scan_across_open_writer("gate-abort", |eng, txn| eng.abort(txn).unwrap());
+    assert_eq!(rows, Vec::<Vec<u8>>::new());
+}
+
+#[test]
+fn dropped_txn_releases_the_gate_and_leaves_no_row() {
+    let rows = scan_across_open_writer("gate-drop", |_, txn| drop(txn));
+    assert_eq!(rows, Vec::<Vec<u8>>::new());
+}
+
+/// fsyncgate at commit: the error surfaces, the WAL is poisoned, and the
+/// gate is free again (a hung gate would stall the begin below on its
+/// own thread as `GateHeld`, and the second thread's snapshot forever).
+#[test]
+fn failed_commit_sync_poisons_the_wal_and_releases_the_gate() {
+    let run = |name: &str, plan: FaultPlan| {
+        let dir = tmpdir(name);
+        let ctl = FaultController::new(plan);
+        let eng = StorageEngine::open_with_vfs(&dir, 64, &Registry::new(), &ctl.vfs()).unwrap();
+        let t = eng.create_table("t").unwrap();
+        let mut txn = eng.begin().unwrap();
+        eng.insert(&mut txn, t, b"fsync dies under this commit")
+            .unwrap();
+        let syncs_before_commit = ctl.syncs();
+        let committed = eng.commit(txn);
+        (dir, eng, t, syncs_before_commit, committed)
+    };
+    let (dir, eng, _, commit_sync, committed) = run("gate-fsync-probe", FaultPlan::none());
+    committed.unwrap();
+    drop(eng);
+    std::fs::remove_dir_all(&dir).ok();
+
+    let plan = FaultPlan::none().with(At::Sync(commit_sync), FaultKind::FailFsync);
+    let (dir, eng, t, _, committed) = run("gate-fsync", plan);
+    assert!(matches!(committed, Err(StorageError::Io(_))));
+    assert_eq!(eng.metrics_snapshot().gauge("mdm_wal_poisoned"), Some(1));
+    assert_eq!(eng.metrics_snapshot().gauge("mdm_txn_active"), Some(0));
+    let eng2 = eng.clone();
+    std::thread::spawn(move || eng2.snapshot().scan(t).map(|_| ()))
+        .join()
+        .unwrap()
+        .unwrap();
+    let txn = eng.begin().expect("gate still held after a failed commit");
+    assert!(
+        matches!(eng.commit(txn), Ok(())),
+        "a read-only commit syncs nothing"
+    );
+    let mut txn = eng.begin().unwrap();
+    eng.insert(&mut txn, t, b"refused").unwrap();
+    assert!(matches!(eng.commit(txn), Err(StorageError::WalPoisoned)));
+    drop(eng);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Misuse on one thread fails typed instead of waiting on itself.
+#[test]
+fn same_thread_reentry_fails_typed() {
+    let dir = tmpdir("gate-reentry");
+    let eng = StorageEngine::open(&dir).unwrap();
+    let t = eng.create_table("t").unwrap();
+    let txn = eng.begin().unwrap();
+    let open = Some(txn.id());
+    assert!(matches!(
+        eng.begin(),
+        Err(StorageError::GateHeld { txn }) if txn == open
+    ));
+    assert!(matches!(
+        eng.snapshot().scan(t),
+        Err(StorageError::GateHeld { txn }) if txn == open
+    ));
+    eng.commit(txn).unwrap();
+
+    // A snapshot holder may open more snapshots, but not a transaction.
+    let snap = eng.snapshot();
+    assert_eq!(eng.snapshot().scan(t).unwrap(), vec![]);
+    assert!(matches!(
+        eng.begin(),
+        Err(StorageError::GateHeld { txn: None })
+    ));
+    drop(snap);
+    eng.commit(eng.begin().unwrap()).unwrap();
+    drop(eng);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The transaction-id floor persists across restarts — including crash
+/// restarts — so an id never names two transactions in one directory's
+/// history (PITR concatenates archive segments from every incarnation).
+#[test]
+fn txn_ids_never_recycle_across_reopen() {
+    let dir = tmpdir("floor");
+    let mut last_id = 0;
+
+    // Crash reopen: the floor comes from the WAL's highest logged txn.
+    {
+        let eng = StorageEngine::open_with_capacity(&dir, 64).unwrap();
+        let t = eng.create_table("t").unwrap();
+        let mut txn = eng.begin().unwrap();
+        last_id = last_id.max(txn.id());
+        eng.insert(&mut txn, t, b"before crash").unwrap();
+        eng.commit(txn).unwrap();
+        std::mem::forget(eng);
+    }
+    {
+        let eng = StorageEngine::open_with_capacity(&dir, 64).unwrap();
+        let txn = eng.begin().unwrap();
+        assert!(
+            txn.id() > last_id,
+            "txn id {} recycled after crash reopen (floor ≤ {last_id})",
+            txn.id()
+        );
+        last_id = txn.id();
+        eng.abort(txn).unwrap();
+        // Clean shutdown persists the floor in the catalog even though
+        // this generation logged no writes.
+    }
+
+    // Clean reopen: the floor comes from the catalog, not the WAL.
+    let eng = StorageEngine::open_with_capacity(&dir, 64).unwrap();
+    let t = eng.table_id("t").unwrap();
+    let mut txn = eng.begin().unwrap();
+    assert!(
+        txn.id() > last_id,
+        "txn id {} recycled after clean reopen (floor ≤ {last_id})",
+        txn.id()
+    );
+    let rows = eng.scan(&mut txn, t).unwrap();
+    assert_eq!(rows.len(), 1);
+    assert_eq!(rows[0].1, b"before crash");
+    eng.insert(&mut txn, t, b"after reopen").unwrap();
+    eng.commit(txn).unwrap();
+    let snap = eng.snapshot();
+    let mut bodies: Vec<Vec<u8>> = snap
+        .scan(t)
+        .unwrap()
+        .into_iter()
+        .map(|(_, body)| body)
+        .collect();
+    bodies.sort();
+    assert_eq!(
+        bodies,
+        vec![b"after reopen".to_vec(), b"before crash".to_vec()]
+    );
+    drop(snap);
     drop(eng);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -73,6 +73,14 @@ fn crash_point_sweep_full() {
     let registry = Registry::new();
     let report = crash_point_sweep(&scratch, &TortureConfig::full(), &registry);
     fs::remove_dir_all(&scratch).ok();
+    println!(
+        "census: {} boundaries ({} writes, {} syncs), {} crash points, {} violations",
+        report.boundaries,
+        report.writes,
+        report.syncs,
+        report.crash_points,
+        report.violations.len()
+    );
 
     assert!(
         report.violations.is_empty(),
