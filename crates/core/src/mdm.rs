@@ -20,7 +20,7 @@ use std::sync::Arc;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use mdm_lang::{PlanExplain, QuelMetrics, Session, StmtResult, Table};
-use mdm_model::{persist, Database, EntityId, Value};
+use mdm_model::{persist, Database, EntityId};
 use mdm_notation::{Score, TimeSignature, Voice};
 use mdm_obs::{
     Counter, HealthReport, Monitor, MonitorConfig, Registry, Snapshot, StatementStore, Tracer,
@@ -31,10 +31,10 @@ use crate::cmn_schema;
 use crate::error::{CoreError, Result};
 use crate::score_store;
 
-/// The wire protocol version the MDM stack speaks, surfaced as the
-/// `protocol` label on `mdm_build_info`. `mdm-net` owns the wire
-/// constant; a test over there asserts the two stay equal.
-pub const WIRE_PROTOCOL_VERSION: u16 = 4;
+/// The one wire protocol version the MDM stack speaks. `mdm-net`
+/// re-exports it as `wire::PROTOCOL_VERSION` and refuses any other at
+/// `Hello`; here it is the `protocol` label on `mdm_build_info`.
+pub const WIRE_PROTOCOL_VERSION: u16 = 5;
 
 /// Engine table holding the statement journal: the QUEL text of every
 /// successful `execute` since the last [`MusicDataManager::save`], each
@@ -73,7 +73,6 @@ struct RequestCounters {
     export_darms: Arc<Counter>,
     save: Arc<Counter>,
     census: Arc<Counter>,
-    top: Arc<Counter>,
 }
 
 impl RequestCounters {
@@ -98,7 +97,6 @@ impl RequestCounters {
             export_darms: c("darms", "export"),
             save: c("persist", "save"),
             census: c("diagnostics", "census"),
-            top: c("diagnostics", "top"),
         }
     }
 }
@@ -170,7 +168,7 @@ impl MusicDataManager {
                 "build metadata carried as labels; the value is always 1",
                 &[
                     ("version", env!("CARGO_PKG_VERSION")),
-                    ("protocol", "4"), // = WIRE_PROTOCOL_VERSION (labels are &str)
+                    ("protocol", &WIRE_PROTOCOL_VERSION.to_string()),
                 ],
             )
             .set(1);
@@ -258,8 +256,8 @@ impl MusicDataManager {
         Arc::clone(&self.monitor)
     }
 
-    /// The rules engine's current verdict — what `/healthz` and the
-    /// wire `Health` request serve.
+    /// The rules engine's current verdict — what `/healthz` serves and
+    /// what the rows of `$alerts` add up to.
     pub fn health(&self) -> HealthReport {
         self.monitor.health()
     }
@@ -420,43 +418,6 @@ impl MusicDataManager {
     /// The statement store every session of this MDM records into.
     pub fn statement_store(&self) -> Arc<StatementStore> {
         Arc::clone(&self.stmt_store)
-    }
-
-    /// The `limit` most expensive statement fingerprints, by total
-    /// execution time, as a result table (what the shell's `\top`
-    /// renders, locally or over the wire).
-    pub fn statement_top(&self, limit: usize) -> Table {
-        self.requests.top.inc();
-        let int = |u: u64| Value::Integer(u as i64);
-        let columns = [
-            "fingerprint",
-            "calls",
-            "total_micros",
-            "p50_micros",
-            "p99_micros",
-            "rows_returned",
-            "rows_scanned",
-        ];
-        let rows = self
-            .stmt_store
-            .top(limit)
-            .into_iter()
-            .map(|s| {
-                vec![
-                    Value::String(s.fingerprint.clone()),
-                    int(s.calls),
-                    int(s.total_micros),
-                    int(s.p50_micros()),
-                    int(s.p99_micros()),
-                    int(s.rows_returned),
-                    int(s.rows_scanned),
-                ]
-            })
-            .collect();
-        Table {
-            columns: columns.iter().map(|c| c.to_string()).collect(),
-            rows,
-        }
     }
 
     /// Persists the database through the storage engine and checkpoints.
@@ -644,6 +605,7 @@ fn replay_journal(engine: &StorageEngine, session: &mut Session, db: &mut Databa
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mdm_model::Value;
     use mdm_notation::fixtures::bwv578_subject;
 
     fn tmpdir(name: &str) -> std::path::PathBuf {
@@ -981,7 +943,7 @@ mod tests {
 
     /// The statistics subsystem end to end through the engine: recorded
     /// on both the exclusive and shared query paths, surfaced by
-    /// `statement_top` and `$statements`, persisted by save, restored at
+    /// `$statements`, persisted by save, restored at
     /// open (journal replay must not re-record the replayed statements).
     #[test]
     fn statement_statistics_survive_save_and_reopen() {
@@ -993,16 +955,8 @@ mod tests {
             mdm.execute("append to PERSON (name = \"Bach\")").unwrap();
             mdm.query(q).unwrap();
             mdm.query_shared(q).unwrap();
-            let top = mdm.statement_top(10);
-            let calls = top
-                .rows
-                .iter()
-                .find_map(|r| (r[0] == Value::String(fp.clone())).then(|| r[1].clone()));
-            assert_eq!(
-                calls,
-                Some(Value::Integer(2)),
-                "exclusive and shared paths share one store: {top}"
-            );
+            let calls = mdm.statement_store().get(&fp).map(|s| s.calls);
+            assert_eq!(calls, Some(2), "exclusive and shared paths share one store");
             mdm.save().unwrap();
         }
         let mdm = MusicDataManager::open(&dir).unwrap();

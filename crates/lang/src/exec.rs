@@ -27,8 +27,7 @@ use std::time::Instant;
 use mdm_model::encode::encode_value;
 use mdm_model::{Database, EntityId, RelTypeId, TypeId, Value};
 use mdm_obs::{
-    trace, Counter, Histogram, Monitor, PathMix, Registry, Severity, StatementStore,
-    LATENCY_MICROS_BOUNDS,
+    trace, Counter, Histogram, Monitor, PathMix, Registry, StatementStore, LATENCY_MICROS_BOUNDS,
 };
 
 use crate::ast::{BinOp, Expr, OrdOp, Stmt, Target};
@@ -121,8 +120,9 @@ pub enum VirtualEntity {
     Tables,
     /// Per-named-index access statistics.
     Indexes,
-    /// Current value, last-window rate, and latency quantiles of every
-    /// metric series, from the attached monitor.
+    /// Value, last-window rate, histogram sum and latency quantiles of
+    /// every metric series, as of the attached monitor's latest sample
+    /// (at most one sampling interval old).
     Metrics,
     /// Health-rule states from the attached monitor's alert engine.
     Alerts,
@@ -749,7 +749,7 @@ impl Session {
                 }
             }
             VirtualEntity::Metrics => {
-                let columns = ["name", "value", "rate", "p50", "p99"];
+                let columns = ["name", "value", "rate", "sum", "p50", "p99"];
                 let mut rows = Vec::new();
                 if let Some(monitor) = &self.monitor {
                     for (name, p) in monitor.latest() {
@@ -757,6 +757,7 @@ impl Session {
                             Value::String(name),
                             Value::Float(p.value),
                             Value::Float(p.rate),
+                            Value::Float(p.sum),
                             Value::Float(p.p50),
                             Value::Float(p.p99),
                         ]);
@@ -774,6 +775,7 @@ impl Session {
                     "state",
                     "severity",
                     "value",
+                    "cmp",
                     "threshold",
                     "since_micros",
                 ];
@@ -784,14 +786,9 @@ impl Session {
                             Value::String(a.rule),
                             Value::String(a.metric),
                             Value::String(a.state.as_str().to_string()),
-                            Value::String(
-                                match a.severity {
-                                    Severity::Warning => "warning",
-                                    Severity::Critical => "critical",
-                                }
-                                .to_string(),
-                            ),
+                            Value::String(a.severity.as_str().to_string()),
                             Value::Float(a.value),
+                            Value::String(a.cmp.as_str().to_string()),
                             Value::Float(a.threshold),
                             int(a.since_micros),
                         ]);

@@ -20,19 +20,24 @@
 //! \disconnect         back to the local embedded database
 //! \replica status     replication role, LSN watermarks, lag/replicas
 //!                     (remote server's when connected)
-//! \stats [json|prom] [prefix]
-//!                     live metrics (remote server's when connected),
-//!                     optionally filtered to names starting with prefix
+//! \stats [prefix]     the $metrics entity: every series' value, rate,
+//!                     histogram sum and quantiles as of the monitor's
+//!                     latest sample, optionally only names starting
+//!                     with prefix (remote server's when connected)
 //! \stats delta [prefix]
-//!                     counters since the previous \stats delta — the
-//!                     first call captures the baseline
-//! \health             the alert rules engine's verdict: healthy flag
-//!                     plus one line per rule (remote when connected)
+//!                     $metrics values that moved since the previous
+//!                     \stats delta — the first call captures the baseline
+//! \stats json|prom [prefix]
+//!                     the embedded registry as JSON / Prometheus text;
+//!                     a connected server exports these over HTTP
+//!                     (GET /metrics), not over the wire
+//! \health             the $alerts entity plus the verdict its rows add
+//!                     up to (remote server's when connected)
 //! \watch METRIC [interval_ms] [ticks]
-//!                     follow one metric live: value and rate per tick
-//!                     (default 1000 ms, 10 ticks), local or remote
-//! \top [n]            hottest statements by total time, from the
-//!                     statement store (remote server's when connected)
+//!                     follow one metric family in $metrics: value and
+//!                     rate per tick (default 1000 ms, 10 ticks)
+//! \top [n]            the $statements entity, hottest by total time
+//!                     first (remote server's when connected)
 //! \plan QUERY         EXPLAIN a read-only query: access paths chosen
 //!                     by the planner plus the rows
 //! \trace on|off       enable/disable request tracing
@@ -47,13 +52,15 @@
 //! `--http-port` it also serves the HTTP observability endpoint
 //! (`/metrics`, `/healthz`, `/statusz`, `/tracez`) on that port.
 
+use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::time::Duration;
 
 use mdm_core::MusicDataManager;
-use mdm_lang::StmtResult;
-use mdm_net::{ClientConfig, MdmClient, MdmServer, ReplStatus, ServerConfig, StatsFormat, TraceOp};
-use mdm_obs::{chrome_trace_json, MetricValue, Snapshot};
+use mdm_lang::{StmtResult, Table};
+use mdm_model::Value;
+use mdm_net::{introspect, ClientConfig, MdmClient, MdmServer, ReplStatus, ServerConfig, TraceOp};
+use mdm_obs::chrome_trace_json;
 
 /// Renders a node's replication role and watermarks, local or remote.
 fn print_repl_status(s: &ReplStatus) {
@@ -70,84 +77,29 @@ fn print_repl_status(s: &ReplStatus) {
     }
 }
 
-/// Renders a metrics snapshot for terminal reading: one line per series,
-/// histograms summarized as count/sum/mean.
-fn print_stats(snap: &Snapshot) {
-    for e in &snap.entries {
-        let labels = if e.labels.is_empty() {
-            String::new()
-        } else {
-            let pairs: Vec<String> = e
-                .labels
-                .iter()
-                .map(|(k, v)| format!("{k}=\"{v}\""))
-                .collect();
-            format!("{{{}}}", pairs.join(","))
-        };
-        match &e.value {
-            MetricValue::Counter(v) => println!("{}{labels} = {v}", e.name),
-            MetricValue::Gauge(v) => println!("{}{labels} = {v}", e.name),
-            MetricValue::Histogram(h) => {
-                let mean = h
-                    .mean()
-                    .map(|m| format!("{m:.1}"))
-                    .unwrap_or_else(|| "-".into());
-                println!(
-                    "{}{labels} = count {} sum {} mean {mean}",
-                    e.name, h.count, h.sum
-                );
-            }
-        }
+/// Runs one read-only QUEL text where the shell currently points: the
+/// connected server, or the embedded manager's shared read path. Every
+/// system-state command (`\top`, `\stats`, `\watch`, `\health`) goes
+/// through here and nowhere else, so embedded and `\connect` output are
+/// the same code.
+fn system_query(
+    remote: &mut Option<MdmClient>,
+    mdm: &MusicDataManager,
+    text: &str,
+) -> Result<Table, String> {
+    match remote {
+        Some(c) => c.query(text).map_err(|e| e.to_string()),
+        None => mdm.query_shared(text).map_err(|e| e.to_string()),
     }
 }
 
-/// Renders a health report JSON (the same document `/healthz` serves)
-/// as a healthy flag plus one line per alert rule. Both the local
-/// monitor and the remote server produce this format, so `\health`
-/// reads identically either way.
-fn print_health_json(body: &str) {
-    let Ok(doc) = mdm_obs::json::parse(body) else {
-        // Unparsable is a server bug; still show what arrived.
-        println!("{body}");
-        return;
-    };
-    let healthy = doc
-        .get("healthy")
-        .and_then(|v| v.as_bool())
-        .unwrap_or(false);
-    println!("healthy      {healthy}");
-    let Some(alerts) = doc.get("alerts").and_then(|v| v.as_array()) else {
-        return;
-    };
-    for a in alerts {
-        let s = |k: &str| a.get(k).and_then(|v| v.as_str()).unwrap_or("?");
-        let n = |k: &str| a.get(k).and_then(|v| v.as_f64()).unwrap_or(0.0);
-        println!(
-            "{:<7} {:<8} {:<24} {} = {:.2} (threshold {} {:.2})",
-            s("state"),
-            s("severity"),
-            s("rule"),
-            s("metric"),
-            n("value"),
-            s("cmp"),
-            n("threshold"),
-        );
-    }
+fn float(v: &Value) -> f64 {
+    v.as_float().unwrap_or(0.0)
 }
 
-/// One scalar per series for `\watch`: counters and gauges read
-/// directly, histograms read as their observation count.
-fn watch_scalar(v: &MetricValue) -> f64 {
-    match v {
-        MetricValue::Counter(c) => *c as f64,
-        MetricValue::Gauge(g) => *g as f64,
-        MetricValue::Histogram(h) => h.count as f64,
-    }
-}
-
-/// `\watch METRIC [interval_ms] [ticks]`: polls snapshots and prints
-/// the metric's value and per-second rate each tick. Snapshot-based, so
-/// the same loop works on the embedded registry and over `\connect`.
+/// `\watch METRIC [interval_ms] [ticks]`: polls `$metrics` and prints
+/// the family's value and per-second rate each tick. The rate is the
+/// monitor's, over its last sampling window.
 fn run_watch_command(
     args: &[&str],
     remote: &mut Option<MdmClient>,
@@ -166,40 +118,44 @@ fn run_watch_command(
     if rest.len() > 2 {
         return Err(USAGE.into());
     }
-    let mut prev: Option<f64> = None;
+    let text = introspect::watch(metric);
     for tick in 0..ticks {
-        let snap = match remote {
-            Some(c) => {
-                let body = c.metrics_json().map_err(|e| e.to_string())?;
-                Snapshot::from_json(&body).ok_or("server sent an unparsable snapshot")?
+        let t = system_query(remote, mdm, &text)?;
+        match t.rows.first().map(Vec::as_slice) {
+            Some([value, rate, series]) if float(series) > 0.0 => {
+                println!("{metric} = {}  ({:+.2}/s)", float(value), float(rate))
             }
-            None => mdm.metrics_snapshot(),
-        };
-        // Sum across label sets, so a labelled family watches as one
-        // series (matching the rules engine's family semantics).
-        let mut found = false;
-        let mut value = 0.0;
-        for e in &snap.entries {
-            if e.name == *metric {
-                found = true;
-                value += watch_scalar(&e.value);
-            }
+            _ => return Err(format!("no metric named '{metric}'")),
         }
-        if !found {
-            return Err(format!("no metric named '{metric}'"));
-        }
-        match prev {
-            None => println!("{metric} = {value}"),
-            Some(p) => {
-                let rate = (value - p) / (interval_ms.max(1) as f64 / 1000.0);
-                println!("{metric} = {value}  ({rate:+.2}/s)");
-            }
-        }
-        prev = Some(value);
         if tick + 1 < ticks {
             std::thread::sleep(Duration::from_millis(interval_ms));
         }
     }
+    Ok(())
+}
+
+/// `\stats delta [prefix]`: `\stats`, keeping only the series whose
+/// value moved since the previous call and saying by how much; this
+/// call's values become the next baseline.
+fn run_stats_delta(
+    prefix: &str,
+    baseline: &mut Option<HashMap<String, f64>>,
+    remote: &mut Option<MdmClient>,
+    mdm: &MusicDataManager,
+) -> Result<(), String> {
+    let mut t = system_query(remote, mdm, &introspect::stats(prefix))?;
+    let values = t.rows.iter().map(|r| (r[0].to_string(), float(&r[1])));
+    let Some(before) = baseline.replace(values.collect()) else {
+        println!("baseline captured; \\stats delta again for changes since now");
+        return Ok(());
+    };
+    t.columns.push("delta".into());
+    t.rows.retain_mut(|r| {
+        let delta = float(&r[1]) - before.get(&r[0].to_string()).copied().unwrap_or(0.0);
+        r.push(Value::Float(delta));
+        delta != 0.0
+    });
+    print!("{t}");
     Ok(())
 }
 
@@ -397,9 +353,10 @@ fn main() {
 
     // When connected, programs and score/metrics commands route here.
     let mut remote: Option<MdmClient> = None;
-    // The previous `\stats delta` snapshot; the next call diffs against
-    // it, so counters read as per-interval rates.
-    let mut stats_baseline: Option<Snapshot> = None;
+    // The previous `\stats delta` readings (series → value); the next
+    // call diffs against them. Dropped on \connect / \disconnect:
+    // another node's numbers are no baseline.
+    let mut stats_baseline: Option<HashMap<String, f64>> = None;
 
     let stdin = std::io::stdin();
     let mut buffer = String::new();
@@ -439,13 +396,18 @@ fn main() {
                 println!("\\connect host:port   route programs to a remote server");
                 println!("\\disconnect          back to the local database");
                 println!("\\replica status      replication role, watermarks, lag");
-                println!("\\stats [json|prom] [prefix]   live metrics snapshot");
+                println!("\\stats [prefix]       $metrics: value, rate, sum, p50, p99 per series");
                 println!(
-                    "\\stats delta [prefix]         counters since the previous \\stats delta"
+                    "\\stats delta [prefix] $metrics values moved since the previous \\stats delta"
                 );
-                println!("\\health              alert rules verdict (healthy flag + rule states)");
-                println!("\\watch METRIC [interval_ms] [ticks]   follow one metric live");
-                println!("\\top [n]             hottest statements by total time");
+                println!("\\stats json|prom [prefix]   embedded registry export (a server: GET /metrics)");
+                println!(
+                    "\\health              $alerts plus the healthy verdict its rows add up to"
+                );
+                println!(
+                    "\\watch METRIC [interval_ms] [ticks]   follow one metric family in $metrics"
+                );
+                println!("\\top [n]             $statements, hottest by total time first");
                 println!("\\plan QUERY          EXPLAIN a read-only query (access paths + rows)");
                 println!("\\trace on|off|last [n]|slow [t_us]|export <file>   request tracing");
                 println!("anything else is DDL/QUEL, e.g.:");
@@ -469,6 +431,7 @@ fn main() {
                     Ok(c) => {
                         println!("connected to {} ({})", addr, c.server_name());
                         remote = Some(c);
+                        stats_baseline = None;
                     }
                     Err(e) => eprintln!("connect failed: {e}"),
                 }
@@ -494,6 +457,7 @@ fn main() {
             "\\disconnect" => {
                 if let Some(mut c) = remote.take() {
                     c.disconnect();
+                    stats_baseline = None;
                     println!("back to the local database");
                 } else {
                     eprintln!("not connected");
@@ -538,83 +502,52 @@ fn main() {
                 Err(e) => eprintln!("error: {e}"),
             },
             cmd if cmd == "\\stats" || cmd.starts_with("\\stats ") => {
-                // \stats [json|prom] [prefix] — the prefix filter applies
-                // on whichever side holds the registry.
-                let mut args = cmd["\\stats".len()..].split_whitespace();
-                let first = args.next();
-                if first == Some("delta") {
-                    let prefix = args.next().unwrap_or("");
-                    if args.next().is_some() {
-                        eprintln!("usage: \\stats delta [prefix]");
-                        continue;
+                let args: Vec<&str> = cmd["\\stats".len()..].split_whitespace().collect();
+                let shown = match args.as_slice() {
+                    ["delta"] | ["delta", _] => {
+                        let prefix = args.get(1).copied().unwrap_or("");
+                        run_stats_delta(prefix, &mut stats_baseline, &mut remote, &mdm)
                     }
-                    // Remote: diff two JSON fetches client-side; local:
-                    // diff two registry snapshots. Same Snapshot::delta.
-                    let current = match &mut remote {
-                        Some(c) => match c.metrics_json() {
-                            Ok(body) => match Snapshot::from_json(&body) {
-                                Some(snap) => snap,
-                                None => {
-                                    eprintln!("error: server sent an unparsable snapshot");
-                                    continue;
-                                }
-                            },
-                            Err(e) => {
-                                eprintln!("error: {e}");
-                                continue;
+                    // The registry's own export formats stay with the
+                    // process that owns the registry: a server publishes
+                    // them on its HTTP endpoint, not through the protocol.
+                    [format @ ("json" | "prom")] | [format @ ("json" | "prom"), _] => {
+                        if remote.is_some() {
+                            Err(format!(
+                                "\\stats {format} reads the embedded registry; \
+                                 a server exports it at GET /metrics (--http-port)"
+                            ))
+                        } else {
+                            let snap = mdm
+                                .metrics_snapshot()
+                                .filtered(args.get(1).copied().unwrap_or(""));
+                            match *format {
+                                "json" => println!("{}", snap.to_json()),
+                                _ => print!("{}", snap.to_prometheus()),
                             }
-                        },
-                        None => mdm.metrics_snapshot(),
-                    };
-                    match stats_baseline.replace(current.clone()) {
-                        Some(base) => print_stats(&current.delta(&base).filtered(prefix)),
-                        None => {
-                            println!("baseline captured; \\stats delta again for changes since now")
+                            Ok(())
                         }
                     }
-                    continue;
-                }
-                let (format, prefix) = match first {
-                    Some("json") => (Some(StatsFormat::Json), args.next().unwrap_or("")),
-                    Some("prom") => (Some(StatsFormat::Prom), args.next().unwrap_or("")),
-                    Some(prefix) => (None, prefix),
-                    None => (None, ""),
+                    [] | [_] => {
+                        let prefix = args.first().copied().unwrap_or("");
+                        system_query(&mut remote, &mdm, &introspect::stats(prefix))
+                            .map(|t| print!("{t}"))
+                    }
+                    _ => {
+                        Err("usage: \\stats [prefix] | delta [prefix] | json|prom [prefix]".into())
+                    }
                 };
-                if args.next().is_some() {
-                    eprintln!("usage: \\stats [json|prom] [prefix]");
-                    continue;
-                }
-                match &mut remote {
-                    Some(c) => {
-                        // No pretty renderer over the wire: plain \stats
-                        // fetches JSON.
-                        let fetched =
-                            c.metrics_snapshot(format.unwrap_or(StatsFormat::Json), prefix);
-                        match fetched {
-                            Ok(body) => println!("{body}"),
-                            Err(e) => eprintln!("error: {e}"),
-                        }
-                    }
-                    None => {
-                        let snap = mdm.metrics_snapshot().filtered(prefix);
-                        match format {
-                            None => print_stats(&snap),
-                            Some(StatsFormat::Json) => println!("{}", snap.to_json()),
-                            Some(StatsFormat::Prom) => print!("{}", snap.to_prometheus()),
-                        }
-                    }
+                if let Err(e) = shown {
+                    eprintln!("error: {e}");
                 }
             }
-            "\\health" => {
-                let body = match &mut remote {
-                    Some(c) => c.health().map(|(_, json)| json).map_err(|e| e.to_string()),
-                    None => Ok(mdm.health().to_json()),
-                };
-                match body {
-                    Ok(b) => print_health_json(&b),
-                    Err(e) => eprintln!("error: {e}"),
+            "\\health" => match system_query(&mut remote, &mdm, introspect::HEALTH) {
+                Ok(t) => {
+                    println!("healthy      {}", introspect::healthy(&t));
+                    print!("{t}");
                 }
-            }
+                Err(e) => eprintln!("error: {e}"),
+            },
             cmd if cmd == "\\watch" || cmd.starts_with("\\watch ") => {
                 let args: Vec<&str> = cmd["\\watch".len()..].split_whitespace().collect();
                 if let Err(e) = run_watch_command(&args, &mut remote, &mdm) {
@@ -623,25 +556,20 @@ fn main() {
             }
             cmd if cmd == "\\top" || cmd.starts_with("\\top ") => {
                 let mut args = cmd["\\top".len()..].split_whitespace();
-                let limit = match args.next().map(str::parse::<u32>) {
-                    None => 10,
-                    Some(Ok(n)) => n,
-                    Some(Err(_)) => {
+                let limit = match (args.next().map(str::parse::<usize>), args.next()) {
+                    (None, _) => 10,
+                    (Some(Ok(n)), None) => n,
+                    _ => {
                         eprintln!("usage: \\top [n]");
                         continue;
                     }
                 };
-                if args.next().is_some() {
-                    eprintln!("usage: \\top [n]");
-                    continue;
-                }
-                let fetched = match &mut remote {
-                    Some(c) => c.top(limit).map_err(|e| e.to_string()),
-                    None => Ok(mdm.statement_top(limit as usize)),
-                };
-                match fetched {
+                match system_query(&mut remote, &mdm, introspect::TOP) {
                     Ok(t) if t.is_empty() => println!("no statements recorded"),
-                    Ok(t) => print!("{t}"),
+                    Ok(mut t) => {
+                        t.rows.truncate(limit);
+                        print!("{t}");
+                    }
                     Err(e) => eprintln!("error: {e}"),
                 }
             }

@@ -10,8 +10,8 @@ use mdm_lang::{PlanExplain, StmtResult, Table};
 use mdm_notation::Score;
 use mdm_obs::{trace, Tracer};
 
-use crate::error::{NetError, Result};
-use crate::message::{Message, StatsFormat, TraceOp};
+use crate::error::{DecodeError, NetError, Result};
+use crate::message::{Message, TraceOp};
 use crate::wire;
 
 /// Client tuning knobs.
@@ -65,8 +65,6 @@ pub struct MdmClient {
     stream: Option<TcpStream>,
     /// Name the server announced in `HelloAck`.
     server_name: String,
-    /// Protocol version negotiated at the handshake (1 until dialed).
-    negotiated_version: u16,
     /// Client-side tracer; requests originate trace context when set.
     tracer: Option<Tracer>,
     next_request_id: u64,
@@ -81,7 +79,6 @@ impl MdmClient {
             config,
             stream: None,
             server_name: String::new(),
-            negotiated_version: 1,
             tracer: None,
             next_request_id: 1,
         };
@@ -94,16 +91,10 @@ impl MdmClient {
         &self.server_name
     }
 
-    /// The protocol version negotiated with the server (1 for a pre-v2
-    /// server, 2 when both sides speak the trace extension).
-    pub fn negotiated_version(&self) -> u16 {
-        self.negotiated_version
-    }
-
     /// Installs a client-side tracer: subsequent requests open a
     /// `client.request` root span (subject to the tracer's sampling)
-    /// and, when the session negotiated v2, propagate trace context to
-    /// the server in the frame's trace extension.
+    /// and propagate trace context to the server in the frame's trace
+    /// extension.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = Some(tracer);
     }
@@ -147,31 +138,25 @@ impl MdmClient {
         stream.set_read_timeout(Some(self.config.request_timeout))?;
         stream.set_write_timeout(Some(self.config.request_timeout))?;
         self.stream = Some(stream);
-        self.negotiated_version = 1;
-        match self.exchange(Message::Hello {
+        let greeted = match self.exchange(Message::Hello {
             client: self.config.client_name.clone(),
-            max_version: wire::PROTOCOL_VERSION,
+            version: wire::PROTOCOL_VERSION,
         }) {
-            Ok(Message::HelloAck { server, version }) => {
+            Ok(Message::HelloAck { server, version }) if version == wire::PROTOCOL_VERSION => {
                 self.server_name = server;
-                // Clamp: a confused server cannot talk us into a
-                // version neither side supports.
-                self.negotiated_version = version.clamp(1, wire::PROTOCOL_VERSION);
                 Ok(())
             }
-            Ok(Message::Error { code, message }) => {
-                self.stream = None;
-                Err(NetError::Remote { code, message })
+            Ok(Message::HelloAck { version, .. }) => {
+                Err(DecodeError::VersionMismatch { got: version }.into())
             }
-            Ok(other) => {
-                self.stream = None;
-                Err(NetError::UnexpectedResponse(other.type_name()))
-            }
-            Err(e) => {
-                self.stream = None;
-                Err(e)
-            }
+            Ok(Message::Error { code, message }) => Err(NetError::Remote { code, message }),
+            Ok(other) => Err(NetError::UnexpectedResponse(other.type_name())),
+            Err(e) => Err(e),
+        };
+        if greeted.is_err() {
+            self.stream = None;
         }
+        greeted
     }
 
     /// One request/response exchange on the open stream.
@@ -180,13 +165,7 @@ impl MdmClient {
         self.next_request_id += 1;
         let stream = self.stream.as_mut().ok_or(NetError::ConnectionClosed)?;
         let payload = request.encode_payload();
-        // Propagate trace context only on a v2 session; a v1 server
-        // would reject the extended frame.
-        let trace_ctx = if self.negotiated_version >= 2 {
-            trace::current_context()
-        } else {
-            None
-        };
+        let trace_ctx = trace::current_context();
         wire::write_frame_traced(stream, request.msg_type(), id, &payload, trace_ctx)?;
         let (header, payload) = wire::read_frame(stream)?;
         // The server echoes the request id. Id 0 is reserved for
@@ -261,6 +240,9 @@ impl MdmClient {
     }
 
     /// Runs a read-only QUEL program on the server's shared read path.
+    /// This is also how system state is read: statement statistics,
+    /// metrics and alert states are the `$statements`, `$metrics` and
+    /// `$alerts` entities (see [`crate::introspect`]).
     pub fn query(&mut self, text: &str) -> Result<Table> {
         match self.request(Message::Query { text: text.into() })? {
             Message::Rows { table } => Ok(table),
@@ -321,32 +303,6 @@ impl MdmClient {
         }
     }
 
-    /// Fetches the server's full metrics snapshot as JSON.
-    pub fn metrics_json(&mut self) -> Result<String> {
-        self.metrics_snapshot(StatsFormat::Json, "")
-    }
-
-    /// Fetches the server's metrics snapshot in `format`, filtered to
-    /// metric names starting with `prefix` (empty keeps everything).
-    pub fn metrics_snapshot(&mut self, format: StatsFormat, prefix: &str) -> Result<String> {
-        match self.request(Message::MetricsSnapshot {
-            format,
-            prefix: prefix.into(),
-        })? {
-            Message::Metrics { body } => Ok(body),
-            other => Err(NetError::UnexpectedResponse(other.type_name())),
-        }
-    }
-
-    /// Fetches the server's hottest statements by total time, at most
-    /// `limit` rows.
-    pub fn top(&mut self, limit: u32) -> Result<Table> {
-        match self.request(Message::Top { limit })? {
-            Message::TopStats { table } => Ok(table),
-            other => Err(NetError::UnexpectedResponse(other.type_name())),
-        }
-    }
-
     /// Adjusts the server's tracer (enable/disable/slow threshold).
     pub fn trace_control(&mut self, op: TraceOp) -> Result<()> {
         match self.request(Message::TraceControl { op })? {
@@ -367,8 +323,7 @@ impl MdmClient {
     /// Pulls durable WAL records from `from_lsn` (at most ~`max_bytes`
     /// of record payload): `(records, primary durable LSN, primary send
     /// stamp)`. The stamp is the primary's monotonic clock in
-    /// microseconds (`0` from a pre-v4 primary); replicas derive
-    /// `mdm_repl_lag_seconds` from it. Requires a v3 session.
+    /// microseconds; replicas derive `mdm_repl_lag_seconds` from it.
     pub fn repl_pull(
         &mut self,
         replica_id: u64,
@@ -389,17 +344,7 @@ impl MdmClient {
         }
     }
 
-    /// Fetches the node's health verdict from its alert rules engine:
-    /// `(healthy, full report JSON)`. Requires a v4 session.
-    pub fn health(&mut self) -> Result<(bool, String)> {
-        match self.request(Message::Health)? {
-            Message::HealthInfo { healthy, json } => Ok((healthy, json)),
-            other => Err(NetError::UnexpectedResponse(other.type_name())),
-        }
-    }
-
-    /// Fetches the node's replication role and watermarks. Requires a
-    /// v3 session.
+    /// Fetches the node's replication role and watermarks.
     pub fn repl_status(&mut self) -> Result<ReplStatus> {
         match self.request(Message::ReplStatus)? {
             Message::ReplStatusInfo {

@@ -17,7 +17,8 @@ use crate::wire::{MAX_PAYLOAD, PROTOCOL_VERSION};
 pub enum DecodeError {
     /// The frame did not start with the protocol magic.
     BadMagic([u8; 4]),
-    /// The peer speaks a different protocol version.
+    /// The peer speaks a different protocol version (a foreign
+    /// `HelloAck`) or sent an unknown frame format.
     VersionMismatch {
         /// Version advertised by the peer.
         got: u16,
@@ -49,7 +50,7 @@ impl fmt::Display for DecodeError {
             DecodeError::VersionMismatch { got } => {
                 write!(
                     f,
-                    "protocol version {got} (this side speaks up to {PROTOCOL_VERSION})",
+                    "foreign version {got} (this side speaks protocol {PROTOCOL_VERSION}, frame formats 1 and 2)",
                 )
             }
             DecodeError::FrameTooLarge(n) => {

@@ -14,20 +14,20 @@
 //!
 //! One thread per connection, bounded request size, short socket
 //! timeouts, `Connection: close` on every response: a stuck scraper
-//! can delay only its own probe, never wedge the endpoint. Shutdown
-//! joins every handler thread, so the embedder's state (captured by
-//! the status closure) is released deterministically.
+//! can delay only its own probe, never wedge the endpoint. The accept
+//! loop and handler-thread registry are the crate's shared `accept`
+//! module; shutdown joins every handler thread, so the embedder's
+//! state (captured by the status closure) is released deterministically.
 
 use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
+use std::sync::Arc;
 use std::time::Duration;
 
 use mdm_obs::{Monitor, Registry, Tracer};
 
-use crate::error::{NetError, Result};
+use crate::accept::Acceptor;
+use crate::error::Result;
 
 /// Largest accepted request head (request line + headers). Anything
 /// longer is answered `431` and closed before buffering more.
@@ -35,12 +35,6 @@ const MAX_REQUEST_BYTES: usize = 8 * 1024;
 
 /// Per-connection socket read/write timeout.
 const IO_TIMEOUT: Duration = Duration::from_secs(2);
-
-/// How often the (nonblocking) accept loop re-checks the stop flag when
-/// no connection is pending. Polling bounds shutdown latency without
-/// relying on a self-connect, which fails outright on binds the process
-/// cannot dial back (wildcard or firewalled interfaces).
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
 
 /// Traces shown by `/tracez` per section (recent, slow).
 const TRACEZ_LIMIT: usize = 16;
@@ -59,96 +53,33 @@ pub struct HttpState {
 }
 
 /// A running observability endpoint. Stop it with
-/// [`HttpServer::shutdown`]; dropping without shutdown leaves the
-/// accept thread running until the process exits.
+/// [`HttpServer::shutdown`]; dropping without shutdown stops accepting
+/// but does not wait for handlers in flight.
 pub struct HttpServer {
-    local_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    handlers: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    acceptor: Acceptor,
 }
 
 impl HttpServer {
     /// Binds `addr` and starts serving `state`. Pass port 0 to let the
     /// OS pick (see [`HttpServer::local_addr`]).
     pub fn start<A: ToSocketAddrs>(addr: A, state: HttpState) -> Result<HttpServer> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let handlers = Arc::new(Mutex::new(Vec::new()));
         let state = Arc::new(state);
-        let accept = {
-            let stop = Arc::clone(&stop);
-            let handlers = Arc::clone(&handlers);
-            std::thread::Builder::new()
-                .name("mdm-http".into())
-                .spawn(move || accept_loop(listener, &state, &stop, &handlers))
-                .map_err(NetError::Io)?
-        };
-        Ok(HttpServer {
-            local_addr,
-            stop,
-            accept: Some(accept),
-            handlers,
-        })
+        let acceptor = Acceptor::start(addr, "mdm-http", move |stream| {
+            let state = Arc::clone(&state);
+            Some(move || serve_connection(stream, &state))
+        })?;
+        Ok(HttpServer { acceptor })
     }
 
     /// The bound address (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.acceptor.local_addr()
     }
 
     /// Stops accepting, joins every handler thread, and releases the
     /// state (including the embedder's status closure).
-    pub fn shutdown(mut self) {
-        // The accept loop polls a nonblocking listener, so the flag
-        // alone stops it within one poll interval — no self-connect
-        // that could fail (and leave the join hanging) on addresses the
-        // process cannot dial back.
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(t) = self.accept.take() {
-            let _ = t.join();
-        }
-        let threads = std::mem::take(&mut *self.handlers.lock().expect("http handlers lock"));
-        for t in threads {
-            let _ = t.join();
-        }
-    }
-}
-
-fn accept_loop(
-    listener: TcpListener,
-    state: &Arc<HttpState>,
-    stop: &Arc<AtomicBool>,
-    handlers: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    while !stop.load(Ordering::SeqCst) {
-        let stream = match listener.accept() {
-            Ok((s, _)) => s,
-            // Nothing pending (or a transient accept failure): sleep a
-            // beat and re-check the stop flag.
-            Err(_) => {
-                std::thread::sleep(ACCEPT_POLL);
-                continue;
-            }
-        };
-        // The listener is nonblocking only so this loop can poll the
-        // stop flag; handlers do blocking I/O under IO_TIMEOUT.
-        if stream.set_nonblocking(false).is_err() {
-            continue;
-        }
-        let state = Arc::clone(state);
-        let spawned = std::thread::Builder::new()
-            .name("mdm-http-conn".into())
-            .spawn(move || serve_connection(stream, &state));
-        if let Ok(t) = spawned {
-            let mut threads = handlers.lock().expect("http handlers lock");
-            // Prune finished handlers so a long-lived endpoint does not
-            // accumulate one JoinHandle per scrape ever taken.
-            threads.retain(|h| !h.is_finished());
-            threads.push(t);
-        }
+    pub fn shutdown(self) {
+        self.acceptor.shutdown();
     }
 }
 

@@ -9,7 +9,9 @@
 //!   header, request ids, and CRC-32 payload checksums; a *total*
 //!   decoder that maps every malformed input to a typed error.
 //! * [`message`] — the typed request/response vocabulary (QUEL queries,
-//!   score transfer, metrics, liveness).
+//!   score transfer, tracing, replication, liveness).
+//! * [`introspect`] — the QUEL texts over `$statements` / `$metrics` /
+//!   `$alerts` that are the only way system state crosses the wire.
 //! * [`scorecodec`] — a validating binary codec for full scores.
 //! * [`server`] — [`MdmServer`]: thread-per-connection serving over one
 //!   shared manager, with connection limits, idle reaping, per-request
@@ -27,9 +29,11 @@
 
 #![warn(missing_docs)]
 
+mod accept;
 pub mod client;
 pub mod error;
 pub mod http;
+pub mod introspect;
 pub mod message;
 pub mod metrics;
 pub mod scorecodec;
@@ -39,7 +43,7 @@ pub mod wire;
 pub use client::{ClientConfig, MdmClient, ReplStatus, WalBatch};
 pub use error::{DecodeError, ErrorCode, NetError, Result};
 pub use http::{HttpServer, HttpState};
-pub use message::{Message, StatsFormat, TraceOp};
+pub use message::{Message, TraceOp};
 pub use metrics::NetMetrics;
 pub use server::{MdmServer, ServerConfig};
-pub use wire::{MAX_PAYLOAD, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION, TRACE_EXT_LEN};
+pub use wire::{MAX_PAYLOAD, PROTOCOL_VERSION, TRACE_EXT_LEN};

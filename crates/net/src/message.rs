@@ -1,9 +1,13 @@
 //! Typed protocol messages and their payload encodings.
 //!
-//! Requests occupy tags 1–16, responses 128–143, and the error response
+//! Requests occupy tags 1–15, responses 128–141, and the error response
 //! is 255, so a stray request tag can never be confused with a response.
 //! Every message decodes with [`Message::decode`]; unknown tags and
 //! malformed payloads yield typed [`DecodeError`]s, never panics.
+//!
+//! System state has no messages of its own: statement statistics,
+//! metrics and alert states are the `$statements`, `$metrics` and
+//! `$alerts` entities, read with an ordinary [`Message::Query`].
 
 use mdm_lang::{PlanExplain, StmtResult, Table, VarPlan};
 use mdm_model::Value;
@@ -32,16 +36,6 @@ pub enum TraceOp {
     },
 }
 
-/// Export format for a [`Message::MetricsSnapshot`] request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StatsFormat {
-    /// The `mdm-obs` JSON export.
-    #[default]
-    Json,
-    /// Prometheus text exposition format.
-    Prom,
-}
-
 /// A protocol message: every request a client can make and every
 /// response a server can return.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,10 +45,9 @@ pub enum Message {
     Hello {
         /// Client identification, free-form (shown in diagnostics).
         client: String,
-        /// Highest protocol version the client speaks. Encoded only
-        /// when ≥ 2, so a v1 peer's Hello (which omits the field)
-        /// decodes as `max_version: 1`.
-        max_version: u16,
+        /// The protocol version the client speaks; the server refuses
+        /// any but its own [`PROTOCOL_VERSION`](crate::wire::PROTOCOL_VERSION).
+        version: u16,
     },
     /// Liveness probe; the server answers with [`Message::Pong`].
     Ping,
@@ -87,16 +80,6 @@ pub enum Message {
     },
     /// Lists stored scores.
     ListScores,
-    /// Requests the server's metrics snapshot, optionally filtered to
-    /// names starting with `prefix` and rendered as JSON or Prometheus
-    /// text. The default (`Json`, empty prefix) encodes as an empty
-    /// payload, identical to the v1 message.
-    MetricsSnapshot {
-        /// Export format.
-        format: StatsFormat,
-        /// Metric-name prefix filter; empty keeps everything.
-        prefix: String,
-    },
     /// Adjusts the server's tracer (enable/disable/slow threshold); the
     /// server answers with [`Message::Pong`].
     TraceControl {
@@ -117,14 +100,8 @@ pub enum Message {
         /// The program text.
         text: String,
     },
-    /// Requests the server's hottest statements by total time; the
-    /// server answers with [`Message::TopStats`].
-    Top {
-        /// At most this many statements, hottest first.
-        limit: u32,
-    },
     /// A replica pulling WAL records from the primary; the server
-    /// answers with [`Message::ReplBatch`]. Requires protocol ≥ 3.
+    /// answers with [`Message::ReplBatch`].
     ReplPull {
         /// Stable identity of the pulling replica (for lag tracking).
         replica_id: u64,
@@ -134,21 +111,15 @@ pub enum Message {
         max_bytes: u32,
     },
     /// Requests the node's replication role and watermarks; the server
-    /// answers with [`Message::ReplStatusInfo`]. Requires protocol ≥ 3.
+    /// answers with [`Message::ReplStatusInfo`].
     ReplStatus,
-    /// Requests the node's health verdict from its alert rules engine;
-    /// the server answers with [`Message::HealthInfo`]. Requires
-    /// protocol ≥ 4.
-    Health,
 
-    // ---- responses (128–143, 255) ----
+    // ---- responses (128–141, 255) ----
     /// Session accepted.
     HelloAck {
         /// Server identification.
         server: String,
-        /// Negotiated protocol version,
-        /// `min(client max, server max)`. Encoded only when ≥ 2 so a
-        /// v1 client can still decode the ack.
+        /// The protocol version the server speaks.
         version: u16,
     },
     /// Liveness answer.
@@ -183,12 +154,6 @@ pub enum Message {
         /// `(entity id, title)` pairs.
         scores: Vec<(u64, String)>,
     },
-    /// The server's metrics snapshot.
-    Metrics {
-        /// Snapshot body: JSON or Prometheus text, per the request's
-        /// [`StatsFormat`].
-        body: String,
-    },
     /// Traces fetched by [`Message::TraceFetch`].
     TraceDump {
         /// Plain-text span trees, newest first.
@@ -204,11 +169,6 @@ pub enum Message {
         /// The result table.
         table: Table,
     },
-    /// The statement-statistics table answering [`Message::Top`].
-    TopStats {
-        /// One row per fingerprint, hottest first.
-        table: Table,
-    },
     /// A contiguous run of WAL records answering [`Message::ReplPull`].
     /// Record payloads are opaque to the wire layer: the storage crate's
     /// own frame encoding, re-decoded by the replica before applying.
@@ -221,9 +181,7 @@ pub enum Message {
         /// The primary's monotonic clock (microseconds since its
         /// process start) when it sent the batch; the replica derives
         /// `mdm_repl_lag_seconds` from stamps of the same clock, so no
-        /// cross-machine clock agreement is needed. `0` = unstamped
-        /// (pre-v4 primary); encoded only when non-zero, keeping the
-        /// v3 byte layout for unstamped batches.
+        /// cross-machine clock agreement is needed. Never `0`.
         sent_micros: u64,
     },
     /// Replication role and watermarks answering [`Message::ReplStatus`].
@@ -240,14 +198,6 @@ pub enum Message {
         /// On a primary: replicas that pulled recently. `0` on a replica.
         replicas: u32,
     },
-    /// The node's health verdict answering [`Message::Health`].
-    HealthInfo {
-        /// False iff a critical alert rule is firing (`/healthz` 503).
-        healthy: bool,
-        /// The full health report as JSON (alert states, values,
-        /// thresholds) — the same document `/healthz` serves.
-        json: String,
-    },
     /// A typed error.
     Error {
         /// Error class.
@@ -257,7 +207,9 @@ pub enum Message {
     },
 }
 
-// Wire tags. Part of the protocol — append, never renumber.
+// Wire tags. Part of the protocol — append, never renumber. Tags 9, 13,
+// 16 and 136, 139, 142 are retired (the admin messages that `Query`
+// over the `$` entities replaced) and must not be reused.
 const T_HELLO: u16 = 1;
 const T_PING: u16 = 2;
 const T_QUERY: u16 = 3;
@@ -266,14 +218,11 @@ const T_STORE_SCORE: u16 = 5;
 const T_LOAD_SCORE: u16 = 6;
 const T_FIND_SCORE: u16 = 7;
 const T_LIST_SCORES: u16 = 8;
-const T_METRICS: u16 = 9;
 const T_TRACE_CONTROL: u16 = 10;
 const T_TRACE_FETCH: u16 = 11;
 const T_EXPLAIN: u16 = 12;
-const T_TOP: u16 = 13;
 const T_REPL_PULL: u16 = 14;
 const T_REPL_STATUS: u16 = 15;
-const T_HEALTH: u16 = 16;
 const T_HELLO_ACK: u16 = 128;
 const T_PONG: u16 = 129;
 const T_ROWS: u16 = 130;
@@ -282,13 +231,10 @@ const T_SCORE_STORED: u16 = 132;
 const T_SCORE_DATA: u16 = 133;
 const T_SCORE_FOUND: u16 = 134;
 const T_SCORE_LIST: u16 = 135;
-const T_METRICS_SNAP: u16 = 136;
 const T_TRACE_DUMP: u16 = 137;
 const T_PLAN: u16 = 138;
-const T_TOP_STATS: u16 = 139;
 const T_REPL_BATCH: u16 = 140;
 const T_REPL_STATUS_INFO: u16 = 141;
-const T_HEALTH_INFO: u16 = 142;
 const T_ERROR: u16 = 255;
 
 impl Message {
@@ -303,14 +249,11 @@ impl Message {
             Message::LoadScore { .. } => T_LOAD_SCORE,
             Message::FindScore { .. } => T_FIND_SCORE,
             Message::ListScores => T_LIST_SCORES,
-            Message::MetricsSnapshot { .. } => T_METRICS,
             Message::TraceControl { .. } => T_TRACE_CONTROL,
             Message::TraceFetch { .. } => T_TRACE_FETCH,
             Message::Explain { .. } => T_EXPLAIN,
-            Message::Top { .. } => T_TOP,
             Message::ReplPull { .. } => T_REPL_PULL,
             Message::ReplStatus => T_REPL_STATUS,
-            Message::Health => T_HEALTH,
             Message::HelloAck { .. } => T_HELLO_ACK,
             Message::Pong => T_PONG,
             Message::Rows { .. } => T_ROWS,
@@ -319,13 +262,10 @@ impl Message {
             Message::ScoreData { .. } => T_SCORE_DATA,
             Message::ScoreFound { .. } => T_SCORE_FOUND,
             Message::ScoreList { .. } => T_SCORE_LIST,
-            Message::Metrics { .. } => T_METRICS_SNAP,
             Message::TraceDump { .. } => T_TRACE_DUMP,
             Message::Plan { .. } => T_PLAN,
-            Message::TopStats { .. } => T_TOP_STATS,
             Message::ReplBatch { .. } => T_REPL_BATCH,
             Message::ReplStatusInfo { .. } => T_REPL_STATUS_INFO,
-            Message::HealthInfo { .. } => T_HEALTH_INFO,
             Message::Error { .. } => T_ERROR,
         }
     }
@@ -341,14 +281,11 @@ impl Message {
             Message::LoadScore { .. } => "load_score",
             Message::FindScore { .. } => "find_score",
             Message::ListScores => "list_scores",
-            Message::MetricsSnapshot { .. } => "metrics",
             Message::TraceControl { .. } => "trace_control",
             Message::TraceFetch { .. } => "trace_fetch",
             Message::Explain { .. } => "explain",
-            Message::Top { .. } => "top",
             Message::ReplPull { .. } => "repl_pull",
             Message::ReplStatus => "repl_status",
-            Message::Health => "health",
             Message::HelloAck { .. } => "hello_ack",
             Message::Pong => "pong",
             Message::Rows { .. } => "rows",
@@ -357,13 +294,10 @@ impl Message {
             Message::ScoreData { .. } => "score_data",
             Message::ScoreFound { .. } => "score_found",
             Message::ScoreList { .. } => "score_list",
-            Message::Metrics { .. } => "metrics_snapshot",
             Message::TraceDump { .. } => "trace_dump",
             Message::Plan { .. } => "plan",
-            Message::TopStats { .. } => "top_stats",
             Message::ReplBatch { .. } => "repl_batch",
             Message::ReplStatusInfo { .. } => "repl_status_info",
-            Message::HealthInfo { .. } => "health_info",
             Message::Error { .. } => "error",
         }
     }
@@ -373,19 +307,17 @@ impl Message {
         let mut out = Vec::new();
         match self {
             Message::Hello {
-                client,
-                max_version,
-            } => {
-                put_str(&mut out, client);
-                if *max_version >= 2 {
-                    out.extend_from_slice(&max_version.to_le_bytes());
-                }
+                client: name,
+                version,
             }
-            Message::Ping
-            | Message::Pong
-            | Message::ListScores
-            | Message::ReplStatus
-            | Message::Health => {}
+            | Message::HelloAck {
+                server: name,
+                version,
+            } => {
+                put_str(&mut out, name);
+                out.extend_from_slice(&version.to_le_bytes());
+            }
+            Message::Ping | Message::Pong | Message::ListScores | Message::ReplStatus => {}
             Message::ReplPull {
                 replica_id,
                 from_lsn,
@@ -406,11 +338,7 @@ impl Message {
                     crate::wire::put_bytes(&mut out, bytes);
                 }
                 out.extend_from_slice(&durable_lsn.to_le_bytes());
-                // Trailing optional (v4): unstamped batches keep the v3
-                // byte layout, so v3 replicas still decode them.
-                if *sent_micros != 0 {
-                    out.extend_from_slice(&sent_micros.to_le_bytes());
-                }
+                out.extend_from_slice(&sent_micros.to_le_bytes());
             }
             Message::ReplStatusInfo {
                 role,
@@ -425,21 +353,6 @@ impl Message {
                 out.extend_from_slice(&lag_bytes.to_le_bytes());
                 out.extend_from_slice(&replicas.to_le_bytes());
             }
-            Message::HealthInfo { healthy, json } => {
-                out.push(*healthy as u8);
-                put_str(&mut out, json);
-            }
-            Message::MetricsSnapshot { format, prefix } => {
-                // The default request is byte-identical to the v1
-                // (empty-payload) message, so old servers still answer.
-                if *format != StatsFormat::Json || !prefix.is_empty() {
-                    out.push(match format {
-                        StatsFormat::Json => 0,
-                        StatsFormat::Prom => 1,
-                    });
-                    put_str(&mut out, prefix);
-                }
-            }
             Message::TraceControl { op } => {
                 let (tag, value): (u8, u64) = match op {
                     TraceOp::Disable => (0, 0),
@@ -453,7 +366,6 @@ impl Message {
                 out.push(*slow as u8);
                 out.extend_from_slice(&n.to_le_bytes());
             }
-            Message::Top { limit } => out.extend_from_slice(&limit.to_le_bytes()),
             Message::Query { text } | Message::Execute { text } | Message::Explain { text } => {
                 put_str(&mut out, text)
             }
@@ -464,13 +376,7 @@ impl Message {
                 out.extend_from_slice(&id.to_le_bytes())
             }
             Message::FindScore { title } => put_str(&mut out, title),
-            Message::HelloAck { server, version } => {
-                put_str(&mut out, server);
-                if *version >= 2 {
-                    out.extend_from_slice(&version.to_le_bytes());
-                }
-            }
-            Message::Rows { table } | Message::TopStats { table } => encode_table(&mut out, table),
+            Message::Rows { table } => encode_table(&mut out, table),
             Message::Results { results } => {
                 put_len(&mut out, results.len());
                 for r in results {
@@ -491,7 +397,6 @@ impl Message {
                     put_str(&mut out, title);
                 }
             }
-            Message::Metrics { body } => put_str(&mut out, body),
             Message::TraceDump { text, chrome_json } => {
                 put_str(&mut out, text);
                 put_str(&mut out, chrome_json);
@@ -523,14 +428,10 @@ impl Message {
     pub fn decode(msg_type: u16, payload: &[u8]) -> Result<Message, DecodeError> {
         let mut c = Cursor::new(payload);
         let msg = match msg_type {
-            T_HELLO => {
-                let client = c.string()?;
-                let max_version = if c.remaining() > 0 { c.u16()? } else { 1 };
-                Message::Hello {
-                    client,
-                    max_version,
-                }
-            }
+            T_HELLO => Message::Hello {
+                client: c.string()?,
+                version: c.u16()?,
+            },
             T_PING => Message::Ping,
             T_QUERY => Message::Query { text: c.string()? },
             T_EXECUTE => Message::Execute { text: c.string()? },
@@ -540,24 +441,6 @@ impl Message {
             T_LOAD_SCORE => Message::LoadScore { id: c.u64()? },
             T_FIND_SCORE => Message::FindScore { title: c.string()? },
             T_LIST_SCORES => Message::ListScores,
-            T_METRICS => {
-                if c.remaining() == 0 {
-                    Message::MetricsSnapshot {
-                        format: StatsFormat::Json,
-                        prefix: String::new(),
-                    }
-                } else {
-                    let format = match c.u8()? {
-                        0 => StatsFormat::Json,
-                        1 => StatsFormat::Prom,
-                        t => return Err(DecodeError::BadPayload(format!("bad stats format {t}"))),
-                    };
-                    Message::MetricsSnapshot {
-                        format,
-                        prefix: c.string()?,
-                    }
-                }
-            }
             T_TRACE_CONTROL => {
                 let tag = c.u8()?;
                 let value = c.u64()?;
@@ -577,19 +460,16 @@ impl Message {
                 n: c.u32()?,
             },
             T_EXPLAIN => Message::Explain { text: c.string()? },
-            T_TOP => Message::Top { limit: c.u32()? },
             T_REPL_PULL => Message::ReplPull {
                 replica_id: c.u64()?,
                 from_lsn: c.u64()?,
                 max_bytes: c.u32()?,
             },
             T_REPL_STATUS => Message::ReplStatus,
-            T_HEALTH => Message::Health,
-            T_HELLO_ACK => {
-                let server = c.string()?;
-                let version = if c.remaining() > 0 { c.u16()? } else { 1 };
-                Message::HelloAck { server, version }
-            }
+            T_HELLO_ACK => Message::HelloAck {
+                server: c.string()?,
+                version: c.u16()?,
+            },
             T_PONG => Message::Pong,
             T_ROWS => Message::Rows {
                 table: decode_table(&mut c)?,
@@ -618,10 +498,6 @@ impl Message {
                 }
                 Message::ScoreList { scores }
             }
-            T_METRICS_SNAP => Message::Metrics { body: c.string()? },
-            T_TOP_STATS => Message::TopStats {
-                table: decode_table(&mut c)?,
-            },
             T_REPL_BATCH => {
                 let n = c.len(12)?;
                 let mut records = Vec::with_capacity(n);
@@ -632,7 +508,7 @@ impl Message {
                 Message::ReplBatch {
                     records,
                     durable_lsn: c.u64()?,
-                    sent_micros: if c.remaining() > 0 { c.u64()? } else { 0 },
+                    sent_micros: c.u64()?,
                 }
             }
             T_REPL_STATUS_INFO => Message::ReplStatusInfo {
@@ -641,10 +517,6 @@ impl Message {
                 durable_lsn: c.u64()?,
                 lag_bytes: c.u64()?,
                 replicas: c.u32()?,
-            },
-            T_HEALTH_INFO => Message::HealthInfo {
-                healthy: c.bool()?,
-                json: c.string()?,
             },
             T_TRACE_DUMP => Message::TraceDump {
                 text: c.string()?,
@@ -829,11 +701,7 @@ mod tests {
         let messages = vec![
             Message::Hello {
                 client: "shell".into(),
-                max_version: 1,
-            },
-            Message::Hello {
-                client: "shell".into(),
-                max_version: 2,
+                version: 5,
             },
             Message::Ping,
             Message::Query {
@@ -850,14 +718,6 @@ mod tests {
                 title: "Fuge g-moll".into(),
             },
             Message::ListScores,
-            Message::MetricsSnapshot {
-                format: StatsFormat::Json,
-                prefix: String::new(),
-            },
-            Message::MetricsSnapshot {
-                format: StatsFormat::Prom,
-                prefix: "mdm_net_".into(),
-            },
             Message::TraceControl {
                 op: TraceOp::Enable { sample_every: 4 },
             },
@@ -871,14 +731,9 @@ mod tests {
             Message::Explain {
                 text: "range of n is NOTE\nretrieve (n.name)".into(),
             },
-            Message::Top { limit: 10 },
             Message::HelloAck {
                 server: "mdm 0.1".into(),
-                version: 1,
-            },
-            Message::HelloAck {
-                server: "mdm 0.1".into(),
-                version: 2,
+                version: 5,
             },
             Message::Pong,
             Message::Rows { table },
@@ -903,9 +758,6 @@ mod tests {
             Message::ScoreFound { id: None },
             Message::ScoreList {
                 scores: vec![(1, "a".into()), (2, "b".into())],
-            },
-            Message::Metrics {
-                body: "{\"metrics\":[]}".into(),
             },
             Message::TraceDump {
                 text: "trace ab (1 us, 1 spans)\n".into(),
@@ -938,22 +790,12 @@ mod tests {
                     rows: vec![vec![Value::Integer(52)]],
                 },
             },
-            Message::TopStats {
-                table: Table {
-                    columns: vec!["fingerprint".into(), "calls".into()],
-                    rows: vec![vec![
-                        Value::String("retrieve (p.name)".into()),
-                        Value::Integer(3),
-                    ]],
-                },
-            },
             Message::ReplPull {
                 replica_id: 7,
                 from_lsn: 42,
                 max_bytes: 1 << 20,
             },
             Message::ReplStatus,
-            Message::Health,
             Message::ReplBatch {
                 records: vec![(42, vec![1, 2, 3]), (43, vec![]), (44, vec![0xff; 9])],
                 durable_lsn: 45,
@@ -962,7 +804,7 @@ mod tests {
             Message::ReplBatch {
                 records: vec![],
                 durable_lsn: 0,
-                sent_micros: 0,
+                sent_micros: 1,
             },
             Message::ReplStatusInfo {
                 role: 1,
@@ -970,10 +812,6 @@ mod tests {
                 durable_lsn: 99,
                 lag_bytes: 4096,
                 replicas: 0,
-            },
-            Message::HealthInfo {
-                healthy: false,
-                json: "{\"healthy\":false,\"firing\":1,\"alerts\":[]}".into(),
             },
             Message::Error {
                 code: ErrorCode::NotFound,
@@ -990,59 +828,36 @@ mod tests {
     }
 
     #[test]
-    fn v3_repl_batch_without_stamp_decodes_as_unstamped() {
-        // A v3 primary's batch payload ends at durable_lsn.
-        let mut payload = Vec::new();
-        put_len(&mut payload, 1);
-        payload.extend_from_slice(&7u64.to_le_bytes());
-        crate::wire::put_bytes(&mut payload, &[1, 2]);
-        payload.extend_from_slice(&8u64.to_le_bytes());
-        let expected = Message::ReplBatch {
-            records: vec![(7, vec![1, 2])],
-            durable_lsn: 8,
-            sent_micros: 0,
-        };
-        assert_eq!(Message::decode(T_REPL_BATCH, &payload).unwrap(), expected);
-        // And an unstamped v4 batch re-encodes to the identical v3
-        // bytes, so v3 replicas' strict decoders still accept it.
-        assert_eq!(expected.encode_payload(), payload);
-    }
-
-    #[test]
-    fn v1_hello_without_version_field_decodes_as_v1() {
-        // A v1 peer's Hello payload is just the client string.
-        let mut payload = Vec::new();
-        put_str(&mut payload, "old-client");
+    fn fields_older_versions_omitted_are_required() {
+        // A Hello without its version, an ack without its version and a
+        // batch without its send stamp are truncated, not older dialects.
+        let mut name_only = Vec::new();
+        put_str(&mut name_only, "peer");
         assert_eq!(
-            Message::decode(T_HELLO, &payload).unwrap(),
-            Message::Hello {
-                client: "old-client".into(),
-                max_version: 1,
-            }
+            Message::decode(T_HELLO, &name_only),
+            Err(DecodeError::Truncated)
         );
-        // And a v1-negotiated ack is byte-identical to the v1 encoding,
-        // so a v1 client's strict decoder still accepts it.
-        let ack = Message::HelloAck {
-            server: "s".into(),
-            version: 1,
-        };
-        let mut expect = Vec::new();
-        put_str(&mut expect, "s");
-        assert_eq!(ack.encode_payload(), expect);
+        assert_eq!(
+            Message::decode(T_HELLO_ACK, &name_only),
+            Err(DecodeError::Truncated)
+        );
+        let mut unstamped = Vec::new();
+        put_len(&mut unstamped, 0);
+        unstamped.extend_from_slice(&8u64.to_le_bytes());
+        assert_eq!(
+            Message::decode(T_REPL_BATCH, &unstamped),
+            Err(DecodeError::Truncated)
+        );
     }
 
     #[test]
-    fn default_metrics_request_is_v1_compatible() {
-        let m = Message::MetricsSnapshot {
-            format: StatsFormat::Json,
-            prefix: String::new(),
-        };
-        assert!(m.encode_payload().is_empty(), "default stays empty-payload");
-        let filtered = Message::MetricsSnapshot {
-            format: StatsFormat::Prom,
-            prefix: "mdm_".into(),
-        };
-        assert!(!filtered.encode_payload().is_empty());
+    fn retired_admin_tags_are_unknown() {
+        for tag in [9, 13, 16, 136, 139, 142] {
+            assert_eq!(
+                Message::decode(tag, &[]),
+                Err(DecodeError::BadMessageType(tag))
+            );
+        }
     }
 
     #[test]

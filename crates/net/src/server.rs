@@ -21,19 +21,19 @@
 
 use std::collections::HashMap;
 use std::io::Write;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use mdm_core::{CoreError, MusicDataManager};
 use mdm_obs::{chrome_trace_json, trace, Tracer};
 
+use crate::accept::Acceptor;
 use crate::error::{ErrorCode, NetError, Result};
 use crate::http::{HttpServer, HttpState};
-use crate::message::{Message, StatsFormat, TraceOp};
+use crate::message::{Message, TraceOp};
 use crate::metrics::NetMetrics;
 use crate::wire::{self, HEADER_LEN};
 
@@ -100,6 +100,22 @@ struct SessionHandle {
     busy: Arc<AtomicBool>,
 }
 
+/// Unregisters a session when its thread ends — or when the thread
+/// could not be spawned and the job holding this guard is dropped.
+struct SessionGuard {
+    shared: Arc<Shared>,
+    id: u64,
+}
+
+impl Drop for SessionGuard {
+    fn drop(&mut self) {
+        if let Ok(mut sessions) = self.shared.sessions.lock() {
+            sessions.remove(&self.id);
+        }
+        self.shared.metrics.connections_active.add(-1);
+    }
+}
+
 struct Shared {
     mdm: RwLock<MusicDataManager>,
     metrics: NetMetrics,
@@ -116,9 +132,7 @@ struct Shared {
 /// [`MdmServer::shutdown`] aborts connections ungracefully.
 pub struct MdmServer {
     shared: Arc<Shared>,
-    local_addr: SocketAddr,
-    accept_thread: Option<JoinHandle<()>>,
-    session_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    acceptor: Acceptor,
     http: Option<HttpServer>,
 }
 
@@ -130,8 +144,6 @@ impl MdmServer {
         addr: A,
         config: ServerConfig,
     ) -> Result<MdmServer> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
         let metrics = NetMetrics::register(&mdm.metrics_registry());
         let tracer = mdm.tracer().clone();
         let registry = mdm.metrics_registry();
@@ -152,13 +164,14 @@ impl MdmServer {
             shutting_down: AtomicBool::new(false),
             sessions: Mutex::new(HashMap::new()),
         });
-        let session_threads = Arc::new(Mutex::new(Vec::new()));
-        let accept_shared = Arc::clone(&shared);
-        let accept_threads = Arc::clone(&session_threads);
-        let accept_thread = std::thread::Builder::new()
-            .name("mdm-accept".into())
-            .spawn(move || accept_loop(listener, accept_shared, accept_threads))
-            .map_err(NetError::Io)?;
+        let acceptor = {
+            let shared = Arc::clone(&shared);
+            let mut next_session_id: u64 = 0;
+            Acceptor::start(addr, "mdm-accept", move |stream| {
+                next_session_id += 1;
+                admit_session(&shared, stream, next_session_id)
+            })?
+        };
         let http = match &shared.config.http_addr {
             Some(addr) => {
                 let status_shared = Arc::clone(&shared);
@@ -176,16 +189,14 @@ impl MdmServer {
         };
         Ok(MdmServer {
             shared,
-            local_addr,
-            accept_thread: Some(accept_thread),
-            session_threads,
+            acceptor,
             http,
         })
     }
 
     /// The bound address (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.acceptor.local_addr()
     }
 
     /// The HTTP observability endpoint's bound address, when one was
@@ -258,11 +269,7 @@ impl MdmServer {
         if let Some(http) = self.http.take() {
             http.shutdown();
         }
-        // Unblock the (otherwise indefinitely blocking) accept call.
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
+        self.acceptor.stop_accepting();
 
         // Idle sessions are parked in a socket read: close them now. Busy
         // ones get until the drain deadline to write their response.
@@ -294,10 +301,7 @@ impl MdmServer {
                 let _ = s.stream.shutdown(Shutdown::Both);
             }
         }
-        let threads = std::mem::take(&mut *self.session_threads.lock().expect("threads lock"));
-        for t in threads {
-            let _ = t.join();
-        }
+        self.acceptor.shutdown();
 
         let shared = Arc::try_unwrap(self.shared)
             .map_err(|_| NetError::UnexpectedResponse("server threads still hold state"))?;
@@ -313,68 +317,38 @@ impl MdmServer {
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    shared: Arc<Shared>,
-    session_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    let mut next_session_id: u64 = 0;
-    for conn in listener.incoming() {
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            break;
+/// Admission, on the accept thread: over the limit the client gets a
+/// typed refusal; otherwise the session is registered and its serving
+/// loop returned as the job for the connection's own thread.
+fn admit_session(
+    shared: &Arc<Shared>,
+    stream: TcpStream,
+    id: u64,
+) -> Option<impl FnOnce() + Send + 'static> {
+    shared.metrics.connections_accepted.inc();
+    let busy = Arc::new(AtomicBool::new(false));
+    let handle = SessionHandle {
+        stream: stream.try_clone().ok()?,
+        busy: Arc::clone(&busy),
+    };
+    {
+        let mut sessions = shared.sessions.lock().expect("sessions lock");
+        if sessions.len() >= shared.config.max_connections {
+            drop(sessions);
+            refuse_busy(shared, stream);
+            return None;
         }
-        let stream = match conn {
-            Ok(s) => s,
-            Err(_) => continue,
-        };
-        shared.metrics.connections_accepted.inc();
-
-        let at_capacity = {
-            let sessions = shared.sessions.lock().expect("sessions lock");
-            sessions.len() >= shared.config.max_connections
-        };
-        if at_capacity {
-            refuse_busy(&shared, stream);
-            continue;
-        }
-
-        let id = next_session_id;
-        next_session_id += 1;
-        let busy = Arc::new(AtomicBool::new(false));
-        let handle = SessionHandle {
-            stream: match stream.try_clone() {
-                Ok(c) => c,
-                Err(_) => continue,
-            },
-            busy: Arc::clone(&busy),
-        };
-        shared
-            .sessions
-            .lock()
-            .expect("sessions lock")
-            .insert(id, handle);
-        shared.metrics.connections_active.add(1);
-
-        let session_shared = Arc::clone(&shared);
-        let spawned = std::thread::Builder::new()
-            .name(format!("mdm-session-{id}"))
-            .spawn(move || {
-                serve_session(&session_shared, stream, busy);
-                session_shared
-                    .sessions
-                    .lock()
-                    .expect("sessions lock")
-                    .remove(&id);
-                session_shared.metrics.connections_active.add(-1);
-            });
-        match spawned {
-            Ok(t) => session_threads.lock().expect("threads lock").push(t),
-            Err(_) => {
-                shared.sessions.lock().expect("sessions lock").remove(&id);
-                shared.metrics.connections_active.add(-1);
-            }
-        }
+        sessions.insert(id, handle);
     }
+    shared.metrics.connections_active.add(1);
+    let guard = SessionGuard {
+        shared: Arc::clone(shared),
+        id,
+    };
+    Some(move || {
+        let guard = guard;
+        serve_session(&guard.shared, stream, busy)
+    })
 }
 
 /// Sends a typed `Busy` error and closes: over-limit clients get a
@@ -411,10 +385,6 @@ fn serve_session(shared: &Shared, mut stream: TcpStream, busy: Arc<AtomicBool>) 
     let _ = stream.set_read_timeout(Some(shared.config.idle_timeout));
     let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
     let _ = stream.set_nodelay(true);
-    // Protocol version this session settled on at Hello. Until (or
-    // without) a handshake the peer's capabilities are unknown, so the
-    // session is treated as v1 and gets no post-v1 optional fields.
-    let mut negotiated_version: u16 = 1;
 
     while !shared.shutting_down.load(Ordering::SeqCst) {
         let (header, payload) = match wire::read_frame(&mut stream) {
@@ -450,7 +420,7 @@ fn serve_session(shared: &Shared, mut stream: TcpStream, busy: Arc<AtomicBool>) 
         shared.metrics.bytes_in.add(frame_len);
         shared.metrics.frame_bytes.observe(frame_len);
 
-        // Root span for the whole frame. A v2 frame's trace extension
+        // Root span for the whole frame. A frame's trace extension
         // adopts the client's trace (bypassing sampling); an untraced
         // frame originates locally, subject to the tracer's sampling.
         let root_span = shared.tracer.root_span("net.request", header.trace);
@@ -458,12 +428,26 @@ fn serve_session(shared: &Shared, mut stream: TcpStream, busy: Arc<AtomicBool>) 
             trace::annotate("request_id", header.request_id);
         }
 
+        let mut foreign_peer = false;
         let response = {
             let decoded = {
                 let _s = trace::span("net.decode");
                 Message::decode(header.msg_type, &payload)
             };
             match decoded {
+                // A peer speaking another protocol version gets a typed
+                // refusal and is then dropped: nothing it sends next can
+                // be trusted to mean what this build thinks it means.
+                Ok(Message::Hello { version, .. }) if version != wire::PROTOCOL_VERSION => {
+                    foreign_peer = true;
+                    Message::Error {
+                        code: ErrorCode::BadRequest,
+                        message: format!(
+                            "protocol version mismatch: client speaks {version}, server speaks {}",
+                            wire::PROTOCOL_VERSION
+                        ),
+                    }
+                }
                 Ok(request) => {
                     shared.metrics.count_request(request.type_name());
                     let _s = trace::span("net.dispatch");
@@ -471,9 +455,7 @@ fn serve_session(shared: &Shared, mut stream: TcpStream, busy: Arc<AtomicBool>) 
                     // A panicking handler must not take down the session
                     // (or poison the whole server): isolate it per
                     // request.
-                    match catch_unwind(AssertUnwindSafe(|| {
-                        handle_request(shared, request, &mut negotiated_version)
-                    })) {
+                    match catch_unwind(AssertUnwindSafe(|| handle_request(shared, request))) {
                         Ok(resp) => resp,
                         Err(_) => Message::Error {
                             code: ErrorCode::Internal,
@@ -501,7 +483,7 @@ fn serve_session(shared: &Shared, mut stream: TcpStream, busy: Arc<AtomicBool>) 
         };
         drop(root_span);
         busy.store(false, Ordering::SeqCst);
-        if write_result.is_err() {
+        if write_result.is_err() || foreign_peer {
             break;
         }
     }
@@ -509,7 +491,7 @@ fn serve_session(shared: &Shared, mut stream: TcpStream, busy: Arc<AtomicBool>) 
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-fn handle_request(shared: &Shared, request: Message, negotiated_version: &mut u16) -> Message {
+fn handle_request(shared: &Shared, request: Message) -> Message {
     if shared.shutting_down.load(Ordering::SeqCst) {
         return Message::Error {
             code: ErrorCode::ShuttingDown,
@@ -517,21 +499,12 @@ fn handle_request(shared: &Shared, request: Message, negotiated_version: &mut u1
         };
     }
     match request {
-        Message::Hello {
-            client: _,
-            max_version,
-        } => {
-            // A v1 client omitted the field (decoded as 1) and gets the
-            // byte-identical v1 ack back; a v2 client negotiates down
-            // to the newest version both sides speak. The session
-            // remembers the outcome so later responses never carry
-            // optional fields the peer's decoder would reject.
-            *negotiated_version = max_version.clamp(1, wire::PROTOCOL_VERSION);
-            Message::HelloAck {
-                server: shared.config.server_name.clone(),
-                version: *negotiated_version,
-            }
-        }
+        // Always this build's version: `serve_session` turned any other
+        // away before dispatch.
+        Message::Hello { .. } => Message::HelloAck {
+            server: shared.config.server_name.clone(),
+            version: wire::PROTOCOL_VERSION,
+        },
         Message::Ping => Message::Pong,
         // Read path: `query_shared(&self)` under the read half of the
         // lock — reader clients run concurrently against the
@@ -611,32 +584,15 @@ fn handle_request(shared: &Shared, request: Message, negotiated_version: &mut u1
                         // node's monitor epoch); replicas difference
                         // stamps of the same clock for lag-in-seconds,
                         // so wall clocks never need to agree. `max(1)`
-                        // keeps a stamp taken at the epoch itself from
-                        // reading as "unstamped pre-v4 primary". A
-                        // pre-v4 session gets the stamp-free (v3 byte
-                        // layout) batch its decoder expects.
-                        sent_micros: if *negotiated_version >= wire::REPL_STAMP_MIN_VERSION {
-                            mdm.monitor().uptime_micros().max(1)
-                        } else {
-                            0
-                        },
+                        // keeps a stamp taken at the epoch itself apart
+                        // from the replica's 0 = "no contact yet".
+                        sent_micros: mdm.monitor().uptime_micros().max(1),
                     }
                 }
                 Err(e) => Message::Error {
                     code: ErrorCode::Storage,
                     message: e.to_string(),
                 },
-            }
-        }
-        // Health is served under the read half: the rules engine has its
-        // own interior locking, so the verdict never waits on writers
-        // longer than the registry read does.
-        Message::Health => {
-            let mdm = shared.mdm.read().expect("mdm lock");
-            let report = mdm.health();
-            Message::HealthInfo {
-                healthy: report.healthy,
-                json: report.to_json(),
             }
         }
         Message::ReplStatus => {
@@ -683,24 +639,6 @@ fn handle_request(shared: &Shared, request: Message, negotiated_version: &mut u1
             match mdm.list_scores() {
                 Ok(scores) => Message::ScoreList { scores },
                 Err(e) => core_error_response(&e),
-            }
-        }
-        // Statement statistics are read under the shared half too: the
-        // store's own interior mutability handles concurrent recording.
-        Message::Top { limit } => {
-            let mdm = shared.mdm.read().expect("mdm lock");
-            Message::TopStats {
-                table: mdm.statement_top(limit as usize),
-            }
-        }
-        Message::MetricsSnapshot { format, prefix } => {
-            let mdm = shared.mdm.read().expect("mdm lock");
-            let snap = mdm.metrics_snapshot().filtered(&prefix);
-            Message::Metrics {
-                body: match format {
-                    StatsFormat::Json => snap.to_json(),
-                    StatsFormat::Prom => snap.to_prometheus(),
-                },
             }
         }
         Message::TraceControl { op } => {

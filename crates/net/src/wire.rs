@@ -4,29 +4,32 @@
 //! ```text
 //! offset  size  field
 //!      0     4  magic        b"MDMN"
-//!      4     2  version      u16 LE, 1 or 2
+//!      4     2  frame format u16 LE: 1 = plain, 2 = carries the trace
+//!                            extension (nothing else is accepted)
 //!      6     2  message type u16 LE (see message.rs)
 //!      8     8  request id   u64 LE, echoed verbatim in the response
 //!                            (0 is reserved for connection-level server
 //!                            errors; clients allocate ids from 1)
 //!     16     4  payload len  u32 LE, at most MAX_PAYLOAD
 //!     20     4  payload CRC  u32 LE, CRC-32 (IEEE) of the payload bytes
-//!     24    24  trace ext    ONLY in version-2 frames: 16-byte trace id
+//!     24    24  trace ext    ONLY in format-2 frames: 16-byte trace id
 //!                            (all-zero is invalid) + 8-byte parent span
 //!                            id, u64 LE
 //!      …     …  payload      message-type-specific encoding
 //! ```
 //!
-//! Version 1 and version 2 differ only in the trace-context extension: a
-//! v2 frame carries one, a v1 frame does not. A peer that negotiated v2
-//! at Hello still sends untraced requests as v1 frames, so the untraced
-//! hot path never pays for the extension; responses are always v1.
+//! The two frame formats differ only in the trace-context extension.
+//! Untraced requests go out as format-1 frames, so the untraced hot path
+//! never pays for the extension; responses are always format 1. The
+//! frame format is not the protocol version: that is the single
+//! [`PROTOCOL_VERSION`], checked once, at `Hello`.
 //!
 //! The decoder is *total*: every malformed input maps to a typed
-//! [`DecodeError`] — wrong magic, foreign version, oversized frame,
+//! [`DecodeError`] — wrong magic, foreign frame format, oversized frame,
 //! truncation, checksum mismatch, zeroed trace id — and never panics.
-//! The magic is checked before the version so a connection from an
-//! entirely different protocol is distinguishable from an old MDM peer.
+//! The magic is checked before the format so a connection from an
+//! entirely different protocol is distinguishable from a foreign MDM
+//! peer.
 
 use std::io::{Read, Write};
 
@@ -37,23 +40,17 @@ use crate::error::{DecodeError, NetError, Result};
 /// Frame magic: "MDMN" (music data manager / network).
 pub const MAGIC: [u8; 4] = *b"MDMN";
 
-/// Highest protocol version spoken by this build: v2 adds the
-/// trace-context frame extension, v3 adds the replication messages
-/// (ReplPull/ReplStatus and their responses), v4 adds the Health
-/// request/response and the ReplBatch send-time stamp, negotiated at
-/// Hello.
-pub const PROTOCOL_VERSION: u16 = 4;
+/// The one protocol version this build speaks. A `Hello` (or
+/// `HelloAck`) carrying any other is refused; nothing is negotiated.
+pub use mdm_core::WIRE_PROTOCOL_VERSION as PROTOCOL_VERSION;
 
-/// Oldest protocol version this build still accepts.
-pub const MIN_PROTOCOL_VERSION: u16 = 1;
+/// Frame format without the trace-context extension.
+const FRAME_PLAIN: u16 = 1;
 
-/// First protocol version whose `ReplBatch` carries the trailing
-/// send-time stamp. A session that negotiated anything older must get
-/// the stamp-free (v3 byte layout) batch, or its decoder rejects the
-/// trailing bytes.
-pub const REPL_STAMP_MIN_VERSION: u16 = 4;
+/// Frame format carrying the trace-context extension.
+const FRAME_TRACED: u16 = 2;
 
-/// Size of the v2 trace-context extension (trace id + parent span id).
+/// Size of the trace-context extension (trace id + parent span id).
 pub const TRACE_EXT_LEN: usize = 24;
 
 /// Hard cap on payload size (16 MiB): larger declared lengths are
@@ -102,10 +99,10 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 // Frame header
 // ----------------------------------------------------------------------
 
-/// A decoded frame header (plus the v2 trace extension, when present).
+/// A decoded frame header (plus the trace extension, when present).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameHeader {
-    /// Frame version (1, or 2 when a trace extension follows).
+    /// Frame format (1, or 2 when a trace extension follows).
     pub version: u16,
     /// Message type tag.
     pub msg_type: u16,
@@ -115,16 +112,16 @@ pub struct FrameHeader {
     pub payload_len: u32,
     /// CRC-32 of the payload.
     pub payload_crc: u32,
-    /// Trace context from the v2 extension; `None` on v1 frames.
+    /// Trace context from the extension; `None` on format-1 frames.
     pub trace: Option<TraceContext>,
 }
 
-/// Encodes a complete v1 frame (header + payload) into a fresh buffer.
+/// Encodes a complete untraced frame (header + payload) into a fresh buffer.
 pub fn encode_frame(msg_type: u16, request_id: u64, payload: &[u8]) -> Result<Vec<u8>> {
     encode_frame_traced(msg_type, request_id, payload, None)
 }
 
-/// Encodes a complete frame; with `trace` set, emits a version-2 frame
+/// Encodes a complete frame; with `trace` set, emits a format-2 frame
 /// carrying the trace-context extension between header and payload.
 pub fn encode_frame_traced(
     msg_type: u16,
@@ -138,8 +135,10 @@ pub fn encode_frame_traced(
     if matches!(trace, Some(ctx) if !ctx.is_valid()) {
         return Err(DecodeError::BadTraceContext.into());
     }
-    let version: u16 = if trace.is_some() { 2 } else { 1 };
-    let ext = if trace.is_some() { TRACE_EXT_LEN } else { 0 };
+    let (version, ext) = match trace {
+        Some(_) => (FRAME_TRACED, TRACE_EXT_LEN),
+        None => (FRAME_PLAIN, 0),
+    };
     let mut out = Vec::with_capacity(HEADER_LEN + ext + payload.len());
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&version.to_le_bytes());
@@ -155,7 +154,7 @@ pub fn encode_frame_traced(
     Ok(out)
 }
 
-/// Parses a frame header from exactly [`HEADER_LEN`] bytes. On a v2
+/// Parses a frame header from exactly [`HEADER_LEN`] bytes. On a format-2
 /// header the trace extension still follows on the stream; `trace` is
 /// `None` until [`decode_trace_ext`] fills it in.
 pub fn decode_header(buf: &[u8; HEADER_LEN]) -> std::result::Result<FrameHeader, DecodeError> {
@@ -163,7 +162,7 @@ pub fn decode_header(buf: &[u8; HEADER_LEN]) -> std::result::Result<FrameHeader,
         return Err(DecodeError::BadMagic([buf[0], buf[1], buf[2], buf[3]]));
     }
     let version = u16::from_le_bytes([buf[4], buf[5]]);
-    if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) {
+    if version != FRAME_PLAIN && version != FRAME_TRACED {
         return Err(DecodeError::VersionMismatch { got: version });
     }
     let msg_type = u16::from_le_bytes([buf[6], buf[7]]);
@@ -183,7 +182,7 @@ pub fn decode_header(buf: &[u8; HEADER_LEN]) -> std::result::Result<FrameHeader,
     })
 }
 
-/// Parses the v2 trace-context extension. The all-zero trace id is the
+/// Parses the trace-context extension. The all-zero trace id is the
 /// invalid sentinel — a peer that sends it gets a typed error rather
 /// than silently originating a bogus trace.
 pub fn decode_trace_ext(
@@ -202,15 +201,15 @@ pub fn decode_trace_ext(
     Ok(ctx)
 }
 
-/// Reads one frame (header, optional v2 trace extension, then a
+/// Reads one frame (header, optional trace extension, then a
 /// checksum-verified payload) from a stream. Returns the header (with
-/// `trace` populated for v2 frames) and the raw payload bytes; the
+/// `trace` populated for format-2 frames) and the raw payload bytes; the
 /// caller decodes the payload per `msg_type`.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<(FrameHeader, Vec<u8>)> {
     let mut head = [0u8; HEADER_LEN];
     r.read_exact(&mut head)?;
     let mut header = decode_header(&head).map_err(NetError::Decode)?;
-    if header.version >= 2 {
+    if header.version == FRAME_TRACED {
         let mut ext = [0u8; TRACE_EXT_LEN];
         r.read_exact(&mut ext)?;
         header.trace = Some(decode_trace_ext(&ext).map_err(NetError::Decode)?);
@@ -228,7 +227,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<(FrameHeader, Vec<u8>)> {
     Ok((header, payload))
 }
 
-/// Writes a complete v1 frame to a stream.
+/// Writes a complete untraced frame to a stream.
 pub fn write_frame<W: Write>(
     w: &mut W,
     msg_type: u16,
@@ -238,8 +237,7 @@ pub fn write_frame<W: Write>(
     write_frame_traced(w, msg_type, request_id, payload, None)
 }
 
-/// Writes a complete frame, v2 with the trace extension if `trace` is
-/// set.
+/// Writes a complete frame, with the trace extension if `trace` is set.
 pub fn write_frame_traced<W: Write>(
     w: &mut W,
     msg_type: u16,

@@ -122,7 +122,7 @@ fn pump_requests(mut from: TcpStream, mut to: TcpStream, script: &FaultScript) {
 fn pump_responses(mut from: TcpStream, mut to: TcpStream, script: &FaultScript) {
     loop {
         // Read one complete frame from the server. Responses are always
-        // v1 frames (no trace extension): header + payload.
+        // Plain frames (no trace extension): header + payload.
         let mut frame = vec![0u8; wire::HEADER_LEN];
         if from.read_exact(&mut frame).is_err() {
             let _ = to.shutdown(Shutdown::Both);

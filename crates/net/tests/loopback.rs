@@ -159,12 +159,17 @@ fn statement_statistics_visible_over_the_wire() {
         "both probes took the index path"
     );
 
-    // The same store answers the Top request (what \top uses remotely).
-    let top = c.top(10).expect("top");
-    assert_eq!(top.columns[0], "fingerprint");
+    // The same entity answers \top's own query text, hottest first.
+    let top = c.query(mdm_net::introspect::TOP).expect("top");
+    assert_eq!(top.columns[0], "s.fingerprint");
     assert!(
         top.rows.len() >= 2,
         "execute + query fingerprints recorded:\n{top}"
+    );
+    let totals: Vec<&mdm_model::Value> = top.column("s.total_micros").expect("column");
+    assert!(
+        totals.windows(2).all(|w| w[0].total_cmp(w[1]).is_ge()),
+        "sorted by total time, descending:\n{top}"
     );
 
     // EXPLAIN's statistics annotation survives the wire codec.
@@ -470,44 +475,11 @@ fn shutdown_drains_in_flight_requests() {
 }
 
 #[test]
-fn v3_negotiated_session_gets_stamp_free_repl_batches() {
-    let server = start_server("v3repl", ServerConfig::default());
-
-    // Hand-rolled v3 peer: a rolling upgrade leaves v3 replicas pulling
-    // from a v4 primary, and their decoder rejects trailing bytes after
-    // `durable_lsn` — the batch must keep the v3 byte layout.
-    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
-    let hello = Message::Hello {
-        client: "old-replica".into(),
-        max_version: 3,
-    };
-    wire::write_frame(&mut stream, hello.msg_type(), 1, &hello.encode_payload()).expect("hello");
-    let (header, payload) = wire::read_frame(&mut stream).expect("read ack");
-    match Message::decode(header.msg_type, &payload).expect("decode ack") {
-        Message::HelloAck { version, .. } => assert_eq!(version, 3, "negotiated down to v3"),
-        other => panic!("expected HelloAck, got {}", other.type_name()),
-    }
-    let pull = Message::ReplPull {
-        replica_id: 7,
-        from_lsn: 0,
-        max_bytes: 1 << 16,
-    };
-    wire::write_frame(&mut stream, pull.msg_type(), 2, &pull.encode_payload()).expect("pull");
-    let (header, payload) = wire::read_frame(&mut stream).expect("read batch");
-    match Message::decode(header.msg_type, &payload).expect("decode batch") {
-        Message::ReplBatch { sent_micros, .. } => {
-            assert_eq!(sent_micros, 0, "a v3 session must get an unstamped batch")
-        }
-        other => panic!("expected ReplBatch, got {}", other.type_name()),
-    }
-    drop(stream);
-
-    // The same server stamps batches for a v4-negotiated session.
+fn repl_batches_always_carry_the_send_stamp() {
+    let server = start_server("replstamp", ServerConfig::default());
     let mut c = client(&server);
-    assert_eq!(c.negotiated_version(), wire::PROTOCOL_VERSION);
-    let (_, _, stamp) = c.repl_pull(8, 0, 1 << 16).expect("v4 pull");
-    assert_ne!(stamp, 0, "a v4 session gets the send-time stamp");
-
+    let (_, _, stamp) = c.repl_pull(8, 0, 1 << 16).expect("pull");
+    assert_ne!(stamp, 0, "every batch carries the primary's send stamp");
     drop(c);
     server.shutdown().expect("shutdown");
 }

@@ -28,7 +28,7 @@ fn sample_frames() -> Vec<Vec<u8>> {
     let messages = [
         Message::Hello {
             client: "fuzz".into(),
-            max_version: wire::PROTOCOL_VERSION,
+            version: wire::PROTOCOL_VERSION,
         },
         Message::TraceControl {
             op: mdm_net::TraceOp::Enable { sample_every: 1 },
@@ -59,7 +59,7 @@ fn sample_frames() -> Vec<Vec<u8>> {
             wire::encode_frame(m.msg_type(), i as u64, &m.encode_payload()).expect("encode")
         })
         .collect();
-    // A v2 frame carrying the trace-context extension, so truncation and
+    // A frame carrying the trace-context extension, so truncation and
     // bit flips also exercise the extension decoding path.
     let traced = Message::Query {
         text: "retrieve (NOTE.midi_key)".into(),

@@ -1,6 +1,6 @@
 //! Tracing integration tests: end-to-end span trees over a live
-//! client/server pair, trace-context propagation, version negotiation
-//! against a genuine v1 peer, malformed trace extensions, and the
+//! client/server pair, trace-context propagation, a peer that never
+//! sends the trace extension, malformed trace extensions, and the
 //! slow-query ring thresholds.
 
 use std::collections::{HashMap, HashSet};
@@ -31,53 +31,40 @@ fn client(server: &MdmServer) -> MdmClient {
         .expect("connect client")
 }
 
-/// The core crate hardcodes the protocol label on `mdm_build_info`
-/// (it cannot depend on mdm-net); this pins the two constants together
-/// so the label cannot silently drift from the wire.
-#[test]
-fn core_and_net_agree_on_wire_protocol_version() {
-    assert_eq!(mdm_core::WIRE_PROTOCOL_VERSION, wire::PROTOCOL_VERSION);
-}
-
-/// Sends `msg` as a bare v1 frame and decodes the response, asserting
-/// the response also came back as v1 (responses never carry the trace
-/// extension).
-fn v1_roundtrip(s: &mut TcpStream, msg: &Message, request_id: u64) -> Message {
+/// Sends `msg` as a plain (format-1) frame and decodes the response,
+/// asserting the response also came back plain (responses never carry
+/// the trace extension).
+fn plain_roundtrip(s: &mut TcpStream, msg: &Message, request_id: u64) -> Message {
     wire::write_frame(s, msg.msg_type(), request_id, &msg.encode_payload()).expect("write frame");
     let (header, payload) = wire::read_frame(s).expect("read frame");
-    assert_eq!(header.version, 1, "responses must stay v1");
+    assert_eq!(header.version, 1, "responses never carry the extension");
     assert_eq!(header.request_id, request_id, "response must echo the id");
     Message::decode(header.msg_type, &payload).expect("decode response")
 }
 
-/// A genuine v1 peer — frames without the trace extension and a Hello
-/// that omits the max-version field entirely — completes a mixed
-/// workload against a v2 server, entirely untraced.
+/// A peer that never sends the trace extension completes a mixed
+/// workload entirely untraced.
 #[test]
-fn v1_client_completes_mixed_workload_untraced() {
-    let server = start_server("v1-interop");
+fn plain_frame_client_completes_mixed_workload_untraced() {
+    let server = start_server("plain-frames");
     let mut s = TcpStream::connect(server.local_addr()).expect("connect");
     s.set_read_timeout(Some(Duration::from_secs(10)))
         .expect("timeout");
 
-    // A v1 Hello payload is just the client string: no version field.
     let hello = Message::Hello {
-        client: "legacy".into(),
-        max_version: 1,
+        client: "untraced".into(),
+        version: wire::PROTOCOL_VERSION,
     };
-    assert_eq!(hello.encode_payload().len(), 4 + "legacy".len());
-    match v1_roundtrip(&mut s, &hello, 1) {
-        Message::HelloAck { version, .. } => {
-            assert_eq!(version, 1, "server must negotiate down to v1")
-        }
+    match plain_roundtrip(&mut s, &hello, 1) {
+        Message::HelloAck { version, .. } => assert_eq!(version, wire::PROTOCOL_VERSION),
         other => panic!("expected HelloAck, got {other:?}"),
     }
 
     assert!(matches!(
-        v1_roundtrip(&mut s, &Message::Ping, 2),
+        plain_roundtrip(&mut s, &Message::Ping, 2),
         Message::Pong
     ));
-    match v1_roundtrip(
+    match plain_roundtrip(
         &mut s,
         &Message::Execute {
             text: "define entity RELIC (era = string)\nappend to RELIC (era = \"baroque\")".into(),
@@ -87,7 +74,7 @@ fn v1_client_completes_mixed_workload_untraced() {
         Message::Results { .. } => {}
         other => panic!("expected Results, got {other:?}"),
     }
-    match v1_roundtrip(
+    match plain_roundtrip(
         &mut s,
         &Message::Query {
             text: "range of r is RELIC\nretrieve (r.era)".into(),
@@ -104,7 +91,7 @@ fn v1_client_completes_mixed_workload_untraced() {
     server.shutdown().expect("shutdown");
 }
 
-/// A v2 frame whose trace extension carries the reserved all-zero trace
+/// A frame whose trace extension carries the reserved all-zero trace
 /// id gets a typed BadRequest error frame and a close — not a hang, and
 /// not a dead server.
 #[test]
@@ -149,7 +136,6 @@ fn malformed_trace_context_gets_typed_error_not_hang() {
 fn traced_execute_links_net_quel_and_storage_spans() {
     let server = start_server("e2e");
     let mut c = client(&server);
-    assert!(c.negotiated_version() >= 2, "fresh pair must speak v2");
 
     let client_tracer = Tracer::new();
     client_tracer.set_sample_every(1);

@@ -9,16 +9,14 @@
 //!   elapsed wall time into a histogram on drop.
 //! * [`registry`] — a [`Registry`] of named, labelled metric handles with
 //!   consistent [`Snapshot`] export as JSON and Prometheus text format.
-//! * [`events`] — [`EventLog`], a bounded ring buffer of timestamped
-//!   diagnostic events (recoveries, checkpoints, DDL).
 //! * [`json`] — a minimal JSON parser used by tests and by the bench
 //!   smoke-mode validator; the exporters in [`registry`] emit JSON this
 //!   parser round-trips.
 //! * [`monitor`] — the continuous-monitoring subsystem: a [`Monitor`]
-//!   whose background sampler records every metric into bounded
-//!   time-series [`Ring`]s (value, rate, histogram quantiles) and a
-//!   declarative health [`Rule`] engine with pending→firing hysteresis
-//!   backing `/healthz`.
+//!   whose background sampler keeps the latest [`SamplePoint`] of every
+//!   series (value, rate, histogram sum and quantiles) and a declarative
+//!   health [`Rule`] engine with pending→firing hysteresis backing
+//!   `/healthz`.
 //! * [`process`] — [`ProcessGauges`], `mdm_process_*` gauges (RSS,
 //!   open fds, threads) read from `/proc/self`; zeros off-Linux.
 //! * [`stats`] — the [`StatementStore`], a bounded LRU of
@@ -43,7 +41,6 @@
 //! assert!(snap.to_prometheus().contains("mdm_pool_hits_total 1"));
 //! ```
 
-pub mod events;
 pub mod json;
 pub mod metrics;
 pub mod monitor;
@@ -52,13 +49,12 @@ pub mod registry;
 pub mod stats;
 pub mod trace;
 
-pub use events::{Event, EventLog};
 pub use metrics::{
     Counter, Gauge, Histogram, SpanTimer, LATENCY_MICROS_BOUNDS, SMALL_COUNT_BOUNDS,
 };
 pub use monitor::{
-    AlertSnap, AlertState, Cmp, HealthReport, Monitor, MonitorConfig, Ring, Rule, RuleInput,
-    SamplePoint, Severity,
+    AlertSnap, AlertState, Cmp, HealthReport, Monitor, MonitorConfig, Rule, RuleInput, SamplePoint,
+    Severity,
 };
 pub use process::ProcessGauges;
 pub use registry::{HistogramSnap, MetricSnap, MetricValue, Registry, Snapshot};

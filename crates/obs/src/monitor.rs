@@ -1,13 +1,13 @@
-//! Continuous monitoring: time-series metric history and a health/alert
-//! rules engine over the [`Registry`].
+//! Continuous monitoring: the latest sample of every metric series and
+//! a health/alert rules engine over the [`Registry`].
 //!
 //! A [`Monitor`] owns a background **sampler thread** that snapshots the
-//! registry every [`MonitorConfig::interval`] into bounded per-series
-//! [`Ring`] buffers. Each [`SamplePoint`] carries the raw value, a
-//! derived per-second rate (for counters and histogram observation
-//! counts), and the p50/p99 latency estimate for histograms — enough to
-//! answer "what has this metric done lately" without an external
-//! time-series database.
+//! registry every [`MonitorConfig::interval`] and keeps one
+//! [`SamplePoint`] per series: the raw value, a derived per-second rate
+//! over the last window (for counters and histogram observation
+//! counts), and the sum and p50/p99 latency estimate for histograms.
+//! `$metrics` reads these points, so what it shows is the monitor's
+//! sample — at most one interval old — not a fresh registry snapshot.
 //!
 //! On top of the same samples sits a declarative **rules engine**: a
 //! [`Rule`] compares a metric's value, rate, or rate-fraction against a
@@ -21,7 +21,7 @@
 //!
 //! Cost model: when no monitor is constructed nothing changes anywhere
 //! (metrics stay plain relaxed atomics). When sampling is on, the whole
-//! cost is one registry snapshot + ring push per interval on a dedicated
+//! cost is one registry snapshot + one point per series per interval on a dedicated
 //! thread — the hot paths are untouched. The benchmark's wire workloads
 //! run with the sampler on, so its cost is part of their `cpu_us_per_op`.
 
@@ -42,15 +42,12 @@ pub struct MonitorConfig {
     /// background thread; samples are then taken only on demand
     /// (`$metrics`, `\health`, `/healthz` each take one when stale).
     pub interval: Duration,
-    /// Points retained per series; older points are overwritten.
-    pub ring_capacity: usize,
 }
 
 impl Default for MonitorConfig {
     fn default() -> MonitorConfig {
         MonitorConfig {
             interval: Duration::from_secs(1),
-            ring_capacity: 256,
         }
     }
 }
@@ -60,7 +57,6 @@ impl MonitorConfig {
     pub fn disabled() -> MonitorConfig {
         MonitorConfig {
             interval: Duration::ZERO,
-            ..MonitorConfig::default()
         }
     }
 }
@@ -68,91 +64,17 @@ impl MonitorConfig {
 /// One sample of one metric series.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SamplePoint {
-    /// Monotonic microseconds since the monitor was created.
-    pub at_micros: u64,
     /// Raw reading: counter total, gauge level, or histogram count.
     pub value: f64,
     /// Per-second derivative over the last window (0 on the first
     /// sample). Gauges report the level change per second.
     pub rate: f64,
+    /// Histogram sum of observations (0 for counters/gauges).
+    pub sum: f64,
     /// Histogram p50 estimate (0 for counters/gauges).
     pub p50: f64,
     /// Histogram p99 estimate (0 for counters/gauges).
     pub p99: f64,
-}
-
-/// A bounded ring of [`SamplePoint`]s. Pushing past capacity overwrites
-/// the oldest point; `total_pushed` keeps the true count so tests can
-/// prove no sample was lost even after wraparound.
-#[derive(Debug, Clone)]
-pub struct Ring {
-    cap: usize,
-    buf: Vec<SamplePoint>,
-    head: usize, // next write position
-    len: usize,
-    total_pushed: u64,
-}
-
-impl Ring {
-    /// An empty ring holding at most `capacity` points (min 1).
-    pub fn new(capacity: usize) -> Ring {
-        let cap = capacity.max(1);
-        Ring {
-            cap,
-            buf: Vec::with_capacity(cap),
-            head: 0,
-            len: 0,
-            total_pushed: 0,
-        }
-    }
-
-    /// Appends a point, overwriting the oldest once full.
-    pub fn push(&mut self, p: SamplePoint) {
-        if self.buf.len() < self.cap {
-            self.buf.push(p);
-        } else {
-            self.buf[self.head] = p;
-        }
-        self.head = (self.head + 1) % self.cap;
-        self.len = (self.len + 1).min(self.cap);
-        self.total_pushed += 1;
-    }
-
-    /// Points in arrival order, oldest first.
-    pub fn points(&self) -> Vec<SamplePoint> {
-        let mut out = Vec::with_capacity(self.len);
-        if self.buf.len() < self.cap {
-            out.extend_from_slice(&self.buf);
-        } else {
-            out.extend_from_slice(&self.buf[self.head..]);
-            out.extend_from_slice(&self.buf[..self.head]);
-        }
-        out
-    }
-
-    /// The most recent point.
-    pub fn latest(&self) -> Option<SamplePoint> {
-        if self.len == 0 {
-            return None;
-        }
-        let idx = (self.head + self.buf.len() - 1) % self.buf.len();
-        Some(self.buf[idx])
-    }
-
-    /// Points currently held (≤ capacity).
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no point has been pushed yet.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Total points ever pushed, including overwritten ones.
-    pub fn total_pushed(&self) -> u64 {
-        self.total_pushed
-    }
 }
 
 /// What a [`Rule`] reads from its metric each sample.
@@ -180,6 +102,16 @@ pub enum Cmp {
     Below,
 }
 
+impl Cmp {
+    /// Lower-case name used in JSON and `$alerts`.
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            Cmp::Above => "above",
+            Cmp::Below => "below",
+        }
+    }
+}
+
 /// How a firing rule affects [`Monitor::health`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Severity {
@@ -187,6 +119,16 @@ pub enum Severity {
     Warning,
     /// A firing critical rule turns `/healthz` into 503.
     Critical,
+}
+
+impl Severity {
+    /// Lower-case name used in JSON and `$alerts`.
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            Severity::Warning => "warning",
+            Severity::Critical => "critical",
+        }
+    }
 }
 
 /// A declarative health rule over one registered metric.
@@ -295,7 +237,7 @@ pub struct HealthReport {
 
 impl HealthReport {
     /// Serializes the report as the JSON document served by `/healthz`
-    /// and returned over the wire for `\health`.
+    /// and embedded in `/statusz`.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         let _ = write!(
@@ -316,16 +258,10 @@ impl HealthReport {
                 ",\"state\":\"{}\",\"severity\":\"{}\",\"value\":{},\"threshold\":{},\
                  \"cmp\":\"{}\",\"since_micros\":{}}}",
                 a.state.as_str(),
-                match a.severity {
-                    Severity::Warning => "warning",
-                    Severity::Critical => "critical",
-                },
+                a.severity.as_str(),
                 fmt_f64(a.value),
                 fmt_f64(a.threshold),
-                match a.cmp {
-                    Cmp::Above => "above",
-                    Cmp::Below => "below",
-                },
+                a.cmp.as_str(),
                 a.since_micros
             );
         }
@@ -356,7 +292,8 @@ struct RuleRuntime {
 }
 
 struct MonitorState {
-    series: BTreeMap<String, Ring>,
+    /// Latest point per series, keyed by `name{labels}`.
+    series: BTreeMap<String, SamplePoint>,
     prev: Option<(u64, Snapshot)>,
     rules: Vec<RuleRuntime>,
     samples: u64,
@@ -364,10 +301,9 @@ struct MonitorState {
 
 struct Shared {
     registry: Registry,
-    cfg: MonitorConfig,
-    /// Live sampling interval in micros (0 = on-demand only). Kept
-    /// apart from `cfg` so [`Monitor::enable_sampling`] can turn a
-    /// passive monitor into a sampling one after open.
+    /// Live sampling interval in micros (0 = on-demand only); atomic so
+    /// [`Monitor::enable_sampling`] can turn a passive monitor into a
+    /// sampling one after open.
     interval_micros: AtomicU64,
     /// Bumped whenever `interval_micros` changes, so a sampler parked
     /// on the condvar can tell a reconfiguration wakeup from a spurious
@@ -382,7 +318,7 @@ struct Shared {
     process: ProcessGauges,
 }
 
-/// The monitoring subsystem: sampler thread + rings + rules engine.
+/// The monitoring subsystem: sampler thread + latest points + rules engine.
 ///
 /// Construct with [`Monitor::start`] (spawns the sampler) or with
 /// [`MonitorConfig::disabled`] (on-demand sampling only — `$metrics`,
@@ -397,7 +333,7 @@ pub struct Monitor {
 impl std::fmt::Debug for Monitor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Monitor")
-            .field("interval", &self.shared.cfg.interval)
+            .field("interval", &self.interval())
             .field("running", &self.is_running())
             .finish()
     }
@@ -415,7 +351,6 @@ impl Monitor {
         let interval_micros = config.interval.as_micros() as u64;
         let shared = Arc::new(Shared {
             registry,
-            cfg: config,
             interval_micros: AtomicU64::new(interval_micros),
             interval_gen: AtomicU64::new(0),
             epoch: Instant::now(),
@@ -435,7 +370,7 @@ impl Monitor {
             shared: Arc::clone(&shared),
             thread: Mutex::new(None),
         });
-        if !shared.cfg.interval.is_zero() {
+        if interval_micros != 0 {
             monitor.spawn_sampler();
         }
         monitor
@@ -502,7 +437,7 @@ impl Monitor {
     }
 
     /// Takes one sample right now: refreshes process gauges, snapshots
-    /// the registry, appends to every series ring, and advances the
+    /// the registry, replaces every series' point, and advances the
     /// rules engine. Public so tests and on-demand readers can drive
     /// the monitor deterministically without a thread.
     pub fn sample_now(&self) {
@@ -627,21 +562,7 @@ impl Monitor {
     pub fn latest(&self) -> Vec<(String, SamplePoint)> {
         self.ensure_sampled();
         let st = self.shared.state.lock().unwrap();
-        st.series
-            .iter()
-            .filter_map(|(k, ring)| ring.latest().map(|p| (k.clone(), p)))
-            .collect()
-    }
-
-    /// Full history for every series whose key starts with `prefix`.
-    pub fn series(&self, prefix: &str) -> Vec<(String, Vec<SamplePoint>)> {
-        self.ensure_sampled();
-        let st = self.shared.state.lock().unwrap();
-        st.series
-            .iter()
-            .filter(|(k, _)| k.starts_with(prefix))
-            .map(|(k, ring)| (k.clone(), ring.points()))
-            .collect()
+        st.series.iter().map(|(k, p)| (k.clone(), *p)).collect()
     }
 
     /// Samples taken so far (background + on-demand).
@@ -716,35 +637,31 @@ fn sample(shared: &Shared) {
         .map(|(prev_at, _)| (at.saturating_sub(*prev_at)) as f64 / 1e6);
     for e in &snap.entries {
         let key = series_key(&e.name, &e.labels);
-        let prev_value = st.prev.as_ref().and_then(|(_, p)| {
-            p.entries
-                .iter()
-                .find(|b| b.name == e.name && b.labels == e.labels)
-                .map(metric_scalar)
-        });
+        // The series' own previous point, found by key.
+        let prev_value = st.series.get(&key).map(|p| p.value);
         let value = metric_scalar(e);
         let rate = match (prev_value, window) {
             (Some(prev), Some(dt)) if dt > 0.0 => (value - prev) / dt,
             _ => 0.0,
         };
-        let (p50, p99) = match &e.value {
+        let (sum, p50, p99) = match &e.value {
             MetricValue::Histogram(h) => (
+                h.sum as f64,
                 h.quantile(0.5).unwrap_or(0.0),
                 h.quantile(0.99).unwrap_or(0.0),
             ),
-            _ => (0.0, 0.0),
+            _ => (0.0, 0.0, 0.0),
         };
-        let cap = shared.cfg.ring_capacity;
-        st.series
-            .entry(key)
-            .or_insert_with(|| Ring::new(cap))
-            .push(SamplePoint {
-                at_micros: at,
+        st.series.insert(
+            key,
+            SamplePoint {
                 value,
                 rate,
+                sum,
                 p50,
                 p99,
-            });
+            },
+        );
     }
     evaluate_rules(&mut st, &snap, at, window);
     st.prev = Some((at, snap));
@@ -857,45 +774,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_wraparound_is_exact() {
-        let mut ring = Ring::new(4);
-        for i in 0..11u64 {
-            ring.push(SamplePoint {
-                at_micros: i,
-                value: i as f64,
-                rate: 0.0,
-                p50: 0.0,
-                p99: 0.0,
-            });
-        }
-        assert_eq!(ring.len(), 4);
-        assert_eq!(ring.total_pushed(), 11);
-        let pts: Vec<u64> = ring.points().iter().map(|p| p.at_micros).collect();
-        assert_eq!(
-            pts,
-            vec![7, 8, 9, 10],
-            "exactly the last capacity points, in order"
-        );
-        assert_eq!(ring.latest().unwrap().at_micros, 10);
-    }
-
-    #[test]
-    fn ring_partial_fill_keeps_order() {
-        let mut ring = Ring::new(8);
-        for i in 0..3u64 {
-            ring.push(SamplePoint {
-                at_micros: i,
-                value: 0.0,
-                rate: 0.0,
-                p50: 0.0,
-                p99: 0.0,
-            });
-        }
-        let pts: Vec<u64> = ring.points().iter().map(|p| p.at_micros).collect();
-        assert_eq!(pts, vec![0, 1, 2]);
-    }
-
-    #[test]
     fn sampler_records_values_rates_and_quantiles() {
         let r = Registry::new();
         let c = r.counter("mdm_x_total", "x");
@@ -922,6 +800,7 @@ mod tests {
         assert_eq!(latest["mdm_g"].value, 3.0);
         let hs = latest["mdm_h_micros"];
         assert_eq!(hs.value, 10.0);
+        assert_eq!(hs.sum, 600.0);
         assert!(
             hs.p50 > 10.0 && hs.p50 <= 100.0,
             "p50 in (10,100]: {}",
@@ -957,7 +836,6 @@ mod tests {
             r.clone(),
             MonitorConfig {
                 interval: Duration::from_millis(5),
-                ring_capacity: 16,
             },
         );
         assert!(m.is_running());
@@ -986,7 +864,6 @@ mod tests {
             r.clone(),
             MonitorConfig {
                 interval: Duration::from_millis(1),
-                ring_capacity: 64,
             },
         );
         let mut handles = Vec::new();
@@ -1045,7 +922,6 @@ mod tests {
             r.clone(),
             MonitorConfig {
                 interval: Duration::from_secs(3600),
-                ring_capacity: 16,
             },
         );
         assert!(m.is_running());
@@ -1225,20 +1101,5 @@ mod tests {
         assert_eq!(alerts.len(), 1);
         assert_eq!(alerts[0].get("state").unwrap().as_str(), Some("firing"));
         assert_eq!(alerts[0].get("value").unwrap().as_u64(), Some(3));
-    }
-
-    #[test]
-    fn series_history_is_queryable_by_prefix() {
-        let r = Registry::new();
-        r.counter("mdm_a_total", "a").add(1);
-        r.counter("mdm_b_total", "b").add(1);
-        let m = manual_monitor(&r);
-        m.sample_now();
-        m.sample_now();
-        let hist = m.series("mdm_a_");
-        assert_eq!(hist.len(), 1);
-        assert_eq!(hist[0].0, "mdm_a_total");
-        assert_eq!(hist[0].1.len(), 2);
-        assert!(m.series("mdm_").len() >= 2);
     }
 }

@@ -395,67 +395,6 @@ impl Snapshot {
         Snapshot { entries }
     }
 
-    /// Parses a snapshot back out of [`Snapshot::to_json`] output, so a
-    /// shell connected to a remote server can diff two fetches. Help
-    /// text is not carried in the JSON and comes back empty. Returns
-    /// `None` on anything that is not a well-formed snapshot document.
-    pub fn from_json(text: &str) -> Option<Snapshot> {
-        use crate::json::{parse, Value};
-        let doc = parse(text).ok()?;
-        let mut entries = Vec::new();
-        for m in doc.get("metrics")?.as_array()? {
-            let name = m.get("name")?.as_str()?.to_string();
-            let labels: Vec<(String, String)> = match m.get("labels") {
-                Some(Value::Object(map)) => map
-                    .iter()
-                    .map(|(k, v)| Some((k.clone(), v.as_str()?.to_string())))
-                    .collect::<Option<_>>()?,
-                _ => Vec::new(),
-            };
-            let value = match m.get("type")?.as_str()? {
-                "counter" => MetricValue::Counter(m.get("value")?.as_u64()?),
-                "gauge" => match m.get("value")? {
-                    Value::Number(n) if n.fract() == 0.0 => MetricValue::Gauge(*n as i64),
-                    _ => return None,
-                },
-                "histogram" => {
-                    // Buckets are exported cumulative with a trailing
-                    // +Inf; undo both to recover per-bucket counts.
-                    let mut bounds = Vec::new();
-                    let mut counts = Vec::new();
-                    let mut prev = 0u64;
-                    for b in m.get("buckets")?.as_array()? {
-                        let cumulative = b.get("count")?.as_u64()?;
-                        let n = cumulative.checked_sub(prev)?;
-                        prev = cumulative;
-                        match b.get("le")? {
-                            Value::Number(edge) => {
-                                bounds.push(*edge as u64);
-                                counts.push(n);
-                            }
-                            Value::String(s) if s == "+Inf" => counts.push(n),
-                            _ => return None,
-                        }
-                    }
-                    MetricValue::Histogram(HistogramSnap {
-                        bounds,
-                        counts,
-                        count: m.get("count")?.as_u64()?,
-                        sum: m.get("sum")?.as_u64()?,
-                    })
-                }
-                _ => return None,
-            };
-            entries.push(MetricSnap {
-                name,
-                help: String::new(),
-                labels,
-                value,
-            });
-        }
-        Some(Snapshot { entries })
-    }
-
     /// Serializes the snapshot as a JSON object:
     /// `{"metrics": [{"name": …, "labels": {…}, "type": …, …}, …]}`.
     /// The output round-trips through [`crate::json::parse`].
@@ -777,30 +716,6 @@ mod tests {
         r.counter("mdm_new_total", "new").add(4);
         let d = r.snapshot().delta(&before);
         assert_eq!(d.counter("mdm_new_total"), Some(4));
-    }
-
-    #[test]
-    fn from_json_round_trips_snapshot() {
-        let r = Registry::new();
-        r.counter_labeled("mdm_x_total", "x", &[("k", "v")]).add(3);
-        r.gauge("mdm_g", "g").set(-7);
-        let h = r.histogram("mdm_y_micros", "y", &[10, 100]);
-        h.observe(42);
-        h.observe(5000); // overflow bucket
-        let snap = r.snapshot();
-        let back = Snapshot::from_json(&snap.to_json()).unwrap();
-        assert_eq!(back.counter_with("mdm_x_total", &[("k", "v")]), Some(3));
-        assert_eq!(back.gauge("mdm_g"), Some(-7));
-        let hs = back.histogram("mdm_y_micros").unwrap();
-        assert_eq!(hs.bounds, vec![10, 100]);
-        assert_eq!(hs.counts, vec![0, 1, 1]);
-        assert_eq!(hs.count, 2);
-        assert_eq!(hs.sum, 5042);
-        // Parsed snapshots diff cleanly — the remote `\stats delta` path.
-        let d = back.delta(&back);
-        assert_eq!(d.counter_with("mdm_x_total", &[("k", "v")]), Some(0));
-        assert!(Snapshot::from_json("{}").is_none());
-        assert!(Snapshot::from_json("not json").is_none());
     }
 
     #[test]

@@ -101,7 +101,7 @@ struct PullState {
     /// The replica's applied watermark after the last batch.
     applied: AtomicU64,
     /// Primary send stamp (its monotonic µs) of the newest pull
-    /// response; `0` until a v4 primary answers.
+    /// response; `0` until the primary first answers.
     last_stamp: AtomicU64,
     /// Primary send stamp as of which the replica's applied state was
     /// last current — `lag_seconds = last_stamp - applied_stamp`.
@@ -330,7 +330,7 @@ fn pull_loop(
             continue;
         }
         if batch.is_empty() {
-            if stamp != 0 && engine.wal_next_lsn() >= durable {
+            if engine.wal_next_lsn() >= durable {
                 // Drained: our applied state is current as of this pull.
                 state.applied_stamp.store(stamp, Ordering::Release);
             }
@@ -354,7 +354,7 @@ fn pull_loop(
                     .applied
                     .store(engine.wal_next_lsn(), Ordering::Release);
                 metrics.applied_lsn.set(engine.wal_next_lsn() as i64);
-                if stamp != 0 && engine.wal_next_lsn() >= durable {
+                if engine.wal_next_lsn() >= durable {
                     // Caught up to everything this pull knew about: our
                     // applied state is current as of its send stamp.
                     state.applied_stamp.store(stamp, Ordering::Release);
@@ -449,16 +449,12 @@ fn apply_batch(
     Ok(())
 }
 
-/// Records the primary's send stamp from one pull response (0 = a
-/// pre-v4 primary sent no stamp).
+/// Records the primary's send stamp from one pull response.
 fn note_stamp(state: &PullState, stamp: u64) {
-    if stamp == 0 {
-        return;
-    }
     state.last_stamp.store(stamp, Ordering::Release);
     let base = state.applied_stamp.load(Ordering::Acquire);
     if base == 0 || stamp < base {
-        // First stamped contact: lag-in-seconds measures from the
+        // First contact: lag-in-seconds measures from the
         // moment we attached, not from the primary's boot. A stamp
         // *below* the base means the primary restarted and its
         // monotonic clock rebased — re-anchor to the new epoch so lag
@@ -477,7 +473,7 @@ fn publish_lag(server: &MdmServer, state: &PullState, metrics: &ReplMetrics, avg
     metrics.lag_bytes.set(lag.min(i64::MAX as u64) as i64);
     // Seconds of lag, from primary-clock stamps alone: how far behind
     // "now on the primary" the applied state is. Zero while caught up
-    // or while the primary predates the stamp (v3).
+    // or before the first pull answered.
     let last = state.last_stamp.load(Ordering::Acquire);
     let base = state.applied_stamp.load(Ordering::Acquire);
     let lag_secs = if durable <= applied || last == 0 || base == 0 {
@@ -518,13 +514,9 @@ mod tests {
     }
 
     #[test]
-    fn note_stamp_anchors_rebases_and_ignores_unstamped() {
+    fn note_stamp_anchors_and_rebases() {
         let state = fresh_state();
-        // Unstamped (pre-v4 primary): nothing recorded.
-        note_stamp(&state, 0);
-        assert_eq!(state.last_stamp.load(Ordering::Acquire), 0);
-        assert_eq!(state.applied_stamp.load(Ordering::Acquire), 0);
-        // First stamped contact anchors the applied base.
+        // First contact anchors the applied base.
         note_stamp(&state, 1_000_000);
         assert_eq!(state.applied_stamp.load(Ordering::Acquire), 1_000_000);
         // Later stamps advance last_stamp but leave the base to the

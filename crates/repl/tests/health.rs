@@ -4,7 +4,7 @@
 //! flips it back to 200 once the stream catches up.
 
 use mdm_core::MusicDataManager;
-use mdm_net::{ClientConfig, MdmClient, MdmServer, ServerConfig};
+use mdm_net::{introspect, ClientConfig, MdmClient, MdmServer, ServerConfig};
 use mdm_repl::{ReplicaConfig, ReplicaNode};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -94,11 +94,18 @@ fn paused_replica_trips_lag_alert_and_healthz_recovers() {
     assert!(body.contains("repl_lag_bytes_high"), "body: {body}");
     assert!(body.contains("\"state\":\"firing\""), "body: {body}");
 
-    // The typed wire request agrees with the endpoint.
+    // `$alerts` over the wire (what `\health` runs) agrees with the
+    // endpoint.
     let mut rc = MdmClient::connect(&node.addr().to_string(), ClientConfig::default()).expect("rc");
-    let (healthy, json) = rc.health().expect("health over the wire");
-    assert!(!healthy, "wire health disagrees with /healthz: {json}");
-    assert!(json.contains("repl_lag_bytes_high"), "json: {json}");
+    let alerts = rc.query(introspect::HEALTH).expect("$alerts over the wire");
+    assert!(
+        !introspect::healthy(&alerts),
+        "wire health disagrees with /healthz:\n{alerts}"
+    );
+    assert!(
+        alerts.to_string().contains("repl_lag_bytes_high"),
+        "{alerts}"
+    );
 
     // The lag gauges are exported; the primary's status page shows its
     // role and the replica pulling from it.

@@ -24,10 +24,16 @@
 //! dirty frame, it first runs the engine-installed *flush barrier*
 //! ([`BufferPool::set_flush_barrier`]) to sync the WAL through the
 //! frame's LSN — the ARIES write-ahead rule: no page reaches disk
-//! before the log records describing its changes. Without a barrier
-//! installed (standalone pool use, recovery, unlogged B+tree and
-//! catalog writes) the logged variants degrade to plain mutable access
-//! and eviction writes pages directly.
+//! before the log records describing its changes. The barrier is the
+//! expensive step (a log sync), so one call covers the victim *and* up
+//! to `FLUSH_BATCH - 1` further dirty, unpinned frames of the same
+//! shard: those are written in place too and stay resident, now clean,
+//! so the evictions that follow need no sync of their own. For the same
+//! reason the sweep is clean-first under a barrier: a dirty frame is
+//! passed over while a clean one can go. Without a
+//! barrier installed (standalone pool use, recovery, unlogged B+tree
+//! and catalog writes) the logged variants degrade to plain mutable
+//! access and eviction writes the victim directly.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -49,12 +55,18 @@ const MAX_SHARDS: usize = 16;
 /// its WAL append, so exhausting this bound means something is wrong.
 const PIN_RETRY_LIMIT: u32 = 100_000;
 
-/// Runs before eviction writes a dirty page in place, with the page id,
-/// the bytes about to be written, and the frame's page-LSN. The engine
-/// uses it to (a) sync the WAL through the page-LSN (the ARIES
-/// write-ahead rule) and (b) log a durable full-page image first, so a
-/// write torn by a crash can be recovered wholesale from the log.
-pub type FlushBarrier = Box<dyn Fn(PageId, &[u8], u64) -> Result<()> + Send + Sync>;
+/// Dirty frames one eviction flushes under a single barrier call: the
+/// victim and its dirty shard neighbours. A workload larger than the
+/// pool pays one log sync per this many page writes instead of one per
+/// page.
+const FLUSH_BATCH: usize = 16;
+
+/// Runs before eviction writes dirty pages in place, with each page's id
+/// and the bytes about to be written, and the highest page-LSN among
+/// them. The engine uses it to (a) sync the WAL through that LSN (the
+/// ARIES write-ahead rule) and (b) log durable full-page images first,
+/// so a write torn by a crash can be recovered wholesale from the log.
+pub type FlushBarrier = Box<dyn Fn(&[(PageId, Vec<u8>)], u64) -> Result<()> + Send + Sync>;
 
 /// Pre-flush hook for [`BufferPool::flush_all_with`]: receives every
 /// dirty frame's `(page, bytes)` in one batch before any in-place write.
@@ -319,12 +331,19 @@ impl BufferPool {
 
     /// CLOCK within one shard: sweep for an unreferenced, unpinned frame,
     /// clearing reference bits; an empty frame is taken immediately.
+    /// Under a flush barrier the sweep is *clean-first*: evicting a dirty
+    /// frame costs a log sync, so it is passed over while a clean frame
+    /// can go, and the first dirty candidate is taken only when the
+    /// sweep found no clean one — its flush then cleans its dirty
+    /// neighbours too (see `flush_evicted`).
     /// Returns `None` if every frame is pinned pending a log publish.
     fn victim(&self, shard: &mut Shard) -> Result<Option<usize>> {
         let n = shard.frames.len();
         if let Some(idx) = shard.frames.iter().position(Option::is_none) {
             return Ok(Some(idx));
         }
+        let clean_first = self.barrier.get().is_some();
+        let mut dirty_candidate = None;
         for _ in 0..2 * n + 1 {
             let idx = shard.clock_hand;
             shard.clock_hand = (shard.clock_hand + 1) % n;
@@ -336,40 +355,80 @@ impl BufferPool {
             }
             if frame.referenced {
                 frame.referenced = false;
+            } else if frame.dirty && clean_first {
+                dirty_candidate.get_or_insert(idx);
             } else {
-                let frame = shard.frames[idx].take().expect("checked above");
-                shard.map.remove(&frame.page);
-                if frame.dirty {
-                    // Write-ahead rule: the log must cover the page's
-                    // last logged mutation before the page hits disk —
-                    // and must hold a full image of what is about to be
-                    // written, so a torn write is recoverable. Unlogged
-                    // dirty pages (lsn 0: B+tree nodes, catalog chains)
-                    // need the image for the same reason.
-                    let flushed = (|| {
-                        if let Some(barrier) = self.barrier.get() {
-                            barrier(frame.page, &frame.data, frame.lsn)?;
-                        }
-                        self.disk.write_page(frame.page, &frame.data)
-                    })();
-                    if let Err(e) = flushed {
-                        // A failed barrier or page write must not lose
-                        // the dirty frame: restore it and surface the
-                        // error — the page stays resident and unpublished
-                        // until a later eviction (or flush) succeeds.
-                        shard.map.insert(frame.page, idx);
-                        shard.frames[idx] = Some(frame);
-                        return Err(e);
-                    }
-                }
-                shard.evictions.inc();
-                shard.frames[idx] = None;
-                return Ok(Some(idx));
+                return self.evict(shard, idx).map(Some);
             }
         }
         // 2n+1 steps clear every reference bit and revisit each frame, so
-        // the only way out without a victim is every frame pinned.
-        Ok(None)
+        // the only way out without a candidate is every frame pinned.
+        match dirty_candidate {
+            Some(idx) => self.evict(shard, idx).map(Some),
+            None => Ok(None),
+        }
+    }
+
+    /// Empties frame `idx`, writing it back first if dirty, and returns
+    /// the index.
+    fn evict(&self, shard: &mut Shard, idx: usize) -> Result<usize> {
+        let frame = shard.frames[idx].take().expect("victim frame is occupied");
+        shard.map.remove(&frame.page);
+        if frame.dirty {
+            // Write-ahead rule: the log must cover the page's last logged
+            // mutation before the page hits disk — and must hold a full
+            // image of what is about to be written, so a torn write is
+            // recoverable. Unlogged dirty pages (lsn 0: B+tree nodes,
+            // catalog chains) need the image for the same reason.
+            if let Err(e) = self.flush_evicted(shard, &frame) {
+                // A failed barrier or page write must not lose the dirty
+                // frame: restore it and surface the error — the page
+                // stays resident and unpublished until a later eviction
+                // (or flush) succeeds.
+                shard.map.insert(frame.page, idx);
+                shard.frames[idx] = Some(frame);
+                return Err(e);
+            }
+        }
+        shard.evictions.inc();
+        Ok(idx)
+    }
+
+    /// Writes the dirty `victim` (already taken out of `shard`) in place
+    /// behind the flush barrier. The barrier's sync is shared: the next
+    /// dirty, unpinned frames in CLOCK order, up to `FLUSH_BATCH` pages
+    /// in all, are imaged by the same call, written too and left
+    /// resident and clean. A frame counts as clean only once its own
+    /// write succeeded.
+    fn flush_evicted(&self, shard: &mut Shard, victim: &Frame) -> Result<()> {
+        let Some(barrier) = self.barrier.get() else {
+            return self.disk.write_page(victim.page, &victim.data);
+        };
+        let n = shard.frames.len();
+        let mut batch = vec![(victim.page, victim.data.to_vec())];
+        let mut lsn = victim.lsn;
+        let mut neighbours = Vec::new();
+        for step in 0..n {
+            if batch.len() == FLUSH_BATCH {
+                break;
+            }
+            let idx = (shard.clock_hand + step) % n;
+            if let Some(f) = &shard.frames[idx] {
+                if f.dirty && f.pending == 0 {
+                    batch.push((f.page, f.data.to_vec()));
+                    lsn = lsn.max(f.lsn);
+                    neighbours.push(idx);
+                }
+            }
+        }
+        barrier(&batch, lsn)?;
+        self.disk.write_page(victim.page, &victim.data)?;
+        for idx in neighbours {
+            let f = shard.frames[idx].as_mut().expect("collected above");
+            self.disk.write_page(f.page, &f.data)?;
+            f.dirty = false;
+        }
+        Ok(())
     }
 
     /// Writes all dirty frames back and syncs the file. Callers must
@@ -551,7 +610,7 @@ mod tests {
         let bp = BufferPool::open(&dir, 2).unwrap();
         static SYNCED_THROUGH: AtomicU64 = AtomicU64::new(0);
         SYNCED_THROUGH.store(0, Ordering::SeqCst);
-        bp.set_flush_barrier(Box::new(|_page, _bytes, lsn| {
+        bp.set_flush_barrier(Box::new(|_pages, lsn| {
             SYNCED_THROUGH.fetch_max(lsn, Ordering::SeqCst);
             Ok(())
         }));
@@ -578,10 +637,41 @@ mod tests {
     }
 
     #[test]
+    fn one_barrier_covers_the_dirty_neighbours() {
+        let dir = tmpdir("batch");
+        // Four frames in two shards of two: pages 0 and 2 share a shard.
+        let bp = BufferPool::open(&dir, 4).unwrap();
+        assert_eq!(bp.num_shards(), 2);
+        static CALLS: AtomicU64 = AtomicU64::new(0);
+        static PAGES: AtomicU64 = AtomicU64::new(0);
+        CALLS.store(0, Ordering::SeqCst);
+        PAGES.store(0, Ordering::SeqCst);
+        bp.set_flush_barrier(Box::new(|pages, _lsn| {
+            CALLS.fetch_add(1, Ordering::SeqCst);
+            PAGES.fetch_add(pages.len() as u64, Ordering::SeqCst);
+            Ok(())
+        }));
+        let pids: Vec<_> = (0..8).map(|_| bp.allocate_page().unwrap()).collect();
+        for &pid in &[pids[0], pids[2]] {
+            bp.with_page_mut(pid, |d| d[0] = pid as u8 + 1).unwrap();
+        }
+        // The first eviction images both dirty frames under one barrier;
+        // the second finds its victim clean and needs none.
+        bp.with_page(pids[4], |_| ()).unwrap();
+        bp.with_page(pids[6], |_| ()).unwrap();
+        assert_eq!(CALLS.load(Ordering::SeqCst), 1);
+        assert_eq!(PAGES.load(Ordering::SeqCst), 2);
+        for &pid in &[pids[0], pids[2]] {
+            assert_eq!(bp.with_page(pid, |d| d[0]).unwrap(), pid as u8 + 1);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn pending_frames_are_not_evicted() {
         let dir = tmpdir("pending");
         let bp = BufferPool::open(&dir, 2).unwrap();
-        bp.set_flush_barrier(Box::new(|_, _, _| Ok(())));
+        bp.set_flush_barrier(Box::new(|_, _| Ok(())));
         let pinned = bp.allocate_page().unwrap();
         bp.with_page_mut_logged(pinned, |d| {
             d[0] = 99;

@@ -57,7 +57,8 @@
 //! engine appends the record and publishes its sequence number as the
 //! frame's page-LSN; eviction of a dirty frame first runs a *flush
 //! barrier* that syncs the WAL through that LSN (counted by
-//! `mdm_wal_eviction_syncs_total`). This is the ARIES write-ahead rule
+//! `mdm_wal_eviction_syncs_total`), one call covering the victim and
+//! its dirty shard neighbours. This is the ARIES write-ahead rule
 //! specialized to logical logging: no page reaches disk before the log
 //! covers its last logged change.
 //!
@@ -317,10 +318,11 @@ impl Inner {
     }
 
     /// The eviction flush barrier: logs a durable full-page image of the
-    /// bytes eviction is about to write in place. Appending the image
-    /// gives it a sequence past the frame's page-LSN, so the one sync
-    /// covers both the write-ahead rule and torn-write protection.
-    fn eviction_barrier(&self, page: PageId, bytes: &[u8]) -> Result<()> {
+    /// bytes eviction is about to write in place, for every page of the
+    /// batch. Appending the images gives them sequences past the frames'
+    /// page-LSNs, so the one sync covers both the write-ahead rule and
+    /// torn-write protection.
+    fn eviction_barrier(&self, pages: &[(PageId, Vec<u8>)]) -> Result<()> {
         if self.replica.load(Ordering::Acquire) {
             // A replica must not append to its log (the LSNs belong to
             // the primary's stream), so eviction writes through without
@@ -330,8 +332,8 @@ impl Inner {
         }
         self.metrics.wal_eviction_syncs.inc();
         let _sp = trace::span("storage.flush_barrier");
-        trace::annotate("page", page);
-        self.log_page_images(&[(page, bytes.to_vec())])
+        trace::annotate("pages", pages.len());
+        self.log_page_images(pages)
     }
 
     /// Appends one [`WalRecord::PageImage`] per entry and syncs the log
@@ -744,8 +746,8 @@ impl StorageEngine {
         let weak = Arc::downgrade(&inner);
         inner
             .pool
-            .set_flush_barrier(Box::new(move |page, bytes, _lsn| match weak.upgrade() {
-                Some(inner) => inner.eviction_barrier(page, bytes),
+            .set_flush_barrier(Box::new(move |pages, _lsn| match weak.upgrade() {
+                Some(inner) => inner.eviction_barrier(pages),
                 None => Err(StorageError::Corrupt(
                     "dirty eviction during engine shutdown".into(),
                 )),

@@ -722,6 +722,53 @@ fn eviction_pressure_before_commit_is_undone_after_crash() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// An image several times the pool: dirty evictions share their log
+/// sync (one barrier images the victim and its dirty shard neighbours,
+/// and clean frames go first), so the syncs stay well below the pages
+/// written — and a crash afterwards still recovers every committed row
+/// and none of the open transaction's.
+#[test]
+fn batched_eviction_shares_syncs_and_survives_a_crash() {
+    let dir = tmpdir("evict-batch");
+    let body = vec![9u8; 2000]; // four records to a page
+    {
+        // 64 frames: sixteen shards of four.
+        let eng = StorageEngine::open_with_capacity(&dir, 64).unwrap();
+        let t = eng.create_table("t").unwrap();
+        let mut txn = eng.begin().unwrap();
+        for _ in 0..1200 {
+            eng.insert(&mut txn, t, &body).unwrap();
+        }
+        eng.commit(txn).unwrap();
+        let pages = eng.num_pages();
+        assert!(pages >= 300, "expected ~300 heap pages, got {pages}");
+        let syncs = eng
+            .metrics_snapshot()
+            .counter("mdm_wal_eviction_syncs_total")
+            .unwrap();
+        assert!(syncs > 0, "an image past the pool must evict dirty pages");
+        assert!(
+            syncs * 2 < pages,
+            "{syncs} eviction syncs for {pages} pages: the barrier is not shared"
+        );
+        let mut txn = eng.begin().unwrap();
+        for _ in 0..400 {
+            eng.insert(&mut txn, t, b"uncommitted").unwrap();
+        }
+        std::mem::forget(txn);
+        crash(eng);
+    }
+    let eng = StorageEngine::open(&dir).unwrap();
+    let t = eng.table_id("t").unwrap();
+    let mut txn = eng.begin().unwrap();
+    let rows = eng.scan(&mut txn, t).unwrap();
+    assert_eq!(rows.len(), 1200);
+    assert!(rows.iter().all(|(_, b)| *b == body));
+    eng.commit(txn).unwrap();
+    drop(eng);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The engine's metrics surface reports live values for the WAL, the
 /// transaction lifecycle, and the buffer pool.
 #[test]

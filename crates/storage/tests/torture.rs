@@ -241,7 +241,7 @@ fn failed_flush_barrier_keeps_the_dirty_frame() {
     let pool = BufferPool::open(&dir, 2).unwrap();
     let barrier_ok = Arc::new(AtomicBool::new(false));
     let ok = Arc::clone(&barrier_ok);
-    pool.set_flush_barrier(Box::new(move |_page, _bytes, _lsn| {
+    pool.set_flush_barrier(Box::new(move |_pages, _lsn| {
         if ok.load(Ordering::SeqCst) {
             Ok(())
         } else {
@@ -261,8 +261,10 @@ fn failed_flush_barrier_keeps_the_dirty_frame() {
     .unwrap();
     pool.publish_lsn(p1, 7);
 
-    // Fill the pool and force the eviction of p1; the barrier fails.
-    pool.with_page(p2, |_| ()).unwrap();
+    // Fill the pool with a second dirty page (eviction is clean-first,
+    // so a clean p2 would go instead) and force an eviction; the
+    // barrier fails.
+    pool.with_page_mut(p2, |data| data[0] = 0xEF).unwrap();
     let err = pool
         .with_page(p3, |_| ())
         .expect_err("eviction must propagate the barrier failure");
