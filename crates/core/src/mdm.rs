@@ -105,7 +105,13 @@ impl RequestCounters {
 pub struct MusicDataManager {
     engine: StorageEngine,
     db: Database,
+    /// The clients' persistent session: `range of` declarations carry
+    /// from one `execute` / `query` / `explain` to the next.
     session: Session,
+    /// The session for statements no client of this MDM issued (journal
+    /// replay, the replication stream): it carries their `range of`
+    /// declarations but no statement store — they are not executions.
+    applier: Session,
     registry: Registry,
     quel: Arc<QuelMetrics>,
     requests: RequestCounters,
@@ -183,22 +189,16 @@ impl MusicDataManager {
                     .map(|d| d.as_secs() as i64)
                     .unwrap_or(0),
             );
-        let mut db = persist::load(&engine)?;
-        cmn_schema::install(&mut db)?;
         let stmt_store = Arc::new(StatementStore::new());
-        load_stats(&engine, &stmt_store, &db)?;
-        let mut session = Session::with_metrics(Arc::clone(&quel));
-        // Journal replay runs before the store is attached: replayed
-        // statements recreate their access-statistics side effects but
-        // are not re-recorded as fresh executions.
-        let journal_seq = replay_journal(&engine, &mut session, &mut db)?;
-        session.set_statement_store(Arc::clone(&stmt_store));
+        let (db, applier, journal_seq) = load_database(&engine, &quel, &stmt_store)?;
         // The monitor opens passive — no background thread until a
         // server enables sampling — but carries the default health
         // rules (and process gauges) from the first moment, so
         // `$alerts` and `\health` are meaningful even embedded.
         let monitor = Monitor::start(registry.clone(), MonitorConfig::disabled());
         monitor.seed_default_rules();
+        let mut session = Session::with_metrics(Arc::clone(&quel));
+        session.set_statement_store(Arc::clone(&stmt_store));
         session.set_monitor(Arc::clone(&monitor));
         // A replica marker in the data dir survives restarts: the
         // engine opened in replica mode, and the MDM must match.
@@ -207,6 +207,7 @@ impl MusicDataManager {
             engine,
             db,
             session,
+            applier,
             registry,
             quel,
             requests,
@@ -291,19 +292,20 @@ impl MusicDataManager {
     pub fn execute(&mut self, text: &str) -> Result<Vec<StmtResult>> {
         self.refuse_if_replica()?;
         self.requests.execute.inc();
-        let results = self.run(text)?;
+        let results = self.session.execute(&mut self.db, text)?;
         self.journal_append(text)?;
         Ok(results)
     }
 
     /// Applies a statement that arrived through the replication stream
     /// to the in-memory database only — no journal append (the journal
-    /// row itself arrives in the replicated WAL) and no replica-mode
-    /// refusal. Best effort, like journal replay at open: a statement
-    /// the replica's current image cannot execute is skipped; the next
-    /// checkpoint reload resynchronizes from storage.
+    /// row itself arrives in the replicated WAL), no replica-mode
+    /// refusal and no `$statements` record (the primary's clients ran
+    /// it, not this node's). Best effort, like journal replay at open: a
+    /// statement the replica's current image cannot execute is skipped;
+    /// the next checkpoint reload resynchronizes from storage.
     pub fn apply_replicated_statement(&mut self, text: &str) -> bool {
-        self.session.execute(&mut self.db, text).is_ok()
+        apply_internal(&mut self.applier, &mut self.db, text)
     }
 
     /// Rebuilds the in-memory database from the engine's current pages:
@@ -313,16 +315,8 @@ impl MusicDataManager {
     /// state, discarding any drift the best-effort live statement
     /// application accumulated.
     pub fn reload_from_storage(&mut self) -> Result<()> {
-        let mut db = persist::load(&self.engine)?;
-        cmn_schema::install(&mut db)?;
-        load_stats(&self.engine, &self.stmt_store, &db)?;
-        let mut session = Session::with_metrics(Arc::clone(&self.quel));
-        let journal_seq = replay_journal(&self.engine, &mut session, &mut db)?;
-        session.set_statement_store(Arc::clone(&self.stmt_store));
-        session.set_monitor(Arc::clone(&self.monitor));
-        self.db = db;
-        self.session = session;
-        self.journal_seq = journal_seq;
+        (self.db, self.applier, self.journal_seq) =
+            load_database(&self.engine, &self.quel, &self.stmt_store)?;
         Ok(())
     }
 
@@ -342,45 +336,33 @@ impl MusicDataManager {
         Ok(())
     }
 
-    fn run(&mut self, text: &str) -> Result<Vec<StmtResult>> {
-        Ok(self.session.execute(&mut self.db, text)?)
-    }
-
-    /// Executes a program and returns the last statement's rows (errors
-    /// if the last statement produced no table).
+    /// Executes a *read-only* program (`range of` declarations and
+    /// `retrieve` statements) on the MDM's persistent session and
+    /// returns the last statement's rows (errors if the last statement
+    /// produced no table). Range declarations carry over to later
+    /// calls; a mutating statement is rejected, as on
+    /// [`query_shared`](Self::query_shared) — mutations go through
+    /// [`execute`](Self::execute), which journals them.
     pub fn query(&mut self, text: &str) -> Result<Table> {
         self.requests.query.inc();
-        let results = self.run(text)?;
-        match results.into_iter().last() {
-            Some(StmtResult::Rows(t)) => Ok(t),
-            other => Err(CoreError::Internal(format!(
-                "query did not end in a retrieve: {other:?}"
-            ))),
-        }
+        read(&mut self.session, &self.db, text)
     }
 
-    /// Executes a *read-only* program (`range of` declarations and
-    /// `retrieve` statements) and returns the last statement's rows.
-    /// Takes `&self`: any number of reader clients can query one shared
-    /// MDM concurrently, with no exclusive access required. Mutating
-    /// statements are rejected; range declarations are local to the call
-    /// rather than carried in the session.
+    /// [`query`] on the shared read path. Takes `&self`: any number of
+    /// reader clients can query one shared MDM concurrently, with no
+    /// exclusive access required. Range declarations are local to the
+    /// call rather than carried in the session.
     ///
     /// The program runs against the in-memory database alone and never
     /// touches the storage engine, so it cannot wait at the engine's
     /// gate behind a commit in progress. The
     /// database it reads is replaced only through `&mut self`
     /// (`reload_from_storage`), which a shared borrow excludes.
+    ///
+    /// [`query`]: MusicDataManager::query
     pub fn query_shared(&self, text: &str) -> Result<Table> {
         self.requests.query_shared.inc();
-        let mut session = self.fresh_session();
-        let results = session.execute_readonly(&self.db, text)?;
-        match results.into_iter().last() {
-            Some(StmtResult::Rows(t)) => Ok(t),
-            other => Err(CoreError::Internal(format!(
-                "query did not end in a retrieve: {other:?}"
-            ))),
-        }
+        read(&mut self.fresh_session(), &self.db, text)
     }
 
     /// Explains (and executes) a read-only program: `range of`
@@ -401,8 +383,7 @@ impl MusicDataManager {
     /// [`explain`]: MusicDataManager::explain
     pub fn explain_shared(&self, text: &str) -> Result<(PlanExplain, Table)> {
         self.requests.explain.inc();
-        let mut session = self.fresh_session();
-        Ok(session.explain(&self.db, text)?)
+        Ok(self.fresh_session().explain(&self.db, text)?)
     }
 
     /// A throwaway session wired like the persistent one: same metrics,
@@ -548,6 +529,42 @@ impl MusicDataManager {
     }
 }
 
+/// The body of `query` and `query_shared`: a read-only program's last
+/// table.
+fn read(session: &mut Session, db: &Database, text: &str) -> Result<Table> {
+    match session.execute_readonly(db, text)?.pop() {
+        Some(StmtResult::Rows(t)) => Ok(t),
+        other => Err(CoreError::Internal(format!(
+            "query did not end in a retrieve: {other:?}"
+        ))),
+    }
+}
+
+/// Applies statement text some other execution already acknowledged — a
+/// journaled program at open, a replicated one on a replica — through
+/// the store-less `applier` session. Returns whether it executed.
+fn apply_internal(applier: &mut Session, db: &mut Database, text: &str) -> bool {
+    applier.execute(db, text).is_ok()
+}
+
+/// Builds the in-memory database from the engine's current pages:
+/// persisted image, CMN schema, statistics, then the journal replayed
+/// through a fresh store-less session — replayed statements recreate
+/// their access-statistics side effects but are not executions. Returns
+/// the database, that session and the next journal sequence number.
+fn load_database(
+    engine: &StorageEngine,
+    quel: &Arc<QuelMetrics>,
+    store: &StatementStore,
+) -> Result<(Database, Session, u64)> {
+    let mut db = persist::load(engine)?;
+    cmn_schema::install(&mut db)?;
+    load_stats(engine, store, &db)?;
+    let mut applier = Session::with_metrics(Arc::clone(quel));
+    let journal_seq = replay_journal(engine, &mut applier, &mut db)?;
+    Ok((db, applier, journal_seq))
+}
+
 /// Restores the persisted statistics images, if present. Best effort:
 /// rows with unknown tags or malformed payloads are skipped — statistics
 /// must never fail an open.
@@ -577,7 +594,7 @@ fn load_stats(engine: &StorageEngine, store: &StatementStore, db: &Database) -> 
 /// executes cleanly (e.g. its table was since dropped by DDL that was
 /// itself lost) is skipped rather than failing the open: the journal is
 /// best-effort crash durability, not a second source of truth.
-fn replay_journal(engine: &StorageEngine, session: &mut Session, db: &mut Database) -> Result<u64> {
+fn replay_journal(engine: &StorageEngine, applier: &mut Session, db: &mut Database) -> Result<u64> {
     let Ok(table) = engine.table_id(JOURNAL_TABLE) else {
         return Ok(0);
     };
@@ -597,7 +614,7 @@ fn replay_journal(engine: &StorageEngine, session: &mut Session, db: &mut Databa
     let mut next = 0;
     for (seq, text) in entries {
         next = next.max(seq + 1);
-        let _ = session.execute(db, &text);
+        apply_internal(applier, db, &text);
     }
     Ok(next)
 }

@@ -20,7 +20,6 @@ use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::ops::Bound;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -32,6 +31,7 @@ use mdm_obs::{
 
 use crate::ast::{BinOp, Expr, OrdOp, Stmt, Target};
 use crate::error::{LangError, Result};
+use crate::fingerprint;
 
 /// Observability handles for the QUEL pipeline: phase latencies
 /// (lex / parse / per-statement execution), executor row traffic, and
@@ -161,43 +161,72 @@ struct VirtTable {
     rows: Vec<Vec<Value>>,
 }
 
-/// Per-statement accumulator for what the store records: tuples fetched
-/// and the planner's access-path mix, flushed into the statement store
-/// when the program finishes. Shared between the session and its plans
-/// through an `Arc` because plans only hold `&self`.
-#[derive(Debug, Default)]
-struct StmtAccum {
-    scanned: AtomicU64,
-    scan: AtomicU64,
-    index_eq: AtomicU64,
-    index_range: AtomicU64,
-    ord: AtomicU64,
+/// The statement-local accumulator: everything one statement counts,
+/// written where the work happens and read once, by
+/// [`Session::finish_stmt`], which feeds every instrument from it. The
+/// per-binding path writes only this — no shared counter, no lock.
+/// `Cell`s because a plan evaluates through `&self`.
+#[derive(Default)]
+struct Tally {
+    /// One entry per range variable of the statement's plan.
+    vars: RefCell<Vec<VarTally>>,
+    ord_before: Cell<u64>,
+    ord_after: Cell<u64>,
+    ord_under: Cell<u64>,
+    /// The access path chosen per range variable.
+    paths: Cell<PathMix>,
 }
 
-impl StmtAccum {
-    fn note_scanned(&self, n: u64) {
-        self.scanned.fetch_add(n, Ordering::Relaxed);
+struct VarTally {
+    /// The entity type ranged over; `None` for relationship and
+    /// system-entity variables, whose fetches are rows scanned but no
+    /// table's heap fetches.
+    ty: Option<TypeId>,
+    /// Tuples fetched: at most one per candidate binding.
+    fetched: u64,
+    /// Whether the current binding has fetched this variable's tuple.
+    seen: bool,
+}
+
+impl Tally {
+    /// Tuples fetched from the instance store (the work metric).
+    fn rows_scanned(&self) -> u64 {
+        self.vars.borrow().iter().map(|v| v.fetched).sum()
+    }
+}
+
+/// What a program's statements added up to: its statement-store record.
+#[derive(Default)]
+struct ProgramTotals {
+    rows_returned: u64,
+    rows_scanned: u64,
+    paths: PathMix,
+}
+
+/// The database a program runs against: shared for the read-only entry
+/// points, exclusive for [`Session::execute`].
+enum Access<'d> {
+    Shared(&'d Database),
+    Exclusive(&'d mut Database),
+}
+
+impl Access<'_> {
+    fn get(&self) -> &Database {
+        match self {
+            Access::Shared(db) => db,
+            Access::Exclusive(db) => db,
+        }
     }
 
-    fn note_paths(&self, mix: &PathMix) {
-        self.scan.fetch_add(mix.scan, Ordering::Relaxed);
-        self.index_eq.fetch_add(mix.index_eq, Ordering::Relaxed);
-        self.index_range
-            .fetch_add(mix.index_range, Ordering::Relaxed);
-        self.ord.fetch_add(mix.ord, Ordering::Relaxed);
-    }
-
-    /// Drains the accumulator, returning (rows scanned, path mix).
-    fn take(&self) -> (u64, PathMix) {
-        (
-            self.scanned.swap(0, Ordering::Relaxed),
-            PathMix {
-                scan: self.scan.swap(0, Ordering::Relaxed),
-                index_eq: self.index_eq.swap(0, Ordering::Relaxed),
-                index_range: self.index_range.swap(0, Ordering::Relaxed),
-                ord: self.ord.swap(0, Ordering::Relaxed),
-            },
-        )
+    /// The database for a mutating statement; refused on the read-only
+    /// entry points.
+    fn exclusive(&mut self) -> Result<&mut Database> {
+        match self {
+            Access::Exclusive(db) => Ok(db),
+            Access::Shared(_) => Err(LangError::Analyze(
+                "only `range of` and `retrieve` are allowed in read-only execution".into(),
+            )),
+        }
     }
 }
 
@@ -320,7 +349,6 @@ pub struct Session {
     metrics: Option<Arc<QuelMetrics>>,
     stmt_store: Option<Arc<StatementStore>>,
     monitor: Option<Arc<Monitor>>,
-    accum: Arc<StmtAccum>,
 }
 
 impl Session {
@@ -341,15 +369,7 @@ impl Session {
     /// is fingerprinted and recorded (latency, rows, access-path mix),
     /// and `$statements` retrieves read the store's contents.
     pub fn set_statement_store(&mut self, store: Arc<StatementStore>) {
-        // Drop anything accumulated while unattached so the first
-        // recorded program does not inherit stale counts.
-        let _ = self.accum.take();
         self.stmt_store = Some(store);
-    }
-
-    /// The attached statement store, if any.
-    pub fn statement_store(&self) -> Option<Arc<StatementStore>> {
-        self.stmt_store.clone()
     }
 
     /// Attaches the monitor that `$metrics` and `$alerts` retrieves read
@@ -358,69 +378,9 @@ impl Session {
         self.monitor = Some(monitor);
     }
 
-    /// Lexes and parses a program, timing each phase when instrumented
-    /// and recording `quel.lex` / `quel.parse` spans into any active
-    /// request trace.
-    fn parse_timed(&self, text: &str) -> Result<Vec<Stmt>> {
-        let tokens = {
-            let _s = trace::span("quel.lex");
-            let _t = self.metrics.as_ref().map(|m| m.lex_micros.time());
-            crate::lexer::lex(text)?
-        };
-        let _s = trace::span("quel.parse");
-        let _t = self.metrics.as_ref().map(|m| m.parse_micros.time());
-        crate::parser::parse_tokens(tokens)
-    }
-
-    /// Records a finished program into the attached statement store:
-    /// fingerprint, wall time, rows returned, and whatever the plans
-    /// accumulated (tuples scanned, access-path mix). Failed programs
-    /// are recorded too — a repeatedly-failing statement is exactly what
-    /// `$statements` should surface.
-    /// Whether executions are being recorded: a store is attached and
-    /// enabled. Checked before timing starts, so a disabled store is a
-    /// true bypass — no clock reads, no fingerprinting.
-    fn recording(&self) -> bool {
-        self.stmt_store.as_ref().is_some_and(|s| s.enabled())
-    }
-
-    fn record_program(&self, text: &str, started: Option<Instant>, rows_returned: u64) {
-        let (Some(store), Some(started)) = (&self.stmt_store, started) else {
-            return;
-        };
-        let (scanned, paths) = self.accum.take();
-        store.record(
-            &crate::fingerprint::fingerprint(text),
-            started.elapsed().as_micros() as u64,
-            rows_returned,
-            scanned,
-            &paths,
-        );
-    }
-
     /// Parses and executes a program, returning one result per statement.
     pub fn execute(&mut self, db: &mut Database, text: &str) -> Result<Vec<StmtResult>> {
-        let started = self.recording().then(Instant::now);
-        let result = self.execute_inner(db, text);
-        self.record_program(text, started, rows_returned_of(&result));
-        result
-    }
-
-    fn execute_inner(&mut self, db: &mut Database, text: &str) -> Result<Vec<StmtResult>> {
-        let stmts = self.parse_timed(text)?;
-        stmts
-            .iter()
-            .map(|s| {
-                let _sp = trace::span("quel.exec");
-                trace::annotate("stmt", stmt_kind(s));
-                let _t = self.metrics.as_ref().map(|m| m.exec_micros.time());
-                let result = self.execute_stmt(db, s);
-                if let Ok(StmtResult::Rows(t)) = &result {
-                    trace::annotate("rows_returned", t.rows.len());
-                }
-                result
-            })
-            .collect()
+        self.run_program(Access::Exclusive(db), text, None)
     }
 
     /// Parses and executes a *read-only* program — `range of` declarations
@@ -429,38 +389,7 @@ impl Session {
     /// rejected, which is what lets concurrent reader clients share one
     /// `&Database` without exclusive access.
     pub fn execute_readonly(&mut self, db: &Database, text: &str) -> Result<Vec<StmtResult>> {
-        let started = self.recording().then(Instant::now);
-        let result = self.execute_readonly_inner(db, text);
-        self.record_program(text, started, rows_returned_of(&result));
-        result
-    }
-
-    fn execute_readonly_inner(&mut self, db: &Database, text: &str) -> Result<Vec<StmtResult>> {
-        let stmts = self.parse_timed(text)?;
-        stmts
-            .iter()
-            .map(|s| {
-                let _sp = trace::span("quel.exec");
-                trace::annotate("stmt", stmt_kind(s));
-                let _t = self.metrics.as_ref().map(|m| m.exec_micros.time());
-                let result = match s {
-                    Stmt::RangeOf { vars, target } => self.declare_range(db, vars, target),
-                    Stmt::Retrieve {
-                        unique,
-                        targets,
-                        qual,
-                        sort,
-                    } => self.retrieve(db, *unique, targets, qual.as_ref(), sort),
-                    _ => Err(LangError::Analyze(
-                        "only `range of` and `retrieve` are allowed in read-only execution".into(),
-                    )),
-                };
-                if let Ok(StmtResult::Rows(t)) = &result {
-                    trace::annotate("rows_returned", t.rows.len());
-                }
-                result
-            })
-            .collect()
+        self.run_program(Access::Shared(db), text, None)
     }
 
     /// Explains (and executes) a read-only program: `range of`
@@ -471,45 +400,147 @@ impl Session {
     /// against the rows actually returned and tuples actually fetched.
     /// Any other statement kind is rejected.
     pub fn explain(&mut self, db: &Database, text: &str) -> Result<(PlanExplain, Table)> {
-        let started = self.recording().then(Instant::now);
-        let result = self.explain_inner(db, text);
-        let rows = result.as_ref().map_or(0, |(_, t)| t.rows.len() as u64);
-        self.record_program(text, started, rows);
+        let mut plan = None;
+        let results = self.run_program(Access::Shared(db), text, Some(&mut plan))?;
+        // Only retrieves yield rows on the read-only path, so the last
+        // table is the explained retrieve's.
+        let table = results.into_iter().rev().find_map(|r| match r {
+            StmtResult::Rows(t) => Some(t),
+            _ => None,
+        });
+        plan.zip(table)
+            .ok_or_else(|| LangError::Analyze("no retrieve statement to explain".into()))
+    }
+
+    /// The one way a program runs: lexed once (the statement store's
+    /// fingerprint is taken from the tokens the parser then consumes),
+    /// parsed, and executed statement by statement, each with its own
+    /// span, timer and [`Tally`] and closed by
+    /// [`finish_stmt`](Self::finish_stmt). A failed program is recorded
+    /// too, with what it counted before failing: a repeatedly-failing
+    /// statement is exactly what `$statements` should surface. With
+    /// `explain`, the last retrieve leaves its plan there.
+    fn run_program(
+        &mut self,
+        mut db: Access<'_>,
+        text: &str,
+        mut explain: Option<&mut Option<PlanExplain>>,
+    ) -> Result<Vec<StmtResult>> {
+        // Recorded only into a store that is attached and enabled: a
+        // disabled one is a true bypass, no clock read, no fingerprint.
+        let started = (self.stmt_store.as_ref())
+            .filter(|store| store.enabled())
+            .map(|_| Instant::now());
+        let mut totals = ProgramTotals::default();
+        let lexed = {
+            let _s = trace::span("quel.lex");
+            let _t = self.metrics.as_ref().map(|m| m.lex_micros.time());
+            crate::lexer::lex(text)
+        };
+        let record = started.map(|started| match &lexed {
+            Ok(tokens) => (started, fingerprint::of_tokens(tokens)),
+            Err(_) => (started, fingerprint::of_unlexable(text)),
+        });
+        let result = lexed
+            .and_then(|tokens| {
+                let _s = trace::span("quel.parse");
+                let _t = self.metrics.as_ref().map(|m| m.parse_micros.time());
+                crate::parser::parse_tokens(tokens)
+            })
+            .and_then(|stmts| {
+                let mut results = Vec::with_capacity(stmts.len());
+                for stmt in &stmts {
+                    let _sp = trace::span("quel.exec");
+                    trace::annotate("stmt", stmt_kind(stmt));
+                    let _t = self.metrics.as_ref().map(|m| m.exec_micros.time());
+                    let tally = Tally::default();
+                    let result = self.run_stmt(&mut db, stmt, &tally, explain.as_deref_mut());
+                    self.finish_stmt(db.get(), &tally, &result, &mut totals);
+                    results.push(result?);
+                }
+                Ok(results)
+            });
+        if let (Some(store), Some((started, fingerprint))) = (&self.stmt_store, record) {
+            store.record(
+                &fingerprint,
+                started.elapsed().as_micros() as u64,
+                totals.rows_returned,
+                totals.rows_scanned,
+                &totals.paths,
+            );
+        }
         result
     }
 
-    fn explain_inner(&mut self, db: &Database, text: &str) -> Result<(PlanExplain, Table)> {
-        let stmts = self.parse_timed(text)?;
-        let mut last = None;
-        for s in &stmts {
-            match s {
-                Stmt::RangeOf { vars, target } => {
-                    self.declare_range(db, vars, target)?;
-                }
-                Stmt::Retrieve {
-                    unique,
-                    targets,
-                    qual,
-                    sort,
-                } => {
-                    let (table, ex) =
-                        self.retrieve_explained(db, *unique, targets, qual.as_ref(), sort)?;
-                    last = Some((ex, table));
-                }
-                _ => {
-                    return Err(LangError::Analyze(
-                        "only `range of` and `retrieve` can be explained".into(),
-                    ))
-                }
+    /// The statement epilogue: writes every instrument from the
+    /// statement's [`Tally`] — the `mdm_quel_*` counters, the access
+    /// statistics (one credit per entity type the statement fetched
+    /// from), the trace annotations and the program's running totals —
+    /// whether the statement succeeded or failed part-way.
+    fn finish_stmt(
+        &self,
+        db: &Database,
+        tally: &Tally,
+        result: &Result<StmtResult>,
+        totals: &mut ProgramTotals,
+    ) {
+        let rows_scanned = tally.rows_scanned();
+        let rows = match result {
+            Ok(StmtResult::Rows(t)) => Some(t.rows.len() as u64),
+            _ => None,
+        };
+        let rows_returned = rows.unwrap_or(0);
+        let paths = tally.paths.get();
+        let vars = tally.vars.borrow();
+        for (i, v) in vars.iter().enumerate() {
+            // One credit per entity type: its first variable carries the
+            // fetches of every variable over it.
+            let Some(ty) = v.ty else { continue };
+            if vars[..i].iter().any(|w| w.ty == v.ty) {
+                continue;
+            }
+            let same_type = vars[i..].iter().filter(|w| w.ty == v.ty);
+            let fetched: u64 = same_type.map(|w| w.fetched).sum();
+            if fetched > 0 {
+                db.stats().credit(ty, fetched);
             }
         }
-        last.ok_or_else(|| LangError::Analyze("no retrieve statement to explain".into()))
+        if let Some(m) = &self.metrics {
+            let add = |counter: &Counter, n: u64| {
+                if n > 0 {
+                    counter.add(n);
+                }
+            };
+            add(&m.rows_scanned, rows_scanned);
+            add(&m.rows_returned, rows_returned);
+            add(&m.ord_before, tally.ord_before.get());
+            add(&m.ord_after, tally.ord_after.get());
+            add(&m.ord_under, tally.ord_under.get());
+            add(&m.plan_scan, paths.scan);
+            add(&m.plan_index_eq, paths.index_eq);
+            add(&m.plan_index_range, paths.index_range);
+            add(&m.plan_ord, paths.ord);
+        }
+        trace::annotate("rows_scanned", rows_scanned);
+        if rows.is_some() {
+            trace::annotate("rows_returned", rows_returned);
+        }
+        totals.rows_scanned += rows_scanned;
+        totals.rows_returned += rows_returned;
+        totals.paths.add(&paths);
     }
 
-    /// Executes one parsed statement.
-    pub fn execute_stmt(&mut self, db: &mut Database, stmt: &Stmt) -> Result<StmtResult> {
+    /// Executes one parsed statement, counting into `tally`.
+    fn run_stmt(
+        &mut self,
+        db: &mut Access<'_>,
+        stmt: &Stmt,
+        tally: &Tally,
+        explain: Option<&mut Option<PlanExplain>>,
+    ) -> Result<StmtResult> {
         match stmt {
             Stmt::DefineEntity { name, attrs } => {
+                let db = db.exclusive()?;
                 let defs = attrs
                     .iter()
                     .map(|(n, t)| {
@@ -523,6 +554,7 @@ impl Session {
                 Ok(StmtResult::Defined(format!("entity {name}")))
             }
             Stmt::DefineRelationship { name, members } => {
+                let db = db.exclusive()?;
                 let mut roles = Vec::new();
                 let mut attrs = Vec::new();
                 for (n, t) in members {
@@ -546,37 +578,43 @@ impl Session {
                 parent,
             } => {
                 let child_refs: Vec<&str> = children.iter().map(String::as_str).collect();
-                db.define_ordering(name.as_deref(), &child_refs, parent.as_deref())?;
+                db.exclusive()?
+                    .define_ordering(name.as_deref(), &child_refs, parent.as_deref())?;
                 Ok(StmtResult::Defined(format!(
                     "ordering {}",
                     name.clone().unwrap_or_else(|| "(unnamed)".into())
                 )))
             }
             Stmt::DefineIndex { name, entity, attr } => {
-                db.define_index(name, entity, attr)?;
+                db.exclusive()?.define_index(name, entity, attr)?;
                 Ok(StmtResult::Defined(format!("index {name}")))
             }
             Stmt::DestroyIndex { name } => {
-                db.destroy_index(name)?;
+                db.exclusive()?.destroy_index(name)?;
                 Ok(StmtResult::Defined(format!("destroyed index {name}")))
             }
-            Stmt::RangeOf { vars, target } => self.declare_range(db, vars, target),
+            Stmt::RangeOf { vars, target } => self.declare_range(db.get(), vars, target),
             Stmt::Retrieve {
                 unique,
                 targets,
                 qual,
                 sort,
-            } => self.retrieve(db, *unique, targets, qual.as_ref(), sort),
+            } => {
+                let mut table =
+                    self.retrieve(db.get(), tally, *unique, targets, qual.as_ref(), explain)?;
+                sort_table(&mut table, sort)?;
+                Ok(StmtResult::Rows(table))
+            }
             Stmt::AppendTo {
                 entity,
                 assignments,
-            } => self.append(db, entity, assignments),
+            } => self.append(db.exclusive()?, tally, entity, assignments),
             Stmt::Replace {
                 var,
                 assignments,
                 qual,
-            } => self.replace(db, var, assignments, qual.as_ref()),
-            Stmt::Delete { var, qual } => self.delete(db, var, qual.as_ref()),
+            } => self.replace(db.exclusive()?, tally, var, assignments, qual.as_ref()),
+            Stmt::Delete { var, qual } => self.delete(db.exclusive()?, tally, var, qual.as_ref()),
         }
     }
 
@@ -607,7 +645,12 @@ impl Session {
         })
     }
 
-    fn bindings_plan(&self, db: &Database, exprs: &[&Expr]) -> Result<Plan> {
+    fn bindings_plan<'t>(
+        &self,
+        db: &Database,
+        tally: &'t Tally,
+        exprs: &[&Expr],
+    ) -> Result<Plan<'t>> {
         let mut vars: Vec<String> = Vec::new();
         let mut seen = HashSet::new();
         for e in exprs {
@@ -624,14 +667,23 @@ impl Session {
                 _ => None,
             })
             .collect();
+        tally.vars.replace(
+            (targets.iter())
+                .map(|t| VarTally {
+                    ty: match t {
+                        RangeTarget::Entity(ty) => Some(*ty),
+                        _ => None,
+                    },
+                    fetched: 0,
+                    seen: false,
+                })
+                .collect(),
+        );
         Ok(Plan {
-            fetched: RefCell::new(vec![false; vars.len()]),
-            scanned: Cell::new(0),
             vars,
             targets,
             virt,
-            metrics: self.metrics.clone(),
-            accum: Arc::clone(&self.accum),
+            tally,
         })
     }
 
@@ -802,38 +854,22 @@ impl Session {
         }
     }
 
-    /// Credits `n` rows to the returned-rows counter, if instrumented.
-    fn note_rows_returned(&self, n: usize) {
-        if let Some(m) = &self.metrics {
-            m.rows_returned.add(n as u64);
-        }
-    }
-
+    /// Runs one retrieve, returning its rows unsorted. The EXPLAIN
+    /// record is built only when a slot for it is passed.
     fn retrieve(
         &self,
         db: &Database,
+        tally: &Tally,
         unique: bool,
         targets: &[Target],
         qual: Option<&Expr>,
-        sort: &[(String, bool)],
-    ) -> Result<StmtResult> {
-        let (table, _) = self.retrieve_explained(db, unique, targets, qual, sort)?;
-        Ok(StmtResult::Rows(table))
-    }
-
-    fn retrieve_explained(
-        &self,
-        db: &Database,
-        unique: bool,
-        targets: &[Target],
-        qual: Option<&Expr>,
-        sort: &[(String, bool)],
-    ) -> Result<(Table, PlanExplain)> {
+        explain: Option<&mut Option<PlanExplain>>,
+    ) -> Result<Table> {
         let mut exprs: Vec<&Expr> = targets.iter().map(|t| &t.expr).collect();
         if let Some(q) = qual {
             exprs.push(q);
         }
-        let plan = self.bindings_plan(db, &exprs)?;
+        let plan = self.bindings_plan(db, tally, &exprs)?;
         let restrictions = plan.restrictions(db, qual);
         // Each ordering-operator clause in the qualification gets its own
         // retroactive span covering the scan it filtered.
@@ -843,7 +879,7 @@ impl Session {
             .iter()
             .map(|t| t.label.clone().unwrap_or_else(|| expr_label(&t.expr)))
             .collect();
-        let mut table = if targets.iter().any(|t| matches!(t.expr, Expr::Agg { .. })) {
+        let table = if targets.iter().any(|t| matches!(t.expr, Expr::Agg { .. })) {
             retrieve_grouped(db, &plan, &restrictions, columns, targets, qual)?
         } else {
             let mut rows = Vec::new();
@@ -873,20 +909,21 @@ impl Session {
             Table { columns, rows }
         };
         emit_ord_spans(&ord_clauses, scan_started);
-        sort_table(&mut table, sort)?;
-        self.note_rows_returned(table.rows.len());
-        let explain = plan.explain(db, &restrictions, table.rows.len());
-        Ok((table, explain))
+        if let Some(slot) = explain {
+            *slot = Some(plan.explain(db, &restrictions, table.rows.len()));
+        }
+        Ok(table)
     }
 
     fn append(
         &mut self,
         db: &mut Database,
+        tally: &Tally,
         entity: &str,
         assignments: &[(String, Expr)],
     ) -> Result<StmtResult> {
         let exprs: Vec<&Expr> = assignments.iter().map(|(_, e)| e).collect();
-        let plan = self.bindings_plan(db, &exprs)?;
+        let plan = self.bindings_plan(db, tally, &exprs)?;
         let mut pending: Vec<Vec<(String, Value)>> = Vec::new();
         let restrictions = plan.restrictions(db, None);
         plan.for_each_binding(db, &restrictions, |db, binding| {
@@ -909,6 +946,7 @@ impl Session {
     fn replace(
         &mut self,
         db: &mut Database,
+        tally: &Tally,
         var: &str,
         assignments: &[(String, Expr)],
         qual: Option<&Expr>,
@@ -919,7 +957,7 @@ impl Session {
         if let Some(q) = qual {
             exprs.push(q);
         }
-        let plan = self.bindings_plan(db, &exprs)?;
+        let plan = self.bindings_plan(db, tally, &exprs)?;
         let vidx = plan.index_of(var)?;
         if !matches!(plan.targets[vidx], RangeTarget::Entity(_)) {
             return Err(LangError::Analyze(format!(
@@ -951,13 +989,19 @@ impl Session {
         Ok(StmtResult::Replaced(n))
     }
 
-    fn delete(&mut self, db: &mut Database, var: &str, qual: Option<&Expr>) -> Result<StmtResult> {
+    fn delete(
+        &mut self,
+        db: &mut Database,
+        tally: &Tally,
+        var: &str,
+        qual: Option<&Expr>,
+    ) -> Result<StmtResult> {
         let var_expr = Expr::Var(var.to_string());
         let mut exprs: Vec<&Expr> = vec![&var_expr];
         if let Some(q) = qual {
             exprs.push(q);
         }
-        let plan = self.bindings_plan(db, &exprs)?;
+        let plan = self.bindings_plan(db, tally, &exprs)?;
         let vidx = plan.index_of(var)?;
         if !matches!(plan.targets[vidx], RangeTarget::Entity(_)) {
             return Err(LangError::Analyze(format!(
@@ -980,21 +1024,6 @@ impl Session {
             db.delete_entity(id)?;
         }
         Ok(StmtResult::Deleted(n))
-    }
-}
-
-/// Rows returned by the retrieve statements of a finished program, for
-/// statement-store accounting (errors count as zero rows).
-fn rows_returned_of(result: &Result<Vec<StmtResult>>) -> u64 {
-    match result {
-        Ok(results) => results
-            .iter()
-            .map(|r| match r {
-                StmtResult::Rows(t) => t.rows.len() as u64,
-                _ => 0,
-            })
-            .sum(),
-        Err(_) => 0,
     }
 }
 
@@ -1127,22 +1156,17 @@ impl fmt::Display for PlanExplain {
 }
 
 /// The variables of one statement and what they range over.
-struct Plan {
+struct Plan<'t> {
     vars: Vec<String>,
     targets: Vec<RangeTarget>,
     /// Materialized system-entity rows, aligned with `vars` (`None` for
     /// ordinary entity / relationship variables).
     virt: Vec<Option<VirtTable>>,
-    metrics: Option<Arc<QuelMetrics>>,
-    /// The owning session's per-statement accumulator.
-    accum: Arc<StmtAccum>,
-    /// Tuples fetched from the instance store so far (the work metric).
-    scanned: Cell<u64>,
-    /// Per-variable "already fetched for the current binding" flags.
-    fetched: RefCell<Vec<bool>>,
+    /// The statement's accumulator; its `vars` align with `vars` here.
+    tally: &'t Tally,
 }
 
-impl Plan {
+impl Plan<'_> {
     fn index_of(&self, var: &str) -> Result<usize> {
         self.vars
             .iter()
@@ -1479,53 +1503,36 @@ impl Plan {
             vars,
             estimated_rows,
             actual_rows: actual_rows as u64,
-            rows_scanned: self.scanned.get(),
+            rows_scanned: self.tally.rows_scanned(),
         }
     }
 
     /// Marks variable `i`'s tuple as fetched for the current binding;
     /// the first fetch per binding counts toward `rows_scanned`.
     fn note_fetch(&self, i: usize) {
-        let mut fetched = self.fetched.borrow_mut();
-        if let Some(flag) = fetched.get_mut(i) {
-            if !*flag {
-                *flag = true;
-                self.scanned.set(self.scanned.get() + 1);
-            }
+        let v = &mut self.tally.vars.borrow_mut()[i];
+        if !v.seen {
+            v.seen = true;
+            v.fetched += 1;
         }
     }
 
     fn reset_fetched(&self) {
-        for flag in self.fetched.borrow_mut().iter_mut() {
-            *flag = false;
+        for v in self.tally.vars.borrow_mut().iter_mut() {
+            v.seen = false;
         }
     }
 
     /// Enumerates the cross product of all variables' domains (restricted
     /// where the planner found an access path), invoking `f` with an id
-    /// per variable (entity id or relationship instance id). Flushes the
-    /// tuples fetched during the enumeration to the metrics and trace.
+    /// per variable (entity id or relationship instance id), after
+    /// noting each variable's chosen access path in the tally.
     fn for_each_binding(
         &self,
         db: &Database,
         restrictions: &[Restriction],
         f: impl FnMut(&Database, &[u64]) -> Result<()>,
     ) -> Result<()> {
-        self.note_paths(restrictions);
-        let before = self.scanned.get();
-        let result = self.enumerate_bindings(db, restrictions, f);
-        let scanned = self.scanned.get() - before;
-        if let Some(m) = &self.metrics {
-            m.rows_scanned.add(scanned);
-        }
-        self.accum.note_scanned(scanned);
-        trace::annotate("rows_scanned", scanned);
-        result
-    }
-
-    /// Credits each variable's chosen access path to the per-statement
-    /// accumulator and the `mdm_quel_plan_total{path}` counters.
-    fn note_paths(&self, restrictions: &[Restriction]) {
         let mut mix = PathMix::default();
         for r in restrictions {
             match &r.path {
@@ -1535,13 +1542,8 @@ impl Plan {
                 AccessPath::OrdDerived(_) => mix.ord += 1,
             }
         }
-        self.accum.note_paths(&mix);
-        if let Some(m) = &self.metrics {
-            m.plan_scan.add(mix.scan);
-            m.plan_index_eq.add(mix.index_eq);
-            m.plan_index_range.add(mix.index_range);
-            m.plan_ord.add(mix.ord);
-        }
+        self.tally.paths.set(mix);
+        self.enumerate_bindings(db, restrictions, f)
     }
 
     fn enumerate_bindings(
@@ -2049,13 +2051,12 @@ fn eval(db: &Database, plan: &Plan, binding: &[u64], e: &Expr) -> Result<Value> 
             rhs,
             ordering,
         } => {
-            if let Some(m) = &plan.metrics {
-                match op {
-                    OrdOp::Before => m.ord_before.inc(),
-                    OrdOp::After => m.ord_after.inc(),
-                    OrdOp::Under => m.ord_under.inc(),
-                }
-            }
+            let evaluations = match op {
+                OrdOp::Before => &plan.tally.ord_before,
+                OrdOp::After => &plan.tally.ord_after,
+                OrdOp::Under => &plan.tally.ord_under,
+            };
+            evaluations.set(evaluations.get() + 1);
             let li = plan.index_of(lhs)?;
             let ri = plan.index_of(rhs)?;
             let (RangeTarget::Entity(lty), RangeTarget::Entity(rty)) =
@@ -2065,13 +2066,9 @@ fn eval(db: &Database, plan: &Plan, binding: &[u64], e: &Expr) -> Result<Value> 
                     "ordering operators take entity variables".into(),
                 ));
             };
-            let (child_ty, other_ty) = match op {
-                OrdOp::Under => (lty, rty),
-                OrdOp::Before | OrdOp::After => (lty, rty),
-            };
             let o = db
                 .schema()
-                .resolve_ordering(ordering.as_deref(), child_ty, Some(other_ty))?;
+                .resolve_ordering(ordering.as_deref(), lty, Some(rty))?;
             let a = binding[li];
             let b = binding[ri];
             let result = match op {

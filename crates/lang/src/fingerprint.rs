@@ -14,34 +14,42 @@
 
 use std::hash::{Hash, Hasher};
 
-use crate::lexer::{lex, Sym, TokenKind};
+use crate::lexer::{lex, Sym, Token, TokenKind};
 
 /// Upper bound on fingerprint length, in characters.
 pub const MAX_FINGERPRINT_CHARS: usize = 512;
 
-/// Computes the normalized fingerprint of a QUEL program.
+/// Computes the normalized fingerprint of a QUEL program: lexes it and
+/// takes [`of_tokens`], or [`of_unlexable`] when it does not lex.
 pub fn fingerprint(text: &str) -> String {
-    let normalized = match lex(text) {
-        Ok(tokens) => {
-            let mut parts: Vec<String> = Vec::with_capacity(tokens.len());
-            for t in tokens {
-                let part = match t.kind {
-                    TokenKind::Integer(_) | TokenKind::Float(_) | TokenKind::Str(_) => "?".into(),
-                    TokenKind::Keyword(k) => format!("{k:?}").to_ascii_lowercase(),
-                    TokenKind::Ident(name) => name,
-                    TokenKind::Sym(s) => sym_text(s).into(),
-                    TokenKind::Eof => continue,
-                };
-                parts.push(part);
-            }
-            parts.join(" ")
-        }
-        // Not lexable (bad escape, stray byte, non-ASCII): fall back to
-        // the raw text, whitespace-collapsed, so the entry still groups
-        // repeated submissions of the same broken program.
-        Err(_) => text.split_whitespace().collect::<Vec<_>>().join(" "),
-    };
-    bound(normalized)
+    match lex(text) {
+        Ok(tokens) => of_tokens(&tokens),
+        Err(_) => of_unlexable(text),
+    }
+}
+
+/// The fingerprint of an already-lexed program: the executor passes the
+/// tokens it is about to parse, so a recorded program is lexed once.
+pub fn of_tokens(tokens: &[Token]) -> String {
+    let mut parts: Vec<String> = Vec::with_capacity(tokens.len());
+    for t in tokens {
+        let part = match &t.kind {
+            TokenKind::Integer(_) | TokenKind::Float(_) | TokenKind::Str(_) => "?".into(),
+            TokenKind::Keyword(k) => format!("{k:?}").to_ascii_lowercase(),
+            TokenKind::Ident(name) => name.clone(),
+            TokenKind::Sym(s) => sym_text(*s).into(),
+            TokenKind::Eof => continue,
+        };
+        parts.push(part);
+    }
+    bound(parts.join(" "))
+}
+
+/// The fingerprint of a program that does not lex (bad escape, stray
+/// byte, non-ASCII): the raw text, whitespace-collapsed, so the entry
+/// still groups repeated submissions of the same broken program.
+pub fn of_unlexable(text: &str) -> String {
+    bound(text.split_whitespace().collect::<Vec<_>>().join(" "))
 }
 
 /// Truncates over-long normal forms, appending a hash *of the normal

@@ -25,8 +25,9 @@ pub struct Database {
     /// in `attr_indexes`; several names may share one backing index.
     index_defs: std::collections::BTreeMap<String, (String, String)>,
     /// Access statistics, maintained incrementally by the typed
-    /// mutators and the index probe paths. Derived data like the
-    /// indexes: excluded from equality.
+    /// mutators and the index probe paths, and credited with tuple
+    /// fetches by the QUEL executor. Derived data like the indexes:
+    /// excluded from equality.
     stats: AccessStats,
 }
 
@@ -61,13 +62,14 @@ impl Database {
     /// [`Database::define_index`]. Live tuple counts are recomputed
     /// from the store.
     pub fn from_parts(schema: Schema, store: InstanceStore) -> Database {
-        let db = Database {
+        let mut db = Database {
             schema,
             store,
-            attr_indexes: Default::default(),
-            index_defs: Default::default(),
-            stats: Default::default(),
+            ..Database::default()
         };
+        for def in db.schema.entity_types() {
+            db.stats.add_type(def.attributes.len());
+        }
         db.refresh_live_counts();
         db
     }
@@ -109,8 +111,10 @@ impl Database {
 
     /// Defines an entity type.
     pub fn define_entity(&mut self, name: &str, attributes: Vec<AttributeDef>) -> Result<TypeId> {
+        let attribute_count = attributes.len();
         let id = self.schema.define_entity(name, attributes)?;
         self.store.sync_with_schema(&self.schema);
+        self.stats.add_type(attribute_count);
         Ok(id)
     }
 
@@ -178,7 +182,9 @@ impl Database {
         Ok(id)
     }
 
-    /// Reads an attribute by name.
+    /// Reads an attribute by name. Counts nothing: the QUEL executor
+    /// credits [`AccessStats`] with what a statement fetched when the
+    /// statement ends.
     pub fn get_attr(&self, id: EntityId, attr: &str) -> Result<&Value> {
         let inst = self.store.entity(id)?;
         let def = self.schema.entity_type(inst.ty)?;
@@ -188,7 +194,6 @@ impl Database {
                 entity: def.name.clone(),
                 attribute: attr.to_string(),
             })?;
-        self.stats.note_heap_fetch(inst.ty);
         Ok(&inst.attrs[idx])
     }
 
@@ -828,7 +833,7 @@ mod tests {
     }
 
     #[test]
-    fn access_stats_track_mutations_fetches_and_probes() {
+    fn access_stats_track_mutations_credits_and_probes() {
         let mut db = music_db();
         let note_ty = db.schema().entity_type_id("NOTE").unwrap();
         let ids: Vec<EntityId> = (0..5)
@@ -840,7 +845,12 @@ mod tests {
         db.define_index("note_by_name", "NOTE", "name").unwrap();
         db.set_attr(ids[0], "name", Value::Integer(9)).unwrap();
         db.get_attr(ids[1], "name").unwrap();
-        db.get_attr(ids[1], "pitch").unwrap();
+        assert_eq!(
+            db.stats().table(note_ty).heap_fetches,
+            0,
+            "reads count nothing"
+        );
+        db.stats().credit(note_ty, 2);
         db.attr_index_get(note_ty, 0, &Value::Integer(1)).unwrap();
         db.attr_index_range(
             note_ty,
@@ -871,6 +881,25 @@ mod tests {
         let rebuilt = Database::from_parts(db.schema().clone(), db.store().clone());
         assert_eq!(rebuilt.stats().table(note_ty).live, 4);
         assert_eq!(rebuilt.stats().table(note_ty).appends, 0, "not carried");
+        // A type defined after instances exist gets its cells at once.
+        let late = db
+            .define_entity("REST", vec![attr("beats", DataType::Integer)])
+            .unwrap();
+        let r = db.create_entity("REST", &[]).unwrap();
+        db.define_index("rest_by_beats", "REST", "beats").unwrap();
+        db.set_attr(r, "beats", Value::Integer(2)).unwrap();
+        db.stats().credit(late, 3);
+        let t = db.stats().table(late);
+        assert_eq!(
+            (t.live, t.appends, t.replaces, t.heap_fetches),
+            (1, 1, 1, 3)
+        );
+        assert_eq!(db.stats().index(late, 0).maintenance_writes, 3);
+        assert_eq!(
+            db.stats().table(note_ty).appends,
+            5,
+            "and moves no other type's"
+        );
     }
 
     #[test]

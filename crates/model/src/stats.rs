@@ -1,11 +1,14 @@
 //! Access statistics: per-entity-type and per-index counters the
 //! database maintains incrementally as it is read and mutated.
 //!
-//! [`AccessStats`] lives inside [`Database`](crate::Database) and is
-//! updated from both `&mut self` mutators (appends, replaces, deletes,
-//! index maintenance) and `&self` read paths (heap fetches, index
-//! probes), so the counters sit behind a `RwLock` of atomic cells: read
-//! paths take the shared lock and bump an atomic. Live tuple counts are
+//! [`AccessStats`] lives inside [`Database`](crate::Database). Its cells
+//! are dense: one per entity type, indexed by [`TypeId`], each holding
+//! one index cell per attribute position. The vectors grow only under
+//! `&mut` (`define_entity`, building a database from parts), so the
+//! `&self` paths — index probes at plan time, the executor's
+//! end-of-statement [`credit`](AccessStats::credit) — index a slice and
+//! bump an atomic, with no lock and no allocation; an id the schema
+//! does not have is a bug in the caller and panics. Live tuple counts are
 //! maintained incrementally and can be recomputed from the instance
 //! store after bulk loads (persistence does this at open).
 //!
@@ -13,9 +16,7 @@
 //! checkpoint can carry them across restarts; live counts are *not*
 //! persisted — they are derived data, recomputed from the store.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
 
 use crate::value::TypeId;
 
@@ -30,7 +31,8 @@ pub struct TableAccess {
     pub replaces: u64,
     /// Instances deleted.
     pub deletes: u64,
-    /// Attribute reads served from the instance heap.
+    /// Tuples QUEL statements fetched from the instance heap, credited
+    /// by the executor when each statement ends.
     pub heap_fetches: u64,
 }
 
@@ -45,204 +47,168 @@ pub struct IndexAccess {
     pub maintenance_writes: u64,
 }
 
+/// A relaxed atomic counter. Cloning copies the value into a new cell,
+/// so a cloned database counts independently.
 #[derive(Debug, Default)]
-struct TableCell {
-    live: AtomicU64,
-    appends: AtomicU64,
-    replaces: AtomicU64,
-    deletes: AtomicU64,
-    heap_fetches: AtomicU64,
+struct Count(AtomicU64);
+
+impl Clone for Count {
+    fn clone(&self) -> Count {
+        Count(AtomicU64::new(self.get()))
+    }
 }
 
-#[derive(Debug, Default)]
+impl Count {
+    fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+
+    fn add(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
+    }
+}
+
+#[derive(Debug, Default, Clone)]
+struct TableCell {
+    live: Count,
+    appends: Count,
+    replaces: Count,
+    deletes: Count,
+    heap_fetches: Count,
+    /// One cell per attribute position of the type.
+    indexes: Vec<IndexCell>,
+}
+
+#[derive(Debug, Default, Clone)]
 struct IndexCell {
-    eq_probes: AtomicU64,
-    range_probes: AtomicU64,
-    maintenance_writes: AtomicU64,
+    eq_probes: Count,
+    range_probes: Count,
+    maintenance_writes: Count,
 }
 
 /// Incrementally-maintained access statistics for one database.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct AccessStats {
-    tables: RwLock<HashMap<TypeId, Arc<TableCell>>>,
-    indexes: RwLock<HashMap<(TypeId, usize), Arc<IndexCell>>>,
-}
-
-/// Cloning a database snapshots the counter *values*; the clone gets
-/// independent cells.
-impl Clone for AccessStats {
-    fn clone(&self) -> AccessStats {
-        let fresh = AccessStats::default();
-        for (ty, t) in self.tables() {
-            let cell = fresh.table_cell(ty);
-            cell.live.store(t.live, Ordering::Relaxed);
-            cell.appends.store(t.appends, Ordering::Relaxed);
-            cell.replaces.store(t.replaces, Ordering::Relaxed);
-            cell.deletes.store(t.deletes, Ordering::Relaxed);
-            cell.heap_fetches.store(t.heap_fetches, Ordering::Relaxed);
-        }
-        for ((ty, attr), i) in self.indexes() {
-            let cell = fresh.index_cell(ty, attr);
-            cell.eq_probes.store(i.eq_probes, Ordering::Relaxed);
-            cell.range_probes.store(i.range_probes, Ordering::Relaxed);
-            cell.maintenance_writes
-                .store(i.maintenance_writes, Ordering::Relaxed);
-        }
-        fresh
-    }
+    /// One cell per entity type of the schema, indexed by [`TypeId`];
+    /// [`Database`](crate::Database) adds a type's cells as it defines
+    /// the type.
+    tables: Vec<TableCell>,
 }
 
 impl AccessStats {
-    fn table_cell(&self, ty: TypeId) -> Arc<TableCell> {
-        if let Some(cell) = self.tables.read().unwrap().get(&ty) {
-            return Arc::clone(cell);
-        }
-        Arc::clone(self.tables.write().unwrap().entry(ty).or_default())
+    /// Adds the cells of the next entity type (ids are dense and
+    /// sequential), with one index cell per attribute.
+    pub(crate) fn add_type(&mut self, attributes: usize) {
+        self.tables.push(TableCell {
+            indexes: vec![IndexCell::default(); attributes],
+            ..TableCell::default()
+        });
     }
 
-    fn index_cell(&self, ty: TypeId, attr_idx: usize) -> Arc<IndexCell> {
-        if let Some(cell) = self.indexes.read().unwrap().get(&(ty, attr_idx)) {
-            return Arc::clone(cell);
-        }
-        Arc::clone(
-            self.indexes
-                .write()
-                .unwrap()
-                .entry((ty, attr_idx))
-                .or_default(),
-        )
+    fn cell(&self, ty: TypeId) -> &TableCell {
+        &self.tables[ty as usize]
+    }
+
+    fn attr_cell(&self, ty: TypeId, attr_idx: usize) -> &IndexCell {
+        &self.cell(ty).indexes[attr_idx]
     }
 
     pub(crate) fn note_append(&self, ty: TypeId) {
-        let c = self.table_cell(ty);
-        c.live.fetch_add(1, Ordering::Relaxed);
-        c.appends.fetch_add(1, Ordering::Relaxed);
+        self.cell(ty).live.add(1);
+        self.cell(ty).appends.add(1);
     }
 
     pub(crate) fn note_replace(&self, ty: TypeId) {
-        self.table_cell(ty).replaces.fetch_add(1, Ordering::Relaxed);
+        self.cell(ty).replaces.add(1);
     }
 
     pub(crate) fn note_delete(&self, ty: TypeId) {
-        let c = self.table_cell(ty);
-        c.live
+        let c = self.cell(ty);
+        (c.live.0)
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
                 Some(v.saturating_sub(1))
             })
             .ok();
-        c.deletes.fetch_add(1, Ordering::Relaxed);
+        c.deletes.add(1);
     }
 
-    pub(crate) fn note_heap_fetch(&self, ty: TypeId) {
-        self.table_cell(ty)
-            .heap_fetches
-            .fetch_add(1, Ordering::Relaxed);
+    /// Credits `heap_fetches` tuples fetched from the instances of `ty`,
+    /// a type of this database's schema. The QUEL executor calls this
+    /// once per entity type a statement touched, when the statement
+    /// ends — never per tuple.
+    pub fn credit(&self, ty: TypeId, heap_fetches: u64) {
+        self.cell(ty).heap_fetches.add(heap_fetches);
     }
 
     pub(crate) fn note_eq_probe(&self, ty: TypeId, attr_idx: usize) {
-        self.index_cell(ty, attr_idx)
-            .eq_probes
-            .fetch_add(1, Ordering::Relaxed);
+        self.attr_cell(ty, attr_idx).eq_probes.add(1);
     }
 
     pub(crate) fn note_range_probe(&self, ty: TypeId, attr_idx: usize) {
-        self.index_cell(ty, attr_idx)
-            .range_probes
-            .fetch_add(1, Ordering::Relaxed);
+        self.attr_cell(ty, attr_idx).range_probes.add(1);
     }
 
     pub(crate) fn note_index_writes(&self, ty: TypeId, attr_idx: usize, n: u64) {
-        self.index_cell(ty, attr_idx)
-            .maintenance_writes
-            .fetch_add(n, Ordering::Relaxed);
+        self.attr_cell(ty, attr_idx).maintenance_writes.add(n);
     }
 
     /// Overwrites one type's live count (recomputation after bulk load).
     pub(crate) fn set_live(&self, ty: TypeId, live: u64) {
-        self.table_cell(ty).live.store(live, Ordering::Relaxed);
+        self.cell(ty).live.0.store(live, Ordering::Relaxed);
     }
 
-    /// One entity type's counters (zeros if never touched).
+    /// One entity type's counters (zeros for a type without cells).
     pub fn table(&self, ty: TypeId) -> TableAccess {
-        self.tables
-            .read()
-            .unwrap()
-            .get(&ty)
-            .map(|c| TableAccess {
-                live: c.live.load(Ordering::Relaxed),
-                appends: c.appends.load(Ordering::Relaxed),
-                replaces: c.replaces.load(Ordering::Relaxed),
-                deletes: c.deletes.load(Ordering::Relaxed),
-                heap_fetches: c.heap_fetches.load(Ordering::Relaxed),
-            })
-            .unwrap_or_default()
+        let Some(c) = self.tables.get(ty as usize) else {
+            return TableAccess::default();
+        };
+        TableAccess {
+            live: c.live.get(),
+            appends: c.appends.get(),
+            replaces: c.replaces.get(),
+            deletes: c.deletes.get(),
+            heap_fetches: c.heap_fetches.get(),
+        }
     }
 
     /// One attribute index's counters (zeros if never touched).
     pub fn index(&self, ty: TypeId, attr_idx: usize) -> IndexAccess {
-        self.indexes
-            .read()
-            .unwrap()
-            .get(&(ty, attr_idx))
-            .map(|c| IndexAccess {
-                eq_probes: c.eq_probes.load(Ordering::Relaxed),
-                range_probes: c.range_probes.load(Ordering::Relaxed),
-                maintenance_writes: c.maintenance_writes.load(Ordering::Relaxed),
-            })
-            .unwrap_or_default()
-    }
-
-    /// Every tracked entity type's counters, sorted by type id.
-    pub fn tables(&self) -> Vec<(TypeId, TableAccess)> {
-        let mut out: Vec<(TypeId, TableAccess)> = self
-            .tables
-            .read()
-            .unwrap()
-            .keys()
-            .copied()
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|ty| (ty, self.table(ty)))
-            .collect();
-        out.sort_by_key(|(ty, _)| *ty);
-        out
-    }
-
-    /// Every tracked index's counters, sorted by (type id, attribute).
-    pub fn indexes(&self) -> Vec<((TypeId, usize), IndexAccess)> {
-        let mut out: Vec<((TypeId, usize), IndexAccess)> = self
-            .indexes
-            .read()
-            .unwrap()
-            .keys()
-            .copied()
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|k| (k, self.index(k.0, k.1)))
-            .collect();
-        out.sort_by_key(|(k, _)| *k);
-        out
+        let cell = self.tables.get(ty as usize);
+        let Some(c) = cell.and_then(|t| t.indexes.get(attr_idx)) else {
+            return IndexAccess::default();
+        };
+        IndexAccess {
+            eq_probes: c.eq_probes.get(),
+            range_probes: c.range_probes.get(),
+            maintenance_writes: c.maintenance_writes.get(),
+        }
     }
 
     /// Serializes the cumulative counters (live counts excluded — they
-    /// are recomputed from the store at load).
+    /// are recomputed from the store at load): every entity type's, and
+    /// those of each attribute position an index was ever probed or
+    /// maintained on.
     pub fn encode(&self) -> Vec<u8> {
-        let tables = self.tables();
-        let indexes = self.indexes();
-        let mut out = Vec::new();
-        out.push(1u8); // format version
-        out.extend_from_slice(&(tables.len() as u32).to_le_bytes());
-        for (ty, t) in tables {
-            out.extend_from_slice(&ty.to_le_bytes());
-            for v in [t.appends, t.replaces, t.deletes, t.heap_fetches] {
-                out.extend_from_slice(&v.to_le_bytes());
+        let mut out = vec![1u8]; // format version
+        let mut indexes = Vec::new();
+        out.extend_from_slice(&(self.tables.len() as u32).to_le_bytes());
+        for (ty, t) in self.tables.iter().enumerate() {
+            out.extend_from_slice(&(ty as TypeId).to_le_bytes());
+            for v in [&t.appends, &t.replaces, &t.deletes, &t.heap_fetches] {
+                out.extend_from_slice(&v.get().to_le_bytes());
+            }
+            for (attr, i) in t.indexes.iter().enumerate() {
+                let counts = [&i.eq_probes, &i.range_probes, &i.maintenance_writes].map(Count::get);
+                if counts != [0; 3] {
+                    indexes.push((ty as TypeId, attr as u32, counts));
+                }
             }
         }
         out.extend_from_slice(&(indexes.len() as u32).to_le_bytes());
-        for ((ty, attr), i) in indexes {
+        for (ty, attr, counts) in indexes {
             out.extend_from_slice(&ty.to_le_bytes());
-            out.extend_from_slice(&(attr as u32).to_le_bytes());
-            for v in [i.eq_probes, i.range_probes, i.maintenance_writes] {
+            out.extend_from_slice(&attr.to_le_bytes());
+            for v in counts {
                 out.extend_from_slice(&v.to_le_bytes());
             }
         }
@@ -250,7 +216,7 @@ impl AccessStats {
     }
 
     /// Restores cumulative counters from an [`encode`](Self::encode)d
-    /// image, adding to whatever is already tracked. Returns `false` on
+    /// image, adding to the cells that exist. Returns `false` on
     /// malformed input (the stats are best-effort; a bad image must
     /// never fail an open).
     pub fn restore(&self, bytes: &[u8]) -> bool {
@@ -307,18 +273,25 @@ impl AccessStats {
         let Some((tables, indexes)) = parse() else {
             return false;
         };
+        // The image is outside input: counters of a type or attribute
+        // this database has no cells for are dropped.
         for (ty, [appends, replaces, deletes, heap_fetches]) in tables {
-            let c = self.table_cell(ty);
-            c.appends.fetch_add(appends, Ordering::Relaxed);
-            c.replaces.fetch_add(replaces, Ordering::Relaxed);
-            c.deletes.fetch_add(deletes, Ordering::Relaxed);
-            c.heap_fetches.fetch_add(heap_fetches, Ordering::Relaxed);
+            let Some(c) = self.tables.get(ty as usize) else {
+                continue;
+            };
+            c.appends.add(appends);
+            c.replaces.add(replaces);
+            c.deletes.add(deletes);
+            c.heap_fetches.add(heap_fetches);
         }
         for ((ty, attr), [eq, range, writes]) in indexes {
-            let c = self.index_cell(ty, attr);
-            c.eq_probes.fetch_add(eq, Ordering::Relaxed);
-            c.range_probes.fetch_add(range, Ordering::Relaxed);
-            c.maintenance_writes.fetch_add(writes, Ordering::Relaxed);
+            let cell = self.tables.get(ty as usize);
+            let Some(c) = cell.and_then(|t| t.indexes.get(attr)) else {
+                continue;
+            };
+            c.eq_probes.add(eq);
+            c.range_probes.add(range);
+            c.maintenance_writes.add(writes);
         }
         true
     }
@@ -328,14 +301,23 @@ impl AccessStats {
 mod tests {
     use super::*;
 
+    /// Cells for `types` entity types of three attributes each.
+    fn stats(types: usize) -> AccessStats {
+        let mut s = AccessStats::default();
+        for _ in 0..types {
+            s.add_type(3);
+        }
+        s
+    }
+
     #[test]
     fn counters_accumulate_and_snapshot() {
-        let s = AccessStats::default();
+        let s = stats(2);
         s.note_append(0);
         s.note_append(0);
         s.note_replace(0);
         s.note_delete(0);
-        s.note_heap_fetch(0);
+        s.credit(0, 4);
         s.note_eq_probe(0, 1);
         s.note_range_probe(0, 1);
         s.note_index_writes(0, 1, 3);
@@ -347,7 +329,7 @@ mod tests {
                 appends: 2,
                 replaces: 1,
                 deletes: 1,
-                heap_fetches: 1
+                heap_fetches: 4
             }
         );
         let i = s.index(0, 1);
@@ -359,51 +341,58 @@ mod tests {
                 maintenance_writes: 3
             }
         );
-        assert_eq!(
-            s.table(9),
-            TableAccess::default(),
-            "untouched type is zeros"
-        );
-        assert_eq!(s.tables().len(), 1);
-        assert_eq!(s.indexes().len(), 1);
+        assert_eq!(s.table(1), TableAccess::default(), "untouched type");
+        assert_eq!(s.table(9), TableAccess::default(), "no such type");
+        assert_eq!(s.index(0, 7), IndexAccess::default(), "no such attribute");
+        // The image holds both types and only the index that was used.
+        assert_eq!(s.encode().len(), 1 + 4 + 2 * 36 + 4 + 32);
     }
 
     #[test]
     fn delete_saturates_at_zero_live() {
-        let s = AccessStats::default();
+        let s = stats(1);
         s.note_delete(0);
         assert_eq!(s.table(0).live, 0);
         assert_eq!(s.table(0).deletes, 1);
     }
 
     #[test]
-    fn clone_snapshots_values_independently() {
-        let s = AccessStats::default();
+    fn clone_snapshots_values_into_independent_cells() {
+        let s = stats(3);
         s.note_append(2);
+        s.note_eq_probe(2, 0);
         let c = s.clone();
         s.note_append(2);
+        s.note_eq_probe(2, 0);
+        c.credit(2, 5);
         assert_eq!(s.table(2).appends, 2);
         assert_eq!(c.table(2).appends, 1, "clone is independent");
+        assert_eq!(c.index(2, 0).eq_probes, 1);
+        assert_eq!(s.table(2).heap_fetches, 0, "and so is the original");
     }
 
     #[test]
     fn encode_restore_roundtrip_excludes_live() {
-        let s = AccessStats::default();
+        let s = stats(1);
         s.note_append(0);
-        s.note_heap_fetch(0);
+        s.credit(0, 1);
         s.note_eq_probe(0, 2);
         let image = s.encode();
-        let back = AccessStats::default();
+        let back = stats(1);
         assert!(back.restore(&image));
         assert_eq!(back.table(0).appends, 1);
         assert_eq!(back.table(0).heap_fetches, 1);
         assert_eq!(back.table(0).live, 0, "live is derived, not persisted");
         assert_eq!(back.index(0, 2).eq_probes, 1);
+        assert_eq!(back.encode(), image);
+        // An image naming cells this database does not have is accepted
+        // and those rows dropped.
+        assert!(AccessStats::default().restore(&image));
         for garbage in [&b""[..], &b"\x07"[..], &b"\x01\xff\xff\xff\xff"[..]] {
-            assert!(!AccessStats::default().restore(garbage));
+            assert!(!stats(1).restore(garbage));
         }
         let mut trailing = image.clone();
         trailing.push(0);
-        assert!(!AccessStats::default().restore(&trailing));
+        assert!(!stats(1).restore(&trailing));
     }
 }

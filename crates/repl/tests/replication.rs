@@ -24,6 +24,18 @@ fn client(addr: &str) -> MdmClient {
     MdmClient::connect(addr, ClientConfig::default()).expect("connect")
 }
 
+/// Σ `$statements.calls` over the fingerprints starting with `prefix`,
+/// as the node behind `c` reports them.
+fn statement_calls(c: &mut MdmClient, prefix: &str) -> i64 {
+    let table = c
+        .query("range of s is $statements\nretrieve (s.fingerprint, s.calls)")
+        .expect("$statements");
+    (table.rows.iter())
+        .filter(|r| r[0].as_str().is_some_and(|f| f.starts_with(prefix)))
+        .filter_map(|r| r[1].as_integer())
+        .sum()
+}
+
 fn primary_durable(server: &MdmServer) -> u64 {
     server.with_manager(|m| m.engine().wal_durable_lsn())
 }
@@ -234,5 +246,48 @@ fn read_fanout_replicas_see_the_same_data() {
     for node in nodes {
         node.shutdown().expect("replica shutdown");
     }
+    server.shutdown().expect("primary shutdown");
+}
+
+/// `$statements` lists what a node's own clients ran. Statements that
+/// arrive through the replication stream are applied but are not the
+/// replica's executions: they stay in the primary's store.
+#[test]
+fn replicated_statements_are_not_the_replicas_executions() {
+    const APPENDS: usize = 6;
+    let (server, _dir_p) = start_primary("stmts");
+    let dir_r = tempdir("stmts-r");
+    let node = ReplicaNode::start(
+        &dir_r,
+        "127.0.0.1:0",
+        ReplicaConfig::new(&server.local_addr().to_string()),
+    )
+    .expect("start replica");
+
+    let mut pc = client(&server.local_addr().to_string());
+    pc.execute("define entity OPUS (number = integer)")
+        .expect("ddl");
+    for i in 0..APPENDS {
+        pc.execute(&format!("append to OPUS (number = {i})"))
+            .expect("append");
+    }
+    assert!(node.wait_for_lsn(primary_durable(&server), Duration::from_secs(10)));
+
+    let count = "range of o is OPUS\nretrieve (o.number)";
+    let mut rc = client(&node.addr().to_string());
+    assert_eq!(rc.query(count).expect("replica query").rows.len(), APPENDS);
+
+    assert_eq!(statement_calls(&mut pc, "append to OPUS"), APPENDS as i64);
+    assert_eq!(statement_calls(&mut pc, "define entity OPUS"), 1);
+    assert_eq!(statement_calls(&mut rc, "append"), 0);
+    assert_eq!(statement_calls(&mut rc, "define"), 0);
+    assert_eq!(
+        statement_calls(&mut rc, "range of o is OPUS retrieve"),
+        1,
+        "the query its own client ran is there"
+    );
+
+    drop(rc);
+    node.shutdown().expect("replica shutdown");
     server.shutdown().expect("primary shutdown");
 }
