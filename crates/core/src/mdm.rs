@@ -36,22 +36,10 @@ use crate::score_store;
 /// `Hello`; here it is the `protocol` label on `mdm_build_info`.
 pub const WIRE_PROTOCOL_VERSION: u16 = 5;
 
-/// Engine table holding the statement journal: the QUEL text of every
-/// successful `execute` since the last [`MusicDataManager::save`], each
-/// row `seq:u64 LE ++ utf8 text`. Replayed (in sequence order) at open
-/// so mutations are durable *between* whole-database checkpoints, and
-/// dropped at save once the checkpoint carries their effects. Writing
-/// it runs a real engine transaction — locks, buffer pool, WAL append,
-/// group-commit fsync — which is also what threads genuine storage
-/// spans into every traced `execute` request. Public because a replica
-/// watches the replicated WAL stream for inserts into this table and
-/// applies the journaled statement text to its own in-memory database,
-/// keeping reads fresh between checkpoints.
-pub const JOURNAL_TABLE: &str = "__stmt_journal";
-
 /// Engine table carrying the statistics images across restarts: one row
 /// per kind, a tag byte (1 = statement store, 2 = access statistics)
-/// followed by the kind's own binary encoding. Rewritten on every
+/// followed by the kind's own binary encoding. Created with the image
+/// tables at the first commit point, updated in place by every
 /// [`MusicDataManager::save`] just before the checkpoint, restored (best
 /// effort — a malformed image is ignored, never fatal) at open.
 const STATS_TABLE: &str = "__stats";
@@ -108,10 +96,6 @@ pub struct MusicDataManager {
     /// The clients' persistent session: `range of` declarations carry
     /// from one `execute` / `query` / `explain` to the next.
     session: Session,
-    /// The session for statements no client of this MDM issued (journal
-    /// replay, the replication stream): it carries their `range of`
-    /// declarations but no statement store — they are not executions.
-    applier: Session,
     registry: Registry,
     quel: Arc<QuelMetrics>,
     requests: RequestCounters,
@@ -125,8 +109,6 @@ pub struct MusicDataManager {
     /// [`Monitor::enable_sampling`] through
     /// [`monitor`](Self::monitor) to start the background sampler.
     monitor: Arc<Monitor>,
-    /// Next statement-journal sequence number (max persisted + 1).
-    journal_seq: u64,
     /// Replica mode: the durable state is owned by a replication
     /// stream, so every local write path (execute, save) is refused.
     replica: bool,
@@ -151,8 +133,8 @@ impl MusicDataManager {
     /// As [`MusicDataManager::open`] with an explicit buffer-pool
     /// capacity, sourcing every storage file from `vfs`. Fault-injection
     /// harnesses use this to interpose on each I/O the full stack
-    /// performs — schema install, journal appends, saves — while
-    /// production callers use the plain-file default.
+    /// performs — image tables, commits, saves — while production callers
+    /// use the plain-file default.
     pub fn open_with_vfs(
         dir: &Path,
         pool_pages: usize,
@@ -190,7 +172,12 @@ impl MusicDataManager {
                     .unwrap_or(0),
             );
         let stmt_store = Arc::new(StatementStore::new());
-        let (db, applier, journal_seq) = load_database(&engine, &quel, &stmt_store)?;
+        // Open writes nothing: a fresh directory gets its image tables at
+        // the first commit point (a replica's log must stay the
+        // primary's stream from the first record).
+        let mut db = persist::load(&engine)?;
+        cmn_schema::install(&mut db)?;
+        load_stats(&engine, &stmt_store, &db)?;
         // The monitor opens passive — no background thread until a
         // server enables sampling — but carries the default health
         // rules (and process gauges) from the first moment, so
@@ -207,14 +194,12 @@ impl MusicDataManager {
             engine,
             db,
             session,
-            applier,
             registry,
             quel,
             requests,
             tracer,
             stmt_store,
             monitor,
-            journal_seq,
             replica,
         })
     }
@@ -275,7 +260,8 @@ impl MusicDataManager {
     }
 
     /// Mutable database access (for clients that build structures
-    /// directly rather than through QUEL).
+    /// directly rather than through QUEL). Edits apply on return and are
+    /// durable at the next commit point ([`commit`](Self::commit)).
     pub fn database_mut(&mut self) -> &mut Database {
         &mut self.db
     }
@@ -285,54 +271,37 @@ impl MusicDataManager {
         &self.engine
     }
 
-    /// Executes a program of DDL / QUEL statements. On success the
-    /// program text is appended to the engine's statement journal in a
-    /// real (WAL-logged, group-committed) transaction, so the mutation
-    /// survives a crash even before the next [`save`](Self::save).
+    /// Executes a program of DDL / QUEL statements, then commits: every
+    /// row the program changed — and anything else changed since the last
+    /// commit point — is written in one engine transaction before this
+    /// returns. A program that fails part-way still commits what its
+    /// earlier statements did (memory already holds it), then returns the
+    /// program's error.
     pub fn execute(&mut self, text: &str) -> Result<Vec<StmtResult>> {
         self.refuse_if_replica()?;
         self.requests.execute.inc();
-        let results = self.session.execute(&mut self.db, text)?;
-        self.journal_append(text)?;
+        let results = self.session.execute(&mut self.db, text);
+        let committed = self.commit();
+        let results = results?;
+        committed?;
         Ok(results)
     }
 
-    /// Applies a statement that arrived through the replication stream
-    /// to the in-memory database only — no journal append (the journal
-    /// row itself arrives in the replicated WAL), no replica-mode
-    /// refusal and no `$statements` record (the primary's clients ran
-    /// it, not this node's). Best effort, like journal replay at open: a
-    /// statement the replica's current image cannot execute is skipped;
-    /// the next checkpoint reload resynchronizes from storage.
-    pub fn apply_replicated_statement(&mut self, text: &str) -> bool {
-        apply_internal(&mut self.applier, &mut self.db, text)
-    }
-
-    /// Rebuilds the in-memory database from the engine's current pages:
-    /// persisted image, CMN schema, statistics, journal replay — the
-    /// same sequence `open` runs. A replica calls this after folding a
-    /// replicated checkpoint so its reads reflect exactly the storage
-    /// state, discarding any drift the best-effort live statement
-    /// application accumulated.
-    pub fn reload_from_storage(&mut self) -> Result<()> {
-        (self.db, self.applier, self.journal_seq) =
-            load_database(&self.engine, &self.quel, &self.stmt_store)?;
-        Ok(())
-    }
-
-    /// Appends one executed program to the statement journal.
-    fn journal_append(&mut self, text: &str) -> Result<()> {
-        let table = match self.engine.table_id(JOURNAL_TABLE) {
-            Ok(t) => t,
-            Err(_) => self.engine.create_table(JOURNAL_TABLE)?,
-        };
-        let mut body = Vec::with_capacity(8 + text.len());
-        body.extend_from_slice(&self.journal_seq.to_le_bytes());
-        body.extend_from_slice(text.as_bytes());
-        let mut txn = self.engine.begin()?;
-        self.engine.insert(&mut txn, table, &body)?;
-        self.engine.commit(txn)?;
-        self.journal_seq += 1;
+    /// The commit point: writes the rows of every entity, P-edge,
+    /// relationship, schema and index definition changed since the last
+    /// one, in one engine transaction. [`execute`](Self::execute) and
+    /// [`save`](Self::save) commit before they return; the embedded
+    /// score services ([`store_score`](Self::store_score),
+    /// [`import_darms`](Self::import_darms)) and
+    /// [`database_mut`](Self::database_mut) edits do not — they are
+    /// durable at the next commit point. The first commit point after an
+    /// entity type is defined creates its image table.
+    pub fn commit(&mut self) -> Result<()> {
+        self.refuse_if_replica()?;
+        if persist::prepare(&self.db, &self.engine)? && self.engine.table_id(STATS_TABLE).is_err() {
+            self.engine.create_table(STATS_TABLE)?;
+        }
+        persist::commit(&mut self.db, &self.engine)?;
         Ok(())
     }
 
@@ -342,7 +311,7 @@ impl MusicDataManager {
     /// produced no table). Range declarations carry over to later
     /// calls; a mutating statement is rejected, as on
     /// [`query_shared`](Self::query_shared) — mutations go through
-    /// [`execute`](Self::execute), which journals them.
+    /// [`execute`](Self::execute), which commits them.
     pub fn query(&mut self, text: &str) -> Result<Table> {
         self.requests.query.inc();
         read(&mut self.session, &self.db, text)
@@ -355,9 +324,7 @@ impl MusicDataManager {
     ///
     /// The program runs against the in-memory database alone and never
     /// touches the storage engine, so it cannot wait at the engine's
-    /// gate behind a commit in progress. The
-    /// database it reads is replaced only through `&mut self`
-    /// (`reload_from_storage`), which a shared borrow excludes.
+    /// gate behind a commit in progress.
     ///
     /// [`query`]: MusicDataManager::query
     pub fn query_shared(&self, text: &str) -> Result<Table> {
@@ -370,7 +337,7 @@ impl MusicDataManager {
     /// the QUEL planner chose — per-variable scan / index-eq /
     /// index-range / ord decisions with estimated row counts — alongside
     /// the rows, which is what the shell's `\plan` renders. Mutating
-    /// statements are rejected, so nothing is journaled.
+    /// statements are rejected, so nothing is committed.
     pub fn explain(&mut self, text: &str) -> Result<(PlanExplain, Table)> {
         self.requests.explain.inc();
         Ok(self.session.explain(&self.db, text)?)
@@ -401,10 +368,11 @@ impl MusicDataManager {
         Arc::clone(&self.stmt_store)
     }
 
-    /// Persists the database through the storage engine and checkpoints.
-    /// The statement journal is dropped afterwards: the checkpointed
-    /// image now carries every journaled statement's effect, so a
-    /// reopen must not replay them a second time.
+    /// Commits, updates the statistics rows in place, and checkpoints
+    /// the engine. Drops nothing and rewrites nothing that did not
+    /// change: a crash anywhere inside loses nothing an earlier commit
+    /// point acknowledged, and reopens to the statistics image before or
+    /// after the update, never an empty one.
     pub fn save(&mut self) -> Result<()> {
         if self.replica {
             return Err(CoreError::Storage(mdm_storage::StorageError::Replication(
@@ -412,24 +380,21 @@ impl MusicDataManager {
             )));
         }
         self.requests.save.inc();
-        persist::save(&self.db, &self.engine)?;
+        self.commit()?;
         self.write_stats_image()?;
-        if self.engine.table_id(JOURNAL_TABLE).is_ok() {
-            self.engine.drop_table(JOURNAL_TABLE)?;
-        }
-        self.journal_seq = 0;
         self.engine.checkpoint()?;
         Ok(())
     }
 
-    /// Rewrites the [`STATS_TABLE`] image: the statement store and the
-    /// access statistics, each tagged, so the checkpoint carries them.
+    /// Updates the [`STATS_TABLE`] rows in place, in one transaction: the
+    /// statement store and the access statistics, each tagged, so the
+    /// checkpoint carries them.
     fn write_stats_image(&mut self) -> Result<()> {
-        if self.engine.table_id(STATS_TABLE).is_ok() {
-            self.engine.drop_table(STATS_TABLE)?;
-        }
-        let table = self.engine.create_table(STATS_TABLE)?;
+        let Ok(table) = self.engine.table_id(STATS_TABLE) else {
+            return Ok(());
+        };
         let mut txn = self.engine.begin()?;
+        let rows = self.engine.scan(&mut txn, table)?;
         for (tag, payload) in [
             (1u8, self.stmt_store.encode()),
             (2u8, self.db.stats().encode()),
@@ -437,7 +402,10 @@ impl MusicDataManager {
             let mut body = Vec::with_capacity(1 + payload.len());
             body.push(tag);
             body.extend_from_slice(&payload);
-            self.engine.insert(&mut txn, table, &body)?;
+            match rows.iter().find(|(_, row)| row.first() == Some(&tag)) {
+                Some(&(rid, _)) => self.engine.update(&mut txn, table, rid, &body)?,
+                None => self.engine.insert(&mut txn, table, &body)?,
+            };
         }
         self.engine.commit(txn)?;
         Ok(())
@@ -447,7 +415,8 @@ impl MusicDataManager {
     // Score services
     // ------------------------------------------------------------------
 
-    /// Stores a score, returning its SCORE entity id.
+    /// Stores a score, returning its SCORE entity id. Applied on return,
+    /// durable at the next commit point.
     pub fn store_score(&mut self, score: &Score) -> Result<EntityId> {
         self.refuse_if_replica()?;
         self.requests.store_score.inc();
@@ -482,7 +451,8 @@ impl MusicDataManager {
         score_store::list_scores(&self.db)
     }
 
-    /// Imports a DARMS-encoded voice as a one-voice score.
+    /// Imports a DARMS-encoded voice as a one-voice score. Applied on
+    /// return, durable at the next commit point.
     pub fn import_darms(
         &mut self,
         title: &str,
@@ -540,31 +510,6 @@ fn read(session: &mut Session, db: &Database, text: &str) -> Result<Table> {
     }
 }
 
-/// Applies statement text some other execution already acknowledged — a
-/// journaled program at open, a replicated one on a replica — through
-/// the store-less `applier` session. Returns whether it executed.
-fn apply_internal(applier: &mut Session, db: &mut Database, text: &str) -> bool {
-    applier.execute(db, text).is_ok()
-}
-
-/// Builds the in-memory database from the engine's current pages:
-/// persisted image, CMN schema, statistics, then the journal replayed
-/// through a fresh store-less session — replayed statements recreate
-/// their access-statistics side effects but are not executions. Returns
-/// the database, that session and the next journal sequence number.
-fn load_database(
-    engine: &StorageEngine,
-    quel: &Arc<QuelMetrics>,
-    store: &StatementStore,
-) -> Result<(Database, Session, u64)> {
-    let mut db = persist::load(engine)?;
-    cmn_schema::install(&mut db)?;
-    load_stats(engine, store, &db)?;
-    let mut applier = Session::with_metrics(Arc::clone(quel));
-    let journal_seq = replay_journal(engine, &mut applier, &mut db)?;
-    Ok((db, applier, journal_seq))
-}
-
 /// Restores the persisted statistics images, if present. Best effort:
 /// rows with unknown tags or malformed payloads are skipped — statistics
 /// must never fail an open.
@@ -589,36 +534,6 @@ fn load_stats(engine: &StorageEngine, store: &StatementStore, db: &Database) -> 
     Ok(())
 }
 
-/// Replays the statement journal (if any) into `db` in sequence order,
-/// returning the next free sequence number. A statement that no longer
-/// executes cleanly (e.g. its table was since dropped by DDL that was
-/// itself lost) is skipped rather than failing the open: the journal is
-/// best-effort crash durability, not a second source of truth.
-fn replay_journal(engine: &StorageEngine, applier: &mut Session, db: &mut Database) -> Result<u64> {
-    let Ok(table) = engine.table_id(JOURNAL_TABLE) else {
-        return Ok(0);
-    };
-    // Snapshot read: one consistent view of the journal, no locks.
-    let rows = engine.snapshot().scan(table)?;
-    let mut entries: Vec<(u64, String)> = Vec::with_capacity(rows.len());
-    for (_, body) in rows {
-        if body.len() < 8 {
-            continue;
-        }
-        let seq = u64::from_le_bytes(body[..8].try_into().unwrap());
-        if let Ok(text) = String::from_utf8(body[8..].to_vec()) {
-            entries.push((seq, text));
-        }
-    }
-    entries.sort_by_key(|(seq, _)| *seq);
-    let mut next = 0;
-    for (seq, text) in entries {
-        next = next.max(seq + 1);
-        apply_internal(applier, db, &text);
-    }
-    Ok(next)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -631,52 +546,52 @@ mod tests {
         d
     }
 
-    /// Crash injected at the fsync of a journal commit: the statement
+    /// Crash injected at the fsync of an execute's commit: the program
     /// whose commit never became durable must vanish wholesale on
-    /// reopen, the ones before it must replay, and the store must keep
+    /// reopen, the ones before it must be there, and the store must keep
     /// working.
     #[test]
-    fn journal_replay_survives_a_crash_mid_append() {
+    fn a_crash_mid_commit_loses_only_that_program() {
         use mdm_storage::{At, FaultController, FaultKind, FaultPlan};
 
         // Probe: the same workload fault-free, to learn which fsync
-        // carries the third statement's journal commit.
+        // carries the third append's commit.
         let sync_target = {
-            let dir = tmpdir("journal-crash-probe");
+            let dir = tmpdir("commit-crash-probe");
             let ctl = FaultController::new(FaultPlan::none());
             let mut mdm = MusicDataManager::open_with_vfs(&dir, 64, &ctl.vfs()).unwrap();
-            mdm.execute("define entity JOURNALED (n = int)").unwrap();
-            mdm.execute("append to JOURNALED (n = 1)").unwrap();
-            mdm.execute("append to JOURNALED (n = 2)").unwrap();
+            mdm.execute("define entity COMMITTED (n = int)").unwrap();
+            mdm.execute("append to COMMITTED (n = 1)").unwrap();
+            mdm.execute("append to COMMITTED (n = 2)").unwrap();
             let s = ctl.syncs();
             std::mem::forget(mdm);
             std::fs::remove_dir_all(&dir).ok();
             s
         };
 
-        let dir = tmpdir("journal-crash");
+        let dir = tmpdir("commit-crash");
         let ctl =
             FaultController::new(FaultPlan::none().with(At::Sync(sync_target), FaultKind::Crash));
         let mut mdm = MusicDataManager::open_with_vfs(&dir, 64, &ctl.vfs()).unwrap();
-        mdm.execute("define entity JOURNALED (n = int)").unwrap();
-        mdm.execute("append to JOURNALED (n = 1)").unwrap();
-        mdm.execute("append to JOURNALED (n = 2)").unwrap();
-        mdm.execute("append to JOURNALED (n = 3)")
+        mdm.execute("define entity COMMITTED (n = int)").unwrap();
+        mdm.execute("append to COMMITTED (n = 1)").unwrap();
+        mdm.execute("append to COMMITTED (n = 2)").unwrap();
+        mdm.execute("append to COMMITTED (n = 3)")
             .expect_err("the crashed commit must surface an error");
         assert!(ctl.crashed(), "the planted crash must have fired");
         std::mem::forget(mdm); // the "process" died: no shutdown checkpoint
 
-        // Reopen on plain files: recovery plus journal replay restore
-        // exactly the durable statements.
+        // Reopen on plain files: recovery restores exactly the durable
+        // programs.
         let mut mdm = MusicDataManager::open(&dir).unwrap();
         let t = mdm
-            .query("range of j is JOURNALED\nretrieve (j.n)")
+            .query("range of j is COMMITTED\nretrieve (j.n)")
             .unwrap();
         assert_eq!(t.len(), 2, "rows after recovery: {:?}", t.rows);
         // The reopened store accepts new work end-to-end.
-        mdm.execute("append to JOURNALED (n = 4)").unwrap();
+        mdm.execute("append to COMMITTED (n = 4)").unwrap();
         let t = mdm
-            .query("range of j is JOURNALED\nretrieve (j.n)")
+            .query("range of j is COMMITTED\nretrieve (j.n)")
             .unwrap();
         assert_eq!(t.len(), 3);
         mdm.save().unwrap();
@@ -862,26 +777,24 @@ mod tests {
     }
 
     #[test]
-    fn statement_journal_survives_reopen_without_save() {
-        let dir = tmpdir("journal");
+    fn executes_survive_reopen_without_save() {
+        let dir = tmpdir("no-save");
         {
             let mut mdm = MusicDataManager::open(&dir).unwrap();
             mdm.execute("append to PERSON (name = \"Bach\")").unwrap();
             mdm.execute("range of p is PERSON\nappend to PERSON (name = \"Telemann\")")
                 .unwrap();
-            // No save: the rows exist only as journaled statements.
+            // No save: the rows were committed by the executes.
         }
         {
             let mut mdm = MusicDataManager::open(&dir).unwrap();
             let t = mdm.query("retrieve (PERSON.name)").unwrap();
-            assert_eq!(t.len(), 2, "journal replayed both appends");
-            // Save folds the journal into the checkpoint and drops it.
+            assert_eq!(t.len(), 2, "both appends committed");
             mdm.save().unwrap();
-            assert!(mdm.engine().table_id("__stmt_journal").is_err());
         }
         let mut mdm = MusicDataManager::open(&dir).unwrap();
         let t = mdm.query("retrieve (PERSON.name)").unwrap();
-        assert_eq!(t.len(), 2, "no double replay after save");
+        assert_eq!(t.len(), 2, "a save writes no second copy");
         drop(mdm);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -910,12 +823,12 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// `define index` through the full MDM stack: the DDL is journaled
-    /// (survives reopen without save), folded into the checkpoint by
-    /// save (survives reopen after the journal is dropped), and the
-    /// planner uses it — `explain` reports an index probe, not a scan.
+    /// `define index` through the full MDM stack: the DDL commits a
+    /// definition row (survives reopen without save), survives a save,
+    /// and the planner uses it — `explain` reports an index probe, not a
+    /// scan.
     #[test]
-    fn index_ddl_survives_journal_replay_and_save() {
+    fn index_ddl_survives_reopen_and_save() {
         let dir = tmpdir("index-ddl");
         {
             let mut mdm = MusicDataManager::open(&dir).unwrap();
@@ -925,7 +838,7 @@ mod tests {
             }
             mdm.execute("define index person_by_name on PERSON (name)")
                 .unwrap();
-            // No save: the index definition exists only in the journal.
+            // No save: the definition row was committed by the execute.
         }
         {
             let mut mdm = MusicDataManager::open(&dir).unwrap();
@@ -961,7 +874,7 @@ mod tests {
     /// The statistics subsystem end to end through the engine: recorded
     /// on both the exclusive and shared query paths, surfaced by
     /// `$statements`, persisted by save, restored at
-    /// open (journal replay must not re-record the replayed statements).
+    /// open.
     #[test]
     fn statement_statistics_survive_save_and_reopen() {
         let q = "range of p is PERSON\nretrieve (p.name)";
@@ -987,8 +900,7 @@ mod tests {
             .find(|r| r[0] == Value::String(fp.clone()))
             .unwrap_or_else(|| panic!("restored fingerprint missing: {t}"));
         assert_eq!(restored[1], Value::Integer(2));
-        // Access statistics are restored too (appends is cumulative and
-        // must not be re-counted by journal replay after a save).
+        // Access statistics are restored too (appends is cumulative).
         let t = mdm
             .query_shared(
                 "range of t is $tables\n\
@@ -1047,6 +959,70 @@ mod tests {
         mdm.monitor().sample_now();
         let h = mdm.health();
         assert!(!h.healthy, "wal_poisoned fires: {:?}", h.alerts);
+        drop(mdm);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A program that fails part-way returns its error, but what its
+    /// earlier statements did is in memory, so it is committed too: disk
+    /// holds what memory holds.
+    #[test]
+    fn a_failed_program_commits_what_it_did() {
+        let dir = tmpdir("failed-program");
+        let program = "append to PERSON (name = \"a\")\nappend to NOSUCH (x = 1)";
+        let names = "range of p is PERSON\nretrieve (p.name)";
+        {
+            let mut mdm = MusicDataManager::open(&dir).unwrap();
+            assert!(mdm.execute(program).is_err());
+            assert_eq!(mdm.query(names).unwrap().len(), 1, "`a` is in memory");
+            // Dropped without a save.
+        }
+        let mut mdm = MusicDataManager::open(&dir).unwrap();
+        let t = mdm.query(names).unwrap();
+        assert_eq!(t.rows, vec![vec![Value::String("a".into())]], "and on disk");
+        drop(mdm);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The embedded score services apply on return and are durable at the
+    /// next commit point: a score stored and then dropped is gone after a
+    /// reopen, a score stored and committed is there.
+    #[test]
+    fn embedded_writes_are_durable_at_the_next_commit_point() {
+        let dir = tmpdir("commit-point");
+        {
+            let mut mdm = MusicDataManager::open(&dir).unwrap();
+            mdm.store_score(&bwv578_subject()).unwrap();
+            assert_eq!(mdm.list_scores().unwrap().len(), 1);
+        }
+        {
+            let mut mdm = MusicDataManager::open(&dir).unwrap();
+            assert!(mdm.list_scores().unwrap().is_empty(), "no commit point");
+            let id = mdm.store_score(&bwv578_subject()).unwrap();
+            mdm.commit().unwrap();
+            assert_eq!(mdm.load_score(id).unwrap(), bwv578_subject());
+        }
+        let mdm = MusicDataManager::open(&dir).unwrap();
+        let scores = mdm.list_scores().unwrap();
+        assert_eq!(scores.len(), 1);
+        assert_eq!(mdm.load_score(scores[0].0).unwrap(), bwv578_subject());
+        drop(mdm);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A save with nothing changed writes no image: the data file does
+    /// not grow however often it runs.
+    #[test]
+    fn saves_with_nothing_dirty_do_not_grow_the_file() {
+        let dir = tmpdir("save-leak");
+        let mut mdm = MusicDataManager::open(&dir).unwrap();
+        mdm.store_score(&bwv578_subject()).unwrap();
+        mdm.save().unwrap();
+        let pages = mdm.engine().num_pages();
+        for _ in 0..3 {
+            mdm.save().unwrap();
+        }
+        assert_eq!(mdm.engine().num_pages(), pages);
         drop(mdm);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -5,7 +5,7 @@
 //! [`InstanceStore`] for id-based access.
 
 use crate::error::{ModelError, Result};
-use crate::instance::{InstanceStore, RelInstanceId};
+use crate::instance::{InstanceStore, Loc, RelInstanceId, RowKey};
 use crate::schema::{AttributeDef, OrderingId, RoleDef, Schema};
 use crate::stats::AccessStats;
 use crate::value::{EntityId, TypeId, Value};
@@ -114,6 +114,7 @@ impl Database {
         let attribute_count = attributes.len();
         let id = self.schema.define_entity(name, attributes)?;
         self.store.sync_with_schema(&self.schema);
+        self.store.dirty.schema = true;
         self.stats.add_type(attribute_count);
         Ok(id)
     }
@@ -127,6 +128,7 @@ impl Database {
     ) -> Result<u32> {
         let id = self.schema.define_relationship(name, roles, attributes)?;
         self.store.sync_with_schema(&self.schema);
+        self.store.dirty.schema = true;
         Ok(id)
     }
 
@@ -146,6 +148,7 @@ impl Database {
             .transpose()?;
         let id = self.schema.define_ordering(name, children, parent)?;
         self.store.sync_with_schema(&self.schema);
+        self.store.dirty.schema = true;
         Ok(id)
     }
 
@@ -250,28 +253,7 @@ impl Database {
 
     /// Deletes an instance (see [`InstanceStore::delete_entity`]).
     pub fn delete_entity(&mut self, id: EntityId) -> Result<()> {
-        let mut deleted_ty = None;
-        if let Ok(inst) = self.store.entity(id) {
-            let ty = inst.ty;
-            deleted_ty = Some(ty);
-            let keys: Vec<(usize, Vec<u8>)> = inst
-                .attrs
-                .iter()
-                .enumerate()
-                .map(|(i, v)| (i, crate::encode::value_key(v)))
-                .collect();
-            for (i, key) in keys {
-                if let Some(index) = self.attr_indexes.get_mut(&(ty, i)) {
-                    if let Some(ids) = index.get_mut(&key) {
-                        ids.retain(|&e| e != id);
-                        if ids.is_empty() {
-                            index.remove(&key);
-                        }
-                    }
-                    self.stats.note_index_writes(ty, i, 1);
-                }
-            }
-        }
+        let deleted_ty = self.unindex_entity(id);
         self.store.delete_entity(id)?;
         if let Some(ty) = deleted_ty {
             self.stats.note_delete(ty);
@@ -279,9 +261,77 @@ impl Database {
         Ok(())
     }
 
+    /// Places an entity as a committed row states it — created, or its
+    /// attributes replaced — with the row's locator (replication). The
+    /// caller settles the dirty set.
+    pub(crate) fn put_entity(
+        &mut self,
+        ty: TypeId,
+        id: EntityId,
+        attrs: Vec<Value>,
+        loc: Loc,
+    ) -> Result<()> {
+        if self.store.exists(id) {
+            self.unindex_entity(id);
+            self.store.entity_mut(id)?.attrs = attrs.into_boxed_slice();
+            self.store.set_loc(RowKey::Entity(ty, id), loc);
+        } else {
+            self.store.load_entity(id, ty, attrs, loc);
+        }
+        self.index_entity(ty, id);
+        Ok(())
+    }
+
+    /// Adopts a schema that extends this one (a replicated `define`):
+    /// the definitions already here must come first and unchanged.
+    pub(crate) fn adopt_schema(&mut self, schema: Schema) -> Result<()> {
+        let old = &self.schema;
+        let known = old.entity_types().len();
+        if !(schema.entity_types().starts_with(old.entity_types())
+            && schema.relationships().starts_with(old.relationships())
+            && schema.orderings().starts_with(old.orderings()))
+        {
+            return Err(ModelError::Corrupt(
+                "a replicated schema must extend the one in memory".into(),
+            ));
+        }
+        for def in &schema.entity_types()[known..] {
+            self.stats.add_type(def.attributes.len());
+        }
+        self.schema = schema;
+        self.store.sync_with_schema(&self.schema);
+        Ok(())
+    }
+
     // ------------------------------------------------------------------
     // Attribute indexes
     // ------------------------------------------------------------------
+
+    /// Takes `id` out of every attribute index over its type, returning
+    /// the type (`None` if there is no such instance).
+    fn unindex_entity(&mut self, id: EntityId) -> Option<TypeId> {
+        let inst = self.store.entity(id).ok()?;
+        let ty = inst.ty;
+        let keys: Vec<(usize, Vec<u8>)> = inst
+            .attrs
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| self.attr_indexes.contains_key(&(ty, *i)))
+            .map(|(i, v)| (i, crate::encode::value_key(v)))
+            .collect();
+        for (i, key) in keys {
+            if let Some(index) = self.attr_indexes.get_mut(&(ty, i)) {
+                if let Some(ids) = index.get_mut(&key) {
+                    ids.retain(|&e| e != id);
+                    if ids.is_empty() {
+                        index.remove(&key);
+                    }
+                }
+                self.stats.note_index_writes(ty, i, 1);
+            }
+        }
+        Some(ty)
+    }
 
     fn index_entity(&mut self, ty: TypeId, id: EntityId) {
         // Collect indexed attribute positions for this type first to keep
@@ -420,6 +470,7 @@ impl Database {
         self.create_attr_index(type_name, attr)?;
         self.index_defs
             .insert(name.to_string(), (type_name.to_string(), attr.to_string()));
+        self.store.dirty.indexes = true;
         Ok(())
     }
 
@@ -429,6 +480,7 @@ impl Database {
         let Some((ty, attr)) = self.index_defs.remove(name) else {
             return Err(ModelError::UnknownIndex(name.to_string()));
         };
+        self.store.dirty.indexes = true;
         if !self
             .index_defs
             .values()

@@ -7,6 +7,13 @@
 //! ids (so S-edge cycles are unrepresentable by construction) and enforces
 //! the §5.5 restriction that P-edges never form a cycle: an instance can
 //! never be "part of itself".
+//!
+//! The store also keeps what persistence needs to write only what
+//! changed: every entity, P-edge and relationship instance carries the
+//! `Loc` of its row in the storage engine, and every mutation — through
+//! [`crate::Database`] or straight through this store — enters the key of
+//! each row it changes into a dirty set (`RowKey`). `persist::commit`
+//! writes the current state of each dirty key and clears the set.
 
 use std::collections::HashMap;
 
@@ -17,6 +24,81 @@ use crate::value::{EntityId, TypeId, Value};
 /// Identifies a relationship instance.
 pub type RelInstanceId = u64;
 
+/// Where an image row sits in the storage engine: a packed record id,
+/// `0` for a row never committed. A locator says where a row is, not
+/// what it holds, so every locator compares equal and the derived
+/// equality of the structures carrying one compares content only.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Loc(pub(crate) u64);
+
+impl Loc {
+    /// No row on disk.
+    pub(crate) const NONE: Loc = Loc(0);
+
+    /// The packed record id, if the row was ever committed.
+    pub(crate) fn get(self) -> Option<u64> {
+        (self.0 != 0).then_some(self.0)
+    }
+}
+
+impl PartialEq for Loc {
+    fn eq(&self, _: &Loc) -> bool {
+        true
+    }
+}
+
+/// The key of one image row: what a dirty-set entry names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub(crate) enum RowKey {
+    /// An entity's row, in its type's table.
+    Entity(TypeId, EntityId),
+    /// A child's P-edge in an ordering: parent and position.
+    Edge(OrderingId, EntityId),
+    /// A relationship instance's row.
+    Rel(RelInstanceId),
+}
+
+/// Row keys changed since the last commit point, plus flags for the two
+/// definition images. A key carries the locator of its row when the
+/// in-memory holder of that locator is gone (the entity, edge or
+/// relationship was removed), [`Loc::NONE`] otherwise. A set kept
+/// lazily: marks are appended, and duplicates merged whenever the list
+/// doubles and before a commit reads it, so marking costs a push.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Dirty {
+    rows: Vec<(RowKey, Loc)>,
+    /// Length after the last merge.
+    merged: usize,
+    pub(crate) schema: bool,
+    pub(crate) indexes: bool,
+}
+
+impl Dirty {
+    /// True when nothing changed since the last commit point.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.rows.is_empty() && !self.schema && !self.indexes
+    }
+
+    /// Sorts the keys and merges duplicates, keeping a known locator.
+    pub(crate) fn merge(&mut self) {
+        self.rows.sort_by_key(|&(key, _)| key);
+        self.rows.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same && kept.1.get().is_none() {
+                kept.1 = later.1;
+            }
+            same
+        });
+        self.merged = self.rows.len();
+    }
+
+    /// The dirty keys, each with its locator: distinct and in key order
+    /// right after a [`Dirty::merge`].
+    pub(crate) fn rows(&self) -> &[(RowKey, Loc)] {
+        &self.rows
+    }
+}
+
 /// One entity instance: its type and attribute values (positionally
 /// matching the type's attribute definitions).
 #[derive(Debug, Clone, PartialEq)]
@@ -24,7 +106,8 @@ pub struct Instance {
     /// The entity type.
     pub ty: TypeId,
     /// Attribute values, indexed like the type's `attributes`.
-    pub attrs: Vec<Value>,
+    pub attrs: Box<[Value]>,
+    pub(crate) loc: Loc,
 }
 
 /// One relationship instance: entity ids filling each role, plus
@@ -37,6 +120,28 @@ pub struct RelInstance {
     pub entities: Vec<EntityId>,
     /// Attribute values, indexed like the relationship's `attributes`.
     pub attrs: Vec<Value>,
+    pub(crate) loc: Loc,
+}
+
+/// A P-edge: the parent group a child belongs to (`0` for the global
+/// group — entity ids start at 1), and its row.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct PEdge {
+    parent: EntityId,
+    loc: Loc,
+}
+
+impl PEdge {
+    fn new(parent: Option<EntityId>, loc: Loc) -> PEdge {
+        PEdge {
+            parent: parent.unwrap_or(0),
+            loc,
+        }
+    }
+
+    fn parent(self) -> Option<EntityId> {
+        (self.parent != 0).then_some(self.parent)
+    }
 }
 
 /// Per-ordering instance graph state.
@@ -46,11 +151,11 @@ struct OrderingState {
     /// orderings defined without an `under` clause).
     children: HashMap<Option<EntityId>, Vec<EntityId>>,
     /// P-edges: child → parent group it belongs to.
-    parent_of: HashMap<EntityId, Option<EntityId>>,
+    parent_of: HashMap<EntityId, PEdge>,
 }
 
 /// The in-memory instance store for one database.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct InstanceStore {
     next_entity: EntityId,
     next_rel: RelInstanceId,
@@ -61,6 +166,20 @@ pub struct InstanceStore {
     /// Relationship instances per relationship type, in creation order.
     rels_by_type: Vec<Vec<RelInstanceId>>,
     orderings: Vec<OrderingState>,
+    pub(crate) dirty: Dirty,
+}
+
+/// Equality is content: instances, relationship instances and orderings,
+/// in creation order. Not the id allocators — a load restarts them just
+/// above the highest live id — and not the persistence bookkeeping.
+impl PartialEq for InstanceStore {
+    fn eq(&self, other: &InstanceStore) -> bool {
+        self.instances == other.instances
+            && self.by_type == other.by_type
+            && self.rel_instances == other.rel_instances
+            && self.rels_by_type == other.rels_by_type
+            && self.orderings == other.orderings
+    }
 }
 
 impl InstanceStore {
@@ -74,7 +193,84 @@ impl InstanceStore {
             rel_instances: HashMap::new(),
             rels_by_type: vec![Vec::new(); schema.relationships().len()],
             orderings: vec![OrderingState::default(); schema.orderings().len()],
+            dirty: Dirty::default(),
         }
+    }
+
+    /// What changed since the last commit point.
+    pub(crate) fn dirty(&self) -> &Dirty {
+        &self.dirty
+    }
+
+    /// Enters `key` into the dirty set. `gone` is the locator of a row
+    /// whose in-memory holder was just removed; a later re-creation of
+    /// the same key (a child re-attached) then updates that row in place.
+    fn mark(&mut self, key: RowKey, gone: Loc) {
+        let dirty = &mut self.dirty;
+        dirty.rows.push((key, gone));
+        if dirty.rows.len() >= 2 * dirty.merged.max(1 << 14) {
+            dirty.merge();
+        }
+    }
+
+    /// Marks the P-edges of `kids` dirty: their positions moved.
+    fn mark_shifted(&mut self, ordering: OrderingId, kids: &[EntityId]) {
+        for &k in kids {
+            self.mark(RowKey::Edge(ordering, k), Loc::NONE);
+        }
+    }
+
+    /// Records where a commit put each written row, and clears the dirty
+    /// set: memory and disk agree again.
+    pub(crate) fn settle(&mut self, placed: Vec<(RowKey, Loc)>) {
+        for (key, loc) in placed {
+            self.set_loc(key, loc);
+        }
+        self.dirty = Dirty::default();
+    }
+
+    /// Points the in-memory holder of `key`, if present, at `loc`.
+    pub(crate) fn set_loc(&mut self, key: RowKey, loc: Loc) {
+        let held = match key {
+            RowKey::Entity(_, id) => self.instances.get_mut(&id).map(|i| &mut i.loc),
+            RowKey::Edge(o, child) => self.orderings[o as usize]
+                .parent_of
+                .get_mut(&child)
+                .map(|e| &mut e.loc),
+            RowKey::Rel(id) => self.rel_instances.get_mut(&id).map(|r| &mut r.loc),
+        };
+        if let Some(held) = held {
+            *held = loc;
+        }
+    }
+
+    /// The locator of the in-memory holder of `key`, or `None` if the key
+    /// has no holder (its entity, edge or relationship was removed).
+    pub(crate) fn loc_of(&self, key: RowKey) -> Option<Loc> {
+        match key {
+            RowKey::Entity(_, id) => self.instances.get(&id).map(|i| i.loc),
+            RowKey::Edge(o, child) => self.orderings[o as usize]
+                .parent_of
+                .get(&child)
+                .map(|e| e.loc),
+            RowKey::Rel(id) => self.rel_instances.get(&id).map(|r| r.loc),
+        }
+    }
+
+    /// A P-edge's parent and position, if `child` is in the ordering.
+    pub(crate) fn edge(
+        &self,
+        ordering: OrderingId,
+        child: EntityId,
+    ) -> Option<(Option<EntityId>, usize)> {
+        let state = self.state(ordering);
+        let parent = state.parent_of.get(&child)?.parent();
+        let pos = state
+            .children
+            .get(&parent)?
+            .iter()
+            .position(|&e| e == child)?;
+        Some((parent, pos))
     }
 
     /// Grows internal tables after new schema definitions (the schema can
@@ -95,19 +291,33 @@ impl InstanceStore {
     /// (already positionally arranged and type-checked by the caller).
     pub fn create_entity(&mut self, ty: TypeId, attrs: Vec<Value>) -> EntityId {
         let id = self.next_entity;
-        self.next_entity += 1;
-        self.instances.insert(id, Instance { ty, attrs });
-        self.by_type[ty as usize].push(id);
+        self.create_entity_with_id(id, ty, attrs);
         id
     }
 
-    /// Creates an entity with a specific id (used when loading from disk).
-    /// The id must not be in use.
+    /// Creates an entity with a specific id (bulk loaders). The id must
+    /// not be in use.
     pub fn create_entity_with_id(&mut self, id: EntityId, ty: TypeId, attrs: Vec<Value>) {
+        self.load_entity(id, ty, attrs, Loc::NONE);
+        self.mark(RowKey::Entity(ty, id), Loc::NONE);
+    }
+
+    /// Places an entity read from its committed row at `loc`: nothing
+    /// becomes dirty.
+    pub(crate) fn load_entity(&mut self, id: EntityId, ty: TypeId, attrs: Vec<Value>, loc: Loc) {
         debug_assert!(!self.instances.contains_key(&id));
-        self.instances.insert(id, Instance { ty, attrs });
+        let attrs = attrs.into_boxed_slice();
+        self.instances.insert(id, Instance { ty, attrs, loc });
         self.by_type[ty as usize].push(id);
         self.next_entity = self.next_entity.max(id + 1);
+    }
+
+    /// Puts instances and relationship instances back in creation
+    /// (id) order after a load placed them in row order.
+    pub(crate) fn sort_by_id(&mut self) {
+        for ids in self.by_type.iter_mut().chain(&mut self.rels_by_type) {
+            ids.sort_unstable();
+        }
     }
 
     /// The instance for `id`.
@@ -117,8 +327,10 @@ impl InstanceStore {
             .ok_or(ModelError::NoSuchInstance(id))
     }
 
-    /// Mutable access to the instance for `id`.
+    /// Mutable access to the instance for `id` (marks its row dirty).
     pub fn entity_mut(&mut self, id: EntityId) -> Result<&mut Instance> {
+        let ty = self.entity(id)?.ty;
+        self.mark(RowKey::Entity(ty, id), Loc::NONE);
         self.instances
             .get_mut(&id)
             .ok_or(ModelError::NoSuchInstance(id))
@@ -152,16 +364,17 @@ impl InstanceStore {
         if let Some(v) = self.by_type.get_mut(inst.ty as usize) {
             v.retain(|&e| e != id);
         }
+        self.mark(RowKey::Entity(inst.ty, id), inst.loc);
         for o in 0..self.orderings.len() {
-            let state = &mut self.orderings[o];
-            if let Some(parent) = state.parent_of.remove(&id) {
-                if let Some(sibs) = state.children.get_mut(&parent) {
-                    sibs.retain(|&e| e != id);
-                }
+            let o = o as OrderingId;
+            if self.state(o).parent_of.contains_key(&id) {
+                self.detach(o, id);
             }
-            if let Some(kids) = state.children.remove(&Some(id)) {
+            if let Some(kids) = self.state_mut(o).children.remove(&Some(id)) {
                 for k in kids {
-                    state.parent_of.remove(&k);
+                    if let Some(edge) = self.state_mut(o).parent_of.remove(&k) {
+                        self.mark(RowKey::Edge(o, k), edge.loc);
+                    }
                 }
             }
         }
@@ -189,17 +402,31 @@ impl InstanceStore {
         attrs: Vec<Value>,
     ) -> RelInstanceId {
         let id = self.next_rel;
-        self.next_rel += 1;
-        self.rel_instances.insert(
-            id,
-            RelInstance {
-                rel,
-                entities,
-                attrs,
-            },
-        );
-        self.rels_by_type[rel as usize].push(id);
+        self.load_rel(id, rel, entities, attrs, Loc::NONE);
+        self.mark(RowKey::Rel(id), Loc::NONE);
         id
+    }
+
+    /// Places a relationship instance read from its committed row at
+    /// `loc`: nothing becomes dirty.
+    pub(crate) fn load_rel(
+        &mut self,
+        id: RelInstanceId,
+        rel: RelTypeId,
+        entities: Vec<EntityId>,
+        attrs: Vec<Value>,
+        loc: Loc,
+    ) {
+        let r = RelInstance {
+            rel,
+            entities,
+            attrs,
+            loc,
+        };
+        if self.rel_instances.insert(id, r).is_none() {
+            self.rels_by_type[rel as usize].push(id);
+        }
+        self.next_rel = self.next_rel.max(id + 1);
     }
 
     /// The relationship instance for `id`.
@@ -218,6 +445,7 @@ impl InstanceStore {
         if let Some(v) = self.rels_by_type.get_mut(r.rel as usize) {
             v.retain(|&e| e != id);
         }
+        self.mark(RowKey::Rel(id), r.loc);
         Ok(())
     }
 
@@ -252,24 +480,18 @@ impl InstanceStore {
         position: usize,
         child: EntityId,
     ) -> Result<()> {
-        let oname = schema.ordering_display_name(ordering);
+        let oname = || schema.ordering_display_name(ordering);
         if self.state(ordering).parent_of.contains_key(&child) {
             return Err(ModelError::AlreadyOrdered {
-                ordering: oname,
+                ordering: oname(),
                 child,
             });
         }
-        // Cycle restriction: walking up from `parent`, we must never meet
-        // `child` ("an instance cannot be part of itself").
-        let mut cursor = parent;
-        while let Some(p) = cursor {
-            if p == child {
-                return Err(ModelError::CycleDetected {
-                    ordering: oname,
-                    child,
-                });
-            }
-            cursor = self.state(ordering).parent_of.get(&p).copied().flatten();
+        if self.part_of(ordering, parent, child) {
+            return Err(ModelError::CycleDetected {
+                ordering: oname(),
+                child,
+            });
         }
         let state = self.state_mut(ordering);
         let sibs = state.children.entry(parent).or_default();
@@ -280,8 +502,108 @@ impl InstanceStore {
             });
         }
         sibs.insert(position, child);
-        state.parent_of.insert(child, parent);
+        let moved = sibs[position + 1..].to_vec();
+        state.parent_of.insert(child, PEdge::new(parent, Loc::NONE));
+        self.mark(RowKey::Edge(ordering, child), Loc::NONE);
+        self.mark_shifted(ordering, &moved);
         Ok(())
+    }
+
+    /// Places a P-edge read from its committed row at `loc`: `child` at
+    /// position `seq` under `parent`. Committed positions are dense, so
+    /// rows may arrive in any order; [`InstanceStore::check_loaded_edges`]
+    /// verifies the result once every edge is in. Nothing becomes dirty.
+    pub(crate) fn load_edge(
+        &mut self,
+        schema: &Schema,
+        ordering: OrderingId,
+        parent: Option<EntityId>,
+        seq: usize,
+        child: EntityId,
+        loc: Loc,
+    ) -> Result<()> {
+        let state = self.state_mut(ordering);
+        if state
+            .parent_of
+            .insert(child, PEdge::new(parent, loc))
+            .is_some()
+        {
+            return Err(ModelError::AlreadyOrdered {
+                ordering: schema.ordering_display_name(ordering),
+                child,
+            });
+        }
+        let sibs = state.children.entry(parent).or_default();
+        if sibs.len() <= seq {
+            // 0 is never an entity id: it marks a position not yet filled.
+            sibs.resize(seq + 1, 0);
+        }
+        if sibs[seq] != 0 {
+            return Err(ModelError::Corrupt(format!(
+                "two children at position {seq} under {parent:?} in {}",
+                schema.ordering_display_name(ordering)
+            )));
+        }
+        sibs[seq] = child;
+        Ok(())
+    }
+
+    /// The invariants [`InstanceStore::ordering_insert`] enforces one edge
+    /// at a time, checked over a whole load: every position filled, and
+    /// no P-edge cycle (§5.5).
+    pub(crate) fn check_loaded_edges(&self, schema: &Schema) -> Result<()> {
+        for (o, state) in self.orderings.iter().enumerate() {
+            let name = || schema.ordering_display_name(o as OrderingId);
+            if let Some(parent) = state.children.iter().find(|(_, k)| k.contains(&0)) {
+                return Err(ModelError::Corrupt(format!(
+                    "a gap in the positions under {:?} in {}",
+                    parent.0,
+                    name()
+                )));
+            }
+            for (&child, edge) in &state.parent_of {
+                if self.part_of(o as OrderingId, edge.parent(), child) {
+                    return Err(ModelError::CycleDetected {
+                        ordering: name(),
+                        child,
+                    });
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The cycle restriction: whether walking up from `parent` meets
+    /// `child` — attaching it there would make an instance "part of
+    /// itself". A walk longer than the ordering has edges is a cycle too.
+    fn part_of(&self, ordering: OrderingId, parent: Option<EntityId>, child: EntityId) -> bool {
+        let edges = &self.state(ordering).parent_of;
+        let (mut cursor, mut steps) = (parent, 0);
+        while let Some(p) = cursor {
+            if p == child || steps > edges.len() {
+                return true;
+            }
+            cursor = edges.get(&p).and_then(|e| e.parent());
+            steps += 1;
+        }
+        false
+    }
+
+    /// Takes `child` out of its group, marking its edge (with the row
+    /// locator) and every later sibling's edge dirty.
+    fn detach(&mut self, ordering: OrderingId, child: EntityId) -> Option<PEdge> {
+        let state = self.state_mut(ordering);
+        let edge = state.parent_of.remove(&child)?;
+        let mut moved = Vec::new();
+        if let Some(sibs) = state.children.get_mut(&edge.parent()) {
+            if let Some(pos) = sibs.iter().position(|&e| e == child) {
+                sibs.remove(pos);
+                moved = sibs[pos..].to_vec();
+            }
+        }
+        self.mark(RowKey::Edge(ordering, child), edge.loc);
+        self.mark_shifted(ordering, &moved);
+        Some(edge)
     }
 
     /// Appends `child` as the last child of `parent` in `ordering`.
@@ -307,19 +629,12 @@ impl InstanceStore {
         ordering: OrderingId,
         child: EntityId,
     ) -> Result<()> {
-        let oname = schema.ordering_display_name(ordering);
-        let state = self.state_mut(ordering);
-        let parent = state
-            .parent_of
-            .remove(&child)
-            .ok_or(ModelError::NotAChild {
-                ordering: oname,
+        self.detach(ordering, child)
+            .map(|_| ())
+            .ok_or_else(|| ModelError::NotAChild {
+                ordering: schema.ordering_display_name(ordering),
                 child,
-            })?;
-        if let Some(sibs) = state.children.get_mut(&parent) {
-            sibs.retain(|&e| e != child);
-        }
-        Ok(())
+            })
     }
 
     /// The ordered children of `parent` in `ordering`.
@@ -341,7 +656,7 @@ impl InstanceStore {
         self.state(ordering)
             .parent_of
             .get(&child)
-            .copied()
+            .map(|e| e.parent())
             .ok_or_else(|| ModelError::NotAChild {
                 ordering: schema.ordering_display_name(ordering),
                 child,
@@ -370,9 +685,10 @@ impl InstanceStore {
     /// "they are not comparable, and the before clause evaluates to false").
     pub fn before(&self, ordering: OrderingId, a: EntityId, b: EntityId) -> bool {
         let state = self.state(ordering);
-        let (Some(&pa), Some(&pb)) = (state.parent_of.get(&a), state.parent_of.get(&b)) else {
+        let (Some(pa), Some(pb)) = (state.parent_of.get(&a), state.parent_of.get(&b)) else {
             return false;
         };
+        let (pa, pb) = (pa.parent(), pb.parent());
         if pa != pb || a == b {
             return false;
         }
@@ -398,7 +714,7 @@ impl InstanceStore {
 
     /// `a under p in ordering` (§5.6): true iff `p` is `a`'s parent.
     pub fn under(&self, ordering: OrderingId, a: EntityId, p: EntityId) -> bool {
-        self.state(ordering).parent_of.get(&a).copied() == Some(Some(p))
+        self.state(ordering).parent_of.get(&a).map(|e| e.parent()) == Some(Some(p))
     }
 
     /// The n-th (0-based) child of `parent`, e.g. "the third note in

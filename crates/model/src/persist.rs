@@ -1,133 +1,390 @@
 //! Persisting a [`Database`] through the storage engine.
 //!
-//! Layout: a `__schema` table with a single record (the serialized schema),
-//! one `__entities_<TYPE>` table per entity type, a `__orderings` table of
-//! `(ordering, parent, seq, child)` rows, and a `__relationships` table.
-//! [`save`] rewrites the database wholesale inside one transaction (plus
-//! auto-committed DDL); [`load`] reconstructs the in-memory database,
-//! re-validating every schema rule and ordering invariant on the way in.
+//! The image is the E-R translation of the MDM scheme, one row per thing:
+//! a `__schema` table with a single row (the serialized schema), one
+//! `__entities_<TYPE>` table per entity type with a row per entity, an
+//! `__orderings` table with a row per P-edge `(ordering, parent, seq,
+//! child)`, a `__relationships` table with a row per relationship
+//! instance (carrying its instance id), and an `__indexes` table with a
+//! row per named index definition.
+//!
+//! Every model change is therefore a row change, and there is one write
+//! path. [`commit`] writes the current state of every row key the
+//! database marked dirty since the last commit — an insert, an in-place
+//! update, or a delete through the locator the model keeps beside each
+//! entity, P-edge and relationship — in one engine transaction. [`save`]
+//! is the same writer with every key dirty, into an engine whose image it
+//! first clears (rows, not tables: the replacement is one transaction).
+//! [`load`] is the one decoder; [`apply`] runs the row changes of a
+//! replicated transaction through the same row decoders.
+//!
+//! Image tables are created by [`prepare`] (DDL, auto-committed), never
+//! by [`commit`]: the first commit point after an entity type is defined
+//! creates its table, and everything after that is rows.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
-use mdm_storage::StorageEngine;
+use mdm_storage::{Rid, StorageEngine, TableId, Txn};
 
 use crate::db::Database;
 use crate::encode::{self, Reader};
 use crate::error::{ModelError, Result};
-use crate::instance::InstanceStore;
-use crate::schema::OrderingId;
-use crate::value::{EntityId, Value};
+use crate::instance::{InstanceStore, Loc, RelInstance, RelInstanceId, RowKey};
+use crate::schema::{OrderingId, RelTypeId, Schema};
+use crate::value::{EntityId, TypeId, Value};
 
 const SCHEMA_TABLE: &str = "__schema";
 const ORDERINGS_TABLE: &str = "__orderings";
 const RELS_TABLE: &str = "__relationships";
 const INDEXES_TABLE: &str = "__indexes";
+const ENTITY_PREFIX: &str = "__entities_";
 
 fn entity_table(type_name: &str) -> String {
-    format!("__entities_{type_name}")
+    format!("{ENTITY_PREFIX}{type_name}")
 }
 
-fn ensure_table(engine: &StorageEngine, name: &str) -> Result<u32> {
-    match engine.table_id(name) {
-        Ok(id) => Ok(id),
-        Err(_) => Ok(engine.create_table(name)?),
+/// Creates the image tables a schema change since the last commit point
+/// needs (DDL, auto-committed), so that [`commit`] finds every table it
+/// writes. A no-op when the schema did not change. Returns whether it
+/// ran.
+pub fn prepare(db: &Database, engine: &StorageEngine) -> Result<bool> {
+    if !db.store().dirty().schema {
+        return Ok(false);
     }
+    create_tables(db.schema(), engine)?;
+    Ok(true)
 }
 
-/// Writes the whole database to the engine, replacing any previous copy.
-pub fn save(db: &Database, engine: &StorageEngine) -> Result<()> {
-    // Drop stale model tables, then recreate.
-    for t in engine.table_names() {
-        if t == SCHEMA_TABLE
-            || t == ORDERINGS_TABLE
-            || t == RELS_TABLE
-            || t == INDEXES_TABLE
-            || t.starts_with("__entities_")
-        {
-            engine.drop_table(&t)?;
+fn create_tables(schema: &Schema, engine: &StorageEngine) -> Result<()> {
+    let types = schema.entity_types().iter().map(|e| entity_table(&e.name));
+    for name in [SCHEMA_TABLE, ORDERINGS_TABLE, RELS_TABLE, INDEXES_TABLE]
+        .map(String::from)
+        .into_iter()
+        .chain(types)
+    {
+        if engine.table_id(&name).is_err() {
+            engine.create_table(&name)?;
         }
     }
-    let schema_t = ensure_table(engine, SCHEMA_TABLE)?;
-    let ord_t = ensure_table(engine, ORDERINGS_TABLE)?;
-    let rel_t = ensure_table(engine, RELS_TABLE)?;
-    let idx_t = ensure_table(engine, INDEXES_TABLE)?;
-    let mut ent_tables = HashMap::new();
-    for e in db.schema().entity_types() {
-        ent_tables.insert(
-            e.name.clone(),
-            ensure_table(engine, &entity_table(&e.name))?,
-        );
+    Ok(())
+}
+
+/// Writes every row the database changed since the last commit point in
+/// one engine transaction, then records where each row went and clears
+/// the dirty set. Issues no DDL: [`prepare`] first. If the transaction
+/// fails, memory is untouched and the changes stay dirty for the next
+/// commit point.
+pub fn commit(db: &mut Database, engine: &StorageEngine) -> Result<()> {
+    if db.store().dirty().is_empty() {
+        return Ok(());
+    }
+    db.store_mut().dirty.merge();
+    let dirty = db.store().dirty();
+    let mut w = Writer::open(db.schema(), engine)?;
+    if dirty.schema {
+        w.schema_row()?;
+    }
+    if dirty.indexes {
+        w.index_rows(db)?;
+    }
+    let mut placed = Vec::with_capacity(dirty.rows().len());
+    for &(key, gone) in dirty.rows() {
+        let disk = db.store().loc_of(key).and_then(Loc::get).or(gone.get());
+        let body = current_row(db.store(), key);
+        if let Some(loc) = w.put(key, body.as_deref(), disk)? {
+            placed.push((key, loc));
+        }
+    }
+    w.finish()?;
+    db.store_mut().settle(placed);
+    Ok(())
+}
+
+/// Writes the whole database to the engine in one transaction, replacing
+/// any previous image: every key dirty, no locator kept (the database
+/// stays bound to the engine it came from, if any).
+pub fn save(db: &Database, engine: &StorageEngine) -> Result<()> {
+    create_tables(db.schema(), engine)?;
+    let mut w = Writer::open(db.schema(), engine)?;
+    for name in engine.table_names() {
+        if is_image_table(&name) {
+            let table = engine.table_id(&name)?;
+            for (rid, _) in engine.scan(&mut w.txn, table)? {
+                engine.delete(&mut w.txn, table, rid)?;
+            }
+        }
+    }
+    w.schema_row()?;
+    w.index_rows(db)?;
+    let store = db.store();
+    for ty in 0..db.schema().entity_types().len() as TypeId {
+        for &id in store.instances_of(ty) {
+            let key = RowKey::Entity(ty, id);
+            w.put(key, current_row(store, key).as_deref(), None)?;
+        }
+    }
+    for oid in 0..db.schema().orderings().len() as OrderingId {
+        for (parent, children) in store.ordering_groups(oid) {
+            for (seq, &child) in children.iter().enumerate() {
+                let body = edge_row(oid, parent, seq, child);
+                w.put(RowKey::Edge(oid, child), Some(&body), None)?;
+            }
+        }
+    }
+    for rel in 0..db.schema().relationships().len() as RelTypeId {
+        for &id in store.relationships_of(rel) {
+            let key = RowKey::Rel(id);
+            w.put(key, current_row(store, key).as_deref(), None)?;
+        }
+    }
+    w.finish()
+}
+
+/// Whether `name` is one of the tables [`save`] and [`commit`] write.
+fn is_image_table(name: &str) -> bool {
+    matches!(
+        name,
+        SCHEMA_TABLE | ORDERINGS_TABLE | RELS_TABLE | INDEXES_TABLE
+    ) || name.starts_with(ENTITY_PREFIX)
+}
+
+/// One image transaction: the tables it writes, resolved on first use.
+struct Writer<'a> {
+    engine: &'a StorageEngine,
+    schema: &'a Schema,
+    txn: Txn,
+    schema_t: TableId,
+    ord_t: TableId,
+    rel_t: TableId,
+    idx_t: TableId,
+    entities: Vec<Option<TableId>>,
+}
+
+impl<'a> Writer<'a> {
+    fn open(schema: &'a Schema, engine: &'a StorageEngine) -> Result<Writer<'a>> {
+        Ok(Writer {
+            engine,
+            schema,
+            schema_t: engine.table_id(SCHEMA_TABLE)?,
+            ord_t: engine.table_id(ORDERINGS_TABLE)?,
+            rel_t: engine.table_id(RELS_TABLE)?,
+            idx_t: engine.table_id(INDEXES_TABLE)?,
+            txn: engine.begin()?,
+            entities: vec![None; schema.entity_types().len()],
+        })
     }
 
-    let mut txn = engine.begin()?;
-    engine.insert(&mut txn, schema_t, &encode::encode_schema(db.schema()))?;
+    fn table(&mut self, key: RowKey) -> Result<TableId> {
+        Ok(match key {
+            RowKey::Entity(ty, _) => match self.entities[ty as usize] {
+                Some(t) => t,
+                None => {
+                    let name = entity_table(&self.schema.entity_type(ty)?.name);
+                    let t = self.engine.table_id(&name)?;
+                    self.entities[ty as usize] = Some(t);
+                    t
+                }
+            },
+            RowKey::Edge(..) => self.ord_t,
+            RowKey::Rel(_) => self.rel_t,
+        })
+    }
 
-    // Entities.
-    for (ty_idx, ty) in db.schema().entity_types().iter().enumerate() {
-        let table = ent_tables[&ty.name];
-        for &id in db.store().instances_of(ty_idx as u32) {
-            let inst = db.store().entity(id)?;
+    /// Brings the row of `key` to `body` (`None` = no row): an insert,
+    /// an in-place update of the row at `disk`, or its delete. Returns
+    /// where the row now is.
+    fn put(&mut self, key: RowKey, body: Option<&[u8]>, disk: Option<u64>) -> Result<Option<Loc>> {
+        let table = self.table(key)?;
+        let (e, txn) = (self.engine, &mut self.txn);
+        Ok(match (body, disk) {
+            (Some(b), Some(at)) => Some(e.update(txn, table, Rid::from_u64(at), b)?),
+            (Some(b), None) => Some(e.insert(txn, table, b)?),
+            (None, Some(at)) => {
+                e.delete(txn, table, Rid::from_u64(at))?;
+                None
+            }
+            (None, None) => None,
+        }
+        .map(|rid| Loc(rid.to_u64())))
+    }
+
+    /// The one `__schema` row, updated in place.
+    fn schema_row(&mut self) -> Result<()> {
+        let table = self.schema_t;
+        let body = encode::encode_schema(self.schema);
+        let (e, txn) = (self.engine, &mut self.txn);
+        let mut rows = e.scan(txn, table)?.into_iter();
+        match rows.next() {
+            Some((rid, _)) => e.update(txn, table, rid, &body)?,
+            None => e.insert(txn, table, &body)?,
+        };
+        for (rid, _) in rows {
+            e.delete(txn, table, rid)?;
+        }
+        Ok(())
+    }
+
+    /// Reconciles the `__indexes` rows with the named index definitions:
+    /// one row per name, kept, rewritten, added or removed.
+    fn index_rows(&mut self, db: &Database) -> Result<()> {
+        let table = self.idx_t;
+        let (e, txn) = (self.engine, &mut self.txn);
+        let mut wanted: BTreeMap<String, Vec<u8>> = db
+            .index_defs()
+            .iter()
+            .map(|(name, (ty, attr))| (name.clone(), index_row(name, ty, attr)))
+            .collect();
+        for (rid, body) in e.scan(txn, table)? {
+            let (name, ..) = decode_index_row(&body)?;
+            match wanted.remove(&name) {
+                Some(row) if row == body => {}
+                Some(row) => {
+                    e.update(txn, table, rid, &row)?;
+                }
+                None => {
+                    e.delete(txn, table, rid)?;
+                }
+            }
+        }
+        for row in wanted.values() {
+            e.insert(txn, table, row)?;
+        }
+        Ok(())
+    }
+
+    fn finish(self) -> Result<()> {
+        Ok(self.engine.commit(self.txn)?)
+    }
+}
+
+// ----------------------------------------------------------------------
+// Row formats
+// ----------------------------------------------------------------------
+
+/// The row `key` holds in `store` now, or `None` if it has no row.
+fn current_row(store: &InstanceStore, key: RowKey) -> Option<Vec<u8>> {
+    match key {
+        RowKey::Entity(_, id) => {
+            let inst = store.entity(id).ok()?;
             let mut rec = Vec::new();
             rec.extend_from_slice(&id.to_le_bytes());
             rec.extend_from_slice(&(inst.attrs.len() as u32).to_le_bytes());
             for v in &inst.attrs {
                 encode::encode_value(&mut rec, v);
             }
-            engine.insert(&mut txn, table, &rec)?;
+            Some(rec)
+        }
+        RowKey::Edge(oid, child) => {
+            let (parent, seq) = store.edge(oid, child)?;
+            Some(edge_row(oid, parent, seq, child))
+        }
+        RowKey::Rel(id) => {
+            let r = store.relationship(id).ok()?;
+            Some(rel_row(id, r))
         }
     }
-
-    // Named index definitions: (name, entity type, attribute). Only the
-    // definition is stored; `load` rebuilds the in-memory attribute
-    // indexes from the entity rows.
-    for (name, (ty_name, attr)) in db.index_defs() {
-        let mut rec = Vec::new();
-        encode::encode_value(&mut rec, &Value::String(name.clone()));
-        encode::encode_value(&mut rec, &Value::String(ty_name.clone()));
-        encode::encode_value(&mut rec, &Value::String(attr.clone()));
-        engine.insert(&mut txn, idx_t, &rec)?;
-    }
-
-    // Orderings: one row per (ordering, parent, seq, child).
-    for (oid, _) in db.schema().orderings().iter().enumerate() {
-        for (parent, children) in db.store().ordering_groups(oid as OrderingId) {
-            for (seq, &child) in children.iter().enumerate() {
-                let mut rec = Vec::new();
-                rec.extend_from_slice(&(oid as u32).to_le_bytes());
-                rec.extend_from_slice(&parent.unwrap_or(0).to_le_bytes());
-                rec.extend_from_slice(&(seq as u32).to_le_bytes());
-                rec.extend_from_slice(&child.to_le_bytes());
-                engine.insert(&mut txn, ord_t, &rec)?;
-            }
-        }
-    }
-
-    // Relationship instances.
-    for (rid, _) in db.schema().relationships().iter().enumerate() {
-        for &ri in db.store().relationships_of(rid as u32) {
-            let r = db.store().relationship(ri)?;
-            let mut rec = Vec::new();
-            rec.extend_from_slice(&(rid as u32).to_le_bytes());
-            rec.extend_from_slice(&(r.entities.len() as u32).to_le_bytes());
-            for &e in &r.entities {
-                rec.extend_from_slice(&e.to_le_bytes());
-            }
-            rec.extend_from_slice(&(r.attrs.len() as u32).to_le_bytes());
-            for v in &r.attrs {
-                encode::encode_value(&mut rec, v);
-            }
-            engine.insert(&mut txn, rel_t, &rec)?;
-        }
-    }
-
-    engine.commit(txn)?;
-    Ok(())
 }
 
-/// Reads a database previously written with [`save`]. Returns an empty
-/// database if none was saved. The whole load runs against one
+fn edge_row(oid: OrderingId, parent: Option<EntityId>, seq: usize, child: EntityId) -> Vec<u8> {
+    let mut rec = Vec::with_capacity(24);
+    rec.extend_from_slice(&oid.to_le_bytes());
+    rec.extend_from_slice(&parent.unwrap_or(0).to_le_bytes());
+    rec.extend_from_slice(&(seq as u32).to_le_bytes());
+    rec.extend_from_slice(&child.to_le_bytes());
+    rec
+}
+
+fn rel_row(id: RelInstanceId, r: &RelInstance) -> Vec<u8> {
+    let mut rec = Vec::new();
+    rec.extend_from_slice(&r.rel.to_le_bytes());
+    rec.extend_from_slice(&id.to_le_bytes());
+    rec.extend_from_slice(&(r.entities.len() as u32).to_le_bytes());
+    for &e in &r.entities {
+        rec.extend_from_slice(&e.to_le_bytes());
+    }
+    rec.extend_from_slice(&(r.attrs.len() as u32).to_le_bytes());
+    for v in &r.attrs {
+        encode::encode_value(&mut rec, v);
+    }
+    rec
+}
+
+fn index_row(name: &str, ty: &str, attr: &str) -> Vec<u8> {
+    let mut rec = Vec::new();
+    for field in [name, ty, attr] {
+        encode::encode_value(&mut rec, &Value::String(field.to_string()));
+    }
+    rec
+}
+
+/// An entity row: its id and attribute values, checked against the type.
+fn decode_entity_row(rec: &[u8], schema: &Schema, ty: TypeId) -> Result<(EntityId, Vec<Value>)> {
+    let def = schema.entity_type(ty)?;
+    let mut r = Reader::new(rec);
+    let id = r.u64()?;
+    let nattrs = r.u32()? as usize;
+    if nattrs != def.attributes.len() {
+        return Err(ModelError::Corrupt(format!(
+            "entity {id} of {} has {nattrs} attrs, schema says {}",
+            def.name,
+            def.attributes.len()
+        )));
+    }
+    let mut attrs = Vec::with_capacity(nattrs);
+    for _ in 0..nattrs {
+        attrs.push(encode::decode_value(&mut r)?);
+    }
+    Ok((id, attrs))
+}
+
+/// A P-edge row: `(ordering, parent, seq, child)`.
+fn decode_edge_row(rec: &[u8]) -> Result<(OrderingId, Option<EntityId>, u32, EntityId)> {
+    let mut r = Reader::new(rec);
+    let (oid, parent, seq, child) = (r.u32()?, r.u64()?, r.u32()?, r.u64()?);
+    Ok((oid, (parent != 0).then_some(parent), seq, child))
+}
+
+type RelRow = (RelTypeId, RelInstanceId, Vec<EntityId>, Vec<Value>);
+
+fn decode_rel_row(rec: &[u8]) -> Result<RelRow> {
+    let mut r = Reader::new(rec);
+    let rel = r.u32()?;
+    let id = r.u64()?;
+    let n = r.u32()? as usize;
+    let entities = (0..n).map(|_| r.u64()).collect::<Result<Vec<_>>>()?;
+    let nattrs = r.u32()? as usize;
+    let attrs = (0..nattrs)
+        .map(|_| encode::decode_value(&mut r))
+        .collect::<Result<Vec<_>>>()?;
+    Ok((rel, id, entities, attrs))
+}
+
+/// An index definition row: `(name, entity type, attribute)`.
+fn decode_index_row(rec: &[u8]) -> Result<(String, String, String)> {
+    let mut r = Reader::new(rec);
+    let mut field = || match encode::decode_value(&mut r) {
+        Ok(Value::String(s)) => Ok(s),
+        Ok(v) => Err(ModelError::Corrupt(format!(
+            "index definition field is {}, not a string",
+            v.type_name()
+        ))),
+        Err(e) => Err(e),
+    };
+    Ok((field()?, field()?, field()?))
+}
+
+// ----------------------------------------------------------------------
+// Reading
+// ----------------------------------------------------------------------
+
+/// Reads the committed image. Returns an empty database if none was
+/// written. The whole load runs against one
 /// [`mdm_storage::ReadSnapshot`]: no transaction can commit underneath
-/// it, so it sees a single consistent commit point.
+/// it, so it sees a single consistent commit point. Entities and
+/// relationship instances are placed in id order (their creation order,
+/// whatever slots their rows took), every schema rule and ordering
+/// invariant is re-checked on the way in, and every row keeps its
+/// locator, so the next [`commit`] updates rows in place.
 pub fn load(engine: &StorageEngine) -> Result<Database> {
     let Ok(schema_t) = engine.table_id(SCHEMA_TABLE) else {
         return Ok(Database::new());
@@ -139,79 +396,172 @@ pub fn load(engine: &StorageEngine) -> Result<Database> {
     };
     let schema = encode::decode_schema(schema_bytes)?;
     let mut store = InstanceStore::new(&schema);
+    let loc = |rid: Rid| Loc(rid.to_u64());
 
-    // Entities.
-    for (ty_idx, ty) in schema.entity_types().iter().enumerate() {
-        let table = engine.table_id(&entity_table(&ty.name))?;
-        for (_, rec) in snap.scan(table)? {
-            let mut r = Reader::new(&rec);
-            let id = r.u64()?;
-            let nattrs = r.u32()? as usize;
-            if nattrs != ty.attributes.len() {
-                return Err(ModelError::Corrupt(format!(
-                    "entity {id} of {} has {nattrs} attrs, schema says {}",
-                    ty.name,
-                    ty.attributes.len()
-                )));
-            }
-            let attrs = (0..nattrs)
-                .map(|_| encode::decode_value(&mut r))
-                .collect::<Result<Vec<Value>>>()?;
-            store.create_entity_with_id(id, ty_idx as u32, attrs);
+    for (ty, def) in schema.entity_types().iter().enumerate() {
+        let table = engine.table_id(&entity_table(&def.name))?;
+        for (rid, rec) in snap.scan(table)? {
+            let (id, attrs) = decode_entity_row(&rec, &schema, ty as TypeId)?;
+            store.load_entity(id, ty as TypeId, attrs, loc(rid));
         }
     }
 
-    // Orderings: gather, sort by (ordering, parent, seq), replay appends.
     let ord_table = engine.table_id(ORDERINGS_TABLE)?;
-    let mut rows: Vec<(u32, EntityId, u32, EntityId)> = Vec::new();
-    for (_, rec) in snap.scan(ord_table)? {
-        let mut r = Reader::new(&rec);
-        rows.push((r.u32()?, r.u64()?, r.u32()?, r.u64()?));
+    for (rid, rec) in snap.scan(ord_table)? {
+        let (oid, parent, seq, child) = decode_edge_row(&rec)?;
+        store.load_edge(&schema, oid, parent, seq as usize, child, loc(rid))?;
     }
-    rows.sort_unstable();
-    for (oid, parent, _seq, child) in rows {
-        let parent = (parent != 0).then_some(parent);
-        store.ordering_append(&schema, oid, parent, child)?;
-    }
+    store.check_loaded_edges(&schema)?;
 
-    // Relationships.
     let rel_table = engine.table_id(RELS_TABLE)?;
-    for (_, rec) in snap.scan(rel_table)? {
-        let mut r = Reader::new(&rec);
-        let rid = r.u32()?;
-        let n = r.u32()? as usize;
-        let entities = (0..n).map(|_| r.u64()).collect::<Result<Vec<_>>>()?;
-        let nattrs = r.u32()? as usize;
-        let attrs = (0..nattrs)
-            .map(|_| encode::decode_value(&mut r))
-            .collect::<Result<Vec<_>>>()?;
-        store.relate(rid, entities, attrs);
+    for (rid, rec) in snap.scan(rel_table)? {
+        let (rel, id, entities, attrs) = decode_rel_row(&rec)?;
+        store.load_rel(id, rel, entities, attrs, loc(rid));
     }
+    // Rows sit wherever free slots were; ids are the creation order.
+    store.sort_by_id();
 
-    // Named index definitions (absent in databases saved before they
-    // existed). Re-defining rebuilds the in-memory attribute indexes.
-    let mut index_defs: Vec<(String, String, String)> = Vec::new();
-    if let Ok(idx_t) = engine.table_id(INDEXES_TABLE) {
-        for (_, rec) in snap.scan(idx_t)? {
-            let mut r = Reader::new(&rec);
-            let mut field = || match encode::decode_value(&mut r) {
-                Ok(Value::String(s)) => Ok(s),
-                Ok(v) => Err(ModelError::Corrupt(format!(
-                    "index definition field is {}, not a string",
-                    v.type_name()
-                ))),
-                Err(e) => Err(e),
-            };
-            index_defs.push((field()?, field()?, field()?));
-        }
-    }
+    let idx_t = engine.table_id(INDEXES_TABLE)?;
+    let index_defs = snap
+        .scan(idx_t)?
+        .iter()
+        .map(|(_, rec)| decode_index_row(rec))
+        .collect::<Result<Vec<_>>>()?;
 
     drop(snap);
     let mut db = Database::from_parts(schema, store);
     for (name, ty_name, attr) in index_defs {
         db.define_index(&name, &ty_name, &attr)?;
     }
+    db.store_mut().settle(Vec::new());
     Ok(db)
+}
+
+/// One heap change of a committed engine transaction, as its log records
+/// carry it: the table's name, where the row is, and its image before
+/// (`None` for an insert) and after (`None` for a delete).
+#[derive(Debug, Clone)]
+pub struct RowChange {
+    /// Name of the table the change touched.
+    pub table: String,
+    /// The packed record id the row now has (or had, for a delete).
+    pub rid: u64,
+    /// The row before the change.
+    pub old: Option<Vec<u8>>,
+    /// The row after the change.
+    pub new: Option<Vec<u8>>,
+}
+
+/// Applies the row changes of one committed transaction (in log order)
+/// to `db`, so that it holds what [`load`] would read back from the
+/// engine the transaction committed into — locators included. Changes
+/// to other tables are ignored. Every row names its key (relationship
+/// rows carry their instance id), so a delete's old image is enough.
+pub fn apply(db: &mut Database, changes: &[RowChange]) -> Result<()> {
+    let schema_image = changes
+        .iter()
+        .rev()
+        .find(|c| c.table == SCHEMA_TABLE)
+        .and_then(|c| c.new.as_deref());
+    if let Some(bytes) = schema_image {
+        db.adopt_schema(encode::decode_schema(bytes)?)?;
+    }
+
+    // The final state of each row key the transaction touched.
+    let mut rows: BTreeMap<RowKey, Option<(Loc, &[u8])>> = BTreeMap::new();
+    let mut indexes: BTreeMap<String, Option<(String, String)>> = BTreeMap::new();
+    for c in changes {
+        let Some(image) = c.new.as_deref().or(c.old.as_deref()) else {
+            continue;
+        };
+        let key = match c.table.as_str() {
+            ORDERINGS_TABLE => {
+                let (oid, _, _, child) = decode_edge_row(image)?;
+                RowKey::Edge(oid, child)
+            }
+            RELS_TABLE => RowKey::Rel(decode_rel_row(image)?.1),
+            INDEXES_TABLE => {
+                let (name, ty, attr) = decode_index_row(image)?;
+                indexes.insert(name, c.new.is_some().then_some((ty, attr)));
+                continue;
+            }
+            name => match name.strip_prefix(ENTITY_PREFIX) {
+                Some(ty) => {
+                    let id = Reader::new(image).u64()?;
+                    RowKey::Entity(db.schema().entity_type_id(ty)?, id)
+                }
+                None => continue,
+            },
+        };
+        rows.insert(key, c.new.as_deref().map(|b| (Loc(c.rid), b)));
+    }
+
+    // Entities first (edges and relationships name them), deletes after
+    // puts; a delete cascades in memory exactly as it did on the writer.
+    for (&key, state) in &rows {
+        if let (RowKey::Entity(ty, _), Some((loc, body))) = (key, state) {
+            let (id, attrs) = decode_entity_row(body, db.schema(), ty)?;
+            db.put_entity(ty, id, attrs, *loc)?;
+        }
+    }
+    for (&key, state) in &rows {
+        if let (RowKey::Entity(_, id), None) = (key, state) {
+            if db.store().exists(id) {
+                db.delete_entity(id)?;
+            }
+        }
+    }
+
+    // Edges: take every touched child out, then put the surviving ones
+    // back in (ordering, parent, seq) order. Committed rows hold dense
+    // positions, so each lands exactly at its seq.
+    let schema = db.schema().clone();
+    let store = db.store_mut();
+    let mut edges = Vec::new();
+    for (&key, state) in &rows {
+        if let RowKey::Edge(oid, child) = key {
+            let _ = store.ordering_remove(&schema, oid, child);
+            if let Some((loc, body)) = state {
+                edges.push((decode_edge_row(body)?, *loc));
+            }
+        }
+    }
+    edges.sort_unstable_by_key(|&(edge, _)| edge);
+    for ((oid, parent, seq, child), loc) in edges {
+        store.ordering_insert(&schema, oid, parent, seq as usize, child)?;
+        store.set_loc(RowKey::Edge(oid, child), loc);
+    }
+
+    for (&key, state) in &rows {
+        if let RowKey::Rel(id) = key {
+            match state {
+                Some((loc, body)) => {
+                    let (rel, id, entities, attrs) = decode_rel_row(body)?;
+                    store.load_rel(id, rel, entities, attrs, *loc);
+                }
+                None => {
+                    let _ = store.remove_relationship(id);
+                }
+            }
+        }
+    }
+
+    for (name, def) in indexes {
+        let current = db.index_defs().get(&name).cloned();
+        if current == def {
+            continue;
+        }
+        if current.is_some() {
+            db.destroy_index(&name)?;
+        }
+        if let Some((ty, attr)) = def {
+            db.define_index(&name, &ty, &attr)?;
+        }
+    }
+
+    db.store_mut().settle(Vec::new());
+    db.refresh_live_counts();
+    Ok(())
 }
 
 #[cfg(test)]
@@ -300,6 +650,12 @@ mod tests {
         db
     }
 
+    fn committed(db: &mut Database, engine: &StorageEngine) {
+        prepare(db, engine).unwrap();
+        commit(db, engine).unwrap();
+        assert!(db.store().dirty().is_empty());
+    }
+
     #[test]
     fn save_load_roundtrip() {
         let dir = tmpdir("rt");
@@ -354,6 +710,161 @@ mod tests {
         let back = load(&engine).unwrap();
         assert_eq!(back, db);
         assert_eq!(back.ord_children("all_chords", None).unwrap().len(), 3);
+        drop(engine);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Commits write only what changed, in place: every kind of change
+    /// (create, replace, delete, re-order, relate, unrelate, index DDL)
+    /// reads back equal, and rows keep their slots.
+    #[test]
+    fn commits_apply_each_change_in_place() {
+        let dir = tmpdir("commit");
+        let engine = StorageEngine::open(&dir).unwrap();
+        let mut db = build_db();
+        committed(&mut db, &engine);
+        assert_eq!(load(&engine).unwrap(), db);
+
+        let chords = db.ord_children("all_chords", None).unwrap();
+        let notes = db.ord_children("note_in_chord", Some(chords[0])).unwrap();
+        db.set_attr(notes[1], "pitch", Value::String("Eb4".into()))
+            .unwrap();
+        db.ord_remove("note_in_chord", notes[0]).unwrap();
+        db.ord_insert("note_in_chord", Some(chords[0]), 2, notes[0])
+            .unwrap();
+        db.delete_entity(notes[2]).unwrap();
+        let p = db.instances_of("PERSON").unwrap()[0];
+        db.relate("PLAYS", &[("player", p), ("chord", chords[1])], &[])
+            .unwrap();
+        db.destroy_index("note_by_pitch").unwrap();
+        db.define_index("note_by_name", "NOTE", "name").unwrap();
+        let pages = engine.num_pages();
+        committed(&mut db, &engine);
+        assert_eq!(engine.num_pages(), pages, "updates land in place");
+        let back = load(&engine).unwrap();
+        assert_eq!(back, db);
+        assert_eq!(
+            back.ord_children("note_in_chord", Some(chords[0])).unwrap(),
+            vec![notes[1], notes[0]]
+        );
+        assert!(back.index_defs().contains_key("note_by_name"));
+
+        // A second load binds the same rows: committing through it works.
+        let mut again = back;
+        again.delete_entity(p).unwrap();
+        committed(&mut again, &engine);
+        assert_eq!(load(&engine).unwrap(), again);
+        drop(engine);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Freed slots are reused, so heap order is not creation order: load
+    /// still rebuilds `instances_of` and relationship ids in creation
+    /// order.
+    #[test]
+    fn load_keeps_creation_order_after_slot_reuse() {
+        let dir = tmpdir("slot-reuse");
+        let mut db = build_db();
+        {
+            let engine = StorageEngine::open(&dir).unwrap();
+            committed(&mut db, &engine);
+            let person = db.instances_of("PERSON").unwrap()[0];
+            let chord = db.instances_of("CHORD").unwrap()[0];
+            let first = db.instances_of("NOTE").unwrap()[0];
+            db.delete_entity(first).unwrap();
+            db.delete_entity(person).unwrap();
+            committed(&mut db, &engine);
+            let n = db
+                .create_entity("NOTE", &[("pitch", Value::String("B3".into()))])
+                .unwrap();
+            db.ord_append("note_in_chord", Some(chord), n).unwrap();
+            let p = db.create_entity("PERSON", &[]).unwrap();
+            db.relate("PLAYS", &[("player", p), ("chord", chord)], &[])
+                .unwrap();
+            db.relate("PLAYS", &[("player", p), ("chord", chord)], &[])
+                .unwrap();
+            committed(&mut db, &engine);
+        }
+        let engine = StorageEngine::open(&dir).unwrap();
+        let back = load(&engine).unwrap();
+        assert_eq!(back, db, "order included");
+        let note = back.schema().entity_type_id("NOTE").unwrap();
+        assert_eq!(
+            back.store().instances_of(note),
+            db.store().instances_of(note)
+        );
+        let plays = back.schema().relationship_id("PLAYS").unwrap();
+        assert_eq!(
+            back.store().relationships_of(plays),
+            db.store().relationships_of(plays)
+        );
+        drop(engine);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A replica applying a writer's committed row changes holds what a
+    /// load of the writer's engine holds.
+    #[test]
+    fn applied_row_changes_equal_a_load() {
+        use mdm_storage::WalRecord;
+        let dir = tmpdir("apply");
+        let engine = StorageEngine::open(&dir).unwrap();
+        let mut writer = build_db();
+        let mut replica = Database::new();
+        let mut names: BTreeMap<TableId, String> = BTreeMap::new();
+        let mut ship = |writer: &mut Database, replica: &mut Database| {
+            let from = engine.wal_next_lsn();
+            prepare(writer, &engine).unwrap();
+            commit(writer, &engine).unwrap();
+            for name in engine.table_names() {
+                names.insert(engine.table_id(&name).unwrap(), name);
+            }
+            let (batch, _) = engine.wal_read_from(from, usize::MAX).unwrap();
+            let changes: Vec<RowChange> = batch
+                .iter()
+                .filter_map(|(_, p)| match WalRecord::decode(p)? {
+                    WalRecord::Insert {
+                        table, rid, body, ..
+                    } => Some((table, rid, None, Some(body))),
+                    WalRecord::Update {
+                        table,
+                        rid,
+                        old,
+                        new,
+                        ..
+                    } => Some((table, rid, Some(old), Some(new))),
+                    WalRecord::Delete {
+                        table, rid, old, ..
+                    } => Some((table, rid, Some(old), None)),
+                    _ => None,
+                })
+                .map(|(table, rid, old, new)| RowChange {
+                    table: names[&table].clone(),
+                    rid: rid.to_u64(),
+                    old,
+                    new,
+                })
+                .collect();
+            apply(replica, &changes).unwrap();
+            assert_eq!(*replica, load(&engine).unwrap());
+        };
+        ship(&mut writer, &mut replica);
+        let chords = writer.ord_children("all_chords", None).unwrap();
+        let notes = writer
+            .ord_children("note_in_chord", Some(chords[0]))
+            .unwrap();
+        writer.ord_remove("note_in_chord", notes[0]).unwrap();
+        writer
+            .ord_append("note_in_chord", Some(chords[1]), notes[0])
+            .unwrap();
+        writer
+            .set_attr(notes[2], "pitch", Value::String("G#4".into()))
+            .unwrap();
+        writer.delete_entity(chords[0]).unwrap();
+        writer
+            .define_index("chord_by_name", "CHORD", "name")
+            .unwrap();
+        ship(&mut writer, &mut replica);
         drop(engine);
         std::fs::remove_dir_all(&dir).ok();
     }

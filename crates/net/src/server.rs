@@ -542,9 +542,14 @@ fn handle_request(shared: &Shared, request: Message) -> Message {
                 Err(e) => core_error_response(&e),
             }
         }
+        // A remote client's score is a commit point: `ScoreStored` is
+        // sent only once its rows are durable.
         Message::StoreScore { score } => {
             let mut mdm = shared.mdm.write().expect("mdm lock");
-            match mdm.store_score(&score) {
+            match mdm
+                .store_score(&score)
+                .and_then(|id| mdm.commit().map(|()| id))
+            {
                 Ok(id) => Message::ScoreStored { id },
                 Err(e) => core_error_response(&e),
             }

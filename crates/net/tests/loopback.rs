@@ -79,7 +79,7 @@ fn wire_queries_begin_no_engine_transaction() {
         .expect("execute");
     let begins = || server.with_manager(|m| m.metrics_snapshot().counter("mdm_txn_begins_total"));
     let before = begins();
-    assert!(before.unwrap_or(0) > 0, "the journaled execute began one");
+    assert!(before.unwrap_or(0) > 0, "the committed execute began one");
     for _ in 0..3 {
         let table = c
             .query("range of g is GADGET\nretrieve (g.name)")

@@ -10,7 +10,7 @@ use std::fmt;
 pub enum ReplError {
     /// Storage-engine failure (WAL streaming, apply, fold).
     Storage(StorageError),
-    /// MDM-level failure (reload from storage, journal replay).
+    /// MDM-level failure (applying replicated rows, bootstrap load).
     Core(CoreError),
     /// Network failure talking to the primary.
     Net(NetError),

@@ -20,8 +20,9 @@ pub struct ReplMetrics {
     pub batches: Arc<Counter>,
     /// WAL records applied through the stream.
     pub records: Arc<Counter>,
-    /// Journaled statements re-applied live to the in-memory database.
-    pub statements: Arc<Counter>,
+    /// Committed transactions whose rows were applied to the in-memory
+    /// database.
+    pub txns_applied: Arc<Counter>,
     /// Checkpoint markers folded (each rotates the replica's log).
     pub checkpoints: Arc<Counter>,
     /// Successful promotions to primary.
@@ -51,9 +52,9 @@ impl ReplMetrics {
                 "mdm_repl_records_total",
                 "WAL records applied through the replication stream",
             ),
-            statements: registry.counter(
-                "mdm_repl_statements_total",
-                "journaled statements re-applied live to the in-memory database",
+            txns_applied: registry.counter(
+                "mdm_repl_txns_applied_total",
+                "committed transactions whose rows were applied to the in-memory database",
             ),
             checkpoints: registry.counter(
                 "mdm_repl_checkpoints_total",

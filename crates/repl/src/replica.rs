@@ -7,36 +7,35 @@
 //! typed `ReadOnly` error. Replica reads run against the in-memory
 //! database under the server's read lock: they never touch the engine,
 //! take no engine locks, and never abort — even while the pull loop
-//! applies the primary's WAL underneath them. A fold rewrites engine
-//! pages only; the in-memory database is swapped afterwards under the
-//! server's write lock (`reload_from_storage`).
-//! Freshness comes from two mechanisms layered on the same stream:
+//! applies the primary's WAL underneath them.
 //!
-//! * **Checkpoint folds** (tier 1, exact): the primary guarantees no
-//!   transaction spans a [`WalRecord::Checkpoint`] marker, so when the
-//!   stream reaches one the replica folds its local log into the data
-//!   pages through the recovery machinery, rotates the log, and rebuilds
-//!   its in-memory database from storage.
-//! * **Live statement application** (tier 2, best effort): between
-//!   markers, the replica watches the stream for inserts into the
-//!   primary's statement journal and re-executes committed statements
-//!   against its in-memory database, so reads see recent writes without
-//!   waiting for the next checkpoint. Any drift is discarded by the next
-//!   fold's reload.
+//! The stream feeds both halves of the node the same rows. The log and
+//! the pages take the records verbatim, folding at every
+//! [`WalRecord::Checkpoint`] marker (the primary guarantees no
+//! transaction spans one). The in-memory database takes each committed
+//! transaction's heap records on the image tables, buffered per
+//! transaction and applied at its `Commit` through the same row decoders
+//! a load uses ([`persist::apply`]) — so between checkpoints and across
+//! them a replica reads exactly what the primary committed, with nothing
+//! re-executed and nothing skipped. The one exception is a fresh replica:
+//! its stream starts at the primary's archive snapshot, whose earlier
+//! history exists only as page images, so it loads its model from the
+//! pages of its first fold and applies rows from there.
 //!
 //! Promotion is [`ReplicaNode::promote`]: refused while the replica has
 //! not applied everything the primary acknowledged as durable, otherwise
 //! the local log is folded, the role flips, and the LSN space simply
 //! continues — the old primary can later re-seed as a replica of the new
-//! one.
+//! one. The model needs nothing at promotion: it already holds every
+//! committed row, at the record ids the fold leaves them in.
 
 use crate::error::{ReplError, Result};
 use crate::metrics::ReplMetrics;
-use mdm_core::mdm::JOURNAL_TABLE;
-use mdm_core::MusicDataManager;
+use mdm_core::{cmn_schema, CoreError, MusicDataManager};
+use mdm_model::persist::{self, RowChange};
 use mdm_net::{ClientConfig, MdmClient, MdmServer, ServerConfig};
 use mdm_storage::catalog::Catalog;
-use mdm_storage::{StorageEngine, TableId, TxnId, WalRecord};
+use mdm_storage::{Rid, StorageEngine, TableId, TxnId, Wal, WalRecord};
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::path::Path;
@@ -189,7 +188,8 @@ impl ReplicaNode {
     /// The replica's applied watermark. Published by the pull loop only
     /// after a batch has landed fully — log, pages, AND the live
     /// in-memory database — so a reader that observes `applied_lsn() >=
-    /// x` sees every statement at or below `x` in its queries.
+    /// x` sees every transaction committed at or below `x` in its
+    /// queries.
     pub fn applied_lsn(&self) -> u64 {
         self.state.applied.load(Ordering::Acquire)
     }
@@ -236,9 +236,9 @@ impl ReplicaNode {
     /// untouched — unless the replica has applied everything the primary
     /// ever acknowledged as durable; promoting a stale replica would
     /// silently drop acknowledged commits. On success the pull loop
-    /// stops, the streamed log is folded into the pages, the in-memory
-    /// database is rebuilt from them, and the node starts accepting
-    /// writes. The LSN space continues where the stream left off.
+    /// stops, the streamed log is folded into the pages, and the node
+    /// starts accepting writes. The LSN space continues where the stream
+    /// left off.
     pub fn promote(&mut self) -> Result<()> {
         let applied = self.engine.wal_next_lsn();
         let required = self.state.primary_durable.load(Ordering::Acquire);
@@ -247,11 +247,7 @@ impl ReplicaNode {
         }
         self.stop_puller();
         self.engine.replica_refresh()?;
-        self.server().with_manager_mut(|m| -> Result<()> {
-            m.reload_from_storage()?;
-            m.set_replica(false)?;
-            Ok(())
-        })?;
+        self.server().with_manager_mut(|m| m.set_replica(false))?;
         self.server().set_read_only(false);
         self.metrics.promotes.inc();
         Ok(())
@@ -281,8 +277,8 @@ impl Drop for ReplicaNode {
     }
 }
 
-/// The pull loop: stream, split at checkpoint markers, fold, re-apply
-/// journaled statements, publish lag.
+/// The pull loop: stream, split at checkpoint markers, fold, apply
+/// committed rows, publish lag.
 fn pull_loop(
     server: &MdmServer,
     engine: &StorageEngine,
@@ -291,10 +287,13 @@ fn pull_loop(
     cfg: &ReplicaConfig,
 ) {
     let mut client: Option<MdmClient> = None;
-    // Tracks the primary's statement-journal table across catalog
-    // snapshots, plus journal rows buffered per open transaction.
-    let mut journal_table: Option<TableId> = engine.table_id(JOURNAL_TABLE).ok();
-    let mut pending: HashMap<TxnId, Vec<String>> = HashMap::new();
+    let mut stream = match Stream::resume(engine) {
+        Ok(s) => s,
+        Err(e) => {
+            record_error(state, metrics, &format!("resume: {e}"));
+            return;
+        }
+    };
     // Bytes per record from the last non-empty batch, for lag estimates.
     let mut avg_record_bytes: u64 = 64;
     while !state.stop.load(Ordering::SeqCst) {
@@ -340,14 +339,7 @@ fn pull_loop(
         }
         let bytes: usize = batch.iter().map(|(_, p)| p.len() + 12).sum();
         avg_record_bytes = (bytes as u64 / batch.len() as u64).max(1);
-        match apply_batch(
-            server,
-            engine,
-            metrics,
-            &mut journal_table,
-            &mut pending,
-            &batch,
-        ) {
+        match apply_batch(server, engine, metrics, &mut stream, &batch) {
             Ok(()) => {
                 *state.last_error.lock().expect("repl error lock") = None;
                 state
@@ -362,8 +354,10 @@ fn pull_loop(
                 publish_lag(server, state, metrics, avg_record_bytes);
             }
             Err(e) => {
-                // The local watermark did not move, so the next pull
-                // retries the same span.
+                // A log or fold failure leaves the local watermark where
+                // it was, so the next pull retries the same span. A
+                // committed row the model cannot take is a defect, and
+                // surfaces here rather than being skipped.
                 record_error(state, metrics, &format!("apply: {e}"));
             }
         }
@@ -374,75 +368,153 @@ fn pull_loop(
     }
 }
 
-/// Applies one pulled batch: appends spans to the local log, folding and
-/// rotating at every checkpoint marker, and re-executes statements whose
-/// commits arrived after the last fold point.
+/// What the pull loop knows of the stream beyond the pages: table names
+/// by id, and the row changes of transactions whose `Commit` has not
+/// arrived yet.
+struct Stream {
+    tables: HashMap<TableId, String>,
+    pending: HashMap<TxnId, Vec<RowChange>>,
+    /// True until a fresh replica's first fold: its model is then loaded
+    /// from the folded pages, and rows apply live from there on.
+    bootstrapping: bool,
+}
+
+impl Stream {
+    /// Picks the stream up where the local log ends. A fresh replica
+    /// (an empty log) bootstraps. A restarted one loaded its model from
+    /// pages recovery rebuilt from the local log, which holds every
+    /// committed transaction — but a transaction whose `Commit` has not
+    /// arrived yet is in the log and not in the pages: its rows are
+    /// re-read from the log.
+    fn resume(engine: &StorageEngine) -> Result<Stream> {
+        let mut stream = Stream {
+            tables: HashMap::new(),
+            pending: HashMap::new(),
+            bootstrapping: engine.wal_next_lsn() == 0,
+        };
+        for name in engine.table_names() {
+            stream.tables.insert(engine.table_id(&name)?, name);
+        }
+        if !stream.bootstrapping {
+            let (records, _) = Wal::replay(engine.dir())?;
+            for rec in &records {
+                // Committed ones are already in the model.
+                stream.track(rec);
+            }
+        }
+        Ok(stream)
+    }
+
+    /// Follows one record; returns the row changes of the transaction it
+    /// commits, if it is a `Commit`.
+    fn track(&mut self, rec: &WalRecord) -> Option<Vec<RowChange>> {
+        match rec {
+            WalRecord::CatalogSnapshot { bytes } => {
+                if let Ok(cat) = Catalog::from_bytes(bytes) {
+                    self.tables = cat.tables.into_iter().map(|(n, m)| (m.id, n)).collect();
+                }
+            }
+            WalRecord::Insert {
+                txn,
+                table,
+                rid,
+                body,
+            } => self.change(*txn, *table, *rid, None, Some(body)),
+            WalRecord::Update {
+                txn,
+                table,
+                rid,
+                old,
+                new,
+            } => self.change(*txn, *table, *rid, Some(old), Some(new)),
+            WalRecord::Delete {
+                txn,
+                table,
+                rid,
+                old,
+            } => self.change(*txn, *table, *rid, Some(old), None),
+            WalRecord::Commit { txn } => return self.pending.remove(txn),
+            WalRecord::Abort { txn } => {
+                self.pending.remove(txn);
+            }
+            _ => {}
+        }
+        None
+    }
+
+    fn change(
+        &mut self,
+        txn: TxnId,
+        table: TableId,
+        rid: Rid,
+        old: Option<&Vec<u8>>,
+        new: Option<&Vec<u8>>,
+    ) {
+        if self.bootstrapping {
+            return;
+        }
+        let Some(name) = self.tables.get(&table) else {
+            return;
+        };
+        self.pending.entry(txn).or_default().push(RowChange {
+            table: name.clone(),
+            rid: rid.to_u64(),
+            old: old.cloned(),
+            new: new.cloned(),
+        });
+    }
+}
+
+/// Applies one pulled batch span by span — a span ends at a checkpoint
+/// marker or at the batch's end: the span goes to the local log, the rows
+/// of every transaction it commits go to the in-memory database, and a
+/// marker then folds and rotates the log. The stream state follows only
+/// spans the log took, so a failed span is retried whole by the next pull.
 fn apply_batch(
     server: &MdmServer,
     engine: &StorageEngine,
     metrics: &ReplMetrics,
-    journal_table: &mut Option<TableId>,
-    pending: &mut HashMap<TxnId, Vec<String>>,
+    stream: &mut Stream,
     batch: &[(u64, Vec<u8>)],
 ) -> Result<()> {
+    let records = batch
+        .iter()
+        .map(|(lsn, payload)| {
+            WalRecord::decode(payload)
+                .ok_or_else(|| ReplError::Protocol(format!("undecodable record at lsn {lsn}")))
+        })
+        .collect::<Result<Vec<_>>>()?;
     let mut start = 0usize;
-    // Statements committed since the last checkpoint in this batch; a
-    // fold's reload already covers everything before it.
-    let mut ready: Vec<String> = Vec::new();
-    for (i, (lsn, payload)) in batch.iter().enumerate() {
-        let rec = WalRecord::decode(payload)
-            .ok_or_else(|| ReplError::Protocol(format!("undecodable record at lsn {lsn}")))?;
-        match &rec {
-            WalRecord::CatalogSnapshot { bytes } => {
-                if let Ok(cat) = Catalog::from_bytes(bytes) {
-                    *journal_table = cat.tables.get(JOURNAL_TABLE).map(|m| m.id);
+    while start < records.len() {
+        let end = records[start..]
+            .iter()
+            .position(|r| matches!(r, WalRecord::Checkpoint))
+            .map_or(records.len(), |i| start + i + 1);
+        engine.replica_apply(&batch[start..end])?;
+        let committed: Vec<Vec<RowChange>> = records[start..end]
+            .iter()
+            .filter_map(|rec| stream.track(rec))
+            .collect();
+        if !committed.is_empty() {
+            server.with_manager_mut(|m| -> Result<()> {
+                for changes in &committed {
+                    persist::apply(m.database_mut(), changes).map_err(CoreError::from)?;
+                    metrics.txns_applied.inc();
                 }
-            }
-            WalRecord::Insert {
-                txn, table, body, ..
-            } if Some(*table) == *journal_table => {
-                // Journal row: seq (u64 LE) ++ statement text.
-                if let Ok(text) = std::str::from_utf8(body.get(8..).unwrap_or(b"")) {
-                    if !text.is_empty() {
-                        pending.entry(*txn).or_default().push(text.to_string());
-                    }
-                }
-            }
-            WalRecord::Commit { txn } => {
-                if let Some(texts) = pending.remove(txn) {
-                    ready.extend(texts);
-                }
-            }
-            WalRecord::Abort { txn } => {
-                pending.remove(txn);
-            }
-            WalRecord::Checkpoint => {
-                engine.replica_apply(&batch[start..=i])?;
-                start = i + 1;
-                engine.replica_checkpoint()?;
-                server.with_manager_mut(|m| m.reload_from_storage())?;
-                metrics.checkpoints.inc();
-                // The reload reflects everything folded; drop statements
-                // it already covers. (No transaction spans a marker, so
-                // `pending` is empty here on a well-formed stream.)
-                ready.clear();
-                pending.clear();
-                *journal_table = engine.table_id(JOURNAL_TABLE).ok();
-            }
-            _ => {}
+                Ok(())
+            })?;
         }
-    }
-    if start < batch.len() {
-        engine.replica_apply(&batch[start..])?;
-    }
-    if !ready.is_empty() {
-        server.with_manager_mut(|m| {
-            for text in &ready {
-                if m.apply_replicated_statement(text) {
-                    metrics.statements.inc();
-                }
+        if matches!(records[end - 1], WalRecord::Checkpoint) {
+            engine.replica_checkpoint()?;
+            metrics.checkpoints.inc();
+            if stream.bootstrapping {
+                let mut db = persist::load(engine).map_err(CoreError::from)?;
+                cmn_schema::install(&mut db)?;
+                server.with_manager_mut(|m| *m.database_mut() = db);
+                stream.bootstrapping = false;
             }
-        });
+        }
+        start = end;
     }
     metrics.batches.inc();
     metrics.records.add(batch.len() as u64);

@@ -51,7 +51,7 @@ fn replica_serves_reads_reports_status_and_survives_restart() {
     )
     .expect("start replica");
 
-    // Write on the primary; the statement journal rides in the WAL.
+    // Write on the primary; its committed rows ride in the WAL.
     let mut pc = client(&server.local_addr().to_string());
     pc.execute(
         "define entity GADGET (name = string)\n\
@@ -60,9 +60,9 @@ fn replica_serves_reads_reports_status_and_survives_restart() {
     )
     .expect("primary execute");
 
-    // The replica catches up to the primary's durable watermark and the
-    // live statement application makes the rows readable immediately —
-    // no checkpoint has happened yet.
+    // The replica catches up to the primary's durable watermark and
+    // applies the committed rows, so they are readable immediately — no
+    // checkpoint has happened yet.
     let target = primary_durable(&server);
     assert!(target > 0);
     assert!(
@@ -92,7 +92,7 @@ fn replica_serves_reads_reports_status_and_survives_restart() {
     }
 
     // A checkpoint rotates the primary's log; the replica folds at the
-    // marker, reloads from storage, and still serves the same rows.
+    // marker and still serves the same rows.
     server
         .with_manager(|m| m.engine().checkpoint())
         .expect("primary checkpoint");
@@ -116,7 +116,7 @@ fn replica_serves_reads_reports_status_and_survives_restart() {
     assert!(snap.gauge("mdm_repl_lag_bytes").is_some());
     assert!(snap.counter("mdm_repl_batches_total").unwrap_or(0) > 0);
     assert!(snap.counter("mdm_repl_records_total").unwrap_or(0) > 0);
-    assert!(snap.counter("mdm_repl_statements_total").unwrap_or(0) > 0);
+    assert!(snap.counter("mdm_repl_txns_applied_total").unwrap_or(0) > 0);
     // Local writes to a replica-role manager are refused too.
     let mut mdm = mdm;
     assert!(
@@ -249,9 +249,10 @@ fn read_fanout_replicas_see_the_same_data() {
     server.shutdown().expect("primary shutdown");
 }
 
-/// `$statements` lists what a node's own clients ran. Statements that
-/// arrive through the replication stream are applied but are not the
-/// replica's executions: they stay in the primary's store.
+/// `$statements` lists what a node's own clients ran. The rows the
+/// primary's statements committed arrive through the replication stream
+/// and are applied, but the statements are not the replica's
+/// executions: they stay in the primary's store.
 #[test]
 fn replicated_statements_are_not_the_replicas_executions() {
     const APPENDS: usize = 6;
@@ -289,5 +290,116 @@ fn replicated_statements_are_not_the_replicas_executions() {
 
     drop(rc);
     node.shutdown().expect("replica shutdown");
+    server.shutdown().expect("primary shutdown");
+}
+
+/// What a client can ask a node: the census, the score list, and the
+/// rows of a fixed query set, each in a canonical order.
+fn answers(server: &MdmServer) -> (String, Vec<(u64, String)>, Vec<Vec<String>>) {
+    const QUERIES: [&str; 3] = [
+        "range of g is GADGET\nretrieve (g.name, g.n)",
+        "range of n is NOTE\nretrieve (n.midi_key, n.step)",
+        "range of s is SCORE\nretrieve (s.title)",
+    ];
+    server.with_manager(|m| {
+        let mut scores = m.list_scores().expect("list_scores");
+        scores.sort();
+        let rows = QUERIES
+            .iter()
+            .map(|q| {
+                let t = m.query_shared(q).expect("fixed query");
+                let mut rows: Vec<String> = t.rows.iter().map(|r| format!("{r:?}")).collect();
+                rows.sort();
+                rows
+            })
+            .collect();
+        (m.census(), scores, rows)
+    })
+}
+
+/// The replica applies the primary's committed rows, not its statements:
+/// it answers exactly what the primary answers — between checkpoints,
+/// after a fold, and once promoted — including a replica that joins after
+/// the primary's history before its last save exists only in its pages.
+#[test]
+fn the_replica_answers_what_the_primary_answers() {
+    use mdm_notation::fixtures::bwv578_subject;
+    let (server, _dir_p) = start_primary("same");
+    let mut pc = client(&server.local_addr().to_string());
+    pc.execute(
+        "define entity GADGET (name = string, n = integer)\n\
+         append to GADGET (name = \"theremin\", n = 1)\n\
+         append to GADGET (name = \"ondes\", n = 2)",
+    )
+    .expect("primary execute");
+    pc.store_score(&bwv578_subject()).expect("store score");
+    server
+        .with_manager_mut(|m| m.save())
+        .expect("save: the history so far is only in pages");
+
+    let dir_r = tempdir("same-r");
+    let mut node = ReplicaNode::start(
+        &dir_r,
+        "127.0.0.1:0",
+        ReplicaConfig::new(&server.local_addr().to_string()),
+    )
+    .expect("start replica");
+    let caught_up = |node: &ReplicaNode| {
+        let target = primary_durable(&server);
+        assert!(
+            node.wait_for_lsn(target, Duration::from_secs(10)),
+            "replica stuck at {} (target {target}): {:?}",
+            node.applied_lsn(),
+            node.last_error()
+        );
+    };
+    caught_up(&node);
+    assert_eq!(answers(node.server()), answers(&server), "bootstrapped");
+
+    // Between checkpoints: appends, a replace, a delete, a second score.
+    pc.execute("append to GADGET (name = \"trautonium\", n = 3)")
+        .expect("append");
+    pc.execute("range of g is GADGET\nreplace g (n = 20) where g.name = \"ondes\"")
+        .expect("replace");
+    pc.execute("range of g is GADGET\ndelete g where g.n = 1")
+        .expect("delete");
+    let mut second = bwv578_subject();
+    second.title = "Fuge g-moll (2)".into();
+    pc.store_score(&second).expect("store second score");
+    caught_up(&node);
+    assert_eq!(
+        answers(node.server()),
+        answers(&server),
+        "between checkpoints"
+    );
+
+    // A checkpoint on the primary: the replica folds at its marker.
+    server.with_manager_mut(|m| m.save()).expect("save");
+    let folds = node
+        .server()
+        .with_manager(|m| m.metrics_snapshot().counter("mdm_repl_checkpoints_total"));
+    pc.execute("range of g is GADGET\ndelete g where g.name = \"trautonium\"")
+        .expect("delete after save");
+    caught_up(&node);
+    let after = node
+        .server()
+        .with_manager(|m| m.metrics_snapshot().counter("mdm_repl_checkpoints_total"));
+    assert!(after > folds, "the replica folded: {folds:?} -> {after:?}");
+    assert_eq!(answers(node.server()), answers(&server), "after a fold");
+
+    // Promoted, the node answers the same, then takes writes of its own.
+    node.promote().expect("promote");
+    assert_eq!(answers(node.server()), answers(&server), "after promote");
+    let mut rc = client(&node.addr().to_string());
+    rc.execute("append to GADGET (name = \"synthi\", n = 4)")
+        .expect("write to the promoted node");
+    rc.store_score(&bwv578_subject())
+        .expect("store on the promoted node");
+    let (_, scores, rows) = answers(node.server());
+    assert_eq!(scores.len(), 3);
+    assert_eq!(rows[0].len(), 2, "{:?}", rows[0]);
+
+    drop(rc);
+    node.shutdown().expect("promoted shutdown");
     server.shutdown().expect("primary shutdown");
 }

@@ -1025,7 +1025,7 @@ impl StorageEngine {
             return Ok(rid);
         }
         // Did not fit: move the record.
-        HeapFile::delete(&self.inner.pool, rid)?;
+        h.delete(&self.inner.pool, rid)?;
         self.begin_write(txn)?;
         self.inner.log_published(
             &[WalRecord::Delete {
@@ -1067,7 +1067,8 @@ impl StorageEngine {
     /// Deletes a record, returning its old body.
     pub fn delete(&self, txn: &mut Txn, table: TableId, rid: Rid) -> Result<Vec<u8>> {
         self.check_active(txn)?;
-        let old = HeapFile::delete(&self.inner.pool, rid)?;
+        let heap = self.inner.heap_handle(table)?;
+        let old = heap.lock().unwrap().delete(&self.inner.pool, rid)?;
         self.begin_write(txn)?;
         self.inner.log_published(
             &[WalRecord::Delete {

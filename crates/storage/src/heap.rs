@@ -1,21 +1,36 @@
 //! Heap files: unordered collections of variable-length records.
 //!
 //! A heap file is a singly linked chain of slotted pages. Records are
-//! addressed by [`Rid`] (page, slot). Inserts go to the last page when it
-//! fits, otherwise an earlier page with room is used, otherwise a new page
-//! is linked onto the chain.
+//! addressed by [`Rid`] (page, slot). Inserts fill the holes deletes left
+//! first — each heap keeps the pages known to have room as free-page
+//! hints, earliest first, dropping a hint once an insert no longer fits
+//! there — then the last page, then a new page linked onto the chain. An
+//! insert never walks the chain.
+
+use std::collections::BTreeSet;
 
 use crate::buffer::BufferPool;
 use crate::error::{Result, StorageError};
 use crate::page::{self, PageId, PageType, Rid, NO_PAGE};
 
 /// A handle to one heap file. The first page id is the stable identity
-/// (recorded in the catalog); the last page id is a cached optimization.
+/// (recorded in the catalog); the last page id and the free-page hints
+/// are cached optimizations.
 #[derive(Debug, Clone)]
 pub struct HeapFile {
     first_page: PageId,
     last_page: PageId,
+    /// Pages other than the last known to have had room: seeded by the
+    /// chain walk in [`HeapFile::open`], fed by [`HeapFile::note_free`],
+    /// and dropped when an insert no longer fits. Chain pages are
+    /// allocated in increasing id order, so the first hint is the
+    /// earliest hole.
+    free_pages: BTreeSet<PageId>,
 }
+
+/// Reclaimable bytes that make a page worth an insert's visit when the
+/// chain walk at open seeds the hints.
+const HINT_MIN_FREE: usize = page::PAGE_SIZE / 8;
 
 impl HeapFile {
     /// Creates a new heap file with one empty page.
@@ -25,24 +40,41 @@ impl HeapFile {
         Ok(HeapFile {
             first_page: first,
             last_page: first,
+            free_pages: BTreeSet::new(),
         })
     }
 
     /// Opens an existing heap file rooted at `first_page`, walking the chain
-    /// to locate the last page.
+    /// to locate the last page and the pages with room to seed the
+    /// free-page hints.
     pub fn open(pool: &BufferPool, first_page: PageId) -> Result<HeapFile> {
         let mut last = first_page;
+        let mut free_pages = BTreeSet::new();
         loop {
-            let next = pool.with_page(last, page::next_page)?;
+            let (next, room) = pool.with_page(last, |d| {
+                (page::next_page(d), page::can_fit(d, HINT_MIN_FREE))
+            })?;
             if next == NO_PAGE {
                 break;
+            }
+            if room {
+                free_pages.insert(last);
             }
             last = next;
         }
         Ok(HeapFile {
             first_page,
             last_page: last,
+            free_pages,
         })
+    }
+
+    /// Notes that a delete (or a record moving away) freed room on
+    /// `page`: a later insert may go there.
+    pub fn note_free(&mut self, page: PageId) {
+        if page != self.last_page {
+            self.free_pages.insert(page);
+        }
     }
 
     /// The stable identity of this heap file.
@@ -71,19 +103,15 @@ impl HeapFile {
             let slot = page::insert_record(d, body);
             (slot, slot.is_some())
         };
-        // Fast path: last page.
+        // Holes first, earliest first.
+        while let Some(&pid) = self.free_pages.first() {
+            if let Some(slot) = pool.with_page_mut_logged(pid, try_insert)? {
+                return Ok((Rid::new(pid, slot), None));
+            }
+            self.free_pages.pop_first();
+        }
         if let Some(slot) = pool.with_page_mut_logged(self.last_page, try_insert)? {
             return Ok((Rid::new(self.last_page, slot), None));
-        }
-        // Slow path: first fit along the chain.
-        let mut pid = self.first_page;
-        while pid != NO_PAGE {
-            if pid != self.last_page {
-                if let Some(slot) = pool.with_page_mut_logged(pid, try_insert)? {
-                    return Ok((Rid::new(pid, slot), None));
-                }
-            }
-            pid = pool.with_page(pid, page::next_page)?;
         }
         // Extend the chain. Formatting the fresh page is unlogged (it is
         // unreachable until the link below is durable); the link and the
@@ -146,8 +174,9 @@ impl HeapFile {
         })
     }
 
-    /// Deletes the record at `rid`. Returns the old body.
-    pub fn delete(pool: &BufferPool, rid: Rid) -> Result<Vec<u8>> {
+    /// Deletes the record at `rid`, noting the freed room for later
+    /// inserts. Returns the old body.
+    pub fn delete(&mut self, pool: &BufferPool, rid: Rid) -> Result<Vec<u8>> {
         let old = Self::get(pool, rid)?.ok_or(StorageError::RecordNotFound {
             page: rid.page,
             slot: rid.slot,
@@ -156,6 +185,7 @@ impl HeapFile {
             page::delete_record(d, rid.slot);
             ((), true)
         })?;
+        self.note_free(rid.page);
         Ok(old)
     }
 
@@ -278,11 +308,11 @@ mod tests {
         let (rid, _) = hf.insert(&bp, b"original").unwrap();
         assert!(HeapFile::update(&bp, rid, b"changed!").unwrap());
         assert_eq!(HeapFile::get(&bp, rid).unwrap().unwrap(), b"changed!");
-        let old = HeapFile::delete(&bp, rid).unwrap();
+        let old = hf.delete(&bp, rid).unwrap();
         assert_eq!(old, b"changed!");
         assert_eq!(HeapFile::get(&bp, rid).unwrap(), None);
         assert!(matches!(
-            HeapFile::delete(&bp, rid),
+            hf.delete(&bp, rid),
             Err(StorageError::RecordNotFound { .. })
         ));
         std::fs::remove_dir_all(&dir).ok();
@@ -296,7 +326,7 @@ mod tests {
         let rids: Vec<Rid> = (0..40).map(|_| hf.insert(&bp, &body).unwrap().0).collect();
         let pages_before = hf.page_count(&bp).unwrap();
         for rid in &rids {
-            HeapFile::delete(&bp, *rid).unwrap();
+            hf.delete(&bp, *rid).unwrap();
         }
         for _ in 0..40 {
             hf.insert(&bp, &body).unwrap();

@@ -1003,3 +1003,58 @@ fn txn_ids_never_recycle_across_reopen() {
     drop(eng);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Inserts after a contiguous mid-chain delete fill the holes it left:
+/// each costs a page visit or two — no walk of the chain — and the file
+/// does not grow while holes remain. Holds after a reopen too, where the
+/// chain walk that finds the last page seeds the free-page hints.
+#[test]
+fn inserts_fill_holes_without_walking_the_chain() {
+    const ROWS: usize = 6_000;
+    const HOLE: std::ops::Range<usize> = 2_000..3_500;
+    const N: usize = 1_200;
+    let dir = tmpdir("holes");
+    let body = [7u8; 100];
+    let visits = |eng: &StorageEngine| {
+        let (hits, misses, _) = eng.pool_stats();
+        hits + misses
+    };
+    let fill = |eng: &StorageEngine, t| {
+        let pages = eng.num_pages();
+        let before = visits(eng);
+        let mut txn = eng.begin().unwrap();
+        for _ in 0..N {
+            eng.insert(&mut txn, t, &body).unwrap();
+        }
+        eng.commit(txn).unwrap();
+        let cost = visits(eng) - before;
+        assert!(cost <= 2 * N as u64, "{N} inserts visited {cost} pages");
+        assert_eq!(eng.num_pages(), pages, "the holes took every row");
+    };
+    {
+        let eng = StorageEngine::open_with_capacity(&dir, 32).unwrap();
+        let t = eng.create_table("library").unwrap();
+        let mut txn = eng.begin().unwrap();
+        let rids: Vec<Rid> = (0..ROWS)
+            .map(|_| eng.insert(&mut txn, t, &body).unwrap())
+            .collect();
+        eng.commit(txn).unwrap();
+        let mut txn = eng.begin().unwrap();
+        for &rid in &rids[HOLE] {
+            eng.delete(&mut txn, t, rid).unwrap();
+        }
+        eng.commit(txn).unwrap();
+        fill(&eng, t);
+        // Open a second hole of the same size for the reopened engine.
+        let mut txn = eng.begin().unwrap();
+        for &rid in &rids[HOLE.end..HOLE.end + HOLE.len()] {
+            eng.delete(&mut txn, t, rid).unwrap();
+        }
+        eng.commit(txn).unwrap();
+    }
+    let eng = StorageEngine::open_with_capacity(&dir, 32).unwrap();
+    let t = eng.table_id("library").unwrap();
+    fill(&eng, t);
+    drop(eng);
+    std::fs::remove_dir_all(&dir).ok();
+}

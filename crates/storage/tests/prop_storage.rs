@@ -145,7 +145,7 @@ proptest! {
                     if !live.is_empty() {
                         let idx = i % live.len();
                         let rid = live.swap_remove(idx);
-                        let old = HeapFile::delete(&pool, rid).unwrap();
+                        let old = heap.delete(&pool, rid).unwrap();
                         prop_assert_eq!(Some(old), model.remove(&rid));
                     }
                 }

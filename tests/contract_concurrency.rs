@@ -3,8 +3,8 @@
 //! Subsystems this contract needs: the `mdm-core` manager
 //! (`MusicDataManager::{execute, query_shared}` behind one `RwLock`, as
 //! `MdmServer` holds it), the `mdm-lang` session (a whole program is one
-//! `execute`), and the `mdm-storage` journal commit (every `execute` is
-//! one engine transaction, replayed at open).
+//! `execute`), and the `mdm-model` row commit (every `execute` writes the
+//! rows it changed in one engine transaction, read back at open).
 //!
 //! Three readers count NOTEs on the shared path while one writer appends
 //! two NOTEs per program. A reader never sees half a program, the final
@@ -55,7 +55,7 @@ fn readers_see_whole_programs_and_the_journal_keeps_every_one() {
     });
     assert_eq!(notes(&mdm.read().unwrap()), 2 * PROGRAMS);
 
-    // No save: the journal alone carries the 150 programs across.
+    // No save: the executes' own commits carry the 150 programs across.
     drop(mdm);
     let reopened = MusicDataManager::open(&dir).unwrap();
     assert_eq!(notes(&reopened), 2 * PROGRAMS);

@@ -196,7 +196,7 @@ fn query_cannot_mutate_and_keeps_its_range_declarations() {
         |mdm: &MusicDataManager| -> Table { mdm.query_shared("retrieve (PERSON.name)").unwrap() };
     let before = people(&mdm);
     for mutation in [
-        "append to PERSON (name = \"nobody journals me\")",
+        "append to PERSON (name = \"nobody commits me\")",
         "range of p is PERSON delete p",
         "define entity GHOST (n = integer)",
     ] {
