@@ -137,6 +137,17 @@ pub enum OrdOp {
     Under,
 }
 
+impl OrdOp {
+    /// The operator's keyword.
+    pub fn keyword(self) -> &'static str {
+        match self {
+            OrdOp::Before => "before",
+            OrdOp::After => "after",
+            OrdOp::Under => "under",
+        }
+    }
+}
+
 /// Aggregate functions (the \[Han84\] extension the paper found "directly
 /// applicable": aggregates over QUEL targets).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

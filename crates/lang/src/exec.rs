@@ -2,20 +2,22 @@
 //!
 //! QUEL statements are evaluated INGRES-style: every range variable used by
 //! a statement ranges over the instances of its entity (or relationship)
-//! type, the cross product is enumerated with nested loops, the
-//! qualification filters combinations, and targets/assignments are
-//! evaluated per surviving combination. As in GEM and later INGRES
-//! versions, a range variable named exactly like an entity or relationship
-//! type is implicitly declared (paper, footnote 6).
+//! type, the variables are bound by one nested loop, the qualification's
+//! conjuncts prune it, and targets/assignments are evaluated per surviving
+//! binding. As in GEM and later INGRES versions, a range variable named
+//! exactly like an entity or relationship type is implicitly declared
+//! (paper, footnote 6).
 //!
-//! A small cost-aware planner shrinks each variable's domain before the
-//! cross product is enumerated (see [`Plan::restrictions`]): equality and
-//! inequality conjuncts over indexed attributes become index probes and
-//! index range scans, and `before` / `after` / `under` clauses against a
-//! pinned peer variable become sibling-slice or child-list lookups in the
-//! ordering structures. The resulting access paths are reported through
-//! [`PlanExplain`] (the `\plan` EXPLAIN output).
+//! A small cost-aware planner shapes the loop (see [`Plan::order_join`]):
+//! equality and inequality conjuncts over indexed attributes become index
+//! probes and index range scans, and a variable that a `before` / `after`
+//! / `under` clause connects to a peer bound further out reads its
+//! candidates straight out of the ordering at each of the peer's bindings.
+//! Rows come back in one canonical order whatever the loop order. The
+//! resulting access paths are reported through [`PlanExplain`] (the
+//! `\plan` EXPLAIN output).
 
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
@@ -24,7 +26,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mdm_model::encode::encode_value;
-use mdm_model::{Database, EntityId, RelTypeId, TypeId, Value};
+use mdm_model::{Database, EntityId, OrderingId, RelTypeId, TypeId, Value};
 use mdm_obs::{
     trace, Counter, Histogram, Monitor, PathMix, Registry, StatementStore, LATENCY_MICROS_BOUNDS,
 };
@@ -90,7 +92,7 @@ impl QuelMetrics {
             rows_scanned: registry.counter(
                 "mdm_quel_rows_scanned_total",
                 "tuples fetched from the instance store by the executor \
-                 (each variable counts at most once per candidate binding)",
+                 (a tuple counts once each time its variable is bound)",
             ),
             rows_returned: registry.counter(
                 "mdm_quel_rows_returned_total",
@@ -182,9 +184,9 @@ struct VarTally {
     /// system-entity variables, whose fetches are rows scanned but no
     /// table's heap fetches.
     ty: Option<TypeId>,
-    /// Tuples fetched: at most one per candidate binding.
+    /// Tuples fetched: at most one each time the variable is bound.
     fetched: u64,
-    /// Whether the current binding has fetched this variable's tuple.
+    /// Whether the variable's current binding has fetched its tuple.
     seen: bool,
 }
 
@@ -645,15 +647,19 @@ impl Session {
         })
     }
 
-    fn bindings_plan<'t>(
+    /// Plans a statement: its variables (in declared order: first seen
+    /// in `exprs`, then in `qual`), their static domains, and the nested
+    /// loop that binds them.
+    fn plan<'q>(
         &self,
         db: &Database,
-        tally: &'t Tally,
+        tally: &'q Tally,
         exprs: &[&Expr],
-    ) -> Result<Plan<'t>> {
+        qual: Option<&'q Expr>,
+    ) -> Result<Plan<'q>> {
         let mut vars: Vec<String> = Vec::new();
         let mut seen = HashSet::new();
-        for e in exprs {
+        for e in exprs.iter().copied().chain(qual) {
             collect_vars(e, &mut vars, &mut seen);
         }
         let targets = vars
@@ -679,12 +685,22 @@ impl Session {
                 })
                 .collect(),
         );
-        Ok(Plan {
+        let mut plan = Plan {
             vars,
             targets,
             virt,
             tally,
-        })
+            domains: Vec::new(),
+            levels: Vec::new(),
+            conjuncts: Vec::new(),
+        };
+        let mut conjuncts = Vec::new();
+        if let Some(q) = qual {
+            collect_conjuncts(q, &mut conjuncts);
+        }
+        plan.restrict_domains(db, &conjuncts);
+        plan.order_join(db, conjuncts);
+        Ok(plan)
     }
 
     /// Builds the point-in-time rows of one system entity.
@@ -865,12 +881,8 @@ impl Session {
         qual: Option<&Expr>,
         explain: Option<&mut Option<PlanExplain>>,
     ) -> Result<Table> {
-        let mut exprs: Vec<&Expr> = targets.iter().map(|t| &t.expr).collect();
-        if let Some(q) = qual {
-            exprs.push(q);
-        }
-        let plan = self.bindings_plan(db, tally, &exprs)?;
-        let restrictions = plan.restrictions(db, qual);
+        let exprs: Vec<&Expr> = targets.iter().map(|t| &t.expr).collect();
+        let plan = self.plan(db, tally, &exprs, qual)?;
         // Each ordering-operator clause in the qualification gets its own
         // retroactive span covering the scan it filtered.
         let ord_clauses = ord_clause_spans(qual);
@@ -880,37 +892,28 @@ impl Session {
             .map(|t| t.label.clone().unwrap_or_else(|| expr_label(&t.expr)))
             .collect();
         let table = if targets.iter().any(|t| matches!(t.expr, Expr::Agg { .. })) {
-            retrieve_grouped(db, &plan, &restrictions, columns, targets, qual)?
+            retrieve_grouped(db, &plan, columns, targets, qual)?
         } else {
-            let mut rows = Vec::new();
-            let mut dedup: HashSet<Vec<u8>> = HashSet::new();
-            plan.for_each_binding(db, &restrictions, |db, binding| {
-                if let Some(q) = qual {
-                    if !eval_bool(db, &plan, binding, q)? {
-                        return Ok(());
-                    }
-                }
-                let row = targets
-                    .iter()
+            let mut rows = plan.bindings(db, |db, binding| {
+                (targets.iter())
                     .map(|t| eval(db, &plan, binding, &t.expr))
-                    .collect::<Result<Vec<_>>>()?;
-                if unique {
+                    .collect::<Result<Vec<_>>>()
+            })?;
+            if unique {
+                let mut dedup: HashSet<Vec<u8>> = HashSet::new();
+                rows.retain(|row| {
                     let mut key = Vec::new();
-                    for v in &row {
+                    for v in row {
                         encode_value(&mut key, v);
                     }
-                    if !dedup.insert(key) {
-                        return Ok(());
-                    }
-                }
-                rows.push(row);
-                Ok(())
-            })?;
+                    dedup.insert(key)
+                });
+            }
             Table { columns, rows }
         };
         emit_ord_spans(&ord_clauses, scan_started);
         if let Some(slot) = explain {
-            *slot = Some(plan.explain(db, &restrictions, table.rows.len()));
+            *slot = Some(plan.explain(db, table.rows.len()));
         }
         Ok(table)
     }
@@ -923,16 +926,11 @@ impl Session {
         assignments: &[(String, Expr)],
     ) -> Result<StmtResult> {
         let exprs: Vec<&Expr> = assignments.iter().map(|(_, e)| e).collect();
-        let plan = self.bindings_plan(db, tally, &exprs)?;
-        let mut pending: Vec<Vec<(String, Value)>> = Vec::new();
-        let restrictions = plan.restrictions(db, None);
-        plan.for_each_binding(db, &restrictions, |db, binding| {
-            let row = assignments
-                .iter()
+        let plan = self.plan(db, tally, &exprs, None)?;
+        let pending = plan.bindings(db, |db, binding| {
+            (assignments.iter())
                 .map(|(n, e)| Ok((n.clone(), eval(db, &plan, binding, e)?)))
-                .collect::<Result<Vec<_>>>()?;
-            pending.push(row);
-            Ok(())
+                .collect::<Result<Vec<_>>>()
         })?;
         let n = pending.len();
         for row in pending {
@@ -954,32 +952,23 @@ impl Session {
         let var_expr = Expr::Var(var.to_string());
         let mut exprs: Vec<&Expr> = assignments.iter().map(|(_, e)| e).collect();
         exprs.push(&var_expr);
-        if let Some(q) = qual {
-            exprs.push(q);
-        }
-        let plan = self.bindings_plan(db, tally, &exprs)?;
+        let plan = self.plan(db, tally, &exprs, qual)?;
         let vidx = plan.index_of(var)?;
         if !matches!(plan.targets[vidx], RangeTarget::Entity(_)) {
             return Err(LangError::Analyze(format!(
                 "replace target {var} must be an entity variable"
             )));
         }
-        let mut updates: BTreeMap<EntityId, Vec<(String, Value)>> = BTreeMap::new();
-        let restrictions = plan.restrictions(db, qual);
-        plan.for_each_binding(db, &restrictions, |db, binding| {
-            if let Some(q) = qual {
-                if !eval_bool(db, &plan, binding, q)? {
-                    return Ok(());
-                }
-            }
-            let id = binding[vidx];
-            let row = assignments
-                .iter()
-                .map(|(n, e)| Ok((n.clone(), eval(db, &plan, binding, e)?)))
-                .collect::<Result<Vec<_>>>()?;
-            updates.insert(id, row);
-            Ok(())
-        })?;
+        // The last binding of an entity decides its new values.
+        let updates: BTreeMap<EntityId, Vec<(String, Value)>> = plan
+            .bindings(db, |db, binding| {
+                let row = (assignments.iter())
+                    .map(|(n, e)| Ok((n.clone(), eval(db, &plan, binding, e)?)))
+                    .collect::<Result<Vec<_>>>()?;
+                Ok((binding[vidx], row))
+            })?
+            .into_iter()
+            .collect();
         let n = updates.len();
         for (id, row) in updates {
             for (attr, v) in row {
@@ -997,28 +986,17 @@ impl Session {
         qual: Option<&Expr>,
     ) -> Result<StmtResult> {
         let var_expr = Expr::Var(var.to_string());
-        let mut exprs: Vec<&Expr> = vec![&var_expr];
-        if let Some(q) = qual {
-            exprs.push(q);
-        }
-        let plan = self.bindings_plan(db, tally, &exprs)?;
+        let plan = self.plan(db, tally, &[&var_expr], qual)?;
         let vidx = plan.index_of(var)?;
         if !matches!(plan.targets[vidx], RangeTarget::Entity(_)) {
             return Err(LangError::Analyze(format!(
                 "delete target {var} must be an entity variable"
             )));
         }
-        let mut victims: BTreeSet<EntityId> = BTreeSet::new();
-        let restrictions = plan.restrictions(db, qual);
-        plan.for_each_binding(db, &restrictions, |db, binding| {
-            if let Some(q) = qual {
-                if !eval_bool(db, &plan, binding, q)? {
-                    return Ok(());
-                }
-            }
-            victims.insert(binding[vidx]);
-            Ok(())
-        })?;
+        let victims: BTreeSet<EntityId> = plan
+            .bindings(db, |_, binding| Ok(binding[vidx]))?
+            .into_iter()
+            .collect();
         let n = victims.len();
         for id in victims {
             db.delete_entity(id)?;
@@ -1036,8 +1014,8 @@ enum AccessPath {
     IndexEq(String),
     /// Range probe of the named attribute's index.
     IndexRange(String),
-    /// Child-list or sibling-slice lookup derived from an ordering
-    /// operator against a pinned peer variable.
+    /// Child-list, parent or sibling-slice lookup in an ordering, at each
+    /// binding of a peer variable bound further out.
     OrdDerived(&'static str),
 }
 
@@ -1052,10 +1030,9 @@ impl AccessPath {
     }
 }
 
-/// One variable's planned domain. `ids: None` means the full instance
-/// list; `Some` domains are always re-emitted in `instances_of` order
-/// (see [`Plan::restrictions`]) so restricted and unrestricted plans
-/// produce identical result rows.
+/// One variable's static domain. `ids: None` means the full instance
+/// list; `Some` domains are ascending by id, like `instances_of`, so
+/// every level of the nested loop enumerates its candidates in id order.
 struct Restriction {
     ids: Option<Vec<u64>>,
     path: AccessPath,
@@ -1066,30 +1043,76 @@ struct Restriction {
 
 impl Restriction {
     /// Intersects `hits` into the domain, recording the access path that
-    /// produced them (first non-scan path wins the label). Returns true
-    /// if the domain changed.
-    fn restrict(&mut self, hits: Vec<u64>, path: AccessPath) -> bool {
+    /// produced them (first non-scan path wins the label).
+    fn restrict(&mut self, mut hits: Vec<u64>, path: AccessPath) {
         if self.path == AccessPath::Scan {
             self.path = path;
         }
-        match self.ids.take() {
-            Some(prev) => {
-                let keep: HashSet<u64> = hits.into_iter().collect();
-                let next: Vec<u64> = prev
-                    .iter()
-                    .copied()
-                    .filter(|id| keep.contains(id))
-                    .collect();
-                let changed = next.len() != prev.len();
-                self.ids = Some(next);
-                changed
-            }
-            None => {
-                self.ids = Some(hits);
-                true
+        hits.sort_unstable();
+        hits.dedup();
+        self.ids = Some(match self.ids.take() {
+            Some(prev) => intersect(&prev, &hits),
+            None => hits,
+        });
+    }
+}
+
+/// The ids of ascending `a` that ascending `b` holds too.
+fn intersect(a: &[u64], b: &[u64]) -> Vec<u64> {
+    (a.iter().copied())
+        .filter(|id| b.binary_search(id).is_ok())
+        .collect()
+}
+
+/// An ordering conjunct `lhs OP rhs` read as a navigation: from the
+/// peer's binding to the candidates of the variable on the other side.
+struct Derive {
+    op: OrdOp,
+    ordering: OrderingId,
+    peer: usize,
+    /// Whether the derived variable is the conjunct's left operand.
+    lhs: bool,
+}
+
+impl Derive {
+    /// The candidates at the peer's current binding — its children or
+    /// parent (`under`), or its siblings before or after it — as
+    /// distinct ids, of any of the ordering's child types.
+    fn read(&self, db: &Database, binding: &[u64]) -> Vec<u64> {
+        let store = db.store();
+        let peer = binding[self.peer];
+        let parent = || store.ordering_parent(db.schema(), self.ordering, peer).ok();
+        match (self.op, self.lhs) {
+            (OrdOp::Under, true) => store.ordering_children(self.ordering, Some(peer)).to_vec(),
+            (OrdOp::Under, false) => parent().flatten().into_iter().collect(),
+            (op, lhs) => {
+                let Some(parent) = parent() else {
+                    return Vec::new();
+                };
+                let sibs = store.ordering_children(self.ordering, parent);
+                let Some(pos) = sibs.iter().position(|&e| e == peer) else {
+                    return Vec::new();
+                };
+                // `x before peer` and `peer after x`: x precedes the peer.
+                if (op == OrdOp::Before) == lhs {
+                    sibs[..pos].to_vec()
+                } else {
+                    sibs[pos + 1..].to_vec()
+                }
             }
         }
     }
+}
+
+/// One level of the nested loop: the variable it binds and, when
+/// ordering conjuncts connect it to variables bound further out, the
+/// derivations of its candidates from those peers.
+struct Level {
+    var: usize,
+    derive: Vec<Derive>,
+    /// Candidates derived so far, and the outer bindings they were
+    /// derived at: EXPLAIN's per-binding estimate.
+    derived: Cell<(u64, u64)>,
 }
 
 /// One variable's row in the EXPLAIN output.
@@ -1102,7 +1125,9 @@ pub struct VarPlan {
     /// Access path label: `scan`, `index-eq(attr)`, `index-range(attr)`,
     /// or `ord(op)`.
     pub path: String,
-    /// Planned domain size (estimated rows this variable contributes).
+    /// Planned domain size (estimated rows this variable contributes);
+    /// for an `ord(op)` variable, its candidates per binding of the
+    /// variables bound before it.
     pub estimated: usize,
     /// Stored statistics that informed the choice, e.g.
     /// `live=500 distinct=200 est=2`; empty when none were consulted.
@@ -1155,18 +1180,27 @@ impl fmt::Display for PlanExplain {
     }
 }
 
-/// The variables of one statement and what they range over.
-struct Plan<'t> {
+/// The variables of one statement, what they range over, and the nested
+/// loop that binds them.
+struct Plan<'q> {
     vars: Vec<String>,
     targets: Vec<RangeTarget>,
     /// Materialized system-entity rows, aligned with `vars` (`None` for
     /// ordinary entity / relationship variables).
     virt: Vec<Option<VirtTable>>,
     /// The statement's accumulator; its `vars` align with `vars` here.
-    tally: &'t Tally,
+    tally: &'q Tally,
+    /// Per variable, aligned with `vars`: its static domain.
+    domains: Vec<Restriction>,
+    /// The nested loop, outermost level first.
+    levels: Vec<Level>,
+    /// `conjuncts[k]`: the top-level conjuncts evaluated once `k` levels
+    /// are bound, each at the level that binds the last variable it
+    /// mentions.
+    conjuncts: Vec<Vec<&'q Expr>>,
 }
 
-impl Plan<'_> {
+impl<'q> Plan<'q> {
     fn index_of(&self, var: &str) -> Result<usize> {
         self.vars
             .iter()
@@ -1186,42 +1220,25 @@ impl Plan<'_> {
         Some((i, ty, attr_idx))
     }
 
-    /// The cost-aware planner: per-variable domain restrictions from
-    /// sargable qualification conjuncts.
-    ///
-    /// Three passes over the top-level AND conjuncts:
+    /// The cost-aware planner's static half: per-variable domain
+    /// restrictions from sargable qualification conjuncts, in two passes:
     ///
     /// 1. `var.attr = constant` over an indexed attribute → index
     ///    equality probe;
     /// 2. `var.attr < | <= | > | >= constant` (either orientation) over
-    ///    an indexed attribute → one-sided index range scan;
-    /// 3. `a before|after|under b` where one side is *pinned* (domain of
-    ///    exactly one instance, by restriction or by population) → the
-    ///    other side's domain is read straight out of the ordering: the
-    ///    child list under a pinned parent, or the sibling slice before
-    ///    / after a pinned peer. Pass 3 runs to a fixpoint so one pinned
-    ///    variable can pin the next through a chain of clauses.
+    ///    an indexed attribute → one-sided index range scan.
     ///
-    /// Every restriction only ever *shrinks* a domain and the original
-    /// qualification is still evaluated per binding, so a restriction
-    /// that is merely a superset of the true set stays correct. Finally
-    /// every restricted domain is re-emitted in `instances_of` order,
-    /// which (a) filters ordering-derived ids down to the variable's own
-    /// entity type and (b) makes restricted plans produce rows in
-    /// exactly the order a full scan would.
-    fn restrictions(&self, db: &Database, qual: Option<&Expr>) -> Vec<Restriction> {
-        let mut out: Vec<Restriction> = self
-            .vars
-            .iter()
-            .map(|_| Restriction {
-                ids: None,
+    /// A system-entity variable's domain is its materialized rows. A
+    /// restriction only ever *shrinks* a domain and every conjunct is
+    /// still evaluated, so a superset of the true set stays correct.
+    fn restrict_domains(&mut self, db: &Database, conjuncts: &[&Expr]) {
+        let mut out: Vec<Restriction> = (self.virt.iter())
+            .map(|virt| Restriction {
+                ids: virt.as_ref().map(|v| (0..v.rows.len() as u64).collect()),
                 path: AccessPath::Scan,
                 stats: String::new(),
             })
             .collect();
-        let Some(qual) = qual else { return out };
-        let mut conjuncts = Vec::new();
-        collect_conjuncts(qual, &mut conjuncts);
         // Pass 1: equality probes, cost-ordered by the stored statistics.
         // `live / distinct` (live tuple count over attribute cardinality,
         // both maintained incrementally in [`AccessStats`]) estimates how
@@ -1240,7 +1257,7 @@ impl Plan<'_> {
             est: u64,
         }
         let mut eqs: Vec<EqProbe> = Vec::new();
-        for c in &conjuncts {
+        for c in conjuncts {
             let Expr::Bin {
                 op: BinOp::Eq,
                 lhs,
@@ -1284,7 +1301,7 @@ impl Plan<'_> {
             }
         }
         // Pass 2: range probes.
-        for c in &conjuncts {
+        for c in conjuncts {
             let Expr::Bin { op, lhs, rhs } = c else {
                 continue;
             };
@@ -1325,12 +1342,24 @@ impl Plan<'_> {
                 }
             }
         }
-        // Pass 3: ordering-derived domains, to a fixpoint.
-        let mut passes = 0;
-        loop {
-            passes += 1;
-            let mut changed = false;
-            for c in &conjuncts {
+        self.domains = out;
+    }
+
+    /// The cost-aware planner's join half: orders the nested loop and
+    /// places every conjunct in it. The variable with the smallest static
+    /// domain binds first. After it comes any variable that an ordering
+    /// conjunct (`a before|after|under b`) connects to one already bound
+    /// — its candidates are then read straight out of the ordering at
+    /// each outer binding: the children of a bound parent, the parent of
+    /// a bound child, the siblings before / after a bound peer — and
+    /// otherwise the next smallest. A peer pinned to one instance is just
+    /// an outer level with one binding.
+    fn order_join(&mut self, db: &Database, conjuncts: Vec<&'q Expr>) {
+        // Every ordering conjunct over two distinct entity variables and
+        // an ordering that resolves as eval resolves it; the others stay
+        // plain per-binding evaluations (which surface their errors).
+        let edges: Vec<(usize, usize, OrdOp, OrderingId)> = (conjuncts.iter())
+            .filter_map(|c| {
                 let Expr::Ord {
                     op,
                     lhs,
@@ -1338,164 +1367,149 @@ impl Plan<'_> {
                     ordering,
                 } = c
                 else {
-                    continue;
+                    return None;
                 };
-                let (Ok(li), Ok(ri)) = (self.index_of(lhs), self.index_of(rhs)) else {
-                    continue;
-                };
+                let (li, ri) = (self.index_of(lhs).ok()?, self.index_of(rhs).ok()?);
                 let (RangeTarget::Entity(lty), RangeTarget::Entity(rty)) =
                     (self.targets[li], self.targets[ri])
                 else {
-                    continue;
+                    return None;
                 };
-                // Mirror eval's resolution; on error the clause stays a
-                // per-binding evaluation (which will surface the error).
-                let Ok(o) = db
-                    .schema()
+                let o = (db.schema())
                     .resolve_ordering(ordering.as_deref(), lty, Some(rty))
-                else {
-                    continue;
-                };
-                let store = db.store();
-                let schema = db.schema();
-                // A variable is pinned when its planned domain holds
-                // exactly one instance.
-                let pin = |i: usize, out: &[Restriction]| -> Option<u64> {
-                    match &out[i].ids {
-                        Some(ids) if ids.len() == 1 => Some(ids[0]),
-                        Some(_) => None,
-                        None => {
-                            let RangeTarget::Entity(ty) = self.targets[i] else {
-                                return None;
-                            };
-                            let inst = store.instances_of(ty);
-                            (inst.len() == 1).then(|| inst[0])
-                        }
-                    }
-                };
-                // Siblings strictly before / after `e` under its parent.
-                let sibs_split = |e: u64| -> Option<(Vec<u64>, Vec<u64>)> {
-                    let parent = store.ordering_parent(schema, o, e).ok()?;
-                    let sibs = store.ordering_children(o, parent);
-                    let pos = sibs.iter().position(|&x| x == e)?;
-                    Some((sibs[..pos].to_vec(), sibs[pos + 1..].to_vec()))
-                };
-                match op {
-                    OrdOp::Under => {
-                        // `a under p`: p pinned → a ranges over p's
-                        // children; a pinned → p is a's parent (or no
-                        // parent → empty domain, the clause is false).
-                        if let Some(p) = pin(ri, &out) {
-                            let kids = store.ordering_children(o, Some(p)).to_vec();
-                            changed |= out[li].restrict(kids, AccessPath::OrdDerived("under"));
-                        }
-                        if let Some(a) = pin(li, &out) {
-                            let parent = match store.ordering_parent(schema, o, a) {
-                                Ok(Some(p)) => vec![p],
-                                _ => Vec::new(),
-                            };
-                            changed |= out[ri].restrict(parent, AccessPath::OrdDerived("under"));
-                        }
-                    }
-                    OrdOp::Before | OrdOp::After => {
-                        let lab = if matches!(op, OrdOp::Before) {
-                            "before"
-                        } else {
-                            "after"
-                        };
-                        if let Some(b) = pin(ri, &out) {
-                            let dom = match sibs_split(b) {
-                                Some((pre, post)) => {
-                                    if matches!(op, OrdOp::Before) {
-                                        pre
-                                    } else {
-                                        post
-                                    }
-                                }
-                                None => Vec::new(),
-                            };
-                            changed |= out[li].restrict(dom, AccessPath::OrdDerived(lab));
-                        }
-                        if let Some(a) = pin(li, &out) {
-                            let dom = match sibs_split(a) {
-                                Some((pre, post)) => {
-                                    if matches!(op, OrdOp::Before) {
-                                        post
-                                    } else {
-                                        pre
-                                    }
-                                }
-                                None => Vec::new(),
-                            };
-                            changed |= out[ri].restrict(dom, AccessPath::OrdDerived(lab));
-                        }
-                    }
-                }
-            }
-            if !changed || passes > self.vars.len() {
-                break;
-            }
-        }
-        // Canonicalize: every restricted domain in `instances_of` order.
-        for (i, r) in out.iter_mut().enumerate() {
-            let Some(ids) = &r.ids else { continue };
-            let RangeTarget::Entity(ty) = self.targets[i] else {
-                continue;
+                    .ok()?;
+                (li != ri).then_some((li, ri, *op, o))
+            })
+            .collect();
+        let n = self.vars.len();
+        let sizes: Vec<usize> = (0..n).map(|i| self.domain(db, i).len()).collect();
+        // Each variable's level, once placed.
+        let mut level_of: Vec<Option<usize>> = vec![None; n];
+        for k in 0..n {
+            let bound = |i: usize| level_of[i].is_some();
+            let connected = |i: usize| {
+                (edges.iter()).any(|&(l, r, ..)| (l == i && bound(r)) || (r == i && bound(l)))
             };
-            let keep: HashSet<u64> = ids.iter().copied().collect();
-            r.ids = Some(
-                db.store()
-                    .instances_of(ty)
-                    .iter()
-                    .copied()
-                    .filter(|id| keep.contains(id))
-                    .collect(),
-            );
+            let var = (0..n)
+                .filter(|&i| !bound(i))
+                .min_by_key(|&i| (!connected(i), sizes[i], i))
+                .expect("an unplaced variable remains");
+            let derive: Vec<Derive> = (edges.iter())
+                .filter_map(|&(l, r, op, ordering)| {
+                    let (peer, lhs) = match (l == var && bound(r), r == var && bound(l)) {
+                        (true, _) => (r, true),
+                        (_, true) => (l, false),
+                        _ => return None,
+                    };
+                    Some(Derive {
+                        op,
+                        ordering,
+                        peer,
+                        lhs,
+                    })
+                })
+                .collect();
+            if let (AccessPath::Scan, Some(d)) = (&self.domains[var].path, derive.first()) {
+                self.domains[var].path = AccessPath::OrdDerived(d.op.keyword());
+            }
+            level_of[var] = Some(k);
+            self.levels.push(Level {
+                var,
+                derive,
+                derived: Cell::default(),
+            });
         }
-        out
+        self.conjuncts = vec![Vec::new(); n + 1];
+        for c in conjuncts {
+            let mut vars = Vec::new();
+            collect_vars(c, &mut vars, &mut HashSet::new());
+            // A conjunct over no variable prunes at the first level.
+            let at = (vars.iter())
+                .filter_map(|v| level_of[self.index_of(v).ok()?])
+                .map(|k| k + 1)
+                .max()
+                .unwrap_or(1)
+                .min(n);
+            self.conjuncts[at].push(c);
+        }
     }
 
-    /// Builds the EXPLAIN record for an executed plan.
-    fn explain(
-        &self,
-        db: &Database,
-        restrictions: &[Restriction],
-        actual_rows: usize,
-    ) -> PlanExplain {
+    /// Variable `i`'s static domain, ascending by id.
+    fn domain<'d>(&'d self, db: &'d Database, i: usize) -> &'d [u64] {
+        match (&self.domains[i].ids, self.targets[i]) {
+            (Some(ids), _) => ids,
+            (None, RangeTarget::Entity(ty)) => db.store().instances_of(ty),
+            (None, RangeTarget::Relationship(r)) => db.store().relationships_of(r),
+            // Always materialized by `restrict_domains`.
+            (None, RangeTarget::Virtual(_)) => &[],
+        }
+    }
+
+    /// A level's candidates at the current outer binding, ascending by
+    /// id: its static domain, or — for a derived variable — what every
+    /// derivation reads, intersected with that domain and filtered to the
+    /// variable's own entity type (an ordering's children may span
+    /// several).
+    fn candidates<'d>(
+        &'d self,
+        db: &'d Database,
+        level: &Level,
+        binding: &[u64],
+    ) -> Cow<'d, [u64]> {
+        let mut derives = level.derive.iter();
+        let Some(first) = derives.next() else {
+            return Cow::Borrowed(self.domain(db, level.var));
+        };
+        let mut ids = first.read(db, binding);
+        ids.sort_unstable();
+        for d in derives {
+            let mut more = d.read(db, binding);
+            more.sort_unstable();
+            ids = intersect(&ids, &more);
+        }
+        match (&self.domains[level.var].ids, self.targets[level.var]) {
+            (Some(domain), _) => ids = intersect(&ids, domain),
+            (None, RangeTarget::Entity(ty)) => {
+                ids.retain(|&id| db.store().entity(id).is_ok_and(|e| e.ty == ty))
+            }
+            _ => {}
+        }
+        let (total, times) = level.derived.get();
+        level.derived.set((total + ids.len() as u64, times + 1));
+        Cow::Owned(ids)
+    }
+
+    /// Builds the EXPLAIN record for an executed plan, variables in
+    /// binding order.
+    fn explain(&self, db: &Database, actual_rows: usize) -> PlanExplain {
         let mut estimated_rows: u64 = 1;
-        let vars = self
-            .vars
-            .iter()
-            .zip(&self.targets)
-            .zip(restrictions)
-            .zip(&self.virt)
-            .map(|(((var, target), r), virt)| {
-                let (tname, population) = match target {
-                    RangeTarget::Entity(ty) => (
-                        db.schema()
-                            .entity_type(*ty)
-                            .map_or_else(|_| format!("#{ty}"), |d| d.name.clone()),
-                        db.store().instances_of(*ty).len(),
-                    ),
-                    RangeTarget::Relationship(rid) => (
-                        db.schema()
-                            .relationship(*rid)
-                            .map_or_else(|_| format!("#{rid}"), |d| d.name.clone()),
-                        db.store().relationships_of(*rid).len(),
-                    ),
-                    RangeTarget::Virtual(ve) => (
-                        ve.name().to_string(),
-                        virt.as_ref().map_or(0, |v| v.rows.len()),
-                    ),
+        let vars = (self.levels.iter())
+            .map(|level| {
+                let i = level.var;
+                let target = match self.targets[i] {
+                    RangeTarget::Entity(ty) => db
+                        .schema()
+                        .entity_type(ty)
+                        .map_or_else(|_| format!("#{ty}"), |d| d.name.clone()),
+                    RangeTarget::Relationship(rid) => db
+                        .schema()
+                        .relationship(rid)
+                        .map_or_else(|_| format!("#{rid}"), |d| d.name.clone()),
+                    RangeTarget::Virtual(ve) => ve.name().to_string(),
                 };
-                let estimated = r.ids.as_ref().map_or(population, Vec::len);
+                let estimated = if level.derive.is_empty() {
+                    self.domain(db, i).len()
+                } else {
+                    let (total, times) = level.derived.get();
+                    total.checked_div(times).unwrap_or(0) as usize
+                };
                 estimated_rows = estimated_rows.saturating_mul(estimated as u64);
                 VarPlan {
-                    var: var.clone(),
-                    target: tname,
-                    path: r.path.label(),
+                    var: self.vars[i].clone(),
+                    target,
+                    path: self.domains[i].path.label(),
                     estimated,
-                    stats: r.stats.clone(),
+                    stats: self.domains[i].stats.clone(),
                 }
             })
             .collect();
@@ -1507,8 +1521,8 @@ impl Plan<'_> {
         }
     }
 
-    /// Marks variable `i`'s tuple as fetched for the current binding;
-    /// the first fetch per binding counts toward `rows_scanned`.
+    /// Marks variable `i`'s tuple as fetched; the first fetch after each
+    /// binding of the variable counts toward `rows_scanned`.
     fn note_fetch(&self, i: usize) {
         let v = &mut self.tally.vars.borrow_mut()[i];
         if !v.seen {
@@ -1517,24 +1531,20 @@ impl Plan<'_> {
         }
     }
 
-    fn reset_fetched(&self) {
-        for v in self.tally.vars.borrow_mut().iter_mut() {
-            v.seen = false;
-        }
-    }
-
-    /// Enumerates the cross product of all variables' domains (restricted
-    /// where the planner found an access path), invoking `f` with an id
-    /// per variable (entity id or relationship instance id), after
-    /// noting each variable's chosen access path in the tally.
-    fn for_each_binding(
+    /// Runs the nested loop, calling `f` at every binding (an id per
+    /// variable: entity id, relationship instance id or system-entity row)
+    /// that satisfies the qualification, after noting each variable's
+    /// access path in the tally. The results come back in canonical
+    /// order — ascending by the id tuple in declared-variable order, the
+    /// order of the cross product of the ascending `instances_of` lists —
+    /// whatever order the loop bound the variables in.
+    fn bindings<T>(
         &self,
         db: &Database,
-        restrictions: &[Restriction],
-        f: impl FnMut(&Database, &[u64]) -> Result<()>,
-    ) -> Result<()> {
+        mut f: impl FnMut(&Database, &[u64]) -> Result<T>,
+    ) -> Result<Vec<T>> {
         let mut mix = PathMix::default();
-        for r in restrictions {
+        for r in &self.domains {
             match &r.path {
                 AccessPath::Scan => mix.scan += 1,
                 AccessPath::IndexEq(_) => mix.index_eq += 1,
@@ -1543,64 +1553,47 @@ impl Plan<'_> {
             }
         }
         self.tally.paths.set(mix);
-        self.enumerate_bindings(db, restrictions, f)
+        if (0..self.vars.len()).any(|i| self.domain(db, i).is_empty()) {
+            return Ok(Vec::new());
+        }
+        // Bound in declared order, the loop already emits canonical order
+        // and its rows need no key.
+        let keyed = self.levels.iter().enumerate().any(|(k, l)| l.var != k);
+        let mut out: Vec<(Vec<u64>, T)> = Vec::new();
+        self.descend(db, 0, &mut vec![0; self.vars.len()], &mut |db, b| {
+            out.push((if keyed { b.to_vec() } else { Vec::new() }, f(db, b)?));
+            Ok(())
+        })?;
+        if keyed {
+            out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        }
+        Ok(out.into_iter().map(|(_, t)| t).collect())
     }
 
-    fn enumerate_bindings(
+    /// Level `k` of the nested loop: checks the conjuncts that the first
+    /// `k` levels decide, then binds level `k`'s variable to each of its
+    /// candidates in turn.
+    fn descend(
         &self,
         db: &Database,
-        restrictions: &[Restriction],
-        mut f: impl FnMut(&Database, &[u64]) -> Result<()>,
+        k: usize,
+        binding: &mut [u64],
+        emit: &mut dyn FnMut(&Database, &[u64]) -> Result<()>,
     ) -> Result<()> {
-        let domains: Vec<Vec<u64>> = self
-            .targets
-            .iter()
-            .enumerate()
-            .map(
-                |(i, t)| match restrictions.get(i).and_then(|r| r.ids.as_ref()) {
-                    Some(r) => r.clone(),
-                    None => match t {
-                        RangeTarget::Entity(ty) => db.store().instances_of(*ty).to_vec(),
-                        RangeTarget::Relationship(r) => db.store().relationships_of(*r).to_vec(),
-                        // Virtual bindings are row indexes into the
-                        // materialized table.
-                        RangeTarget::Virtual(_) => {
-                            let n = self.virt[i].as_ref().map_or(0, |v| v.rows.len());
-                            (0..n as u64).collect()
-                        }
-                    },
-                },
-            )
-            .collect();
-        if domains.is_empty() {
-            self.reset_fetched();
-            return f(db, &[]);
-        }
-        if domains.iter().any(Vec::is_empty) {
-            return Ok(());
-        }
-        let mut odometer = vec![0usize; domains.len()];
-        let mut binding = vec![0u64; domains.len()];
-        loop {
-            for (i, &d) in odometer.iter().enumerate() {
-                binding[i] = domains[i][d];
-            }
-            self.reset_fetched();
-            f(db, &binding)?;
-            // Advance.
-            let mut i = domains.len();
-            loop {
-                if i == 0 {
-                    return Ok(());
-                }
-                i -= 1;
-                odometer[i] += 1;
-                if odometer[i] < domains[i].len() {
-                    break;
-                }
-                odometer[i] = 0;
+        for c in &self.conjuncts[k] {
+            if !eval_bool(db, self, binding, c)? {
+                return Ok(());
             }
         }
+        let Some(level) = self.levels.get(k) else {
+            return emit(db, binding);
+        };
+        for &id in self.candidates(db, level, binding).iter() {
+            binding[level.var] = id;
+            self.tally.vars.borrow_mut()[level.var].seen = false;
+            self.descend(db, k + 1, binding, emit)?;
+        }
+        Ok(())
     }
 }
 
@@ -1780,7 +1773,6 @@ impl Acc {
 fn retrieve_grouped(
     db: &Database,
     plan: &Plan,
-    restrictions: &[Restriction],
     columns: Vec<String>,
     targets: &[Target],
     qual: Option<&Expr>,
@@ -1799,42 +1791,38 @@ fn retrieve_grouped(
             "aggregates are not allowed in qualifications".into(),
         ));
     }
-    let mut order: Vec<Vec<u8>> = Vec::new();
-    let mut groups: HashMap<Vec<u8>, (Vec<Value>, Vec<Acc>)> = HashMap::new();
     let n_aggs = targets
         .iter()
         .filter(|t| matches!(t.expr, Expr::Agg { .. }))
         .count();
-    plan.for_each_binding(db, restrictions, |db, binding| {
-        if let Some(q) = qual {
-            if !eval_bool(db, plan, binding, q)? {
-                return Ok(());
+    // Per binding: the plain targets' values (the group key) and the
+    // aggregates' arguments.
+    let inputs = plan.bindings(db, |db, binding| {
+        let mut key_vals = Vec::new();
+        let mut args = Vec::with_capacity(n_aggs);
+        for t in targets {
+            match &t.expr {
+                Expr::Agg { arg, .. } => args.push(eval(db, plan, binding, arg)?),
+                plain => key_vals.push(eval(db, plan, binding, plain)?),
             }
         }
-        // Key = the plain targets' values.
-        let mut key_vals = Vec::new();
+        Ok((key_vals, args))
+    })?;
+    let mut order: Vec<Vec<u8>> = Vec::new();
+    let mut groups: HashMap<Vec<u8>, (Vec<Value>, Vec<Acc>)> = HashMap::new();
+    for (key_vals, args) in inputs {
         let mut key = Vec::new();
-        for t in targets {
-            if !matches!(t.expr, Expr::Agg { .. }) {
-                let v = eval(db, plan, binding, &t.expr)?;
-                encode_value(&mut key, &v);
-                key_vals.push(v);
-            }
+        for v in &key_vals {
+            encode_value(&mut key, v);
         }
         let entry = groups.entry(key.clone()).or_insert_with(|| {
-            order.push(key.clone());
+            order.push(key);
             (key_vals, (0..n_aggs).map(|_| Acc::default()).collect())
         });
-        let mut agg_idx = 0;
-        for t in targets {
-            if let Expr::Agg { arg, .. } = &t.expr {
-                let v = eval(db, plan, binding, arg)?;
-                entry.1[agg_idx].add(&v)?;
-                agg_idx += 1;
-            }
+        for (acc, v) in entry.1.iter_mut().zip(&args) {
+            acc.add(v)?;
         }
-        Ok(())
-    })?;
+    }
     // Pure aggregates over an empty input still yield one row.
     if groups.is_empty() && n_aggs == targets.len() {
         order.push(Vec::new());

@@ -11,7 +11,9 @@
 //!
 //! Execution is INGRES-style tuple calculus: range variables (explicit or
 //! implicit — a variable named like its type, footnote 6) range over
-//! instances, qualifications filter the cross product.
+//! instances, bound by one nested loop whose ordering clauses navigate
+//! from a bound variable to its peers' candidates; qualifications filter
+//! the bindings, which come back in the order of the cross product.
 //!
 //! ```
 //! use mdm_lang::{Session, StmtResult};

@@ -47,23 +47,27 @@ fn pipeline_metrics_count_exact_work() {
     let mut s = Session::with_metrics(Arc::clone(&metrics));
     let mut db = chord_db(&mut s); // program 1: three define statements
 
-    // Program 2: 6×6 NOTE bindings, `before` on every one, 2 rows out.
-    // Tuple fetches: n2 for the 7 bindings where `before` held (the
-    // `and` short-circuits the rest), n1 for the 2 surviving rows.
+    // Program 2: n1 binds first (both domains are 6, n1 is declared
+    // first); n2's candidates are read from the ordering as n1's later
+    // siblings: 3 + 2 + 1 + 0 (chord 1) + 1 + 0 (chord 2) = 7 bindings,
+    // `before` and `n2.name` evaluated on each, 2 rows out.
     s.execute(
         &mut db,
         "range of n1, n2 is NOTE\n\
          retrieve (n1.name) where n1 before n2 in note_in_chord and n2.name = 3",
     )
     .unwrap();
-    // Program 3: same shape with `after`; notes 3 and 4 follow note 2.
+    // Program 3: same shape with `after`; n2 ranges over n1's earlier
+    // siblings: 0 + 1 + 2 + 3 + 0 + 1 = 7 bindings; notes 3 and 4
+    // follow note 2.
     s.execute(
         &mut db,
         "range of n1, n2 is NOTE\n\
          retrieve (n1.name) where n1 after n2 in note_in_chord and n2.name = 2",
     )
     .unwrap();
-    // Program 4: 6×2 NOTE×CHORD bindings, `under` on every one.
+    // Program 4: c binds first (2 chords against 6 notes); `c.name = 2`
+    // prunes chord 1, and n ranges over chord 2's 2 children.
     s.execute(
         &mut db,
         "range of n is NOTE\n\
@@ -77,19 +81,21 @@ fn pipeline_metrics_count_exact_work() {
     assert_eq!(snap.histogram("mdm_quel_lex_micros").unwrap().count, 4);
     assert_eq!(snap.histogram("mdm_quel_parse_micros").unwrap().count, 4);
     assert_eq!(snap.histogram("mdm_quel_exec_micros").unwrap().count, 10);
-    // Tuples fetched, not bindings enumerated: the ordering operators
-    // touch no attributes and `and` short-circuits, so program 2 fetches
-    // 7 n2 + 2 n1 = 9, program 3 mirrors it with 9, and program 4
-    // fetches c for the 6 bindings where `under` held + 2 n = 8.
-    assert_eq!(snap.counter("mdm_quel_rows_scanned_total"), Some(26));
+    // A tuple counts once each time its variable is bound, if read:
+    // program 2 reads n2.name at its 7 bindings and n1.name for the 2
+    // rows, whose n1 bindings differ: 7 + 2 = 9. Program 3 mirrors it:
+    // 9. Program 4 reads c.name at both chord bindings and n.name at
+    // chord 2's 2 children: 2 + 2 = 4. 9 + 9 + 4 = 22.
+    assert_eq!(snap.counter("mdm_quel_rows_scanned_total"), Some(22));
     // Each retrieve returned two rows.
     assert_eq!(snap.counter("mdm_quel_rows_returned_total"), Some(6));
-    // The ordering operator leads each qualification, so it is evaluated
-    // for every binding of its statement.
+    // An ordering conjunct is evaluated once per binding of its last
+    // variable, the derived one: 7 for `before`, 7 for `after`, and 2
+    // for `under` (chord 1 was pruned before n was bound).
     let ord = |op| snap.counter_with("mdm_quel_ord_ops_total", &[("op", op)]);
-    assert_eq!(ord("before"), Some(36));
-    assert_eq!(ord("after"), Some(36));
-    assert_eq!(ord("under"), Some(12));
+    assert_eq!(ord("before"), Some(7));
+    assert_eq!(ord("after"), Some(7));
+    assert_eq!(ord("under"), Some(2));
 }
 
 #[test]
@@ -98,9 +104,9 @@ fn rows_scanned_counts_tuple_fetches_not_bindings() {
     let metrics = QuelMetrics::register(&registry);
     let mut s = Session::with_metrics(Arc::clone(&metrics));
     let mut db = chord_db(&mut s);
-    // 36 candidate bindings, but `before` fetches no tuples and the
-    // `and` short-circuits: only the 7 bindings where it held fetch n2,
-    // plus n1 for the 2 rows that survive the qualification.
+    // n2's candidates are n1's later siblings: 7 bindings of n2, each
+    // fetching n2, plus n1 for the 2 rows that survive, each under its
+    // own binding of n1: 7 + 2 = 9. `before` itself fetches no tuple.
     s.execute(
         &mut db,
         "range of n1, n2 is NOTE\n\

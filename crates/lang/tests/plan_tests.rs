@@ -90,9 +90,10 @@ fn explain_reports_index_eq_and_ord_derived_paths() {
     assert_eq!(n.estimated, 4);
     assert_eq!(ex.estimated_rows, 4);
     assert_eq!(ex.actual_rows, 4);
-    // 4 bindings × (fetch c for the under check + fetch n for the
-    // target) — not 160 × 40.
-    assert_eq!(ex.rows_scanned, 8);
+    // c binds once (the probe) and is fetched once for `c.name = 13`;
+    // n binds to each of its 4 children and is fetched once for the
+    // target: 1 + 4 = 5 — not 160 × 40.
+    assert_eq!(ex.rows_scanned, 5);
 
     let text = ex.to_string();
     assert!(text.contains("index-eq(name)"), "{text}");
@@ -223,4 +224,304 @@ fn destroyed_index_falls_back_to_scan() {
     let (ex, table) = s.explain(&db, q).unwrap();
     assert_eq!(ex.vars[0].path, "scan");
     assert_eq!(table.len(), 1);
+}
+
+/// A small CMN-shaped database: 2 scores × 2 movements × 4 measures × 4
+/// syncs, and one voice per movement whose content interleaves CHORDs
+/// and RESTs — an ordering whose children span two entity types. Only
+/// the catalogue is indexed, as in the benchmark's analysis corpus.
+fn cmn_db(s: &mut Session) -> Database {
+    let mut db = Database::new();
+    s.execute(
+        &mut db,
+        "define entity SCORE (title = string, catalog_id = string)\n\
+         define entity MOVEMENT (name = string)\n\
+         define entity MEASURE (number = integer, start_num = integer, start_den = integer)\n\
+         define entity SYNC (time_num = integer, time_den = integer)\n\
+         define entity VOICE (name = string)\n\
+         define entity CHORD (base = string, dots = integer)\n\
+         define entity REST (base = string, dots = integer)\n\
+         define ordering movement_in_score (MOVEMENT) under SCORE\n\
+         define ordering measure_in_movement (MEASURE) under MOVEMENT\n\
+         define ordering sync_in_measure (SYNC) under MEASURE\n\
+         define ordering voice_in_movement (VOICE) under MOVEMENT\n\
+         define ordering voice_content (CHORD, REST) under VOICE\n\
+         define index score_by_catalog on SCORE (catalog_id)",
+    )
+    .unwrap();
+    let int = Value::Integer;
+    for sc in 0..2i64 {
+        let score = db
+            .create_entity(
+                "SCORE",
+                &[("catalog_id", Value::String(format!("BWV {}", 578 + sc)))],
+            )
+            .unwrap();
+        for mv in 0..2i64 {
+            let movement = db.create_entity("MOVEMENT", &[]).unwrap();
+            db.ord_append("movement_in_score", Some(score), movement)
+                .unwrap();
+            let voice = db.create_entity("VOICE", &[]).unwrap();
+            db.ord_append("voice_in_movement", Some(movement), voice)
+                .unwrap();
+            for number in 1..=4i64 {
+                let measure = db
+                    .create_entity(
+                        "MEASURE",
+                        &[
+                            ("number", int(number)),
+                            ("start_num", int(3 * (number - 1) + mv)),
+                            ("start_den", int(4)),
+                        ],
+                    )
+                    .unwrap();
+                db.ord_append("measure_in_movement", Some(movement), measure)
+                    .unwrap();
+                for q in 0..4i64 {
+                    let sync = db
+                        .create_entity("SYNC", &[("time_num", int(q)), ("time_den", int(4))])
+                        .unwrap();
+                    db.ord_append("sync_in_measure", Some(measure), sync)
+                        .unwrap();
+                    let kind = if (number + q + sc) % 3 == 0 {
+                        "REST"
+                    } else {
+                        "CHORD"
+                    };
+                    let event = db
+                        .create_entity(
+                            kind,
+                            &[
+                                ("base", Value::String(format!("b{number}{q}"))),
+                                ("dots", int((q + mv) % 2)),
+                            ],
+                        )
+                        .unwrap();
+                    db.ord_append("voice_content", Some(voice), event).unwrap();
+                }
+            }
+        }
+    }
+    db
+}
+
+/// `text` with every top-level conjunct of its `where` clause wrapped in
+/// `not not (…)`: a form no planner pass recognises, so it runs as a
+/// plain filter over the product of full scans.
+fn unplanned(head: &str, conjuncts: &[&str]) -> String {
+    let wrapped: Vec<String> = conjuncts.iter().map(|c| format!("not not ({c})")).collect();
+    format!("{head} where {}", wrapped.join(" and "))
+}
+
+/// The differential check: every query returns exactly the same table —
+/// rows and order — planned as written and run as a filter over the
+/// product; `replace` and `delete` report the same counts and leave the
+/// same database. Each case runs without an index beyond the catalogue's,
+/// with one on `MEASURE.number`, and with `SYNC.time_num` indexed too
+/// (which lets a child drive its parent).
+#[test]
+fn planned_rows_equal_the_filtered_product() {
+    const CHAIN: &str = "range of s is SCORE\nrange of m is MOVEMENT\n\
+                         range of x is MEASURE\nrange of y is SYNC\n\
+                         range of a, b is MEASURE\nrange of v is VOICE\n\
+                         range of c is CHORD\nrange of r is REST\n";
+    let under = "m under s in movement_in_score";
+    let score = "s.catalog_id = \"BWV 579\"";
+    let cases: &[(&str, &[&str])] = &[
+        // The benchmark's `measure`, `syncs` and `measure_pairs`.
+        (
+            "retrieve (x.number, x.start_num, x.start_den)",
+            &[
+                score,
+                under,
+                "x under m in measure_in_movement",
+                "x.number = 2",
+            ],
+        ),
+        (
+            "retrieve (y.time_num, y.time_den)",
+            &[
+                score,
+                under,
+                "x under m in measure_in_movement",
+                "x.number = 2",
+                "y under x in sync_in_measure",
+            ],
+        ),
+        (
+            "retrieve (a.number, b.number)",
+            &[
+                score,
+                under,
+                "a under m in measure_in_movement",
+                "b under m in measure_in_movement",
+                "a before b in measure_in_movement",
+            ],
+        ),
+        // `under`, the driving variable (x) on the right: declared last, then
+        // first.
+        (
+            "retrieve (y.time_num)",
+            &["y under x in sync_in_measure", "x.number = 2"],
+        ),
+        (
+            "retrieve (x.start_num, y.time_num)",
+            &["y under x in sync_in_measure", "x.number = 2"],
+        ),
+        // `under`, the driving variable (y) on the left: a child reaching its
+        // parent.
+        (
+            "retrieve (x.start_num)",
+            &["y under x in sync_in_measure", "y.time_num = 3"],
+        ),
+        (
+            "retrieve (y.time_num, x.start_num)",
+            &["y under x in sync_in_measure", "y.time_num = 3"],
+        ),
+        // `before` and `after`, the driving variable (b) on either side, declared
+        // last and first.
+        (
+            "retrieve (a.start_num)",
+            &["a before b in measure_in_movement", "b.number = 2"],
+        ),
+        (
+            "retrieve (b.start_num, a.start_num)",
+            &["a before b in measure_in_movement", "b.number = 2"],
+        ),
+        (
+            "retrieve (a.start_num)",
+            &["b before a in measure_in_movement", "b.number = 2"],
+        ),
+        (
+            "retrieve (b.start_num, a.start_num)",
+            &["b before a in measure_in_movement", "b.number = 2"],
+        ),
+        (
+            "retrieve (a.start_num)",
+            &["a after b in measure_in_movement", "b.number = 2"],
+        ),
+        (
+            "retrieve (b.start_num, a.start_num)",
+            &["a after b in measure_in_movement", "b.number = 2"],
+        ),
+        (
+            "retrieve (a.start_num)",
+            &["b after a in measure_in_movement", "b.number = 2"],
+        ),
+        (
+            "retrieve (b.start_num, a.start_num)",
+            &["b after a in measure_in_movement", "b.number = 2"],
+        ),
+        // The loop binds a (pinned by the index) outside b, declared
+        // first: only the canonical sort restores the product's order.
+        (
+            "retrieve (b.number, a.number)",
+            &["a before b in measure_in_movement", "a.number <= 2"],
+        ),
+        // Children of two entity types: each variable keeps its own.
+        (
+            "retrieve (c.base, c.dots)",
+            &[
+                "c under v in voice_content",
+                "v under m in voice_in_movement",
+                score,
+                under,
+            ],
+        ),
+        (
+            "retrieve (r.base)",
+            &[
+                "r under v in voice_content",
+                "v under m in voice_in_movement",
+            ],
+        ),
+        (
+            "retrieve (c.base, r.base)",
+            &["c before r in voice_content", "r.dots = 1"],
+        ),
+        (
+            "retrieve (r.base, c.base)",
+            &["c after r in voice_content", "c.dots = 0"],
+        ),
+        // An `or` conjunct, `unique`, and aggregates.
+        (
+            "retrieve (x.number, y.time_num)",
+            &[
+                "y under x in sync_in_measure",
+                "(x.number = 1 or y.time_num = 2)",
+            ],
+        ),
+        (
+            "retrieve unique (x.number)",
+            &["x under m in measure_in_movement", under],
+        ),
+        (
+            "retrieve (x.number, count(y.time_num), sum(x.start_num))",
+            &["y under x in sync_in_measure", "y.time_num > 0"],
+        ),
+        (
+            "retrieve (max(a.start_num), count(b.number))",
+            &[
+                "a before b in measure_in_movement",
+                score,
+                under,
+                "b under m in measure_in_movement",
+            ],
+        ),
+    ];
+    let mutations: &[(&str, &[&str])] = &[
+        // Every measure gets the time of its last sync in canonical order.
+        (
+            "replace x (start_num = y.time_num)",
+            &["y under x in sync_in_measure", "y.time_num < 3"],
+        ),
+        (
+            "replace b (start_den = a.number)",
+            &[
+                "a before b in measure_in_movement",
+                score,
+                under,
+                "a under m in measure_in_movement",
+            ],
+        ),
+        (
+            "delete y",
+            &["y under x in sync_in_measure", "x.number = 3"],
+        ),
+        ("delete r", &["r after c in voice_content", "c.dots = 1"]),
+    ];
+    for indexes in [
+        "",
+        "define index measure_by_number on MEASURE (number)",
+        "define index measure_by_number on MEASURE (number)\n\
+         define index sync_by_time on SYNC (time_num)",
+    ] {
+        let mut s = Session::new();
+        let mut db = cmn_db(&mut s);
+        if !indexes.is_empty() {
+            s.execute(&mut db, indexes).unwrap();
+        }
+        s.execute(&mut db, CHAIN).unwrap();
+        for (head, conjuncts) in cases {
+            let planned = format!("{head} where {}", conjuncts.join(" and "));
+            let expected = rows(s.execute(&mut db, &unplanned(head, conjuncts)).unwrap());
+            assert!(!expected.is_empty(), "{planned}");
+            let got = rows(s.execute(&mut db, &planned).unwrap());
+            assert_eq!(got, expected, "{planned}\n[{indexes}]");
+        }
+        for (head, conjuncts) in mutations {
+            let planned = format!("{head} where {}", conjuncts.join(" and "));
+            let (mut want_db, mut got_db) = (db.clone(), db.clone());
+            let want = s
+                .execute(&mut want_db, &unplanned(head, conjuncts))
+                .unwrap();
+            let got = s.execute(&mut got_db, &planned).unwrap();
+            assert!(
+                !matches!(want[..], [StmtResult::Replaced(0) | StmtResult::Deleted(0)]),
+                "{planned}"
+            );
+            assert_eq!(got, want, "{planned}\n[{indexes}]");
+            assert!(got_db == want_db, "{planned}\n[{indexes}]");
+        }
+    }
 }

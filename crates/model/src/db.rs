@@ -276,7 +276,7 @@ impl Database {
             self.store.entity_mut(id)?.attrs = attrs.into_boxed_slice();
             self.store.set_loc(RowKey::Entity(ty, id), loc);
         } else {
-            self.store.load_entity(id, ty, attrs, loc);
+            self.store.place_entity(id, ty, attrs, loc);
         }
         self.index_entity(ty, id);
         Ok(())

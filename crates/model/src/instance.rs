@@ -154,16 +154,25 @@ struct OrderingState {
     parent_of: HashMap<EntityId, PEdge>,
 }
 
+/// Moves the last id of an otherwise ascending list back to its place:
+/// nothing moves when it is the largest, the usual case.
+fn settle_last(ids: &mut [u64]) {
+    if let Some((&id, rest)) = ids.split_last() {
+        let at = rest.partition_point(|&e| e < id);
+        ids[at..].rotate_right(1);
+    }
+}
+
 /// The in-memory instance store for one database.
 #[derive(Debug, Clone, Default)]
 pub struct InstanceStore {
     next_entity: EntityId,
     next_rel: RelInstanceId,
     instances: HashMap<EntityId, Instance>,
-    /// Instances per type, in creation order (deterministic iteration).
+    /// Instances per type, ascending by id (deterministic iteration).
     by_type: Vec<Vec<EntityId>>,
     rel_instances: HashMap<RelInstanceId, RelInstance>,
-    /// Relationship instances per relationship type, in creation order.
+    /// Relationship instances per relationship type, ascending by id.
     rels_by_type: Vec<Vec<RelInstanceId>>,
     orderings: Vec<OrderingState>,
     pub(crate) dirty: Dirty,
@@ -296,14 +305,23 @@ impl InstanceStore {
     }
 
     /// Creates an entity with a specific id (bulk loaders). The id must
-    /// not be in use.
+    /// not be in use; it takes its place in [`InstanceStore::instances_of`]
+    /// by id, below the type's largest if it is smaller.
     pub fn create_entity_with_id(&mut self, id: EntityId, ty: TypeId, attrs: Vec<Value>) {
-        self.load_entity(id, ty, attrs, Loc::NONE);
+        self.place_entity(id, ty, attrs, Loc::NONE);
         self.mark(RowKey::Entity(ty, id), Loc::NONE);
     }
 
-    /// Places an entity read from its committed row at `loc`: nothing
-    /// becomes dirty.
+    /// Places an entity at `loc` keeping its type's ids ascending:
+    /// nothing becomes dirty.
+    pub(crate) fn place_entity(&mut self, id: EntityId, ty: TypeId, attrs: Vec<Value>, loc: Loc) {
+        self.load_entity(id, ty, attrs, loc);
+        settle_last(&mut self.by_type[ty as usize]);
+    }
+
+    /// Places an entity read from its committed row at `loc`, appending
+    /// its id: a load reads rows in slot order and restores ascending ids
+    /// with one [`InstanceStore::sort_by_id`]. Nothing becomes dirty.
     pub(crate) fn load_entity(&mut self, id: EntityId, ty: TypeId, attrs: Vec<Value>, loc: Loc) {
         debug_assert!(!self.instances.contains_key(&id));
         let attrs = attrs.into_boxed_slice();
@@ -341,7 +359,9 @@ impl InstanceStore {
         self.instances.contains_key(&id)
     }
 
-    /// Ids of all instances of a type, in creation order.
+    /// Ids of all instances of a type, ascending by id — their creation
+    /// order, since ids are allocated upwards. Every insertion path keeps
+    /// it so, and the QUEL executor's canonical row order relies on it.
     pub fn instances_of(&self, ty: TypeId) -> &[EntityId] {
         self.by_type.get(ty as usize).map_or(&[], Vec::as_slice)
     }
@@ -407,8 +427,23 @@ impl InstanceStore {
         id
     }
 
+    /// Places a relationship instance at `loc` keeping its relationship's
+    /// ids ascending: nothing becomes dirty.
+    pub(crate) fn place_rel(
+        &mut self,
+        id: RelInstanceId,
+        rel: RelTypeId,
+        entities: Vec<EntityId>,
+        attrs: Vec<Value>,
+        loc: Loc,
+    ) {
+        self.load_rel(id, rel, entities, attrs, loc);
+        settle_last(&mut self.rels_by_type[rel as usize]);
+    }
+
     /// Places a relationship instance read from its committed row at
-    /// `loc`: nothing becomes dirty.
+    /// `loc`, appending a new id (see [`InstanceStore::load_entity`]):
+    /// nothing becomes dirty.
     pub(crate) fn load_rel(
         &mut self,
         id: RelInstanceId,
@@ -449,7 +484,8 @@ impl InstanceStore {
         Ok(())
     }
 
-    /// Ids of all instances of a relationship, in creation order.
+    /// Ids of all instances of a relationship, ascending by id — their
+    /// creation order. Every insertion path keeps it so.
     pub fn relationships_of(&self, rel: RelTypeId) -> &[RelInstanceId] {
         self.rels_by_type
             .get(rel as usize)

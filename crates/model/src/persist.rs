@@ -537,7 +537,7 @@ pub fn apply(db: &mut Database, changes: &[RowChange]) -> Result<()> {
             match state {
                 Some((loc, body)) => {
                     let (rel, id, entities, attrs) = decode_rel_row(body)?;
-                    store.load_rel(id, rel, entities, attrs, *loc);
+                    store.place_rel(id, rel, entities, attrs, *loc);
                 }
                 None => {
                     let _ = store.remove_relationship(id);
@@ -802,53 +802,56 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Commits `writer` and applies the transaction's row changes, as
+    /// its log records carry them, to `replica`, which must then hold
+    /// what a load of the engine holds.
+    fn ship(engine: &StorageEngine, writer: &mut Database, replica: &mut Database) {
+        use mdm_storage::WalRecord;
+        let from = engine.wal_next_lsn();
+        prepare(writer, engine).unwrap();
+        commit(writer, engine).unwrap();
+        let names: BTreeMap<TableId, String> = (engine.table_names().into_iter())
+            .map(|name| (engine.table_id(&name).unwrap(), name))
+            .collect();
+        let (batch, _) = engine.wal_read_from(from, usize::MAX).unwrap();
+        let changes: Vec<RowChange> = batch
+            .iter()
+            .filter_map(|(_, p)| match WalRecord::decode(p)? {
+                WalRecord::Insert {
+                    table, rid, body, ..
+                } => Some((table, rid, None, Some(body))),
+                WalRecord::Update {
+                    table,
+                    rid,
+                    old,
+                    new,
+                    ..
+                } => Some((table, rid, Some(old), Some(new))),
+                WalRecord::Delete {
+                    table, rid, old, ..
+                } => Some((table, rid, Some(old), None)),
+                _ => None,
+            })
+            .map(|(table, rid, old, new)| RowChange {
+                table: names[&table].clone(),
+                rid: rid.to_u64(),
+                old,
+                new,
+            })
+            .collect();
+        apply(replica, &changes).unwrap();
+        assert_eq!(*replica, load(engine).unwrap());
+    }
+
     /// A replica applying a writer's committed row changes holds what a
     /// load of the writer's engine holds.
     #[test]
     fn applied_row_changes_equal_a_load() {
-        use mdm_storage::WalRecord;
         let dir = tmpdir("apply");
         let engine = StorageEngine::open(&dir).unwrap();
         let mut writer = build_db();
         let mut replica = Database::new();
-        let mut names: BTreeMap<TableId, String> = BTreeMap::new();
-        let mut ship = |writer: &mut Database, replica: &mut Database| {
-            let from = engine.wal_next_lsn();
-            prepare(writer, &engine).unwrap();
-            commit(writer, &engine).unwrap();
-            for name in engine.table_names() {
-                names.insert(engine.table_id(&name).unwrap(), name);
-            }
-            let (batch, _) = engine.wal_read_from(from, usize::MAX).unwrap();
-            let changes: Vec<RowChange> = batch
-                .iter()
-                .filter_map(|(_, p)| match WalRecord::decode(p)? {
-                    WalRecord::Insert {
-                        table, rid, body, ..
-                    } => Some((table, rid, None, Some(body))),
-                    WalRecord::Update {
-                        table,
-                        rid,
-                        old,
-                        new,
-                        ..
-                    } => Some((table, rid, Some(old), Some(new))),
-                    WalRecord::Delete {
-                        table, rid, old, ..
-                    } => Some((table, rid, Some(old), None)),
-                    _ => None,
-                })
-                .map(|(table, rid, old, new)| RowChange {
-                    table: names[&table].clone(),
-                    rid: rid.to_u64(),
-                    old,
-                    new,
-                })
-                .collect();
-            apply(replica, &changes).unwrap();
-            assert_eq!(*replica, load(&engine).unwrap());
-        };
-        ship(&mut writer, &mut replica);
+        ship(&engine, &mut writer, &mut replica);
         let chords = writer.ord_children("all_chords", None).unwrap();
         let notes = writer
             .ord_children("note_in_chord", Some(chords[0]))
@@ -864,7 +867,68 @@ mod tests {
         writer
             .define_index("chord_by_name", "CHORD", "name")
             .unwrap();
-        ship(&mut writer, &mut replica);
+        ship(&engine, &mut writer, &mut replica);
+        drop(engine);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `instances_of` and `relationships_of` stay ascending by id through
+    /// every insertion path: an id below the type's largest, a delete, a
+    /// load after slot reuse, and a replica's applied rows.
+    #[test]
+    fn instance_lists_stay_ascending_by_id() {
+        fn assert_ascending(db: &Database, step: &str) {
+            let store = db.store();
+            let types = db.schema().entity_types().len() as TypeId;
+            let rels = db.schema().relationships().len() as RelTypeId;
+            let lists = (0..types)
+                .map(|ty| store.instances_of(ty))
+                .chain((0..rels).map(|rel| store.relationships_of(rel)));
+            for ids in lists {
+                assert!(ids.windows(2).all(|w| w[0] < w[1]), "{step}: {ids:?}");
+            }
+        }
+        let dir = tmpdir("ascending");
+        let mut writer = build_db();
+        let mut replica = Database::new();
+        let note = writer.schema().entity_type_id("NOTE").unwrap();
+        {
+            let engine = StorageEngine::open(&dir).unwrap();
+            ship(&engine, &mut writer, &mut replica);
+            let notes = writer.store().instances_of(note).to_vec();
+            let freed = notes[1];
+            writer.delete_entity(freed).unwrap();
+            assert_ascending(&writer, "delete");
+            ship(&engine, &mut writer, &mut replica);
+
+            // The freed id, now below the type's largest, and the freed
+            // slot taken by its row.
+            writer.store_mut().create_entity_with_id(
+                freed,
+                note,
+                vec![Value::Integer(9), Value::String("D4".into())],
+            );
+            writer.rebuild_attr_indexes();
+            assert_eq!(writer.store().instances_of(note), notes.as_slice());
+            assert_ascending(&writer, "create_entity_with_id");
+            let p = writer.instances_of("PERSON").unwrap()[0];
+            let c = writer.instances_of("CHORD").unwrap()[1];
+            for _ in 0..3 {
+                writer
+                    .relate("PLAYS", &[("player", p), ("chord", c)], &[])
+                    .unwrap();
+            }
+            let plays = writer.schema().relationship_id("PLAYS").unwrap();
+            let middle = writer.store().relationships_of(plays)[1];
+            writer.store_mut().remove_relationship(middle).unwrap();
+            ship(&engine, &mut writer, &mut replica);
+            assert_ascending(&writer, "relate");
+            assert_ascending(&replica, "apply");
+        }
+        let engine = StorageEngine::open(&dir).unwrap();
+        let back = load(&engine).unwrap();
+        assert_ascending(&back, "load");
+        assert_eq!(back, writer);
         drop(engine);
         std::fs::remove_dir_all(&dir).ok();
     }
