@@ -8,7 +8,7 @@
 //! exactly like an entity or relationship type is implicitly declared
 //! (paper, footnote 6).
 //!
-//! A small cost-aware planner shapes the loop (see [`Plan::order_join`]):
+//! A small cost-aware planner shapes the loop (see `Plan::order_join`):
 //! equality and inequality conjuncts over indexed attributes become index
 //! probes and index range scans, and a variable that a `before` / `after`
 //! / `under` clause connects to a peer bound further out reads its

@@ -27,6 +27,15 @@ pub enum ReplError {
     },
     /// A stream or configuration invariant was violated.
     Protocol(String),
+    /// The in-memory database could not take a committed transaction
+    /// of the stream. No retry mends that, and skipping it would serve a
+    /// history the primary never had, so the replica stops at it.
+    Unapplied {
+        /// LSN of the transaction's `Commit` record.
+        lsn: u64,
+        /// Why the rows did not apply.
+        source: CoreError,
+    },
 }
 
 impl fmt::Display for ReplError {
@@ -42,6 +51,10 @@ impl fmt::Display for ReplError {
                  refusing promotion"
             ),
             ReplError::Protocol(msg) => write!(f, "replication protocol: {msg}"),
+            ReplError::Unapplied { lsn, source } => write!(
+                f,
+                "committed transaction at lsn {lsn} cannot be applied: {source}"
+            ),
         }
     }
 }
@@ -50,7 +63,7 @@ impl std::error::Error for ReplError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ReplError::Storage(e) => Some(e),
-            ReplError::Core(e) => Some(e),
+            ReplError::Core(e) | ReplError::Unapplied { source: e, .. } => Some(e),
             ReplError::Net(e) => Some(e),
             ReplError::Io(e) => Some(e),
             _ => None,

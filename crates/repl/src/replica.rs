@@ -22,6 +22,11 @@
 //! history exists only as page images, so it loads its model from the
 //! pages of its first fold and applies rows from there.
 //!
+//! A committed transaction the in-memory database cannot take stops the
+//! pull loop there ([`ReplError::Unapplied`]): the error stays reported
+//! and the applied watermark stays below it, so the replica keeps
+//! answering the history before it and is never promoted past it.
+//!
 //! Promotion is [`ReplicaNode::promote`]: refused while the replica has
 //! not applied everything the primary acknowledged as durable, otherwise
 //! the local log is folded, the role flips, and the LSN space simply
@@ -208,7 +213,8 @@ impl ReplicaNode {
         self.state.apply_paused.store(paused, Ordering::SeqCst);
     }
 
-    /// The last pull-loop error, if any (cleared by a successful pull).
+    /// The last pull-loop error, if any (cleared by a successful pull;
+    /// kept for good once a committed transaction cannot be applied).
     pub fn last_error(&self) -> Option<String> {
         self.state
             .last_error
@@ -233,14 +239,14 @@ impl ReplicaNode {
     /// Controlled failover: promotes this replica to primary.
     ///
     /// Refused with [`ReplError::Stale`] — leaving the node replicating,
-    /// untouched — unless the replica has applied everything the primary
-    /// ever acknowledged as durable; promoting a stale replica would
-    /// silently drop acknowledged commits. On success the pull loop
-    /// stops, the streamed log is folded into the pages, and the node
-    /// starts accepting writes. The LSN space continues where the stream
-    /// left off.
+    /// untouched — unless the replica's published applied watermark has
+    /// reached everything the primary ever acknowledged as durable;
+    /// promoting a stale replica would silently drop acknowledged
+    /// commits. On success the pull loop stops, the streamed log is
+    /// folded into the pages, and the node starts accepting writes. The
+    /// LSN space continues where the stream left off.
     pub fn promote(&mut self) -> Result<()> {
-        let applied = self.engine.wal_next_lsn();
+        let applied = self.applied_lsn();
         let required = self.state.primary_durable.load(Ordering::Acquire);
         if applied < required {
             return Err(ReplError::Stale { applied, required });
@@ -356,9 +362,12 @@ fn pull_loop(
             Err(e) => {
                 // A log or fold failure leaves the local watermark where
                 // it was, so the next pull retries the same span. A
-                // committed row the model cannot take is a defect, and
-                // surfaces here rather than being skipped.
+                // committed transaction the model cannot take stops the
+                // loop: the next pull would start past it.
                 record_error(state, metrics, &format!("apply: {e}"));
+                if matches!(e, ReplError::Unapplied { .. }) {
+                    return;
+                }
             }
         }
         // One pull per interval, drained or not: the pair
@@ -469,7 +478,9 @@ impl Stream {
 /// marker or at the batch's end: the span goes to the local log, the rows
 /// of every transaction it commits go to the in-memory database, and a
 /// marker then folds and rotates the log. The stream state follows only
-/// spans the log took, so a failed span is retried whole by the next pull.
+/// spans the log took, so a span the log or the fold failed on is retried
+/// whole by the next pull. A transaction the database cannot take fails
+/// with [`ReplError::Unapplied`], after its span reached the log.
 fn apply_batch(
     server: &MdmServer,
     engine: &StorageEngine,
@@ -491,14 +502,18 @@ fn apply_batch(
             .position(|r| matches!(r, WalRecord::Checkpoint))
             .map_or(records.len(), |i| start + i + 1);
         engine.replica_apply(&batch[start..end])?;
-        let committed: Vec<Vec<RowChange>> = records[start..end]
-            .iter()
-            .filter_map(|rec| stream.track(rec))
+        let committed: Vec<(u64, Vec<RowChange>)> = (start..end)
+            .filter_map(|i| Some((batch[i].0, stream.track(&records[i])?)))
             .collect();
         if !committed.is_empty() {
             server.with_manager_mut(|m| -> Result<()> {
-                for changes in &committed {
-                    persist::apply(m.database_mut(), changes).map_err(CoreError::from)?;
+                for (lsn, changes) in &committed {
+                    persist::apply(m.database_mut(), changes).map_err(|e| {
+                        ReplError::Unapplied {
+                            lsn: *lsn,
+                            source: e.into(),
+                        }
+                    })?;
                     metrics.txns_applied.inc();
                 }
                 Ok(())

@@ -210,6 +210,68 @@ fn stale_replica_refuses_promotion_caught_up_replica_promotes() {
     server.shutdown().expect("primary shutdown");
 }
 
+/// A committed transaction the replica's in-memory database cannot take
+/// stops the replica at it: the error stays reported while the primary
+/// keeps writing, the applied watermark stays below the primary's,
+/// promotion is refused, and reads answer the history before it.
+#[test]
+fn a_transaction_the_model_cannot_take_stops_the_replica() {
+    let (server, _dir_p) = start_primary("unapplied");
+    let addr = server.local_addr().to_string();
+    let dir_r = tempdir("unapplied-r");
+    let mut node =
+        ReplicaNode::start(&dir_r, "127.0.0.1:0", ReplicaConfig::new(&addr)).expect("replica");
+    let mut pc = client(&addr);
+    pc.execute("define entity PIECE (title = string)\nappend to PIECE (title = \"before\")")
+        .expect("primary execute");
+    assert!(node.wait_for_lsn(primary_durable(&server), Duration::from_secs(10)));
+
+    // One byte is no entity row: the row decoders need an 8-byte id.
+    server.with_manager_mut(|m| {
+        let engine = m.engine();
+        let notes = engine
+            .table_id("__entities_NOTE")
+            .expect("NOTE image table");
+        let mut txn = engine.begin().expect("begin");
+        engine.insert(&mut txn, notes, &[1]).expect("insert");
+        engine.commit(txn).expect("commit");
+    });
+    pc.execute("append to PIECE (title = \"after\")")
+        .expect("primary execute");
+    let durable = primary_durable(&server);
+
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while node.last_error().is_none() && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let error = node
+        .last_error()
+        .expect("the failed transaction is reported");
+    assert!(error.contains("cannot be applied"), "{error}");
+    // Ten poll intervals later nothing has moved past it.
+    std::thread::sleep(Duration::from_millis(200));
+    assert_eq!(node.last_error(), Some(error));
+    assert!(
+        node.applied_lsn() < durable,
+        "applied {} reached the primary's {durable}",
+        node.applied_lsn()
+    );
+    match node.promote() {
+        Err(ReplError::Stale { applied, required }) => assert!(applied < required),
+        other => panic!("expected stale refusal, got {other:?}"),
+    }
+    let mut rc = client(&node.addr().to_string());
+    let table = rc
+        .query("range of p is PIECE\nretrieve (p.title)")
+        .expect("replica query");
+    let titles: Vec<&str> = table.rows.iter().filter_map(|r| r[0].as_str()).collect();
+    assert_eq!(titles, ["before"]);
+
+    drop(rc);
+    node.shutdown().expect("replica shutdown");
+    server.shutdown().expect("primary shutdown");
+}
+
 #[test]
 fn read_fanout_replicas_see_the_same_data() {
     let (server, _dir_p) = start_primary("fanout");

@@ -1,15 +1,12 @@
-//! The buffer pool: a sharded in-memory page cache with CLOCK eviction.
+//! The buffer pool: an in-memory page cache with CLOCK eviction.
 //!
 //! Access is closure-based (`with_page` / `with_page_mut`) rather than
-//! guard-based, which keeps lifetimes simple. The pool is internally
-//! sharded: each page id maps to one of up to 16 shards (`page_id %
-//! num_shards`), and each shard owns its frames, its page map, its own
-//! CLOCK hand, and its own hit/miss/eviction counters behind a private
-//! mutex. Threads touching different pages therefore fault, hit, and
-//! evict independently; the engine no longer needs any external latch
-//! around page access.
+//! guard-based, which keeps lifetimes simple. One mutex guards the frame
+//! table, the page map and the CLOCK hand: the engine admits one writer
+//! at a time, so there is no parallel page traffic to split the pool
+//! for, and any page may take any frame.
 //!
-//! A closure runs while its shard latch is held, so closures must never
+//! A closure runs while the pool latch is held, so closures must never
 //! re-enter the pool (no nested `with_page*` calls) — the storage
 //! layer's access patterns are all flat single-page operations.
 //!
@@ -26,11 +23,11 @@
 //! frame's LSN — the ARIES write-ahead rule: no page reaches disk
 //! before the log records describing its changes. The barrier is the
 //! expensive step (a log sync), so one call covers the victim *and* up
-//! to `FLUSH_BATCH - 1` further dirty, unpinned frames of the same
-//! shard: those are written in place too and stay resident, now clean,
-//! so the evictions that follow need no sync of their own. For the same
-//! reason the sweep is clean-first under a barrier: a dirty frame is
-//! passed over while a clean one can go. Without a
+//! to `FLUSH_BATCH - 1` further dirty, unpinned frames: those are
+//! written in place too and stay resident, now clean, so the evictions
+//! that follow need no sync of their own. For the same reason the sweep
+//! is clean-first under a barrier: a dirty frame is passed over while a
+//! clean one can go. Without a
 //! barrier installed (standalone pool use, recovery, unlogged B+tree
 //! and catalog writes) the logged variants degrade to plain mutable
 //! access and eviction writes the victim directly.
@@ -45,20 +42,15 @@ use crate::disk::DiskManager;
 use crate::error::{Result, StorageError};
 use crate::page::{PageId, PAGE_SIZE};
 
-/// Upper bound on shard count; small pools get fewer shards so each
-/// shard still has at least two frames to run CLOCK over.
-const MAX_SHARDS: usize = 16;
-
 /// How many lock-release/yield cycles a loader tolerates when every
-/// frame of a shard is pending a log publish, before giving up. The
-/// pending window is the few microseconds between a page mutation and
-/// its WAL append, so exhausting this bound means something is wrong.
+/// frame is pending a log publish, before giving up. The pending window
+/// is the few microseconds between a page mutation and its WAL append,
+/// so exhausting this bound means something is wrong.
 const PIN_RETRY_LIMIT: u32 = 100_000;
 
 /// Dirty frames one eviction flushes under a single barrier call: the
-/// victim and its dirty shard neighbours. A workload larger than the
-/// pool pays one log sync per this many page writes instead of one per
-/// page.
+/// victim and its dirty neighbours. A workload larger than the pool
+/// pays one log sync per this many page writes instead of one per page.
 const FLUSH_BATCH: usize = 16;
 
 /// Runs before eviction writes dirty pages in place, with each page's id
@@ -86,21 +78,21 @@ struct Frame {
     pending: u32,
 }
 
-/// One shard: a fixed set of frames plus the CLOCK state over them.
-struct Shard {
+/// The frame table, the page map and the CLOCK hand over the frames.
+struct Frames {
     frames: Vec<Option<Frame>>,
     map: HashMap<PageId, usize>,
     clock_hand: usize,
+}
+
+/// Fixed-capacity page cache over a [`DiskManager`].
+pub struct BufferPool {
+    disk: DiskManager,
+    frames: Mutex<Frames>,
+    barrier: OnceLock<FlushBarrier>,
     hits: Arc<Counter>,
     misses: Arc<Counter>,
     evictions: Arc<Counter>,
-}
-
-/// Fixed-capacity sharded page cache over a [`DiskManager`].
-pub struct BufferPool {
-    disk: DiskManager,
-    shards: Vec<Mutex<Shard>>,
-    barrier: OnceLock<FlushBarrier>,
 }
 
 impl BufferPool {
@@ -116,26 +108,17 @@ impl BufferPool {
         vfs: &dyn crate::backend::Vfs,
     ) -> Result<BufferPool> {
         assert!(capacity >= 2, "buffer pool needs at least two frames");
-        // Every shard needs ≥2 frames for CLOCK to have a choice, so the
-        // shard count is bounded by capacity/2 as well as MAX_SHARDS.
-        let num_shards = (capacity / 2).clamp(1, MAX_SHARDS);
-        let per_shard = capacity.div_ceil(num_shards);
-        let shards = (0..num_shards)
-            .map(|_| {
-                Mutex::new(Shard {
-                    frames: (0..per_shard).map(|_| None).collect(),
-                    map: HashMap::with_capacity(per_shard),
-                    clock_hand: 0,
-                    hits: Counter::new(),
-                    misses: Counter::new(),
-                    evictions: Counter::new(),
-                })
-            })
-            .collect();
         Ok(BufferPool {
             disk: DiskManager::open_with(dir, vfs)?,
-            shards,
+            frames: Mutex::new(Frames {
+                frames: (0..capacity).map(|_| None).collect(),
+                map: HashMap::with_capacity(capacity),
+                clock_hand: 0,
+            }),
             barrier: OnceLock::new(),
+            hits: Counter::new(),
+            misses: Counter::new(),
+            evictions: Counter::new(),
         })
     }
 
@@ -149,54 +132,33 @@ impl BufferPool {
         }
     }
 
-    /// Registers this pool's per-shard hit/miss/eviction counters with a
-    /// metrics registry.
+    /// Registers this pool's hit/miss/eviction counters with a metrics
+    /// registry.
     pub fn register_metrics(&self, registry: &mdm_obs::Registry) {
-        for (i, shard) in self.shards.iter().enumerate() {
-            let shard = shard.lock().unwrap();
-            let idx = i.to_string();
-            let labels: &[(&str, &str)] = &[("shard", &idx)];
-            registry.register_counter_handle(
+        for (name, help, counter) in [
+            (
                 "mdm_pool_hits_total",
                 "buffer-pool page requests served from cache",
-                labels,
-                Arc::clone(&shard.hits),
-            );
-            registry.register_counter_handle(
+                &self.hits,
+            ),
+            (
                 "mdm_pool_misses_total",
                 "buffer-pool page requests that faulted from disk",
-                labels,
-                Arc::clone(&shard.misses),
-            );
-            registry.register_counter_handle(
+                &self.misses,
+            ),
+            (
                 "mdm_pool_evictions_total",
                 "buffer-pool frames evicted to make room",
-                labels,
-                Arc::clone(&shard.evictions),
-            );
+                &self.evictions,
+            ),
+        ] {
+            registry.register_counter_handle(name, help, &[], Arc::clone(counter));
         }
     }
 
     /// Number of pages in the underlying file.
     pub fn num_pages(&self) -> u64 {
         self.disk.num_pages()
-    }
-
-    /// Number of shards the cache is split into (diagnostics/tests).
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Cache statistics summed over shards: (hits, misses, evictions).
-    pub fn stats(&self) -> (u64, u64, u64) {
-        let mut totals = (0, 0, 0);
-        for shard in &self.shards {
-            let shard = shard.lock().unwrap();
-            totals.0 += shard.hits.get();
-            totals.1 += shard.misses.get();
-            totals.2 += shard.evictions.get();
-        }
-        totals
     }
 
     /// Allocates a fresh page (zeroed on disk) and returns its id.
@@ -209,35 +171,31 @@ impl BufferPool {
         self.disk.ensure_page(page)
     }
 
-    fn shard(&self, page: PageId) -> &Mutex<Shard> {
-        &self.shards[page as usize % self.shards.len()]
-    }
-
-    /// Locks the page's shard, loads the page, and runs `f` on its frame.
-    /// Retries (releasing the latch) while the shard is wholly pinned by
-    /// frames awaiting log publishes — that window is microseconds long.
+    /// Takes the pool latch, loads the page, and runs `f` on its frame.
+    /// Retries (releasing the latch) while every frame is pinned by a
+    /// mutation awaiting its log publish — that window is microseconds
+    /// long.
     fn with_frame<R>(&self, page: PageId, f: impl FnOnce(&mut Frame) -> R) -> Result<R> {
         let mut spins = 0;
         loop {
-            let mut shard = self.shard(page).lock().unwrap();
-            if let Some(idx) = self.load(&mut shard, page)? {
-                let frame = shard.frames[idx].as_mut().expect("frame just loaded");
+            let mut frames = self.frames.lock().unwrap();
+            if let Some(idx) = self.load(&mut frames, page)? {
+                let frame = frames.frames[idx].as_mut().expect("frame just loaded");
                 return Ok(f(frame));
             }
-            drop(shard);
+            drop(frames);
             spins += 1;
             if spins > PIN_RETRY_LIMIT {
                 return Err(StorageError::Corrupt(
-                    "buffer pool shard exhausted: every frame awaits a log publish".into(),
+                    "buffer pool exhausted: every frame awaits a log publish".into(),
                 ));
             }
             std::thread::yield_now();
         }
     }
 
-    /// Runs `f` with read access to the page's bytes. The page's shard
-    /// latch is held for the duration of `f`; `f` must not re-enter the
-    /// pool.
+    /// Runs `f` with read access to the page's bytes. The pool latch is
+    /// held for the duration of `f`; `f` must not re-enter the pool.
     pub fn with_page<R>(&self, page: PageId, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
         self.with_frame(page, |frame| f(&frame.data))
     }
@@ -245,8 +203,8 @@ impl BufferPool {
     /// Runs `f` with write access to the page's bytes; the page is marked
     /// dirty. For *unlogged* mutations (B+tree nodes, catalog pages,
     /// recovery/rollback writes) whose durability does not depend on WAL
-    /// ordering. The page's shard latch is held for the duration of `f`;
-    /// `f` must not re-enter the pool.
+    /// ordering. The pool latch is held for the duration of `f`; `f` must
+    /// not re-enter the pool.
     pub fn with_page_mut<R>(&self, page: PageId, f: impl FnOnce(&mut [u8]) -> R) -> Result<R> {
         self.with_frame(page, |frame| {
             frame.dirty = true;
@@ -286,38 +244,41 @@ impl BufferPool {
     /// publish the latest appended sequence to conservatively cover the
     /// orphaned change).
     pub fn publish_lsn(&self, page: PageId, lsn: u64) {
-        let mut shard = self.shard(page).lock().unwrap();
-        if let Some(&idx) = shard.map.get(&page) {
-            let frame = shard.frames[idx].as_mut().expect("mapped frame");
+        let mut frames = self.frames.lock().unwrap();
+        if let Some(&idx) = frames.map.get(&page) {
+            let frame = frames.frames[idx].as_mut().expect("mapped frame");
             frame.pending = frame.pending.saturating_sub(1);
             frame.lsn = frame.lsn.max(lsn);
         }
     }
 
     /// Loads `page` into a frame, returning its index — or `None` when
-    /// every frame of the shard is pinned pending a log publish.
-    fn load(&self, shard: &mut Shard, page: PageId) -> Result<Option<usize>> {
-        if let Some(&idx) = shard.map.get(&page) {
-            shard.hits.inc();
-            shard.frames[idx].as_mut().expect("mapped frame").referenced = true;
+    /// every frame is pinned pending a log publish.
+    fn load(&self, frames: &mut Frames, page: PageId) -> Result<Option<usize>> {
+        if let Some(&idx) = frames.map.get(&page) {
+            self.hits.inc();
+            frames.frames[idx]
+                .as_mut()
+                .expect("mapped frame")
+                .referenced = true;
             return Ok(Some(idx));
         }
-        shard.misses.inc();
+        self.misses.inc();
         if page >= self.disk.num_pages() {
             return Err(StorageError::PageNotFound(page));
         }
         // A miss does real I/O (possibly a dirty eviction first): span it.
         let _sp = trace::span("storage.page_read");
         trace::annotate("page", page);
-        let Some(idx) = self.victim(shard)? else {
+        let Some(idx) = self.victim(frames)? else {
             return Ok(None);
         };
-        let mut data = match shard.frames[idx].take() {
+        let mut data = match frames.frames[idx].take() {
             Some(f) => f.data,
             None => vec![0u8; PAGE_SIZE].into_boxed_slice(),
         };
         self.disk.read_page(page, &mut data)?;
-        shard.frames[idx] = Some(Frame {
+        frames.frames[idx] = Some(Frame {
             page,
             data,
             dirty: false,
@@ -325,29 +286,29 @@ impl BufferPool {
             lsn: 0,
             pending: 0,
         });
-        shard.map.insert(page, idx);
+        frames.map.insert(page, idx);
         Ok(Some(idx))
     }
 
-    /// CLOCK within one shard: sweep for an unreferenced, unpinned frame,
-    /// clearing reference bits; an empty frame is taken immediately.
+    /// CLOCK: sweep for an unreferenced, unpinned frame, clearing
+    /// reference bits; an empty frame is taken immediately.
     /// Under a flush barrier the sweep is *clean-first*: evicting a dirty
     /// frame costs a log sync, so it is passed over while a clean frame
     /// can go, and the first dirty candidate is taken only when the
     /// sweep found no clean one — its flush then cleans its dirty
     /// neighbours too (see `flush_evicted`).
     /// Returns `None` if every frame is pinned pending a log publish.
-    fn victim(&self, shard: &mut Shard) -> Result<Option<usize>> {
-        let n = shard.frames.len();
-        if let Some(idx) = shard.frames.iter().position(Option::is_none) {
+    fn victim(&self, frames: &mut Frames) -> Result<Option<usize>> {
+        let n = frames.frames.len();
+        if let Some(idx) = frames.frames.iter().position(Option::is_none) {
             return Ok(Some(idx));
         }
         let clean_first = self.barrier.get().is_some();
         let mut dirty_candidate = None;
         for _ in 0..2 * n + 1 {
-            let idx = shard.clock_hand;
-            shard.clock_hand = (shard.clock_hand + 1) % n;
-            let frame = shard.frames[idx].as_mut().expect("no empty frames");
+            let idx = frames.clock_hand;
+            frames.clock_hand = (frames.clock_hand + 1) % n;
+            let frame = frames.frames[idx].as_mut().expect("no empty frames");
             if frame.pending > 0 {
                 // Awaiting its WAL append; unevictable, skip without
                 // touching the reference bit.
@@ -358,53 +319,53 @@ impl BufferPool {
             } else if frame.dirty && clean_first {
                 dirty_candidate.get_or_insert(idx);
             } else {
-                return self.evict(shard, idx).map(Some);
+                return self.evict(frames, idx).map(Some);
             }
         }
         // 2n+1 steps clear every reference bit and revisit each frame, so
         // the only way out without a candidate is every frame pinned.
         match dirty_candidate {
-            Some(idx) => self.evict(shard, idx).map(Some),
+            Some(idx) => self.evict(frames, idx).map(Some),
             None => Ok(None),
         }
     }
 
     /// Empties frame `idx`, writing it back first if dirty, and returns
     /// the index.
-    fn evict(&self, shard: &mut Shard, idx: usize) -> Result<usize> {
-        let frame = shard.frames[idx].take().expect("victim frame is occupied");
-        shard.map.remove(&frame.page);
+    fn evict(&self, frames: &mut Frames, idx: usize) -> Result<usize> {
+        let frame = frames.frames[idx].take().expect("victim frame is occupied");
+        frames.map.remove(&frame.page);
         if frame.dirty {
             // Write-ahead rule: the log must cover the page's last logged
             // mutation before the page hits disk — and must hold a full
             // image of what is about to be written, so a torn write is
             // recoverable. Unlogged dirty pages (lsn 0: B+tree nodes,
             // catalog chains) need the image for the same reason.
-            if let Err(e) = self.flush_evicted(shard, &frame) {
+            if let Err(e) = self.flush_evicted(frames, &frame) {
                 // A failed barrier or page write must not lose the dirty
                 // frame: restore it and surface the error — the page
                 // stays resident and unpublished until a later eviction
                 // (or flush) succeeds.
-                shard.map.insert(frame.page, idx);
-                shard.frames[idx] = Some(frame);
+                frames.map.insert(frame.page, idx);
+                frames.frames[idx] = Some(frame);
                 return Err(e);
             }
         }
-        shard.evictions.inc();
+        self.evictions.inc();
         Ok(idx)
     }
 
-    /// Writes the dirty `victim` (already taken out of `shard`) in place
+    /// Writes the dirty `victim` (already taken out of `frames`) in place
     /// behind the flush barrier. The barrier's sync is shared: the next
     /// dirty, unpinned frames in CLOCK order, up to `FLUSH_BATCH` pages
     /// in all, are imaged by the same call, written too and left
     /// resident and clean. A frame counts as clean only once its own
     /// write succeeded.
-    fn flush_evicted(&self, shard: &mut Shard, victim: &Frame) -> Result<()> {
+    fn flush_evicted(&self, frames: &mut Frames, victim: &Frame) -> Result<()> {
         let Some(barrier) = self.barrier.get() else {
             return self.disk.write_page(victim.page, &victim.data);
         };
-        let n = shard.frames.len();
+        let n = frames.frames.len();
         let mut batch = vec![(victim.page, victim.data.to_vec())];
         let mut lsn = victim.lsn;
         let mut neighbours = Vec::new();
@@ -412,8 +373,8 @@ impl BufferPool {
             if batch.len() == FLUSH_BATCH {
                 break;
             }
-            let idx = (shard.clock_hand + step) % n;
-            if let Some(f) = &shard.frames[idx] {
+            let idx = (frames.clock_hand + step) % n;
+            if let Some(f) = &frames.frames[idx] {
                 if f.dirty && f.pending == 0 {
                     batch.push((f.page, f.data.to_vec()));
                     lsn = lsn.max(f.lsn);
@@ -424,7 +385,7 @@ impl BufferPool {
         barrier(&batch, lsn)?;
         self.disk.write_page(victim.page, &victim.data)?;
         for idx in neighbours {
-            let f = shard.frames[idx].as_mut().expect("collected above");
+            let f = frames.frames[idx].as_mut().expect("collected above");
             self.disk.write_page(f.page, &f.data)?;
             f.dirty = false;
         }
@@ -435,46 +396,33 @@ impl BufferPool {
     /// sync the WAL first (checkpoint and clean shutdown both do), since
     /// this path writes pages without consulting the flush barrier.
     pub fn flush_all(&self) -> Result<()> {
-        for shard in &self.shards {
-            let mut shard = shard.lock().unwrap();
-            for frame in shard.frames.iter_mut().flatten() {
-                if frame.dirty {
-                    self.disk.write_page(frame.page, &frame.data)?;
-                    frame.dirty = false;
-                }
-            }
-        }
-        self.disk.sync()
+        self.flush_dirty(None)
     }
 
     /// As [`BufferPool::flush_all`], but hands every dirty frame's
     /// `(page, bytes)` to `pre` in one batch *before* any in-place write
     /// happens — the engine logs (and syncs) full-page images there, so
     /// a crash that tears one of the writes is recoverable from the log.
-    /// Callers must have quiesced writers (checkpoint holds the
-    /// active-transaction latch; shutdown is exclusive): a page dirtied
-    /// between the batch and its write would go out unimaged.
+    /// The pool latch is held from the batch to the last write, so `pre`
+    /// must not touch the pool.
     pub fn flush_all_with(&self, pre: &PreFlush) -> Result<()> {
-        let mut batch: Vec<(PageId, Vec<u8>)> = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.lock().unwrap();
-            for frame in shard.frames.iter().flatten() {
-                if frame.dirty {
-                    batch.push((frame.page, frame.data.to_vec()));
-                }
-            }
+        self.flush_dirty(Some(pre))
+    }
+
+    fn flush_dirty(&self, pre: Option<&PreFlush>) -> Result<()> {
+        let mut frames = self.frames.lock().unwrap();
+        if let Some(pre) = pre {
+            let batch: Vec<(PageId, Vec<u8>)> = (frames.frames.iter().flatten())
+                .filter(|f| f.dirty)
+                .map(|f| (f.page, f.data.to_vec()))
+                .collect();
+            pre(&batch)?;
         }
-        pre(&batch)?;
-        for (page, _) in &batch {
-            let mut shard = self.shard(*page).lock().unwrap();
-            if let Some(&idx) = shard.map.get(page) {
-                let frame = shard.frames[idx].as_mut().expect("mapped frame");
-                if frame.dirty {
-                    self.disk.write_page(frame.page, &frame.data)?;
-                    frame.dirty = false;
-                }
-            }
+        for frame in frames.frames.iter_mut().flatten().filter(|f| f.dirty) {
+            self.disk.write_page(frame.page, &frame.data)?;
+            frame.dirty = false;
         }
+        drop(frames);
         self.disk.sync()
     }
 }
@@ -483,12 +431,32 @@ impl BufferPool {
 mod tests {
     use super::*;
     use crate::page;
+    use mdm_obs::Registry;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn tmpdir(name: &str) -> std::path::PathBuf {
         let d = std::env::temp_dir().join(format!("mdm-buf-{}-{}", std::process::id(), name));
         std::fs::remove_dir_all(&d).ok();
         d
+    }
+
+    /// A pool whose counters report into a fresh registry.
+    fn counted(dir: &Path, capacity: usize) -> (BufferPool, Registry) {
+        let bp = BufferPool::open(dir, capacity).unwrap();
+        let registry = Registry::new();
+        bp.register_metrics(&registry);
+        (bp, registry)
+    }
+
+    /// (hits, misses, evictions) as the registry reports them.
+    fn counts(registry: &Registry) -> (u64, u64, u64) {
+        let snap = registry.snapshot();
+        let read = |name| snap.counter(name).unwrap_or(0);
+        (
+            read("mdm_pool_hits_total"),
+            read("mdm_pool_misses_total"),
+            read("mdm_pool_evictions_total"),
+        )
     }
 
     #[test]
@@ -505,8 +473,7 @@ mod tests {
     #[test]
     fn eviction_persists_dirty_pages() {
         let dir = tmpdir("evict");
-        let bp = BufferPool::open(&dir, 2).unwrap();
-        assert_eq!(bp.num_shards(), 1);
+        let (bp, registry) = counted(&dir, 2);
         let pids: Vec<_> = (0..10).map(|_| bp.allocate_page().unwrap()).collect();
         for (i, &pid) in pids.iter().enumerate() {
             bp.with_page_mut(pid, |d| d[0] = i as u8 + 1).unwrap();
@@ -516,7 +483,7 @@ mod tests {
             let v = bp.with_page(pid, |d| d[0]).unwrap();
             assert_eq!(v, i as u8 + 1);
         }
-        let (_, _, evictions) = bp.stats();
+        let (_, _, evictions) = counts(&registry);
         assert!(evictions >= 8, "expected evictions, saw {evictions}");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -546,27 +513,47 @@ mod tests {
     #[test]
     fn hit_ratio_counts() {
         let dir = tmpdir("stats");
-        let bp = BufferPool::open(&dir, 4).unwrap();
+        let (bp, registry) = counted(&dir, 4);
         let pid = bp.allocate_page().unwrap();
         for _ in 0..10 {
             bp.with_page(pid, |_| ()).unwrap();
         }
-        let (hits, misses, _) = bp.stats();
+        let (hits, misses, _) = counts(&registry);
         assert_eq!(misses, 1);
         assert_eq!(hits, 9);
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Any page may take any frame: 64 frames hold 64 pages whose ids
+    /// all share one residue mod 16, so a second pass over them faults
+    /// nothing in and evicts nothing.
     #[test]
-    fn shards_scale_with_capacity() {
-        let dir = tmpdir("shards");
-        let bp = BufferPool::open(&dir, 64).unwrap();
-        assert_eq!(bp.num_shards(), 16);
+    fn a_full_pool_keeps_pages_of_one_residue_resident() {
+        let dir = tmpdir("capacity");
+        let (bp, registry) = counted(&dir, 64);
+        let pages: Vec<PageId> = (0..64).map(|i| i * 16).collect();
+        bp.ensure_page(pages[63]).unwrap();
+        for &pid in &pages {
+            bp.with_page(pid, |_| ()).unwrap();
+        }
+        let (_, first_misses, _) = counts(&registry);
+        assert_eq!(first_misses, 64);
+        for &pid in &pages {
+            bp.with_page(pid, |_| ()).unwrap();
+        }
+        let (hits, misses, evictions) = counts(&registry);
+        assert_eq!(
+            misses - first_misses,
+            0,
+            "second pass faulted pages back in"
+        );
+        assert_eq!(evictions, 0);
+        assert_eq!(hits, 64);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn concurrent_writers_land_on_distinct_shards() {
+    fn concurrent_writers_share_the_pool() {
         let dir = tmpdir("conc");
         let bp = BufferPool::open(&dir, 32).unwrap();
         let pids: Vec<_> = (0..24).map(|_| bp.allocate_page().unwrap()).collect();
@@ -639,9 +626,8 @@ mod tests {
     #[test]
     fn one_barrier_covers_the_dirty_neighbours() {
         let dir = tmpdir("batch");
-        // Four frames in two shards of two: pages 0 and 2 share a shard.
-        let bp = BufferPool::open(&dir, 4).unwrap();
-        assert_eq!(bp.num_shards(), 2);
+        // Two frames, both dirty: the next page needs an eviction.
+        let bp = BufferPool::open(&dir, 2).unwrap();
         static CALLS: AtomicU64 = AtomicU64::new(0);
         static PAGES: AtomicU64 = AtomicU64::new(0);
         CALLS.store(0, Ordering::SeqCst);
@@ -651,17 +637,17 @@ mod tests {
             PAGES.fetch_add(pages.len() as u64, Ordering::SeqCst);
             Ok(())
         }));
-        let pids: Vec<_> = (0..8).map(|_| bp.allocate_page().unwrap()).collect();
-        for &pid in &[pids[0], pids[2]] {
+        let pids: Vec<_> = (0..4).map(|_| bp.allocate_page().unwrap()).collect();
+        for &pid in &pids[..2] {
             bp.with_page_mut(pid, |d| d[0] = pid as u8 + 1).unwrap();
         }
         // The first eviction images both dirty frames under one barrier;
         // the second finds its victim clean and needs none.
-        bp.with_page(pids[4], |_| ()).unwrap();
-        bp.with_page(pids[6], |_| ()).unwrap();
+        bp.with_page(pids[2], |_| ()).unwrap();
+        bp.with_page(pids[3], |_| ()).unwrap();
         assert_eq!(CALLS.load(Ordering::SeqCst), 1);
         assert_eq!(PAGES.load(Ordering::SeqCst), 2);
-        for &pid in &[pids[0], pids[2]] {
+        for &pid in &pids[..2] {
             assert_eq!(bp.with_page(pid, |d| d[0]).unwrap(), pid as u8 + 1);
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -670,7 +656,7 @@ mod tests {
     #[test]
     fn pending_frames_are_not_evicted() {
         let dir = tmpdir("pending");
-        let bp = BufferPool::open(&dir, 2).unwrap();
+        let (bp, registry) = counted(&dir, 2);
         bp.set_flush_barrier(Box::new(|_, _| Ok(())));
         let pinned = bp.allocate_page().unwrap();
         bp.with_page_mut_logged(pinned, |d| {
@@ -684,7 +670,7 @@ mod tests {
             let pid = bp.allocate_page().unwrap();
             bp.with_page_mut(pid, |d| d[1] = 1).unwrap();
         }
-        let (_, _, evictions) = bp.stats();
+        let (_, _, evictions) = counts(&registry);
         assert!(evictions >= 4, "unpinned frame must keep cycling");
         assert_eq!(bp.with_page(pinned, |d| d[0]).unwrap(), 99);
         bp.publish_lsn(pinned, 1);

@@ -2,51 +2,50 @@
 //!
 //! [`StorageEngine`] combines the buffer pool, heap files, B+tree indexes,
 //! the write-ahead log, and the catalog into a single transactional
-//! record store. Concurrency control is one engine-wide gate (see
-//! [`crate::gate`]): *one writer or many readers*. [`StorageEngine::begin`]
-//! takes the exclusive side and the [`Txn`] holds it until commit, abort
-//! or drop; a [`ReadSnapshot`] holds the shared side. Durability is
-//! undo/redo logical logging with checkpoint truncation.
+//! record store. Concurrency control is one engine-wide gate (the
+//! private `gate` module): *one writer or many readers*.
+//! [`StorageEngine::begin`] takes the exclusive side and the [`Txn`] holds
+//! it until commit, abort or drop; a [`ReadSnapshot`] holds the shared
+//! side. Durability is undo/redo logical logging with checkpoint
+//! truncation.
 //!
 //! # Latching
 //!
-//! Below the gate each component has its own latch. The latches do not
+//! Below the gate each component has one latch. The latches do not
 //! arbitrate between transactions (there is one at a time); they keep the
 //! threads that run *outside* the gate (replication's `wal_read_from`,
 //! the replica pull thread's `replica_apply`, DDL, eviction on a reader's
 //! behalf) safe against the writer and each other:
 //!
 //! - **catalog** — an `RwLock`: lookups share, DDL excludes.
-//! - **heap directory** — an `RwLock<HashMap>` of per-table handles;
-//!   each [`HeapFile`] (its first/last-page cache) sits behind its own
-//!   `Mutex`.
-//! - **buffer pool** — internally sharded by page id (see
-//!   [`crate::buffer`]); the engine takes no latch at all around page
-//!   access.
-//! - **WAL** — one `Mutex` guards appends; commit durability uses
-//!   *group commit* (below) so the mutex is never held across an fsync.
+//! - **heap directory** — one `Mutex<HashMap>` of per-table [`HeapFile`]
+//!   handles (each a first/last-page cache).
+//! - **buffer pool** — one `Mutex` over the frame table and the CLOCK
+//!   hand (see [`crate::buffer`]).
+//! - **log** — one `Mutex` over the WAL, its sequence numbers, the
+//!   synced watermark and the poison flag. A commit flushes and fsyncs
+//!   the log under it.
 //!
 //! The acquisition order is fixed:
 //!
-//! > gate → `catalog` → heap directory → per-table heap →
-//! > pool shard → `WAL` → commit state
+//! > gate → catalog → heap directory → pool → log
 //!
 //! A latch may only be taken while holding latches that appear *earlier*
-//! in this order. Pool-shard latches sit before the WAL because dirty
-//! eviction (which runs under a shard latch) may need to sync the log
-//! (the flush barrier, below); no code path holds the WAL or commit
-//! latch while touching a page. Page closures never re-enter the pool.
-//! The gate is only ever waited on with no latch held.
+//! in this order. The pool sits before the log because dirty eviction
+//! (which runs under the pool latch) may need to sync the log (the flush
+//! barrier, below); no code path holds the log latch while touching a
+//! page. Page closures never re-enter the pool. The gate is only ever
+//! waited on with no latch held.
 //!
-//! # Group commit
+//! # Commit durability
 //!
 //! A committing transaction appends its `Commit` record (getting back a
-//! log sequence number) and then waits until the log is durable up to
-//! that number. The first committer to arrive becomes the *leader*: it
-//! flushes the log buffer under the WAL latch (cheap), releases the
-//! latch, and fsyncs a cloned file handle while followers — and new
-//! appenders — proceed. One fsync thus covers every record appended
-//! before it, batching the dominant cost of small transactions.
+//! log sequence number), then takes the log latch and, unless an earlier
+//! sync already covered that number, flushes the log buffer and fsyncs
+//! it. One fsync covers every record appended before it, so a committer
+//! that waited on the latch behind another's sync finds its record
+//! already durable. A failed fsync poisons the log (fsyncgate): every
+//! later sync fails with [`StorageError::WalPoisoned`] until a reopen.
 //!
 //! # Page-LSN flush discipline
 //!
@@ -58,7 +57,7 @@
 //! frame's page-LSN; eviction of a dirty frame first runs a *flush
 //! barrier* that syncs the WAL through that LSN (counted by
 //! `mdm_wal_eviction_syncs_total`), one call covering the victim and
-//! its dirty shard neighbours. This is the ARIES write-ahead rule
+//! its dirty neighbours. This is the ARIES write-ahead rule
 //! specialized to logical logging: no page reaches disk before the log
 //! covers its last logged change.
 //!
@@ -71,10 +70,11 @@
 //! [`StorageEngine::metrics_snapshot`]. All instrumentation is relaxed
 //! atomics — cheap enough for the hot paths it sits on.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::thread::ThreadId;
 
 use mdm_obs::{
@@ -156,12 +156,21 @@ enum UndoOp {
     },
 }
 
-/// The WAL behind its append latch, plus a monotonic sequence number
-/// (one per appended record, never reset — unlike `Wal::appended`,
-/// which a truncate restarts).
+/// The WAL behind its latch, plus a monotonic sequence number (one per
+/// appended record, never reset — unlike `Wal::appended`, which a
+/// truncate restarts) and the highest sequence number known durable.
 struct WalInner {
     wal: Wal,
     seq: u64,
+    synced: u64,
+    /// Set when a WAL fsync fails. Once the kernel reports an fsync
+    /// error it may drop the dirty pages it could not write *and mark
+    /// them clean* (fsyncgate), so a later "successful" fsync proves
+    /// nothing about the bytes the failed one covered. `synced` must
+    /// never advance past that point; every commit (and eviction sync)
+    /// fails with [`StorageError::WalPoisoned`] until the engine is
+    /// reopened and recovery re-reads what actually persisted.
+    poisoned: bool,
     appends: Arc<Counter>,
 }
 
@@ -205,7 +214,7 @@ impl EngineMetrics {
             ),
             wal_group_batch: registry.histogram(
                 "mdm_wal_group_commit_batch",
-                "records made durable per group-commit fsync",
+                "records made durable per WAL fsync",
                 SMALL_COUNT_BOUNDS,
             ),
             wal_eviction_syncs: registry.counter(
@@ -234,28 +243,11 @@ impl EngineMetrics {
     }
 }
 
-/// Group-commit state: whether a leader is currently fsyncing, and the
-/// highest sequence number known durable.
-struct CommitState {
-    syncing: bool,
-    synced: u64,
-    /// Set when a WAL fsync fails. Once the kernel reports an fsync
-    /// error it may drop the dirty pages it could not write *and mark
-    /// them clean* (fsyncgate), so a later "successful" fsync proves
-    /// nothing about the bytes the failed one covered. `synced` must
-    /// never advance past that point; every commit (and eviction sync)
-    /// fails with [`StorageError::WalPoisoned`] until the engine is
-    /// reopened and recovery re-reads what actually persisted.
-    poisoned: bool,
-}
-
 struct Inner {
     pool: BufferPool,
     wal: Mutex<WalInner>,
-    commit: Mutex<CommitState>,
-    commit_cv: Condvar,
     catalog: RwLock<Catalog>,
-    heaps: RwLock<HashMap<TableId, Arc<Mutex<HeapFile>>>>,
+    heaps: Mutex<HashMap<TableId, HeapFile>>,
     /// One writer or many readers.
     gate: Gate,
     indexes_need_rebuild: AtomicBool,
@@ -357,67 +349,38 @@ impl Inner {
         self.sync_to(seq)
     }
 
-    /// Group commit: waits until the log is durable through `seq`,
-    /// becoming the fsync leader if no other committer already is.
+    /// Makes the log durable through `seq`: under the log latch, flushes
+    /// and fsyncs it unless an earlier sync already covered `seq`.
     fn sync_to(&self, seq: u64) -> Result<()> {
         let _sp = trace::span("storage.group_commit");
-        let mut st = self.commit.lock().unwrap();
-        loop {
-            if st.poisoned {
-                return Err(StorageError::WalPoisoned);
-            }
-            if st.synced >= seq {
-                return Ok(());
-            }
-            if st.syncing {
-                st = self.commit_cv.wait(st).unwrap();
-                continue;
-            }
-            st.syncing = true;
-            drop(st);
-            // Leader: flush the buffer under the WAL latch (cheap), then
-            // fsync the shared backend with no latch held, so appenders
-            // and later committers are never stalled behind the disk.
-            let flushed = {
-                let mut w = self.wal.lock().unwrap();
-                w.wal
-                    .flush_to_os()
-                    .map(|backend| (w.seq, w.wal.flushed_lsn(), backend))
-            };
-            let res = flushed.and_then(|(upto, lsn, backend)| {
-                let _fsync_sp = trace::span("storage.fsync");
-                let timer = self.metrics.wal_fsync_micros.time();
-                backend.sync()?;
-                timer.stop();
-                self.metrics.wal_fsyncs.inc();
-                self.durable_lsn.fetch_max(lsn, Ordering::AcqRel);
-                Ok(upto)
-            });
-            st = self.commit.lock().unwrap();
-            st.syncing = false;
-            let upto = match res {
-                Ok(upto) => upto,
-                Err(e) => {
-                    // fsyncgate: a failed fsync may have dropped the
-                    // dirty log bytes while marking them clean, so no
-                    // retry can be trusted. Poison the commit path: the
-                    // durable seq never advances again, and followers
-                    // (and all later commits) fail typed rather than
-                    // reporting durability the log cannot back.
-                    st.poisoned = true;
-                    self.metrics.wal_fsync_failures.inc();
-                    self.metrics.wal_poisoned.set(1);
-                    self.commit_cv.notify_all();
-                    return Err(e);
-                }
-            };
-            if upto > st.synced {
-                // Group-commit effectiveness: records covered per fsync.
-                self.metrics.wal_group_batch.observe(upto - st.synced);
-            }
-            st.synced = st.synced.max(upto);
-            self.commit_cv.notify_all();
+        let mut w = self.wal.lock().unwrap();
+        if w.poisoned {
+            return Err(StorageError::WalPoisoned);
         }
+        if w.synced >= seq {
+            return Ok(());
+        }
+        let _fsync_sp = trace::span("storage.fsync");
+        let timer = self.metrics.wal_fsync_micros.time();
+        if let Err(e) = w.wal.sync() {
+            // fsyncgate: a failed fsync may have dropped the dirty log
+            // bytes while marking them clean, so no retry can be
+            // trusted. Poison the log: the durable seq never advances
+            // again, and every later sync fails typed rather than
+            // reporting durability the log cannot back.
+            w.poisoned = true;
+            self.metrics.wal_fsync_failures.inc();
+            self.metrics.wal_poisoned.set(1);
+            return Err(e);
+        }
+        timer.stop();
+        self.metrics.wal_fsyncs.inc();
+        self.durable_lsn
+            .fetch_max(w.wal.next_lsn(), Ordering::AcqRel);
+        // Records made durable by this one fsync.
+        self.metrics.wal_group_batch.observe(w.seq - w.synced);
+        w.synced = w.seq;
+        Ok(())
     }
 
     /// Syncs everything appended so far.
@@ -429,38 +392,39 @@ impl Inner {
     /// Truncates the log (checkpoint). Everything previously appended is
     /// now moot, so it is marked synced.
     fn truncate_wal(&self) -> Result<()> {
-        let (seq, lsn) = {
-            let mut w = self.wal.lock().unwrap();
-            w.wal.truncate()?;
-            (w.seq, w.wal.next_lsn())
-        };
-        self.durable_lsn.fetch_max(lsn, Ordering::AcqRel);
-        let mut st = self.commit.lock().unwrap();
-        st.synced = st.synced.max(seq);
+        let mut w = self.wal.lock().unwrap();
+        w.wal.truncate()?;
+        w.synced = w.seq;
+        self.durable_lsn
+            .fetch_max(w.wal.next_lsn(), Ordering::AcqRel);
         Ok(())
     }
 
-    /// The per-table heap handle, opening it from the catalog on first
-    /// touch.
-    fn heap_handle(&self, table: TableId) -> Result<Arc<Mutex<HeapFile>>> {
-        if let Some(h) = self.heaps.read().unwrap().get(&table) {
-            return Ok(Arc::clone(h));
+    /// Runs `f` on the table's heap handle under the heap-directory
+    /// latch, opening the handle from the catalog on first touch.
+    fn with_heap<R>(
+        &self,
+        table: TableId,
+        f: impl FnOnce(&mut HeapFile) -> Result<R>,
+    ) -> Result<R> {
+        let mut heaps = self.heaps.lock().unwrap();
+        if !heaps.contains_key(&table) {
+            // The catalog comes before the heap directory in the latch
+            // order: let go, look the table up, then take it again.
+            drop(heaps);
+            let first_page = {
+                let cat = self.catalog.read().unwrap();
+                let (_, meta) = cat
+                    .table_by_id(table)
+                    .ok_or_else(|| StorageError::NoSuchTable(format!("#{table}")))?;
+                meta.first_page
+            };
+            heaps = self.heaps.lock().unwrap();
+            if let Entry::Vacant(slot) = heaps.entry(table) {
+                slot.insert(HeapFile::open(&self.pool, first_page)?);
+            }
         }
-        let first_page = {
-            let cat = self.catalog.read().unwrap();
-            let (_, meta) = cat
-                .table_by_id(table)
-                .ok_or_else(|| StorageError::NoSuchTable(format!("#{table}")))?;
-            meta.first_page
-        };
-        let mut heaps = self.heaps.write().unwrap();
-        if let Some(h) = heaps.get(&table) {
-            return Ok(Arc::clone(h));
-        }
-        let hf = HeapFile::open(&self.pool, first_page)?;
-        let h = Arc::new(Mutex::new(hf));
-        heaps.insert(table, Arc::clone(&h));
-        Ok(h)
+        f(heaps.get_mut(&table).expect("opened above"))
     }
 
     fn index_tree(&self, table: TableId, index: &str) -> Result<BTree> {
@@ -476,8 +440,7 @@ impl Inner {
     }
 
     fn scan(&self, table: TableId) -> Result<Vec<(Rid, Vec<u8>)>> {
-        let heap = self.heap_handle(table)?;
-        let h = heap.lock().unwrap().clone();
+        let h = self.with_heap(table, |h| Ok(h.clone()))?;
         h.scan_all(&self.pool)
     }
 
@@ -503,6 +466,28 @@ impl Inner {
             out.push((k.to_vec(), Rid::from_u64(v)));
         })?;
         Ok(out)
+    }
+
+    /// Syncs the log, saves the catalog, writes every dirty page back and
+    /// truncates the log. The live checkpoint and a clean shutdown both
+    /// run it.
+    fn checkpoint(&self) -> Result<()> {
+        self.sync_all()?;
+        {
+            let mut cat = self.catalog.read().unwrap().clone();
+            cat.txn_floor = self.next_txn.load(Ordering::Acquire);
+            catalog::save(&self.pool, &cat)?;
+        }
+        // Image every dirty page into the log (one batch, one sync)
+        // before the in-place writes: a crash that tears one of them is
+        // then recoverable from the images.
+        self.pool
+            .flush_all_with(&|batch| self.log_page_images(batch))?;
+        // Mark the rotation boundary so replication readers know the
+        // stream up to here is checkpoint-consistent (no open txns).
+        let seq = self.log(&WalRecord::Checkpoint)?;
+        self.sync_to(seq)?;
+        self.truncate_wal()
     }
 
     /// Persists and logs the catalog after DDL. Callers hold the catalog
@@ -718,16 +703,12 @@ impl StorageEngine {
             wal: Mutex::new(WalInner {
                 wal,
                 seq: 0,
-                appends: Arc::clone(&metrics.wal_appends),
-            }),
-            commit: Mutex::new(CommitState {
-                syncing: false,
                 synced: 0,
                 poisoned: false,
+                appends: Arc::clone(&metrics.wal_appends),
             }),
-            commit_cv: Condvar::new(),
             catalog: RwLock::new(recovered),
-            heaps: RwLock::new(HashMap::new()),
+            heaps: Mutex::new(HashMap::new()),
             gate: Gate::default(),
             indexes_need_rebuild: AtomicBool::new(needs_rebuild),
             recovery: outcome,
@@ -829,9 +810,9 @@ impl StorageEngine {
         Ok(())
     }
 
-    /// Commits: makes the log durable (group commit), then releases the
-    /// gate (the handle drops). A transaction that never wrote logs
-    /// nothing and syncs nothing.
+    /// Commits: makes the log durable, then releases the gate (the handle
+    /// drops). A transaction that never wrote logs nothing and syncs
+    /// nothing.
     pub fn commit(&self, mut txn: Txn) -> Result<()> {
         self.check_active(&txn)?;
         // Whatever happens below, the drop must not roll back: after a
@@ -875,11 +856,7 @@ impl StorageEngine {
                 indexes: BTreeMap::new(),
             },
         );
-        self.inner
-            .heaps
-            .write()
-            .unwrap()
-            .insert(id, Arc::new(Mutex::new(hf)));
+        self.inner.heaps.lock().unwrap().insert(id, hf);
         self.inner.snapshot_catalog(&cat)?;
         Ok(id)
     }
@@ -892,7 +869,7 @@ impl StorageEngine {
             .tables
             .remove(name)
             .ok_or_else(|| StorageError::NoSuchTable(name.to_string()))?;
-        self.inner.heaps.write().unwrap().remove(&meta.id);
+        self.inner.heaps.lock().unwrap().remove(&meta.id);
         self.inner.snapshot_catalog(&cat)?;
         Ok(())
     }
@@ -965,8 +942,22 @@ impl StorageEngine {
     /// Inserts a record, returning its rid.
     pub fn insert(&self, txn: &mut Txn, table: TableId, body: &[u8]) -> Result<Rid> {
         self.check_active(txn)?;
-        let heap = self.inner.heap_handle(table)?;
-        let mut h = heap.lock().unwrap();
+        let rid = self
+            .inner
+            .with_heap(table, |h| self.insert_logged(h, txn, table, body))?;
+        txn.undo.push(UndoOp::Insert { rid });
+        Ok(rid)
+    }
+
+    /// Inserts `body` into the heap `h` and logs it, preceded by the
+    /// `LinkPage` record when the insert chained a new page.
+    fn insert_logged(
+        &self,
+        h: &mut HeapFile,
+        txn: &mut Txn,
+        table: TableId,
+        body: &[u8],
+    ) -> Result<Rid> {
         let (rid, link) = h.insert(&self.inner.pool, body)?;
         let mut recs = Vec::with_capacity(2);
         let mut pages = Vec::with_capacity(2);
@@ -987,8 +978,6 @@ impl StorageEngine {
         pages.push(rid.page);
         self.begin_write(txn)?;
         self.inner.log_published(&recs, &pages)?;
-        drop(h);
-        txn.undo.push(UndoOp::Insert { rid });
         Ok(rid)
     }
 
@@ -1003,72 +992,50 @@ impl StorageEngine {
     /// *new* rid is returned; otherwise the original rid is returned.
     pub fn update(&self, txn: &mut Txn, table: TableId, rid: Rid, body: &[u8]) -> Result<Rid> {
         self.check_active(txn)?;
-        let heap = self.inner.heap_handle(table)?;
-        let mut h = heap.lock().unwrap();
-        let old = HeapFile::get(&self.inner.pool, rid)?.ok_or(StorageError::RecordNotFound {
-            page: rid.page,
-            slot: rid.slot,
-        })?;
-        if HeapFile::update(&self.inner.pool, rid, body)? {
+        self.inner.with_heap(table, |h| {
+            let old =
+                HeapFile::get(&self.inner.pool, rid)?.ok_or(StorageError::RecordNotFound {
+                    page: rid.page,
+                    slot: rid.slot,
+                })?;
+            if HeapFile::update(&self.inner.pool, rid, body)? {
+                self.begin_write(txn)?;
+                self.inner.log_published(
+                    &[WalRecord::Update {
+                        txn: txn.id,
+                        table,
+                        rid,
+                        old: old.clone(),
+                        new: body.to_vec(),
+                    }],
+                    &[rid.page],
+                )?;
+                txn.undo.push(UndoOp::Update { rid, old });
+                return Ok(rid);
+            }
+            // Did not fit: move the record.
+            h.delete(&self.inner.pool, rid)?;
             self.begin_write(txn)?;
             self.inner.log_published(
-                &[WalRecord::Update {
+                &[WalRecord::Delete {
                     txn: txn.id,
                     table,
                     rid,
                     old: old.clone(),
-                    new: body.to_vec(),
                 }],
                 &[rid.page],
             )?;
-            txn.undo.push(UndoOp::Update { rid, old });
-            return Ok(rid);
-        }
-        // Did not fit: move the record.
-        h.delete(&self.inner.pool, rid)?;
-        self.begin_write(txn)?;
-        self.inner.log_published(
-            &[WalRecord::Delete {
-                txn: txn.id,
-                table,
-                rid,
-                old: old.clone(),
-            }],
-            &[rid.page],
-        )?;
-        txn.undo.push(UndoOp::Delete {
-            rid,
-            old: old.clone(),
-        });
-        let (new_rid, link) = h.insert(&self.inner.pool, body)?;
-        let mut recs = Vec::with_capacity(2);
-        let mut pages = Vec::with_capacity(2);
-        if let Some((from_page, new_page)) = link {
-            recs.push(WalRecord::LinkPage {
-                table,
-                from_page,
-                new_page,
-            });
-            pages.push(from_page);
-        }
-        recs.push(WalRecord::Insert {
-            txn: txn.id,
-            table,
-            rid: new_rid,
-            body: body.to_vec(),
-        });
-        pages.push(new_rid.page);
-        self.inner.log_published(&recs, &pages)?;
-        drop(h);
-        txn.undo.push(UndoOp::Insert { rid: new_rid });
-        Ok(new_rid)
+            txn.undo.push(UndoOp::Delete { rid, old });
+            let new_rid = self.insert_logged(h, txn, table, body)?;
+            txn.undo.push(UndoOp::Insert { rid: new_rid });
+            Ok(new_rid)
+        })
     }
 
     /// Deletes a record, returning its old body.
     pub fn delete(&self, txn: &mut Txn, table: TableId, rid: Rid) -> Result<Vec<u8>> {
         self.check_active(txn)?;
-        let heap = self.inner.heap_handle(table)?;
-        let old = heap.lock().unwrap().delete(&self.inner.pool, rid)?;
+        let old = (self.inner).with_heap(table, |h| h.delete(&self.inner.pool, rid))?;
         self.begin_write(txn)?;
         self.inner.log_published(
             &[WalRecord::Delete {
@@ -1263,23 +1230,7 @@ impl StorageEngine {
                 "replica engines checkpoint via replica_checkpoint".into(),
             ));
         }
-        self.inner.sync_all()?;
-        {
-            let mut cat = self.inner.catalog.read().unwrap().clone();
-            cat.txn_floor = self.inner.next_txn.load(Ordering::Acquire);
-            catalog::save(&self.inner.pool, &cat)?;
-        }
-        // Image every dirty page into the log (one batch, one sync)
-        // before the in-place writes: a crash that tears one of them is
-        // then recoverable from the images.
-        self.inner
-            .pool
-            .flush_all_with(&|batch| self.inner.log_page_images(batch))?;
-        // Mark the rotation boundary so replication readers know the
-        // stream up to here is checkpoint-consistent (no open txns).
-        let seq = self.inner.log(&WalRecord::Checkpoint)?;
-        self.inner.sync_to(seq)?;
-        self.inner.truncate_wal()
+        self.inner.checkpoint()
     }
 
     // ------------------------------------------------------------------
@@ -1416,14 +1367,10 @@ impl StorageEngine {
             }
             w.append(&rec)?;
         }
-        let seq = w.seq;
         w.wal.sync()?;
+        w.synced = w.seq;
         let applied = w.wal.next_lsn();
-        drop(w);
         self.inner.durable_lsn.fetch_max(applied, Ordering::AcqRel);
-        let mut st = self.inner.commit.lock().unwrap();
-        st.synced = st.synced.max(seq);
-        drop(st);
         Ok(applied)
     }
 
@@ -1492,7 +1439,7 @@ impl StorageEngine {
         let base = self.inner.catalog.read().unwrap().clone();
         let (outcome, recovered) = recovery::recover(&self.inner.pool, records, Some(base))?;
         *self.inner.catalog.write().unwrap() = recovered;
-        self.inner.heaps.write().unwrap().clear();
+        self.inner.heaps.lock().unwrap().clear();
         if outcome.indexes_reset {
             self.inner
                 .indexes_need_rebuild
@@ -1500,11 +1447,6 @@ impl StorageEngine {
             Self::write_rebuild_marker(&self.inner.dir, true)?;
         }
         Ok(())
-    }
-
-    /// Buffer-pool statistics: (hits, misses, evictions).
-    pub fn pool_stats(&self) -> (u64, u64, u64) {
-        self.inner.pool.stats()
     }
 
     /// A point-in-time snapshot of every metric registered with this
@@ -1540,11 +1482,10 @@ impl Drop for Inner {
         // recovery and keeps indexes. Every `Txn` and `ReadSnapshot`
         // keeps `Inner` alive, so none is open here and the gate is
         // free. `Inner` is dropping, so these latches have no other
-        // holders; `into_inner` on a poisoned latch still yields the data.
-        fn unpoison<T>(r: std::sync::LockResult<T>) -> T {
-            r.unwrap_or_else(std::sync::PoisonError::into_inner)
-        }
-        if unpoison(self.commit.get_mut()).poisoned {
+        // holders; one a panicking holder poisoned still guards the data.
+        self.wal.clear_poison();
+        self.catalog.clear_poison();
+        if self.wal.get_mut().unwrap().poisoned {
             // A failed WAL fsync poisoned the engine: nothing since is
             // known durable, so a shutdown checkpoint (flush pages,
             // truncate the log) would *discard* the very log records
@@ -1556,44 +1497,12 @@ impl Drop for Inner {
             // checkpoint would fold and discard records the next fold
             // still needs, and would append local records into the
             // stream's LSN space. Sync what arrived and stop.
-            let _ = unpoison(self.wal.lock()).wal.sync();
+            let _ = self.wal.get_mut().unwrap().wal.sync();
             return;
         }
-        let _ = unpoison(self.wal.lock()).wal.sync();
         // The barrier's `Weak` is dead by now, so saving the catalog may
         // fail if it needs to evict a dirty page; that just downgrades
-        // the clean shutdown to a recovery on next open. The flush logs
-        // full-page images itself (through the latch, which still works
-        // mid-drop) so a crash tearing one of its writes stays
-        // recoverable.
-        let saved = {
-            let mut cat = unpoison(self.catalog.read()).clone();
-            cat.txn_floor = self.next_txn.load(Ordering::Acquire);
-            catalog::save(&self.pool, &cat)
-        };
-        let flushed = saved.and_then(|_| {
-            self.pool.flush_all_with(&|batch| {
-                let mut w = unpoison(self.wal.lock());
-                for (page, bytes) in batch {
-                    w.append(&WalRecord::PageImage {
-                        page: *page,
-                        bytes: bytes.clone(),
-                    })?;
-                }
-                w.wal.sync()
-            })
-        });
-        if flushed.is_ok() {
-            let mut w = unpoison(self.wal.lock());
-            // Mark the rotation boundary for replication readers, as the
-            // live checkpoint path does.
-            let marked = w.append(&WalRecord::Checkpoint).and_then(|_| {
-                w.wal.sync()?;
-                Ok(0)
-            });
-            if marked.is_ok() {
-                let _ = w.wal.truncate();
-            }
-        }
+        // the clean shutdown to a recovery on next open.
+        let _ = self.checkpoint();
     }
 }

@@ -8,7 +8,8 @@
 //!
 //! * [`page`] — 8 KiB slotted pages and record ids.
 //! * [`disk`] — page-granular file I/O.
-//! * [`buffer`] — a CLOCK-eviction buffer pool.
+//! * [`buffer`] — the buffer pool: one frame table under one latch,
+//!   evicted by one CLOCK hand.
 //! * [`heap`] — heap files (linked chains of slotted pages).
 //! * [`btree`] — B+tree secondary indexes with duplicate-key support.
 //! * [`wal`] — the write-ahead log with torn-write-tolerant replay.
@@ -17,7 +18,9 @@
 //!   fault injection (scripted failpoints, simulated crashes).
 //! * [`torture`] — the crash-point exploration harness built on them.
 //! * `gate` — the one concurrency scheme: one writer ([`Txn`]) or many
-//!   readers ([`ReadSnapshot`]), engine-wide.
+//!   readers ([`ReadSnapshot`]), engine-wide. Below it the catalog, the
+//!   heap directory, the pool and the log each have one latch (see
+//!   [`engine`]).
 //! * [`catalog`] — the persistent system catalog.
 //! * [`engine`] — [`StorageEngine`], the transactional facade.
 //!

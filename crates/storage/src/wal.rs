@@ -458,10 +458,6 @@ pub struct Wal {
     base_lsn: u64,
     /// LSN the next appended record will receive.
     next_lsn: u64,
-    /// Everything below this LSN has been handed to the OS (flushed).
-    /// Durability additionally requires a backend sync; the engine
-    /// tracks the synced watermark.
-    flushed_lsn: u64,
     /// Archive directory (`<dir>/wal-archive`), when archive mode is on.
     /// Rotation then copies outgoing frames into immutable segments
     /// instead of discarding them, keeping the full history replayable.
@@ -520,7 +516,6 @@ impl Wal {
             appended: 0,
             base_lsn,
             next_lsn,
-            flushed_lsn: next_lsn,
             archive,
         })
     }
@@ -547,7 +542,6 @@ impl Wal {
         self.backend.write_at(&self.buf, self.file_len)?;
         self.file_len += self.buf.len() as u64;
         self.buf.clear();
-        self.flushed_lsn = self.next_lsn;
         Ok(())
     }
 
@@ -556,16 +550,6 @@ impl Wal {
         self.flush()?;
         self.backend.sync()?;
         Ok(())
-    }
-
-    /// Flushes buffered frames to the OS and returns the backend for the
-    /// caller to [`StorageBackend::sync`] on. Group commit uses this so
-    /// the slow fsync can run *outside* the log latch: the leader flushes
-    /// under the latch (cheap), then fsyncs the shared backend handle
-    /// while other transactions keep appending.
-    pub fn flush_to_os(&mut self) -> Result<Arc<dyn StorageBackend>> {
-        self.flush()?;
-        Ok(Arc::clone(&self.backend))
     }
 
     /// Truncates the log to empty (after a checkpoint has flushed all data
@@ -601,7 +585,6 @@ impl Wal {
         self.file_len = 0;
         self.backend.sync()?;
         self.base_lsn = self.next_lsn;
-        self.flushed_lsn = self.next_lsn;
         write_u64_sidecar(&self.dir.join("wal.base"), self.base_lsn)?;
         Ok(())
     }
@@ -619,12 +602,6 @@ impl Wal {
     /// LSN of the first record in the live log.
     pub fn base_lsn(&self) -> u64 {
         self.base_lsn
-    }
-
-    /// Everything below this LSN has been written to the OS. Durable
-    /// only after a subsequent backend sync.
-    pub fn flushed_lsn(&self) -> u64 {
-        self.flushed_lsn
     }
 
     /// Whether rotation archives outgoing frames into segment files.
@@ -665,7 +642,6 @@ impl Wal {
         write_u64_sidecar(&self.dir.join("wal.base"), lsn)?;
         self.base_lsn = lsn;
         self.next_lsn = lsn;
-        self.flushed_lsn = lsn;
         Ok(())
     }
 

@@ -697,9 +697,9 @@ fn eviction_pressure_before_commit_is_undone_after_crash() {
         for _ in 0..40 {
             eng.insert(&mut txn, t, &body).unwrap();
         }
-        let (_, _, evictions) = eng.pool_stats();
-        assert!(evictions > 0, "tiny pool must evict under insert pressure");
         let snap = eng.metrics_snapshot();
+        let evictions = snap.counter("mdm_pool_evictions_total").unwrap();
+        assert!(evictions > 0, "tiny pool must evict under insert pressure");
         assert!(
             snap.counter("mdm_wal_eviction_syncs_total").unwrap() > 0,
             "dirty-page eviction before commit must sync the WAL"
@@ -723,7 +723,7 @@ fn eviction_pressure_before_commit_is_undone_after_crash() {
 }
 
 /// An image several times the pool: dirty evictions share their log
-/// sync (one barrier images the victim and its dirty shard neighbours,
+/// sync (one barrier images the victim and its dirty neighbours,
 /// and clean frames go first), so the syncs stay well below the pages
 /// written — and a crash afterwards still recovers every committed row
 /// and none of the open transaction's.
@@ -732,7 +732,7 @@ fn batched_eviction_shares_syncs_and_survives_a_crash() {
     let dir = tmpdir("evict-batch");
     let body = vec![9u8; 2000]; // four records to a page
     {
-        // 64 frames: sixteen shards of four.
+        // 64 frames against an image of some 300 pages.
         let eng = StorageEngine::open_with_capacity(&dir, 64).unwrap();
         let t = eng.create_table("t").unwrap();
         let mut txn = eng.begin().unwrap();
@@ -804,12 +804,10 @@ fn metrics_snapshot_reports_live_engine_values() {
     assert_eq!(snap.counter("mdm_txn_commits_total"), Some(1));
     assert_eq!(snap.counter("mdm_txn_aborts_total"), Some(1));
     assert_eq!(snap.gauge("mdm_txn_active"), Some(0));
-    // Per-shard pool counters sum to the legacy stats() totals.
-    let (hits, misses, evictions) = eng.pool_stats();
-    assert_eq!(snap.counter("mdm_pool_hits_total"), Some(hits));
-    assert_eq!(snap.counter("mdm_pool_misses_total"), Some(misses));
-    assert_eq!(snap.counter("mdm_pool_evictions_total"), Some(evictions));
+    let hits = snap.counter("mdm_pool_hits_total").unwrap();
+    let misses = snap.counter("mdm_pool_misses_total").unwrap();
     assert!(hits > 0 && misses > 0);
+    assert!(snap.counter("mdm_pool_evictions_total").is_some());
     drop(eng);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -1016,8 +1014,9 @@ fn inserts_fill_holes_without_walking_the_chain() {
     let dir = tmpdir("holes");
     let body = [7u8; 100];
     let visits = |eng: &StorageEngine| {
-        let (hits, misses, _) = eng.pool_stats();
-        hits + misses
+        let snap = eng.metrics_snapshot();
+        snap.counter("mdm_pool_hits_total").unwrap()
+            + snap.counter("mdm_pool_misses_total").unwrap()
     };
     let fill = |eng: &StorageEngine, t| {
         let pages = eng.num_pages();

@@ -236,8 +236,7 @@ fn failed_wal_fsync_poisons_commits_until_reopen() {
 #[test]
 fn failed_flush_barrier_keeps_the_dirty_frame() {
     let dir = tmpdir("barrier");
-    // Capacity 2 => one shard with two frames: touching a third page
-    // forces an eviction.
+    // Capacity 2: touching a third page forces an eviction.
     let pool = BufferPool::open(&dir, 2).unwrap();
     let barrier_ok = Arc::new(AtomicBool::new(false));
     let ok = Arc::clone(&barrier_ok);

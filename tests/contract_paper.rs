@@ -16,9 +16,16 @@
 //! the order the statement first mentions them — whether the variable
 //! that drives the join is mentioned first or last. A three-level
 //! `under` chain answers with its middle variable unpinned.
+//!
+//! §5.5's restriction on recursive orderings holds at the manager too:
+//! on the CMN `group_content (GROUP, CHORD, REST) under GROUP`, an
+//! append that would make a group part of itself is refused
+//! (`ModelError::CycleDetected`), and the refusal leaves nothing to
+//! persist — after a commit point and a reopen the ordering reads as
+//! before.
 
 use musicdb::mdm::MusicDataManager;
-use musicdb::model::Value;
+use musicdb::model::{EntityId, ModelError, Value};
 use musicdb::notation::fixtures::bwv578_subject;
 
 const RANGES: &str = "range of s is SCORE range of m is MOVEMENT range of x is MEASURE \
@@ -142,5 +149,57 @@ fn a_three_level_under_chain_with_an_unpinned_middle() {
         .map(|r| std::iter::once(title.clone()).chain(r).collect())
         .collect();
     assert_eq!(t.rows, with_title);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// g1 ⊃ g2 ⊃ g3 in `group_content`: closing the chain (g1 under g3) and
+/// the degenerate cycle (g4 under itself) are both refused, in memory
+/// and after a commit point and a reopen.
+#[test]
+fn section_5_5_a_recursive_ordering_refuses_cycles_through_a_reopen() {
+    let dir = std::env::temp_dir().join(format!(
+        "musicdb-contract-paper-cycles-{}",
+        std::process::id()
+    ));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut mdm = MusicDataManager::open(&dir).unwrap();
+    let db = mdm.database_mut();
+    let g: Vec<EntityId> = (1..=4)
+        .map(|i| {
+            let kind = Value::String(format!("g{i}"));
+            db.create_entity("GROUP", &[("kind", kind)]).unwrap()
+        })
+        .collect();
+    db.ord_append("group_content", Some(g[0]), g[1]).unwrap();
+    db.ord_append("group_content", Some(g[1]), g[2]).unwrap();
+    mdm.commit().unwrap();
+    // The children of every group determine the whole forest.
+    let read = |mdm: &MusicDataManager| -> Vec<Vec<EntityId>> {
+        (g.iter())
+            .map(|&e| {
+                (mdm.database())
+                    .ord_children("group_content", Some(e))
+                    .unwrap()
+            })
+            .collect()
+    };
+    let chain = read(&mdm);
+    assert_eq!(chain, [vec![g[1]], vec![g[2]], vec![], vec![]]);
+
+    let db = mdm.database_mut();
+    for (parent, child) in [(g[2], g[0]), (g[3], g[3])] {
+        let refused = db.ord_append("group_content", Some(parent), child);
+        assert!(
+            matches!(refused, Err(ModelError::CycleDetected { .. })),
+            "{child} under {parent}: {refused:?}"
+        );
+    }
+    assert_eq!(read(&mdm), chain);
+    mdm.commit().unwrap();
+    drop(mdm);
+
+    let mdm = MusicDataManager::open(&dir).unwrap();
+    assert_eq!(read(&mdm), chain);
+    drop(mdm);
     std::fs::remove_dir_all(&dir).ok();
 }
