@@ -9,17 +9,22 @@
 //!   graphs hold the ordering; a middle insert is one entity creation
 //!   plus an in-memory splice, durability being amortized at save time.
 //! * [`PositionStore`] — a client keeping an integer `position` attribute
-//!   in a storage-engine table with a B+tree on position: a middle
-//!   insert renumbers every following record through the transactional
-//!   stack (the write amplification the paper's design avoids).
+//!   in a storage-engine table, with ordered maps on position and child
+//!   beside it: a middle insert renumbers every following record through
+//!   the transactional stack (the write amplification the paper's design
+//!   avoids).
 //! * [`FloatKeyStore`] — the classic client trick: float sort keys with
 //!   gap bisection. Inserts are cheap until the float gaps are exhausted,
 //!   then the whole table is renumbered.
+//!
+//! The storage engine keeps no index, so each relational baseline keeps
+//! its access paths as ordered maps of its own (an index in the client's
+//! memory) and reads every record it returns from the engine table.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use mdm_model::{Database, Value};
-use mdm_storage::{encode_i64, Rid, StorageEngine, TableId};
+use mdm_storage::{Rid, StorageEngine, TableId};
 
 /// One ordered collection of `u64` children under a single parent.
 pub trait OrderedStore {
@@ -142,12 +147,15 @@ impl OrderedStore for ModeledOrderingStore {
 // Integer-position baseline
 // ----------------------------------------------------------------------
 
-/// A client-maintained `(child, position)` relation with B+tree indexes
-/// on position and child; middle inserts renumber.
+/// A client-maintained `(child, position)` relation with ordered maps on
+/// position and child; middle inserts renumber.
 pub struct PositionStore {
     engine: StorageEngine,
     table: TableId,
-    count: usize,
+    /// position → the record holding it
+    by_pos: BTreeMap<i64, Rid>,
+    /// child → the record holding it
+    by_child: BTreeMap<u64, Rid>,
     _dir: tempdir::TempDirGuard,
 }
 
@@ -189,33 +197,28 @@ fn decode_record(r: &[u8]) -> (u64, i64) {
 }
 
 impl PositionStore {
-    /// Creates the backing table and indexes in a fresh temp database.
+    /// Creates the backing table in a fresh temp database.
     pub fn new() -> PositionStore {
         let dir = tempdir::fresh("pos");
         let engine = StorageEngine::open(&dir.0).expect("open engine");
         let table = engine.create_table("items").expect("table");
-        engine.create_index(table, "by_pos").expect("index");
-        engine.create_index(table, "by_child").expect("index");
         PositionStore {
             engine,
             table,
-            count: 0,
+            by_pos: BTreeMap::new(),
+            by_child: BTreeMap::new(),
             _dir: dir,
         }
     }
 
-    fn rid_of_child(&self, txn: &mut mdm_storage::Txn, child: u64) -> Option<Rid> {
-        self.engine
-            .index_lookup(txn, self.table, "by_child", &child.to_be_bytes())
-            .expect("lookup")
-            .into_iter()
-            .next()
+    fn get(&self, txn: &mut mdm_storage::Txn, rid: Rid) -> (u64, i64) {
+        let rec = self.engine.get(txn, self.table, rid).expect("get");
+        decode_record(&rec.expect("rec"))
     }
 
     fn pos_of_child(&self, txn: &mut mdm_storage::Txn, child: u64) -> Option<i64> {
-        let rid = self.rid_of_child(txn, child)?;
-        let rec = self.engine.get(txn, self.table, rid).expect("get")?;
-        Some(decode_record(&rec).1)
+        let rid = *self.by_child.get(&child)?;
+        Some(self.get(txn, rid).1)
     }
 }
 
@@ -231,85 +234,37 @@ impl OrderedStore for PositionStore {
     }
 
     fn insert_at(&mut self, pos: usize, child: u64) {
+        let pos = pos as i64;
         let mut txn = self.engine.begin().expect("begin");
-        // Renumber everything at or after `pos` (descending, so unique
-        // positions never collide mid-update).
-        let hits = self
-            .engine
-            .index_range(
-                &mut txn,
-                self.table,
-                "by_pos",
-                Some(&encode_i64(pos as i64)),
-                None,
-            )
-            .expect("range");
-        for (key, rid) in hits.into_iter().rev() {
-            let old_pos = mdm_storage::decode_i64(&key);
-            let rec = self
-                .engine
-                .get(&mut txn, self.table, rid)
-                .expect("get")
-                .expect("rec");
-            let (c, _) = decode_record(&rec);
+        // Renumber every record at or after `pos`: each is an engine
+        // update inside this one logged, fsynced transaction.
+        for (old_pos, rid) in self.by_pos.split_off(&pos).into_iter().rev() {
+            let (c, _) = self.get(&mut txn, rid);
             let new_rid = self
                 .engine
                 .update(&mut txn, self.table, rid, &record(c, old_pos + 1))
                 .expect("update");
-            self.engine
-                .index_delete(&mut txn, self.table, "by_pos", &key, rid)
-                .expect("idx del");
-            self.engine
-                .index_insert(
-                    &mut txn,
-                    self.table,
-                    "by_pos",
-                    &encode_i64(old_pos + 1),
-                    new_rid,
-                )
-                .expect("idx ins");
-            if new_rid != rid {
-                self.engine
-                    .index_delete(&mut txn, self.table, "by_child", &c.to_be_bytes(), rid)
-                    .expect("idx del");
-                self.engine
-                    .index_insert(&mut txn, self.table, "by_child", &c.to_be_bytes(), new_rid)
-                    .expect("idx ins");
-            }
+            self.by_pos.insert(old_pos + 1, new_rid);
+            self.by_child.insert(c, new_rid);
         }
         let rid = self
             .engine
-            .insert(&mut txn, self.table, &record(child, pos as i64))
+            .insert(&mut txn, self.table, &record(child, pos))
             .expect("insert");
-        self.engine
-            .index_insert(&mut txn, self.table, "by_pos", &encode_i64(pos as i64), rid)
-            .expect("idx ins");
-        self.engine
-            .index_insert(&mut txn, self.table, "by_child", &child.to_be_bytes(), rid)
-            .expect("idx ins");
+        self.by_pos.insert(pos, rid);
+        self.by_child.insert(child, rid);
         self.engine.commit(txn).expect("commit");
-        self.count += 1;
     }
 
     fn len(&self) -> usize {
-        self.count
+        self.by_pos.len()
     }
 
     fn children(&mut self) -> Vec<u64> {
         let mut txn = self.engine.begin().expect("begin");
-        let hits = self
-            .engine
-            .index_range(&mut txn, self.table, "by_pos", None, None)
-            .expect("range");
-        let mut out = Vec::with_capacity(hits.len());
-        for (_, rid) in hits {
-            let rec = self
-                .engine
-                .get(&mut txn, self.table, rid)
-                .expect("get")
-                .expect("rec");
-            out.push(decode_record(&rec).0);
-        }
+        let out = (self.by_pos.values())
+            .map(|&rid| self.get(&mut txn, rid).0)
+            .collect();
         self.engine.commit(txn).expect("commit");
         out
     }
@@ -324,20 +279,7 @@ impl OrderedStore for PositionStore {
 
     fn nth(&mut self, n: usize) -> Option<u64> {
         let mut txn = self.engine.begin().expect("begin");
-        let hit = self
-            .engine
-            .index_lookup(&mut txn, self.table, "by_pos", &encode_i64(n as i64))
-            .expect("lookup")
-            .into_iter()
-            .next();
-        let out = hit.map(|rid| {
-            let rec = self
-                .engine
-                .get(&mut txn, self.table, rid)
-                .expect("get")
-                .expect("rec");
-            decode_record(&rec).0
-        });
+        let out = (self.by_pos.get(&(n as i64))).map(|&rid| self.get(&mut txn, rid).0);
         self.engine.commit(txn).expect("commit");
         out
     }
@@ -364,6 +306,8 @@ pub struct FloatKeyStore {
     table: TableId,
     /// In-memory mirror: (sort key, child) in order — the client's cache.
     order: Vec<(f64, u64)>,
+    /// Order-preserving key bytes → the record holding that key.
+    by_key: BTreeMap<[u8; 8], Rid>,
     /// Number of full renumber passes taken (reported by the benches).
     pub renumbers: usize,
     _dir: tempdir::TempDirGuard,
@@ -375,24 +319,22 @@ impl FloatKeyStore {
         let dir = tempdir::fresh("float");
         let engine = StorageEngine::open(&dir.0).expect("open engine");
         let table = engine.create_table("items").expect("table");
-        engine.create_index(table, "by_key").expect("index");
         FloatKeyStore {
             engine,
             table,
             order: Vec::new(),
+            by_key: BTreeMap::new(),
             renumbers: 0,
             _dir: dir,
         }
     }
 
-    fn write(&self, txn: &mut mdm_storage::Txn, key: f64, child: u64) {
+    fn write(&mut self, txn: &mut mdm_storage::Txn, key: f64, child: u64) {
         let mut rec = Vec::with_capacity(16);
         rec.extend_from_slice(&child.to_le_bytes());
         rec.extend_from_slice(&key.to_le_bytes());
         let rid = self.engine.insert(txn, self.table, &rec).expect("insert");
-        self.engine
-            .index_insert(txn, self.table, "by_key", &f64_key(key), rid)
-            .expect("idx");
+        self.by_key.insert(f64_key(key), rid);
     }
 
     fn renumber(&mut self) {
@@ -400,14 +342,12 @@ impl FloatKeyStore {
         self.renumbers += 1;
         self.engine.drop_table("items").expect("drop");
         self.table = self.engine.create_table("items").expect("table");
-        self.engine
-            .create_index(self.table, "by_key")
-            .expect("index");
+        self.by_key.clear();
         let mut txn = self.engine.begin().expect("begin");
         for (i, entry) in self.order.iter_mut().enumerate() {
             entry.0 = i as f64;
         }
-        for &(key, child) in &self.order {
+        for (key, child) in self.order.clone() {
             self.write(&mut txn, key, child);
         }
         self.engine.commit(txn).expect("commit");
@@ -457,12 +397,8 @@ impl OrderedStore for FloatKeyStore {
 
     fn children(&mut self) -> Vec<u64> {
         let mut txn = self.engine.begin().expect("begin");
-        let hits = self
-            .engine
-            .index_range(&mut txn, self.table, "by_key", None, None)
-            .expect("range");
-        let mut out = Vec::with_capacity(hits.len());
-        for (_, rid) in hits {
+        let mut out = Vec::with_capacity(self.by_key.len());
+        for &rid in self.by_key.values() {
             let rec = self
                 .engine
                 .get(&mut txn, self.table, rid)

@@ -22,9 +22,7 @@ use std::time::{SystemTime, UNIX_EPOCH};
 use mdm_lang::{PlanExplain, QuelMetrics, Session, StmtResult, Table};
 use mdm_model::{persist, Database, EntityId};
 use mdm_notation::{Score, TimeSignature, Voice};
-use mdm_obs::{
-    Counter, HealthReport, Monitor, MonitorConfig, Registry, Snapshot, StatementStore, Tracer,
-};
+use mdm_obs::{Counter, HealthReport, Monitor, Registry, Snapshot, StatementStore, Tracer};
 use mdm_storage::StorageEngine;
 
 use crate::cmn_schema;
@@ -182,7 +180,7 @@ impl MusicDataManager {
         // server enables sampling — but carries the default health
         // rules (and process gauges) from the first moment, so
         // `$alerts` and `\health` are meaningful even embedded.
-        let monitor = Monitor::start(registry.clone(), MonitorConfig::disabled());
+        let monitor = Monitor::start(registry.clone());
         monitor.seed_default_rules();
         let mut session = Session::with_metrics(Arc::clone(&quel));
         session.set_statement_store(Arc::clone(&stmt_store));

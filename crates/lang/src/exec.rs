@@ -428,11 +428,9 @@ impl Session {
         text: &str,
         mut explain: Option<&mut Option<PlanExplain>>,
     ) -> Result<Vec<StmtResult>> {
-        // Recorded only into a store that is attached and enabled: a
-        // disabled one is a true bypass, no clock read, no fingerprint.
-        let started = (self.stmt_store.as_ref())
-            .filter(|store| store.enabled())
-            .map(|_| Instant::now());
+        // Recorded only into an attached store: without one there is no
+        // clock read and no fingerprint.
+        let started = self.stmt_store.as_ref().map(|_| Instant::now());
         let mut totals = ProgramTotals::default();
         let lexed = {
             let _s = trace::span("quel.lex");

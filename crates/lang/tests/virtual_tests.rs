@@ -258,7 +258,7 @@ fn metrics_reads_the_attached_monitor() {
 
     let registry = Registry::new();
     registry.counter("mdm_demo_total", "demo").add(7);
-    let monitor = mdm_obs::Monitor::start(registry, mdm_obs::MonitorConfig::disabled());
+    let monitor = mdm_obs::Monitor::start(registry);
     s.set_monitor(Arc::clone(&monitor));
     let t = rows(
         s.execute(
@@ -278,7 +278,7 @@ fn alerts_reads_the_monitors_rule_states() {
     let mut db = person_db(&mut s);
     let registry = Registry::new();
     let lag = registry.gauge("mdm_repl_lag_bytes", "lag");
-    let monitor = mdm_obs::Monitor::start(registry, mdm_obs::MonitorConfig::disabled());
+    let monitor = mdm_obs::Monitor::start(registry);
     monitor.add_rule(mdm_obs::Rule::above(
         "lag_high",
         "mdm_repl_lag_bytes",

@@ -239,7 +239,7 @@ mod tests {
 
     fn test_state() -> (Registry, Arc<Monitor>, HttpState) {
         let registry = Registry::new();
-        let monitor = Monitor::start(registry.clone(), mdm_obs::MonitorConfig::disabled());
+        let monitor = Monitor::start(registry.clone());
         let state = HttpState {
             registry: registry.clone(),
             monitor: Arc::clone(&monitor),

@@ -53,8 +53,7 @@ pub use metrics::{
     Counter, Gauge, Histogram, SpanTimer, LATENCY_MICROS_BOUNDS, SMALL_COUNT_BOUNDS,
 };
 pub use monitor::{
-    AlertSnap, AlertState, Cmp, HealthReport, Monitor, MonitorConfig, Rule, RuleInput, SamplePoint,
-    Severity,
+    AlertSnap, AlertState, Cmp, HealthReport, Monitor, Rule, RuleInput, SamplePoint, Severity,
 };
 pub use process::ProcessGauges;
 pub use registry::{HistogramSnap, MetricSnap, MetricValue, Registry, Snapshot};

@@ -2,10 +2,11 @@
 //! a health/alert rules engine over the [`Registry`].
 //!
 //! A [`Monitor`] owns a background **sampler thread** that snapshots the
-//! registry every [`MonitorConfig::interval`] and keeps one
-//! [`SamplePoint`] per series: the raw value, a derived per-second rate
-//! over the last window (for counters and histogram observation
-//! counts), and the sum and p50/p99 latency estimate for histograms.
+//! registry every interval given to [`Monitor::enable_sampling`] and
+//! keeps one [`SamplePoint`] per series: the raw value, a derived
+//! per-second rate over the last window (for counters and histogram
+//! observation counts), and the sum and p50/p99 latency estimate for
+//! histograms.
 //! `$metrics` reads these points, so what it shows is the monitor's
 //! sample — at most one interval old — not a fresh registry snapshot.
 //!
@@ -34,32 +35,6 @@ use std::time::{Duration, Instant};
 use crate::metrics::Counter;
 use crate::process::ProcessGauges;
 use crate::registry::{push_json_string, MetricValue, Registry, Snapshot};
-
-/// Sampler configuration.
-#[derive(Debug, Clone)]
-pub struct MonitorConfig {
-    /// Interval between samples. [`Duration::ZERO`] disables the
-    /// background thread; samples are then taken only on demand
-    /// (`$metrics`, `\health`, `/healthz` each take one when stale).
-    pub interval: Duration,
-}
-
-impl Default for MonitorConfig {
-    fn default() -> MonitorConfig {
-        MonitorConfig {
-            interval: Duration::from_secs(1),
-        }
-    }
-}
-
-impl MonitorConfig {
-    /// A config with the background sampler disabled (on-demand only).
-    pub fn disabled() -> MonitorConfig {
-        MonitorConfig {
-            interval: Duration::ZERO,
-        }
-    }
-}
 
 /// One sample of one metric series.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -320,9 +295,9 @@ struct Shared {
 
 /// The monitoring subsystem: sampler thread + latest points + rules engine.
 ///
-/// Construct with [`Monitor::start`] (spawns the sampler) or with
-/// [`MonitorConfig::disabled`] (on-demand sampling only — `$metrics`,
-/// `\health`, and `/healthz` each trigger a sample when none exists).
+/// [`Monitor::start`] constructs it passive: on-demand sampling only —
+/// `$metrics`, `\health`, and `/healthz` each trigger a sample when none
+/// exists — until [`Monitor::enable_sampling`] spawns the sampler.
 /// Dropping the monitor (or calling [`Monitor::stop`]) joins the
 /// sampler thread; shutdown is prompt, not interval-quantized.
 pub struct Monitor {
@@ -340,18 +315,17 @@ impl std::fmt::Debug for Monitor {
 }
 
 impl Monitor {
-    /// Creates a monitor over `registry` and, unless
-    /// `config.interval` is zero, spawns the sampler thread.
-    pub fn start(registry: Registry, config: MonitorConfig) -> Arc<Monitor> {
+    /// Creates a passive monitor over `registry`: no sampler thread runs
+    /// until [`Monitor::enable_sampling`] starts one.
+    pub fn start(registry: Registry) -> Arc<Monitor> {
         let process = ProcessGauges::register(&registry);
         let samples_total = registry.counter(
             "mdm_monitor_samples_total",
             "registry samples taken by the monitor",
         );
-        let interval_micros = config.interval.as_micros() as u64;
         let shared = Arc::new(Shared {
             registry,
-            interval_micros: AtomicU64::new(interval_micros),
+            interval_micros: AtomicU64::new(0),
             interval_gen: AtomicU64::new(0),
             epoch: Instant::now(),
             state: Mutex::new(MonitorState {
@@ -366,14 +340,10 @@ impl Monitor {
             samples_total,
             process,
         });
-        let monitor = Arc::new(Monitor {
-            shared: Arc::clone(&shared),
+        Arc::new(Monitor {
+            shared,
             thread: Mutex::new(None),
-        });
-        if interval_micros != 0 {
-            monitor.spawn_sampler();
-        }
-        monitor
+        })
     }
 
     fn spawn_sampler(&self) {
@@ -770,7 +740,7 @@ mod tests {
     use super::*;
 
     fn manual_monitor(registry: &Registry) -> Arc<Monitor> {
-        Monitor::start(registry.clone(), MonitorConfig::disabled())
+        Monitor::start(registry.clone())
     }
 
     #[test]
@@ -832,12 +802,8 @@ mod tests {
     #[test]
     fn background_sampler_shuts_down_cleanly() {
         let r = Registry::new();
-        let m = Monitor::start(
-            r.clone(),
-            MonitorConfig {
-                interval: Duration::from_millis(5),
-            },
-        );
+        let m = Monitor::start(r.clone());
+        m.enable_sampling(Duration::from_millis(5));
         assert!(m.is_running());
         let deadline = Instant::now() + Duration::from_secs(5);
         while m.samples_taken() < 3 && Instant::now() < deadline {
@@ -860,12 +826,8 @@ mod tests {
     #[test]
     fn no_sample_loss_under_concurrent_registration() {
         let r = Registry::new();
-        let m = Monitor::start(
-            r.clone(),
-            MonitorConfig {
-                interval: Duration::from_millis(1),
-            },
-        );
+        let m = Monitor::start(r.clone());
+        m.enable_sampling(Duration::from_millis(1));
         let mut handles = Vec::new();
         for t in 0..4 {
             let reg = r.clone();
@@ -901,7 +863,7 @@ mod tests {
     fn enable_sampling_upgrades_a_passive_monitor() {
         let r = Registry::new();
         let m = manual_monitor(&r);
-        assert!(!m.is_running(), "disabled config spawns no thread");
+        assert!(!m.is_running(), "a new monitor spawns no thread");
         m.enable_sampling(Duration::ZERO);
         assert!(!m.is_running(), "zero interval is ignored");
         m.enable_sampling(Duration::from_millis(2));
@@ -918,12 +880,8 @@ mod tests {
     #[test]
     fn enable_sampling_shortens_a_running_interval_immediately() {
         let r = Registry::new();
-        let m = Monitor::start(
-            r.clone(),
-            MonitorConfig {
-                interval: Duration::from_secs(3600),
-            },
-        );
+        let m = Monitor::start(r.clone());
+        m.enable_sampling(Duration::from_secs(3600));
         assert!(m.is_running());
         // Let the sampler park on the hour-long wait, then shorten it:
         // the wakeup must re-arm the wait, not be treated as spurious.

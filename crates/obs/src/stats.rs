@@ -9,12 +9,9 @@
 //! serializes to a compact binary image so the checkpoint can carry it
 //! across restarts.
 //!
-//! Recording is cheap (one mutex, one hash lookup) and can be switched
-//! off wholesale with [`StatementStore::set_enabled`] — the overhead
-//! benchmark runs the same workload both ways.
+//! Recording is cheap: one mutex, one hash lookup.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use crate::metrics::LATENCY_MICROS_BOUNDS;
@@ -132,7 +129,6 @@ struct Inner {
 #[derive(Debug)]
 pub struct StatementStore {
     inner: Mutex<Inner>,
-    enabled: AtomicBool,
     capacity: usize,
 }
 
@@ -143,29 +139,17 @@ impl Default for StatementStore {
 }
 
 impl StatementStore {
-    /// An empty, enabled store with [`DEFAULT_STATEMENT_CAPACITY`].
+    /// An empty store with [`DEFAULT_STATEMENT_CAPACITY`].
     pub fn new() -> StatementStore {
         StatementStore::with_capacity(DEFAULT_STATEMENT_CAPACITY)
     }
 
-    /// An empty, enabled store keeping at most `capacity` fingerprints.
+    /// An empty store keeping at most `capacity` fingerprints.
     pub fn with_capacity(capacity: usize) -> StatementStore {
         StatementStore {
             inner: Mutex::new(Inner::default()),
-            enabled: AtomicBool::new(true),
             capacity: capacity.max(1),
         }
-    }
-
-    /// Whether [`record`](Self::record) currently aggregates.
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Turns recording on or off (the stats-vs-no-stats benchmark's
-    /// toggle). Already-aggregated entries are kept either way.
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
     }
 
     /// Records one execution of the statement with this fingerprint,
@@ -178,9 +162,6 @@ impl StatementStore {
         rows_scanned: u64,
         paths: &PathMix,
     ) {
-        if !self.enabled() {
-            return;
-        }
         let mut inner = self.inner.lock().unwrap();
         inner.tick += 1;
         let tick = inner.tick;
@@ -415,17 +396,6 @@ mod tests {
         assert!(store.get("a").is_some());
         assert!(store.get("c").is_some());
         assert_eq!(store.evictions(), 1);
-    }
-
-    #[test]
-    fn disabled_store_records_nothing() {
-        let store = StatementStore::new();
-        store.set_enabled(false);
-        store.record("x", 1, 0, 0, &PathMix::default());
-        assert!(store.is_empty());
-        store.set_enabled(true);
-        store.record("x", 1, 0, 0, &PathMix::default());
-        assert_eq!(store.len(), 1);
     }
 
     #[test]

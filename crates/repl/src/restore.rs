@@ -39,7 +39,8 @@ pub fn restore_to_lsn(src: &Path, dest: &Path, lsn: u64) -> Result<u64> {
     let mut base = None;
     let mut records = Vec::new();
     let mut last = 0u64;
-    for (l, rec) in Wal::read_dir_from(src, 0)? {
+    for item in Wal::read_dir_from(src, 0)? {
+        let (l, rec) = item?;
         if l >= lsn {
             break;
         }

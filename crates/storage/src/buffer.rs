@@ -28,8 +28,8 @@
 //! that follow need no sync of their own. For the same reason the sweep
 //! is clean-first under a barrier: a dirty frame is passed over while a
 //! clean one can go. Without a
-//! barrier installed (standalone pool use, recovery, unlogged B+tree
-//! and catalog writes) the logged variants degrade to plain mutable
+//! barrier installed (standalone pool use, recovery, unlogged catalog
+//! writes) the logged variants degrade to plain mutable
 //! access and eviction writes the victim directly.
 
 use std::collections::HashMap;
@@ -201,8 +201,8 @@ impl BufferPool {
     }
 
     /// Runs `f` with write access to the page's bytes; the page is marked
-    /// dirty. For *unlogged* mutations (B+tree nodes, catalog pages,
-    /// recovery/rollback writes) whose durability does not depend on WAL
+    /// dirty. For *unlogged* mutations (catalog pages, recovery/rollback
+    /// writes) whose durability does not depend on WAL
     /// ordering. The pool latch is held for the duration of `f`; `f` must
     /// not re-enter the pool.
     pub fn with_page_mut<R>(&self, page: PageId, f: impl FnOnce(&mut [u8]) -> R) -> Result<R> {
@@ -339,8 +339,8 @@ impl BufferPool {
             // Write-ahead rule: the log must cover the page's last logged
             // mutation before the page hits disk — and must hold a full
             // image of what is about to be written, so a torn write is
-            // recoverable. Unlogged dirty pages (lsn 0: B+tree nodes,
-            // catalog chains) need the image for the same reason.
+            // recoverable. Unlogged dirty pages (lsn 0: catalog
+            // chains) need the image for the same reason.
             if let Err(e) = self.flush_evicted(frames, &frame) {
                 // A failed barrier or page write must not lose the dirty
                 // frame: restore it and surface the error — the page

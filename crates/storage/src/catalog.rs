@@ -1,4 +1,4 @@
-//! The system catalog: names and roots of tables and indexes.
+//! The system catalog: names and first heap pages of tables.
 //!
 //! The catalog is serialized into a chain of dedicated pages rooted at
 //! page 0, rewritten wholesale on every DDL change (DDL is rare). A full
@@ -12,22 +12,13 @@ use crate::error::{Result, StorageError};
 use crate::page::{PageId, PageType, NO_PAGE, PAGE_SIZE};
 use crate::wal::TableId;
 
-/// Metadata for one secondary index.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IndexMeta {
-    /// Root page of the index B+tree (stable).
-    pub root: PageId,
-}
-
 /// Metadata for one table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableMeta {
-    /// Numeric id used in WAL records and lock requests.
+    /// Numeric id used in WAL records.
     pub id: TableId,
     /// First page of the table's heap file (stable).
     pub first_page: PageId,
-    /// Secondary indexes by name.
-    pub indexes: BTreeMap<String, IndexMeta>,
 }
 
 /// The whole catalog.
@@ -66,11 +57,9 @@ impl Catalog {
             put_str(&mut out, name);
             out.extend_from_slice(&t.id.to_le_bytes());
             out.extend_from_slice(&t.first_page.to_le_bytes());
-            out.extend_from_slice(&(t.indexes.len() as u32).to_le_bytes());
-            for (iname, idx) in &t.indexes {
-                put_str(&mut out, iname);
-                out.extend_from_slice(&idx.root.to_le_bytes());
-            }
+            // The table's index count: the engine keeps no index, so it
+            // is always 0. The field stays so the layout does not change.
+            out.extend_from_slice(&0u32.to_le_bytes());
         }
         out.extend_from_slice(&self.next_table_id.to_le_bytes());
         out.extend_from_slice(&self.txn_floor.to_le_bytes());
@@ -111,21 +100,12 @@ impl Catalog {
             let name = c.string()?;
             let id = c.u32()?;
             let first_page = c.u64()?;
-            let nindexes = c.u32()?;
-            let mut indexes = BTreeMap::new();
-            for _ in 0..nindexes {
-                let iname = c.string()?;
-                let root = c.u64()?;
-                indexes.insert(iname, IndexMeta { root });
+            if c.u32()? != 0 {
+                return Err(StorageError::Corrupt(format!(
+                    "catalog lists an index on table {name}; the engine keeps none"
+                )));
             }
-            tables.insert(
-                name,
-                TableMeta {
-                    id,
-                    first_page,
-                    indexes,
-                },
-            );
+            tables.insert(name, TableMeta { id, first_page });
         }
         let next_table_id = c.u32()?;
         // Older catalogs end here; the floor field is read only when the
@@ -222,19 +202,11 @@ mod tests {
     fn sample() -> Catalog {
         let mut c = Catalog::default();
         for i in 0..5u32 {
-            let mut indexes = BTreeMap::new();
-            indexes.insert(
-                format!("idx_{i}"),
-                IndexMeta {
-                    root: 100 + i as u64,
-                },
-            );
             c.tables.insert(
                 format!("table_{i}"),
                 TableMeta {
                     id: i,
                     first_page: 10 + i as u64,
-                    indexes,
                 },
             );
         }
@@ -247,6 +219,43 @@ mod tests {
         let mut c = sample();
         c.txn_floor = 12345;
         assert_eq!(Catalog::from_bytes(&c.to_bytes()).unwrap(), c);
+    }
+
+    /// The layout keeps each table's index count, always 0; a catalog
+    /// that names an index is refused rather than silently dropped.
+    #[test]
+    fn the_index_count_is_written_as_zero_and_a_nonzero_one_is_corrupt() {
+        let mut c = Catalog::default();
+        c.tables.insert(
+            "t".into(),
+            TableMeta {
+                id: 3,
+                first_page: 9,
+            },
+        );
+        c.next_table_id = 4;
+        c.txn_floor = 7;
+        let mut want = Vec::new();
+        want.extend_from_slice(&1u32.to_le_bytes()); // tables
+        want.extend_from_slice(&1u32.to_le_bytes()); // name length
+        want.extend_from_slice(b"t");
+        want.extend_from_slice(&3u32.to_le_bytes()); // id
+        want.extend_from_slice(&9u64.to_le_bytes()); // first page
+        want.extend_from_slice(&0u32.to_le_bytes()); // index count
+        want.extend_from_slice(&4u32.to_le_bytes()); // next table id
+        want.extend_from_slice(&7u64.to_le_bytes()); // txn floor
+        assert_eq!(c.to_bytes(), want);
+
+        let mut indexed = want[..21].to_vec();
+        indexed.extend_from_slice(&1u32.to_le_bytes()); // one index
+        indexed.extend_from_slice(&2u32.to_le_bytes());
+        indexed.extend_from_slice(b"ix");
+        indexed.extend_from_slice(&40u64.to_le_bytes()); // its root
+        indexed.extend_from_slice(&want[25..]);
+        assert!(matches!(
+            Catalog::from_bytes(&indexed),
+            Err(StorageError::Corrupt(_))
+        ));
     }
 
     #[test]
@@ -297,7 +306,6 @@ mod tests {
                 TableMeta {
                     id: i,
                     first_page: i as u64,
-                    indexes: BTreeMap::new(),
                 },
             );
         }

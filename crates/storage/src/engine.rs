@@ -1,9 +1,12 @@
-//! The storage engine facade: transactions over tables and indexes.
+//! The storage engine facade: transactions over tables.
 //!
-//! [`StorageEngine`] combines the buffer pool, heap files, B+tree indexes,
-//! the write-ahead log, and the catalog into a single transactional
-//! record store. Concurrency control is one engine-wide gate (the
-//! private `gate` module): *one writer or many readers*.
+//! [`StorageEngine`] combines the buffer pool, heap files, the write-ahead
+//! log, and the catalog into a single transactional record store. It
+//! keeps no secondary index: the memory-resident model above it owns
+//! every index and reads the engine only at load, by scan.
+//!
+//! Concurrency control is one engine-wide gate (the private `gate`
+//! module): *one writer or many readers*.
 //! [`StorageEngine::begin`] takes the exclusive side and the [`Txn`] holds
 //! it until commit, abort or drop; a [`ReadSnapshot`] holds the shared
 //! side. Durability is undo/redo logical logging with checkpoint
@@ -71,7 +74,7 @@
 //! atomics — cheap enough for the hot paths it sits on.
 
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -82,9 +85,8 @@ use mdm_obs::{
 };
 
 use crate::backend::{FileVfs, Vfs};
-use crate::btree::BTree;
 use crate::buffer::BufferPool;
-use crate::catalog::{self, Catalog, IndexMeta, TableMeta};
+use crate::catalog::{self, Catalog, TableMeta};
 use crate::error::{Result, StorageError};
 use crate::gate::{Gate, Held};
 use crate::heap::HeapFile;
@@ -131,29 +133,9 @@ impl Drop for Txn {
 }
 
 enum UndoOp {
-    Insert {
-        rid: Rid,
-    },
-    Update {
-        rid: Rid,
-        old: Vec<u8>,
-    },
-    Delete {
-        rid: Rid,
-        old: Vec<u8>,
-    },
-    IndexInsert {
-        table: TableId,
-        index: String,
-        key: Vec<u8>,
-        rid: Rid,
-    },
-    IndexDelete {
-        table: TableId,
-        index: String,
-        key: Vec<u8>,
-        rid: Rid,
-    },
+    Insert { rid: Rid },
+    Update { rid: Rid, old: Vec<u8> },
+    Delete { rid: Rid, old: Vec<u8> },
 }
 
 /// The WAL behind its latch, plus a monotonic sequence number (one per
@@ -250,7 +232,6 @@ struct Inner {
     heaps: Mutex<HashMap<TableId, HeapFile>>,
     /// One writer or many readers.
     gate: Gate,
-    indexes_need_rebuild: AtomicBool,
     recovery: RecoveryOutcome,
     /// The transaction-id allocator. Ids never repeat for the life of the
     /// data directory (the catalog persists the floor), so concatenated
@@ -427,45 +408,9 @@ impl Inner {
         f(heaps.get_mut(&table).expect("opened above"))
     }
 
-    fn index_tree(&self, table: TableId, index: &str) -> Result<BTree> {
-        let cat = self.catalog.read().unwrap();
-        let (_, meta) = cat
-            .table_by_id(table)
-            .ok_or_else(|| StorageError::NoSuchTable(format!("#{table}")))?;
-        let idx = meta
-            .indexes
-            .get(index)
-            .ok_or_else(|| StorageError::NoSuchIndex(index.to_string()))?;
-        Ok(BTree::open(idx.root))
-    }
-
     fn scan(&self, table: TableId) -> Result<Vec<(Rid, Vec<u8>)>> {
         let h = self.with_heap(table, |h| Ok(h.clone()))?;
         h.scan_all(&self.pool)
-    }
-
-    fn index_lookup(&self, table: TableId, index: &str, key: &[u8]) -> Result<Vec<Rid>> {
-        let bt = self.index_tree(table, index)?;
-        Ok(bt
-            .lookup(&self.pool, key)?
-            .into_iter()
-            .map(Rid::from_u64)
-            .collect())
-    }
-
-    fn index_range(
-        &self,
-        table: TableId,
-        index: &str,
-        lo: Option<&[u8]>,
-        hi: Option<&[u8]>,
-    ) -> Result<Vec<(Vec<u8>, Rid)>> {
-        let bt = self.index_tree(table, index)?;
-        let mut out = Vec::new();
-        bt.range(&self.pool, lo, hi, |k, v| {
-            out.push((k.to_vec(), Rid::from_u64(v)));
-        })?;
-        Ok(out)
     }
 
     /// Syncs the log, saves the catalog, writes every dirty page back and
@@ -518,24 +463,6 @@ impl Inner {
                 UndoOp::Update { rid, ref old } | UndoOp::Delete { rid, ref old } => {
                     HeapFile::apply_at(&self.pool, rid, Some(old))?;
                 }
-                UndoOp::IndexInsert {
-                    table,
-                    ref index,
-                    ref key,
-                    rid,
-                } => {
-                    let bt = self.index_tree(table, index)?;
-                    bt.delete(&self.pool, key, rid.to_u64())?;
-                }
-                UndoOp::IndexDelete {
-                    table,
-                    ref index,
-                    ref key,
-                    rid,
-                } => {
-                    let bt = self.index_tree(table, index)?;
-                    bt.insert(&self.pool, key, rid.to_u64())?;
-                }
             }
         }
         if began {
@@ -553,8 +480,8 @@ pub type WalBatch = Vec<(u64, Vec<u8>)>;
 /// A read-only view of the committed database: the shared side of the
 /// gate, held for the snapshot's lifetime. Obtain via
 /// [`StorageEngine::snapshot`]. No transaction can be open while a
-/// snapshot is, so every read is a plain heap or B+tree read of committed
-/// data; a writer that arrives waits until the snapshot drops.
+/// snapshot is, so every read is a plain heap read of committed data;
+/// a writer that arrives waits until the snapshot drops.
 pub struct ReadSnapshot {
     inner: Arc<Inner>,
     /// The thread that opened the shared side, or the typed refusal every
@@ -580,22 +507,12 @@ impl ReadSnapshot {
         self.inner.scan(table)
     }
 
-    /// Looks up the rids stored under exactly `key`.
-    pub fn index_lookup(&self, table: TableId, index: &str, key: &[u8]) -> Result<Vec<Rid>> {
-        self.check_held()?;
-        self.inner.index_lookup(table, index, key)
-    }
-
-    /// Range scan over an index; bounds are inclusive, `None` = unbounded.
-    pub fn index_range(
-        &self,
-        table: TableId,
-        index: &str,
-        lo: Option<&[u8]>,
-        hi: Option<&[u8]>,
-    ) -> Result<Vec<(Vec<u8>, Rid)>> {
-        self.check_held()?;
-        self.inner.index_range(table, index, lo, hi)
+    /// Answers "no index": the engine keeps none, so every name is
+    /// [`StorageError::NoSuchIndex`]. Kept only because
+    /// `benchmark/src/probe.rs` calls it; ROADMAP item 2.1 deletes that
+    /// call and this function.
+    pub fn index_lookup(&self, _table: TableId, index: &str, _key: &[u8]) -> Result<Vec<Rid>> {
+        Err(StorageError::NoSuchIndex(index.to_string()))
     }
 }
 
@@ -675,14 +592,6 @@ impl StorageEngine {
             .max(1);
         recovered.txn_floor = txn_floor;
         let mut wal = Wal::open_with(dir, vfs)?;
-        // The rebuild obligation must survive restarts: recovery (or a
-        // replica fold) persists freshly reset — empty — trees, and the
-        // log that proved the reset may be truncated before the owning
-        // layer rebuilds. The marker file carries the debt across opens.
-        let needs_rebuild = outcome.indexes_reset || dir.join("indexes.rebuild").exists();
-        if needs_rebuild {
-            Self::write_rebuild_marker(dir, true)?;
-        }
         if !records.is_empty() && !replica_marker {
             // Make the recovered state the new base and empty the log.
             // The checkpoint marker tells a replication reader that the
@@ -710,7 +619,6 @@ impl StorageEngine {
             catalog: RwLock::new(recovered),
             heaps: Mutex::new(HashMap::new()),
             gate: Gate::default(),
-            indexes_need_rebuild: AtomicBool::new(needs_rebuild),
             recovery: outcome,
             next_txn: AtomicU64::new(txn_floor),
             dir: dir.to_path_buf(),
@@ -744,33 +652,6 @@ impl StorageEngine {
     /// Directory holding the database files.
     pub fn dir(&self) -> &Path {
         &self.inner.dir
-    }
-
-    /// True if secondary indexes were reset by recovery and must be
-    /// rebuilt by the layer that owns key extraction.
-    pub fn indexes_need_rebuild(&self) -> bool {
-        self.inner.indexes_need_rebuild.load(Ordering::Acquire)
-    }
-
-    /// Marks indexes as rebuilt (call after repopulating them).
-    pub fn mark_indexes_rebuilt(&self) {
-        self.inner
-            .indexes_need_rebuild
-            .store(false, Ordering::Release);
-        let _ = Self::write_rebuild_marker(&self.inner.dir, false);
-    }
-
-    /// Creates or removes the durable `indexes.rebuild` marker. Direct
-    /// filesystem I/O, like the `replica` role marker: bookkeeping that
-    /// must not shift the fault-injection boundary census.
-    fn write_rebuild_marker(dir: &Path, on: bool) -> Result<()> {
-        let marker = dir.join("indexes.rebuild");
-        if on {
-            std::fs::File::create(&marker)?.sync_all()?;
-        } else if marker.exists() {
-            std::fs::remove_file(&marker)?;
-        }
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -853,7 +734,6 @@ impl StorageEngine {
             TableMeta {
                 id,
                 first_page: hf.first_page(),
-                indexes: BTreeMap::new(),
             },
         );
         self.inner.heaps.lock().unwrap().insert(id, hf);
@@ -861,8 +741,8 @@ impl StorageEngine {
         Ok(id)
     }
 
-    /// Drops a table and its indexes. Pages are leaked (no free list);
-    /// reclaim by checkpoint-copying into a fresh database.
+    /// Drops a table. Pages are leaked (no free list); reclaim by
+    /// checkpoint-copying into a fresh database.
     pub fn drop_table(&self, name: &str) -> Result<()> {
         let mut cat = self.inner.catalog.write().unwrap();
         let meta = cat
@@ -889,50 +769,15 @@ impl StorageEngine {
         cat.tables.keys().cloned().collect()
     }
 
-    /// Creates a secondary index on a table. Auto-committed structurally.
-    pub fn create_index(&self, table: TableId, index: &str) -> Result<()> {
-        let mut cat = self.inner.catalog.write().unwrap();
-        let bt = BTree::create(&self.inner.pool)?;
-        let (name, meta) = cat
-            .table_by_id(table)
-            .ok_or_else(|| StorageError::NoSuchTable(format!("#{table}")))?;
-        if meta.indexes.contains_key(index) {
-            return Err(StorageError::IndexExists(index.to_string()));
-        }
-        let name = name.clone();
-        cat.tables
-            .get_mut(&name)
-            .expect("just found")
-            .indexes
-            .insert(index.to_string(), IndexMeta { root: bt.root() });
-        self.inner.snapshot_catalog(&cat)?;
-        Ok(())
-    }
-
-    /// Drops a secondary index. Auto-committed structurally; like
-    /// [`StorageEngine::drop_table`], the tree's pages are leaked (no
-    /// free list) until a vacuum copies the database.
-    pub fn drop_index(&self, table: TableId, index: &str) -> Result<()> {
-        let mut cat = self.inner.catalog.write().unwrap();
-        let (name, _) = cat
-            .table_by_id(table)
-            .ok_or_else(|| StorageError::NoSuchTable(format!("#{table}")))?;
-        let name = name.clone();
-        let meta = cat.tables.get_mut(&name).expect("just found");
-        if meta.indexes.remove(index).is_none() {
-            return Err(StorageError::NoSuchIndex(index.to_string()));
-        }
-        self.inner.snapshot_catalog(&cat)?;
-        Ok(())
-    }
-
-    /// Names of the indexes on a table.
+    /// Answers "no index": an empty list for an existing table,
+    /// [`StorageError::NoSuchTable`] otherwise — the engine keeps no
+    /// index. Kept only because `benchmark/src/probe.rs` calls it;
+    /// ROADMAP item 2.1 deletes that call and this function.
     pub fn index_names(&self, table: TableId) -> Result<Vec<String>> {
         let cat = self.inner.catalog.read().unwrap();
-        let (_, meta) = cat
-            .table_by_id(table)
+        cat.table_by_id(table)
             .ok_or_else(|| StorageError::NoSuchTable(format!("#{table}")))?;
-        Ok(meta.indexes.keys().cloned().collect())
+        Ok(Vec::new())
     }
 
     // ------------------------------------------------------------------
@@ -1077,108 +922,12 @@ impl StorageEngine {
     }
 
     // ------------------------------------------------------------------
-    // Index DML
-    // ------------------------------------------------------------------
-
-    /// Adds an index entry. Logged and undoable only if the tree actually
-    /// changed: re-adding a present pair must not leave an undo op behind,
-    /// or an abort would delete an entry this transaction never inserted.
-    pub fn index_insert(
-        &self,
-        txn: &mut Txn,
-        table: TableId,
-        index: &str,
-        key: &[u8],
-        rid: Rid,
-    ) -> Result<()> {
-        self.check_active(txn)?;
-        let bt = self.inner.index_tree(table, index)?;
-        if !bt.insert(&self.inner.pool, key, rid.to_u64())? {
-            return Ok(());
-        }
-        self.begin_write(txn)?;
-        self.inner.log(&WalRecord::IndexInsert {
-            txn: txn.id,
-            table,
-            index: index.to_string(),
-            key: key.to_vec(),
-            rid,
-        })?;
-        txn.undo.push(UndoOp::IndexInsert {
-            table,
-            index: index.to_string(),
-            key: key.to_vec(),
-            rid,
-        });
-        Ok(())
-    }
-
-    /// Removes an index entry. Logged and undoable only if the entry
-    /// existed: deleting an absent pair must not leave an undo op behind,
-    /// or an abort would resurrect an entry that was never there.
-    pub fn index_delete(
-        &self,
-        txn: &mut Txn,
-        table: TableId,
-        index: &str,
-        key: &[u8],
-        rid: Rid,
-    ) -> Result<()> {
-        self.check_active(txn)?;
-        let bt = self.inner.index_tree(table, index)?;
-        if !bt.delete(&self.inner.pool, key, rid.to_u64())? {
-            return Ok(());
-        }
-        self.begin_write(txn)?;
-        self.inner.log(&WalRecord::IndexDelete {
-            txn: txn.id,
-            table,
-            index: index.to_string(),
-            key: key.to_vec(),
-            rid,
-        })?;
-        txn.undo.push(UndoOp::IndexDelete {
-            table,
-            index: index.to_string(),
-            key: key.to_vec(),
-            rid,
-        });
-        Ok(())
-    }
-
-    /// Looks up the rids stored under exactly `key`.
-    pub fn index_lookup(
-        &self,
-        txn: &mut Txn,
-        table: TableId,
-        index: &str,
-        key: &[u8],
-    ) -> Result<Vec<Rid>> {
-        self.check_active(txn)?;
-        self.inner.index_lookup(table, index, key)
-    }
-
-    /// Range scan over an index; bounds are inclusive, `None` = unbounded.
-    pub fn index_range(
-        &self,
-        txn: &mut Txn,
-        table: TableId,
-        index: &str,
-        lo: Option<&[u8]>,
-        hi: Option<&[u8]>,
-    ) -> Result<Vec<(Vec<u8>, Rid)>> {
-        self.check_active(txn)?;
-        self.inner.index_range(table, index, lo, hi)
-    }
-
-    // ------------------------------------------------------------------
     // Maintenance
     // ------------------------------------------------------------------
 
     /// Copies the live contents of this database into a fresh database at
     /// `dir`, reclaiming the space of dropped tables and dead records
-    /// (heap pages and index trees are never shrunk in place). Record ids
-    /// change; index entries are remapped through the copy. Reads the
+    /// (heap pages are never shrunk in place). Record ids change. Reads the
     /// source through one [`ReadSnapshot`], so it waits for another
     /// thread's transaction and is refused on the thread that has one
     /// open. Returns the new engine.
@@ -1189,21 +938,9 @@ impl StorageEngine {
         for name in self.table_names() {
             let old_table = self.table_id(&name)?;
             let new_table = new.create_table(&name)?;
-            let mut rid_map: HashMap<Rid, Rid> = HashMap::new();
             let mut new_txn = new.begin()?;
-            for (old_rid, body) in source.scan(old_table)? {
-                let new_rid = new.insert(&mut new_txn, new_table, &body)?;
-                rid_map.insert(old_rid, new_rid);
-            }
-            for index in self.index_names(old_table)? {
-                new.create_index(new_table, &index)?;
-                for (key, old_rid) in source.index_range(old_table, &index, None, None)? {
-                    // Entries pointing at dead rids are dropped — vacuum
-                    // also repairs index/table drift.
-                    if let Some(&new_rid) = rid_map.get(&old_rid) {
-                        new.index_insert(&mut new_txn, new_table, &index, &key, new_rid)?;
-                    }
-                }
+            for (_, body) in source.scan(old_table)? {
+                new.insert(&mut new_txn, new_table, &body)?;
             }
             new.commit(new_txn)?;
         }
@@ -1286,7 +1023,8 @@ impl StorageEngine {
         let w = self.inner.wal.lock().unwrap();
         let mut out = Vec::new();
         let mut total = 0usize;
-        for (lsn, rec) in w.wal.read_from(from_lsn)? {
+        for item in w.wal.read_from(from_lsn)? {
+            let (lsn, rec) = item?;
             if lsn >= durable {
                 break;
             }
@@ -1375,8 +1113,8 @@ impl StorageEngine {
     }
 
     /// Folds the local log into the data pages through the recovery
-    /// machinery (idempotent: positional redo, wholesale page images,
-    /// index reset-and-replay) and installs the resulting catalog.
+    /// machinery (idempotent: positional redo, wholesale page images)
+    /// and installs the resulting catalog.
     /// Incomplete transactions in the log tail are undone in the pages —
     /// exactly crash semantics — but their records remain in the log, so
     /// a later fold (after their Commit arrives) re-applies them.
@@ -1437,15 +1175,9 @@ impl StorageEngine {
         // and holds new ones off.
         let _exclusive = self.inner.gate.maintenance()?;
         let base = self.inner.catalog.read().unwrap().clone();
-        let (outcome, recovered) = recovery::recover(&self.inner.pool, records, Some(base))?;
+        let (_, recovered) = recovery::recover(&self.inner.pool, records, Some(base))?;
         *self.inner.catalog.write().unwrap() = recovered;
         self.inner.heaps.lock().unwrap().clear();
-        if outcome.indexes_reset {
-            self.inner
-                .indexes_need_rebuild
-                .store(true, Ordering::Release);
-            Self::write_rebuild_marker(&self.inner.dir, true)?;
-        }
         Ok(())
     }
 
@@ -1479,7 +1211,7 @@ impl StorageEngine {
 impl Drop for Inner {
     fn drop(&mut self) {
         // Best-effort clean shutdown: checkpoint so the next open skips
-        // recovery and keeps indexes. Every `Txn` and `ReadSnapshot`
+        // recovery. Every `Txn` and `ReadSnapshot`
         // keeps `Inner` alive, so none is open here and the gate is
         // free. `Inner` is dropping, so these latches have no other
         // holders; one a panicking holder poisoned still guards the data.

@@ -20,8 +20,6 @@ pub enum StorageError {
     NoSuchIndex(String),
     /// A table with this name already exists.
     TableExists(String),
-    /// An index with this name already exists.
-    IndexExists(String),
     /// The calling thread already holds the side of the engine's gate
     /// this call would wait on: `txn` is the transaction it has open
     /// (`None` for a read snapshot). Commit, abort or drop it first.
@@ -58,7 +56,6 @@ impl fmt::Display for StorageError {
             StorageError::NoSuchTable(n) => write!(f, "no such table: {n}"),
             StorageError::NoSuchIndex(n) => write!(f, "no such index: {n}"),
             StorageError::TableExists(n) => write!(f, "table already exists: {n}"),
-            StorageError::IndexExists(n) => write!(f, "index already exists: {n}"),
             StorageError::GateHeld { txn: Some(t) } => {
                 write!(f, "transaction {t} is still open on this thread")
             }

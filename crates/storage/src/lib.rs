@@ -2,7 +2,11 @@
 //!
 //! The storage substrate of the music data manager: a from-scratch,
 //! page-based transactional record store standing in for the INGRES
-//! back end the original SIGMOD 1987 design assumed.
+//! back end the original SIGMOD 1987 design assumed. The paper asks of
+//! it only concurrency control and recovery: the engine is heap files, a
+//! write-ahead log and a checkpoint under the memory-resident model. It
+//! keeps no secondary index — the model owns every index, and nothing
+//! reads the engine by key.
 //!
 //! Components, bottom-up:
 //!
@@ -11,7 +15,6 @@
 //! * [`buffer`] — the buffer pool: one frame table under one latch,
 //!   evicted by one CLOCK hand.
 //! * [`heap`] — heap files (linked chains of slotted pages).
-//! * [`btree`] — B+tree secondary indexes with duplicate-key support.
 //! * [`wal`] — the write-ahead log with torn-write-tolerant replay.
 //! * [`recovery`] — repeat-history redo plus loser undo.
 //! * [`backend`] / [`fault`] — pluggable file I/O and deterministic
@@ -42,7 +45,6 @@
 //! ```
 
 pub mod backend;
-pub mod btree;
 pub mod buffer;
 pub mod catalog;
 pub mod disk;
@@ -57,7 +59,6 @@ pub mod torture;
 pub mod wal;
 
 pub use backend::{FileBackend, FileVfs, StorageBackend, Vfs};
-pub use btree::{decode_i64, encode_i64, BTree};
 pub use buffer::BufferPool;
 pub use engine::{ReadSnapshot, StorageEngine, Txn, WalBatch, DEFAULT_POOL_PAGES};
 pub use error::{Result, StorageError};

@@ -1,6 +1,6 @@
 //! Fixed-size pages and the slotted-page record layout.
 //!
-//! Every on-disk structure (heap files, B+tree nodes, the catalog chain) is
+//! Every on-disk structure (heap files, the catalog chain) is
 //! built from [`PAGE_SIZE`]-byte pages. Record-bearing pages use a slotted
 //! layout: a slot directory grows downward from the header while record
 //! bodies grow upward from the end of the page, so variable-length records
@@ -46,10 +46,6 @@ pub enum PageType {
     Free = 0,
     /// Heap-file data page.
     Heap = 1,
-    /// B+tree leaf page.
-    BTreeLeaf = 2,
-    /// B+tree internal page.
-    BTreeInternal = 3,
     /// Catalog chain page.
     Catalog = 4,
 }
@@ -59,8 +55,6 @@ impl PageType {
     pub fn from_u8(b: u8) -> PageType {
         match b {
             1 => PageType::Heap,
-            2 => PageType::BTreeLeaf,
-            3 => PageType::BTreeInternal,
             4 => PageType::Catalog,
             _ => PageType::Free,
         }
@@ -82,8 +76,8 @@ impl Rid {
         Rid { page, slot }
     }
 
-    /// Packs the rid into a u64 for storage as a B+tree value
-    /// (page in the high 48 bits, slot in the low 16).
+    /// Packs the rid into a u64 (page in the high 48 bits, slot in the
+    /// low 16).
     pub fn to_u64(self) -> u64 {
         (self.page << 16) | self.slot as u64
     }

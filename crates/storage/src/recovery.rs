@@ -5,22 +5,11 @@
 //! chains and restore the latest catalog, data records are re-applied
 //! idempotently via [`HeapFile::apply_at`], and finally the operations of
 //! transactions without a `Commit` record are undone in reverse order.
-//!
-//! Secondary indexes are recovered *logically*: tree pages on disk may
-//! reflect any prefix of a multi-page split, so every index is reset to a
-//! fresh empty tree and its `IndexInsert`/`IndexDelete` records are
-//! replayed into it — exact multiset reconstruction, provided the log
-//! covers the index's whole lifetime. That coverage is witnessed by a
-//! catalog snapshot in which the index does not yet exist (its creation,
-//! and hence every entry it ever held, must then sit later in the log).
-//! Indexes older than the log — they survived a checkpoint truncation —
-//! cannot be reconstructed and are flagged for rebuild by the layer
-//! above, which owns the key extraction logic. After a clean shutdown the
-//! log is empty and indexes persist on disk untouched.
+//! The engine keeps no secondary index, so heap pages and the catalog
+//! are everything there is to recover.
 
 use std::collections::HashSet;
 
-use crate::btree::BTree;
 use crate::buffer::BufferPool;
 use crate::catalog::{self, Catalog};
 use crate::error::{Result, StorageError};
@@ -37,19 +26,12 @@ pub struct RecoveryOutcome {
     pub committed: usize,
     /// Transactions whose effects were rolled back.
     pub undone: usize,
-    /// Whether any secondary index could not be replayed from the log
-    /// (it predates the log's horizon) and was left empty, needing a
-    /// rebuild by the layer above.
-    pub indexes_reset: bool,
-    /// Secondary indexes reconstructed exactly from their log records.
-    pub indexes_replayed: usize,
 }
 
 /// Replays `records` against the pool. `disk_catalog` is the catalog as
 /// loaded from page 0 — `None` when the chain was unreadable (a torn
 /// catalog-page write), in which case a snapshot or page image in the
-/// log must rebuild it. Returns the outcome and the recovered catalog
-/// (with fresh index roots if any indexes existed).
+/// log must rebuild it. Returns the outcome and the recovered catalog.
 pub fn recover(
     pool: &BufferPool,
     records: &[WalRecord],
@@ -185,7 +167,7 @@ pub fn recover(
             snapshot = Some(Catalog::from_bytes(bytes)?);
         }
     }
-    let mut catalog = match snapshot.or(disk_catalog) {
+    let catalog = match snapshot.or(disk_catalog) {
         Some(c) => c,
         None => catalog::load(pool)?,
     };
@@ -199,139 +181,6 @@ pub fn recover(
                 page::format_page(d, PageType::Heap);
             }
         })?;
-    }
-
-    // Secondary indexes: reset every tree to a fresh empty root (the
-    // old pages may hold a torn split), then replay each index's logical
-    // records into it. Replay is exact only when the log covers the
-    // index's entire lifetime, witnessed by a catalog snapshot that
-    // lacks the index — its creation and every entry must then come
-    // later. The *last* such snapshot is the replay fence: records
-    // before it belong to an older incarnation (drop + recreate).
-    for meta in catalog.tables.values_mut() {
-        for idx in meta.indexes.values_mut() {
-            let fresh = BTree::create(pool)?;
-            idx.root = fresh.root();
-        }
-    }
-    let index_keys: Vec<(crate::wal::TableId, String)> = catalog
-        .tables
-        .values()
-        .flat_map(|m| m.indexes.keys().map(|i| (m.id, i.clone())))
-        .collect();
-    let mut fence: std::collections::HashMap<&(crate::wal::TableId, String), Option<usize>> =
-        index_keys.iter().map(|k| (k, None)).collect();
-    for (pos, rec) in records.iter().enumerate() {
-        let WalRecord::CatalogSnapshot { bytes } = rec else {
-            continue;
-        };
-        let Ok(snap) = Catalog::from_bytes(bytes) else {
-            continue;
-        };
-        for key in &index_keys {
-            let present = snap
-                .tables
-                .values()
-                .any(|m| m.id == key.0 && m.indexes.contains_key(&key.1));
-            if !present {
-                fence.insert(key, Some(pos));
-            }
-        }
-    }
-    outcome.indexes_reset = fence.values().any(Option::is_none);
-    outcome.indexes_replayed = fence.values().filter(|f| f.is_some()).count();
-
-    // Redo the covered indexes' history, mirroring the heap redo pass:
-    // repeat every operation in order, replay each aborted transaction's
-    // reversal at its Abort record, then undo losers' leftovers at the
-    // end. Starting from a fresh tree with the complete history in hand,
-    // this reconstructs the exact entry multiset.
-    if outcome.indexes_replayed > 0 {
-        let trees: std::collections::HashMap<(crate::wal::TableId, String), BTree> = catalog
-            .tables
-            .values()
-            .flat_map(|m| {
-                m.indexes
-                    .iter()
-                    .map(|(i, im)| ((m.id, i.clone()), BTree::open(im.root)))
-            })
-            .collect();
-        // (tree key, entry was inserted, index key, packed rid)
-        type IndexUndo = Vec<((crate::wal::TableId, String), bool, Vec<u8>, u64)>;
-        let mut pending_idx: std::collections::HashMap<TxnId, IndexUndo> =
-            std::collections::HashMap::new();
-        let covered = |k: &(crate::wal::TableId, String), pos: usize| {
-            fence.get(k).copied().flatten().is_some_and(|f| pos > f)
-        };
-        for (pos, rec) in records.iter().enumerate() {
-            match rec {
-                WalRecord::IndexInsert {
-                    txn,
-                    table,
-                    index,
-                    key,
-                    rid,
-                } => {
-                    let k = (*table, index.clone());
-                    if covered(&k, pos) {
-                        trees[&k].insert(pool, key, rid.to_u64())?;
-                        if !committed.contains(txn) {
-                            pending_idx.entry(*txn).or_default().push((
-                                k,
-                                true,
-                                key.clone(),
-                                rid.to_u64(),
-                            ));
-                        }
-                    }
-                }
-                WalRecord::IndexDelete {
-                    txn,
-                    table,
-                    index,
-                    key,
-                    rid,
-                } => {
-                    let k = (*table, index.clone());
-                    if covered(&k, pos) {
-                        trees[&k].delete(pool, key, rid.to_u64())?;
-                        if !committed.contains(txn) {
-                            pending_idx.entry(*txn).or_default().push((
-                                k,
-                                false,
-                                key.clone(),
-                                rid.to_u64(),
-                            ));
-                        }
-                    }
-                }
-                WalRecord::Abort { txn } => {
-                    if let Some(ops) = pending_idx.remove(txn) {
-                        for (k, was_insert, key, val) in ops.iter().rev() {
-                            if *was_insert {
-                                trees[k].delete(pool, key, *val)?;
-                            } else {
-                                trees[k].insert(pool, key, *val)?;
-                            }
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        // Losers (in flight at the crash) never hit an Abort record;
-        // their leftovers reverse here. Two live transactions can never
-        // have written the same table (exclusive table locks), so
-        // per-transaction reverse order is the true reverse history.
-        for ops in pending_idx.values() {
-            for (k, was_insert, key, val) in ops.iter().rev() {
-                if *was_insert {
-                    trees[k].delete(pool, key, *val)?;
-                } else {
-                    trees[k].insert(pool, key, *val)?;
-                }
-            }
-        }
     }
 
     Ok((outcome, catalog))

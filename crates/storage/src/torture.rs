@@ -56,13 +56,12 @@ const REOPEN_MICROS_BOUNDS: &[u64] = &[
     250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 1_000_000,
 ];
 
-/// Heap-only tables the workload writes into.
-const TABLES: [&str; 2] = ["torture_a", "torture_b"];
+/// Tables the workload writes into. Rounds alternate between the first
+/// two; every round also writes the third, [`C`].
+const TABLES: [&str; 3] = ["torture_a", "torture_b", "torture_c"];
 
-/// A third table carrying a secondary index: every explored crash point
-/// additionally verifies that the index and the heap agree exactly.
-const IDX_TABLE: &str = "torture_c";
-const IDX_NAME: &str = "by_body";
+/// Position of the table every round writes in [`TABLES`].
+const C: usize = 2;
 
 /// Tuning for a torture sweep.
 #[derive(Debug, Clone)]
@@ -148,9 +147,6 @@ pub struct Ledger {
     /// so recovery may surface it fully applied or fully absent — but
     /// nothing in between.
     unknown: Option<Effects>,
-    /// Whether `create_index` on [`IDX_TABLE`] returned `Ok` (it syncs
-    /// the catalog, so the index must exist after any later crash).
-    index_ready: bool,
 }
 
 impl Ledger {
@@ -216,17 +212,9 @@ pub fn run_workload_with(
             Err(_) => return, // crash during setup: nothing committed
         }
     }
-    let Ok(cid) = engine.create_table(IDX_TABLE) else {
-        return;
-    };
-    ledger.tables.push(IDX_TABLE.to_string());
-    if engine.create_index(cid, IDX_NAME).is_err() {
-        return;
-    }
-    ledger.index_ready = true;
     // Rows visible to committed readers: (table index, rid, body).
     let mut live: Vec<(usize, Rid, String)> = Vec::new();
-    // Same, for the indexed table: (rid, body) — the body is the key.
+    // Same, for the table every round writes: (rid, body).
     let mut live_c: Vec<(Rid, String)> = Vec::new();
     for r in 0..rounds {
         if r % 10 == 9 {
@@ -253,45 +241,28 @@ pub fn run_workload_with(
                 }
             }
         }
-        // Indexed-table traffic rides in the same transaction, so index
-        // maintenance shares the commit/abort/crash fate of heap writes.
+        // The third table's traffic rides in the same transaction, so it
+        // shares the commit/abort/crash fate of the other writes.
         let mut live_c_add: Vec<(Rid, String)> = Vec::new();
         let mut live_c_del: Vec<usize> = Vec::new();
         if !broke {
             let body = format!("c-r{r}:{}", "z".repeat(24 + (r * 41) % 170));
-            let ok = engine
-                .insert(&mut txn, cid, body.as_bytes())
-                .and_then(|rid| {
-                    engine
-                        .index_insert(&mut txn, cid, IDX_NAME, body.as_bytes(), rid)
-                        .map(|()| rid)
-                });
-            match ok {
+            match engine.insert(&mut txn, ids[C], body.as_bytes()) {
                 Ok(rid) => {
-                    eff.added.push((IDX_TABLE.to_string(), body.clone()));
+                    eff.added.push((TABLES[C].to_string(), body.clone()));
                     live_c_add.push((rid, body));
                 }
                 Err(_) => broke = true,
             }
         }
         if !broke && r % 4 == 2 && !live_c.is_empty() {
-            // Update a row: the key changes, so the index sees a
-            // delete + insert pair around the heap rewrite.
             let v = (r * 29) % live_c.len();
             let (vrid, vbody) = live_c[v].clone();
             let nb = format!("c-r{r}-upd:{}", "w".repeat(24 + (r * 59) % 150));
-            let ok = engine
-                .index_delete(&mut txn, cid, IDX_NAME, vbody.as_bytes(), vrid)
-                .and_then(|()| engine.update(&mut txn, cid, vrid, nb.as_bytes()))
-                .and_then(|nrid| {
-                    engine
-                        .index_insert(&mut txn, cid, IDX_NAME, nb.as_bytes(), nrid)
-                        .map(|()| nrid)
-                });
-            match ok {
+            match engine.update(&mut txn, ids[C], vrid, nb.as_bytes()) {
                 Ok(nrid) => {
-                    eff.removed.push((IDX_TABLE.to_string(), vbody));
-                    eff.added.push((IDX_TABLE.to_string(), nb.clone()));
+                    eff.removed.push((TABLES[C].to_string(), vbody));
+                    eff.added.push((TABLES[C].to_string(), nb.clone()));
                     live_c_del.push(v);
                     live_c_add.push((nrid, nb));
                 }
@@ -303,12 +274,9 @@ pub fn run_workload_with(
             // Skip the row the update above just moved: its rid is stale.
             if !live_c_del.contains(&v) {
                 let (vrid, vbody) = live_c[v].clone();
-                let ok = engine
-                    .index_delete(&mut txn, cid, IDX_NAME, vbody.as_bytes(), vrid)
-                    .and_then(|()| engine.delete(&mut txn, cid, vrid));
-                match ok {
+                match engine.delete(&mut txn, ids[C], vrid) {
                     Ok(_) => {
-                        eff.removed.push((IDX_TABLE.to_string(), vbody));
+                        eff.removed.push((TABLES[C].to_string(), vbody));
                         live_c_del.push(v);
                     }
                     Err(_) => broke = true,
@@ -457,16 +425,6 @@ pub fn verify_reopen(
         }
     }
 
-    // Index/heap agreement on the indexed table. Recovery either
-    // replayed the index exactly from the log or flagged it for rebuild
-    // (it predates the log after a checkpoint truncation); in the
-    // latter case the harness rebuilds it as the owning layer would.
-    // Either way the index must then match the heap exactly — whichever
-    // side of an unknown-outcome commit the heap landed on.
-    if ledger.index_ready {
-        verify_index(&engine, what, violations);
-    }
-
     // The survivor must still accept writes.
     let probe = (|| -> Result<bool> {
         let table = match engine.table_id("torture_probe") {
@@ -485,53 +443,6 @@ pub fn verify_reopen(
         Err(e) => violations.push(format!("{what}: engine not writable after recovery: {e}")),
     }
     Some(micros)
-}
-
-/// Checks that [`IDX_NAME`] holds exactly one entry per heap row of
-/// [`IDX_TABLE`], keyed by the row body — rebuilding it first when
-/// recovery reported the log did not cover the index's lifetime.
-fn verify_index(engine: &StorageEngine, what: &str, violations: &mut Vec<String>) {
-    let check = (|| -> Result<Option<String>> {
-        let t = engine.table_id(IDX_TABLE)?;
-        if engine.indexes_need_rebuild() {
-            let mut txn = engine.begin()?;
-            for (rid, body) in engine.scan(&mut txn, t)? {
-                engine.index_insert(&mut txn, t, IDX_NAME, &body, rid)?;
-            }
-            engine.commit(txn)?;
-            engine.mark_indexes_rebuilt();
-        }
-        let mut txn = engine.begin()?;
-        let heap: BTreeSet<(Vec<u8>, Rid)> = engine
-            .scan(&mut txn, t)?
-            .into_iter()
-            .map(|(rid, body)| (body, rid))
-            .collect();
-        let idx: BTreeSet<(Vec<u8>, Rid)> = engine
-            .index_range(&mut txn, t, IDX_NAME, None, None)?
-            .into_iter()
-            .collect();
-        engine.commit(txn)?;
-        if heap == idx {
-            return Ok(None);
-        }
-        let fmt = |s: &BTreeSet<(Vec<u8>, Rid)>, o: &BTreeSet<(Vec<u8>, Rid)>| -> Vec<String> {
-            s.difference(o)
-                .take(3)
-                .map(|(k, rid)| format!("{}@{rid:?}", String::from_utf8_lossy(k)))
-                .collect()
-        };
-        let missing = fmt(&heap, &idx);
-        let phantom = fmt(&idx, &heap);
-        Ok(Some(format!(
-            "index missing entries: {missing:?}; phantom entries: {phantom:?}"
-        )))
-    })();
-    match check {
-        Ok(None) => {}
-        Ok(Some(diff)) => violations.push(format!("{what}: index/heap divergence — {diff}")),
-        Err(e) => violations.push(format!("{what}: index verification failed: {e}")),
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -595,8 +506,7 @@ pub fn crash_point_sweep(
     {
         let mut ledger = Ledger::default();
         run_one(&clean_dir, cfg, &clean, &mut ledger);
-        if ledger.tables.len() < TABLES.len() + 1 || !ledger.index_ready || ledger.unknown.is_some()
-        {
+        if ledger.tables.len() < TABLES.len() || ledger.unknown.is_some() {
             report
                 .violations
                 .push("clean run failed without any fault injected".to_string());

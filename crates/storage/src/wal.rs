@@ -3,7 +3,9 @@
 //! Every mutation is logged before commit; the log is the source of truth
 //! for crash recovery. Records are framed as
 //! `[len: u32][checksum: u32][payload: len bytes]`; a truncated or
-//! checksum-failing frame ends replay (torn-write tolerance).
+//! checksum-failing frame ends replay (torn-write tolerance). A frame
+//! whose checksum matches but whose payload does not decode is
+//! corruption, not a torn tail, and every reader refuses it.
 //!
 //! Durability contract: the log file is `fsync`ed on [`Wal::sync`], which
 //! the engine calls at every commit and before flushing data pages. Dirty
@@ -58,26 +60,6 @@ pub enum WalRecord {
         rid: Rid,
         old: Vec<u8>,
     },
-    /// An index-entry insert. Logical: recovery replays index records
-    /// into freshly reset trees rather than trusting tree pages on disk
-    /// (a crash can tear a multi-page split), so no page association or
-    /// page-LSN is needed — durability rides the transaction's commit
-    /// fsync like every other record of the transaction.
-    IndexInsert {
-        txn: TxnId,
-        table: TableId,
-        index: String,
-        key: Vec<u8>,
-        rid: Rid,
-    },
-    /// An index-entry delete (logical; see [`WalRecord::IndexInsert`]).
-    IndexDelete {
-        txn: TxnId,
-        table: TableId,
-        index: String,
-        key: Vec<u8>,
-        rid: Rid,
-    },
     /// Structural: a heap file grew by linking `new_page` after `from_page`.
     /// Redo-only; never undone (an extra empty page is harmless).
     LinkPage {
@@ -111,9 +93,7 @@ impl WalRecord {
             | WalRecord::Abort { txn }
             | WalRecord::Insert { txn, .. }
             | WalRecord::Update { txn, .. }
-            | WalRecord::Delete { txn, .. }
-            | WalRecord::IndexInsert { txn, .. }
-            | WalRecord::IndexDelete { txn, .. } => Some(*txn),
+            | WalRecord::Delete { txn, .. } => Some(*txn),
             WalRecord::LinkPage { .. }
             | WalRecord::CatalogSnapshot { .. }
             | WalRecord::PageImage { .. }
@@ -202,34 +182,8 @@ impl WalRecord {
                 out.extend_from_slice(&page.to_le_bytes());
                 put_bytes(out, bytes);
             }
-            WalRecord::IndexInsert {
-                txn,
-                table,
-                index,
-                key,
-                rid,
-            } => {
-                out.push(10);
-                out.extend_from_slice(&txn.to_le_bytes());
-                out.extend_from_slice(&table.to_le_bytes());
-                put_bytes(out, index.as_bytes());
-                put_bytes(out, key);
-                put_rid(out, *rid);
-            }
-            WalRecord::IndexDelete {
-                txn,
-                table,
-                index,
-                key,
-                rid,
-            } => {
-                out.push(11);
-                out.extend_from_slice(&txn.to_le_bytes());
-                out.extend_from_slice(&table.to_le_bytes());
-                put_bytes(out, index.as_bytes());
-                put_bytes(out, key);
-                put_rid(out, *rid);
-            }
+            // Tags 10 and 11 (index-entry records) are retired: never
+            // reuse them, so a log still holding one is refused.
             WalRecord::Checkpoint => {
                 out.push(12);
             }
@@ -308,20 +262,6 @@ impl WalRecord {
                 page: c.u64()?,
                 bytes: c.bytes()?,
             },
-            10 => WalRecord::IndexInsert {
-                txn: c.u64()?,
-                table: c.u32()?,
-                index: String::from_utf8(c.bytes()?).ok()?,
-                key: c.bytes()?,
-                rid: c.rid()?,
-            },
-            11 => WalRecord::IndexDelete {
-                txn: c.u64()?,
-                table: c.u32()?,
-                index: String::from_utf8(c.bytes()?).ok()?,
-                key: c.bytes()?,
-                rid: c.rid()?,
-            },
             12 => WalRecord::Checkpoint,
             _ => return None,
         };
@@ -339,10 +279,15 @@ fn checksum(bytes: &[u8]) -> u32 {
     h
 }
 
-/// Parses every valid frame in `buf`. Returns the decoded records, the
-/// byte offset at which each frame starts, and the offset where valid
-/// data ends (the first torn or corrupt frame, or end of buffer).
-fn parse_frames(buf: &[u8]) -> (Vec<WalRecord>, Vec<usize>, usize) {
+/// Parses every valid frame in `buf`, whose first frame has sequence
+/// number `base_lsn`. Returns the decoded records, the byte offset at
+/// which each frame starts, and the offset where valid data ends (the
+/// first torn or checksum-failing frame, or end of buffer). A frame
+/// whose checksum matches but whose payload does not decode is no torn
+/// tail — the bytes are what was written — so it is
+/// [`StorageError::Corrupt`], naming the frame's sequence number:
+/// stopping there would silently drop every committed record after it.
+fn parse_frames(buf: &[u8], base_lsn: u64) -> Result<(Vec<WalRecord>, Vec<usize>, usize)> {
     let mut records = Vec::new();
     let mut offsets = Vec::new();
     let mut pos: usize = 0;
@@ -358,16 +303,17 @@ fn parse_frames(buf: &[u8]) -> (Vec<WalRecord>, Vec<usize>, usize) {
         if checksum(payload) != sum {
             break;
         }
-        match WalRecord::decode(payload) {
-            Some(rec) => {
-                records.push(rec);
-                offsets.push(pos);
-            }
-            None => break,
-        }
+        let rec = WalRecord::decode(payload).ok_or_else(|| {
+            StorageError::Corrupt(format!(
+                "log frame at lsn {} verifies but does not decode",
+                base_lsn + records.len() as u64
+            ))
+        })?;
+        records.push(rec);
+        offsets.push(pos);
         pos = end;
     }
-    (records, offsets, pos)
+    Ok((records, offsets, pos))
 }
 
 /// Reads a little-endian u64 sidecar file, defaulting to 0 when absent
@@ -401,7 +347,9 @@ fn segment_name(start: u64) -> String {
 /// live log, produced by [`Wal::read_from`]. Files are parsed lazily,
 /// one at a time; records below the cursor (duplicates from a crash
 /// between archiving and truncation) are skipped, so the yielded LSNs
-/// are strictly increasing.
+/// are strictly increasing. A file holding a frame that verifies but
+/// does not decode yields one [`StorageError::Corrupt`] and ends the
+/// iteration.
 pub struct WalRangeIter {
     files: std::vec::IntoIter<(u64, PathBuf)>,
     current: std::vec::IntoIter<(u64, WalRecord)>,
@@ -409,14 +357,14 @@ pub struct WalRangeIter {
 }
 
 impl Iterator for WalRangeIter {
-    type Item = (u64, WalRecord);
+    type Item = Result<(u64, WalRecord)>;
 
-    fn next(&mut self) -> Option<(u64, WalRecord)> {
+    fn next(&mut self) -> Option<Result<(u64, WalRecord)>> {
         loop {
             if let Some((lsn, rec)) = self.current.next() {
                 if lsn >= self.cursor {
                     self.cursor = lsn + 1;
-                    return Some((lsn, rec));
+                    return Some(Ok((lsn, rec)));
                 }
                 continue;
             }
@@ -425,7 +373,13 @@ impl Iterator for WalRangeIter {
                 Ok(b) => b,
                 Err(_) => continue, // absent live log or vanished segment
             };
-            let (records, _, _) = parse_frames(&bytes);
+            let records = match parse_frames(&bytes, start) {
+                Ok((records, _, _)) => records,
+                Err(e) => {
+                    self.files = Vec::new().into_iter();
+                    return Some(Err(e));
+                }
+            };
             self.current = records
                 .into_iter()
                 .enumerate()
@@ -494,7 +448,7 @@ impl Wal {
             .map(|a| read_u64_sidecar(&a.join("archive.end")))
             .unwrap_or(0);
         let live_records = match std::fs::read(&path) {
-            Ok(bytes) => parse_frames(&bytes).0.len() as u64,
+            Ok(bytes) => parse_frames(&bytes, sidecar_base)?.0.len() as u64,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => 0,
             Err(e) => return Err(e.into()),
         };
@@ -568,7 +522,7 @@ impl Wal {
             let from = read_u64_sidecar(&end_path).max(self.base_lsn);
             if self.next_lsn > from {
                 let bytes = std::fs::read(&self.path)?;
-                let (records, offsets, valid_end) = parse_frames(&bytes);
+                let (records, offsets, valid_end) = parse_frames(&bytes, self.base_lsn)?;
                 let skip = (from - self.base_lsn) as usize;
                 if skip < records.len() {
                     let start = offsets[skip];
@@ -713,8 +667,9 @@ impl Wal {
     }
 
     /// Reads every valid record from the start of the log. Stops cleanly at
-    /// the first torn or corrupt frame, returning the records read so far
-    /// and the byte offset where valid data ended.
+    /// the first torn or checksum-failing frame, returning the records
+    /// read so far and the byte offset where valid data ended; a frame
+    /// that verifies but does not decode is [`StorageError::Corrupt`].
     pub fn replay(dir: &Path) -> Result<(Vec<WalRecord>, u64)> {
         let path = dir.join("wal.log");
         let mut file = match File::open(&path) {
@@ -724,7 +679,8 @@ impl Wal {
         };
         let mut buf = Vec::new();
         file.read_to_end(&mut buf)?;
-        let (records, _, pos) = parse_frames(&buf);
+        let base = read_u64_sidecar(&dir.join("wal.base"));
+        let (records, _, pos) = parse_frames(&buf, base)?;
         Ok((records, pos as u64))
     }
 
@@ -777,20 +733,6 @@ mod tests {
             WalRecord::PageImage {
                 page: 3,
                 bytes: vec![0xAB; 64],
-            },
-            WalRecord::IndexInsert {
-                txn: 7,
-                table: 2,
-                index: "by_key".to_string(),
-                key: b"hello".to_vec(),
-                rid: Rid::new(3, 1),
-            },
-            WalRecord::IndexDelete {
-                txn: 7,
-                table: 2,
-                index: "by_key".to_string(),
-                key: b"hello".to_vec(),
-                rid: Rid::new(3, 1),
             },
             WalRecord::Checkpoint,
             WalRecord::Commit { txn: 7 },
@@ -904,7 +846,7 @@ mod tests {
         assert_eq!(wal.next_lsn(), 18);
         assert_eq!(wal.base_lsn(), 15);
 
-        let read: Vec<(u64, WalRecord)> = wal.read_from(0).unwrap().collect();
+        let read: Vec<(u64, WalRecord)> = wal.read_from(0).unwrap().map(Result::unwrap).collect();
         assert_eq!(read.len(), all.len());
         for (i, (lsn, rec)) in read.iter().enumerate() {
             assert_eq!(*lsn, i as u64, "LSNs are dense and ordered");
@@ -913,7 +855,8 @@ mod tests {
         // A mid-stream start lands exactly on the requested LSN, even
         // when it falls inside an archived segment.
         for start in [0u64, 3, 5, 7, 12, 15, 17] {
-            let tail: Vec<(u64, WalRecord)> = wal.read_from(start).unwrap().collect();
+            let tail: Vec<(u64, WalRecord)> =
+                wal.read_from(start).unwrap().map(Result::unwrap).collect();
             assert_eq!(tail.first().map(|(l, _)| *l), Some(start));
             assert_eq!(tail.len() as u64, 18 - start);
         }
@@ -926,6 +869,44 @@ mod tests {
         assert_eq!(wal.base_lsn(), 15);
         assert!(wal.archive_enabled(), "archive mode is sticky across opens");
         assert_eq!(wal.read_from(0).unwrap().count(), 18);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A frame whose checksum matches but whose payload does not decode
+    /// (here the retired index-entry tag 10) is refused by every reader,
+    /// naming its sequence number — it is not mistaken for a torn tail.
+    #[test]
+    fn a_verified_frame_that_does_not_decode_is_corrupt() {
+        let dir = tmpdir("undecodable");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut wal = Wal::open(&dir).unwrap();
+        wal.enable_archive().unwrap();
+        wal.append(&WalRecord::Begin { txn: 1 }).unwrap();
+        wal.sync().unwrap();
+        drop(wal);
+        let payload = [10u8, 1, 2, 3];
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&checksum(&payload).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        let mut bytes = std::fs::read(dir.join("wal.log")).unwrap();
+        bytes.extend_from_slice(&frame);
+        std::fs::write(dir.join("wal.log"), &bytes).unwrap();
+        let corrupt_at_1 = |r: Result<()>| match r {
+            Err(StorageError::Corrupt(m)) => assert!(m.contains("lsn 1"), "{m}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        };
+        corrupt_at_1(Wal::replay(&dir).map(drop));
+        corrupt_at_1(Wal::open(&dir).map(drop));
+        let mut read = Wal::read_dir_from(&dir, 0).unwrap();
+        corrupt_at_1(read.next().unwrap().map(drop));
+        assert!(read.next().is_none(), "the error ends the iteration");
+        // Archive rotation reads the frames it copies: open counts the
+        // log before the bad frame lands, then rotate.
+        std::fs::write(dir.join("wal.log"), &bytes[..bytes.len() - frame.len()]).unwrap();
+        let mut wal = Wal::open(&dir).unwrap();
+        std::fs::write(dir.join("wal.log"), &bytes).unwrap();
+        wal.next_lsn += 1;
+        corrupt_at_1(wal.truncate());
         std::fs::remove_dir_all(&dir).ok();
     }
 

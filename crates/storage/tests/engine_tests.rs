@@ -7,9 +7,7 @@ use std::sync::mpsc;
 use std::time::Duration;
 
 use mdm_obs::Registry;
-use mdm_storage::{
-    encode_i64, At, FaultController, FaultKind, FaultPlan, Rid, StorageEngine, StorageError,
-};
+use mdm_storage::{At, FaultController, FaultKind, FaultPlan, Rid, StorageEngine, StorageError};
 
 fn tmpdir(name: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("mdm-eng-{}-{}", std::process::id(), name));
@@ -81,7 +79,6 @@ fn clean_shutdown_persists_without_recovery() {
         0,
         "no recovery after clean close"
     );
-    assert!(!eng.indexes_need_rebuild());
     assert_eq!(eng.table_id("t").unwrap(), t_id);
     let mut txn = eng.begin().unwrap();
     assert_eq!(eng.get(&mut txn, t_id, rid).unwrap().unwrap(), b"durable");
@@ -231,162 +228,76 @@ fn torn_wal_tail_recovers_prefix() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The log's frame checksum (FNV-1a), for hand-built frames.
+fn fnv1a(bytes: &[u8]) -> u32 {
+    let mut h: u32 = 0x811c_9dc5;
+    for &b in bytes {
+        h ^= b as u32;
+        h = h.wrapping_mul(0x0100_0193);
+    }
+    h
+}
+
+/// A log of [T1 commits] [a frame whose checksum matches but whose tag
+/// no record has] [T2 commits]. The frame is no torn tail, so the open
+/// is refused as corruption and the log is left as it was — replaying
+/// up to the frame and then truncating would lose T2 without an error.
 #[test]
-fn index_created_in_log_replays_exactly_after_crash() {
-    let dir = tmpdir("idx-replay");
-    let t;
-    let rid;
+fn a_verified_frame_that_does_not_decode_refuses_the_open() {
+    let dir = tmpdir("undecodable");
+    let wal_path = dir.join("wal.log");
+    let t1_end;
     {
         let eng = StorageEngine::open(&dir).unwrap();
-        t = eng.create_table("t").unwrap();
-        eng.create_index(t, "by_key").unwrap();
-        let mut txn = eng.begin().unwrap();
-        rid = eng.insert(&mut txn, t, b"indexed").unwrap();
-        eng.index_insert(&mut txn, t, "by_key", &encode_i64(42), rid)
-            .unwrap();
-        let dead = eng.insert(&mut txn, t, b"dead").unwrap();
-        eng.index_insert(&mut txn, t, "by_key", &encode_i64(13), dead)
-            .unwrap();
-        eng.index_delete(&mut txn, t, "by_key", &encode_i64(13), dead)
-            .unwrap();
-        eng.delete(&mut txn, t, dead).unwrap();
-        eng.commit(txn).unwrap();
-        // An aborted transaction's index ops must stay invisible too.
-        let mut txn = eng.begin().unwrap();
-        let r2 = eng.insert(&mut txn, t, b"rolled back").unwrap();
-        eng.index_insert(&mut txn, t, "by_key", &encode_i64(99), r2)
-            .unwrap();
-        eng.abort(txn).unwrap();
+        let t = eng.create_table("t").unwrap();
+        let commit_row = |body: &[u8]| {
+            let mut txn = eng.begin().unwrap();
+            eng.insert(&mut txn, t, body).unwrap();
+            eng.commit(txn).unwrap();
+        };
+        commit_row(b"T1");
+        t1_end = std::fs::metadata(&wal_path).unwrap().len() as usize;
+        commit_row(b"T2");
         crash(eng);
     }
-    // The log covers the index's whole lifetime (its create_table
-    // snapshot lacks it), so recovery replays it exactly — no rebuild.
-    let eng = StorageEngine::open(&dir).unwrap();
-    assert!(!eng.indexes_need_rebuild());
-    assert_eq!(eng.last_recovery().indexes_replayed, 1);
-    let mut txn = eng.begin().unwrap();
-    assert_eq!(
-        eng.index_lookup(&mut txn, t, "by_key", &encode_i64(42))
-            .unwrap(),
-        vec![rid]
-    );
-    assert_eq!(
-        eng.index_lookup(&mut txn, t, "by_key", &encode_i64(13))
-            .unwrap(),
-        vec![]
-    );
-    assert_eq!(
-        eng.index_lookup(&mut txn, t, "by_key", &encode_i64(99))
-            .unwrap(),
-        vec![]
-    );
-    eng.commit(txn).unwrap();
-    drop(eng);
+    let logged = std::fs::read(&wal_path).unwrap();
+    let payload = [0xEE_u8, 1, 2, 3];
+    let mut bytes = logged[..t1_end].to_vec();
+    bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+    bytes.extend_from_slice(&payload);
+    bytes.extend_from_slice(&logged[t1_end..]);
+    std::fs::write(&wal_path, &bytes).unwrap();
+
+    match StorageEngine::open(&dir) {
+        Err(StorageError::Corrupt(m)) => assert!(m.contains("lsn"), "{m}"),
+        Err(e) => panic!("expected Corrupt, got {e}"),
+        Ok(eng) => {
+            let t = eng.table_id("t").unwrap();
+            let rows = eng.snapshot().scan(t).unwrap().len();
+            panic!("the open succeeded with {rows} of 2 committed rows");
+        }
+    }
+    assert_eq!(std::fs::read(&wal_path).unwrap(), bytes, "log untouched");
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The engine keeps no index: `index_names` lists none for a table and
+/// refuses an unknown one, and a snapshot's `index_lookup` finds none.
 #[test]
-fn index_older_than_log_is_flagged_for_rebuild_after_crash() {
-    let dir = tmpdir("idx-rebuild");
-    let t;
-    {
-        let eng = StorageEngine::open(&dir).unwrap();
-        t = eng.create_table("t").unwrap();
-        eng.create_index(t, "by_key").unwrap();
-        let mut txn = eng.begin().unwrap();
-        let rid = eng.insert(&mut txn, t, b"indexed").unwrap();
-        eng.index_insert(&mut txn, t, "by_key", &encode_i64(42), rid)
-            .unwrap();
-        eng.commit(txn).unwrap();
-        // The checkpoint truncates the log: the index's creation (and
-        // its first entry) are no longer in the log's horizon, so a
-        // later crash cannot replay it and must flag a rebuild.
-        eng.checkpoint().unwrap();
-        let mut txn = eng.begin().unwrap();
-        let r2 = eng.insert(&mut txn, t, b"post-checkpoint").unwrap();
-        eng.index_insert(&mut txn, t, "by_key", &encode_i64(43), r2)
-            .unwrap();
-        eng.commit(txn).unwrap();
-        crash(eng);
-    }
-    let eng = StorageEngine::open(&dir).unwrap();
-    assert!(eng.indexes_need_rebuild());
-    assert_eq!(eng.last_recovery().indexes_replayed, 0);
-    // The reset index is empty; the base table still has both records.
-    let mut txn = eng.begin().unwrap();
-    assert_eq!(
-        eng.index_lookup(&mut txn, t, "by_key", &encode_i64(42))
-            .unwrap(),
-        vec![]
-    );
-    let all = eng.scan(&mut txn, t).unwrap();
-    assert_eq!(all.len(), 2);
-    // Rebuild as the owning layer would.
-    for (i, (rid, _)) in all.iter().enumerate() {
-        eng.index_insert(&mut txn, t, "by_key", &encode_i64(42 + i as i64), *rid)
-            .unwrap();
-    }
-    eng.commit(txn).unwrap();
-    eng.mark_indexes_rebuilt();
-    assert!(!eng.indexes_need_rebuild());
-    drop(eng);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn index_survives_clean_shutdown() {
-    let dir = tmpdir("idx-clean");
-    let t;
-    let rid;
-    {
-        let eng = StorageEngine::open(&dir).unwrap();
-        t = eng.create_table("t").unwrap();
-        eng.create_index(t, "by_key").unwrap();
-        let mut txn = eng.begin().unwrap();
-        rid = eng.insert(&mut txn, t, b"indexed").unwrap();
-        eng.index_insert(&mut txn, t, "by_key", &encode_i64(7), rid)
-            .unwrap();
-        eng.commit(txn).unwrap();
-    }
-    let eng = StorageEngine::open(&dir).unwrap();
-    assert!(!eng.indexes_need_rebuild());
-    let mut txn = eng.begin().unwrap();
-    assert_eq!(
-        eng.index_lookup(&mut txn, t, "by_key", &encode_i64(7))
-            .unwrap(),
-        vec![rid]
-    );
-    eng.commit(txn).unwrap();
-    drop(eng);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn index_abort_rolls_back_entries() {
-    let dir = tmpdir("idx-abort");
+fn the_engine_answers_no_index() {
+    let dir = tmpdir("no-index");
     let eng = StorageEngine::open(&dir).unwrap();
     let t = eng.create_table("t").unwrap();
-    eng.create_index(t, "i").unwrap();
-    let mut txn = eng.begin().unwrap();
-    let rid = eng.insert(&mut txn, t, b"r").unwrap();
-    eng.index_insert(&mut txn, t, "i", b"key", rid).unwrap();
-    eng.commit(txn).unwrap();
-
-    let mut txn = eng.begin().unwrap();
-    eng.index_delete(&mut txn, t, "i", b"key", rid).unwrap();
-    eng.index_insert(&mut txn, t, "i", b"other", rid).unwrap();
-    eng.abort(txn).unwrap();
-
-    let mut txn = eng.begin().unwrap();
-    assert_eq!(
-        eng.index_lookup(&mut txn, t, "i", b"key").unwrap(),
-        vec![rid]
-    );
-    assert_eq!(
-        eng.index_lookup(&mut txn, t, "i", b"other").unwrap(),
-        vec![]
-    );
-    eng.commit(txn).unwrap();
+    assert!(eng.index_names(t).unwrap().is_empty());
+    assert!(matches!(
+        eng.index_names(t + 100),
+        Err(StorageError::NoSuchTable(_))
+    ));
+    assert!(matches!(
+        eng.snapshot().index_lookup(t, "by_key", b"k"),
+        Err(StorageError::NoSuchIndex(_))
+    ));
     drop(eng);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -587,18 +498,14 @@ fn vacuum_reclaims_dropped_space() {
     let dir = tmpdir("vacuum-src");
     let dir2 = tmpdir("vacuum-dst");
     let eng = StorageEngine::open(&dir).unwrap();
-    // A big table we will drop, and a keeper with an index.
+    // A big table we will drop, and a keeper.
     let doomed = eng.create_table("doomed").unwrap();
     let keeper = eng.create_table("keeper").unwrap();
-    eng.create_index(keeper, "by_key").unwrap();
     let mut txn = eng.begin().unwrap();
     for i in 0..2000 {
         eng.insert(&mut txn, doomed, &vec![0xAB; 500]).unwrap();
         if i % 10 == 0 {
-            let rid = eng
-                .insert(&mut txn, keeper, format!("keep {i}").as_bytes())
-                .unwrap();
-            eng.index_insert(&mut txn, keeper, "by_key", &encode_i64(i), rid)
+            eng.insert(&mut txn, keeper, format!("keep {i}").as_bytes())
                 .unwrap();
         }
     }
@@ -613,18 +520,19 @@ fn vacuum_reclaims_dropped_space() {
         pages_before,
         new.num_pages()
     );
-    // Contents and index survive, remapped.
+    // The keeper's rows survive, at new rids.
     let kt = new.table_id("keeper").unwrap();
     let mut txn = new.begin().unwrap();
-    assert_eq!(new.scan(&mut txn, kt).unwrap().len(), 200);
-    let hits = new
-        .index_lookup(&mut txn, kt, "by_key", &encode_i64(1990))
-        .unwrap();
-    assert_eq!(hits.len(), 1);
-    assert_eq!(
-        new.get(&mut txn, kt, hits[0]).unwrap().unwrap(),
-        b"keep 1990"
-    );
+    let mut kept: Vec<Vec<u8>> = (new.scan(&mut txn, kt).unwrap().into_iter())
+        .map(|(_, body)| body)
+        .collect();
+    kept.sort();
+    let mut want: Vec<Vec<u8>> = (0..2000)
+        .step_by(10)
+        .map(|i| format!("keep {i}").into_bytes())
+        .collect();
+    want.sort();
+    assert_eq!(kept, want);
     new.commit(txn).unwrap();
     drop(new);
     drop(eng);

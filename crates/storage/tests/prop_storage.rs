@@ -1,8 +1,7 @@
-//! Property tests: B+tree against a BTreeMap reference model, heap files
-//! against a HashMap model, and WAL replay stability under arbitrary
-//! truncation.
+//! Property tests: heap files against a HashMap model, and WAL replay
+//! stability under arbitrary truncation.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 use proptest::prelude::*;
 
@@ -18,75 +17,6 @@ fn tmpdir(tag: &str) -> std::path::PathBuf {
     ));
     std::fs::remove_dir_all(&d).ok();
     d
-}
-
-#[derive(Debug, Clone)]
-enum TreeOp {
-    Insert(u16, u64),
-    Delete(u16, u64),
-    Lookup(u16),
-    Range(u16, u16),
-}
-
-fn tree_op() -> impl Strategy<Value = TreeOp> {
-    prop_oneof![
-        3 => (any::<u16>(), 0u64..50).prop_map(|(k, v)| TreeOp::Insert(k, v)),
-        1 => (any::<u16>(), 0u64..50).prop_map(|(k, v)| TreeOp::Delete(k, v)),
-        1 => any::<u16>().prop_map(TreeOp::Lookup),
-        1 => (any::<u16>(), any::<u16>()).prop_map(|(a, b)| TreeOp::Range(a.min(b), a.max(b))),
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// The B+tree agrees with a BTreeSet of (key, value) pairs under
-    /// arbitrary interleavings of inserts, deletes, lookups, and ranges.
-    #[test]
-    fn btree_matches_reference(ops in proptest::collection::vec(tree_op(), 1..300)) {
-        let dir = tmpdir("bt");
-        let pool = BufferPool::open(&dir, 64).unwrap();
-        let tree = mdm_storage::BTree::create(&pool).unwrap();
-        let mut model: BTreeSet<(Vec<u8>, u64)> = BTreeSet::new();
-        let key_bytes = |k: u16| k.to_be_bytes().to_vec();
-        for op in ops {
-            match op {
-                TreeOp::Insert(k, v) => {
-                    tree.insert(&pool, &key_bytes(k), v).unwrap();
-                    model.insert((key_bytes(k), v));
-                }
-                TreeOp::Delete(k, v) => {
-                    let existed = tree.delete(&pool, &key_bytes(k), v).unwrap();
-                    prop_assert_eq!(existed, model.remove(&(key_bytes(k), v)));
-                }
-                TreeOp::Lookup(k) => {
-                    let mut got = tree.lookup(&pool, &key_bytes(k)).unwrap();
-                    got.sort_unstable();
-                    let want: Vec<u64> = model
-                        .iter()
-                        .filter(|(key, _)| *key == key_bytes(k))
-                        .map(|&(_, v)| v)
-                        .collect();
-                    prop_assert_eq!(got, want);
-                }
-                TreeOp::Range(a, b) => {
-                    let mut got = Vec::new();
-                    tree.range(&pool, Some(&key_bytes(a)), Some(&key_bytes(b)), |k, v| {
-                        got.push((k.to_vec(), v));
-                    })
-                    .unwrap();
-                    let want: Vec<(Vec<u8>, u64)> = model
-                        .iter()
-                        .filter(|(k, _)| *k >= key_bytes(a) && *k <= key_bytes(b))
-                        .cloned()
-                        .collect();
-                    prop_assert_eq!(got, want);
-                }
-            }
-        }
-        prop_assert_eq!(tree.len(&pool).unwrap(), model.len());
-        std::fs::remove_dir_all(&dir).ok();
-    }
 }
 
 #[derive(Debug, Clone)]
