@@ -15,11 +15,6 @@
 //! the three [`OrderedStore`] implementations in `mdm_bench::baseline`.
 //! Every other timing in this repository is taken by `mdm-benchmark`
 //! (see `benchmark/README.md`).
-//!
-//! `replay-to <src> <dest> --lsn N` is point-in-time recovery from a
-//! WAL-archived database directory: it rebuilds a fresh directory at
-//! `dest` holding exactly the records of `src` below LSN `N`
-//! (`--lsn max` for the full history) and reports the restore point.
 
 use mdm_bench::{workload, FloatKeyStore, ModeledOrderingStore, OrderedStore, PositionStore};
 use mdm_core::{Analyst, Composer, Library, MusicDataManager};
@@ -30,22 +25,9 @@ use mdm_notation::{beam, group, perform, rat, sync, BaseDuration, Duration, Time
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
-    match which.as_str() {
-        "e1" => {
-            println!("{}", e1());
-            return;
-        }
-        "replay-to" => {
-            match replay_to(&std::env::args().skip(2).collect::<Vec<_>>()) {
-                Ok(report) => println!("{report}"),
-                Err(e) => {
-                    eprintln!("replay-to FAILED: {e}");
-                    std::process::exit(1);
-                }
-            }
-            return;
-        }
-        _ => {}
+    if which == "e1" {
+        println!("{}", e1());
+        return;
     }
     type Artifact = (&'static str, fn() -> String);
     let all: Vec<Artifact> = vec![
@@ -75,10 +57,7 @@ fn main() {
             .filter(|(n, _)| *n == which)
             .collect::<Vec<_>>();
         if found.is_empty() {
-            eprintln!(
-                "unknown artifact {which}; use fig1..fig15, t1, quel, e1, \
-                 replay-to <src> <dest> --lsn <N>, or all"
-            );
+            eprintln!("unknown artifact {which}; use fig1..fig15, t1, quel, e1, or all");
             std::process::exit(2);
         }
         found
@@ -679,45 +658,6 @@ fn e1() -> String {
         }
     }
     out
-}
-
-/// Point-in-time recovery: `replay-to <src> <dest> --lsn <N>` rebuilds
-/// `dest` from `src`'s archived WAL history cut strictly below `N`
-/// (`--lsn max` keeps everything), then opens it once to prove the
-/// restored directory recovers.
-fn replay_to(args: &[String]) -> Result<String, String> {
-    let mut src = None;
-    let mut dest = None;
-    let mut lsn = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--lsn" {
-            let v = it.next().ok_or("--lsn needs a value")?;
-            lsn = Some(if v == "max" {
-                u64::MAX
-            } else {
-                v.parse::<u64>().map_err(|_| format!("bad lsn {v:?}"))?
-            });
-        } else if src.is_none() {
-            src = Some(std::path::PathBuf::from(a));
-        } else if dest.is_none() {
-            dest = Some(std::path::PathBuf::from(a));
-        } else {
-            return Err(format!("unexpected argument {a:?}"));
-        }
-    }
-    let (Some(src), Some(dest), Some(lsn)) = (src, dest, lsn) else {
-        return Err("usage: repro replay-to <src-dir> <dest-dir> --lsn <N|max>".into());
-    };
-    let (engine, point) =
-        mdm_repl::restore_and_open(&src, &dest, lsn).map_err(|e| e.to_string())?;
-    let tables = engine.table_names().len();
-    drop(engine);
-    Ok(format!(
-        "restored {} to {} at lsn {point} ({tables} tables recovered)",
-        src.display(),
-        dest.display()
-    ))
 }
 
 /// The four §5.6 example queries, executed verbatim.

@@ -38,7 +38,7 @@ fn indexed_and_unindexed_agree() {
     let (mut s, mut db) = populated(500);
     let q = "range of n is NOTE\nretrieve (n.name) where n.pitch = \"p7\" and n.name < 100";
     let without = rows(s.execute(&mut db, q).unwrap());
-    db.create_attr_index("NOTE", "pitch").unwrap();
+    db.define_index("note_pitch", "NOTE", "pitch").unwrap();
     let with = rows(s.execute(&mut db, q).unwrap());
     assert_eq!(with, without);
     assert!(!with.is_empty());
@@ -47,7 +47,7 @@ fn indexed_and_unindexed_agree() {
 #[test]
 fn index_stays_correct_under_mutation() {
     let (mut s, mut db) = populated(50);
-    db.create_attr_index("NOTE", "name").unwrap();
+    db.define_index("note_name", "NOTE", "name").unwrap();
     // Mutate through QUEL: replace then delete.
     s.execute(
         &mut db,
@@ -83,8 +83,8 @@ fn index_stays_correct_under_mutation() {
 #[test]
 fn two_indexed_conjuncts_intersect() {
     let (mut s, mut db) = populated(200);
-    db.create_attr_index("NOTE", "name").unwrap();
-    db.create_attr_index("NOTE", "pitch").unwrap();
+    db.define_index("note_name", "NOTE", "name").unwrap();
+    db.define_index("note_pitch", "NOTE", "pitch").unwrap();
     let t = rows(
         s.execute(
             &mut db,
@@ -107,7 +107,7 @@ fn two_indexed_conjuncts_intersect() {
 fn or_disjuncts_do_not_restrict() {
     // `a = 1 or b = 2` must NOT use the index to restrict to a = 1 only.
     let (mut s, mut db) = populated(60);
-    db.create_attr_index("NOTE", "name").unwrap();
+    db.define_index("note_name", "NOTE", "name").unwrap();
     let t = rows(
         s.execute(
             &mut db,
@@ -140,7 +140,7 @@ fn join_query_uses_index_on_one_side() {
             db.ord_append("note_in_chord", Some(chord), note).unwrap();
         }
     }
-    db.create_attr_index("CHORD", "name").unwrap();
+    db.define_index("chord_name", "CHORD", "name").unwrap();
     let t = rows(
         s.execute(
             &mut db,
@@ -157,7 +157,7 @@ fn join_query_uses_index_on_one_side() {
 #[test]
 fn rebuild_after_bulk_store_mutation() {
     let (_s, mut db) = populated(10);
-    db.create_attr_index("NOTE", "name").unwrap();
+    db.define_index("note_name", "NOTE", "name").unwrap();
     // Bypass the typed API (bulk loader style), then rebuild.
     let ty = db.schema().entity_type_id("NOTE").unwrap();
     db.store_mut().create_entity_with_id(

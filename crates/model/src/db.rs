@@ -359,8 +359,9 @@ impl Database {
 
     /// Creates (or rebuilds) a secondary index over one attribute of an
     /// entity type. Queries with `var.attr = constant` qualifications use
-    /// it automatically.
-    pub fn create_attr_index(&mut self, type_name: &str, attr: &str) -> Result<()> {
+    /// it automatically. Only a named index ([`Database::define_index`])
+    /// builds one, so every index is listed, stored and reopened.
+    fn create_attr_index(&mut self, type_name: &str, attr: &str) -> Result<()> {
         let ty = self.schema.entity_type_id(type_name)?;
         let def = self.schema.entity_type(ty)?;
         let idx = def
@@ -384,7 +385,7 @@ impl Database {
     }
 
     /// Drops a secondary attribute index (no-op if absent).
-    pub fn drop_attr_index(&mut self, type_name: &str, attr: &str) -> Result<()> {
+    fn drop_attr_index(&mut self, type_name: &str, attr: &str) -> Result<()> {
         let ty = self.schema.entity_type_id(type_name)?;
         let def = self.schema.entity_type(ty)?;
         if let Some(idx) = def.attribute_index(attr) {

@@ -35,7 +35,7 @@ proptest! {
             vec![AttributeDef { name: "k".into(), ty: DataType::Integer }],
         )
         .unwrap();
-        db.create_attr_index("E", "k").unwrap();
+        db.define_index("e_k", "E", "k").unwrap();
         let ty = db.schema().entity_type_id("E").unwrap();
         let mut live: Vec<EntityId> = Vec::new();
         for o in ops {

@@ -14,7 +14,7 @@ pub enum ReplError {
     Core(CoreError),
     /// Network failure talking to the primary.
     Net(NetError),
-    /// Filesystem failure outside the engine (restore staging).
+    /// Operating-system failure outside the engine and the wire.
     Io(std::io::Error),
     /// Promotion refused: the replica has not applied everything the
     /// primary acknowledged as durable, so promoting it would silently

@@ -1,13 +1,13 @@
 //! # mdm-repl
 //!
-//! Streaming WAL replication, replica read fan-out, and point-in-time
-//! recovery for the music data manager.
+//! Streaming WAL replication and replica read fan-out for the music
+//! data manager.
 //!
 //! The paper's setting — a shared musical database serving editors,
 //! analysts, and librarians at once (§3) — is read-dominated: far more
 //! sessions browse scores and run analytic QUEL queries than mutate
-//! them. This crate scales that read side out and hardens the archive
-//! role, layering three capabilities on the storage engine's WAL and
+//! them. This crate scales that read side out, layering two
+//! capabilities on the storage engine's WAL and
 //! the `mdm-net` wire protocol, with no new machinery below them:
 //!
 //! * [`replica`] — [`ReplicaNode`]: a full MDM server whose log is fed
@@ -17,9 +17,6 @@
 //!   LSN and lag, and supports controlled failover: promotion is
 //!   refused until the replica has applied everything the primary
 //!   acknowledged as durable.
-//! * [`restore`] — [`restore_to_lsn`]: point-in-time recovery from a
-//!   WAL-archived primary, synthesizing a destination log whose replay
-//!   reproduces the database exactly as of a chosen LSN.
 //! * [`pair`] — [`pair_crash_sweep`]: the replication torture harness —
 //!   kill the primary at every I/O boundary, promote the replica, and
 //!   hold the survivor to the same ledger oracle as the single-node
@@ -33,10 +30,8 @@ pub mod error;
 pub mod metrics;
 pub mod pair;
 pub mod replica;
-pub mod restore;
 
 pub use error::{ReplError, Result};
 pub use metrics::ReplMetrics;
 pub use pair::pair_crash_sweep;
 pub use replica::{promote_engine, ReplicaConfig, ReplicaNode};
-pub use restore::{restore_and_open, restore_to_lsn};

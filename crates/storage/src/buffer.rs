@@ -12,25 +12,25 @@
 //!
 //! # Page-LSN flush discipline
 //!
-//! The engine mutates pages first and appends the covering WAL record
-//! after, so the record's sequence number is unknown at mutation time.
-//! [`BufferPool::with_page_mut_logged`] therefore marks the frame
-//! *pending*: it is pinned against eviction until the engine calls
-//! [`BufferPool::publish_lsn`] with the appended record's sequence
-//! number, which stamps the frame's LSN. When CLOCK later evicts a
-//! dirty frame, it first runs the engine-installed *flush barrier*
+//! A logged page change appends its WAL record first and changes the
+//! page after, both inside one pool visit
+//! ([`BufferPool::with_page_mut_logged`]): the closure appends under the
+//! pool latch (the latch order puts the pool before the log) and
+//! returns the record's sequence number, which the pool stamps as the
+//! frame's page-LSN before the latch is released. No frame is ever
+//! dirty with a change its LSN does not cover. When CLOCK later evicts
+//! a dirty frame, it first runs the engine-installed *flush barrier*
 //! ([`BufferPool::set_flush_barrier`]) to sync the WAL through the
 //! frame's LSN — the ARIES write-ahead rule: no page reaches disk
 //! before the log records describing its changes. The barrier is the
 //! expensive step (a log sync), so one call covers the victim *and* up
-//! to `FLUSH_BATCH - 1` further dirty, unpinned frames: those are
-//! written in place too and stay resident, now clean, so the evictions
-//! that follow need no sync of their own. For the same reason the sweep
-//! is clean-first under a barrier: a dirty frame is passed over while a
-//! clean one can go. Without a
-//! barrier installed (standalone pool use, recovery, unlogged catalog
-//! writes) the logged variants degrade to plain mutable
-//! access and eviction writes the victim directly.
+//! to `FLUSH_BATCH - 1` further dirty frames: those are written in
+//! place too and stay resident, now clean, so the evictions that follow
+//! need no sync of their own. For the same reason the sweep is
+//! clean-first under a barrier: a dirty frame is passed over while a
+//! clean one can go. Without a barrier installed (standalone pool use,
+//! recovery, unlogged catalog writes) eviction writes the victim
+//! directly.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -41,12 +41,6 @@ use mdm_obs::{trace, Counter};
 use crate::disk::DiskManager;
 use crate::error::{Result, StorageError};
 use crate::page::{PageId, PAGE_SIZE};
-
-/// How many lock-release/yield cycles a loader tolerates when every
-/// frame is pending a log publish, before giving up. The pending window
-/// is the few microseconds between a page mutation and its WAL append,
-/// so exhausting this bound means something is wrong.
-const PIN_RETRY_LIMIT: u32 = 100_000;
 
 /// Dirty frames one eviction flushes under a single barrier call: the
 /// victim and its dirty neighbours. A workload larger than the pool
@@ -73,9 +67,6 @@ struct Frame {
     /// mutation (0 = never logged). Eviction syncs the log through this
     /// before writing the frame.
     lsn: u64,
-    /// Logged mutations whose WAL record has not been appended yet; the
-    /// frame is pinned against eviction while nonzero.
-    pending: u32,
 }
 
 /// The frame table, the page map and the CLOCK hand over the frames.
@@ -123,9 +114,8 @@ impl BufferPool {
     }
 
     /// Installs the eviction flush barrier (at most once, by the engine).
-    /// From this point on, logged mutations pin their frames until
-    /// [`BufferPool::publish_lsn`], and dirty evictions call the barrier
-    /// with the frame's LSN before writing the page.
+    /// From this point on, dirty evictions call the barrier with the
+    /// frames' highest LSN before writing the pages.
     pub fn set_flush_barrier(&self, barrier: FlushBarrier) {
         if self.barrier.set(barrier).is_err() {
             panic!("flush barrier installed twice");
@@ -172,26 +162,10 @@ impl BufferPool {
     }
 
     /// Takes the pool latch, loads the page, and runs `f` on its frame.
-    /// Retries (releasing the latch) while every frame is pinned by a
-    /// mutation awaiting its log publish — that window is microseconds
-    /// long.
     fn with_frame<R>(&self, page: PageId, f: impl FnOnce(&mut Frame) -> R) -> Result<R> {
-        let mut spins = 0;
-        loop {
-            let mut frames = self.frames.lock().unwrap();
-            if let Some(idx) = self.load(&mut frames, page)? {
-                let frame = frames.frames[idx].as_mut().expect("frame just loaded");
-                return Ok(f(frame));
-            }
-            drop(frames);
-            spins += 1;
-            if spins > PIN_RETRY_LIMIT {
-                return Err(StorageError::Corrupt(
-                    "buffer pool exhausted: every frame awaits a log publish".into(),
-                ));
-            }
-            std::thread::yield_now();
-        }
+        let mut frames = self.frames.lock().unwrap();
+        let idx = self.load(&mut frames, page)?;
+        Ok(f(frames.frames[idx].as_mut().expect("frame just loaded")))
     }
 
     /// Runs `f` with read access to the page's bytes. The pool latch is
@@ -212,56 +186,37 @@ impl BufferPool {
         })
     }
 
-    /// As [`BufferPool::with_page_mut`] for mutations that a WAL record
-    /// will cover. `f` returns `(result, mutated)`; when `mutated` is
-    /// true (and a flush barrier is installed) the frame is pinned until
-    /// the caller appends the record and calls
-    /// [`BufferPool::publish_lsn`]. A `false` report must mean the bytes
-    /// are unchanged.
+    /// As [`BufferPool::with_page_mut`] for a change a WAL record
+    /// covers. `f` decides read-only, appends the record, then changes
+    /// the bytes, and returns `(result, Some(lsn))` with the record's
+    /// sequence number — or `None` for bytes it left unchanged. On
+    /// `Some` the frame is marked dirty and its page-LSN raised to `lsn`
+    /// before the pool latch is released. `f` runs under the pool latch:
+    /// it may take the log latch, never the pool's.
     pub fn with_page_mut_logged<R>(
         &self,
         page: PageId,
-        f: impl FnOnce(&mut [u8]) -> (R, bool),
+        f: impl FnOnce(&mut [u8]) -> Result<(R, Option<u64>)>,
     ) -> Result<R> {
-        let wal_mode = self.barrier.get().is_some();
         self.with_frame(page, |frame| {
-            let (r, mutated) = f(&mut frame.data);
-            if mutated {
+            let (r, lsn) = f(&mut frame.data)?;
+            if let Some(lsn) = lsn {
                 frame.dirty = true;
-                if wal_mode {
-                    frame.pending += 1;
-                }
+                frame.lsn = frame.lsn.max(lsn);
             }
-            r
-        })
+            Ok(r)
+        })?
     }
 
-    /// Reports that the WAL record covering a logged mutation of `page`
-    /// has been appended at sequence number `lsn`: unpins one pending
-    /// mutation and raises the frame's page-LSN. Callers must publish
-    /// exactly once per mutated `true` report from
-    /// [`BufferPool::with_page_mut_logged`] (even if the append failed —
-    /// publish the latest appended sequence to conservatively cover the
-    /// orphaned change).
-    pub fn publish_lsn(&self, page: PageId, lsn: u64) {
-        let mut frames = self.frames.lock().unwrap();
-        if let Some(&idx) = frames.map.get(&page) {
-            let frame = frames.frames[idx].as_mut().expect("mapped frame");
-            frame.pending = frame.pending.saturating_sub(1);
-            frame.lsn = frame.lsn.max(lsn);
-        }
-    }
-
-    /// Loads `page` into a frame, returning its index — or `None` when
-    /// every frame is pinned pending a log publish.
-    fn load(&self, frames: &mut Frames, page: PageId) -> Result<Option<usize>> {
+    /// Loads `page` into a frame, returning its index.
+    fn load(&self, frames: &mut Frames, page: PageId) -> Result<usize> {
         if let Some(&idx) = frames.map.get(&page) {
             self.hits.inc();
             frames.frames[idx]
                 .as_mut()
                 .expect("mapped frame")
                 .referenced = true;
-            return Ok(Some(idx));
+            return Ok(idx);
         }
         self.misses.inc();
         if page >= self.disk.num_pages() {
@@ -270,9 +225,7 @@ impl BufferPool {
         // A miss does real I/O (possibly a dirty eviction first): span it.
         let _sp = trace::span("storage.page_read");
         trace::annotate("page", page);
-        let Some(idx) = self.victim(frames)? else {
-            return Ok(None);
-        };
+        let idx = self.victim(frames)?;
         let mut data = match frames.frames[idx].take() {
             Some(f) => f.data,
             None => vec![0u8; PAGE_SIZE].into_boxed_slice(),
@@ -284,24 +237,22 @@ impl BufferPool {
             dirty: false,
             referenced: true,
             lsn: 0,
-            pending: 0,
         });
         frames.map.insert(page, idx);
-        Ok(Some(idx))
+        Ok(idx)
     }
 
-    /// CLOCK: sweep for an unreferenced, unpinned frame, clearing
-    /// reference bits; an empty frame is taken immediately.
+    /// CLOCK: sweep for an unreferenced frame, clearing reference bits;
+    /// an empty frame is taken immediately.
     /// Under a flush barrier the sweep is *clean-first*: evicting a dirty
     /// frame costs a log sync, so it is passed over while a clean frame
     /// can go, and the first dirty candidate is taken only when the
     /// sweep found no clean one — its flush then cleans its dirty
     /// neighbours too (see `flush_evicted`).
-    /// Returns `None` if every frame is pinned pending a log publish.
-    fn victim(&self, frames: &mut Frames) -> Result<Option<usize>> {
+    fn victim(&self, frames: &mut Frames) -> Result<usize> {
         let n = frames.frames.len();
         if let Some(idx) = frames.frames.iter().position(Option::is_none) {
-            return Ok(Some(idx));
+            return Ok(idx);
         }
         let clean_first = self.barrier.get().is_some();
         let mut dirty_candidate = None;
@@ -309,25 +260,20 @@ impl BufferPool {
             let idx = frames.clock_hand;
             frames.clock_hand = (frames.clock_hand + 1) % n;
             let frame = frames.frames[idx].as_mut().expect("no empty frames");
-            if frame.pending > 0 {
-                // Awaiting its WAL append; unevictable, skip without
-                // touching the reference bit.
-                continue;
-            }
             if frame.referenced {
                 frame.referenced = false;
             } else if frame.dirty && clean_first {
                 dirty_candidate.get_or_insert(idx);
             } else {
-                return self.evict(frames, idx).map(Some);
+                return self.evict(frames, idx);
             }
         }
         // 2n+1 steps clear every reference bit and revisit each frame, so
-        // the only way out without a candidate is every frame pinned.
-        match dirty_candidate {
-            Some(idx) => self.evict(frames, idx).map(Some),
-            None => Ok(None),
-        }
+        // a sweep that found no clean frame passed a dirty one.
+        self.evict(
+            frames,
+            dirty_candidate.expect("a full sweep meets a dirty frame"),
+        )
     }
 
     /// Empties frame `idx`, writing it back first if dirty, and returns
@@ -344,8 +290,8 @@ impl BufferPool {
             if let Err(e) = self.flush_evicted(frames, &frame) {
                 // A failed barrier or page write must not lose the dirty
                 // frame: restore it and surface the error — the page
-                // stays resident and unpublished until a later eviction
-                // (or flush) succeeds.
+                // stays resident and dirty until a later eviction (or
+                // flush) succeeds.
                 frames.map.insert(frame.page, idx);
                 frames.frames[idx] = Some(frame);
                 return Err(e);
@@ -357,7 +303,7 @@ impl BufferPool {
 
     /// Writes the dirty `victim` (already taken out of `frames`) in place
     /// behind the flush barrier. The barrier's sync is shared: the next
-    /// dirty, unpinned frames in CLOCK order, up to `FLUSH_BATCH` pages
+    /// dirty frames in CLOCK order, up to `FLUSH_BATCH` pages
     /// in all, are imaged by the same call, written too and left
     /// resident and clean. A frame counts as clean only once its own
     /// write succeeded.
@@ -375,7 +321,7 @@ impl BufferPool {
             }
             let idx = (frames.clock_hand + step) % n;
             if let Some(f) = &frames.frames[idx] {
-                if f.dirty && f.pending == 0 {
+                if f.dirty {
                     batch.push((f.page, f.data.to_vec()));
                     lsn = lsn.max(f.lsn);
                     neighbours.push(idx);
@@ -497,7 +443,7 @@ mod tests {
             pid = bp.allocate_page().unwrap();
             bp.with_page_mut(pid, |d| {
                 page::format_page(d, page::PageType::Heap);
-                page::insert_record(d, b"persisted").unwrap();
+                assert!(page::insert_record_at(d, 0, b"persisted"));
             })
             .unwrap();
             bp.flush_all().unwrap();
@@ -572,26 +518,6 @@ mod tests {
     }
 
     #[test]
-    fn logged_mutation_without_barrier_is_plain() {
-        let dir = tmpdir("nolog");
-        let bp = BufferPool::open(&dir, 2).unwrap();
-        let pids: Vec<_> = (0..8).map(|_| bp.allocate_page().unwrap()).collect();
-        // No barrier installed: logged mutations never pin, so heavy
-        // eviction traffic with no publish calls must still succeed.
-        for (i, &pid) in pids.iter().enumerate() {
-            bp.with_page_mut_logged(pid, |d| {
-                d[0] = i as u8 + 1;
-                ((), true)
-            })
-            .unwrap();
-        }
-        for (i, &pid) in pids.iter().enumerate() {
-            assert_eq!(bp.with_page(pid, |d| d[0]).unwrap(), i as u8 + 1);
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn eviction_runs_barrier_with_page_lsn() {
         let dir = tmpdir("barrier");
         let bp = BufferPool::open(&dir, 2).unwrap();
@@ -603,15 +529,14 @@ mod tests {
         }));
         let pids: Vec<_> = (0..6).map(|_| bp.allocate_page().unwrap()).collect();
         for (i, &pid) in pids.iter().enumerate() {
+            // Stamp an increasing LSN, as the engine does after its append.
             bp.with_page_mut_logged(pid, |d| {
                 d[0] = 1;
-                ((), true)
+                Ok(((), Some(i as u64 + 1)))
             })
             .unwrap();
-            // Publish an increasing LSN, as the engine does post-append.
-            bp.publish_lsn(pid, i as u64 + 1);
         }
-        // Touch fresh pages to force the dirty, published frames out.
+        // Touch fresh pages to force the dirty, stamped frames out.
         for _ in 0..4 {
             let pid = bp.allocate_page().unwrap();
             bp.with_page(pid, |_| ()).unwrap();
@@ -650,30 +575,6 @@ mod tests {
         for &pid in &pids[..2] {
             assert_eq!(bp.with_page(pid, |d| d[0]).unwrap(), pid as u8 + 1);
         }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn pending_frames_are_not_evicted() {
-        let dir = tmpdir("pending");
-        let (bp, registry) = counted(&dir, 2);
-        bp.set_flush_barrier(Box::new(|_, _| Ok(())));
-        let pinned = bp.allocate_page().unwrap();
-        bp.with_page_mut_logged(pinned, |d| {
-            d[0] = 99;
-            ((), true)
-        })
-        .unwrap();
-        // One frame pinned, one free: traffic cycles through the free
-        // frame while the pinned page stays resident and unwritten.
-        for _ in 0..6 {
-            let pid = bp.allocate_page().unwrap();
-            bp.with_page_mut(pid, |d| d[1] = 1).unwrap();
-        }
-        let (_, _, evictions) = counts(&registry);
-        assert!(evictions >= 4, "unpinned frame must keep cycling");
-        assert_eq!(bp.with_page(pinned, |d| d[0]).unwrap(), 99);
-        bp.publish_lsn(pinned, 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -31,9 +31,11 @@ pub struct Catalog {
     /// Transaction-id floor: every id strictly below this was handed out
     /// before the catalog was saved. Reopening restarts the allocator at
     /// (at least) this value, so an id never names two transactions in
-    /// one directory's history — point-in-time restore concatenates WAL
-    /// archive segments from every incarnation and must not mistake one
-    /// segment's winner for another's loser. Absent in the oldest
+    /// one directory's history. Recovery rotates the log without an
+    /// `Abort` for a transaction a crash left open, and a replica
+    /// buffers each streamed transaction's rows by id until its outcome
+    /// arrives: a reused id would merge the dead transaction's rows into
+    /// the later one's. Absent in the oldest
     /// catalogs; those decode as floor 0 and the WAL scan at open
     /// supplies the real bound.
     pub txn_floor: u64,

@@ -34,10 +34,11 @@
 //! > gate → catalog → heap directory → pool → log
 //!
 //! A latch may only be taken while holding latches that appear *earlier*
-//! in this order. The pool sits before the log because dirty eviction
-//! (which runs under the pool latch) may need to sync the log (the flush
-//! barrier, below); no code path holds the log latch while touching a
-//! page. Page closures never re-enter the pool. The gate is only ever
+//! in this order. The pool sits before the log because a heap change
+//! appends its WAL record under the pool latch, and dirty eviction
+//! (which runs under it too) may need to sync the log (the flush
+//! barrier, below). Nothing takes the pool latch while holding the log
+//! latch. Page closures never re-enter the pool. The gate is only ever
 //! waited on with no latch held.
 //!
 //! # Commit durability
@@ -52,17 +53,17 @@
 //!
 //! # Page-LSN flush discipline
 //!
-//! The engine mutates pages before appending the covering WAL record,
-//! so a naive pool could write a dirty page to disk ahead of its log
-//! record. Logged heap mutations therefore run through
-//! [`BufferPool::with_page_mut_logged`], which pins the frame until the
-//! engine appends the record and publishes its sequence number as the
-//! frame's page-LSN; eviction of a dirty frame first runs a *flush
-//! barrier* that syncs the WAL through that LSN (counted by
-//! `mdm_wal_eviction_syncs_total`), one call covering the victim and
-//! its dirty neighbours. This is the ARIES write-ahead rule
-//! specialized to logical logging: no page reaches disk before the log
-//! covers its last logged change.
+//! Log first, then write the page. Every heap insert, update and delete
+//! is one pool visit ([`BufferPool::with_page_mut_logged`]) per page it
+//! changes: under the pool latch the heap decides the slot or the fit
+//! read-only, the engine appends the covering record(s), the heap
+//! changes the page, and the pool stamps the frame's page-LSN with the
+//! record's sequence before the latch is released. Eviction of a dirty
+//! frame first runs a *flush barrier* that syncs the WAL through that
+//! LSN (counted by `mdm_wal_eviction_syncs_total`), one call covering
+//! the victim and its dirty neighbours. This is the ARIES write-ahead
+//! rule specialized to logical logging: no page reaches disk before the
+//! log covers its last logged change.
 //!
 //! # Observability
 //!
@@ -89,7 +90,7 @@ use crate::buffer::BufferPool;
 use crate::catalog::{self, Catalog, TableMeta};
 use crate::error::{Result, StorageError};
 use crate::gate::{Gate, Held};
-use crate::heap::HeapFile;
+use crate::heap::{Change, HeapFile};
 use crate::page::{PageId, Rid};
 use crate::recovery::{self, RecoveryOutcome};
 use crate::wal::{TableId, TxnId, Wal, WalRecord};
@@ -106,7 +107,9 @@ pub const DEFAULT_POOL_PAGES: usize = 2048;
 /// recovery and the gate shut for the rest of the engine's life).
 pub struct Txn {
     id: TxnId,
-    undo: Vec<UndoOp>,
+    /// Per change, newest last: the record state to restore at a rid
+    /// (`None` = the slot was empty).
+    undo: Vec<(Rid, Option<Vec<u8>>)>,
     finished: bool,
     began: bool,
     inner: Arc<Inner>,
@@ -130,12 +133,6 @@ impl Drop for Txn {
         self.inner.metrics.txn_active.add(-1);
         self.inner.gate.unlock_exclusive();
     }
-}
-
-enum UndoOp {
-    Insert { rid: Rid },
-    Update { rid: Rid, old: Vec<u8> },
-    Delete { rid: Rid, old: Vec<u8> },
 }
 
 /// The WAL behind its latch, plus a monotonic sequence number (one per
@@ -259,35 +256,58 @@ impl Inner {
         self.wal.lock().unwrap().append(rec)
     }
 
-    /// Appends several records under one latch acquisition (keeps, e.g.,
-    /// a `LinkPage` ordered directly before the `Insert` that needs it).
-    fn log_all(&self, recs: &[WalRecord]) -> Result<u64> {
+    /// Logs one heap change of `txn`, preceded by the transaction's
+    /// deferred `Begin` at its first write, and keeps what undoes it.
+    /// Runs inside the pool visit that makes the change, under the pool
+    /// latch (the log latch comes after it in the latch order). Returns
+    /// the sequence of the change's last record: the page's new LSN.
+    fn log_change(&self, txn: &mut Txn, table: TableId, change: Change<'_>) -> Result<u64> {
         let _sp = trace::span("storage.wal_append");
-        trace::annotate("records", recs.len());
         let mut w = self.wal.lock().unwrap();
-        let mut seq = w.seq;
-        for rec in recs {
-            seq = w.append(rec)?;
+        if !txn.began {
+            w.append(&WalRecord::Begin { txn: txn.id })?;
+            txn.began = true;
         }
-        Ok(seq)
-    }
-
-    /// Appends records covering logged page mutations, then publishes the
-    /// resulting sequence number as the page-LSN of every touched page —
-    /// exactly once per pin the heap layer took. If the append fails, the
-    /// latest appended sequence is published instead, so the frames are
-    /// unpinned and eviction still syncs past any record that *did* make
-    /// it in.
-    fn log_published(&self, recs: &[WalRecord], pages: &[PageId]) -> Result<u64> {
-        let res = self.log_all(recs);
-        let seq = match &res {
-            Ok(seq) => *seq,
-            Err(_) => self.wal.lock().unwrap().seq,
+        let (rec, undo) = match change {
+            Change::Insert { rid, body, link } => {
+                if let Some((from_page, new_page)) = link {
+                    w.append(&WalRecord::LinkPage {
+                        table,
+                        from_page,
+                        new_page,
+                    })?;
+                }
+                let rec = WalRecord::Insert {
+                    txn: txn.id,
+                    table,
+                    rid,
+                    body: body.to_vec(),
+                };
+                (rec, (rid, None))
+            }
+            Change::Update { rid, old, body } => {
+                let rec = WalRecord::Update {
+                    txn: txn.id,
+                    table,
+                    rid,
+                    old: old.to_vec(),
+                    new: body.to_vec(),
+                };
+                (rec, (rid, Some(old.to_vec())))
+            }
+            Change::Delete { rid, old } => {
+                let rec = WalRecord::Delete {
+                    txn: txn.id,
+                    table,
+                    rid,
+                    old: old.to_vec(),
+                };
+                (rec, (rid, Some(old.to_vec())))
+            }
         };
-        for &page in pages {
-            self.pool.publish_lsn(page, seq);
-        }
-        res
+        let seq = w.append(&rec)?;
+        txn.undo.push(undo);
+        Ok(seq)
     }
 
     /// The eviction flush barrier: logs a durable full-page image of the
@@ -454,16 +474,14 @@ impl Inner {
     /// Shared by [`StorageEngine::abort`] and [`Txn`]'s drop. A
     /// transaction that never logged a `Begin` logs no `Abort` either:
     /// read-only work must leave the WAL untouched.
-    fn rollback(&self, id: TxnId, undo: &mut Vec<UndoOp>, began: bool) -> Result<()> {
-        for op in undo.drain(..).rev() {
-            match op {
-                UndoOp::Insert { rid } => {
-                    HeapFile::apply_at(&self.pool, rid, None)?;
-                }
-                UndoOp::Update { rid, ref old } | UndoOp::Delete { rid, ref old } => {
-                    HeapFile::apply_at(&self.pool, rid, Some(old))?;
-                }
-            }
+    fn rollback(
+        &self,
+        id: TxnId,
+        undo: &mut Vec<(Rid, Option<Vec<u8>>)>,
+        began: bool,
+    ) -> Result<()> {
+        for (rid, old) in undo.drain(..).rev() {
+            HeapFile::apply_at(&self.pool, rid, old.as_deref())?;
         }
         if began {
             self.log(&WalRecord::Abort { txn: id })?;
@@ -681,16 +699,6 @@ impl StorageEngine {
         })
     }
 
-    /// Logs the deferred `Begin` before a transaction's first write
-    /// record. Must run under no page latch the logged write also needs.
-    fn begin_write(&self, txn: &mut Txn) -> Result<()> {
-        if !txn.began {
-            self.inner.log(&WalRecord::Begin { txn: txn.id })?;
-            txn.began = true;
-        }
-        Ok(())
-    }
-
     /// Commits: makes the log durable, then releases the gate (the handle
     /// drops). A transaction that never wrote logs nothing and syncs
     /// nothing.
@@ -787,43 +795,11 @@ impl StorageEngine {
     /// Inserts a record, returning its rid.
     pub fn insert(&self, txn: &mut Txn, table: TableId, body: &[u8]) -> Result<Rid> {
         self.check_active(txn)?;
-        let rid = self
-            .inner
-            .with_heap(table, |h| self.insert_logged(h, txn, table, body))?;
-        txn.undo.push(UndoOp::Insert { rid });
-        Ok(rid)
-    }
-
-    /// Inserts `body` into the heap `h` and logs it, preceded by the
-    /// `LinkPage` record when the insert chained a new page.
-    fn insert_logged(
-        &self,
-        h: &mut HeapFile,
-        txn: &mut Txn,
-        table: TableId,
-        body: &[u8],
-    ) -> Result<Rid> {
-        let (rid, link) = h.insert(&self.inner.pool, body)?;
-        let mut recs = Vec::with_capacity(2);
-        let mut pages = Vec::with_capacity(2);
-        if let Some((from_page, new_page)) = link {
-            recs.push(WalRecord::LinkPage {
-                table,
-                from_page,
-                new_page,
-            });
-            pages.push(from_page);
-        }
-        recs.push(WalRecord::Insert {
-            txn: txn.id,
-            table,
-            rid,
-            body: body.to_vec(),
-        });
-        pages.push(rid.page);
-        self.begin_write(txn)?;
-        self.inner.log_published(&recs, &pages)?;
-        Ok(rid)
+        self.inner.with_heap(table, |h| {
+            h.insert(&self.inner.pool, body, |c| {
+                self.inner.log_change(txn, table, c)
+            })
+        })
     }
 
     /// Reads a record.
@@ -838,64 +814,20 @@ impl StorageEngine {
     pub fn update(&self, txn: &mut Txn, table: TableId, rid: Rid, body: &[u8]) -> Result<Rid> {
         self.check_active(txn)?;
         self.inner.with_heap(table, |h| {
-            let old =
-                HeapFile::get(&self.inner.pool, rid)?.ok_or(StorageError::RecordNotFound {
-                    page: rid.page,
-                    slot: rid.slot,
-                })?;
-            if HeapFile::update(&self.inner.pool, rid, body)? {
-                self.begin_write(txn)?;
-                self.inner.log_published(
-                    &[WalRecord::Update {
-                        txn: txn.id,
-                        table,
-                        rid,
-                        old: old.clone(),
-                        new: body.to_vec(),
-                    }],
-                    &[rid.page],
-                )?;
-                txn.undo.push(UndoOp::Update { rid, old });
-                return Ok(rid);
-            }
-            // Did not fit: move the record.
-            h.delete(&self.inner.pool, rid)?;
-            self.begin_write(txn)?;
-            self.inner.log_published(
-                &[WalRecord::Delete {
-                    txn: txn.id,
-                    table,
-                    rid,
-                    old: old.clone(),
-                }],
-                &[rid.page],
-            )?;
-            txn.undo.push(UndoOp::Delete { rid, old });
-            let new_rid = self.insert_logged(h, txn, table, body)?;
-            txn.undo.push(UndoOp::Insert { rid: new_rid });
-            Ok(new_rid)
+            h.update(&self.inner.pool, rid, body, |c| {
+                self.inner.log_change(txn, table, c)
+            })
         })
     }
 
     /// Deletes a record, returning its old body.
     pub fn delete(&self, txn: &mut Txn, table: TableId, rid: Rid) -> Result<Vec<u8>> {
         self.check_active(txn)?;
-        let old = (self.inner).with_heap(table, |h| h.delete(&self.inner.pool, rid))?;
-        self.begin_write(txn)?;
-        self.inner.log_published(
-            &[WalRecord::Delete {
-                txn: txn.id,
-                table,
-                rid,
-                old: old.clone(),
-            }],
-            &[rid.page],
-        )?;
-        txn.undo.push(UndoOp::Delete {
-            rid,
-            old: old.clone(),
-        });
-        Ok(old)
+        self.inner.with_heap(table, |h| {
+            h.delete(&self.inner.pool, rid, |c| {
+                self.inner.log_change(txn, table, c)
+            })
+        })
     }
 
     /// Scans every record of a table.

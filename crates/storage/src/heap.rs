@@ -32,6 +32,51 @@ pub struct HeapFile {
 /// chain walk at open seeds the hints.
 const HINT_MIN_FREE: usize = page::PAGE_SIZE / 8;
 
+/// A heap change, handed to the caller's logger inside the pool visit
+/// that makes it and before the page changes. The logger appends the
+/// covering WAL record(s) and returns the last one's sequence, which
+/// becomes the page's LSN.
+#[derive(Debug)]
+pub enum Change<'a> {
+    /// `body` goes to `rid`. `link` is `(from_page, new_page)` when the
+    /// insert chains a new page onto the heap.
+    Insert {
+        rid: Rid,
+        body: &'a [u8],
+        link: Option<(PageId, PageId)>,
+    },
+    /// The record `old` at `rid` is replaced by `body` in place.
+    Update {
+        rid: Rid,
+        old: &'a [u8],
+        body: &'a [u8],
+    },
+    /// The record `old` at `rid` is removed.
+    Delete { rid: Rid, old: &'a [u8] },
+}
+
+/// The record at `rid` on its page `d`, or [`StorageError::RecordNotFound`].
+fn present(d: &[u8], rid: Rid) -> Result<&[u8]> {
+    page::get_record(d, rid.slot).ok_or(StorageError::RecordNotFound {
+        page: rid.page,
+        slot: rid.slot,
+    })
+}
+
+/// Places `body` at `rid` on its page `d`, after its record was logged.
+/// The read-only slot choice or fit check vouched for the room, so a
+/// refusal means the page is not what it claims to be.
+fn place(d: &mut [u8], rid: Rid, body: &[u8]) -> Result<()> {
+    if page::insert_record_at(d, rid.slot, body) {
+        Ok(())
+    } else {
+        Err(StorageError::Corrupt(format!(
+            "page {} refused a record at slot {} it had room for",
+            rid.page, rid.slot
+        )))
+    }
+}
+
 impl HeapFile {
     /// Creates a new heap file with one empty page.
     pub fn create(pool: &BufferPool) -> Result<HeapFile> {
@@ -52,7 +97,10 @@ impl HeapFile {
         let mut free_pages = BTreeSet::new();
         loop {
             let (next, room) = pool.with_page(last, |d| {
-                (page::next_page(d), page::can_fit(d, HINT_MIN_FREE))
+                (
+                    page::next_page(d),
+                    page::free_slot(d, HINT_MIN_FREE).is_some(),
+                )
             })?;
             if next == NO_PAGE {
                 break;
@@ -82,52 +130,67 @@ impl HeapFile {
         self.first_page
     }
 
-    /// Inserts a record, returning its rid. If a new page had to be linked
-    /// onto the chain, the second element reports `(from_page, new_page)` so
-    /// the caller can log the structural change.
-    ///
-    /// Mutations run through the pool's *logged* path: under an engine
-    /// flush barrier, each page this call reports as touched (the rid's
-    /// page, plus `from_page` on a link) stays pinned until the caller
-    /// appends the covering WAL record and publishes its sequence number
-    /// (see [`BufferPool::publish_lsn`]).
+    /// Inserts a record, returning its rid. Each candidate page costs one
+    /// pool visit: under the pool latch the visit chooses the slot
+    /// read-only, hands the change to `log`, places the record and stamps
+    /// the page with the sequence `log` returned. A page with no room is
+    /// left untouched and nothing is logged for it.
     pub fn insert(
         &mut self,
         pool: &BufferPool,
         body: &[u8],
-    ) -> Result<(Rid, Option<(PageId, PageId)>)> {
+        mut log: impl FnMut(Change<'_>) -> Result<u64>,
+    ) -> Result<Rid> {
         if body.len() > page::MAX_RECORD_SIZE {
             return Err(StorageError::RecordTooLarge(body.len()));
         }
-        let try_insert = |d: &mut [u8]| {
-            let slot = page::insert_record(d, body);
-            (slot, slot.is_some())
+        let mut try_page = |pid: PageId| {
+            pool.with_page_mut_logged(pid, |d| {
+                let Some(slot) = page::free_slot(d, body.len()) else {
+                    return Ok((None, None));
+                };
+                let rid = Rid::new(pid, slot);
+                let lsn = log(Change::Insert {
+                    rid,
+                    body,
+                    link: None,
+                })?;
+                place(d, rid, body)?;
+                Ok((Some(rid), Some(lsn)))
+            })
         };
         // Holes first, earliest first.
         while let Some(&pid) = self.free_pages.first() {
-            if let Some(slot) = pool.with_page_mut_logged(pid, try_insert)? {
-                return Ok((Rid::new(pid, slot), None));
+            if let Some(rid) = try_page(pid)? {
+                return Ok(rid);
             }
             self.free_pages.pop_first();
         }
-        if let Some(slot) = pool.with_page_mut_logged(self.last_page, try_insert)? {
-            return Ok((Rid::new(self.last_page, slot), None));
+        if let Some(rid) = try_page(self.last_page)? {
+            return Ok(rid);
         }
-        // Extend the chain. Formatting the fresh page is unlogged (it is
-        // unreachable until the link below is durable); the link and the
-        // record are covered by the caller's LinkPage + Insert records.
+        // Extend the chain: the fresh page takes the record in its first
+        // slot, then the last page links to it. Both are covered by the
+        // `LinkPage` + `Insert` records logged in the first visit.
         let new_page = pool.allocate_page()?;
-        pool.with_page_mut(new_page, |d| page::format_page(d, PageType::Heap))?;
         let from = self.last_page;
+        let rid = Rid::new(new_page, 0);
+        let lsn = pool.with_page_mut_logged(new_page, |d| {
+            page::format_page(d, PageType::Heap);
+            let lsn = log(Change::Insert {
+                rid,
+                body,
+                link: Some((from, new_page)),
+            })?;
+            place(d, rid, body)?;
+            Ok((lsn, Some(lsn)))
+        })?;
         pool.with_page_mut_logged(from, |d| {
             page::set_next_page(d, new_page);
-            ((), true)
+            Ok(((), Some(lsn)))
         })?;
         self.last_page = new_page;
-        let slot = pool
-            .with_page_mut_logged(new_page, try_insert)?
-            .expect("fresh page must fit a record of legal size");
-        Ok((Rid::new(new_page, slot), Some((from, new_page))))
+        Ok(rid)
     }
 
     /// Re-links `new_page` after `from_page` (recovery redo of a structural
@@ -151,39 +214,53 @@ impl HeapFile {
         })
     }
 
-    /// Replaces the record at `rid`. Fails if absent; if the new body does
-    /// not fit in the page the record *moves* are not supported — the engine
-    /// layer handles oversize updates as delete+insert, so this returns an
-    /// error the engine translates.
-    pub fn update(pool: &BufferPool, rid: Rid, body: &[u8]) -> Result<bool> {
+    /// Replaces the record at `rid`, returning the rid it ends at. One
+    /// pool visit reads the old body and checks the fit read-only: a body
+    /// that fits is logged as an update and placed at the same slot; one
+    /// that does not is logged as a delete and removed, and the record
+    /// moves to wherever [`HeapFile::insert`] puts it.
+    pub fn update(
+        &mut self,
+        pool: &BufferPool,
+        rid: Rid,
+        body: &[u8],
+        mut log: impl FnMut(Change<'_>) -> Result<u64>,
+    ) -> Result<Rid> {
         if body.len() > page::MAX_RECORD_SIZE {
             return Err(StorageError::RecordTooLarge(body.len()));
         }
-        let present = pool.with_page(rid.page, |d| page::get_record(d, rid.slot).is_some())?;
-        if !present {
-            return Err(StorageError::RecordNotFound {
-                page: rid.page,
-                slot: rid.slot,
-            });
+        let in_place = pool.with_page_mut_logged(rid.page, |d| {
+            let old = present(d, rid)?;
+            if page::can_replace(d, rid.slot, body.len()) {
+                let lsn = log(Change::Update { rid, old, body })?;
+                place(d, rid, body)?;
+                Ok((true, Some(lsn)))
+            } else {
+                let lsn = log(Change::Delete { rid, old })?;
+                page::delete_record(d, rid.slot);
+                Ok((false, Some(lsn)))
+            }
+        })?;
+        if in_place {
+            return Ok(rid);
         }
-        pool.with_page_mut_logged(rid.page, |d| {
-            let updated = page::update_record(d, rid.slot, body);
-            // On `false` the page bytes are restored untouched, so no
-            // WAL record covers it and no pin is taken.
-            (updated, updated)
-        })
+        self.note_free(rid.page);
+        self.insert(pool, body, log)
     }
 
-    /// Deletes the record at `rid`, noting the freed room for later
-    /// inserts. Returns the old body.
-    pub fn delete(&mut self, pool: &BufferPool, rid: Rid) -> Result<Vec<u8>> {
-        let old = Self::get(pool, rid)?.ok_or(StorageError::RecordNotFound {
-            page: rid.page,
-            slot: rid.slot,
-        })?;
-        pool.with_page_mut_logged(rid.page, |d| {
+    /// Deletes the record at `rid` in one pool visit, noting the freed
+    /// room for later inserts. Returns the old body.
+    pub fn delete(
+        &mut self,
+        pool: &BufferPool,
+        rid: Rid,
+        log: impl FnOnce(Change<'_>) -> Result<u64>,
+    ) -> Result<Vec<u8>> {
+        let old = pool.with_page_mut_logged(rid.page, |d| {
+            let old = present(d, rid)?.to_vec();
+            let lsn = log(Change::Delete { rid, old: &old })?;
             page::delete_record(d, rid.slot);
-            ((), true)
+            Ok((old, Some(lsn)))
         })?;
         self.note_free(rid.page);
         Ok(old)
@@ -257,15 +334,19 @@ mod tests {
         (dir, bp)
     }
 
+    /// A logger for a pool with no log behind it.
+    fn unlogged(_: Change<'_>) -> Result<u64> {
+        Ok(0)
+    }
+
     #[test]
     fn insert_get_many() {
         let (dir, bp) = setup("many");
         let mut hf = HeapFile::create(&bp).unwrap();
         let rids: Vec<Rid> = (0..500)
             .map(|i| {
-                hf.insert(&bp, format!("record number {i}").as_bytes())
+                hf.insert(&bp, format!("record number {i}").as_bytes(), unlogged)
                     .unwrap()
-                    .0
             })
             .collect();
         for (i, rid) in rids.iter().enumerate() {
@@ -282,10 +363,13 @@ mod tests {
         let body = vec![3u8; 2000];
         let mut links = 0;
         for _ in 0..50 {
-            let (_, link) = hf.insert(&bp, &body).unwrap();
-            if link.is_some() {
-                links += 1;
-            }
+            hf.insert(&bp, &body, |c| {
+                if let Change::Insert { link: Some(_), .. } = c {
+                    links += 1;
+                }
+                Ok(0)
+            })
+            .unwrap();
         }
         assert!(
             links >= 10,
@@ -305,14 +389,14 @@ mod tests {
     fn update_and_delete() {
         let (dir, bp) = setup("ud");
         let mut hf = HeapFile::create(&bp).unwrap();
-        let (rid, _) = hf.insert(&bp, b"original").unwrap();
-        assert!(HeapFile::update(&bp, rid, b"changed!").unwrap());
+        let rid = hf.insert(&bp, b"original", unlogged).unwrap();
+        assert_eq!(hf.update(&bp, rid, b"changed!", unlogged).unwrap(), rid);
         assert_eq!(HeapFile::get(&bp, rid).unwrap().unwrap(), b"changed!");
-        let old = hf.delete(&bp, rid).unwrap();
+        let old = hf.delete(&bp, rid, unlogged).unwrap();
         assert_eq!(old, b"changed!");
         assert_eq!(HeapFile::get(&bp, rid).unwrap(), None);
         assert!(matches!(
-            hf.delete(&bp, rid),
+            hf.delete(&bp, rid, unlogged),
             Err(StorageError::RecordNotFound { .. })
         ));
         std::fs::remove_dir_all(&dir).ok();
@@ -323,13 +407,15 @@ mod tests {
         let (dir, bp) = setup("reuse");
         let mut hf = HeapFile::create(&bp).unwrap();
         let body = vec![1u8; 1000];
-        let rids: Vec<Rid> = (0..40).map(|_| hf.insert(&bp, &body).unwrap().0).collect();
+        let rids: Vec<Rid> = (0..40)
+            .map(|_| hf.insert(&bp, &body, unlogged).unwrap())
+            .collect();
         let pages_before = hf.page_count(&bp).unwrap();
         for rid in &rids {
-            hf.delete(&bp, *rid).unwrap();
+            hf.delete(&bp, *rid, unlogged).unwrap();
         }
         for _ in 0..40 {
-            hf.insert(&bp, &body).unwrap();
+            hf.insert(&bp, &body, unlogged).unwrap();
         }
         let pages_after = hf.page_count(&bp).unwrap();
         assert_eq!(pages_before, pages_after, "space should be reused");
@@ -342,7 +428,7 @@ mod tests {
         let mut hf = HeapFile::create(&bp).unwrap();
         let body = vec![9u8; 3000];
         for _ in 0..10 {
-            hf.insert(&bp, &body).unwrap();
+            hf.insert(&bp, &body, unlogged).unwrap();
         }
         let first = hf.first_page();
         let reopened = HeapFile::open(&bp, first).unwrap();

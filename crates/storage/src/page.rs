@@ -182,13 +182,28 @@ pub fn free_space(data: &[u8]) -> usize {
     fp.saturating_sub(dir_end)
 }
 
-/// True if a record of `len` bytes can be inserted (possibly after
-/// compaction).
-pub fn can_fit(data: &[u8], len: usize) -> bool {
+/// The slot an insert of a `len`-byte body takes on this page — the
+/// first tombstone, else a new directory entry — or `None` if the page
+/// cannot hold it even after compaction. Read-only: the insert itself
+/// is [`insert_record_at`] at the returned slot.
+pub fn free_slot(data: &[u8], len: usize) -> Option<u16> {
+    let n = slot_count(data);
     // A tombstoned slot can be reused without growing the directory.
-    let reuse = (0..slot_count(data)).any(|s| slot_at(data, s).0 == 0);
-    let need = len + if reuse { 0 } else { SLOT_SIZE };
-    total_free(data) >= need
+    let (slot, need) = match (0..n).find(|&s| slot_at(data, s).0 == 0) {
+        Some(s) => (s, len),
+        None if HEADER_SIZE + (n as usize + 1) * SLOT_SIZE <= PAGE_SIZE => (n, len + SLOT_SIZE),
+        None => return None, // garbage slot count: no room for a new entry
+    };
+    (len <= MAX_RECORD_SIZE && total_free(data) >= need).then_some(slot)
+}
+
+/// True if the record at `slot` can be replaced by a `len`-byte body on
+/// this page: the reclaimable space, counting the old body's, holds
+/// the new one. Read-only: the replacement itself is
+/// [`insert_record_at`] at the same slot.
+pub fn can_replace(data: &[u8], slot: u16, len: usize) -> bool {
+    len <= MAX_RECORD_SIZE
+        && get_record(data, slot).is_some_and(|old| total_free(data) + old.len() >= len)
 }
 
 /// Total reclaimable free space: the gap plus fragmented dead space.
@@ -234,37 +249,12 @@ pub fn compact(data: &mut [u8]) {
     set_free_ptr(data, fp as u16);
 }
 
-/// Inserts a record body, returning the slot index used. Returns `None` if
-/// the page cannot hold the record even after compaction.
-pub fn insert_record(data: &mut [u8], body: &[u8]) -> Option<u16> {
-    if body.len() > MAX_RECORD_SIZE || !can_fit(data, body.len()) {
-        return None;
-    }
-    let slot = match (0..slot_count(data)).find(|&s| slot_at(data, s).0 == 0) {
-        Some(s) => s,
-        None => {
-            let n = slot_count(data);
-            if HEADER_SIZE + (n as usize + 1) * SLOT_SIZE > PAGE_SIZE {
-                return None; // garbage slot count: no room for a new entry
-            }
-            // Growing the directory must not clobber a record body that
-            // sits just past it: compact first if the new entry would
-            // cross the free pointer (can_fit guarantees room exists).
-            if HEADER_SIZE + (n as usize + 1) * SLOT_SIZE > free_ptr(data) as usize {
-                compact(data);
-            }
-            set_slot_count(data, n + 1);
-            set_slot_at(data, n, 0, 0);
-            n
-        }
-    };
-    place_record(data, slot, body).then_some(slot)
-}
-
 /// Inserts a record body at a *specific* slot index, extending the slot
-/// directory with tombstones as necessary. Used by recovery redo so that
-/// record ids replay identically. Any existing record at the slot is
-/// replaced. Returns `false` if the page cannot hold the record.
+/// directory with tombstones as necessary. Any existing record at the
+/// slot is replaced. Heap changes place records here at the slot
+/// [`free_slot`] chose (or the one [`can_replace`] accepted), and
+/// recovery redo replays them here, so record ids replay identically.
+/// Returns `false` if the page cannot hold the record.
 pub fn insert_record_at(data: &mut [u8], slot: u16, body: &[u8]) -> bool {
     if body.len() > MAX_RECORD_SIZE {
         return false;
@@ -347,31 +337,6 @@ pub fn delete_record(data: &mut [u8], slot: u16) -> bool {
     true
 }
 
-/// Replaces the record at `slot` with a new body. Returns `false` if the
-/// slot is empty or the new body does not fit.
-pub fn update_record(data: &mut [u8], slot: u16, body: &[u8]) -> bool {
-    if slot >= slot_count(data) || body.len() > MAX_RECORD_SIZE {
-        return false;
-    }
-    let Some(range) = slot_range(data, slot) else {
-        return false; // tombstone, or a garbage range we must not touch
-    };
-    let (off, len) = slot_at(data, slot);
-    if body.len() <= range.len() {
-        // Shrink in place; the tail of the old body becomes dead space.
-        data[range.start..range.start + body.len()].copy_from_slice(body);
-        set_slot_at(data, slot, range.start as u16, body.len() as u16);
-        return true;
-    }
-    // Grow: tombstone then re-place, checking reclaimable space.
-    set_slot_at(data, slot, 0, 0);
-    if total_free(data) < body.len() {
-        set_slot_at(data, slot, off, len); // restore
-        return false;
-    }
-    place_record(data, slot, body)
-}
-
 /// Iterates over the occupied slots of a page.
 pub fn occupied_slots(data: &[u8]) -> impl Iterator<Item = u16> + '_ {
     (0..slot_count(data)).filter(move |&s| slot_at(data, s).0 != 0)
@@ -387,6 +352,23 @@ mod tests {
         d
     }
 
+    /// An insert as the heap makes one: the read-only slot choice, then
+    /// the placement there.
+    fn insert(d: &mut [u8], body: &[u8]) -> Option<u16> {
+        let slot = free_slot(d, body.len())?;
+        assert!(insert_record_at(d, slot, body), "chosen slot refused");
+        Some(slot)
+    }
+
+    /// An in-place update as the heap makes one: the read-only fit
+    /// check, then the placement at the same slot.
+    fn update(d: &mut [u8], slot: u16, body: &[u8]) -> bool {
+        can_replace(d, slot, body.len()) && {
+            assert!(insert_record_at(d, slot, body), "accepted update refused");
+            true
+        }
+    }
+
     #[test]
     fn format_and_type() {
         let d = fresh();
@@ -399,7 +381,7 @@ mod tests {
     #[test]
     fn insert_get_roundtrip() {
         let mut d = fresh();
-        let s = insert_record(&mut d, b"hello").unwrap();
+        let s = insert(&mut d, b"hello").unwrap();
         assert_eq!(get_record(&d, s), Some(&b"hello"[..]));
     }
 
@@ -407,7 +389,7 @@ mod tests {
     fn insert_many_distinct_slots() {
         let mut d = fresh();
         let slots: Vec<u16> = (0..100)
-            .map(|i| insert_record(&mut d, format!("record-{i}").as_bytes()).unwrap())
+            .map(|i| insert(&mut d, format!("record-{i}").as_bytes()).unwrap())
             .collect();
         for (i, s) in slots.iter().enumerate() {
             assert_eq!(
@@ -420,19 +402,19 @@ mod tests {
     #[test]
     fn delete_frees_slot_for_reuse() {
         let mut d = fresh();
-        let a = insert_record(&mut d, b"aaa").unwrap();
-        let _b = insert_record(&mut d, b"bbb").unwrap();
+        let a = insert(&mut d, b"aaa").unwrap();
+        let _b = insert(&mut d, b"bbb").unwrap();
         assert!(delete_record(&mut d, a));
         assert_eq!(get_record(&d, a), None);
-        let c = insert_record(&mut d, b"ccc").unwrap();
+        let c = insert(&mut d, b"ccc").unwrap();
         assert_eq!(c, a, "tombstoned slot should be reused");
     }
 
     #[test]
     fn delete_trailing_shrinks_directory() {
         let mut d = fresh();
-        let a = insert_record(&mut d, b"aaa").unwrap();
-        let b = insert_record(&mut d, b"bbb").unwrap();
+        let a = insert(&mut d, b"aaa").unwrap();
+        let b = insert(&mut d, b"bbb").unwrap();
         assert!(delete_record(&mut d, b));
         assert_eq!(slot_count(&d), 1);
         assert!(delete_record(&mut d, a));
@@ -442,10 +424,10 @@ mod tests {
     #[test]
     fn update_shrink_and_grow() {
         let mut d = fresh();
-        let s = insert_record(&mut d, b"a longer record body").unwrap();
-        assert!(update_record(&mut d, s, b"tiny"));
+        let s = insert(&mut d, b"a longer record body").unwrap();
+        assert!(update(&mut d, s, b"tiny"));
         assert_eq!(get_record(&d, s), Some(&b"tiny"[..]));
-        assert!(update_record(&mut d, s, b"now much longer than before!"));
+        assert!(update(&mut d, s, b"now much longer than before!"));
         assert_eq!(
             get_record(&d, s),
             Some(&b"now much longer than before!"[..])
@@ -457,12 +439,12 @@ mod tests {
         let mut d = fresh();
         let body = vec![7u8; 1000];
         let mut n = 0;
-        while insert_record(&mut d, &body).is_some() {
+        while insert(&mut d, &body).is_some() {
             n += 1;
         }
         assert!(n >= 7, "should fit at least 7 kB of records, fit {n}");
-        assert!(!can_fit(&d, 1000));
-        assert!(can_fit(&d, 8)); // small records still fit
+        assert!(free_slot(&d, 1000).is_none());
+        assert!(free_slot(&d, 8).is_some()); // small records still fit
     }
 
     #[test]
@@ -472,14 +454,14 @@ mod tests {
         // large record that only fits after compaction.
         let body = vec![7u8; 1000];
         let mut slots = vec![];
-        while let Some(s) = insert_record(&mut d, &body) {
+        while let Some(s) = insert(&mut d, &body) {
             slots.push(s);
         }
         for s in slots.iter().step_by(2) {
             delete_record(&mut d, *s);
         }
         let big = vec![9u8; 2500];
-        let s = insert_record(&mut d, &big).expect("fits after compaction");
+        let s = insert(&mut d, &big).expect("fits after compaction");
         assert_eq!(get_record(&d, s).unwrap(), &big[..]);
         // Survivors intact.
         for s in slots.iter().skip(1).step_by(2) {
@@ -504,8 +486,8 @@ mod tests {
     #[test]
     fn record_too_large_rejected() {
         let mut d = fresh();
-        assert!(insert_record(&mut d, &vec![0u8; MAX_RECORD_SIZE + 1]).is_none());
-        assert!(insert_record(&mut d, &vec![0u8; MAX_RECORD_SIZE]).is_some());
+        assert!(insert(&mut d, &vec![0u8; MAX_RECORD_SIZE + 1]).is_none());
+        assert!(insert(&mut d, &vec![0u8; MAX_RECORD_SIZE]).is_some());
     }
 
     #[test]
@@ -537,7 +519,7 @@ mod tests {
                 2 => {
                     // Valid page with its header bytes then scrambled.
                     format_page(&mut d, PageType::Heap);
-                    insert_record(&mut d, b"victim record").unwrap();
+                    insert(&mut d, b"victim record").unwrap();
                     let k = (next() % 13) as usize;
                     d[k] = next() as u8;
                 }
@@ -545,7 +527,7 @@ mod tests {
                     // Valid page with a torn tail of zeroes.
                     format_page(&mut d, PageType::Heap);
                     for i in 0..20 {
-                        insert_record(&mut d, format!("rec-{i}-{round}").as_bytes());
+                        insert(&mut d, format!("rec-{i}-{round}").as_bytes());
                     }
                     let cut = (next() % PAGE_SIZE as u64) as usize;
                     d[cut..].fill(0);
@@ -554,7 +536,8 @@ mod tests {
             let _ = page_type(&d);
             let _ = next_page(&d);
             let _ = free_space(&d);
-            let _ = can_fit(&d, 100);
+            let _ = free_slot(&d, 100);
+            let _ = can_replace(&d, 0, 100);
             for s in 0..slot_count(&d).min(512) {
                 let _ = get_record(&d, s);
             }
@@ -562,11 +545,15 @@ mod tests {
             let mut m = d.clone();
             compact(&mut m);
             let mut m = d.clone();
-            let _ = insert_record(&mut m, b"probe");
+            if let Some(slot) = free_slot(&m, 5) {
+                let _ = insert_record_at(&mut m, slot, b"probe");
+            }
             let mut m = d.clone();
             let _ = insert_record_at(&mut m, 9, b"probe");
             let mut m = d.clone();
-            let _ = update_record(&mut m, 0, b"probe");
+            if can_replace(&m, 0, 5) {
+                let _ = insert_record_at(&mut m, 0, b"probe");
+            }
             let mut m = d.clone();
             let _ = delete_record(&mut m, 0);
         }

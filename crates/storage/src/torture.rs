@@ -123,7 +123,7 @@ pub struct TortureReport {
 
 /// One transaction's net effect on visible rows, as `(table, body)`
 /// pairs. Bodies are unique across the whole workload, so sets suffice.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 struct Effects {
     added: Vec<(String, String)>,
     removed: Vec<(String, String)>,
@@ -131,11 +131,9 @@ struct Effects {
 
 /// The oracle the workload maintains while driving the engine. Public
 /// (with opaque internals) so harnesses outside this crate — the
-/// replication pair sweep, point-in-time-restore checks — can drive
-/// [`run_workload_with`] and hand the resulting oracle to
-/// [`verify_reopen`]. `Clone` lets them snapshot the oracle mid-run and
-/// verify a restore against the state as of that moment.
-#[derive(Debug, Default, Clone)]
+/// replication pair sweep — can drive [`run_workload_with`] and hand
+/// the resulting oracle to [`verify_reopen`].
+#[derive(Debug, Default)]
 pub struct Ledger {
     /// Tables whose `create_table` returned `Ok` (hence durably
     /// snapshotted — `create_table` syncs the catalog).
@@ -349,10 +347,9 @@ pub fn run_workload_with(
 
 /// Reopens `dir` with the plain file VFS and checks every invariant the
 /// ledger implies. Returns the reopen (recovery) latency in µs, or
-/// `None` if the reopen itself failed. Public so external harnesses
-/// (the replication pair sweep, restore verification) can point the
-/// same oracle at a different directory — a promoted replica, a
-/// point-in-time restore destination.
+/// `None` if the reopen itself failed. Public so an external harness
+/// (the replication pair sweep) can point the same oracle at a
+/// different directory — a promoted replica.
 pub fn verify_reopen(
     dir: &Path,
     pool_pages: usize,

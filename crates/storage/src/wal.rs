@@ -604,14 +604,8 @@ impl Wal {
     /// visible; callers wanting durable-only records additionally cap at
     /// the engine's synced watermark.
     pub fn read_from(&self, from_lsn: u64) -> Result<WalRangeIter> {
-        Self::read_dir_from(&self.dir, from_lsn)
-    }
-
-    /// As [`Wal::read_from`], over a database directory without an open
-    /// log handle (point-in-time restore reads a cold source this way).
-    pub fn read_dir_from(dir: &Path, from_lsn: u64) -> Result<WalRangeIter> {
         let mut segs: Vec<(u64, PathBuf)> = Vec::new();
-        let arch = dir.join("wal-archive");
+        let arch = self.dir.join("wal-archive");
         if arch.is_dir() {
             for entry in std::fs::read_dir(&arch)? {
                 let entry = entry?;
@@ -636,34 +630,13 @@ impl Wal {
             .map(|i| i.saturating_sub(1))
             .unwrap_or_else(|| segs.len().saturating_sub(1));
         let mut files: Vec<(u64, PathBuf)> = segs.split_off(keep_from.min(segs.len()));
-        files.push((read_u64_sidecar(&dir.join("wal.base")), dir.join("wal.log")));
+        let base = read_u64_sidecar(&self.dir.join("wal.base"));
+        files.push((base, self.dir.join("wal.log")));
         Ok(WalRangeIter {
             files: files.into_iter(),
             current: Vec::new().into_iter(),
             cursor: from_lsn,
         })
-    }
-
-    /// Writes `records` as a fresh framed `wal.log` in `dir`, with its
-    /// `wal.base` sidecar set to `base_lsn`, and fsyncs both.
-    /// Point-in-time restore synthesizes a destination log from archived
-    /// history with this; `base_lsn` must be the sequence number of the
-    /// first record (histories that start at a snapshot seed begin above
-    /// zero).
-    pub fn write_log(dir: &Path, base_lsn: u64, records: &[WalRecord]) -> Result<()> {
-        write_u64_sidecar(&dir.join("wal.base"), base_lsn)?;
-        let mut buf = Vec::new();
-        for rec in records {
-            let mut payload = Vec::with_capacity(64);
-            rec.encode(&mut payload);
-            buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            buf.extend_from_slice(&checksum(&payload).to_le_bytes());
-            buf.extend_from_slice(&payload);
-        }
-        let path = dir.join("wal.log");
-        std::fs::write(&path, &buf)?;
-        File::open(&path)?.sync_all()?;
-        Ok(())
     }
 
     /// Reads every valid record from the start of the log. Stops cleanly at
@@ -897,14 +870,14 @@ mod tests {
         };
         corrupt_at_1(Wal::replay(&dir).map(drop));
         corrupt_at_1(Wal::open(&dir).map(drop));
-        let mut read = Wal::read_dir_from(&dir, 0).unwrap();
-        corrupt_at_1(read.next().unwrap().map(drop));
-        assert!(read.next().is_none(), "the error ends the iteration");
-        // Archive rotation reads the frames it copies: open counts the
-        // log before the bad frame lands, then rotate.
+        // A handle opened before the bad frame lands reads up to it, and
+        // archive rotation reads the frames it copies.
         std::fs::write(dir.join("wal.log"), &bytes[..bytes.len() - frame.len()]).unwrap();
         let mut wal = Wal::open(&dir).unwrap();
         std::fs::write(dir.join("wal.log"), &bytes).unwrap();
+        let mut read = wal.read_from(0).unwrap();
+        corrupt_at_1(read.next().unwrap().map(drop));
+        assert!(read.next().is_none(), "the error ends the iteration");
         wal.next_lsn += 1;
         corrupt_at_1(wal.truncate());
         std::fs::remove_dir_all(&dir).ok();

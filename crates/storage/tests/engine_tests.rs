@@ -849,7 +849,8 @@ fn same_thread_reentry_fails_typed() {
 
 /// The transaction-id floor persists across restarts — including crash
 /// restarts — so an id never names two transactions in one directory's
-/// history (PITR concatenates archive segments from every incarnation).
+/// history (a replica that buffers a crashed primary's open transaction
+/// by id must never see a later transaction reuse it).
 #[test]
 fn txn_ids_never_recycle_across_reopen() {
     let dir = tmpdir("floor");
@@ -962,6 +963,56 @@ fn inserts_fill_holes_without_walking_the_chain() {
     let eng = StorageEngine::open_with_capacity(&dir, 32).unwrap();
     let t = eng.table_id("library").unwrap();
     fill(&eng, t);
+    drop(eng);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An in-place update and a delete each visit their page once: the one
+/// visit reads the old body, logs the change and makes it.
+#[test]
+fn updates_and_deletes_visit_their_page_once() {
+    const N: usize = 500;
+    let dir = tmpdir("one-visit");
+    let visits = |eng: &StorageEngine| {
+        let snap = eng.metrics_snapshot();
+        snap.counter("mdm_pool_hits_total").unwrap()
+            + snap.counter("mdm_pool_misses_total").unwrap()
+    };
+    let eng = StorageEngine::open_with_capacity(&dir, 64).unwrap();
+    let t = eng.create_table("library").unwrap();
+    let mut txn = eng.begin().unwrap();
+    let rids: Vec<Rid> = (0..N)
+        .map(|i| {
+            eng.insert(&mut txn, t, format!("row {i:05}").as_bytes())
+                .unwrap()
+        })
+        .collect();
+    eng.commit(txn).unwrap();
+
+    let before = visits(&eng);
+    let mut txn = eng.begin().unwrap();
+    for (i, &rid) in rids.iter().enumerate() {
+        let body = format!("ROW {i:05}");
+        assert_eq!(eng.update(&mut txn, t, rid, body.as_bytes()).unwrap(), rid);
+    }
+    eng.commit(txn).unwrap();
+    let cost = visits(&eng) - before;
+    assert!(
+        cost <= N as u64,
+        "{N} same-size updates visited {cost} pages"
+    );
+
+    let before = visits(&eng);
+    let mut txn = eng.begin().unwrap();
+    for (i, &rid) in rids.iter().enumerate() {
+        assert_eq!(
+            eng.delete(&mut txn, t, rid).unwrap(),
+            format!("ROW {i:05}").as_bytes()
+        );
+    }
+    eng.commit(txn).unwrap();
+    let cost = visits(&eng) - before;
+    assert!(cost <= N as u64, "{N} deletes visited {cost} pages");
     drop(eng);
     std::fs::remove_dir_all(&dir).ok();
 }

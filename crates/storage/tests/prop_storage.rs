@@ -5,7 +5,8 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 
-use mdm_storage::{BufferPool, HeapFile, Rid, Wal, WalRecord};
+use mdm_storage::heap::Change;
+use mdm_storage::{BufferPool, HeapFile, Result, Rid, Wal, WalRecord};
 
 fn tmpdir(tag: &str) -> std::path::PathBuf {
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -17,6 +18,11 @@ fn tmpdir(tag: &str) -> std::path::PathBuf {
     ));
     std::fs::remove_dir_all(&d).ok();
     d
+}
+
+/// The heap's logger for a pool with no log behind it.
+fn unlogged(_: Change<'_>) -> Result<u64> {
+    Ok(0)
 }
 
 #[derive(Debug, Clone)]
@@ -50,32 +56,26 @@ proptest! {
         for op in ops {
             match op {
                 HeapOp::Insert(body) => {
-                    let (rid, _) = heap.insert(&pool, &body).unwrap();
+                    let rid = heap.insert(&pool, &body, unlogged).unwrap();
                     prop_assert!(model.insert(rid, body).is_none(), "rid reused while live");
                     live.push(rid);
                 }
                 HeapOp::Update(i, body) => {
                     if !live.is_empty() {
-                        let rid = live[i % live.len()];
-                        let in_place = HeapFile::update(&pool, rid, &body).unwrap();
-                        if in_place {
-                            model.insert(rid, body);
-                        } else {
-                            // Page-full: engine-level code would relocate;
-                            // here the record is unchanged.
-                            let current = HeapFile::get(&pool, rid).unwrap();
-                            prop_assert_eq!(
-                                current.as_deref(),
-                                model.get(&rid).map(Vec::as_slice)
-                            );
-                        }
+                        let idx = i % live.len();
+                        let rid = live[idx];
+                        let new_rid = heap.update(&pool, rid, &body, unlogged).unwrap();
+                        // A body that no longer fits its page moves.
+                        prop_assert!(model.remove(&rid).is_some());
+                        prop_assert!(model.insert(new_rid, body).is_none(), "rid reused while live");
+                        live[idx] = new_rid;
                     }
                 }
                 HeapOp::Delete(i) => {
                     if !live.is_empty() {
                         let idx = i % live.len();
                         let rid = live.swap_remove(idx);
-                        let old = heap.delete(&pool, rid).unwrap();
+                        let old = heap.delete(&pool, rid, unlogged).unwrap();
                         prop_assert_eq!(Some(old), model.remove(&rid));
                     }
                 }

@@ -255,10 +255,9 @@ fn failed_flush_barrier_keeps_the_dirty_frame() {
     // Dirty p1 under the WAL protocol so eviction must hit the barrier.
     pool.with_page_mut_logged(p1, |data| {
         data[0] = 0xAB;
-        ((), true)
+        Ok(((), Some(7)))
     })
     .unwrap();
-    pool.publish_lsn(p1, 7);
 
     // Fill the pool with a second dirty page (eviction is clean-first,
     // so a clean p2 would go instead) and force an eviction; the
