@@ -76,8 +76,8 @@ fn stats_informed_estimates_track_skewed_attributes() {
     assert_eq!(actual, 100);
     assert_eq!(ex.vars[0].path, "index-eq(genre)");
     assert_eq!(
-        ex.vars[0].stats, "live=1000 distinct=10 est=100",
-        "EXPLAIN names the statistics behind the estimate"
+        ex.vars[0].stats, "live=1000 distinct=10 est=100 matched=100",
+        "EXPLAIN names the statistics behind the estimate, then the match"
     );
     let est = stats_estimate(&ex.vars[0].stats).expect("estimate");
     let population = 1000u64;

@@ -10,15 +10,18 @@
 //!
 //! A small cost-aware planner shapes the loop (see `Plan::order_join`):
 //! equality and inequality conjuncts over indexed attributes become index
-//! probes and index range scans, and a variable that a `before` / `after`
-//! / `under` clause connects to a peer bound further out reads its
-//! candidates straight out of the ordering at each of the peer's bindings.
+//! probes and index range scans, a variable that a `before` / `after` /
+//! `under` clause connects to a peer bound further out reads its
+//! candidates straight out of the ordering at each of the peer's
+//! bindings, and a scanned variable's `attr OP constant` conjuncts are
+//! decided in one pass over its domain (see `Plan::select`).
 //! Rows come back in one canonical order whatever the loop order. The
 //! resulting access paths are reported through [`PlanExplain`] (the
 //! `\plan` EXPLAIN output).
 
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::ops::Bound;
@@ -26,7 +29,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mdm_model::encode::encode_value;
-use mdm_model::{Database, EntityId, OrderingId, RelTypeId, TypeId, Value};
+use mdm_model::{Database, EntityId, EntityTypeDef, OrderingId, RelTypeId, TypeId, Value};
 use mdm_obs::{
     trace, Counter, Histogram, Monitor, PathMix, Registry, StatementStore, LATENCY_MICROS_BOUNDS,
 };
@@ -92,7 +95,8 @@ impl QuelMetrics {
             rows_scanned: registry.counter(
                 "mdm_quel_rows_scanned_total",
                 "tuples fetched from the instance store by the executor \
-                 (a tuple counts once each time its variable is bound)",
+                 (a tuple counts once each time its variable is bound, \
+                 or once when a selection pass reads it)",
             ),
             rows_returned: registry.counter(
                 "mdm_quel_rows_returned_total",
@@ -184,7 +188,8 @@ struct VarTally {
     /// system-entity variables, whose fetches are rows scanned but no
     /// table's heap fetches.
     ty: Option<TypeId>,
-    /// Tuples fetched: at most one each time the variable is bound.
+    /// Tuples fetched: at most one each time the variable is bound, or
+    /// one per tuple the selection pass read.
     fetched: u64,
     /// Whether the variable's current binding has fetched its tuple.
     seen: bool,
@@ -698,6 +703,7 @@ impl Session {
         }
         plan.restrict_domains(db, &conjuncts);
         plan.order_join(db, conjuncts);
+        plan.select(db)?;
         Ok(plan)
     }
 
@@ -1037,6 +1043,13 @@ struct Restriction {
     /// Which stored statistics informed this variable's cost estimate
     /// (EXPLAIN annotation); empty when no statistics were consulted.
     stats: String,
+    /// How many ids the selection pass, or else the range probe that
+    /// informed `stats`, let through (EXPLAIN's `matched=`).
+    matched: Option<usize>,
+    /// The size of the domain the selection pass read, when one ran:
+    /// EXPLAIN's estimate. The pass fetched every tuple it read, so
+    /// binding a survivor fetches nothing more.
+    read: Option<usize>,
 }
 
 impl Restriction {
@@ -1194,7 +1207,7 @@ struct Plan<'q> {
     levels: Vec<Level>,
     /// `conjuncts[k]`: the top-level conjuncts evaluated once `k` levels
     /// are bound, each at the level that binds the last variable it
-    /// mentions.
+    /// mentions; the selections `select` decided are no longer here.
     conjuncts: Vec<Vec<&'q Expr>>,
 }
 
@@ -1235,6 +1248,8 @@ impl<'q> Plan<'q> {
                 ids: virt.as_ref().map(|v| (0..v.rows.len() as u64).collect()),
                 path: AccessPath::Scan,
                 stats: String::new(),
+                matched: None,
+                read: None,
             })
             .collect();
         // Pass 1: equality probes, cost-ordered by the stored statistics.
@@ -1256,18 +1271,8 @@ impl<'q> Plan<'q> {
         }
         let mut eqs: Vec<EqProbe> = Vec::new();
         for c in conjuncts {
-            let Expr::Bin {
-                op: BinOp::Eq,
-                lhs,
-                rhs,
-            } = c
-            else {
+            let Some((var, attr, BinOp::Eq, value)) = attr_vs_literal(c) else {
                 continue;
-            };
-            let (var, attr, value) = match (&**lhs, &**rhs) {
-                (Expr::Attr { var, attr }, Expr::Const(v))
-                | (Expr::Const(v), Expr::Attr { var, attr }) => (var, attr, v),
-                _ => continue,
             };
             let Some((i, ty, attr_idx)) = self.sargable(db, var, attr) else {
                 continue;
@@ -1300,31 +1305,20 @@ impl<'q> Plan<'q> {
         }
         // Pass 2: range probes.
         for c in conjuncts {
-            let Expr::Bin { op, lhs, rhs } = c else {
+            let Some((var, attr, op, value)) = attr_vs_literal(c) else {
                 continue;
             };
-            // Normalize to `attr OP const`; flipping the operands flips
-            // the comparison.
-            let (var, attr, value, op) = match (&**lhs, &**rhs) {
-                (Expr::Attr { var, attr }, Expr::Const(v)) => (var, attr, v, *op),
-                (Expr::Const(v), Expr::Attr { var, attr }) => (
-                    var,
-                    attr,
-                    v,
-                    match op {
-                        BinOp::Lt => BinOp::Gt,
-                        BinOp::Le => BinOp::Ge,
-                        BinOp::Gt => BinOp::Lt,
-                        BinOp::Ge => BinOp::Le,
-                        other => *other,
-                    },
-                ),
-                _ => continue,
+            // Index keys fold integers at or beyond ±2⁵³ onto one `f64`,
+            // so excluding such a bound's key could drop a row truly
+            // beyond it: that bound is taken in and the conjunct decides.
+            let strict = match value {
+                Value::Integer(i) if i.unsigned_abs() >= 1 << 53 => Bound::Included(value),
+                _ => Bound::Excluded(value),
             };
             let (lo, hi) = match op {
-                BinOp::Lt => (Bound::Unbounded, Bound::Excluded(value)),
+                BinOp::Lt => (Bound::Unbounded, strict),
                 BinOp::Le => (Bound::Unbounded, Bound::Included(value)),
-                BinOp::Gt => (Bound::Excluded(value), Bound::Unbounded),
+                BinOp::Gt => (strict, Bound::Unbounded),
                 BinOp::Ge => (Bound::Included(value), Bound::Unbounded),
                 _ => continue,
             };
@@ -1335,8 +1329,8 @@ impl<'q> Plan<'q> {
                 let matched = hits.len();
                 out[i].restrict(hits, AccessPath::IndexRange(attr.clone()));
                 if out[i].stats.is_empty() {
-                    let live = db.stats().table(ty).live;
-                    out[i].stats = format!("live={live} matched={matched}");
+                    out[i].stats = format!("live={}", db.stats().table(ty).live);
+                    out[i].matched = Some(matched);
                 }
             }
         }
@@ -1432,6 +1426,57 @@ impl<'q> Plan<'q> {
         }
     }
 
+    /// The planner's third static step, run once the join order is
+    /// fixed: a level that binds an entity variable from its static
+    /// domain decides the variable's `v.attr OP literal` conjuncts (see
+    /// [`Selection`]) in one pass over that domain, in id order, each
+    /// tuple fetched once and counted toward the variable's fetches. The
+    /// survivors become the domain and the conjuncts leave the loop.
+    /// Derived levels keep theirs: filtering a whole type to feed a
+    /// handful of candidates per outer binding would cost more than it
+    /// saves. An empty domain anywhere ends the step, as nothing binds.
+    fn select(&mut self, db: &Database) -> Result<()> {
+        for k in 0..self.levels.len() {
+            if (0..self.vars.len()).any(|i| self.domain(db, i).is_empty()) {
+                break;
+            }
+            let var = self.levels[k].var;
+            let RangeTarget::Entity(ty) = self.targets[var] else {
+                continue;
+            };
+            if !self.levels[k].derive.is_empty() {
+                continue;
+            }
+            let def = db.schema().entity_type(ty)?;
+            let mut tests = Vec::new();
+            self.conjuncts[k + 1].retain(|c| match Selection::of(c, &self.vars[var], def) {
+                Some(t) => {
+                    tests.push(t);
+                    false
+                }
+                None => true,
+            });
+            if tests.is_empty() {
+                continue;
+            }
+            let domain = self.domain(db, var);
+            let mut kept = Vec::new();
+            for &id in domain {
+                let attrs = &db.store().entity(id)?.attrs;
+                if tests.iter().all(|t| t.holds(attrs)) {
+                    kept.push(id);
+                }
+            }
+            let read = domain.len();
+            self.tally.vars.borrow_mut()[var].fetched += read as u64;
+            let r = &mut self.domains[var];
+            r.read = Some(read);
+            r.matched = Some(kept.len());
+            r.ids = Some(kept);
+        }
+        Ok(())
+    }
+
     /// Variable `i`'s static domain, ascending by id.
     fn domain<'d>(&'d self, db: &'d Database, i: usize) -> &'d [u64] {
         match (&self.domains[i].ids, self.targets[i]) {
@@ -1496,18 +1541,24 @@ impl<'q> Plan<'q> {
                     RangeTarget::Virtual(ve) => ve.name().to_string(),
                 };
                 let estimated = if level.derive.is_empty() {
-                    self.domain(db, i).len()
+                    (self.domains[i].read).unwrap_or_else(|| self.domain(db, i).len())
                 } else {
                     let (total, times) = level.derived.get();
                     total.checked_div(times).unwrap_or(0) as usize
                 };
                 estimated_rows = estimated_rows.saturating_mul(estimated as u64);
+                let r = &self.domains[i];
+                let stats = match (r.stats.as_str(), r.matched) {
+                    (s, None) => s.to_string(),
+                    ("", Some(m)) => format!("matched={m}"),
+                    (s, Some(m)) => format!("{s} matched={m}"),
+                };
                 VarPlan {
                     var: self.vars[i].clone(),
                     target,
-                    path: self.domains[i].path.label(),
+                    path: r.path.label(),
                     estimated,
-                    stats: self.domains[i].stats.clone(),
+                    stats,
                 }
             })
             .collect();
@@ -1586,13 +1637,85 @@ impl<'q> Plan<'q> {
         let Some(level) = self.levels.get(k) else {
             return emit(db, binding);
         };
+        // A tuple the selection pass read is already counted.
+        let counted = self.domains[level.var].read.is_some();
         for &id in self.candidates(db, level, binding).iter() {
             binding[level.var] = id;
-            self.tally.vars.borrow_mut()[level.var].seen = false;
+            self.tally.vars.borrow_mut()[level.var].seen = counted;
             self.descend(db, k + 1, binding, emit)?;
         }
         Ok(())
     }
+}
+
+/// A top-level `v.attr OP literal` or `literal OP v.attr` conjunct, OP
+/// one of the six comparisons and `attr` declared by `v`'s entity type:
+/// the conjuncts the selection pass decides. Such a conjunct cannot
+/// raise an error, so deciding it before the loop changes no answer.
+struct Selection<'q> {
+    /// The attribute's position in the type's attribute list.
+    slot: usize,
+    /// `OP` with the attribute on the left.
+    test: fn(Ordering) -> bool,
+    literal: &'q Value,
+}
+
+impl<'q> Selection<'q> {
+    fn of(c: &'q Expr, var: &str, def: &EntityTypeDef) -> Option<Selection<'q>> {
+        let (v, attr, op, literal) = attr_vs_literal(c)?;
+        if v != var {
+            return None;
+        }
+        Some(Selection {
+            slot: def.attribute_index(attr)?,
+            test: comparison(op)?,
+            literal,
+        })
+    }
+
+    /// Whether the conjunct holds for a tuple with these attributes.
+    fn holds(&self, attrs: &[Value]) -> bool {
+        (self.test)(attrs[self.slot].total_cmp(self.literal))
+    }
+}
+
+/// A comparison of an attribute with a literal, in either orientation,
+/// as `(var, attr, OP, literal)` with the attribute on the left:
+/// `literal OP var.attr` comes back with OP mirrored, which
+/// [`Value::total_cmp`]'s antisymmetry makes the same test.
+fn attr_vs_literal(c: &Expr) -> Option<(&String, &String, BinOp, &Value)> {
+    let Expr::Bin { op, lhs, rhs } = c else {
+        return None;
+    };
+    comparison(*op)?;
+    match (&**lhs, &**rhs) {
+        (Expr::Attr { var, attr }, Expr::Const(v)) => Some((var, attr, *op, v)),
+        (Expr::Const(v), Expr::Attr { var, attr }) => {
+            let mirrored = match op {
+                BinOp::Lt => BinOp::Gt,
+                BinOp::Le => BinOp::Ge,
+                BinOp::Gt => BinOp::Lt,
+                BinOp::Ge => BinOp::Le,
+                other => *other,
+            };
+            Some((var, attr, mirrored, v))
+        }
+        _ => None,
+    }
+}
+
+/// The six comparison operators, as tests on `l.total_cmp(r)` for
+/// `l OP r`; `None` for any other operator.
+fn comparison(op: BinOp) -> Option<fn(Ordering) -> bool> {
+    Some(match op {
+        BinOp::Eq => Ordering::is_eq,
+        BinOp::Ne => Ordering::is_ne,
+        BinOp::Lt => Ordering::is_lt,
+        BinOp::Le => Ordering::is_le,
+        BinOp::Gt => Ordering::is_gt,
+        BinOp::Ge => Ordering::is_ge,
+        _ => return None,
+    })
 }
 
 /// One ordering clause worth a span: `(span name, lhs, rhs, ordering)`.
@@ -2076,15 +2199,9 @@ fn eval(db: &Database, plan: &Plan, binding: &[u64], e: &Expr) -> Result<Value> 
             }
             let l = eval(db, plan, binding, lhs)?;
             let r = eval(db, plan, binding, rhs)?;
-            match op {
-                BinOp::Eq => Ok(Value::Boolean(l.total_cmp(&r).is_eq())),
-                BinOp::Ne => Ok(Value::Boolean(!l.total_cmp(&r).is_eq())),
-                BinOp::Lt => Ok(Value::Boolean(l.total_cmp(&r).is_lt())),
-                BinOp::Le => Ok(Value::Boolean(l.total_cmp(&r).is_le())),
-                BinOp::Gt => Ok(Value::Boolean(l.total_cmp(&r).is_gt())),
-                BinOp::Ge => Ok(Value::Boolean(l.total_cmp(&r).is_ge())),
-                BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => arith(*op, l, r),
-                BinOp::And | BinOp::Or => unreachable!("handled above"),
+            match comparison(*op) {
+                Some(test) => Ok(Value::Boolean(test(l.total_cmp(&r)))),
+                None => arith(*op, l, r),
             }
         }
     }

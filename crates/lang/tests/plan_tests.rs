@@ -132,6 +132,119 @@ fn explain_without_index_reports_scan() {
 }
 
 #[test]
+fn selection_pass_reads_a_scanned_level_once() {
+    let mut s = Session::new();
+    let db = score_db(&mut s);
+    // c (40 chords) binds outside n (160 notes). Each pass reads its
+    // whole domain once: 40 + 160 = 200 tuples. Binding a survivor reads
+    // nothing more, so the 3 × 10 rows add none. Filtered per binding
+    // instead, the loop would read 40 chords and then the 160 notes
+    // under each of the 3 surviving chords: 40 + 3 × 160 = 520.
+    let q = "range of c is CHORD\nrange of n is NOTE\n\
+             retrieve (c.name, n.name) where c.name < 3 and n.name >= 150";
+    let (ex, table) = s.explain(&db, q).unwrap();
+    assert_eq!(table.len(), 30);
+    assert_eq!(ex.rows_scanned, 200);
+    let plan: Vec<_> = (ex.vars.iter())
+        .map(|v| {
+            (
+                v.var.as_str(),
+                v.path.as_str(),
+                v.estimated,
+                v.stats.as_str(),
+            )
+        })
+        .collect();
+    assert_eq!(
+        plan,
+        [
+            ("c", "scan", 40, "matched=3"),
+            ("n", "scan", 160, "matched=10")
+        ]
+    );
+    assert_eq!(ex.estimated_rows, 40 * 160);
+    assert!(ex.to_string().contains("[matched=10]"), "{ex}");
+
+    // An outer level the pass cannot decide still binds 40 times, and
+    // the filtered inner level is still read once: 40 + 160 = 200.
+    let q = "range of c is CHORD\nrange of n is NOTE\n\
+             retrieve (c.name, n.name) where c.name + 0 < 3 and n.name >= 150";
+    let (ex, table) = s.explain(&db, q).unwrap();
+    assert_eq!(table.len(), 30);
+    assert_eq!(ex.rows_scanned, 200);
+    assert_eq!(ex.vars[0].stats, "", "`c.name + 0` is no selection");
+
+    // `not not (…)` is no selection either: 160 notes bound and read.
+    let (ex, table) = s
+        .explain(
+            &db,
+            "range of n is NOTE\nretrieve (n.name) where not not (n.name >= 150)",
+        )
+        .unwrap();
+    assert_eq!(table.len(), 10);
+    assert_eq!((ex.vars[0].stats.as_str(), ex.rows_scanned), ("", 160));
+
+    // An empty filtered domain short-circuits: the notes are never read.
+    let (ex, table) = s
+        .explain(
+            &db,
+            "range of c is CHORD\nrange of n is NOTE\n\
+             retrieve (n.name) where c.name > 99 and n.name >= 150",
+        )
+        .unwrap();
+    assert!(table.is_empty());
+    assert_eq!(ex.vars[0].stats, "matched=0");
+    assert_eq!(ex.rows_scanned, 40);
+}
+
+#[test]
+fn range_probe_keeps_integers_beyond_two_to_the_53() {
+    // 2⁵³ and 2⁵³ + 1 share one index key (both encode as the same f64),
+    // but compare as distinct integers.
+    let conjuncts = [
+        "n.k > 9007199254740992",
+        "n.k >= 9007199254740993",
+        "n.k < 9007199254740993",
+        "n.k <= 9007199254740992",
+        "9007199254740992 < n.k",
+        "n.k = 9007199254740993",
+    ];
+    let mut s = Session::new();
+    let mut db = Database::new();
+    s.execute(
+        &mut db,
+        "define entity N (k = integer)\n\
+         append to N (k = 9007199254740992)\n\
+         append to N (k = 9007199254740993)\n\
+         range of n is N",
+    )
+    .unwrap();
+    let run = |s: &mut Session, db: &mut Database, q: &str| rows(s.execute(db, q).unwrap());
+    let mut scanned = Vec::new();
+    for c in conjuncts {
+        let filtered = run(
+            &mut s,
+            &mut db,
+            &format!("retrieve (n.k) where not not ({c})"),
+        );
+        let scan = run(&mut s, &mut db, &format!("retrieve (n.k) where {c}"));
+        assert_eq!(scan, filtered, "{c}");
+        assert!(!scan.is_empty(), "{c}");
+        scanned.push(scan);
+    }
+    s.execute(&mut db, "define index n_k on N (k)").unwrap();
+    for (c, scan) in conjuncts.iter().zip(&scanned) {
+        let q = format!("retrieve (n.k) where {c}");
+        assert_eq!(&run(&mut s, &mut db, &q), scan, "{c} [indexed]");
+    }
+    let (ex, table) = s
+        .explain(&db, "retrieve (n.k) where n.k > 9007199254740992")
+        .unwrap();
+    assert_eq!(ex.vars[0].path, "index-range(k)");
+    assert_eq!(table.rows, [[Value::Integer(9007199254740993)]]);
+}
+
+#[test]
 fn explain_rejects_mutations() {
     let mut s = Session::new();
     let db = score_db(&mut s);
@@ -229,7 +342,8 @@ fn destroyed_index_falls_back_to_scan() {
 /// A small CMN-shaped database: 2 scores × 2 movements × 4 measures × 4
 /// syncs, and one voice per movement whose content interleaves CHORDs
 /// and RESTs — an ordering whose children span two entity types. Only
-/// the catalogue is indexed, as in the benchmark's analysis corpus.
+/// the catalogue is indexed, as in the benchmark's analysis corpus. A
+/// score's first movement is named "I"; its second has a null name.
 fn cmn_db(s: &mut Session) -> Database {
     let mut db = Database::new();
     s.execute(
@@ -258,7 +372,12 @@ fn cmn_db(s: &mut Session) -> Database {
             )
             .unwrap();
         for mv in 0..2i64 {
-            let movement = db.create_entity("MOVEMENT", &[]).unwrap();
+            // The second movement's name stays null.
+            let name: &[(&str, Value)] = match mv {
+                0 => &[("name", Value::String("I".into()))],
+                _ => &[],
+            };
+            let movement = db.create_entity("MOVEMENT", name).unwrap();
             db.ord_append("movement_in_score", Some(score), movement)
                 .unwrap();
             let voice = db.create_entity("VOICE", &[]).unwrap();
@@ -468,6 +587,54 @@ fn planned_rows_equal_the_filtered_product() {
                 "b under m in measure_in_movement",
             ],
         ),
+        // `attr OP literal` on a scanned variable: the selection pass.
+        // All six operators in both orientations (start_num runs 0..=10
+        // and is never indexed).
+        ("retrieve (x.start_num)", &["x.start_num = 4"]),
+        ("retrieve (x.start_num)", &["4 = x.start_num"]),
+        ("retrieve (x.start_num)", &["x.start_num != 4"]),
+        ("retrieve (x.start_num)", &["4 != x.start_num"]),
+        ("retrieve (x.start_num)", &["x.start_num < 4"]),
+        ("retrieve (x.start_num)", &["4 < x.start_num"]),
+        ("retrieve (x.start_num)", &["x.start_num <= 4"]),
+        ("retrieve (x.start_num)", &["4 <= x.start_num"]),
+        ("retrieve (x.start_num)", &["x.start_num > 4"]),
+        ("retrieve (x.start_num)", &["4 > x.start_num"]),
+        ("retrieve (x.start_num)", &["x.start_num >= 4"]),
+        ("retrieve (x.start_num)", &["4 >= x.start_num"]),
+        // Null names order below every string and number.
+        ("retrieve (m.name)", &["m.name = \"I\""]),
+        ("retrieve (m.name)", &["m.name != \"I\""]),
+        ("retrieve (m.name)", &["m.name < \"II\""]),
+        ("retrieve (m.name)", &["0 < m.name"]),
+        // An integer attribute against a float literal, probed or not.
+        ("retrieve (x.number)", &["x.number = 2.0"]),
+        ("retrieve (x.start_num)", &["x.start_num < 4.5"]),
+        (
+            "retrieve (x.number)",
+            &["2.5 <= x.number", "x.number < 3.5"],
+        ),
+        // String attributes, several conjuncts on one variable.
+        ("retrieve (c.base)", &["c.base >= \"b3\""]),
+        (
+            "retrieve (r.base, r.dots)",
+            &["r.base < \"b4\"", "r.dots = 1", "\"b1\" < r.base"],
+        ),
+        // A two-variable product: the inner level is scanned, not
+        // derived, and filtered once.
+        (
+            "retrieve (a.number, b.start_num)",
+            &["a.number <= 2", "b.start_num > 8"],
+        ),
+        (
+            "retrieve (y.time_num, x.number)",
+            &["x.start_num = 4", "y.time_num = 3"],
+        ),
+        // Filtered outer level, derived inner level.
+        (
+            "retrieve (x.number, y.time_num)",
+            &["y under x in sync_in_measure", "x.start_num >= 9"],
+        ),
     ];
     let mutations: &[(&str, &[&str])] = &[
         // Every measure gets the time of its last sync in canonical order.
@@ -489,6 +656,14 @@ fn planned_rows_equal_the_filtered_product() {
             &["y under x in sync_in_measure", "x.number = 3"],
         ),
         ("delete r", &["r after c in voice_content", "c.dots = 1"]),
+        // Through the selection pass.
+        ("replace x (start_den = 8)", &["x.start_num >= 6"]),
+        (
+            "replace a (start_den = b.number)",
+            &["a.start_num = 4", "b.number > 3"],
+        ),
+        ("delete c", &["c.base < \"b2\""]),
+        ("delete m", &["m.name != \"I\""]),
     ];
     for indexes in [
         "",

@@ -195,11 +195,17 @@ fn explain_annotates_statistics_informed_estimates() {
         )
         .unwrap();
     assert_eq!(ex.vars[0].path, "index-eq(born)");
+    // Two of the three were born in 1685: the estimate, then what the
+    // selection pass matched.
     assert_eq!(
-        ex.vars[0].stats, "live=3 distinct=2 est=1",
+        ex.vars[0].stats, "live=3 distinct=2 est=1 matched=2",
         "EXPLAIN names the statistics that informed the estimate"
     );
-    assert!(ex.to_string().contains("[live=3 distinct=2 est=1]"), "{ex}");
+    assert!(
+        ex.to_string()
+            .contains("[live=3 distinct=2 est=1 matched=2]"),
+        "{ex}"
+    );
     // Unindexed plans carry no stats annotation.
     let (ex, _) = s
         .explain(&db, "range of p is PERSON retrieve (p.name)")
@@ -241,7 +247,7 @@ fn explain_prefers_the_more_selective_index() {
         ex.vars[0].path, "index-eq(pos)",
         "the statistics pick the more selective probe first: {ex}"
     );
-    assert_eq!(ex.vars[0].stats, "live=20 distinct=10 est=2");
+    assert_eq!(ex.vars[0].stats, "live=20 distinct=10 est=2 matched=1");
     assert_eq!(ex.vars[0].estimated, 1, "both probes still intersect");
 }
 

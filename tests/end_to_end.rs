@@ -193,6 +193,44 @@ fn quel_ordering_operators_over_stored_music() {
 }
 
 #[test]
+fn pitch_range_scan_agrees_with_its_index_across_a_reopen() {
+    // The analysis client's pitch-range query: filtered by one pass over
+    // the notes, then through an index range probe, then after a reopen
+    // that rebuilds the index. Same rows, same order.
+    let dir = tmpdir("pitch-range");
+    let q = "range of n is NOTE\n\
+             retrieve (n.midi_key, n.octave) where n.midi_key >= 67";
+    let mut mdm = MusicDataManager::open(&dir).unwrap();
+    mdm.store_score(&bwv578_subject()).unwrap();
+    let notes = mdm
+        .query("range of n is NOTE\nretrieve (n.midi_key)")
+        .unwrap();
+    let (plan, scanned) = mdm.explain(q).unwrap();
+    assert_eq!(plan.vars[0].path, "scan");
+    assert!(
+        !scanned.is_empty() && scanned.len() < notes.len(),
+        "{} of {} notes",
+        scanned.len(),
+        notes.len()
+    );
+    assert!(scanned.rows.iter().all(|r| r[0].as_integer() >= Some(67)));
+
+    mdm.execute("define index note_by_key on NOTE (midi_key)")
+        .unwrap();
+    let (plan, indexed) = mdm.explain(q).unwrap();
+    assert_eq!(plan.vars[0].path, "index-range(midi_key)");
+    assert_eq!(indexed, scanned);
+    drop(mdm);
+
+    let mut mdm = MusicDataManager::open(&dir).unwrap();
+    let (plan, reopened) = mdm.explain(q).unwrap();
+    assert_eq!(plan.vars[0].path, "index-range(midi_key)");
+    assert_eq!(reopened, scanned);
+    drop(mdm);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn darms_export_reimports_identically() {
     let dir = tmpdir("darms-rt");
     let mut mdm = MusicDataManager::open(&dir).unwrap();
