@@ -19,6 +19,37 @@ pub enum CoreError {
     BadScoreData(String),
     /// Internal invariant violated.
     Internal(String),
+    /// A write reached a replica: writes must go to the primary.
+    ReadOnly,
+    /// A replication call reached a node that is not a replica.
+    NotReplica,
+    /// Promotion refused: the replica has not applied everything the
+    /// primary acknowledged as durable, so promoting it would drop
+    /// acknowledged commits.
+    Stale {
+        /// The replica's watermark.
+        applied: u64,
+        /// The primary durable watermark it must reach first.
+        required: u64,
+    },
+    /// A pull's cursor is no point of the primary's history — past its
+    /// durable watermark, or inside a transaction: the replica holds
+    /// history this primary never had.
+    Diverged {
+        /// The replica's cursor.
+        from: u64,
+        /// The primary's durable watermark.
+        durable: u64,
+    },
+    /// A replica's model could not take a committed transaction of the
+    /// stream. No retry mends that, and skipping it would serve a
+    /// history the primary never had.
+    Unapplied {
+        /// The primary LSN of the transaction's `Commit` record.
+        lsn: u64,
+        /// Why its rows did not apply.
+        source: Box<CoreError>,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -31,6 +62,24 @@ impl fmt::Display for CoreError {
             CoreError::NoSuchScore(t) => write!(f, "no such score: {t}"),
             CoreError::BadScoreData(m) => write!(f, "bad score data: {m}"),
             CoreError::Internal(m) => write!(f, "internal error: {m}"),
+            CoreError::ReadOnly => {
+                write!(f, "this node is a replica; writes must go to the primary")
+            }
+            CoreError::NotReplica => write!(f, "this node is not a replica"),
+            CoreError::Stale { applied, required } => write!(
+                f,
+                "replica is stale: applied lsn {applied} < required lsn {required}; \
+                 refusing promotion"
+            ),
+            CoreError::Diverged { from, durable } => write!(
+                f,
+                "diverged: lsn {from} is no point of this primary's history \
+                 (durable lsn {durable})"
+            ),
+            CoreError::Unapplied { lsn, source } => write!(
+                f,
+                "committed transaction at lsn {lsn} cannot be applied: {source}"
+            ),
         }
     }
 }
@@ -42,6 +91,7 @@ impl std::error::Error for CoreError {
             CoreError::Model(e) => Some(e),
             CoreError::Lang(e) => Some(e),
             CoreError::Darms(e) => Some(e),
+            CoreError::Unapplied { source, .. } => Some(source.as_ref()),
             _ => None,
         }
     }

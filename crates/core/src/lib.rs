@@ -15,6 +15,8 @@
 //!   reassembling them.
 //! * [`clients`] — the four §2 client programs: score editor,
 //!   compositional tool, score library, and music analysis.
+//! * [`stream`] — the replication stream: committed transactions of
+//!   image-row changes, or a seed, from a primary's durable log.
 //!
 //! ```
 //! use mdm_core::MusicDataManager;
@@ -39,6 +41,7 @@ pub mod error;
 pub mod layout;
 pub mod mdm;
 pub mod score_store;
+pub mod stream;
 
 pub use clients::{Ambitus, Analyst, Composer, Library, ScoreEditor};
 pub use error::{CoreError, Result};

@@ -16,23 +16,24 @@
 //! [`load_score`]: MusicDataManager::load_score
 
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use mdm_lang::{PlanExplain, QuelMetrics, Session, StmtResult, Table};
 use mdm_model::{persist, Database, EntityId};
 use mdm_notation::{Score, TimeSignature, Voice};
 use mdm_obs::{Counter, HealthReport, Monitor, Registry, Snapshot, StatementStore, Tracer};
-use mdm_storage::StorageEngine;
+use mdm_storage::{StorageEngine, StorageError, TableId, Txn};
 
 use crate::cmn_schema;
 use crate::error::{CoreError, Result};
 use crate::score_store;
+use crate::stream::{self, Feed, SeedSlice};
 
 /// The one wire protocol version the MDM stack speaks. `mdm-net`
 /// re-exports it as `wire::PROTOCOL_VERSION` and refuses any other at
 /// `Hello`; here it is the `protocol` label on `mdm_build_info`.
-pub const WIRE_PROTOCOL_VERSION: u16 = 5;
+pub const WIRE_PROTOCOL_VERSION: u16 = 6;
 
 /// Engine table carrying the statistics images across restarts: one row
 /// per kind, a tag byte (1 = statement store, 2 = access statistics)
@@ -41,6 +42,12 @@ pub const WIRE_PROTOCOL_VERSION: u16 = 5;
 /// [`MusicDataManager::save`] just before the checkpoint, restored (best
 /// effort — a malformed image is ignored, never fatal) at open.
 const STATS_TABLE: &str = "__stats";
+
+/// Engine table holding a replica's watermark: one row, the primary LSN
+/// (8 bytes, little-endian) through which the replica holds every
+/// committed transaction, committed in the same engine transaction as
+/// the rows it covers. The row's presence is the replica role.
+const REPLICA_TABLE: &str = "__replica";
 
 /// One `mdm_requests_total{client=…,api=…}` counter per public MDM entry
 /// point, grouped by the kind of client the paper's fig. 1 anticipates:
@@ -107,9 +114,13 @@ pub struct MusicDataManager {
     /// [`Monitor::enable_sampling`] through
     /// [`monitor`](Self::monitor) to start the background sampler.
     monitor: Arc<Monitor>,
-    /// Replica mode: the durable state is owned by a replication
-    /// stream, so every local write path (execute, save) is refused.
-    replica: bool,
+    /// On a replica, its watermark (see [`REPLICA_TABLE`]): every local
+    /// write path (execute, save) is then refused. `None` on a primary.
+    watermark: Option<u64>,
+    /// On a replica, the seed slices received so far.
+    seed_in: Option<SeedSlice>,
+    /// On a primary, the seed whose slices replicas are fetching.
+    seed_out: Mutex<Option<SeedSlice>>,
 }
 
 impl MusicDataManager {
@@ -171,8 +182,7 @@ impl MusicDataManager {
             );
         let stmt_store = Arc::new(StatementStore::new());
         // Open writes nothing: a fresh directory gets its image tables at
-        // the first commit point (a replica's log must stay the
-        // primary's stream from the first record).
+        // the first commit point.
         let mut db = persist::load(&engine)?;
         cmn_schema::install(&mut db)?;
         load_stats(&engine, &stmt_store, &db)?;
@@ -185,9 +195,7 @@ impl MusicDataManager {
         let mut session = Session::with_metrics(Arc::clone(&quel));
         session.set_statement_store(Arc::clone(&stmt_store));
         session.set_monitor(Arc::clone(&monitor));
-        // A replica marker in the data dir survives restarts: the
-        // engine opened in replica mode, and the MDM must match.
-        let replica = engine.is_replica();
+        let watermark = read_watermark(&engine)?;
         Ok(MusicDataManager {
             engine,
             db,
@@ -198,26 +206,224 @@ impl MusicDataManager {
             tracer,
             stmt_store,
             monitor,
-            replica,
+            watermark,
+            seed_in: None,
+            seed_out: Mutex::new(None),
         })
     }
 
-    /// Flips replica mode, on the MDM and its engine together. A
-    /// replica refuses [`execute`](Self::execute) and
-    /// [`save`](Self::save) — its WAL is fed by
-    /// [`StorageEngine::replica_apply`] and a local append would
-    /// collide with the primary's LSN space. Promoting a caught-up
-    /// replica is `set_replica(false)`: the LSN space simply continues.
-    /// The role sticks across restarts (a marker file in the data dir).
-    pub fn set_replica(&mut self, on: bool) -> Result<()> {
-        self.engine.set_replica(on)?;
-        self.replica = on;
+    /// Whether this MDM is a replica: its durable state is owned by a
+    /// replication stream, and it refuses [`execute`](Self::execute),
+    /// [`save`](Self::save) and the other write paths. The role sticks
+    /// across restarts: it is the watermark row.
+    pub fn is_replica(&self) -> bool {
+        self.watermark.is_some()
+    }
+
+    /// On a replica, the primary LSN through which it holds every
+    /// committed transaction; `None` on a primary.
+    pub fn replica_watermark(&self) -> Option<u64> {
+        self.watermark
+    }
+
+    /// The node's replication watermarks `(applied, durable)`, in the
+    /// primary's LSN space: on a primary its engine's next and durable
+    /// LSNs, on a replica its watermark twice — it is committed with the
+    /// rows it covers.
+    pub fn repl_watermarks(&self) -> (u64, u64) {
+        match self.watermark {
+            Some(w) => (w, w),
+            None => (self.engine.wal_next_lsn(), self.engine.wal_durable_lsn()),
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Replication
+    // ------------------------------------------------------------------
+
+    /// Makes this MDM a replica that has applied nothing: its image is
+    /// replaced by an empty database with the CMN schema, with the
+    /// watermark row at 0 in the same engine transaction. The stream
+    /// then rebuilds the image from the primary's history, or from a
+    /// seed. A no-op on a replica.
+    pub fn become_replica(&mut self) -> Result<()> {
+        if self.is_replica() {
+            return Ok(());
+        }
+        let mut db = Database::new();
+        cmn_schema::install(&mut db)?;
+        self.install_image(db, 0)
+    }
+
+    /// On a primary: answers a replica's pull from `from_lsn`, reading
+    /// roughly `max_bytes`. Returns the feed and the watermark a replica
+    /// must reach to hold every acknowledged commit. A pull with a
+    /// `seed_offset` continues the seed of LSN `from_lsn` from there; it
+    /// gets slices, never transactions, for its puller holds no history
+    /// at `from_lsn`. A seed is read once and served until its last
+    /// slice, or while it is current. A `from_lsn` that is no point of
+    /// this log's history fails typed ([`CoreError::Diverged`]).
+    pub fn repl_pull(
+        &self,
+        from_lsn: u64,
+        seed_offset: u64,
+        max_bytes: usize,
+    ) -> Result<(Feed, u64)> {
+        if seed_offset == 0 {
+            match stream::read_txns(&self.engine, from_lsn, max_bytes) {
+                Err(CoreError::Storage(StorageError::LogTruncated { .. })) => {}
+                Err(CoreError::Storage(StorageError::AheadOfLog { from, durable })) => {
+                    return Err(CoreError::Diverged { from, durable })
+                }
+                answer => return answer,
+            }
+        }
+        let durable = self.engine.wal_durable_lsn();
+        let mut held = self.seed_out.lock().expect("seed lock");
+        let offset = match held.as_ref() {
+            Some(seed) if seed.lsn == from_lsn => seed_offset,
+            _ => 0,
+        };
+        if offset == 0 && held.as_ref().is_none_or(|seed| seed.lsn != durable) {
+            *held = Some(SeedSlice::read(&self.engine)?);
+        }
+        let slice = held.as_ref().expect("read above").slice(offset, max_bytes);
+        if slice.offset + slice.bytes.len() as u64 == slice.total {
+            *held = None;
+        }
+        Ok((Feed::Seed(slice), durable))
+    }
+
+    /// On a replica: where its next pull starts, as `(from_lsn,
+    /// seed_offset)` for [`repl_pull`](Self::repl_pull).
+    pub fn repl_cursor(&self) -> (u64, u64) {
+        match &self.seed_in {
+            Some(seed) => (seed.lsn, seed.bytes.len() as u64),
+            None => (self.watermark.unwrap_or(0), 0),
+        }
+    }
+
+    /// On a replica: takes one pulled feed. Transactions are applied to
+    /// the model and committed into the engine with the new watermark, in
+    /// one engine transaction. A seed slice is kept until the seed is
+    /// whole, which then replaces the image. Returns whether a seed was
+    /// installed. A transaction the model cannot take fails the whole
+    /// feed with [`CoreError::Unapplied`], leaving the replica as it was
+    /// before it.
+    pub fn repl_apply(&mut self, feed: Feed) -> Result<bool> {
+        let watermark = self.watermark.ok_or(CoreError::NotReplica)?;
+        match feed {
+            Feed::Txns { txns, next_lsn } => {
+                self.seed_in = None;
+                if txns.is_empty() && next_lsn <= watermark {
+                    return Ok(false);
+                }
+                let applied = txns.iter().try_for_each(|t| {
+                    persist::apply(&mut self.db, &t.changes).map_err(|e| CoreError::Unapplied {
+                        lsn: t.end_lsn - 1,
+                        source: Box::new(e.into()),
+                    })
+                });
+                let committed =
+                    applied.and_then(|()| self.commit_replicated(next_lsn.max(watermark)));
+                if committed.is_err() {
+                    // Back to what the engine holds: nothing of this feed.
+                    self.reload()?;
+                }
+                committed.map(|()| false)
+            }
+            Feed::Seed(slice) => {
+                let pending = match self.seed_in.take() {
+                    Some(mut seed)
+                        if seed.lsn == slice.lsn && seed.bytes.len() as u64 == slice.offset =>
+                    {
+                        seed.bytes.extend_from_slice(&slice.bytes);
+                        seed
+                    }
+                    _ if slice.offset == 0 => slice,
+                    // A slice of a seed we do not hold the start of.
+                    _ => return Ok(false),
+                };
+                if (pending.bytes.len() as u64) < pending.total {
+                    self.seed_in = Some(pending);
+                    return Ok(false);
+                }
+                let mut db = Database::new();
+                persist::apply(&mut db, &stream::seed_rows(&pending.bytes)?)?;
+                self.install_image(db, pending.lsn)?;
+                Ok(true)
+            }
+        }
+    }
+
+    /// Promotes a replica to primary: refused with [`CoreError::Stale`]
+    /// unless its watermark reached `required`, the primary durable
+    /// watermark it must hold. Else the engine checkpoints with its log
+    /// numbered from at least the watermark and claiming nothing below
+    /// ([`StorageEngine::checkpoint_past`]), so the node continues the old
+    /// primary's LSN space: a sibling replica at the watermark resumes
+    /// here, any other pre-promotion cursor gets a seed. Then the
+    /// watermark row is deleted in one commit. A crash between the two
+    /// leaves a replica.
+    pub fn promote(&mut self, required: u64) -> Result<()> {
+        let applied = self.watermark.ok_or(CoreError::NotReplica)?;
+        if applied < required {
+            return Err(CoreError::Stale { applied, required });
+        }
+        self.engine.checkpoint_past(applied)?;
+        let table = self.engine.table_id(REPLICA_TABLE)?;
+        let mut txn = self.engine.begin()?;
+        for (rid, _) in self.engine.scan(&mut txn, table)? {
+            self.engine.delete(&mut txn, table, rid)?;
+        }
+        self.engine.commit(txn)?;
+        self.watermark = None;
         Ok(())
     }
 
-    /// Whether this MDM is currently a replica.
-    pub fn is_replica(&self) -> bool {
-        self.replica
+    /// Commits the replica's dirty rows with the watermark at `watermark`,
+    /// in one engine transaction, then checkpoints once its log outgrew
+    /// its image: a replica never saves, so nothing else bounds its log,
+    /// and the checkpoint then costs no more than the log it replaces.
+    fn commit_replicated(&mut self, watermark: u64) -> Result<()> {
+        let table = self.replica_table()?;
+        persist::prepare(&self.db, &self.engine)?;
+        let engine = &self.engine;
+        persist::commit_with(&mut self.db, engine, &mut |txn| {
+            write_watermark(engine, table, txn, watermark)
+        })?;
+        self.watermark = Some(watermark);
+        if self.engine.wal_bytes() > self.engine.num_pages() * mdm_storage::PAGE_SIZE as u64 {
+            self.engine.checkpoint()?;
+        }
+        Ok(())
+    }
+
+    /// Replaces the image with `db` and the watermark row with
+    /// `watermark`, in one engine transaction, then loads the model back:
+    /// bound to the rows just written.
+    fn install_image(&mut self, db: Database, watermark: u64) -> Result<()> {
+        let table = self.replica_table()?;
+        let engine = &self.engine;
+        persist::save_with(&db, engine, &mut |txn| {
+            write_watermark(engine, table, txn, watermark)
+        })?;
+        self.watermark = Some(watermark);
+        self.reload()
+    }
+
+    /// Replaces the model with what the engine holds.
+    fn reload(&mut self) -> Result<()> {
+        self.db = persist::load(&self.engine)?;
+        cmn_schema::install(&mut self.db)
+    }
+
+    /// The watermark table, created on first use.
+    fn replica_table(&self) -> Result<TableId> {
+        Ok(match self.engine.table_id(REPLICA_TABLE) {
+            Ok(t) => t,
+            Err(_) => self.engine.create_table(REPLICA_TABLE)?,
+        })
     }
 
     /// The tracer every layer under this MDM records spans through. The
@@ -372,11 +578,7 @@ impl MusicDataManager {
     /// point acknowledged, and reopens to the statistics image before or
     /// after the update, never an empty one.
     pub fn save(&mut self) -> Result<()> {
-        if self.replica {
-            return Err(CoreError::Storage(mdm_storage::StorageError::Replication(
-                "a replica's durable state is owned by the replication stream".into(),
-            )));
-        }
+        self.refuse_if_replica()?;
         self.requests.save.inc();
         self.commit()?;
         self.write_stats_image()?;
@@ -405,7 +607,9 @@ impl MusicDataManager {
                 None => self.engine.insert(&mut txn, table, &body)?,
             };
         }
-        self.engine.commit(txn)?;
+        // No replica reads statistics: a checkpoint that truncates this
+        // commit must not send caught-up replicas a seed.
+        self.engine.commit_local(txn)?;
         Ok(())
     }
 
@@ -423,10 +627,8 @@ impl MusicDataManager {
 
     /// Typed refusal shared by the write-path entry points.
     fn refuse_if_replica(&self) -> Result<()> {
-        if self.replica {
-            return Err(CoreError::Storage(mdm_storage::StorageError::Replication(
-                "this node is a replica; writes must go to the primary".into(),
-            )));
+        if self.is_replica() {
+            return Err(CoreError::ReadOnly);
         }
         Ok(())
     }
@@ -508,6 +710,35 @@ fn read(session: &mut Session, db: &Database, text: &str) -> Result<Table> {
     }
 }
 
+/// The replica watermark row, if the engine holds one.
+fn read_watermark(engine: &StorageEngine) -> Result<Option<u64>> {
+    let Ok(table) = engine.table_id(REPLICA_TABLE) else {
+        return Ok(None);
+    };
+    let rows = engine.snapshot().scan(table)?;
+    Ok(rows.first().map(|(_, row)| {
+        u64::from_le_bytes(
+            row.get(..8)
+                .and_then(|b| b.try_into().ok())
+                .unwrap_or_default(),
+        )
+    }))
+}
+
+/// Brings the watermark row to `watermark` inside `txn`.
+fn write_watermark(
+    engine: &StorageEngine,
+    table: TableId,
+    txn: &mut Txn,
+    watermark: u64,
+) -> mdm_storage::Result<()> {
+    let body = watermark.to_le_bytes();
+    match engine.scan(txn, table)?.first() {
+        Some(&(rid, _)) => engine.update(txn, table, rid, &body).map(drop),
+        None => engine.insert(txn, table, &body).map(drop),
+    }
+}
+
 /// Restores the persisted statistics images, if present. Best effort:
 /// rows with unknown tags or malformed payloads are skipped — statistics
 /// must never fail an open.
@@ -542,6 +773,109 @@ mod tests {
         let d = std::env::temp_dir().join(format!("mdm-core-{}-{}", std::process::id(), name));
         std::fs::remove_dir_all(&d).ok();
         d
+    }
+
+    /// A seed interrupted by a primary restart starts over: the replica
+    /// holds no history at the seed's LSN, so the restarted primary, which
+    /// no longer holds that seed, answers with slices of a new one —
+    /// never with transactions from the seed's LSN.
+    #[test]
+    fn a_seed_cut_by_a_primary_restart_starts_over() {
+        let (dir_p, dir_r) = (tmpdir("seed-restart-p"), tmpdir("seed-restart-r"));
+        let mut primary = MusicDataManager::open(&dir_p).unwrap();
+        primary
+            .store_score(&mdm_notation::fixtures::bwv578_subject())
+            .unwrap();
+        primary.save().unwrap();
+        let mut replica = MusicDataManager::open(&dir_r).unwrap();
+        replica.become_replica().unwrap();
+        let (first, _) = primary.repl_pull(0, 0, 512).unwrap();
+        assert!(matches!(first, Feed::Seed(_)), "{first:?}");
+        replica.repl_apply(first).unwrap();
+        assert_ne!(replica.repl_cursor().1, 0, "a seed in flight");
+
+        drop(primary);
+        let primary = MusicDataManager::open(&dir_p).unwrap();
+        drain(&primary, &mut replica);
+        assert!(
+            primary.seed_out.lock().unwrap().is_none(),
+            "served whole, released"
+        );
+        assert_eq!(replica.census(), primary.census());
+        assert_eq!(
+            replica.list_scores().unwrap(),
+            primary.list_scores().unwrap()
+        );
+        drop((primary, replica));
+        std::fs::remove_dir_all(&dir_p).ok();
+        std::fs::remove_dir_all(&dir_r).ok();
+    }
+
+    /// Pulls and applies until `replica` holds everything `primary`
+    /// acknowledged; returns whether its log was empty after an apply,
+    /// which then checkpointed. A pull that continues a seed never gets
+    /// transactions.
+    fn drain(primary: &MusicDataManager, replica: &mut MusicDataManager) -> bool {
+        let mut checkpointed = false;
+        loop {
+            let (from, offset) = replica.repl_cursor();
+            let (feed, required) = primary.repl_pull(from, offset, 1 << 16).unwrap();
+            assert!(offset == 0 || matches!(feed, Feed::Seed(_)), "{feed:?}");
+            replica.repl_apply(feed).unwrap();
+            checkpointed |= replica.engine().wal_bytes() == 0;
+            if replica.repl_cursor() == (required, 0) {
+                return checkpointed;
+            }
+        }
+    }
+
+    /// A replica never saves: its engine checkpoints once its log outgrows
+    /// its image, on the apply path, and what it checkpointed survives a
+    /// restart and a promotion.
+    #[test]
+    fn a_replica_checkpoints_once_its_log_outgrows_its_image() {
+        let (dir_p, dir_r) = (tmpdir("ckpt-p"), tmpdir("ckpt-r"));
+        let mut primary = MusicDataManager::open(&dir_p).unwrap();
+        let mut replica = MusicDataManager::open(&dir_r).unwrap();
+        replica.become_replica().unwrap();
+        primary
+            .execute("define entity BIG (n = integer, s = string)")
+            .unwrap();
+        let pad = "x".repeat(1000);
+        for n in 0..50 {
+            primary
+                .execute(&format!("append to BIG (n = {n}, s = \"{pad}\")"))
+                .unwrap();
+        }
+        assert!(
+            !drain(&primary, &mut replica),
+            "inserts alone stay below the image"
+        );
+        let mut checkpointed = false;
+        for _ in 0..20 {
+            primary
+                .execute("range of b is BIG\nreplace b (n = b.n + 1)")
+                .unwrap();
+            checkpointed |= drain(&primary, &mut replica);
+        }
+        assert!(checkpointed, "the rewrites outgrew the image");
+        let ns = |m: &mut MusicDataManager| {
+            let mut t = m.query("range of b is BIG\nretrieve (b.n)").unwrap().rows;
+            t.sort_by_key(|r| format!("{r:?}"));
+            t
+        };
+        let want = ns(&mut primary);
+        let watermark = replica.replica_watermark();
+        drop(replica);
+        let mut replica = MusicDataManager::open(&dir_r).unwrap();
+        assert_eq!(replica.replica_watermark(), watermark);
+        assert_eq!(ns(&mut replica), want, "after a restart");
+        replica.promote(primary.engine().wal_durable_lsn()).unwrap();
+        assert_eq!(ns(&mut replica), want, "promoted");
+        replica.execute("append to BIG (n = 0, s = \"\")").unwrap();
+        drop((primary, replica));
+        std::fs::remove_dir_all(&dir_p).ok();
+        std::fs::remove_dir_all(&dir_r).ok();
     }
 
     /// Crash injected at the fsync of an execute's commit: the program

@@ -936,6 +936,12 @@ impl Session {
                 .map(|(n, e)| Ok((n.clone(), eval(db, &plan, binding, e)?)))
                 .collect::<Result<Vec<_>>>()
         })?;
+        // Every value is checked before the first row is created: after
+        // that nothing can fail, so a failing statement changes nothing.
+        let ty = db.schema().entity_type_id(entity)?;
+        for (attr, v) in pending.iter().flatten() {
+            db.check_attr(ty, attr, v)?;
+        }
         let n = pending.len();
         for row in pending {
             let attrs: Vec<(&str, Value)> =
@@ -973,6 +979,13 @@ impl Session {
             })?
             .into_iter()
             .collect();
+        // Every value is checked before the first write, as in `append`.
+        for (&id, row) in &updates {
+            let ty = db.store().entity(id)?.ty;
+            for (attr, v) in row {
+                db.check_attr(ty, attr, v)?;
+            }
+        }
         let n = updates.len();
         for (id, row) in updates {
             for (attr, v) in row {

@@ -5,7 +5,7 @@
 //! [`InstanceStore`] for id-based access.
 
 use crate::error::{ModelError, Result};
-use crate::instance::{InstanceStore, Loc, RelInstanceId, RowKey};
+use crate::instance::{InstanceStore, RelInstanceId};
 use crate::schema::{AttributeDef, OrderingId, RoleDef, Schema};
 use crate::stats::AccessStats;
 use crate::value::{EntityId, TypeId, Value};
@@ -160,29 +160,38 @@ impl Database {
     /// Unnamed attributes default to `Null`.
     pub fn create_entity(&mut self, type_name: &str, attrs: &[(&str, Value)]) -> Result<EntityId> {
         let ty = self.schema.entity_type_id(type_name)?;
-        let def = self.schema.entity_type(ty)?;
-        let mut values = vec![Value::Null; def.attributes.len()];
+        let mut values = vec![Value::Null; self.schema.entity_type(ty)?.attributes.len()];
         for (name, v) in attrs {
-            let idx = def
-                .attribute_index(name)
-                .ok_or_else(|| ModelError::UnknownAttribute {
-                    entity: type_name.to_string(),
-                    attribute: name.to_string(),
-                })?;
-            let decl = &def.attributes[idx].ty;
-            if !v.conforms_to(decl) {
-                return Err(ModelError::TypeMismatch {
-                    expected: decl.name(),
-                    found: v.type_name().to_string(),
-                    context: format!("{type_name}.{name}"),
-                });
-            }
-            values[idx] = v.clone();
+            values[self.check_attr(ty, name, v)?] = v.clone();
         }
         let id = self.store.create_entity(ty, values);
         self.index_entity(ty, id);
         self.stats.note_append(ty);
         Ok(id)
+    }
+
+    /// The check [`create_entity`](Self::create_entity) and
+    /// [`set_attr`](Self::set_attr) make of one value: `attr` must be an
+    /// attribute of entity type `ty` and `value` must conform to its
+    /// declaration. Returns the attribute's index. A statement that
+    /// writes many values runs it on all of them before its first write.
+    pub fn check_attr(&self, ty: TypeId, attr: &str, value: &Value) -> Result<usize> {
+        let def = self.schema.entity_type(ty)?;
+        let idx = def
+            .attribute_index(attr)
+            .ok_or_else(|| ModelError::UnknownAttribute {
+                entity: def.name.clone(),
+                attribute: attr.to_string(),
+            })?;
+        let decl = &def.attributes[idx].ty;
+        if !value.conforms_to(decl) {
+            return Err(ModelError::TypeMismatch {
+                expected: decl.name(),
+                found: value.type_name().to_string(),
+                context: format!("{}.{attr}", def.name),
+            });
+        }
+        Ok(idx)
     }
 
     /// Reads an attribute by name. Counts nothing: the QUEL executor
@@ -203,21 +212,7 @@ impl Database {
     /// Writes an attribute by name, type-checked.
     pub fn set_attr(&mut self, id: EntityId, attr: &str, value: Value) -> Result<()> {
         let inst = self.store.entity(id)?;
-        let def = self.schema.entity_type(inst.ty)?;
-        let idx = def
-            .attribute_index(attr)
-            .ok_or_else(|| ModelError::UnknownAttribute {
-                entity: def.name.clone(),
-                attribute: attr.to_string(),
-            })?;
-        let decl = &def.attributes[idx].ty;
-        if !value.conforms_to(decl) {
-            return Err(ModelError::TypeMismatch {
-                expected: decl.name(),
-                found: value.type_name().to_string(),
-                context: format!("{}.{attr}", def.name),
-            });
-        }
+        let idx = self.check_attr(inst.ty, attr, &value)?;
         let ty = inst.ty;
         let old_value = inst.attrs[idx].clone();
         if let Some(index) = self.attr_indexes.get_mut(&(ty, idx)) {
@@ -262,21 +257,13 @@ impl Database {
     }
 
     /// Places an entity as a committed row states it — created, or its
-    /// attributes replaced — with the row's locator (replication). The
-    /// caller settles the dirty set.
-    pub(crate) fn put_entity(
-        &mut self,
-        ty: TypeId,
-        id: EntityId,
-        attrs: Vec<Value>,
-        loc: Loc,
-    ) -> Result<()> {
+    /// attributes replaced (replication). Its row becomes dirty.
+    pub(crate) fn put_entity(&mut self, ty: TypeId, id: EntityId, attrs: Vec<Value>) -> Result<()> {
         if self.store.exists(id) {
             self.unindex_entity(id);
             self.store.entity_mut(id)?.attrs = attrs.into_boxed_slice();
-            self.store.set_loc(RowKey::Entity(ty, id), loc);
         } else {
-            self.store.place_entity(id, ty, attrs, loc);
+            self.store.create_entity_with_id(id, ty, attrs);
         }
         self.index_entity(ty, id);
         Ok(())
@@ -300,6 +287,7 @@ impl Database {
         }
         self.schema = schema;
         self.store.sync_with_schema(&self.schema);
+        self.store.dirty.schema = true;
         Ok(())
     }
 

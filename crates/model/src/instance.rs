@@ -427,18 +427,23 @@ impl InstanceStore {
         id
     }
 
-    /// Places a relationship instance at `loc` keeping its relationship's
-    /// ids ascending: nothing becomes dirty.
-    pub(crate) fn place_rel(
+    /// Places a relationship instance as a committed row states it —
+    /// created, or its roles and attributes replaced — keeping its
+    /// relationship's ids ascending. Its row becomes dirty.
+    pub(crate) fn put_rel(
         &mut self,
         id: RelInstanceId,
         rel: RelTypeId,
         entities: Vec<EntityId>,
         attrs: Vec<Value>,
-        loc: Loc,
     ) {
+        let loc = self.rel_instances.get(&id).map_or(Loc::NONE, |r| r.loc);
+        let fresh = !self.rel_instances.contains_key(&id);
         self.load_rel(id, rel, entities, attrs, loc);
-        settle_last(&mut self.rels_by_type[rel as usize]);
+        if fresh {
+            settle_last(&mut self.rels_by_type[rel as usize]);
+        }
+        self.mark(RowKey::Rel(id), Loc::NONE);
     }
 
     /// Places a relationship instance read from its committed row at

@@ -16,7 +16,10 @@
 //! is the same writer with every key dirty, into an engine whose image it
 //! first clears (rows, not tables: the replacement is one transaction).
 //! [`load`] is the one decoder; [`apply`] runs the row changes of a
-//! replicated transaction through the same row decoders.
+//! replicated transaction through the same row decoders and marks what
+//! they change dirty, so a replica commits them through [`commit`] like
+//! any other edit. [`commit_with`] and [`save_with`] let a caller add
+//! rows of its own to the image transaction.
 //!
 //! Image tables are created by [`prepare`] (DDL, auto-committed), never
 //! by [`commit`]: the first commit point after an entity type is defined
@@ -24,7 +27,11 @@
 
 use std::collections::BTreeMap;
 
-use mdm_storage::{Rid, StorageEngine, TableId, Txn};
+use mdm_storage::{ReadSnapshot, Rid, StorageEngine, TableId, Txn};
+
+/// Rows a caller adds to an image transaction, written just before it
+/// commits.
+pub type Extra<'a> = &'a mut dyn FnMut(&mut Txn) -> mdm_storage::Result<()>;
 
 use crate::db::Database;
 use crate::encode::{self, Reader};
@@ -78,6 +85,12 @@ pub fn commit(db: &mut Database, engine: &StorageEngine) -> Result<()> {
     if db.store().dirty().is_empty() {
         return Ok(());
     }
+    commit_with(db, engine, &mut |_| Ok(()))
+}
+
+/// As [`commit`], with `extra`'s rows in the same engine transaction —
+/// which then commits even when nothing in `db` is dirty.
+pub fn commit_with(db: &mut Database, engine: &StorageEngine, extra: Extra<'_>) -> Result<()> {
     db.store_mut().dirty.merge();
     let dirty = db.store().dirty();
     let mut w = Writer::open(db.schema(), engine)?;
@@ -95,6 +108,7 @@ pub fn commit(db: &mut Database, engine: &StorageEngine) -> Result<()> {
             placed.push((key, loc));
         }
     }
+    extra(&mut w.txn)?;
     w.finish()?;
     db.store_mut().settle(placed);
     Ok(())
@@ -104,6 +118,11 @@ pub fn commit(db: &mut Database, engine: &StorageEngine) -> Result<()> {
 /// any previous image: every key dirty, no locator kept (the database
 /// stays bound to the engine it came from, if any).
 pub fn save(db: &Database, engine: &StorageEngine) -> Result<()> {
+    save_with(db, engine, &mut |_| Ok(()))
+}
+
+/// As [`save`], with `extra`'s rows in the same engine transaction.
+pub fn save_with(db: &Database, engine: &StorageEngine, extra: Extra<'_>) -> Result<()> {
     create_tables(db.schema(), engine)?;
     let mut w = Writer::open(db.schema(), engine)?;
     for name in engine.table_names() {
@@ -137,11 +156,12 @@ pub fn save(db: &Database, engine: &StorageEngine) -> Result<()> {
             w.put(key, current_row(store, key).as_deref(), None)?;
         }
     }
+    extra(&mut w.txn)?;
     w.finish()
 }
 
 /// Whether `name` is one of the tables [`save`] and [`commit`] write.
-fn is_image_table(name: &str) -> bool {
+pub fn is_image_table(name: &str) -> bool {
     matches!(
         name,
         SCHEMA_TABLE | ORDERINGS_TABLE | RELS_TABLE | INDEXES_TABLE
@@ -437,15 +457,32 @@ pub fn load(engine: &StorageEngine) -> Result<Database> {
     Ok(db)
 }
 
+/// Every row of the committed image, as the changes that insert it:
+/// [`apply`]d onto an empty database they give what [`load`] reads. All
+/// rows are read through `snap`, so they are one commit point's.
+pub fn image_rows(engine: &StorageEngine, snap: &ReadSnapshot) -> Result<Vec<RowChange>> {
+    let mut rows = Vec::new();
+    for name in engine.table_names() {
+        if is_image_table(&name) {
+            for (_, row) in snap.scan(engine.table_id(&name)?)? {
+                rows.push(RowChange {
+                    table: name.clone(),
+                    old: None,
+                    new: Some(row),
+                });
+            }
+        }
+    }
+    Ok(rows)
+}
+
 /// One heap change of a committed engine transaction, as its log records
-/// carry it: the table's name, where the row is, and its image before
-/// (`None` for an insert) and after (`None` for a delete).
-#[derive(Debug, Clone)]
+/// carry it: the table's name and the row's image before (`None` for an
+/// insert) and after (`None` for a delete).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RowChange {
     /// Name of the table the change touched.
     pub table: String,
-    /// The packed record id the row now has (or had, for a delete).
-    pub rid: u64,
     /// The row before the change.
     pub old: Option<Vec<u8>>,
     /// The row after the change.
@@ -454,9 +491,12 @@ pub struct RowChange {
 
 /// Applies the row changes of one committed transaction (in log order)
 /// to `db`, so that it holds what [`load`] would read back from the
-/// engine the transaction committed into — locators included. Changes
-/// to other tables are ignored. Every row names its key (relationship
-/// rows carry their instance id), so a delete's old image is enough.
+/// engine the transaction committed into, and marks every row it changes
+/// dirty: the next [`commit`] writes them into `db`'s own engine, at its
+/// own record ids. Changes to other tables are ignored. Every row names
+/// its key (relationship rows carry their instance id), so a delete's old
+/// image is enough. Applied onto an empty database, a transaction that
+/// inserts every row of an image is a load.
 pub fn apply(db: &mut Database, changes: &[RowChange]) -> Result<()> {
     let schema_image = changes
         .iter()
@@ -468,7 +508,7 @@ pub fn apply(db: &mut Database, changes: &[RowChange]) -> Result<()> {
     }
 
     // The final state of each row key the transaction touched.
-    let mut rows: BTreeMap<RowKey, Option<(Loc, &[u8])>> = BTreeMap::new();
+    let mut rows: BTreeMap<RowKey, Option<&[u8]>> = BTreeMap::new();
     let mut indexes: BTreeMap<String, Option<(String, String)>> = BTreeMap::new();
     for c in changes {
         let Some(image) = c.new.as_deref().or(c.old.as_deref()) else {
@@ -493,15 +533,15 @@ pub fn apply(db: &mut Database, changes: &[RowChange]) -> Result<()> {
                 None => continue,
             },
         };
-        rows.insert(key, c.new.as_deref().map(|b| (Loc(c.rid), b)));
+        rows.insert(key, c.new.as_deref());
     }
 
     // Entities first (edges and relationships name them), deletes after
     // puts; a delete cascades in memory exactly as it did on the writer.
     for (&key, state) in &rows {
-        if let (RowKey::Entity(ty, _), Some((loc, body))) = (key, state) {
+        if let (RowKey::Entity(ty, _), Some(body)) = (key, state) {
             let (id, attrs) = decode_entity_row(body, db.schema(), ty)?;
-            db.put_entity(ty, id, attrs, *loc)?;
+            db.put_entity(ty, id, attrs)?;
         }
     }
     for (&key, state) in &rows {
@@ -521,23 +561,22 @@ pub fn apply(db: &mut Database, changes: &[RowChange]) -> Result<()> {
     for (&key, state) in &rows {
         if let RowKey::Edge(oid, child) = key {
             let _ = store.ordering_remove(&schema, oid, child);
-            if let Some((loc, body)) = state {
-                edges.push((decode_edge_row(body)?, *loc));
+            if let Some(body) = state {
+                edges.push(decode_edge_row(body)?);
             }
         }
     }
-    edges.sort_unstable_by_key(|&(edge, _)| edge);
-    for ((oid, parent, seq, child), loc) in edges {
+    edges.sort_unstable();
+    for (oid, parent, seq, child) in edges {
         store.ordering_insert(&schema, oid, parent, seq as usize, child)?;
-        store.set_loc(RowKey::Edge(oid, child), loc);
     }
 
     for (&key, state) in &rows {
         if let RowKey::Rel(id) = key {
             match state {
-                Some((loc, body)) => {
+                Some(body) => {
                     let (rel, id, entities, attrs) = decode_rel_row(body)?;
-                    store.place_rel(id, rel, entities, attrs, *loc);
+                    store.put_rel(id, rel, entities, attrs);
                 }
                 None => {
                     let _ = store.remove_relationship(id);
@@ -559,7 +598,6 @@ pub fn apply(db: &mut Database, changes: &[RowChange]) -> Result<()> {
         }
     }
 
-    db.store_mut().settle(Vec::new());
     db.refresh_live_counts();
     Ok(())
 }
@@ -804,8 +842,14 @@ mod tests {
 
     /// Commits `writer` and applies the transaction's row changes, as
     /// its log records carry them, to `replica`, which must then hold
-    /// what a load of the engine holds.
-    fn ship(engine: &StorageEngine, writer: &mut Database, replica: &mut Database) {
+    /// what a load of the engine holds — and, once committed into its
+    /// own engine at its own record ids, what a load of that holds.
+    fn ship(
+        engine: &StorageEngine,
+        writer: &mut Database,
+        replica: &mut Database,
+        own: &StorageEngine,
+    ) {
         use mdm_storage::WalRecord;
         let from = engine.wal_next_lsn();
         prepare(writer, engine).unwrap();
@@ -815,32 +859,26 @@ mod tests {
             .collect();
         let (batch, _) = engine.wal_read_from(from, usize::MAX).unwrap();
         let changes: Vec<RowChange> = batch
-            .iter()
-            .filter_map(|(_, p)| match WalRecord::decode(p)? {
-                WalRecord::Insert {
-                    table, rid, body, ..
-                } => Some((table, rid, None, Some(body))),
+            .into_iter()
+            .filter_map(|(_, rec)| match rec {
+                WalRecord::Insert { table, body, .. } => Some((table, None, Some(body))),
                 WalRecord::Update {
-                    table,
-                    rid,
-                    old,
-                    new,
-                    ..
-                } => Some((table, rid, Some(old), Some(new))),
-                WalRecord::Delete {
-                    table, rid, old, ..
-                } => Some((table, rid, Some(old), None)),
+                    table, old, new, ..
+                } => Some((table, Some(old), Some(new))),
+                WalRecord::Delete { table, old, .. } => Some((table, Some(old), None)),
                 _ => None,
             })
-            .map(|(table, rid, old, new)| RowChange {
+            .map(|(table, old, new)| RowChange {
                 table: names[&table].clone(),
-                rid: rid.to_u64(),
                 old,
                 new,
             })
             .collect();
         apply(replica, &changes).unwrap();
         assert_eq!(*replica, load(engine).unwrap());
+        prepare(replica, own).unwrap();
+        commit(replica, own).unwrap();
+        assert_eq!(*replica, load(own).unwrap());
     }
 
     /// A replica applying a writer's committed row changes holds what a
@@ -849,9 +887,10 @@ mod tests {
     fn applied_row_changes_equal_a_load() {
         let dir = tmpdir("apply");
         let engine = StorageEngine::open(&dir).unwrap();
+        let own = StorageEngine::open(&dir.join("replica")).unwrap();
         let mut writer = build_db();
         let mut replica = Database::new();
-        ship(&engine, &mut writer, &mut replica);
+        ship(&engine, &mut writer, &mut replica, &own);
         let chords = writer.ord_children("all_chords", None).unwrap();
         let notes = writer
             .ord_children("note_in_chord", Some(chords[0]))
@@ -867,8 +906,8 @@ mod tests {
         writer
             .define_index("chord_by_name", "CHORD", "name")
             .unwrap();
-        ship(&engine, &mut writer, &mut replica);
-        drop(engine);
+        ship(&engine, &mut writer, &mut replica, &own);
+        drop((engine, own));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -894,12 +933,13 @@ mod tests {
         let note = writer.schema().entity_type_id("NOTE").unwrap();
         {
             let engine = StorageEngine::open(&dir).unwrap();
-            ship(&engine, &mut writer, &mut replica);
+            let own = StorageEngine::open(&dir.join("replica")).unwrap();
+            ship(&engine, &mut writer, &mut replica, &own);
             let notes = writer.store().instances_of(note).to_vec();
             let freed = notes[1];
             writer.delete_entity(freed).unwrap();
             assert_ascending(&writer, "delete");
-            ship(&engine, &mut writer, &mut replica);
+            ship(&engine, &mut writer, &mut replica, &own);
 
             // The freed id, now below the type's largest, and the freed
             // slot taken by its row.
@@ -921,7 +961,7 @@ mod tests {
             let plays = writer.schema().relationship_id("PLAYS").unwrap();
             let middle = writer.store().relationships_of(plays)[1];
             writer.store_mut().remove_relationship(middle).unwrap();
-            ship(&engine, &mut writer, &mut replica);
+            ship(&engine, &mut writer, &mut replica, &own);
             assert_ascending(&writer, "relate");
             assert_ascending(&replica, "apply");
         }

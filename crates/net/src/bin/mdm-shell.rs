@@ -445,13 +445,16 @@ fn main() {
                         Ok(s) => print_repl_status(&s),
                         Err(e) => eprintln!("error: {e}"),
                     },
-                    None => print_repl_status(&ReplStatus {
-                        replica: mdm.engine().is_replica(),
-                        applied_lsn: mdm.engine().wal_next_lsn(),
-                        durable_lsn: mdm.engine().wal_durable_lsn(),
-                        lag_bytes: 0,
-                        replicas: 0,
-                    }),
+                    None => {
+                        let (applied_lsn, durable_lsn) = mdm.repl_watermarks();
+                        print_repl_status(&ReplStatus {
+                            replica: mdm.is_replica(),
+                            applied_lsn,
+                            durable_lsn,
+                            lag_bytes: 0,
+                            replicas: 0,
+                        })
+                    }
                 }
             }
             "\\disconnect" => {

@@ -6,6 +6,7 @@
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
+use mdm_core::stream::Feed;
 use mdm_lang::{PlanExplain, StmtResult, Table};
 use mdm_notation::Score;
 use mdm_obs::{trace, Tracer};
@@ -38,19 +39,17 @@ impl Default for ClientConfig {
     }
 }
 
-/// A batch of encoded WAL records as `(lsn, payload)` pairs, as pulled
-/// by [`MdmClient::repl_pull`]. Mirrors `mdm_storage::WalBatch`.
-pub type WalBatch = Vec<(u64, Vec<u8>)>;
-
 /// A node's replication role and watermarks, as reported by
 /// [`MdmClient::repl_status`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplStatus {
     /// `true` if the node is a replica (refuses writes).
     pub replica: bool,
-    /// Next LSN the node would append (its applied watermark).
+    /// The applied watermark, a primary LSN: on a primary the next LSN
+    /// it would append, on a replica its watermark.
     pub applied_lsn: u64,
-    /// The node's durable (fsynced) LSN watermark.
+    /// The durable watermark: on a primary its fsynced LSN, on a
+    /// replica its watermark again (committed with what it covers).
     pub durable_lsn: u64,
     /// On a replica: bytes of primary WAL not yet applied.
     pub lag_bytes: u64,
@@ -320,26 +319,29 @@ impl MdmClient {
         }
     }
 
-    /// Pulls durable WAL records from `from_lsn` (at most ~`max_bytes`
-    /// of record payload): `(records, primary durable LSN, primary send
-    /// stamp)`. The stamp is the primary's monotonic clock in
-    /// microseconds; replicas derive `mdm_repl_lag_seconds` from it.
-    pub fn repl_pull(
+    /// Pulls the replication stream from a cursor `(from_lsn,
+    /// seed_offset)`, as `MusicDataManager::repl_cursor` gives it (a
+    /// non-zero offset continues the seed of LSN `from_lsn`), at most
+    /// ~`max_bytes`: `(feed, primary durable LSN, primary send stamp)`.
+    /// The stamp is the primary's monotonic clock in microseconds;
+    /// replicas derive `mdm_repl_lag_seconds` from it.
+    pub fn repl_pull_at(
         &mut self,
         replica_id: u64,
-        from_lsn: u64,
+        (from_lsn, seed_offset): (u64, u64),
         max_bytes: u32,
-    ) -> Result<(WalBatch, u64, u64)> {
+    ) -> Result<(Feed, u64, u64)> {
         match self.request(Message::ReplPull {
             replica_id,
             from_lsn,
+            seed_offset,
             max_bytes,
         })? {
             Message::ReplBatch {
-                records,
+                feed,
                 durable_lsn,
                 sent_micros,
-            } => Ok((records, durable_lsn, sent_micros)),
+            } => Ok((feed, durable_lsn, sent_micros)),
             other => Err(NetError::UnexpectedResponse(other.type_name())),
         }
     }

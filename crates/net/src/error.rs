@@ -99,6 +99,9 @@ pub enum ErrorCode {
     ShuttingDown = 8,
     /// The node is a replica: writes must go to the primary.
     ReadOnly = 9,
+    /// A replica pulled from past the primary's durable log: it holds
+    /// history this primary never had.
+    Diverged = 10,
 }
 
 impl ErrorCode {
@@ -114,6 +117,7 @@ impl ErrorCode {
             7 => ErrorCode::Internal,
             8 => ErrorCode::ShuttingDown,
             9 => ErrorCode::ReadOnly,
+            10 => ErrorCode::Diverged,
             _ => return None,
         })
     }
@@ -130,6 +134,7 @@ impl ErrorCode {
             ErrorCode::Internal => "internal",
             ErrorCode::ShuttingDown => "shutting_down",
             ErrorCode::ReadOnly => "read_only",
+            ErrorCode::Diverged => "diverged",
         }
     }
 }

@@ -9,7 +9,9 @@
 //! metrics and alert states are the `$statements`, `$metrics` and
 //! `$alerts` entities, read with an ordinary [`Message::Query`].
 
+use mdm_core::stream::{Feed, ReplTxn, SeedSlice};
 use mdm_lang::{PlanExplain, StmtResult, Table, VarPlan};
+use mdm_model::persist::RowChange;
 use mdm_model::Value;
 use mdm_notation::Score;
 
@@ -100,14 +102,17 @@ pub enum Message {
         /// The program text.
         text: String,
     },
-    /// A replica pulling WAL records from the primary; the server
-    /// answers with [`Message::ReplBatch`].
+    /// A replica pulling the replication stream from the primary; the
+    /// server answers with [`Message::ReplBatch`].
     ReplPull {
         /// Stable identity of the pulling replica (for lag tracking).
         replica_id: u64,
-        /// First LSN the replica wants (its current append position).
+        /// The primary LSN the replica resumes from (its watermark), or
+        /// the LSN of the seed it is fetching.
         from_lsn: u64,
-        /// Soft cap on the batch's total record bytes.
+        /// `0`, or how many bytes of that seed the replica holds.
+        seed_offset: u64,
+        /// Soft cap on the batch's bytes.
         max_bytes: u32,
     },
     /// Requests the node's replication role and watermarks; the server
@@ -169,14 +174,13 @@ pub enum Message {
         /// The result table.
         table: Table,
     },
-    /// A contiguous run of WAL records answering [`Message::ReplPull`].
-    /// Record payloads are opaque to the wire layer: the storage crate's
-    /// own frame encoding, re-decoded by the replica before applying.
+    /// The stream answering [`Message::ReplPull`]: committed transactions
+    /// of row changes, or one seed slice.
     ReplBatch {
-        /// `(lsn, encoded record)` pairs, LSNs dense and ascending.
-        records: Vec<(u64, Vec<u8>)>,
-        /// The primary's durable watermark: records up to (exclusive)
-        /// this LSN are fsynced and safe to replicate.
+        /// The transactions or the slice.
+        feed: Feed,
+        /// The primary's durable watermark: a replica whose cursor
+        /// reached it holds every commit the primary acknowledged.
         durable_lsn: u64,
         /// The primary's monotonic clock (microseconds since its
         /// process start) when it sent the batch; the replica derives
@@ -188,9 +192,11 @@ pub enum Message {
     ReplStatusInfo {
         /// `0` = primary, `1` = replica.
         role: u8,
-        /// Next LSN the node would append (its applied watermark).
+        /// The applied watermark, a primary LSN: on a primary the next LSN
+        /// it would append, on a replica its watermark.
         applied_lsn: u64,
-        /// The node's durable (fsynced) LSN watermark.
+        /// The durable watermark: on a primary its fsynced LSN, on a
+        /// replica its watermark again (committed with what it covers).
         durable_lsn: u64,
         /// On a replica: bytes of primary WAL not yet applied, as of
         /// the last pull. `0` on a primary.
@@ -321,22 +327,20 @@ impl Message {
             Message::ReplPull {
                 replica_id,
                 from_lsn,
+                seed_offset,
                 max_bytes,
             } => {
                 out.extend_from_slice(&replica_id.to_le_bytes());
                 out.extend_from_slice(&from_lsn.to_le_bytes());
+                out.extend_from_slice(&seed_offset.to_le_bytes());
                 out.extend_from_slice(&max_bytes.to_le_bytes());
             }
             Message::ReplBatch {
-                records,
+                feed,
                 durable_lsn,
                 sent_micros,
             } => {
-                put_len(&mut out, records.len());
-                for (lsn, bytes) in records {
-                    out.extend_from_slice(&lsn.to_le_bytes());
-                    crate::wire::put_bytes(&mut out, bytes);
-                }
+                encode_feed(&mut out, feed);
                 out.extend_from_slice(&durable_lsn.to_le_bytes());
                 out.extend_from_slice(&sent_micros.to_le_bytes());
             }
@@ -463,6 +467,7 @@ impl Message {
             T_REPL_PULL => Message::ReplPull {
                 replica_id: c.u64()?,
                 from_lsn: c.u64()?,
+                seed_offset: c.u64()?,
                 max_bytes: c.u32()?,
             },
             T_REPL_STATUS => Message::ReplStatus,
@@ -498,19 +503,11 @@ impl Message {
                 }
                 Message::ScoreList { scores }
             }
-            T_REPL_BATCH => {
-                let n = c.len(12)?;
-                let mut records = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let lsn = c.u64()?;
-                    records.push((lsn, c.bytes()?));
-                }
-                Message::ReplBatch {
-                    records,
-                    durable_lsn: c.u64()?,
-                    sent_micros: c.u64()?,
-                }
-            }
+            T_REPL_BATCH => Message::ReplBatch {
+                feed: decode_feed(&mut c)?,
+                durable_lsn: c.u64()?,
+                sent_micros: c.u64()?,
+            },
             T_REPL_STATUS_INFO => Message::ReplStatusInfo {
                 role: c.u8()?,
                 applied_lsn: c.u64()?,
@@ -679,6 +676,77 @@ fn decode_stmt_result(c: &mut Cursor<'_>) -> Result<StmtResult, DecodeError> {
     })
 }
 
+/// A [`Feed`]: tag 0, the transactions — each its end LSN and its row
+/// changes, a change as its table and optional old and new images —
+/// then the next cursor; or tag 1, a seed slice.
+fn encode_feed(out: &mut Vec<u8>, feed: &Feed) {
+    fn put_image(out: &mut Vec<u8>, image: &Option<Vec<u8>>) {
+        out.push(image.is_some() as u8);
+        if let Some(b) = image {
+            crate::wire::put_bytes(out, b);
+        }
+    }
+    match feed {
+        Feed::Txns { txns, next_lsn } => {
+            out.push(0);
+            put_len(out, txns.len());
+            for t in txns {
+                out.extend_from_slice(&t.end_lsn.to_le_bytes());
+                put_len(out, t.changes.len());
+                for c in &t.changes {
+                    put_str(out, &c.table);
+                    put_image(out, &c.old);
+                    put_image(out, &c.new);
+                }
+            }
+            out.extend_from_slice(&next_lsn.to_le_bytes());
+        }
+        Feed::Seed(slice) => {
+            out.push(1);
+            for v in [slice.lsn, slice.offset, slice.total] {
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+            crate::wire::put_bytes(out, &slice.bytes);
+        }
+    }
+}
+
+fn decode_feed(c: &mut Cursor<'_>) -> Result<Feed, DecodeError> {
+    fn image(c: &mut Cursor<'_>) -> Result<Option<Vec<u8>>, DecodeError> {
+        Ok(if c.bool()? { Some(c.bytes()?) } else { None })
+    }
+    Ok(match c.u8()? {
+        0 => {
+            let n = c.len(12)?;
+            let mut txns = Vec::with_capacity(n);
+            for _ in 0..n {
+                let end_lsn = c.u64()?;
+                let m = c.len(6)?;
+                let mut changes = Vec::with_capacity(m);
+                for _ in 0..m {
+                    changes.push(RowChange {
+                        table: c.string()?,
+                        old: image(c)?,
+                        new: image(c)?,
+                    });
+                }
+                txns.push(ReplTxn { end_lsn, changes });
+            }
+            Feed::Txns {
+                txns,
+                next_lsn: c.u64()?,
+            }
+        }
+        1 => Feed::Seed(SeedSlice {
+            lsn: c.u64()?,
+            offset: c.u64()?,
+            total: c.u64()?,
+            bytes: c.bytes()?,
+        }),
+        t => return Err(DecodeError::BadPayload(format!("unknown feed tag {t}"))),
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -793,18 +861,41 @@ mod tests {
             Message::ReplPull {
                 replica_id: 7,
                 from_lsn: 42,
+                seed_offset: 9,
                 max_bytes: 1 << 20,
             },
             Message::ReplStatus,
             Message::ReplBatch {
-                records: vec![(42, vec![1, 2, 3]), (43, vec![]), (44, vec![0xff; 9])],
-                durable_lsn: 45,
+                feed: Feed::Txns {
+                    txns: vec![ReplTxn {
+                        end_lsn: 44,
+                        changes: vec![
+                            RowChange {
+                                table: "__entities_NOTE".into(),
+                                old: None,
+                                new: Some(vec![1, 2, 3]),
+                            },
+                            RowChange {
+                                table: "__orderings".into(),
+                                old: Some(vec![0xff; 9]),
+                                new: None,
+                            },
+                        ],
+                    }],
+                    next_lsn: 48,
+                },
+                durable_lsn: 48,
                 sent_micros: 1_700_000,
             },
             Message::ReplBatch {
-                records: vec![],
-                durable_lsn: 0,
-                sent_micros: 1,
+                feed: Feed::Seed(SeedSlice {
+                    lsn: 42,
+                    offset: 100,
+                    total: 300,
+                    bytes: vec![7; 100],
+                }),
+                durable_lsn: 45,
+                sent_micros: 2,
             },
             Message::ReplStatusInfo {
                 role: 1,

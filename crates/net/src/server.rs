@@ -86,7 +86,7 @@ struct ReplState {
     /// `true` = this node is a replica: writes are refused with a typed
     /// `ReadOnly` error and shutdown skips the (write-path) save.
     read_only: AtomicBool,
-    /// On a replica: bytes of primary WAL not yet applied, maintained
+    /// On a replica: bytes of primary log not yet applied, maintained
     /// by the pull loop via [`MdmServer::set_repl_lag_bytes`].
     lag_bytes: AtomicU64,
     /// On a primary: replica id → instant of its last `ReplPull`.
@@ -245,16 +245,14 @@ impl MdmServer {
     }
 
     /// Runs `f` with the manager under the shared (read) half of the
-    /// lock, concurrent with reader sessions. The replica pull loop
-    /// applies WAL batches through this (the engine's replication entry
-    /// points take `&self`).
+    /// lock, concurrent with reader sessions.
     pub fn with_manager<R>(&self, f: impl FnOnce(&MusicDataManager) -> R) -> R {
         f(&self.shared.mdm.read().expect("mdm lock"))
     }
 
     /// Runs `f` with the manager under the exclusive (write) half of
-    /// the lock, serialized against every session. Used for replica
-    /// catch-up points that rebuild in-memory state.
+    /// the lock, serialized against every session. The replica pull loop
+    /// applies what it pulled through this.
     pub fn with_manager_mut<R>(&self, f: impl FnOnce(&mut MusicDataManager) -> R) -> R {
         f(&mut self.shared.mdm.write().expect("mdm lock"))
     }
@@ -307,8 +305,8 @@ impl MdmServer {
             .map_err(|_| NetError::UnexpectedResponse("server threads still hold state"))?;
         let read_only = shared.repl.read_only.load(Ordering::SeqCst);
         let mut mdm = shared.mdm.into_inner().expect("mdm lock");
-        // A replica's durable state is owned by the replication stream;
-        // saving would append local records into the primary's LSN space.
+        // A replica's durable state is owned by the replication stream,
+        // which commits everything it applies.
         if !read_only {
             mdm.save()
                 .map_err(|e| NetError::Io(std::io::Error::other(e.to_string())))?;
@@ -554,28 +552,18 @@ fn handle_request(shared: &Shared, request: Message) -> Message {
                 Err(e) => core_error_response(&e),
             }
         }
-        // Replication: a replica pulling durable WAL records. Served
-        // under the read half — streaming never blocks writers, and the
-        // engine caps the batch at its durable watermark.
+        // Replication: a replica pulling the stream. Served under the
+        // read half — streaming never blocks writers, and only what is
+        // durable is shipped.
         Message::ReplPull {
             replica_id,
             from_lsn,
+            seed_offset,
             max_bytes,
         } => {
             let mdm = shared.mdm.read().expect("mdm lock");
-            // A pulled-from node must retain every frame its replicas
-            // have not fetched yet, including history rotated away
-            // before they attached: archive mode keeps rotated frames
-            // in segments and seeds the log with a full snapshot on
-            // first enablement. Sticky and idempotent, so the cost is
-            // one branch per pull. Fails only while a transaction is
-            // active; the replica simply retries.
-            let pull = mdm
-                .engine()
-                .enable_wal_archive()
-                .and_then(|()| mdm.engine().wal_read_from(from_lsn, max_bytes as usize));
-            match pull {
-                Ok((records, durable_lsn)) => {
+            match mdm.repl_pull(from_lsn, seed_offset, max_bytes as usize) {
+                Ok((feed, durable_lsn)) => {
                     shared
                         .repl
                         .pullers
@@ -583,7 +571,7 @@ fn handle_request(shared: &Shared, request: Message) -> Message {
                         .expect("pullers lock")
                         .insert(replica_id, Instant::now());
                     Message::ReplBatch {
-                        records,
+                        feed,
                         durable_lsn,
                         // Primary-monotonic send stamp (µs since this
                         // node's monitor epoch); replicas difference
@@ -594,18 +582,12 @@ fn handle_request(shared: &Shared, request: Message) -> Message {
                         sent_micros: mdm.monitor().uptime_micros().max(1),
                     }
                 }
-                Err(e) => Message::Error {
-                    code: ErrorCode::Storage,
-                    message: e.to_string(),
-                },
+                Err(e) => core_error_response(&e),
             }
         }
         Message::ReplStatus => {
             let read_only = shared.repl.read_only.load(Ordering::SeqCst);
-            let (applied_lsn, durable_lsn) = {
-                let mdm = shared.mdm.read().expect("mdm lock");
-                (mdm.engine().wal_next_lsn(), mdm.engine().wal_durable_lsn())
-            };
+            let (applied_lsn, durable_lsn) = shared.mdm.read().expect("mdm lock").repl_watermarks();
             let replicas = if read_only {
                 0
             } else {
@@ -689,9 +671,10 @@ fn status_json(shared: &Shared) -> String {
     let (applied_lsn, durable_lsn, health, uptime_micros) = {
         let mdm = shared.mdm.read().expect("mdm lock");
         let monitor = mdm.monitor();
+        let (applied, durable) = mdm.repl_watermarks();
         (
-            mdm.engine().wal_next_lsn(),
-            mdm.engine().wal_durable_lsn(),
+            applied,
+            durable,
             mdm.health().to_json(),
             monitor.uptime_micros(),
         )
@@ -739,9 +722,13 @@ fn core_error_response(e: &CoreError) -> Message {
         CoreError::NoSuchScore(_) => ErrorCode::NotFound,
         CoreError::BadScoreData(_) => ErrorCode::BadScoreData,
         CoreError::Lang(_) | CoreError::Model(_) => ErrorCode::Query,
+        CoreError::Diverged { .. } => ErrorCode::Diverged,
         CoreError::Storage(_) => ErrorCode::Storage,
-        CoreError::Darms(_) => ErrorCode::BadRequest,
-        CoreError::Internal(_) => ErrorCode::Internal,
+        CoreError::Darms(_) | CoreError::NotReplica | CoreError::Stale { .. } => {
+            ErrorCode::BadRequest
+        }
+        CoreError::Internal(_) | CoreError::Unapplied { .. } => ErrorCode::Internal,
+        CoreError::ReadOnly => ErrorCode::ReadOnly,
     };
     Message::Error {
         code,

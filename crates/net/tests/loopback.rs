@@ -478,7 +478,7 @@ fn shutdown_drains_in_flight_requests() {
 fn repl_batches_always_carry_the_send_stamp() {
     let server = start_server("replstamp", ServerConfig::default());
     let mut c = client(&server);
-    let (_, _, stamp) = c.repl_pull(8, 0, 1 << 16).expect("pull");
+    let (_, _, stamp) = c.repl_pull_at(8, (0, 0), 1 << 16).expect("pull");
     assert_ne!(stamp, 0, "every batch carries the primary's send stamp");
     drop(c);
     server.shutdown().expect("shutdown");

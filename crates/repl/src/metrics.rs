@@ -8,9 +8,10 @@ use std::sync::Arc;
 /// Replication metrics, shared between the pull loop and the node.
 #[derive(Clone)]
 pub struct ReplMetrics {
-    /// The replica's applied watermark (next LSN it would append).
+    /// The replica's applied watermark: the primary LSN through which it
+    /// holds every committed transaction.
     pub applied_lsn: Arc<Gauge>,
-    /// Estimated bytes of primary WAL not yet applied locally.
+    /// Estimated bytes of primary log not yet applied locally.
     pub lag_bytes: Arc<Gauge>,
     /// Whole seconds of primary history not yet applied locally,
     /// differenced from the primary's own batch send stamps (one
@@ -18,13 +19,12 @@ pub struct ReplMetrics {
     pub lag_seconds: Arc<Gauge>,
     /// Pull batches applied.
     pub batches: Arc<Counter>,
-    /// WAL records applied through the stream.
+    /// Primary log records the stream carried the replica past.
     pub records: Arc<Counter>,
-    /// Committed transactions whose rows were applied to the in-memory
-    /// database.
+    /// Committed transactions applied and committed locally.
     pub txns_applied: Arc<Counter>,
-    /// Checkpoint markers folded (each rotates the replica's log).
-    pub checkpoints: Arc<Counter>,
+    /// Seeds installed (each replaces the replica's image).
+    pub seeds: Arc<Counter>,
     /// Successful promotions to primary.
     pub promotes: Arc<Counter>,
     /// Pull-loop errors (connect failures, pull failures, apply failures).
@@ -37,11 +37,11 @@ impl ReplMetrics {
         ReplMetrics {
             applied_lsn: registry.gauge(
                 "mdm_repl_applied_lsn",
-                "replica applied watermark: next LSN the local log would append",
+                "replica applied watermark: the primary LSN through which it holds every commit",
             ),
             lag_bytes: registry.gauge(
                 "mdm_repl_lag_bytes",
-                "estimated bytes of primary WAL not yet applied locally",
+                "estimated bytes of primary log not yet applied locally",
             ),
             lag_seconds: registry.gauge(
                 "mdm_repl_lag_seconds",
@@ -50,16 +50,13 @@ impl ReplMetrics {
             batches: registry.counter("mdm_repl_batches_total", "pull batches applied"),
             records: registry.counter(
                 "mdm_repl_records_total",
-                "WAL records applied through the replication stream",
+                "primary log records the replication stream carried the replica past",
             ),
             txns_applied: registry.counter(
                 "mdm_repl_txns_applied_total",
-                "committed transactions whose rows were applied to the in-memory database",
+                "committed transactions applied and committed locally",
             ),
-            checkpoints: registry.counter(
-                "mdm_repl_checkpoints_total",
-                "checkpoint markers folded into the replica's pages",
-            ),
+            seeds: registry.counter("mdm_repl_seeds_total", "seeds installed"),
             promotes: registry.counter("mdm_repl_promotes_total", "successful promotions"),
             errors: registry.counter("mdm_repl_errors_total", "pull-loop errors"),
         }

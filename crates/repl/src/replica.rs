@@ -1,47 +1,36 @@
-//! The replica node: a full MDM server whose write-ahead log is fed by
-//! a pull loop streaming from a primary, instead of by local
-//! transactions.
+//! The replica node: a full MDM server whose data arrives by a pull
+//! loop streaming from a primary, instead of by local writes.
 //!
 //! The replica serves the normal read path — `query_shared` over the
 //! wire, metrics, score retrieval — while refusing every write with a
 //! typed `ReadOnly` error. Replica reads run against the in-memory
-//! database under the server's read lock: they never touch the engine,
-//! take no engine locks, and never abort — even while the pull loop
-//! applies the primary's WAL underneath them.
+//! database under the server's read lock, concurrent with each other;
+//! the pull loop applies a batch under the write lock.
 //!
-//! The stream feeds both halves of the node the same rows. The log and
-//! the pages take the records verbatim, folding at every
-//! [`WalRecord::Checkpoint`] marker (the primary guarantees no
-//! transaction spans one). The in-memory database takes each committed
-//! transaction's heap records on the image tables, buffered per
-//! transaction and applied at its `Commit` through the same row decoders
-//! a load uses ([`persist::apply`]) — so between checkpoints and across
-//! them a replica reads exactly what the primary committed, with nothing
-//! re-executed and nothing skipped. The one exception is a fresh replica:
-//! its stream starts at the primary's archive snapshot, whose earlier
-//! history exists only as page images, so it loads its model from the
-//! pages of its first fold and applies rows from there.
-//!
-//! A committed transaction the in-memory database cannot take stops the
-//! pull loop there ([`ReplError::Unapplied`]): the error stays reported
-//! and the applied watermark stays below it, so the replica keeps
-//! answering the history before it and is never promoted past it.
+//! The loop pulls from the replica's cursor ([`MusicDataManager::
+//! repl_cursor`]) and hands what it gets to [`MusicDataManager::
+//! repl_apply`]: committed transactions are applied to the model and
+//! committed into the replica's own engine with its watermark, in one
+//! engine transaction; a seed's slices are gathered and the whole seed
+//! replaces the image. A restarted replica resumes from its watermark
+//! row. A committed transaction the model cannot take stops the loop
+//! there ([`CoreError::Unapplied`]): the error stays reported and the
+//! watermark stays below it, so the replica keeps answering the history
+//! before it and is never promoted past it. A primary that refuses the
+//! cursor as no point of its history stops the loop too, and the
+//! replica then refuses promotion as [`ReplError::Diverged`].
 //!
 //! Promotion is [`ReplicaNode::promote`]: refused while the replica has
 //! not applied everything the primary acknowledged as durable, otherwise
-//! the local log is folded, the role flips, and the LSN space simply
-//! continues — the old primary can later re-seed as a replica of the new
-//! one. The model needs nothing at promotion: it already holds every
-//! committed row, at the record ids the fold leaves them in.
+//! its log continues the primary's LSN space from the watermark, the
+//! watermark row is deleted and the role flips. The model needs
+//! nothing: it already holds every committed row.
 
 use crate::error::{ReplError, Result};
 use crate::metrics::ReplMetrics;
-use mdm_core::{cmn_schema, CoreError, MusicDataManager};
-use mdm_model::persist::{self, RowChange};
-use mdm_net::{ClientConfig, MdmClient, MdmServer, ServerConfig};
-use mdm_storage::catalog::Catalog;
-use mdm_storage::{Rid, StorageEngine, TableId, TxnId, Wal, WalRecord};
-use std::collections::HashMap;
+use mdm_core::stream::Feed;
+use mdm_core::{CoreError, MusicDataManager};
+use mdm_net::{ClientConfig, ErrorCode, MdmClient, MdmServer, NetError, ServerConfig};
 use std::net::SocketAddr;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -104,6 +93,8 @@ struct PullState {
     primary_durable: AtomicU64,
     /// The replica's applied watermark after the last batch.
     applied: AtomicU64,
+    /// The primary refused the replica's cursor as past its durable log.
+    diverged: AtomicBool,
     /// Primary send stamp (its monotonic µs) of the newest pull
     /// response; `0` until the primary first answers.
     last_stamp: AtomicU64,
@@ -114,21 +105,11 @@ struct PullState {
     last_error: Mutex<Option<String>>,
 }
 
-/// Folds the replica engine's streamed log into its pages and flips it
-/// back to primary. The engine-level half of promotion, shared with the
-/// pair torture harness (which promotes bare engines, no server).
-pub fn promote_engine(engine: &StorageEngine) -> Result<()> {
-    engine.replica_refresh()?;
-    engine.set_replica(false)?;
-    Ok(())
-}
-
 /// A running replica: an [`MdmServer`] serving reads plus the pull
-/// thread feeding its WAL from the primary.
+/// thread feeding it from the primary.
 pub struct ReplicaNode {
     /// `Some` until [`ReplicaNode::shutdown`] takes it.
     server: Option<Arc<MdmServer>>,
-    engine: StorageEngine,
     state: Arc<PullState>,
     metrics: ReplMetrics,
     puller: Option<JoinHandle<()>>,
@@ -137,13 +118,15 @@ pub struct ReplicaNode {
 impl ReplicaNode {
     /// Opens (or creates) the database in `dir` as a replica, starts its
     /// read-only server on `listen`, and spawns the pull loop against
-    /// `cfg.primary_addr`. The replica role is persisted in the data
-    /// directory, so a restarted node comes back as a replica and
-    /// resumes the stream from its local watermark.
+    /// `cfg.primary_addr`. A directory that is not a replica's yet
+    /// becomes one that has applied nothing
+    /// ([`MusicDataManager::become_replica`]). The role is the watermark
+    /// row, so a restarted node comes back as a replica and resumes the
+    /// stream from its watermark.
     pub fn start(dir: &Path, listen: &str, cfg: ReplicaConfig) -> Result<ReplicaNode> {
         let mut mdm = MusicDataManager::open(dir)?;
-        mdm.set_replica(true)?;
-        let engine = mdm.engine().clone();
+        mdm.become_replica()?;
+        let applied = mdm.replica_watermark().unwrap_or(0);
         let metrics = ReplMetrics::register(&mdm.metrics_registry());
         // Lag rules on top of the engine defaults: a replica that falls
         // behind its thresholds goes critical (`/healthz` 503), so a
@@ -156,24 +139,23 @@ impl ReplicaNode {
             stop: AtomicBool::new(false),
             apply_paused: AtomicBool::new(false),
             primary_durable: AtomicU64::new(0),
-            applied: AtomicU64::new(engine.wal_next_lsn()),
+            applied: AtomicU64::new(applied),
+            diverged: AtomicBool::new(false),
             last_stamp: AtomicU64::new(0),
             applied_stamp: AtomicU64::new(0),
             last_error: Mutex::new(None),
         });
         let puller = {
             let server = Arc::clone(&server);
-            let engine = engine.clone();
             let state = Arc::clone(&state);
             let metrics = metrics.clone();
             std::thread::Builder::new()
                 .name("mdm-repl-pull".into())
-                .spawn(move || pull_loop(&server, &engine, &state, &metrics, &cfg))
+                .spawn(move || pull_loop(&server, &state, &metrics, &cfg))
                 .map_err(ReplError::Io)?
         };
         Ok(ReplicaNode {
             server: Some(server),
-            engine,
             state,
             metrics,
             puller: Some(puller),
@@ -190,11 +172,11 @@ impl ReplicaNode {
         self.server.as_deref().expect("replica server taken")
     }
 
-    /// The replica's applied watermark. Published by the pull loop only
-    /// after a batch has landed fully — log, pages, AND the live
-    /// in-memory database — so a reader that observes `applied_lsn() >=
-    /// x` sees every transaction committed at or below `x` in its
-    /// queries.
+    /// The replica's applied watermark, a primary LSN. Published by the
+    /// pull loop only after a batch has landed fully — committed locally
+    /// and in the live in-memory database — so a reader that observes
+    /// `applied_lsn() >= x` sees every transaction the primary committed
+    /// below `x` in its queries.
     pub fn applied_lsn(&self) -> u64 {
         self.state.applied.load(Ordering::Acquire)
     }
@@ -238,22 +220,21 @@ impl ReplicaNode {
 
     /// Controlled failover: promotes this replica to primary.
     ///
-    /// Refused with [`ReplError::Stale`] — leaving the node replicating,
-    /// untouched — unless the replica's published applied watermark has
-    /// reached everything the primary ever acknowledged as durable;
-    /// promoting a stale replica would silently drop acknowledged
-    /// commits. On success the pull loop stops, the streamed log is
-    /// folded into the pages, and the node starts accepting writes. The
-    /// LSN space continues where the stream left off.
+    /// Refused with [`ReplError::Diverged`] if the primary refused the
+    /// replica's cursor, and with [`ReplError::Stale`] — leaving the node
+    /// replicating, untouched — unless the replica has applied
+    /// everything the primary ever acknowledged as durable
+    /// ([`MusicDataManager::promote`]); promoting a stale replica would
+    /// silently drop acknowledged commits. On success the watermark row
+    /// is deleted, the pull loop stops, and the node starts accepting
+    /// writes.
     pub fn promote(&mut self) -> Result<()> {
-        let applied = self.applied_lsn();
-        let required = self.state.primary_durable.load(Ordering::Acquire);
-        if applied < required {
-            return Err(ReplError::Stale { applied, required });
+        if self.state.diverged.load(Ordering::Acquire) {
+            return Err(ReplError::Diverged(self.last_error().unwrap_or_default()));
         }
+        let required = self.state.primary_durable.load(Ordering::Acquire);
+        self.server().with_manager_mut(|m| m.promote(required))?;
         self.stop_puller();
-        self.engine.replica_refresh()?;
-        self.server().with_manager_mut(|m| m.set_replica(false))?;
         self.server().set_read_only(false);
         self.metrics.promotes.inc();
         Ok(())
@@ -283,24 +264,11 @@ impl Drop for ReplicaNode {
     }
 }
 
-/// The pull loop: stream, split at checkpoint markers, fold, apply
-/// committed rows, publish lag.
-fn pull_loop(
-    server: &MdmServer,
-    engine: &StorageEngine,
-    state: &PullState,
-    metrics: &ReplMetrics,
-    cfg: &ReplicaConfig,
-) {
+/// The pull loop: pull from the cursor, apply, publish lag.
+fn pull_loop(server: &MdmServer, state: &PullState, metrics: &ReplMetrics, cfg: &ReplicaConfig) {
     let mut client: Option<MdmClient> = None;
-    let mut stream = match Stream::resume(engine) {
-        Ok(s) => s,
-        Err(e) => {
-            record_error(state, metrics, &format!("resume: {e}"));
-            return;
-        }
-    };
-    // Bytes per record from the last non-empty batch, for lag estimates.
+    // Primary log bytes per LSN from the last non-empty batch, for lag
+    // estimates.
     let mut avg_record_bytes: u64 = 64;
     while !state.stop.load(Ordering::SeqCst) {
         let c = match client.as_mut() {
@@ -314,58 +282,87 @@ fn pull_loop(
                 }
             },
         };
-        let from = engine.wal_next_lsn();
-        let (batch, durable, stamp) = match c.repl_pull(cfg.replica_id, from, cfg.max_batch_bytes) {
-            Ok(r) => r,
-            Err(e) => {
-                record_error(state, metrics, &format!("pull: {e}"));
-                client = None;
-                idle(state, cfg.poll_interval);
-                continue;
-            }
-        };
+        let cursor = server.with_manager(|m| m.repl_cursor());
+        let (feed, durable, stamp) =
+            match c.repl_pull_at(cfg.replica_id, cursor, cfg.max_batch_bytes) {
+                Ok(r) => r,
+                Err(NetError::Remote {
+                    code: ErrorCode::Diverged,
+                    message,
+                }) => {
+                    // The primary has no history at our cursor: pulling on
+                    // would serve neither its history nor ours.
+                    record_error(state, metrics, &format!("pull: {message}"));
+                    state.diverged.store(true, Ordering::Release);
+                    return;
+                }
+                Err(e) => {
+                    record_error(state, metrics, &format!("pull: {e}"));
+                    client = None;
+                    idle(state, cfg.poll_interval);
+                    continue;
+                }
+            };
         state.primary_durable.store(durable, Ordering::Release);
         note_stamp(state, stamp);
         if state.apply_paused.load(Ordering::SeqCst) {
             // Held behind on purpose: watermarks and stamps above stay
-            // fresh, the local log does not move, so both lag gauges
-            // grow with the primary's write load.
+            // fresh, the applied watermark does not move, so both lag
+            // gauges grow with the primary's write load.
             publish_lag(server, state, metrics, avg_record_bytes);
             idle(state, cfg.poll_interval);
             continue;
         }
-        if batch.is_empty() {
-            if engine.wal_next_lsn() >= durable {
-                // Drained: our applied state is current as of this pull.
-                state.applied_stamp.store(stamp, Ordering::Release);
+        let from = state.applied.load(Ordering::Acquire);
+        let txns = match &feed {
+            Feed::Txns { txns, next_lsn } => {
+                let bytes: usize = (txns.iter().flat_map(|t| &t.changes))
+                    .map(|c| {
+                        c.table.len()
+                            + c.old.as_ref().map_or(0, Vec::len)
+                            + c.new.as_ref().map_or(0, Vec::len)
+                    })
+                    .sum();
+                if *next_lsn > from {
+                    avg_record_bytes = (bytes as u64 / (next_lsn - from)).max(1);
+                }
+                txns.len() as u64
             }
-            publish_lag(server, state, metrics, avg_record_bytes);
-            idle(state, cfg.poll_interval);
-            continue;
-        }
-        let bytes: usize = batch.iter().map(|(_, p)| p.len() + 12).sum();
-        avg_record_bytes = (bytes as u64 / batch.len() as u64).max(1);
-        match apply_batch(server, engine, metrics, &mut stream, &batch) {
-            Ok(()) => {
+            Feed::Seed(_) => 0,
+        };
+        match server.with_manager_mut(|m| {
+            m.repl_apply(feed)
+                .map(|seeded| (seeded, m.replica_watermark()))
+        }) {
+            Ok((seeded, watermark)) => {
                 *state.last_error.lock().expect("repl error lock") = None;
-                state
-                    .applied
-                    .store(engine.wal_next_lsn(), Ordering::Release);
-                metrics.applied_lsn.set(engine.wal_next_lsn() as i64);
-                if engine.wal_next_lsn() >= durable {
+                let applied = watermark.unwrap_or(from);
+                if applied > from || seeded {
+                    metrics.batches.inc();
+                    metrics.records.add(applied.saturating_sub(from));
+                    metrics.txns_applied.add(txns);
+                }
+                if seeded {
+                    metrics.seeds.inc();
+                }
+                state.applied.store(applied, Ordering::Release);
+                metrics.applied_lsn.set(applied as i64);
+                if applied >= durable {
                     // Caught up to everything this pull knew about: our
                     // applied state is current as of its send stamp.
                     state.applied_stamp.store(stamp, Ordering::Release);
                 }
                 publish_lag(server, state, metrics, avg_record_bytes);
             }
+            // Promoted under the loop: nothing more to pull.
+            Err(CoreError::NotReplica) => return,
             Err(e) => {
-                // A log or fold failure leaves the local watermark where
-                // it was, so the next pull retries the same span. A
-                // committed transaction the model cannot take stops the
-                // loop: the next pull would start past it.
+                // A failed commit leaves the watermark where it was, so
+                // the next pull retries the same span. A committed
+                // transaction the model cannot take stops the loop: the
+                // next pull would fail on it again.
                 record_error(state, metrics, &format!("apply: {e}"));
-                if matches!(e, ReplError::Unapplied { .. }) {
+                if matches!(e, CoreError::Unapplied { .. }) {
                     return;
                 }
             }
@@ -375,165 +372,6 @@ fn pull_loop(
         // and the catch-up throughput.
         idle(state, cfg.poll_interval);
     }
-}
-
-/// What the pull loop knows of the stream beyond the pages: table names
-/// by id, and the row changes of transactions whose `Commit` has not
-/// arrived yet.
-struct Stream {
-    tables: HashMap<TableId, String>,
-    pending: HashMap<TxnId, Vec<RowChange>>,
-    /// True until a fresh replica's first fold: its model is then loaded
-    /// from the folded pages, and rows apply live from there on.
-    bootstrapping: bool,
-}
-
-impl Stream {
-    /// Picks the stream up where the local log ends. A fresh replica
-    /// (an empty log) bootstraps. A restarted one loaded its model from
-    /// pages recovery rebuilt from the local log, which holds every
-    /// committed transaction — but a transaction whose `Commit` has not
-    /// arrived yet is in the log and not in the pages: its rows are
-    /// re-read from the log.
-    fn resume(engine: &StorageEngine) -> Result<Stream> {
-        let mut stream = Stream {
-            tables: HashMap::new(),
-            pending: HashMap::new(),
-            bootstrapping: engine.wal_next_lsn() == 0,
-        };
-        for name in engine.table_names() {
-            stream.tables.insert(engine.table_id(&name)?, name);
-        }
-        if !stream.bootstrapping {
-            let (records, _) = Wal::replay(engine.dir())?;
-            for rec in &records {
-                // Committed ones are already in the model.
-                stream.track(rec);
-            }
-        }
-        Ok(stream)
-    }
-
-    /// Follows one record; returns the row changes of the transaction it
-    /// commits, if it is a `Commit`.
-    fn track(&mut self, rec: &WalRecord) -> Option<Vec<RowChange>> {
-        match rec {
-            WalRecord::CatalogSnapshot { bytes } => {
-                if let Ok(cat) = Catalog::from_bytes(bytes) {
-                    self.tables = cat.tables.into_iter().map(|(n, m)| (m.id, n)).collect();
-                }
-            }
-            WalRecord::Insert {
-                txn,
-                table,
-                rid,
-                body,
-            } => self.change(*txn, *table, *rid, None, Some(body)),
-            WalRecord::Update {
-                txn,
-                table,
-                rid,
-                old,
-                new,
-            } => self.change(*txn, *table, *rid, Some(old), Some(new)),
-            WalRecord::Delete {
-                txn,
-                table,
-                rid,
-                old,
-            } => self.change(*txn, *table, *rid, Some(old), None),
-            WalRecord::Commit { txn } => return self.pending.remove(txn),
-            WalRecord::Abort { txn } => {
-                self.pending.remove(txn);
-            }
-            _ => {}
-        }
-        None
-    }
-
-    fn change(
-        &mut self,
-        txn: TxnId,
-        table: TableId,
-        rid: Rid,
-        old: Option<&Vec<u8>>,
-        new: Option<&Vec<u8>>,
-    ) {
-        if self.bootstrapping {
-            return;
-        }
-        let Some(name) = self.tables.get(&table) else {
-            return;
-        };
-        self.pending.entry(txn).or_default().push(RowChange {
-            table: name.clone(),
-            rid: rid.to_u64(),
-            old: old.cloned(),
-            new: new.cloned(),
-        });
-    }
-}
-
-/// Applies one pulled batch span by span — a span ends at a checkpoint
-/// marker or at the batch's end: the span goes to the local log, the rows
-/// of every transaction it commits go to the in-memory database, and a
-/// marker then folds and rotates the log. The stream state follows only
-/// spans the log took, so a span the log or the fold failed on is retried
-/// whole by the next pull. A transaction the database cannot take fails
-/// with [`ReplError::Unapplied`], after its span reached the log.
-fn apply_batch(
-    server: &MdmServer,
-    engine: &StorageEngine,
-    metrics: &ReplMetrics,
-    stream: &mut Stream,
-    batch: &[(u64, Vec<u8>)],
-) -> Result<()> {
-    let records = batch
-        .iter()
-        .map(|(lsn, payload)| {
-            WalRecord::decode(payload)
-                .ok_or_else(|| ReplError::Protocol(format!("undecodable record at lsn {lsn}")))
-        })
-        .collect::<Result<Vec<_>>>()?;
-    let mut start = 0usize;
-    while start < records.len() {
-        let end = records[start..]
-            .iter()
-            .position(|r| matches!(r, WalRecord::Checkpoint))
-            .map_or(records.len(), |i| start + i + 1);
-        engine.replica_apply(&batch[start..end])?;
-        let committed: Vec<(u64, Vec<RowChange>)> = (start..end)
-            .filter_map(|i| Some((batch[i].0, stream.track(&records[i])?)))
-            .collect();
-        if !committed.is_empty() {
-            server.with_manager_mut(|m| -> Result<()> {
-                for (lsn, changes) in &committed {
-                    persist::apply(m.database_mut(), changes).map_err(|e| {
-                        ReplError::Unapplied {
-                            lsn: *lsn,
-                            source: e.into(),
-                        }
-                    })?;
-                    metrics.txns_applied.inc();
-                }
-                Ok(())
-            })?;
-        }
-        if matches!(records[end - 1], WalRecord::Checkpoint) {
-            engine.replica_checkpoint()?;
-            metrics.checkpoints.inc();
-            if stream.bootstrapping {
-                let mut db = persist::load(engine).map_err(CoreError::from)?;
-                cmn_schema::install(&mut db)?;
-                server.with_manager_mut(|m| *m.database_mut() = db);
-                stream.bootstrapping = false;
-            }
-        }
-        start = end;
-    }
-    metrics.batches.inc();
-    metrics.records.add(batch.len() as u64);
-    Ok(())
 }
 
 /// Records the primary's send stamp from one pull response.
@@ -594,6 +432,7 @@ mod tests {
             apply_paused: AtomicBool::new(false),
             primary_durable: AtomicU64::new(0),
             applied: AtomicU64::new(0),
+            diverged: AtomicBool::new(false),
             last_stamp: AtomicU64::new(0),
             applied_stamp: AtomicU64::new(0),
             last_error: Mutex::new(None),

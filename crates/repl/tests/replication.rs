@@ -1,6 +1,7 @@
 //! End-to-end replication over a real loopback pair: a primary
 //! [`MdmServer`], a [`ReplicaNode`] pulling from it, clients on both.
 
+use mdm_core::stream::Feed;
 use mdm_core::MusicDataManager;
 use mdm_net::{ClientConfig, ErrorCode, MdmClient, MdmServer, NetError, ServerConfig};
 use mdm_repl::{ReplError, ReplicaConfig, ReplicaNode};
@@ -91,8 +92,8 @@ fn replica_serves_reads_reports_status_and_survives_restart() {
         other => panic!("expected typed ReadOnly refusal, got {other:?}"),
     }
 
-    // A checkpoint rotates the primary's log; the replica folds at the
-    // marker and still serves the same rows.
+    // A checkpoint truncates the primary's log; the replica resumes
+    // across it and still serves the same rows.
     server
         .with_manager(|m| m.engine().checkpoint())
         .expect("primary checkpoint");
@@ -102,11 +103,11 @@ fn replica_serves_reads_reports_status_and_survives_restart() {
     assert!(node.wait_for_lsn(target, Duration::from_secs(10)));
     let table = rc
         .query("range of g is GADGET\nretrieve (g.name)")
-        .expect("replica query after fold");
+        .expect("replica query after checkpoint");
     assert_eq!(table.rows.len(), 3);
 
-    // Restart the replica: the role is sticky (marker file), the stream
-    // resumes from the local watermark, reads still work.
+    // Restart the replica: the role is sticky (the watermark row), the
+    // stream resumes from the watermark, reads still work.
     drop(rc);
     let mdm = node.shutdown().expect("replica shutdown");
     assert!(mdm.is_replica(), "role survives shutdown");
@@ -381,8 +382,8 @@ fn answers(server: &MdmServer) -> (String, Vec<(u64, String)>, Vec<Vec<String>>)
 
 /// The replica applies the primary's committed rows, not its statements:
 /// it answers exactly what the primary answers — between checkpoints,
-/// after a fold, and once promoted — including a replica that joins after
-/// the primary's history before its last save exists only in its pages.
+/// across a checkpoint, and once promoted — including a replica that joins
+/// after the primary's log no longer holds its history, and takes a seed.
 #[test]
 fn the_replica_answers_what_the_primary_answers() {
     use mdm_notation::fixtures::bwv578_subject;
@@ -397,7 +398,7 @@ fn the_replica_answers_what_the_primary_answers() {
     pc.store_score(&bwv578_subject()).expect("store score");
     server
         .with_manager_mut(|m| m.save())
-        .expect("save: the history so far is only in pages");
+        .expect("save: the history so far leaves the log");
 
     let dir_r = tempdir("same-r");
     let mut node = ReplicaNode::start(
@@ -435,19 +436,18 @@ fn the_replica_answers_what_the_primary_answers() {
         "between checkpoints"
     );
 
-    // A checkpoint on the primary: the replica folds at its marker.
+    // A checkpoint on the primary: the caught-up replica resumes across
+    // it without a second seed.
     server.with_manager_mut(|m| m.save()).expect("save");
-    let folds = node
-        .server()
-        .with_manager(|m| m.metrics_snapshot().counter("mdm_repl_checkpoints_total"));
     pc.execute("range of g is GADGET\ndelete g where g.name = \"trautonium\"")
         .expect("delete after save");
     caught_up(&node);
-    let after = node
-        .server()
-        .with_manager(|m| m.metrics_snapshot().counter("mdm_repl_checkpoints_total"));
-    assert!(after > folds, "the replica folded: {folds:?} -> {after:?}");
-    assert_eq!(answers(node.server()), answers(&server), "after a fold");
+    assert_eq!(seeds(&node), Some(1), "one seed, at the start");
+    assert_eq!(
+        answers(node.server()),
+        answers(&server),
+        "after a checkpoint"
+    );
 
     // Promoted, the node answers the same, then takes writes of its own.
     node.promote().expect("promote");
@@ -464,4 +464,226 @@ fn the_replica_answers_what_the_primary_answers() {
     drop(rc);
     node.shutdown().expect("promoted shutdown");
     server.shutdown().expect("primary shutdown");
+}
+
+/// Seeds installed by the node behind `node`, as its registry counts them.
+fn seeds(node: &ReplicaNode) -> Option<u64> {
+    node.server()
+        .with_manager(|m| m.metrics_snapshot().counter("mdm_repl_seeds_total"))
+}
+
+/// Waits until `node` holds everything `server` made durable.
+fn catch_up(node: &ReplicaNode, server: &MdmServer) {
+    let target = primary_durable(server);
+    assert!(
+        node.wait_for_lsn(target, Duration::from_secs(10)),
+        "replica stuck at {} (target {target}): {:?}",
+        node.applied_lsn(),
+        node.last_error()
+    );
+}
+
+/// A replica started after the primary checkpointed cannot stream the
+/// history the checkpoint truncated: it installs exactly one seed — from
+/// several slices of one image when the seed outgrows the pull budget —
+/// then answers what the primary answers and follows its later writes.
+#[test]
+fn a_replica_that_joins_after_a_checkpoint_installs_one_seed_in_slices() {
+    use mdm_notation::fixtures::bwv578_subject;
+    const MAX_BATCH: u32 = 4096;
+    let (server, _dir_p) = start_primary("seed");
+    let mut pc = client(&server.local_addr().to_string());
+    pc.execute(
+        "define entity GADGET (name = string, n = integer)\n\
+         append to GADGET (name = \"theremin\", n = 1)",
+    )
+    .expect("primary execute");
+    pc.store_score(&bwv578_subject()).expect("store score");
+    server.with_manager_mut(|m| m.save()).expect("save");
+    let seed = server.with_manager(|m| m.repl_pull(0, 0, usize::MAX));
+    match seed.expect("a pull from 0 after a checkpoint") {
+        (Feed::Seed(whole), _) => assert!(whole.total > 4 * MAX_BATCH as u64),
+        other => panic!("expected a whole seed, got {other:?}"),
+    }
+
+    let mut cfg = ReplicaConfig::new(&server.local_addr().to_string());
+    cfg.max_batch_bytes = MAX_BATCH;
+    cfg.poll_interval = Duration::from_millis(1);
+    let node = ReplicaNode::start(&tempdir("seed-r"), "127.0.0.1:0", cfg).expect("start");
+    catch_up(&node, &server);
+    assert_eq!(seeds(&node), Some(1));
+    assert_eq!(answers(node.server()), answers(&server), "seeded");
+    pc.execute("append to GADGET (name = \"ondes\", n = 2)")
+        .expect("append");
+    catch_up(&node, &server);
+    assert_eq!(seeds(&node), Some(1), "streams after the seed");
+    assert_eq!(answers(node.server()), answers(&server), "after the seed");
+
+    node.shutdown().expect("replica shutdown");
+    server.shutdown().expect("primary shutdown");
+}
+
+/// A caught-up replica needs no seed across a primary checkpoint, a
+/// primary restart, or its own restart: each resumes from the log.
+#[test]
+fn a_caught_up_replica_resumes_without_a_seed() {
+    let (server, dir_p) = start_primary("resume");
+    let addr = server.local_addr().to_string();
+    let dir_r = tempdir("resume-r");
+    let node = ReplicaNode::start(&dir_r, "127.0.0.1:0", ReplicaConfig::new(&addr))
+        .expect("start replica");
+    let mut pc = client(&addr);
+    pc.execute("define entity PIECE (title = string)\nappend to PIECE (title = \"one\")")
+        .expect("primary execute");
+    catch_up(&node, &server);
+
+    // A primary checkpoint.
+    server.with_manager_mut(|m| m.save()).expect("save");
+    pc.execute("append to PIECE (title = \"two\")")
+        .expect("append");
+    catch_up(&node, &server);
+
+    // A primary restart, on the same address.
+    drop(pc);
+    server.shutdown().expect("primary shutdown");
+    let mdm = MusicDataManager::open(&dir_p).expect("reopen primary");
+    let server = MdmServer::start(mdm, &addr, ServerConfig::default()).expect("restart primary");
+    let mut pc = client(&addr);
+    pc.execute("append to PIECE (title = \"three\")")
+        .expect("append");
+    catch_up(&node, &server);
+    assert_eq!(
+        seeds(&node),
+        Some(0),
+        "no seed across a checkpoint or a restart"
+    );
+
+    // Its own restart.
+    node.shutdown().expect("replica shutdown");
+    pc.execute("append to PIECE (title = \"four\")")
+        .expect("append");
+    let node = ReplicaNode::start(&dir_r, "127.0.0.1:0", ReplicaConfig::new(&addr))
+        .expect("restart replica");
+    catch_up(&node, &server);
+    assert_eq!(seeds(&node), Some(0), "no seed across its own restart");
+    let titles = node
+        .server()
+        .with_manager(|m| m.query_shared("range of p is PIECE\nretrieve (p.title)"))
+        .expect("replica query");
+    assert_eq!(titles.rows.len(), 4);
+
+    node.shutdown().expect("replica shutdown");
+    server.shutdown().expect("primary shutdown");
+}
+
+/// A replica whose watermark is past a primary's durable log holds
+/// history that primary never had: the primary refuses its pull typed,
+/// the replica stops pulling and refuses promotion as diverged.
+#[test]
+fn a_replica_ahead_of_its_primary_refuses_promotion() {
+    let (first, _dir_a) = start_primary("ahead-a");
+    let dir_r = tempdir("ahead-r");
+    let node = ReplicaNode::start(
+        &dir_r,
+        "127.0.0.1:0",
+        ReplicaConfig::new(&first.local_addr().to_string()),
+    )
+    .expect("start replica");
+    let mut pc = client(&first.local_addr().to_string());
+    pc.execute("define entity GADGET (name = string)")
+        .expect("ddl");
+    for i in 0..30 {
+        pc.execute(&format!("append to GADGET (name = \"g{i}\")"))
+            .expect("append");
+    }
+    catch_up(&node, &first);
+    let applied = node.applied_lsn();
+    node.shutdown().expect("replica shutdown");
+    drop(pc);
+    first.shutdown().expect("first primary shutdown");
+
+    // A fresh primary with a shorter history.
+    let (second, _dir_b) = start_primary("ahead-b");
+    let mut pc = client(&second.local_addr().to_string());
+    pc.execute("define entity OTHER (name = string)\nappend to OTHER (name = \"x\")")
+        .expect("primary execute");
+    assert!(primary_durable(&second) < applied);
+
+    let mut node = ReplicaNode::start(
+        &dir_r,
+        "127.0.0.1:0",
+        ReplicaConfig::new(&second.local_addr().to_string()),
+    )
+    .expect("restart replica");
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while node.last_error().is_none() && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let error = node.last_error().expect("the refusal is reported");
+    assert!(error.contains("diverged"), "{error}");
+    match node.promote() {
+        Err(ReplError::Diverged(_)) => {}
+        other => panic!("expected a diverged refusal, got {other:?}"),
+    }
+    assert_eq!(
+        node.applied_lsn(),
+        applied,
+        "nothing applied from the second primary"
+    );
+
+    node.shutdown().expect("replica shutdown");
+    second.shutdown().expect("second primary shutdown");
+}
+
+/// Failover with siblings: once one replica is promoted, a sibling
+/// re-pointed at it answers what the promoted node answers. A sibling at
+/// the promoted watermark may resume from the promoted log; one behind
+/// it holds history the promoted log does not serve, and gets a seed.
+#[test]
+fn a_sibling_re_pointed_at_a_promoted_replica_answers_what_it_answers() {
+    let (primary, _dir_p) = start_primary("failover");
+    let addr = primary.local_addr().to_string();
+    let mut pc = client(&addr);
+    let start = |tag: &str| {
+        let dir = tempdir(tag);
+        let node = ReplicaNode::start(&dir, "127.0.0.1:0", ReplicaConfig::new(&addr))
+            .expect("start replica");
+        (node, dir)
+    };
+    let (mut promoted, _dir_a) = start("failover-a");
+    let (level, dir_level) = start("failover-level");
+    let (behind, dir_behind) = start("failover-behind");
+    pc.execute("define entity GADGET (name = string, n = integer)")
+        .expect("ddl");
+    for i in 0..10 {
+        pc.execute(&format!("append to GADGET (name = \"g{i}\", n = {i})"))
+            .expect("append");
+    }
+    catch_up(&behind, &primary);
+    behind.set_apply_paused(true);
+    pc.execute("range of g is GADGET\nreplace g (n = g.n + 100) where g.n < 5")
+        .expect("replace");
+    catch_up(&promoted, &primary);
+    catch_up(&level, &primary);
+    drop(pc);
+    primary.shutdown().expect("primary shutdown");
+
+    promoted.promote().expect("promote");
+    let new_addr = promoted.addr().to_string();
+    let mut nc = client(&new_addr);
+    nc.execute("append to GADGET (name = \"after\", n = 99)")
+        .expect("the promoted node takes writes");
+    for (node, dir, seeded) in [(level, dir_level, None), (behind, dir_behind, Some(1))] {
+        node.shutdown().expect("sibling shutdown");
+        let node = ReplicaNode::start(&dir, "127.0.0.1:0", ReplicaConfig::new(&new_addr))
+            .expect("re-point sibling");
+        catch_up(&node, promoted.server());
+        assert_eq!(answers(node.server()), answers(promoted.server()));
+        if seeded.is_some() {
+            assert_eq!(seeds(&node), seeded, "a sibling behind is seeded");
+        }
+        node.shutdown().expect("sibling shutdown");
+    }
+    drop(nc);
+    promoted.shutdown().expect("promoted shutdown");
 }

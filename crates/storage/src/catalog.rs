@@ -32,8 +32,8 @@ pub struct Catalog {
     /// before the catalog was saved. Reopening restarts the allocator at
     /// (at least) this value, so an id never names two transactions in
     /// one directory's history. Recovery rotates the log without an
-    /// `Abort` for a transaction a crash left open, and a replica
-    /// buffers each streamed transaction's rows by id until its outcome
+    /// `Abort` for a transaction a crash left open, and the replication
+    /// stream buffers each transaction's rows by id until its outcome
     /// arrives: a reused id would merge the dead transaction's rows into
     /// the later one's. Absent in the oldest
     /// catalogs; those decode as floor 0 and the WAL scan at open
@@ -111,8 +111,7 @@ impl Catalog {
         }
         let next_table_id = c.u32()?;
         // Older catalogs end here; the floor field is read only when the
-        // encoder wrote one (tolerant decode keeps mixed-version
-        // replication pairs working).
+        // encoder wrote one.
         let txn_floor = if c.pos + 8 <= c.buf.len() {
             c.u64()?
         } else {

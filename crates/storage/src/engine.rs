@@ -17,8 +17,8 @@
 //! Below the gate each component has one latch. The latches do not
 //! arbitrate between transactions (there is one at a time); they keep the
 //! threads that run *outside* the gate (replication's `wal_read_from`,
-//! the replica pull thread's `replica_apply`, DDL, eviction on a reader's
-//! behalf) safe against the writer and each other:
+//! DDL, eviction on a reader's behalf) safe against the writer and each
+//! other:
 //!
 //! - **catalog** — an `RwLock`: lookups share, DDL excludes.
 //! - **heap directory** — one `Mutex<HashMap>` of per-table [`HeapFile`]
@@ -76,8 +76,8 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::ThreadId;
 
@@ -136,8 +136,8 @@ impl Drop for Txn {
 }
 
 /// The WAL behind its latch, plus a monotonic sequence number (one per
-/// appended record, never reset — unlike `Wal::appended`, which a
-/// truncate restarts) and the highest sequence number known durable.
+/// appended record, never reset by a truncate) and the highest sequence
+/// number known durable.
 struct WalInner {
     wal: Wal,
     seq: u64,
@@ -231,21 +231,11 @@ struct Inner {
     gate: Gate,
     recovery: RecoveryOutcome,
     /// The transaction-id allocator. Ids never repeat for the life of the
-    /// data directory (the catalog persists the floor), so concatenated
-    /// WAL archive segments cannot confuse one segment's winner with
-    /// another's loser.
+    /// data directory (the catalog persists the floor).
     next_txn: AtomicU64,
-    dir: PathBuf,
     metrics: EngineMetrics,
-    /// Replica mode: the log is fed by [`StorageEngine::replica_apply`]
-    /// from a primary's stream rather than by local transactions, so the
-    /// engine must never append records of its own (they would collide
-    /// with the primary's LSN numbering). Eviction writes through
-    /// unprotected, the shutdown checkpoint is skipped, and
-    /// [`StorageEngine::checkpoint`] folds without logging images.
-    replica: AtomicBool,
-    /// Highest LSN known durable (flushed and fsynced, or rotated into
-    /// the archive). Replication streams records strictly below this.
+    /// Highest LSN known durable (flushed and fsynced, or truncated after
+    /// a checkpoint). Replication reads records strictly below this.
     durable_lsn: AtomicU64,
 }
 
@@ -316,13 +306,6 @@ impl Inner {
     /// page-LSNs, so the one sync covers both the write-ahead rule and
     /// torn-write protection.
     fn eviction_barrier(&self, pages: &[(PageId, Vec<u8>)]) -> Result<()> {
-        if self.replica.load(Ordering::Acquire) {
-            // A replica must not append to its log (the LSNs belong to
-            // the primary's stream), so eviction writes through without
-            // an image. A torn write here loses only the replica's local
-            // copy; re-seeding from the primary's archive repairs it.
-            return Ok(());
-        }
         self.metrics.wal_eviction_syncs.inc();
         let _sp = trace::span("storage.flush_barrier");
         trace::annotate("pages", pages.len());
@@ -392,9 +375,12 @@ impl Inner {
 
     /// Truncates the log (checkpoint). Everything previously appended is
     /// now moot, so it is marked synced.
-    fn truncate_wal(&self) -> Result<()> {
+    fn truncate_wal(&self, floor: Option<u64>) -> Result<()> {
         let mut w = self.wal.lock().unwrap();
-        w.wal.truncate()?;
+        match floor {
+            Some(floor) => w.wal.truncate_past(floor)?,
+            None => w.wal.truncate()?,
+        }
         w.synced = w.seq;
         self.durable_lsn
             .fetch_max(w.wal.next_lsn(), Ordering::AcqRel);
@@ -434,9 +420,10 @@ impl Inner {
     }
 
     /// Syncs the log, saves the catalog, writes every dirty page back and
-    /// truncates the log. The live checkpoint and a clean shutdown both
-    /// run it.
-    fn checkpoint(&self) -> Result<()> {
+    /// truncates the log, numbering it from at least `floor` if given
+    /// ([`StorageEngine::checkpoint_past`]). The live checkpoint and a
+    /// clean shutdown both run it.
+    fn checkpoint(&self, floor: Option<u64>) -> Result<()> {
         self.sync_all()?;
         {
             let mut cat = self.catalog.read().unwrap().clone();
@@ -448,11 +435,7 @@ impl Inner {
         // then recoverable from the images.
         self.pool
             .flush_all_with(&|batch| self.log_page_images(batch))?;
-        // Mark the rotation boundary so replication readers know the
-        // stream up to here is checkpoint-consistent (no open txns).
-        let seq = self.log(&WalRecord::Checkpoint)?;
-        self.sync_to(seq)?;
-        self.truncate_wal()
+        self.truncate_wal(floor)
     }
 
     /// Persists and logs the catalog after DDL. Callers hold the catalog
@@ -490,10 +473,6 @@ impl Inner {
         Ok(())
     }
 }
-
-/// A batch of encoded WAL records as `(lsn, payload)` pairs — the unit
-/// the replication stream ships.
-pub type WalBatch = Vec<(u64, Vec<u8>)>;
 
 /// A read-only view of the committed database: the shared side of the
 /// gate, held for the snapshot's lifetime. Obtain via
@@ -582,11 +561,6 @@ impl StorageEngine {
         vfs: &dyn Vfs,
     ) -> Result<StorageEngine> {
         let pool = BufferPool::open_with(dir, pool_pages, vfs)?;
-        // A sticky marker makes replica mode survive restarts: a
-        // reopened replica must NOT rotate its log (the rotation would
-        // append a local checkpoint marker, stealing an LSN the
-        // primary's stream has already assigned to a different record).
-        let replica_marker = dir.join("replica").exists();
         let (records, _) = Wal::replay(dir)?;
         // A crash can tear an in-place catalog rewrite, leaving the
         // page-0 chain unreadable — but every such rewrite is preceded
@@ -610,17 +584,10 @@ impl StorageEngine {
             .max(1);
         recovered.txn_floor = txn_floor;
         let mut wal = Wal::open_with(dir, vfs)?;
-        if !records.is_empty() && !replica_marker {
+        if !records.is_empty() {
             // Make the recovered state the new base and empty the log.
-            // The checkpoint marker tells a replication reader that the
-            // stream is checkpoint-consistent at the rotation boundary.
-            // A replica keeps its log as-is: the fold above was
-            // idempotent, the stream resumes at next-LSN, and the log
-            // rotates at the next replicated checkpoint marker.
             catalog::save(&pool, &recovered)?;
             pool.flush_all()?;
-            wal.append(&WalRecord::Checkpoint)?;
-            wal.sync()?;
             wal.truncate()?;
         }
         let durable_lsn = wal.next_lsn();
@@ -639,9 +606,7 @@ impl StorageEngine {
             gate: Gate::default(),
             recovery: outcome,
             next_txn: AtomicU64::new(txn_floor),
-            dir: dir.to_path_buf(),
             metrics,
-            replica: AtomicBool::new(replica_marker),
             durable_lsn: AtomicU64::new(durable_lsn),
         });
         // Eviction flush barrier: a `Weak` breaks the cycle (`Inner` owns
@@ -667,11 +632,6 @@ impl StorageEngine {
         self.inner.recovery.clone()
     }
 
-    /// Directory holding the database files.
-    pub fn dir(&self) -> &Path {
-        &self.inner.dir
-    }
-
     // ------------------------------------------------------------------
     // Transactions
     // ------------------------------------------------------------------
@@ -681,10 +641,8 @@ impl StorageEngine {
     /// A second `begin` from the thread that already has a transaction or
     /// snapshot open fails with [`StorageError::GateHeld`] instead of
     /// waiting on itself. The `Begin` record is logged lazily at the
-    /// transaction's first write: read-only transactions must leave the
-    /// WAL untouched, both to keep it lean and because a replica's local
-    /// LSN must track the primary's stream exactly — a locally logged
-    /// record would desynchronise the replication cursor.
+    /// transaction's first write: read-only transactions leave the WAL
+    /// untouched, which keeps it lean.
     pub fn begin(&self) -> Result<Txn> {
         let id = self.inner.next_txn.fetch_add(1, Ordering::AcqRel);
         self.inner.gate.lock_exclusive(Some(id))?;
@@ -702,7 +660,20 @@ impl StorageEngine {
     /// Commits: makes the log durable, then releases the gate (the handle
     /// drops). A transaction that never wrote logs nothing and syncs
     /// nothing.
-    pub fn commit(&self, mut txn: Txn) -> Result<()> {
+    pub fn commit(&self, txn: Txn) -> Result<()> {
+        self.finish_commit(txn, true)
+    }
+
+    /// As [`commit`](Self::commit), for a transaction whose rows no
+    /// replica reads: a checkpoint that truncates its `Commit` leaves the
+    /// commit horizon where it was, so a replica positioned before it
+    /// still resumes from the log. (Recovery cannot tell the two apart:
+    /// a log reopened after a crash counts every `Commit` it holds.)
+    pub fn commit_local(&self, txn: Txn) -> Result<()> {
+        self.finish_commit(txn, false)
+    }
+
+    fn finish_commit(&self, mut txn: Txn, streamed: bool) -> Result<()> {
         self.check_active(&txn)?;
         // Whatever happens below, the drop must not roll back: after a
         // failed sync the commit record may or may not have persisted, so
@@ -710,7 +681,15 @@ impl StorageEngine {
         // are left alone. The gate is released either way.
         txn.finished = true;
         if txn.began {
-            let seq = self.inner.log(&WalRecord::Commit { txn: txn.id })?;
+            let seq = {
+                let _sp = trace::span("storage.wal_append");
+                let mut w = self.inner.wal.lock().unwrap();
+                let seq = w.append(&WalRecord::Commit { txn: txn.id })?;
+                if streamed {
+                    w.wal.note_commit();
+                }
+                seq
+            };
             self.inner.sync_to(seq)?;
         }
         self.inner.metrics.txn_commits.inc();
@@ -887,28 +866,31 @@ impl StorageEngine {
     /// ([`StorageError::GateHeld`]) on the thread that has one open.
     pub fn checkpoint(&self) -> Result<()> {
         let _exclusive = self.inner.gate.maintenance()?;
-        self.checkpoint_gated()
+        self.inner.checkpoint(None)
     }
 
-    fn checkpoint_gated(&self) -> Result<()> {
-        if self.inner.replica.load(Ordering::Acquire) {
-            // A replica's log holds the primary's stream; a local
-            // checkpoint would append its own records into that LSN
-            // space. Replicas fold via `replica_checkpoint` instead.
-            return Err(StorageError::Replication(
-                "replica engines checkpoint via replica_checkpoint".into(),
-            ));
-        }
-        self.inner.checkpoint()
+    /// As [`checkpoint`](Self::checkpoint), numbering the log from at
+    /// least `floor` and claiming no history below the new base: a
+    /// [`wal_read_from`](Self::wal_read_from) below it is
+    /// [`StorageError::LogTruncated`]. A replica promoted to primary
+    /// continues the LSN space of the primary it followed this way.
+    pub fn checkpoint_past(&self, floor: u64) -> Result<()> {
+        let _exclusive = self.inner.gate.maintenance()?;
+        self.inner.checkpoint(Some(floor))
     }
 
     // ------------------------------------------------------------------
     // Replication
     // ------------------------------------------------------------------
 
-    /// LSN the next locally appended (or replicated) record will get.
+    /// LSN the next appended record will get.
     pub fn wal_next_lsn(&self) -> u64 {
         self.inner.wal.lock().unwrap().wal.next_lsn()
+    }
+
+    /// Bytes of write-ahead log since the last checkpoint.
+    pub fn wal_bytes(&self) -> u64 {
+        self.inner.wal.lock().unwrap().wal.bytes()
     }
 
     /// Highest LSN known durable: safe to stream to replicas.
@@ -916,201 +898,37 @@ impl StorageEngine {
         self.inner.durable_lsn.load(Ordering::Acquire)
     }
 
-    /// Turns on WAL archive mode: log rotation copies outgoing frames
-    /// into `<dir>/wal-archive/` segments instead of discarding them, so
-    /// the full history stays replayable (replica bootstrap, point-in-
-    /// time restore). On first enablement the engine seeds the archive
-    /// with a catalog snapshot and a full image of every page — history
-    /// rotated away *before* archiving exists only in the data pages —
-    /// then checkpoints, rotating the snapshot into the first segment.
-    /// Takes the gate as [`StorageEngine::checkpoint`] does. Idempotent;
-    /// sticky across opens.
-    pub fn enable_wal_archive(&self) -> Result<()> {
-        let _exclusive = self.inner.gate.maintenance()?;
-        let newly = self.inner.wal.lock().unwrap().wal.enable_archive()?;
-        if !newly {
-            return Ok(());
-        }
-        {
-            let mut cat = self.inner.catalog.read().unwrap().clone();
-            cat.txn_floor = self.inner.next_txn.load(Ordering::Acquire);
-            self.inner.log(&WalRecord::CatalogSnapshot {
-                bytes: cat.to_bytes(),
-            })?;
-        }
-        for page in 0..self.inner.pool.num_pages() {
-            let bytes = self.inner.pool.with_page(page, |b| b.to_vec())?;
-            self.inner.log(&WalRecord::PageImage { page, bytes })?;
-        }
-        self.checkpoint_gated()
-    }
-
-    /// Reads encoded records at and above `from_lsn`, up to roughly
-    /// `max_bytes`, never past the durable watermark. Returns the batch
-    /// (LSN, payload) and the durable watermark itself, which doubles as
-    /// the lag reference for the replica. Holds the log latch so a
-    /// concurrent rotation cannot swap files mid-read.
-    pub fn wal_read_from(&self, from_lsn: u64, max_bytes: usize) -> Result<(WalBatch, u64)> {
-        let durable = self.wal_durable_lsn();
+    /// Reads the durable records at and above `from_lsn`, up to roughly
+    /// `max_bytes` of frames, with the durable watermark (exclusive) the
+    /// read stopped at. A `from_lsn` below the live log's base reads from
+    /// the base if it is at or past the commit horizon, since rotation
+    /// removed no committed transaction there; otherwise the history is
+    /// gone ([`StorageError::LogTruncated`]). A `from_lsn` past the
+    /// durable watermark names history this log never had
+    /// ([`StorageError::AheadOfLog`]). Holds the log latch, so a
+    /// concurrent rotation cannot swap the file mid-read.
+    pub fn wal_read_from(
+        &self,
+        from_lsn: u64,
+        max_bytes: usize,
+    ) -> Result<(Vec<(u64, WalRecord)>, u64)> {
         let w = self.inner.wal.lock().unwrap();
-        let mut out = Vec::new();
-        let mut total = 0usize;
-        for item in w.wal.read_from(from_lsn)? {
-            let (lsn, rec) = item?;
-            if lsn >= durable {
-                break;
-            }
-            let mut payload = Vec::with_capacity(64);
-            rec.encode(&mut payload);
-            total += payload.len() + 12;
-            out.push((lsn, payload));
-            if total >= max_bytes {
-                break;
-            }
+        let durable = self.wal_durable_lsn();
+        if from_lsn > durable {
+            return Err(StorageError::AheadOfLog {
+                from: from_lsn,
+                durable,
+            });
         }
-        Ok((out, durable))
-    }
-
-    /// Switches the engine in or out of replica mode. In replica mode
-    /// local transactions must not run; the log is fed exclusively by
-    /// [`StorageEngine::replica_apply`]. Promotion flips this back off,
-    /// after which the engine appends from where the stream left off —
-    /// the LSN space continues seamlessly.
-    ///
-    /// The role is persisted as a `replica` marker file so a restarted
-    /// replica reopens as one: the ordinary open path would otherwise
-    /// rotate the log, appending a local checkpoint marker into an LSN
-    /// slot the primary's stream has already assigned. (Losing the
-    /// *removal* on a crashed promotion errs the safe way — the node
-    /// comes back read-only.)
-    pub fn set_replica(&self, on: bool) -> Result<()> {
-        let marker = self.inner.dir.join("replica");
-        if on {
-            std::fs::File::create(&marker)?.sync_all()?;
-        } else if marker.exists() {
-            std::fs::remove_file(&marker)?;
+        let base = w.wal.base_lsn();
+        if from_lsn < base && from_lsn < w.wal.horizon() {
+            return Err(StorageError::LogTruncated {
+                from: from_lsn,
+                horizon: w.wal.horizon(),
+            });
         }
-        self.inner.replica.store(on, Ordering::Release);
-        Ok(())
-    }
-
-    /// True when the engine is in replica mode.
-    pub fn is_replica(&self) -> bool {
-        self.inner.replica.load(Ordering::Acquire)
-    }
-
-    /// Appends a batch of replicated records (LSN, encoded payload) to
-    /// the local log verbatim and syncs it. Records below the local
-    /// next-LSN are duplicates (crash-window overlap) and are skipped; a
-    /// gap is an error except on a virgin log, which re-bases to the
-    /// batch start (a primary whose history begins at an archive
-    /// snapshot streams from that snapshot's LSN, not 0). Returns the
-    /// new next-LSN (= applied watermark).
-    pub fn replica_apply(&self, batch: &[(u64, Vec<u8>)]) -> Result<u64> {
-        if !self.is_replica() {
-            return Err(StorageError::Replication(
-                "replica_apply on a non-replica engine".into(),
-            ));
-        }
-        let mut w = self.inner.wal.lock().unwrap();
-        for (lsn, payload) in batch {
-            let next = w.wal.next_lsn();
-            if *lsn < next {
-                continue;
-            }
-            if *lsn > next {
-                if next == 0 {
-                    w.wal.reset_base(*lsn)?;
-                } else {
-                    return Err(StorageError::Replication(format!(
-                        "gap in replication stream: have {next}, got {lsn}"
-                    )));
-                }
-            }
-            let rec = WalRecord::decode(payload).ok_or_else(|| {
-                StorageError::Replication(format!("undecodable record at lsn {lsn}"))
-            })?;
-            // Track the primary's id space: promotion must allocate
-            // above every replicated transaction.
-            if let Some(t) = rec.txn() {
-                self.inner.next_txn.fetch_max(t + 1, Ordering::AcqRel);
-            }
-            w.append(&rec)?;
-        }
-        w.wal.sync()?;
-        w.synced = w.seq;
-        let applied = w.wal.next_lsn();
-        self.inner.durable_lsn.fetch_max(applied, Ordering::AcqRel);
-        Ok(applied)
-    }
-
-    /// Folds the local log into the data pages through the recovery
-    /// machinery (idempotent: positional redo, wholesale page images)
-    /// and installs the resulting catalog.
-    /// Incomplete transactions in the log tail are undone in the pages —
-    /// exactly crash semantics — but their records remain in the log, so
-    /// a later fold (after their Commit arrives) re-applies them.
-    pub fn replica_refresh(&self) -> Result<()> {
-        if !self.is_replica() {
-            return Err(StorageError::Replication(
-                "replica_refresh on a non-replica engine".into(),
-            ));
-        }
-        self.fold_log()
-    }
-
-    /// As [`StorageEngine::replica_refresh`], then flushes the pages and
-    /// rotates the local log (into the replica's own archive when
-    /// enabled), bounding its growth. Only legal when the stream is
-    /// positioned exactly at a checkpoint marker: the primary guarantees
-    /// no transaction spans a marker, so rotation cannot discard records
-    /// a committed transaction still needs.
-    pub fn replica_checkpoint(&self) -> Result<()> {
-        if !self.is_replica() {
-            return Err(StorageError::Replication(
-                "replica_checkpoint on a non-replica engine".into(),
-            ));
-        }
-        let (records, _) = Wal::replay(&self.inner.dir)?;
-        if records.is_empty() {
-            return Ok(());
-        }
-        if !matches!(records.last(), Some(WalRecord::Checkpoint)) {
-            return Err(StorageError::Replication(
-                "replica checkpoint requires the stream to sit at a checkpoint marker".into(),
-            ));
-        }
-        self.fold_records(&records)?;
-        {
-            let mut cat = self.inner.catalog.read().unwrap().clone();
-            cat.txn_floor = self.inner.next_txn.load(Ordering::Acquire);
-            catalog::save(&self.inner.pool, &cat)?;
-        }
-        // Plain flush: a replica logs no page images (see
-        // `eviction_barrier`); a tear here is repaired by re-seeding.
-        self.inner.pool.flush_all()?;
-        self.inner.truncate_wal()
-    }
-
-    fn fold_log(&self) -> Result<()> {
-        let (records, _) = Wal::replay(&self.inner.dir)?;
-        if records.is_empty() {
-            return Ok(());
-        }
-        self.fold_records(&records)
-    }
-
-    fn fold_records(&self, records: &[WalRecord]) -> Result<()> {
-        // The fold rewrites pages through the recovery machinery, whose
-        // intermediate states (losers applied, not yet undone) no
-        // snapshot may observe: the exclusive side drains open snapshots
-        // and holds new ones off.
-        let _exclusive = self.inner.gate.maintenance()?;
-        let base = self.inner.catalog.read().unwrap().clone();
-        let (_, recovered) = recovery::recover(&self.inner.pool, records, Some(base))?;
-        *self.inner.catalog.write().unwrap() = recovered;
-        self.inner.heaps.lock().unwrap().clear();
-        Ok(())
+        let records = w.wal.read_from(from_lsn.max(base), durable, max_bytes)?;
+        Ok((records, durable))
     }
 
     /// A point-in-time snapshot of every metric registered with this
@@ -1156,17 +974,9 @@ impl Drop for Inner {
             // recovery needs. Leave every file exactly as it is.
             return;
         }
-        if self.replica.load(Ordering::Acquire) {
-            // A replica's log is the primary's stream: the shutdown
-            // checkpoint would fold and discard records the next fold
-            // still needs, and would append local records into the
-            // stream's LSN space. Sync what arrived and stop.
-            let _ = self.wal.get_mut().unwrap().wal.sync();
-            return;
-        }
         // The barrier's `Weak` is dead by now, so saving the catalog may
         // fail if it needs to evict a dirty page; that just downgrades
         // the clean shutdown to a recovery on next open.
-        let _ = self.checkpoint();
+        let _ = self.checkpoint(None);
     }
 }

@@ -27,8 +27,6 @@ pub enum StorageError {
     /// A transaction handle was passed to an engine other than the one
     /// that began it.
     TxnNotActive(u64),
-    /// The write-ahead log was corrupt beyond the given offset.
-    WalCorrupt(u64),
     /// A WAL fsync failed earlier in this engine's lifetime. The OS may
     /// have dropped the dirty log bytes the failed fsync covered
     /// (fsyncgate), so no later commit can honestly claim durability;
@@ -37,9 +35,13 @@ pub enum StorageError {
     WalPoisoned,
     /// The database files were corrupt.
     Corrupt(String),
-    /// A replication stream violated its contract (gap, stale batch,
-    /// or an apply attempted on a node in the wrong role).
-    Replication(String),
+    /// A log read from `from`: a truncation removed a commit at or above
+    /// it (the commit horizon is `horizon`), so the log can no longer
+    /// replay what followed it.
+    LogTruncated { from: u64, horizon: u64 },
+    /// A log read from `from`, past the durable watermark `durable`: a
+    /// position this log's history never reached.
+    AheadOfLog { from: u64, durable: u64 },
 }
 
 impl fmt::Display for StorageError {
@@ -65,13 +67,19 @@ impl fmt::Display for StorageError {
             StorageError::TxnNotActive(t) => {
                 write!(f, "transaction {t} is not active on this engine")
             }
-            StorageError::WalCorrupt(off) => write!(f, "write-ahead log corrupt at offset {off}"),
             StorageError::WalPoisoned => write!(
                 f,
                 "write-ahead log poisoned by an earlier failed fsync; reopen to recover"
             ),
             StorageError::Corrupt(m) => write!(f, "database corrupt: {m}"),
-            StorageError::Replication(m) => write!(f, "replication error: {m}"),
+            StorageError::LogTruncated { from, horizon } => write!(
+                f,
+                "log truncated: lsn {from} lies below the commit horizon {horizon}"
+            ),
+            StorageError::AheadOfLog { from, durable } => write!(
+                f,
+                "lsn {from} is past the durable end of the log ({durable})"
+            ),
         }
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! A transaction holds the exclusive side of the gate from `begin` to
 //! `commit`/`abort`/drop; a [`crate::engine::ReadSnapshot`] holds the
-//! shared side for its lifetime; checkpoint, vacuum and the replica fold
-//! take the side they need. A reader therefore never sees an uncommitted
+//! shared side for its lifetime; checkpoint and vacuum take the side
+//! they need. A reader therefore never sees an uncommitted
 //! row, and two transactions can never wait for each other, by
 //! construction.
 //!
@@ -40,8 +40,8 @@ struct State {
     serving: u64,
     /// One entry per shared holding, by opening thread.
     readers: Vec<ThreadId>,
-    /// The exclusive holder and its transaction (`None` for maintenance:
-    /// checkpoint, fold).
+    /// The exclusive holder and its transaction (`None` for a
+    /// checkpoint).
     writer: Option<(ThreadId, Option<TxnId>)>,
 }
 
@@ -125,8 +125,8 @@ impl Gate {
         Ok(())
     }
 
-    /// The exclusive side for the length of a scope (checkpoint, fold):
-    /// released on every way out, a panic included.
+    /// The exclusive side for the length of a checkpoint: released on
+    /// every way out, a panic included.
     pub(crate) fn maintenance(&self) -> Result<Maintenance<'_>, Held> {
         self.lock_exclusive(None)?;
         Ok(Maintenance(self))

@@ -15,7 +15,13 @@
 //! * [`buffer`] — the buffer pool: one frame table under one latch,
 //!   evicted by one CLOCK hand.
 //! * [`heap`] — heap files (linked chains of slotted pages).
-//! * [`wal`] — the write-ahead log with torn-write-tolerant replay.
+//! * [`wal`] — the write-ahead log with torn-write-tolerant replay, and
+//!   the commit horizon that says which reads a truncation cut short.
+//!   [`StorageEngine::wal_read_from`] is the engine's one
+//!   replication-facing call: `mdm-core` decodes committed transactions
+//!   from it, and a replica is an ordinary engine written by them.
+//!   [`StorageEngine::checkpoint_past`] lets a promoted replica number
+//!   its log on from the primary's.
 //! * [`recovery`] — repeat-history redo plus loser undo.
 //! * [`backend`] / [`fault`] — pluggable file I/O and deterministic
 //!   fault injection (scripted failpoints, simulated crashes).
@@ -60,13 +66,11 @@ pub mod wal;
 
 pub use backend::{FileBackend, FileVfs, StorageBackend, Vfs};
 pub use buffer::BufferPool;
-pub use engine::{ReadSnapshot, StorageEngine, Txn, WalBatch, DEFAULT_POOL_PAGES};
+pub use engine::{ReadSnapshot, StorageEngine, Txn, DEFAULT_POOL_PAGES};
 pub use error::{Result, StorageError};
 pub use fault::{At, FaultController, FaultKind, FaultPlan, FaultVfs};
 pub use heap::HeapFile;
 pub use page::{PageId, Rid, PAGE_SIZE};
 pub use recovery::RecoveryOutcome;
-pub use torture::{
-    crash_point_sweep, run_workload_with, verify_reopen, Ledger, TortureConfig, TortureReport,
-};
-pub use wal::{TableId, TxnId, Wal, WalRangeIter, WalRecord};
+pub use torture::{crash_point_sweep, TortureConfig, TortureReport};
+pub use wal::{TableId, TxnId, Wal, WalRecord};

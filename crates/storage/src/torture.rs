@@ -129,12 +129,9 @@ struct Effects {
     removed: Vec<(String, String)>,
 }
 
-/// The oracle the workload maintains while driving the engine. Public
-/// (with opaque internals) so harnesses outside this crate — the
-/// replication pair sweep — can drive [`run_workload_with`] and hand
-/// the resulting oracle to [`verify_reopen`].
+/// The oracle the workload maintains while driving the engine.
 #[derive(Debug, Default)]
-pub struct Ledger {
+struct Ledger {
     /// Tables whose `create_table` returned `Ok` (hence durably
     /// snapshotted — `create_table` syncs the catalog).
     tables: Vec<String>,
@@ -186,20 +183,6 @@ fn body_for(round: usize, i: usize) -> String {
 /// post-crash recovery must (and must not) surface. Returns early once
 /// the injected crash makes commits impossible.
 fn run_workload(engine: &StorageEngine, rounds: usize, ledger: &mut Ledger) {
-    run_workload_with(engine, rounds, ledger, &mut |_, _| {});
-}
-
-/// As the private workload driver, invoking `hook(round, ledger)` after
-/// every settled round (committed or aborted). External harnesses hang
-/// replication pulls or oracle snapshots on the hook; it must not touch
-/// the engine in ways that add counted I/O if boundary determinism
-/// across runs matters (reads are not counted).
-pub fn run_workload_with(
-    engine: &StorageEngine,
-    rounds: usize,
-    ledger: &mut Ledger,
-    hook: &mut dyn FnMut(usize, &Ledger),
-) {
     let mut ids: Vec<TableId> = Vec::new();
     for name in TABLES {
         match engine.create_table(name) {
@@ -313,7 +296,6 @@ pub fn run_workload_with(
             // Aborted (deliberately or by the crash): must be invisible
             // after recovery either way, so the ledger records nothing.
             let _ = engine.abort(txn);
-            hook(r, ledger);
             continue;
         }
         match engine.commit(txn) {
@@ -337,7 +319,6 @@ pub fn run_workload_with(
                 return;
             }
         }
-        hook(r, ledger);
     }
 }
 
@@ -347,10 +328,8 @@ pub fn run_workload_with(
 
 /// Reopens `dir` with the plain file VFS and checks every invariant the
 /// ledger implies. Returns the reopen (recovery) latency in µs, or
-/// `None` if the reopen itself failed. Public so an external harness
-/// (the replication pair sweep) can point the same oracle at a
-/// different directory — a promoted replica.
-pub fn verify_reopen(
+/// `None` if the reopen itself failed.
+fn verify_reopen(
     dir: &Path,
     pool_pages: usize,
     ledger: &Ledger,

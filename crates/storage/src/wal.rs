@@ -76,11 +76,9 @@ pub enum WalRecord {
     /// way Postgres full-page writes and the InnoDB doublewrite buffer
     /// do. Redo-only; never undone.
     PageImage { page: PageId, bytes: Vec<u8> },
-    /// Structural: everything before this record has been folded into the
-    /// data pages and the log is about to rotate. A no-op for local
-    /// recovery (the wildcard redo arm skips it); replicas use it as the
-    /// signal that the stream up to here is checkpoint-consistent and can
-    /// be folded into their own pages and their local log rotated.
+    /// Retired: a checkpoint marker older engines appended before each
+    /// rotation. Nothing writes it any more; it still decodes, as a no-op
+    /// for recovery, so a log that a crash left ending in one opens.
     Checkpoint,
 }
 
@@ -102,8 +100,7 @@ impl WalRecord {
     }
 
     /// Serializes the record payload (no frame header) into `out`.
-    /// Public so replication can ship the exact on-disk encoding.
-    pub fn encode(&self, out: &mut Vec<u8>) {
+    fn encode(&self, out: &mut Vec<u8>) {
         fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
             out.extend_from_slice(&(b.len() as u32).to_le_bytes());
             out.extend_from_slice(b);
@@ -190,9 +187,9 @@ impl WalRecord {
         }
     }
 
-    /// Decodes one record payload. Public counterpart of
-    /// [`WalRecord::encode`] for replication consumers.
-    pub fn decode(buf: &[u8]) -> Option<WalRecord> {
+    /// Decodes one record payload, the counterpart of
+    /// [`WalRecord::encode`].
+    fn decode(buf: &[u8]) -> Option<WalRecord> {
         struct Cursor<'a> {
             buf: &'a [u8],
             pos: usize,
@@ -316,78 +313,31 @@ fn parse_frames(buf: &[u8], base_lsn: u64) -> Result<(Vec<WalRecord>, Vec<usize>
     Ok((records, offsets, pos))
 }
 
-/// Reads a little-endian u64 sidecar file, defaulting to 0 when absent
-/// or malformed. Sidecars hold log-sequence watermarks; they are written
-/// with [`write_u64_sidecar`]'s write-fsync-rename dance so a reader
-/// never observes a half-written value.
-fn read_u64_sidecar(path: &Path) -> u64 {
-    std::fs::read(path)
-        .ok()
-        .and_then(|b| {
-            b.get(..8)
-                .map(|x| u64::from_le_bytes(x.try_into().unwrap()))
-        })
-        .unwrap_or(0)
+/// The `wal.base` sidecar: the LSN of the live log's first record, then
+/// the commit horizon (see [`Wal::horizon`]). Absent, both are 0. A
+/// sidecar that predates the horizon holds the base alone; its horizon
+/// is then taken to be the base, which claims no history below it.
+fn read_sidecar(path: &Path) -> (u64, u64) {
+    let bytes = std::fs::read(path).unwrap_or_default();
+    let word = |i: usize| {
+        bytes
+            .get(8 * i..8 * i + 8)
+            .map(|x| u64::from_le_bytes(x.try_into().unwrap()))
+    };
+    let base = word(0).unwrap_or(0);
+    (base, word(1).unwrap_or(base))
 }
 
-fn write_u64_sidecar(path: &Path, v: u64) -> Result<()> {
+/// Writes the sidecar by write, fsync and rename, so a reader never
+/// observes a half-written value.
+fn write_sidecar(path: &Path, base: u64, horizon: u64) -> Result<()> {
     let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, v.to_le_bytes())?;
+    let mut bytes = base.to_le_bytes().to_vec();
+    bytes.extend_from_slice(&horizon.to_le_bytes());
+    std::fs::write(&tmp, bytes)?;
     File::open(&tmp)?.sync_all()?;
     std::fs::rename(&tmp, path)?;
     Ok(())
-}
-
-/// Name of an archive segment whose first record has sequence `start`.
-fn segment_name(start: u64) -> String {
-    format!("seg-{start:016x}.log")
-}
-
-/// Iterator over `(lsn, record)` pairs from archive segments and the
-/// live log, produced by [`Wal::read_from`]. Files are parsed lazily,
-/// one at a time; records below the cursor (duplicates from a crash
-/// between archiving and truncation) are skipped, so the yielded LSNs
-/// are strictly increasing. A file holding a frame that verifies but
-/// does not decode yields one [`StorageError::Corrupt`] and ends the
-/// iteration.
-pub struct WalRangeIter {
-    files: std::vec::IntoIter<(u64, PathBuf)>,
-    current: std::vec::IntoIter<(u64, WalRecord)>,
-    cursor: u64,
-}
-
-impl Iterator for WalRangeIter {
-    type Item = Result<(u64, WalRecord)>;
-
-    fn next(&mut self) -> Option<Result<(u64, WalRecord)>> {
-        loop {
-            if let Some((lsn, rec)) = self.current.next() {
-                if lsn >= self.cursor {
-                    self.cursor = lsn + 1;
-                    return Some(Ok((lsn, rec)));
-                }
-                continue;
-            }
-            let (start, path) = self.files.next()?;
-            let bytes = match std::fs::read(&path) {
-                Ok(b) => b,
-                Err(_) => continue, // absent live log or vanished segment
-            };
-            let records = match parse_frames(&bytes, start) {
-                Ok((records, _, _)) => records,
-                Err(e) => {
-                    self.files = Vec::new().into_iter();
-                    return Some(Err(e));
-                }
-            };
-            self.current = records
-                .into_iter()
-                .enumerate()
-                .map(|(i, r)| (start + i as u64, r))
-                .collect::<Vec<_>>()
-                .into_iter();
-        }
-    }
 }
 
 /// Append-only log writer over `wal.log`.
@@ -405,17 +355,26 @@ pub struct Wal {
     file_len: u64,
     path: PathBuf,
     dir: PathBuf,
-    appended: u64,
     /// LSN (global record index for this database) of the first record
     /// in the live log. Persisted in the `wal.base` sidecar so record
     /// numbering survives log rotation.
     base_lsn: u64,
     /// LSN the next appended record will receive.
     next_lsn: u64,
-    /// Archive directory (`<dir>/wal-archive`), when archive mode is on.
-    /// Rotation then copies outgoing frames into immutable segments
-    /// instead of discarding them, keeping the full history replayable.
-    archive: Option<PathBuf>,
+    /// The LSN just past the last `Commit` a truncation removed.
+    horizon: u64,
+    /// The LSN just past the last noted `Commit` in the live log (0 if
+    /// none).
+    commit_end: u64,
+}
+
+/// The LSN just past the last `Commit` among `records`, the first of
+/// which has sequence `base` (0 if there is none).
+fn commit_end(records: &[WalRecord], base: u64) -> u64 {
+    records
+        .iter()
+        .rposition(|r| matches!(r, WalRecord::Commit { .. }))
+        .map_or(0, |i| base + i as u64 + 1)
 }
 
 impl Wal {
@@ -424,53 +383,28 @@ impl Wal {
         Self::open_with(dir, &FileVfs)
     }
 
-    /// As [`Wal::open`], sourcing the backend from `vfs`.
-    ///
-    /// LSN bookkeeping: the `wal.base` sidecar names the LSN of the live
-    /// log's first record, and `wal-archive/archive.end` (when archiving)
-    /// names the first LSN not yet archived. When the live log holds
-    /// records the sidecar base is authoritative — renumbering existing
-    /// records would corrupt the stream — and an `archive.end` ahead of
-    /// it just means a crash landed between archiving and truncation
-    /// (readers dedup the overlap). When the log is empty the base is
-    /// free to advance to `max(base, archive.end)`, which repairs the
-    /// crash window between truncation and the sidecar update.
+    /// As [`Wal::open`], sourcing the backend from `vfs`. The `wal.base`
+    /// sidecar numbers the live log's first record.
     pub fn open_with(dir: &Path, vfs: &dyn Vfs) -> Result<Wal> {
         let path = dir.join("wal.log");
         let backend = vfs.open(&path)?;
         let file_len = backend.len()?;
-        let archive_dir = dir.join("wal-archive");
-        let archive = archive_dir.is_dir().then_some(archive_dir);
-        let base_sidecar = dir.join("wal.base");
-        let sidecar_base = read_u64_sidecar(&base_sidecar);
-        let archive_end = archive
-            .as_ref()
-            .map(|a| read_u64_sidecar(&a.join("archive.end")))
-            .unwrap_or(0);
-        let live_records = match std::fs::read(&path) {
-            Ok(bytes) => parse_frames(&bytes, sidecar_base)?.0.len() as u64,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => 0,
+        let (base_lsn, horizon) = read_sidecar(&dir.join("wal.base"));
+        let records = match std::fs::read(&path) {
+            Ok(bytes) => parse_frames(&bytes, base_lsn)?.0,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(e.into()),
         };
-        let base_lsn = if live_records > 0 {
-            sidecar_base
-        } else {
-            sidecar_base.max(archive_end)
-        };
-        if live_records == 0 && base_lsn != sidecar_base {
-            write_u64_sidecar(&base_sidecar, base_lsn)?;
-        }
-        let next_lsn = base_lsn + live_records;
         Ok(Wal {
             backend,
             buf: Vec::new(),
             file_len,
             path,
             dir: dir.to_path_buf(),
-            appended: 0,
             base_lsn,
-            next_lsn,
-            archive,
+            next_lsn: base_lsn + records.len() as u64,
+            horizon,
+            commit_end: commit_end(&records, base_lsn),
         })
     }
 
@@ -483,9 +417,15 @@ impl Wal {
         self.buf
             .extend_from_slice(&checksum(&payload).to_le_bytes());
         self.buf.extend_from_slice(&payload);
-        self.appended += 1;
         self.next_lsn += 1;
         Ok(())
+    }
+
+    /// Notes that the record just appended is a `Commit` the commit
+    /// horizon must cover once a truncation removes it. A reopened log
+    /// notes every `Commit` it holds.
+    pub fn note_commit(&mut self) {
+        self.commit_end = self.next_lsn;
     }
 
     /// Writes buffered frames to the OS at the append offset.
@@ -507,45 +447,31 @@ impl Wal {
     }
 
     /// Truncates the log to empty (after a checkpoint has flushed all data
-    /// pages and the catalog). In archive mode the outgoing frames are
-    /// first copied into an immutable segment file, so rotation never
-    /// discards history.
-    ///
-    /// Crash-ordering: segment (write, fsync, rename), then
-    /// `archive.end`, then the backend truncate, then `wal.base`. Every
-    /// window between those steps is repaired at the next open by the
-    /// reconciliation in [`Wal::open_with`] plus reader-side LSN dedup.
+    /// pages and the catalog). The sidecar is rewritten first, naming the
+    /// next LSN as the base and advancing the commit horizon past every
+    /// `Commit` this truncation removes. A crash between the two leaves
+    /// the old records numbered from the new base: LSNs then skip ahead
+    /// (never repeat) and the horizon covers them.
     pub fn truncate(&mut self) -> Result<()> {
+        self.rotate(self.next_lsn, self.horizon.max(self.commit_end))
+    }
+
+    /// As [`Wal::truncate`], numbering the next record at least `floor`
+    /// and moving the commit horizon up to the new base: the log then
+    /// claims no history below it.
+    pub fn truncate_past(&mut self, floor: u64) -> Result<()> {
+        let base = self.next_lsn.max(floor);
+        self.rotate(base, base)
+    }
+
+    fn rotate(&mut self, base: u64, horizon: u64) -> Result<()> {
         self.flush()?;
-        if let Some(arch) = self.archive.clone() {
-            let end_path = arch.join("archive.end");
-            let from = read_u64_sidecar(&end_path).max(self.base_lsn);
-            if self.next_lsn > from {
-                let bytes = std::fs::read(&self.path)?;
-                let (records, offsets, valid_end) = parse_frames(&bytes, self.base_lsn)?;
-                let skip = (from - self.base_lsn) as usize;
-                if skip < records.len() {
-                    let start = offsets[skip];
-                    let tmp = arch.join(format!("{}.tmp", segment_name(from)));
-                    let seg = arch.join(segment_name(from));
-                    std::fs::write(&tmp, &bytes[start..valid_end])?;
-                    File::open(&tmp)?.sync_all()?;
-                    std::fs::rename(&tmp, &seg)?;
-                }
-                write_u64_sidecar(&end_path, self.next_lsn)?;
-            }
-        }
+        write_sidecar(&self.dir.join("wal.base"), base, horizon)?;
         self.backend.truncate(0)?;
         self.file_len = 0;
         self.backend.sync()?;
-        self.base_lsn = self.next_lsn;
-        write_u64_sidecar(&self.dir.join("wal.base"), self.base_lsn)?;
+        (self.base_lsn, self.next_lsn, self.horizon) = (base, base, horizon);
         Ok(())
-    }
-
-    /// Number of records appended since open (diagnostics).
-    pub fn appended(&self) -> u64 {
-        self.appended
     }
 
     /// LSN the next appended record will receive.
@@ -553,90 +479,52 @@ impl Wal {
         self.next_lsn
     }
 
+    /// Bytes of log, flushed or buffered.
+    pub fn bytes(&self) -> u64 {
+        self.file_len + self.buf.len() as u64
+    }
+
     /// LSN of the first record in the live log.
     pub fn base_lsn(&self) -> u64 {
         self.base_lsn
     }
 
-    /// Whether rotation archives outgoing frames into segment files.
-    pub fn archive_enabled(&self) -> bool {
-        self.archive.is_some()
+    /// The commit horizon: the LSN just past the last `Commit` that a
+    /// truncation removed. A reader positioned at or past it, even below
+    /// [`Wal::base_lsn`], has lost no committed transaction to rotation.
+    pub fn horizon(&self) -> u64 {
+        self.horizon
     }
 
-    /// Turns on archive mode: from now on [`Wal::truncate`] copies
-    /// outgoing frames into `<dir>/wal-archive/seg-<lsn>.log` segments.
-    /// Returns `true` if the mode was newly enabled (callers that need a
-    /// complete history seed a full snapshot into the log right after).
-    /// Archive mode is sticky: the directory's existence re-enables it
-    /// at every subsequent open.
-    pub fn enable_archive(&mut self) -> Result<bool> {
-        if self.archive.is_some() {
-            return Ok(false);
-        }
-        let arch = self.dir.join("wal-archive");
-        std::fs::create_dir_all(&arch)?;
-        // Nothing has been archived yet; anything already rotated away
-        // is only represented by the data pages, which is why callers
-        // snapshot them into the log when this returns true.
-        write_u64_sidecar(&arch.join("archive.end"), self.base_lsn)?;
-        self.archive = Some(arch);
-        Ok(true)
-    }
-
-    /// Re-bases an empty log at `lsn`. Used when a fresh replica joins a
-    /// primary whose history starts at a snapshot: the first batch it
-    /// receives begins at the snapshot LSN, not 0.
-    pub fn reset_base(&mut self, lsn: u64) -> Result<()> {
-        if self.next_lsn != self.base_lsn || !self.buf.is_empty() || self.file_len != 0 {
-            return Err(StorageError::Replication(format!(
-                "cannot re-base a non-empty log (base {}, next {})",
-                self.base_lsn, self.next_lsn
-            )));
-        }
-        write_u64_sidecar(&self.dir.join("wal.base"), lsn)?;
-        self.base_lsn = lsn;
-        self.next_lsn = lsn;
-        Ok(())
-    }
-
-    /// Iterates `(lsn, record)` pairs at and above `from_lsn`, spanning
-    /// archive segments and the live log. Only OS-flushed frames are
-    /// visible; callers wanting durable-only records additionally cap at
-    /// the engine's synced watermark.
-    pub fn read_from(&self, from_lsn: u64) -> Result<WalRangeIter> {
-        let mut segs: Vec<(u64, PathBuf)> = Vec::new();
-        let arch = self.dir.join("wal-archive");
-        if arch.is_dir() {
-            for entry in std::fs::read_dir(&arch)? {
-                let entry = entry?;
-                let name = entry.file_name().to_string_lossy().into_owned();
-                if let Some(hex) = name
-                    .strip_prefix("seg-")
-                    .and_then(|s| s.strip_suffix(".log"))
-                {
-                    if let Ok(start) = u64::from_str_radix(hex, 16) {
-                        segs.push((start, entry.path()));
-                    }
-                }
+    /// The live log's records at and above `from_lsn` and below `end`,
+    /// as `(lsn, record)` pairs, stopping once their frames reach
+    /// `max_bytes`. Only OS-flushed frames are visible.
+    pub fn read_from(
+        &self,
+        from_lsn: u64,
+        end: u64,
+        max_bytes: usize,
+    ) -> Result<Vec<(u64, WalRecord)>> {
+        let bytes = match std::fs::read(&self.path) {
+            Ok(b) => b,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+            Err(e) => return Err(e.into()),
+        };
+        let (records, offsets, valid_end) = parse_frames(&bytes, self.base_lsn)?;
+        let mut out = Vec::new();
+        let mut total = 0usize;
+        for (i, rec) in records.into_iter().enumerate() {
+            let lsn = self.base_lsn + i as u64;
+            if lsn < from_lsn {
+                continue;
             }
+            if lsn >= end || total >= max_bytes {
+                break;
+            }
+            total += offsets.get(i + 1).copied().unwrap_or(valid_end) - offsets[i];
+            out.push((lsn, rec));
         }
-        segs.sort();
-        // Skip segments that end at or before the requested start; a
-        // segment's end is the next segment's start (modulo crash
-        // overlap, which only extends it).
-        let keep_from = segs
-            .iter()
-            .position(|&(start, _)| start > from_lsn)
-            .map(|i| i.saturating_sub(1))
-            .unwrap_or_else(|| segs.len().saturating_sub(1));
-        let mut files: Vec<(u64, PathBuf)> = segs.split_off(keep_from.min(segs.len()));
-        let base = read_u64_sidecar(&self.dir.join("wal.base"));
-        files.push((base, self.dir.join("wal.log")));
-        Ok(WalRangeIter {
-            files: files.into_iter(),
-            current: Vec::new().into_iter(),
-            cursor: from_lsn,
-        })
+        Ok(out)
     }
 
     /// Reads every valid record from the start of the log. Stops cleanly at
@@ -652,14 +540,9 @@ impl Wal {
         };
         let mut buf = Vec::new();
         file.read_to_end(&mut buf)?;
-        let base = read_u64_sidecar(&dir.join("wal.base"));
+        let (base, _) = read_sidecar(&dir.join("wal.base"));
         let (records, _, pos) = parse_frames(&buf, base)?;
         Ok((records, pos as u64))
-    }
-
-    /// Path of the log file (used by failure-injection tests).
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 
@@ -783,65 +666,59 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Every record ever appended is re-readable by LSN, including across
-    /// segment/rotation boundaries, and `read_from` starts exactly at the
-    /// requested LSN.
+    /// `read_from` reads the live log from the requested LSN, below
+    /// `end` and within the byte budget (one record at least); a
+    /// truncation moves the commit horizon just past the last noted
+    /// `Commit` it removed, only forward, and the sidecar keeps both
+    /// across opens. A sidecar without a horizon, or a truncation past a
+    /// floor, claims no history below its base.
     #[test]
-    fn read_from_spans_rotation_boundaries() {
-        let dir = tmpdir("lsn");
+    fn reads_and_truncations_keep_lsns_and_the_commit_horizon() {
+        let dir = tmpdir("horizon");
         std::fs::create_dir_all(&dir).unwrap();
         let mut wal = Wal::open(&dir).unwrap();
-        assert!(wal.enable_archive().unwrap());
-        let mk = |i: u64| WalRecord::Insert {
-            txn: i,
-            table: 1,
-            rid: Rid::new(i, 0),
-            body: i.to_le_bytes().to_vec(),
-        };
-        let mut all = Vec::new();
-        // Three generations separated by rotations, plus a buffered-but-
-        // flushed tail in the live log.
-        for generation in 0..3u64 {
-            for i in 0..5u64 {
-                let rec = mk(generation * 5 + i);
-                wal.append(&rec).unwrap();
-                all.push(rec);
-            }
-            wal.sync().unwrap();
-            wal.truncate().unwrap();
+        let (commit, begin) = (WalRecord::Commit { txn: 1 }, WalRecord::Begin { txn: 2 });
+        for rec in [&begin, &commit, &begin, &commit] {
+            wal.append(rec).unwrap();
         }
-        for i in 15..18u64 {
-            let rec = mk(i);
-            wal.append(&rec).unwrap();
-            all.push(rec);
+        wal.note_commit(); // the second commit only, as `commit_local` leaves the first
+        wal.sync().unwrap();
+        wal.truncate().unwrap();
+        assert_eq!((wal.base_lsn(), wal.horizon()), (4, 4));
+        for rec in [&begin, &commit, &begin] {
+            wal.append(rec).unwrap();
         }
         wal.sync().unwrap();
-        assert_eq!(wal.next_lsn(), 18);
-        assert_eq!(wal.base_lsn(), 15);
-
-        let read: Vec<(u64, WalRecord)> = wal.read_from(0).unwrap().map(Result::unwrap).collect();
-        assert_eq!(read.len(), all.len());
-        for (i, (lsn, rec)) in read.iter().enumerate() {
-            assert_eq!(*lsn, i as u64, "LSNs are dense and ordered");
-            assert_eq!(rec, &all[i]);
-        }
-        // A mid-stream start lands exactly on the requested LSN, even
-        // when it falls inside an archived segment.
-        for start in [0u64, 3, 5, 7, 12, 15, 17] {
-            let tail: Vec<(u64, WalRecord)> =
-                wal.read_from(start).unwrap().map(Result::unwrap).collect();
-            assert_eq!(tail.first().map(|(l, _)| *l), Some(start));
-            assert_eq!(tail.len() as u64, 18 - start);
-        }
-        assert_eq!(wal.read_from(18).unwrap().count(), 0);
-
-        // LSNs survive reopen: the sidecars re-anchor the live log.
+        let lsns = |wal: &Wal, from, end, max| -> Vec<u64> {
+            let read = wal.read_from(from, end, max).unwrap();
+            read.into_iter().map(|(lsn, _)| lsn).collect()
+        };
+        assert_eq!(lsns(&wal, 0, 7, usize::MAX), [4, 5, 6]);
+        assert_eq!(lsns(&wal, 5, 6, usize::MAX), [5]);
+        assert_eq!(lsns(&wal, 4, 7, 1), [4]);
+        drop(wal);
+        // A reopened log notes every commit it holds.
+        let mut wal = Wal::open(&dir).unwrap();
+        assert_eq!((wal.base_lsn(), wal.next_lsn(), wal.horizon()), (4, 7, 4));
+        wal.truncate().unwrap();
+        wal.truncate().unwrap();
+        assert_eq!((wal.base_lsn(), wal.horizon()), (7, 6));
+        drop(wal);
+        std::fs::write(dir.join("wal.base"), 7u64.to_le_bytes()).unwrap();
+        let mut wal = Wal::open(&dir).unwrap();
+        assert_eq!(wal.horizon(), 7);
+        // Truncated past a floor, the log numbers on from it and claims
+        // no history below; a floor behind it changes nothing but that.
+        wal.truncate_past(20).unwrap();
+        wal.append(&begin).unwrap();
+        wal.truncate_past(3).unwrap();
+        assert_eq!(
+            (wal.base_lsn(), wal.next_lsn(), wal.horizon()),
+            (21, 21, 21)
+        );
         drop(wal);
         let wal = Wal::open(&dir).unwrap();
-        assert_eq!(wal.next_lsn(), 18);
-        assert_eq!(wal.base_lsn(), 15);
-        assert!(wal.archive_enabled(), "archive mode is sticky across opens");
-        assert_eq!(wal.read_from(0).unwrap().count(), 18);
+        assert_eq!((wal.base_lsn(), wal.horizon()), (21, 21));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -853,7 +730,6 @@ mod tests {
         let dir = tmpdir("undecodable");
         std::fs::create_dir_all(&dir).unwrap();
         let mut wal = Wal::open(&dir).unwrap();
-        wal.enable_archive().unwrap();
         wal.append(&WalRecord::Begin { txn: 1 }).unwrap();
         wal.sync().unwrap();
         drop(wal);
@@ -870,33 +746,11 @@ mod tests {
         };
         corrupt_at_1(Wal::replay(&dir).map(drop));
         corrupt_at_1(Wal::open(&dir).map(drop));
-        // A handle opened before the bad frame lands reads up to it, and
-        // archive rotation reads the frames it copies.
+        // A handle opened before the bad frame lands refuses it too.
         std::fs::write(dir.join("wal.log"), &bytes[..bytes.len() - frame.len()]).unwrap();
-        let mut wal = Wal::open(&dir).unwrap();
-        std::fs::write(dir.join("wal.log"), &bytes).unwrap();
-        let mut read = wal.read_from(0).unwrap();
-        corrupt_at_1(read.next().unwrap().map(drop));
-        assert!(read.next().is_none(), "the error ends the iteration");
-        wal.next_lsn += 1;
-        corrupt_at_1(wal.truncate());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn reset_base_rebases_only_empty_logs() {
-        let dir = tmpdir("rebase");
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut wal = Wal::open(&dir).unwrap();
-        wal.reset_base(42).unwrap();
-        assert_eq!(wal.next_lsn(), 42);
-        wal.append(&WalRecord::Begin { txn: 1 }).unwrap();
-        wal.sync().unwrap();
-        assert!(wal.reset_base(99).is_err(), "non-empty log refuses re-base");
-        drop(wal);
         let wal = Wal::open(&dir).unwrap();
-        assert_eq!(wal.base_lsn(), 42);
-        assert_eq!(wal.next_lsn(), 43);
+        std::fs::write(dir.join("wal.log"), &bytes).unwrap();
+        corrupt_at_1(wal.read_from(0, 2, usize::MAX).map(drop));
         std::fs::remove_dir_all(&dir).ok();
     }
 
