@@ -22,7 +22,7 @@ use std::time::{SystemTime, UNIX_EPOCH};
 use mdm_lang::{PlanExplain, QuelMetrics, Session, StmtResult, Table};
 use mdm_model::{persist, Database, EntityId};
 use mdm_notation::{Score, TimeSignature, Voice};
-use mdm_obs::{Counter, HealthReport, Monitor, Registry, Snapshot, StatementStore, Tracer};
+use mdm_obs::{Counter, Gauge, HealthReport, Monitor, Registry, Snapshot, StatementStore, Tracer};
 use mdm_storage::{StorageEngine, StorageError, TableId, Txn};
 
 use crate::cmn_schema;
@@ -33,7 +33,7 @@ use crate::stream::{self, Feed, SeedSlice};
 /// The one wire protocol version the MDM stack speaks. `mdm-net`
 /// re-exports it as `wire::PROTOCOL_VERSION` and refuses any other at
 /// `Hello`; here it is the `protocol` label on `mdm_build_info`.
-pub const WIRE_PROTOCOL_VERSION: u16 = 6;
+pub const WIRE_PROTOCOL_VERSION: u16 = 7;
 
 /// Engine table carrying the statistics images across restarts: one row
 /// per kind, a tag byte (1 = statement store, 2 = access statistics)
@@ -117,6 +117,10 @@ pub struct MusicDataManager {
     /// On a replica, its watermark (see [`REPLICA_TABLE`]): every local
     /// write path (execute, save) is then refused. `None` on a primary.
     watermark: Option<u64>,
+    /// `mdm_repl_role`: 1 on a replica, 0 on a primary.
+    role: Arc<Gauge>,
+    /// `mdm_repl_applied_lsn`: the watermark, set where it is committed.
+    applied_lsn: Arc<Gauge>,
     /// On a replica, the seed slices received so far.
     seed_in: Option<SeedSlice>,
     /// On a primary, the seed whose slices replicas are fetching.
@@ -195,8 +199,12 @@ impl MusicDataManager {
         let mut session = Session::with_metrics(Arc::clone(&quel));
         session.set_statement_store(Arc::clone(&stmt_store));
         session.set_monitor(Arc::clone(&monitor));
-        let watermark = read_watermark(&engine)?;
-        Ok(MusicDataManager {
+        let role = registry.gauge("mdm_repl_role", "1 on a replica, 0 on a primary");
+        let applied_lsn = registry.gauge(
+            "mdm_repl_applied_lsn",
+            "replica applied watermark: the primary LSN through which it holds every commit",
+        );
+        let mut mdm = MusicDataManager {
             engine,
             db,
             session,
@@ -206,10 +214,14 @@ impl MusicDataManager {
             tracer,
             stmt_store,
             monitor,
-            watermark,
+            watermark: None,
+            role,
+            applied_lsn,
             seed_in: None,
             seed_out: Mutex::new(None),
-        })
+        };
+        mdm.set_watermark(read_watermark(&mdm.engine)?);
+        Ok(mdm)
     }
 
     /// Whether this MDM is a replica: its durable state is owned by a
@@ -226,14 +238,14 @@ impl MusicDataManager {
         self.watermark
     }
 
-    /// The node's replication watermarks `(applied, durable)`, in the
-    /// primary's LSN space: on a primary its engine's next and durable
-    /// LSNs, on a replica its watermark twice — it is committed with the
-    /// rows it covers.
-    pub fn repl_watermarks(&self) -> (u64, u64) {
-        match self.watermark {
-            Some(w) => (w, w),
-            None => (self.engine.wal_next_lsn(), self.engine.wal_durable_lsn()),
+    /// Records the role and watermark the engine now holds, and publishes
+    /// both as `mdm_repl_role` and `mdm_repl_applied_lsn`. The gauge moves
+    /// only once the model holds what the watermark covers.
+    fn set_watermark(&mut self, watermark: Option<u64>) {
+        self.watermark = watermark;
+        self.role.set(watermark.is_some() as i64);
+        if let Some(w) = watermark {
+            self.applied_lsn.set(w as i64);
         }
     }
 
@@ -377,7 +389,7 @@ impl MusicDataManager {
             self.engine.delete(&mut txn, table, rid)?;
         }
         self.engine.commit(txn)?;
-        self.watermark = None;
+        self.set_watermark(None);
         Ok(())
     }
 
@@ -392,7 +404,7 @@ impl MusicDataManager {
         persist::commit_with(&mut self.db, engine, &mut |txn| {
             write_watermark(engine, table, txn, watermark)
         })?;
-        self.watermark = Some(watermark);
+        self.set_watermark(Some(watermark));
         if self.engine.wal_bytes() > self.engine.num_pages() * mdm_storage::PAGE_SIZE as u64 {
             self.engine.checkpoint()?;
         }
@@ -408,8 +420,9 @@ impl MusicDataManager {
         persist::save_with(&db, engine, &mut |txn| {
             write_watermark(engine, table, txn, watermark)
         })?;
-        self.watermark = Some(watermark);
-        self.reload()
+        self.reload()?;
+        self.set_watermark(Some(watermark));
+        Ok(())
     }
 
     /// Replaces the model with what the engine holds.

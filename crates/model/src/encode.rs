@@ -127,7 +127,8 @@ pub fn decode_value(r: &mut Reader<'_>) -> Result<Value> {
     })
 }
 
-/// Order-preserving key bytes for a value (used for B+tree index keys):
+/// Order-preserving key bytes for a value (the keys of the model's
+/// attribute indexes):
 /// a type-group prefix followed by an order-preserving payload, so that
 /// keys sort like [`Value::total_cmp`].
 ///

@@ -18,8 +18,10 @@
 //! .quit               exit (saving)
 //! \connect host:port  route programs to a remote MDM server
 //! \disconnect         back to the local embedded database
-//! \replica status     replication role, LSN watermarks, lag/replicas
-//!                     (remote server's when connected)
+//! \replica status     replication role, LSN watermarks, lag/replicas,
+//!                     then the series they come from, as of the
+//!                     monitor's latest sample (remote server's when
+//!                     connected)
 //! \stats [prefix]     the $metrics entity: every series' value, rate,
 //!                     histogram sum and quantiles as of the monitor's
 //!                     latest sample, optionally only names starting
@@ -59,29 +61,14 @@ use std::time::Duration;
 use mdm_core::MusicDataManager;
 use mdm_lang::{StmtResult, Table};
 use mdm_model::Value;
-use mdm_net::{introspect, ClientConfig, MdmClient, MdmServer, ReplStatus, ServerConfig, TraceOp};
+use mdm_net::{introspect, ClientConfig, MdmClient, MdmServer, ServerConfig, TraceOp};
 use mdm_obs::chrome_trace_json;
-
-/// Renders a node's replication role and watermarks, local or remote.
-fn print_repl_status(s: &ReplStatus) {
-    println!(
-        "role         {}",
-        if s.replica { "replica" } else { "primary" }
-    );
-    println!("applied_lsn  {}", s.applied_lsn);
-    println!("durable_lsn  {}", s.durable_lsn);
-    if s.replica {
-        println!("lag_bytes    {}", s.lag_bytes);
-    } else {
-        println!("replicas     {}", s.replicas);
-    }
-}
 
 /// Runs one read-only QUEL text where the shell currently points: the
 /// connected server, or the embedded manager's shared read path. Every
-/// system-state command (`\top`, `\stats`, `\watch`, `\health`) goes
-/// through here and nowhere else, so embedded and `\connect` output are
-/// the same code.
+/// system-state command (`\top`, `\stats`, `\watch`, `\health`,
+/// `\replica status`) goes through here and nowhere else, so embedded
+/// and `\connect` output are the same code.
 fn system_query(
     remote: &mut Option<MdmClient>,
     mdm: &MusicDataManager,
@@ -436,27 +423,14 @@ fn main() {
                     Err(e) => eprintln!("connect failed: {e}"),
                 }
             }
-            "\\replica status" => {
-                // Remote: ask the connected server. Local: read the
-                // embedded engine's role and watermarks directly (an
-                // embedded node never has a pull loop, so no lag).
-                match &mut remote {
-                    Some(c) => match c.repl_status() {
-                        Ok(s) => print_repl_status(&s),
-                        Err(e) => eprintln!("error: {e}"),
-                    },
-                    None => {
-                        let (applied_lsn, durable_lsn) = mdm.repl_watermarks();
-                        print_repl_status(&ReplStatus {
-                            replica: mdm.is_replica(),
-                            applied_lsn,
-                            durable_lsn,
-                            lag_bytes: 0,
-                            replicas: 0,
-                        })
-                    }
+            "\\replica status" => match system_query(&mut remote, &mdm, introspect::REPLICA_STATUS)
+            {
+                Ok(t) => {
+                    print!("{}", introspect::replica_summary(&t));
+                    print!("{t}");
                 }
-            }
+                Err(e) => eprintln!("error: {e}"),
+            },
             "\\disconnect" => {
                 if let Some(mut c) = remote.take() {
                     c.disconnect();

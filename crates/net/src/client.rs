@@ -39,24 +39,6 @@ impl Default for ClientConfig {
     }
 }
 
-/// A node's replication role and watermarks, as reported by
-/// [`MdmClient::repl_status`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplStatus {
-    /// `true` if the node is a replica (refuses writes).
-    pub replica: bool,
-    /// The applied watermark, a primary LSN: on a primary the next LSN
-    /// it would append, on a replica its watermark.
-    pub applied_lsn: u64,
-    /// The durable watermark: on a primary its fsynced LSN, on a
-    /// replica its watermark again (committed with what it covers).
-    pub durable_lsn: u64,
-    /// On a replica: bytes of primary WAL not yet applied.
-    pub lag_bytes: u64,
-    /// On a primary: replicas that pulled recently.
-    pub replicas: u32,
-}
-
 /// A blocking connection to an [`MdmServer`](crate::server::MdmServer).
 pub struct MdmClient {
     addr: String,
@@ -342,26 +324,6 @@ impl MdmClient {
                 durable_lsn,
                 sent_micros,
             } => Ok((feed, durable_lsn, sent_micros)),
-            other => Err(NetError::UnexpectedResponse(other.type_name())),
-        }
-    }
-
-    /// Fetches the node's replication role and watermarks.
-    pub fn repl_status(&mut self) -> Result<ReplStatus> {
-        match self.request(Message::ReplStatus)? {
-            Message::ReplStatusInfo {
-                role,
-                applied_lsn,
-                durable_lsn,
-                lag_bytes,
-                replicas,
-            } => Ok(ReplStatus {
-                replica: role == 1,
-                applied_lsn,
-                durable_lsn,
-                lag_bytes,
-                replicas,
-            }),
             other => Err(NetError::UnexpectedResponse(other.type_name())),
         }
     }

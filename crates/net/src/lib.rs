@@ -40,7 +40,7 @@ pub mod scorecodec;
 pub mod server;
 pub mod wire;
 
-pub use client::{ClientConfig, MdmClient, ReplStatus};
+pub use client::{ClientConfig, MdmClient};
 pub use error::{DecodeError, ErrorCode, NetError, Result};
 pub use http::{HttpServer, HttpState};
 pub use message::{Message, TraceOp};

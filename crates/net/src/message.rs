@@ -1,13 +1,14 @@
 //! Typed protocol messages and their payload encodings.
 //!
-//! Requests occupy tags 1–15, responses 128–141, and the error response
+//! Requests occupy tags 1–14, responses 128–140, and the error response
 //! is 255, so a stray request tag can never be confused with a response.
 //! Every message decodes with [`Message::decode`]; unknown tags and
 //! malformed payloads yield typed [`DecodeError`]s, never panics.
 //!
 //! System state has no messages of its own: statement statistics,
-//! metrics and alert states are the `$statements`, `$metrics` and
-//! `$alerts` entities, read with an ordinary [`Message::Query`].
+//! metrics, alert states and replication state are the `$statements`,
+//! `$metrics` and `$alerts` entities, read with an ordinary
+//! [`Message::Query`].
 
 use mdm_core::stream::{Feed, ReplTxn, SeedSlice};
 use mdm_lang::{PlanExplain, StmtResult, Table, VarPlan};
@@ -42,7 +43,7 @@ pub enum TraceOp {
 /// response a server can return.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
-    // ---- requests (1–15) ----
+    // ---- requests (1–14) ----
     /// Opens a session; the server answers with [`Message::HelloAck`].
     Hello {
         /// Client identification, free-form (shown in diagnostics).
@@ -115,11 +116,8 @@ pub enum Message {
         /// Soft cap on the batch's bytes.
         max_bytes: u32,
     },
-    /// Requests the node's replication role and watermarks; the server
-    /// answers with [`Message::ReplStatusInfo`].
-    ReplStatus,
 
-    // ---- responses (128–141, 255) ----
+    // ---- responses (128–140, 255) ----
     /// Session accepted.
     HelloAck {
         /// Server identification.
@@ -188,22 +186,6 @@ pub enum Message {
         /// cross-machine clock agreement is needed. Never `0`.
         sent_micros: u64,
     },
-    /// Replication role and watermarks answering [`Message::ReplStatus`].
-    ReplStatusInfo {
-        /// `0` = primary, `1` = replica.
-        role: u8,
-        /// The applied watermark, a primary LSN: on a primary the next LSN
-        /// it would append, on a replica its watermark.
-        applied_lsn: u64,
-        /// The durable watermark: on a primary its fsynced LSN, on a
-        /// replica its watermark again (committed with what it covers).
-        durable_lsn: u64,
-        /// On a replica: bytes of primary WAL not yet applied, as of
-        /// the last pull. `0` on a primary.
-        lag_bytes: u64,
-        /// On a primary: replicas that pulled recently. `0` on a replica.
-        replicas: u32,
-    },
     /// A typed error.
     Error {
         /// Error class.
@@ -214,8 +196,9 @@ pub enum Message {
 }
 
 // Wire tags. Part of the protocol — append, never renumber. Tags 9, 13,
-// 16 and 136, 139, 142 are retired (the admin messages that `Query`
-// over the `$` entities replaced) and must not be reused.
+// 15, 16 and 136, 139, 141, 142 are retired (the admin and replication
+// status messages that `Query` over the `$` entities replaced) and must
+// not be reused.
 const T_HELLO: u16 = 1;
 const T_PING: u16 = 2;
 const T_QUERY: u16 = 3;
@@ -228,7 +211,6 @@ const T_TRACE_CONTROL: u16 = 10;
 const T_TRACE_FETCH: u16 = 11;
 const T_EXPLAIN: u16 = 12;
 const T_REPL_PULL: u16 = 14;
-const T_REPL_STATUS: u16 = 15;
 const T_HELLO_ACK: u16 = 128;
 const T_PONG: u16 = 129;
 const T_ROWS: u16 = 130;
@@ -240,7 +222,6 @@ const T_SCORE_LIST: u16 = 135;
 const T_TRACE_DUMP: u16 = 137;
 const T_PLAN: u16 = 138;
 const T_REPL_BATCH: u16 = 140;
-const T_REPL_STATUS_INFO: u16 = 141;
 const T_ERROR: u16 = 255;
 
 impl Message {
@@ -259,7 +240,6 @@ impl Message {
             Message::TraceFetch { .. } => T_TRACE_FETCH,
             Message::Explain { .. } => T_EXPLAIN,
             Message::ReplPull { .. } => T_REPL_PULL,
-            Message::ReplStatus => T_REPL_STATUS,
             Message::HelloAck { .. } => T_HELLO_ACK,
             Message::Pong => T_PONG,
             Message::Rows { .. } => T_ROWS,
@@ -271,7 +251,6 @@ impl Message {
             Message::TraceDump { .. } => T_TRACE_DUMP,
             Message::Plan { .. } => T_PLAN,
             Message::ReplBatch { .. } => T_REPL_BATCH,
-            Message::ReplStatusInfo { .. } => T_REPL_STATUS_INFO,
             Message::Error { .. } => T_ERROR,
         }
     }
@@ -291,7 +270,6 @@ impl Message {
             Message::TraceFetch { .. } => "trace_fetch",
             Message::Explain { .. } => "explain",
             Message::ReplPull { .. } => "repl_pull",
-            Message::ReplStatus => "repl_status",
             Message::HelloAck { .. } => "hello_ack",
             Message::Pong => "pong",
             Message::Rows { .. } => "rows",
@@ -303,7 +281,6 @@ impl Message {
             Message::TraceDump { .. } => "trace_dump",
             Message::Plan { .. } => "plan",
             Message::ReplBatch { .. } => "repl_batch",
-            Message::ReplStatusInfo { .. } => "repl_status_info",
             Message::Error { .. } => "error",
         }
     }
@@ -323,7 +300,7 @@ impl Message {
                 put_str(&mut out, name);
                 out.extend_from_slice(&version.to_le_bytes());
             }
-            Message::Ping | Message::Pong | Message::ListScores | Message::ReplStatus => {}
+            Message::Ping | Message::Pong | Message::ListScores => {}
             Message::ReplPull {
                 replica_id,
                 from_lsn,
@@ -343,19 +320,6 @@ impl Message {
                 encode_feed(&mut out, feed);
                 out.extend_from_slice(&durable_lsn.to_le_bytes());
                 out.extend_from_slice(&sent_micros.to_le_bytes());
-            }
-            Message::ReplStatusInfo {
-                role,
-                applied_lsn,
-                durable_lsn,
-                lag_bytes,
-                replicas,
-            } => {
-                out.push(*role);
-                out.extend_from_slice(&applied_lsn.to_le_bytes());
-                out.extend_from_slice(&durable_lsn.to_le_bytes());
-                out.extend_from_slice(&lag_bytes.to_le_bytes());
-                out.extend_from_slice(&replicas.to_le_bytes());
             }
             Message::TraceControl { op } => {
                 let (tag, value): (u8, u64) = match op {
@@ -470,7 +434,6 @@ impl Message {
                 seed_offset: c.u64()?,
                 max_bytes: c.u32()?,
             },
-            T_REPL_STATUS => Message::ReplStatus,
             T_HELLO_ACK => Message::HelloAck {
                 server: c.string()?,
                 version: c.u16()?,
@@ -507,13 +470,6 @@ impl Message {
                 feed: decode_feed(&mut c)?,
                 durable_lsn: c.u64()?,
                 sent_micros: c.u64()?,
-            },
-            T_REPL_STATUS_INFO => Message::ReplStatusInfo {
-                role: c.u8()?,
-                applied_lsn: c.u64()?,
-                durable_lsn: c.u64()?,
-                lag_bytes: c.u64()?,
-                replicas: c.u32()?,
             },
             T_TRACE_DUMP => Message::TraceDump {
                 text: c.string()?,
@@ -864,7 +820,6 @@ mod tests {
                 seed_offset: 9,
                 max_bytes: 1 << 20,
             },
-            Message::ReplStatus,
             Message::ReplBatch {
                 feed: Feed::Txns {
                     txns: vec![ReplTxn {
@@ -896,13 +851,6 @@ mod tests {
                 }),
                 durable_lsn: 45,
                 sent_micros: 2,
-            },
-            Message::ReplStatusInfo {
-                role: 1,
-                applied_lsn: 99,
-                durable_lsn: 99,
-                lag_bytes: 4096,
-                replicas: 0,
             },
             Message::Error {
                 code: ErrorCode::NotFound,
@@ -943,7 +891,7 @@ mod tests {
 
     #[test]
     fn retired_admin_tags_are_unknown() {
-        for tag in [9, 13, 16, 136, 139, 142] {
+        for tag in [9, 13, 15, 16, 136, 139, 141, 142] {
             assert_eq!(
                 Message::decode(tag, &[]),
                 Err(DecodeError::BadMessageType(tag))

@@ -83,6 +83,19 @@ impl NetMetrics {
             .inc();
     }
 
+    /// Bumps `mdm_repl_pulls_total{replica=…}`, the puller's counter: a
+    /// replica whose counter moved within the latest sampling interval
+    /// is connected.
+    pub fn count_pull(&self, replica_id: u64) {
+        self.registry
+            .counter_labeled(
+                "mdm_repl_pulls_total",
+                "replication pulls served, by replica id",
+                &[("replica", &replica_id.to_string())],
+            )
+            .inc();
+    }
+
     /// Bumps the per-code error-response counter.
     pub fn count_error_response(&self, code_name: &str) {
         self.registry

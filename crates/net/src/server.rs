@@ -23,7 +23,7 @@ use std::collections::HashMap;
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
@@ -33,6 +33,7 @@ use mdm_obs::{chrome_trace_json, trace, Tracer};
 use crate::accept::Acceptor;
 use crate::error::{ErrorCode, NetError, Result};
 use crate::http::{HttpServer, HttpState};
+use crate::introspect;
 use crate::message::{Message, TraceOp};
 use crate::metrics::NetMetrics;
 use crate::wire::{self, HEADER_LEN};
@@ -77,22 +78,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// A replica that pulled within this window counts as connected.
-const REPLICA_WINDOW: Duration = Duration::from_secs(10);
-
-/// Replication-role state, shared across sessions. Lives outside the
-/// `mdm` lock so status queries and role flips never wait on writers.
-struct ReplState {
-    /// `true` = this node is a replica: writes are refused with a typed
-    /// `ReadOnly` error and shutdown skips the (write-path) save.
-    read_only: AtomicBool,
-    /// On a replica: bytes of primary log not yet applied, maintained
-    /// by the pull loop via [`MdmServer::set_repl_lag_bytes`].
-    lag_bytes: AtomicU64,
-    /// On a primary: replica id → instant of its last `ReplPull`.
-    pullers: Mutex<HashMap<u64, Instant>>,
-}
-
 struct SessionHandle {
     /// A clone of the session's stream, used to force-close it.
     stream: TcpStream,
@@ -123,7 +108,6 @@ struct Shared {
     /// control and span recording never serialize behind writers.
     tracer: Tracer,
     config: ServerConfig,
-    repl: ReplState,
     shutting_down: AtomicBool,
     sessions: Mutex<HashMap<u64, SessionHandle>>,
 }
@@ -156,11 +140,6 @@ impl MdmServer {
             metrics,
             tracer,
             config,
-            repl: ReplState {
-                read_only: AtomicBool::new(false),
-                lag_bytes: AtomicU64::new(0),
-                pullers: Mutex::new(HashMap::new()),
-            },
             shutting_down: AtomicBool::new(false),
             sessions: Mutex::new(HashMap::new()),
         });
@@ -216,34 +195,6 @@ impl MdmServer {
         &self.shared.tracer
     }
 
-    /// Flips the node's replication role. Read-only (`true`) refuses
-    /// `Execute` and `StoreScore` with a typed `ReadOnly` error and
-    /// makes shutdown skip the write-path save; reads are unaffected.
-    pub fn set_read_only(&self, read_only: bool) {
-        self.shared
-            .repl
-            .read_only
-            .store(read_only, Ordering::SeqCst);
-    }
-
-    /// Whether the node currently refuses writes.
-    pub fn is_read_only(&self) -> bool {
-        self.shared.repl.read_only.load(Ordering::SeqCst)
-    }
-
-    /// Publishes the replica's current lag (bytes of primary WAL not
-    /// yet applied), surfaced by `ReplStatus`. Called by the pull loop.
-    pub fn set_repl_lag_bytes(&self, bytes: u64) {
-        self.shared.repl.lag_bytes.store(bytes, Ordering::SeqCst);
-    }
-
-    /// Replicas that pulled within the freshness window.
-    pub fn connected_replicas(&self) -> usize {
-        let mut pullers = self.shared.repl.pullers.lock().expect("pullers lock");
-        pullers.retain(|_, at| at.elapsed() < REPLICA_WINDOW);
-        pullers.len()
-    }
-
     /// Runs `f` with the manager under the shared (read) half of the
     /// lock, concurrent with reader sessions.
     pub fn with_manager<R>(&self, f: impl FnOnce(&MusicDataManager) -> R) -> R {
@@ -259,7 +210,8 @@ impl MdmServer {
 
     /// Gracefully shuts down: stops accepting, lets in-flight requests
     /// finish (up to the drain timeout), force-closes stragglers, joins
-    /// every thread, saves the database, and returns the manager.
+    /// every thread, saves the database unless it is a replica's, and
+    /// returns the manager.
     pub fn shutdown(mut self) -> Result<MusicDataManager> {
         self.shared.shutting_down.store(true, Ordering::SeqCst);
         // The HTTP endpoint's status closure holds a clone of the shared
@@ -303,11 +255,10 @@ impl MdmServer {
 
         let shared = Arc::try_unwrap(self.shared)
             .map_err(|_| NetError::UnexpectedResponse("server threads still hold state"))?;
-        let read_only = shared.repl.read_only.load(Ordering::SeqCst);
         let mut mdm = shared.mdm.into_inner().expect("mdm lock");
         // A replica's durable state is owned by the replication stream,
         // which commits everything it applies.
-        if !read_only {
+        if !mdm.is_replica() {
             mdm.save()
                 .map_err(|e| NetError::Io(std::io::Error::other(e.to_string())))?;
         }
@@ -522,17 +473,8 @@ fn handle_request(shared: &Shared, request: Message) -> Message {
                 Err(e) => core_error_response(&e),
             }
         }
-        // On a replica the write path is refused up front with a typed
-        // error — never a panic or a silent drop — so clients know to
-        // redirect to the primary.
-        Message::Execute { .. } | Message::StoreScore { .. }
-            if shared.repl.read_only.load(Ordering::SeqCst) =>
-        {
-            Message::Error {
-                code: ErrorCode::ReadOnly,
-                message: "this node is a replica; writes must go to the primary".into(),
-            }
-        }
+        // On a replica the manager refuses the write path with a typed
+        // `ReadOnly` error, so clients know to redirect to the primary.
         Message::Execute { text } => {
             let mut mdm = shared.mdm.write().expect("mdm lock");
             match mdm.execute(&text) {
@@ -564,12 +506,7 @@ fn handle_request(shared: &Shared, request: Message) -> Message {
             let mdm = shared.mdm.read().expect("mdm lock");
             match mdm.repl_pull(from_lsn, seed_offset, max_bytes as usize) {
                 Ok((feed, durable_lsn)) => {
-                    shared
-                        .repl
-                        .pullers
-                        .lock()
-                        .expect("pullers lock")
-                        .insert(replica_id, Instant::now());
+                    shared.metrics.count_pull(replica_id);
                     Message::ReplBatch {
                         feed,
                         durable_lsn,
@@ -583,28 +520,6 @@ fn handle_request(shared: &Shared, request: Message) -> Message {
                     }
                 }
                 Err(e) => core_error_response(&e),
-            }
-        }
-        Message::ReplStatus => {
-            let read_only = shared.repl.read_only.load(Ordering::SeqCst);
-            let (applied_lsn, durable_lsn) = shared.mdm.read().expect("mdm lock").repl_watermarks();
-            let replicas = if read_only {
-                0
-            } else {
-                let mut pullers = shared.repl.pullers.lock().expect("pullers lock");
-                pullers.retain(|_, at| at.elapsed() < REPLICA_WINDOW);
-                pullers.len() as u32
-            };
-            Message::ReplStatusInfo {
-                role: read_only as u8,
-                applied_lsn,
-                durable_lsn,
-                lag_bytes: if read_only {
-                    shared.repl.lag_bytes.load(Ordering::SeqCst)
-                } else {
-                    0
-                },
-                replicas,
             }
         }
         Message::LoadScore { id } => {
@@ -664,25 +579,18 @@ fn handle_request(shared: &Shared, request: Message) -> Message {
     }
 }
 
-/// The `/statusz` document: build identity, role, watermarks, and the
-/// embedded health report, assembled without the write lock.
+/// The `/statusz` document: build identity, uptime, connections, the
+/// [`introspect::replica_summary`] of the replication series — as of
+/// the monitor's latest sample — and the embedded health report,
+/// assembled without the write lock.
 fn status_json(shared: &Shared) -> String {
-    let read_only = shared.repl.read_only.load(Ordering::SeqCst);
-    let (applied_lsn, durable_lsn, health, uptime_micros) = {
+    let (series, health, uptime_micros) = {
         let mdm = shared.mdm.read().expect("mdm lock");
-        let monitor = mdm.monitor();
-        let (applied, durable) = mdm.repl_watermarks();
         (
-            applied,
-            durable,
+            mdm.query_shared(introspect::REPLICA_STATUS),
             mdm.health().to_json(),
-            monitor.uptime_micros(),
+            mdm.monitor().uptime_micros(),
         )
-    };
-    let replicas = {
-        let mut pullers = shared.repl.pullers.lock().expect("pullers lock");
-        pullers.retain(|_, at| at.elapsed() < REPLICA_WINDOW);
-        pullers.len()
     };
     let connections = shared.sessions.lock().expect("sessions lock").len();
     let server_name: String = shared
@@ -691,28 +599,25 @@ fn status_json(shared: &Shared) -> String {
         .chars()
         .filter(|c| *c != '"' && *c != '\\' && !c.is_control())
         .collect();
-    format!(
-        concat!(
-            "{{\"server\": \"{}\", \"protocol\": {}, \"role\": \"{}\", ",
-            "\"uptime_seconds\": {:.3}, \"connections\": {}, \"replicas\": {}, ",
-            "\"applied_lsn\": {}, \"durable_lsn\": {}, \"lag_bytes\": {}, ",
-            "\"health\": {}}}"
-        ),
+    let mut out = format!(
+        "{{\"server\": \"{}\", \"protocol\": {}, \"uptime_seconds\": {:.3}, \"connections\": {}, ",
         server_name,
         wire::PROTOCOL_VERSION,
-        if read_only { "replica" } else { "primary" },
         uptime_micros as f64 / 1_000_000.0,
         connections,
-        replicas,
-        applied_lsn,
-        durable_lsn,
-        if read_only {
-            shared.repl.lag_bytes.load(Ordering::SeqCst)
-        } else {
-            0
-        },
-        health,
-    )
+    );
+    // A string value displays quoted, as JSON wants it.
+    match series {
+        Ok(series) => {
+            let summary = introspect::replica_summary(&series);
+            for (column, value) in summary.columns.iter().zip(&summary.rows[0]) {
+                out.push_str(&format!("\"{column}\": {value}, "));
+            }
+        }
+        Err(e) => out.push_str(&format!("\"replication_error\": {:?}, ", e.to_string())),
+    }
+    out.push_str(&format!("\"health\": {health}}}"));
+    out
 }
 
 /// Maps a core failure to its wire error class; "score not found" is

@@ -137,34 +137,6 @@ impl Registry {
         }
     }
 
-    /// As [`Registry::register_counter_handle`], for a histogram.
-    pub fn register_histogram_handle(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        handle: Arc<Histogram>,
-    ) -> Arc<Histogram> {
-        match self.register(name, help, labels, Handle::Histogram(handle)) {
-            Handle::Histogram(h) => h,
-            _ => panic!("metric {name} already registered with a different type"),
-        }
-    }
-
-    /// As [`Registry::register_counter_handle`], for a gauge.
-    pub fn register_gauge_handle(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        handle: Arc<Gauge>,
-    ) -> Arc<Gauge> {
-        match self.register(name, help, labels, Handle::Gauge(handle)) {
-            Handle::Gauge(g) => g,
-            _ => panic!("metric {name} already registered with a different type"),
-        }
-    }
-
     /// Reads every registered metric into a point-in-time snapshot.
     /// Values are read with relaxed ordering: a snapshot taken under load
     /// is internally consistent per metric but not across metrics.

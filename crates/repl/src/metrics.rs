@@ -9,7 +9,8 @@ use std::sync::Arc;
 #[derive(Clone)]
 pub struct ReplMetrics {
     /// The replica's applied watermark: the primary LSN through which it
-    /// holds every committed transaction.
+    /// holds every committed transaction. Read only: the manager registers
+    /// the same series and sets it where it commits the watermark.
     pub applied_lsn: Arc<Gauge>,
     /// Estimated bytes of primary log not yet applied locally.
     pub lag_bytes: Arc<Gauge>,

@@ -22,9 +22,10 @@
 //!
 //! Promotion is [`ReplicaNode::promote`]: refused while the replica has
 //! not applied everything the primary acknowledged as durable, otherwise
-//! its log continues the primary's LSN space from the watermark, the
-//! watermark row is deleted and the role flips. The model needs
-//! nothing: it already holds every committed row.
+//! its log continues the primary's LSN space from the watermark and the
+//! watermark row is deleted. That row is the role: the server holds no
+//! copy of it, so the node accepts writes from the next request on. The
+//! model needs nothing: it already holds every committed row.
 
 use crate::error::{ReplError, Result};
 use crate::metrics::ReplMetrics;
@@ -91,8 +92,6 @@ struct PullState {
     apply_paused: AtomicBool,
     /// Highest primary durable watermark observed on any pull.
     primary_durable: AtomicU64,
-    /// The replica's applied watermark after the last batch.
-    applied: AtomicU64,
     /// The primary refused the replica's cursor as past its durable log.
     diverged: AtomicBool,
     /// Primary send stamp (its monotonic µs) of the newest pull
@@ -126,7 +125,6 @@ impl ReplicaNode {
     pub fn start(dir: &Path, listen: &str, cfg: ReplicaConfig) -> Result<ReplicaNode> {
         let mut mdm = MusicDataManager::open(dir)?;
         mdm.become_replica()?;
-        let applied = mdm.replica_watermark().unwrap_or(0);
         let metrics = ReplMetrics::register(&mdm.metrics_registry());
         // Lag rules on top of the engine defaults: a replica that falls
         // behind its thresholds goes critical (`/healthz` 503), so a
@@ -134,12 +132,10 @@ impl ReplicaNode {
         mdm.monitor()
             .seed_replica_rules(cfg.lag_alert_bytes as f64, cfg.lag_alert_seconds);
         let server = Arc::new(MdmServer::start(mdm, listen, cfg.server.clone())?);
-        server.set_read_only(true);
         let state = Arc::new(PullState {
             stop: AtomicBool::new(false),
             apply_paused: AtomicBool::new(false),
             primary_durable: AtomicU64::new(0),
-            applied: AtomicU64::new(applied),
             diverged: AtomicBool::new(false),
             last_stamp: AtomicU64::new(0),
             applied_stamp: AtomicU64::new(0),
@@ -172,13 +168,14 @@ impl ReplicaNode {
         self.server.as_deref().expect("replica server taken")
     }
 
-    /// The replica's applied watermark, a primary LSN. Published by the
-    /// pull loop only after a batch has landed fully — committed locally
-    /// and in the live in-memory database — so a reader that observes
-    /// `applied_lsn() >= x` sees every transaction the primary committed
-    /// below `x` in its queries.
+    /// The replica's applied watermark, a primary LSN: the
+    /// `mdm_repl_applied_lsn` gauge, which the manager sets only once a
+    /// batch has landed fully — committed locally and in the live
+    /// in-memory database — so a reader that observes `applied_lsn() >= x`
+    /// sees every transaction the primary committed below `x` in its
+    /// queries.
     pub fn applied_lsn(&self) -> u64 {
-        self.state.applied.load(Ordering::Acquire)
+        self.metrics.applied_lsn.get() as u64
     }
 
     /// Highest primary durable watermark observed so far.
@@ -235,7 +232,6 @@ impl ReplicaNode {
         let required = self.state.primary_durable.load(Ordering::Acquire);
         self.server().with_manager_mut(|m| m.promote(required))?;
         self.stop_puller();
-        self.server().set_read_only(false);
         self.metrics.promotes.inc();
         Ok(())
     }
@@ -309,11 +305,11 @@ fn pull_loop(server: &MdmServer, state: &PullState, metrics: &ReplMetrics, cfg: 
             // Held behind on purpose: watermarks and stamps above stay
             // fresh, the applied watermark does not move, so both lag
             // gauges grow with the primary's write load.
-            publish_lag(server, state, metrics, avg_record_bytes);
+            publish_lag(state, metrics, avg_record_bytes);
             idle(state, cfg.poll_interval);
             continue;
         }
-        let from = state.applied.load(Ordering::Acquire);
+        let from = metrics.applied_lsn.get() as u64;
         let txns = match &feed {
             Feed::Txns { txns, next_lsn } => {
                 let bytes: usize = (txns.iter().flat_map(|t| &t.changes))
@@ -345,14 +341,12 @@ fn pull_loop(server: &MdmServer, state: &PullState, metrics: &ReplMetrics, cfg: 
                 if seeded {
                     metrics.seeds.inc();
                 }
-                state.applied.store(applied, Ordering::Release);
-                metrics.applied_lsn.set(applied as i64);
                 if applied >= durable {
                     // Caught up to everything this pull knew about: our
                     // applied state is current as of its send stamp.
                     state.applied_stamp.store(stamp, Ordering::Release);
                 }
-                publish_lag(server, state, metrics, avg_record_bytes);
+                publish_lag(state, metrics, avg_record_bytes);
             }
             // Promoted under the loop: nothing more to pull.
             Err(CoreError::NotReplica) => return,
@@ -390,11 +384,10 @@ fn note_stamp(state: &PullState, stamp: u64) {
     }
 }
 
-fn publish_lag(server: &MdmServer, state: &PullState, metrics: &ReplMetrics, avg: u64) {
-    let applied = state.applied.load(Ordering::Acquire);
+fn publish_lag(state: &PullState, metrics: &ReplMetrics, avg: u64) {
+    let applied = metrics.applied_lsn.get() as u64;
     let durable = state.primary_durable.load(Ordering::Acquire);
     let lag = durable.saturating_sub(applied).saturating_mul(avg);
-    server.set_repl_lag_bytes(lag);
     metrics.lag_bytes.set(lag.min(i64::MAX as u64) as i64);
     // Seconds of lag, from primary-clock stamps alone: how far behind
     // "now on the primary" the applied state is. Zero while caught up
@@ -431,7 +424,6 @@ mod tests {
             stop: AtomicBool::new(false),
             apply_paused: AtomicBool::new(false),
             primary_durable: AtomicU64::new(0),
-            applied: AtomicU64::new(0),
             diverged: AtomicBool::new(false),
             last_stamp: AtomicU64::new(0),
             applied_stamp: AtomicU64::new(0),

@@ -3,9 +3,9 @@
 
 use mdm_core::stream::Feed;
 use mdm_core::MusicDataManager;
-use mdm_net::{ClientConfig, ErrorCode, MdmClient, MdmServer, NetError, ServerConfig};
+use mdm_net::{introspect, ClientConfig, ErrorCode, MdmClient, MdmServer, NetError, ServerConfig};
 use mdm_repl::{ReplError, ReplicaConfig, ReplicaNode};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn tempdir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("mdm-repl-{tag}-{}", std::process::id()));
@@ -35,6 +35,35 @@ fn statement_calls(c: &mut MdmClient, prefix: &str) -> i64 {
         .filter(|r| r[0].as_str().is_some_and(|f| f.starts_with(prefix)))
         .filter_map(|r| r[1].as_integer())
         .sum()
+}
+
+/// `\replica status` on the node `server` serves, through `c`: the
+/// summary of [`introspect::REPLICA_STATUS`] over `$metrics` as of a
+/// sample taken now, as `(role, applied_lsn, replicas)`. Polls (up to ten
+/// seconds) until `until` holds: a puller counts as connected once its
+/// counter moved within the latest sampling interval.
+fn replica_status(
+    server: &MdmServer,
+    c: &mut MdmClient,
+    until: impl Fn(&str, i64, i64) -> bool,
+) -> (String, i64, i64) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        server.with_manager(|m| m.monitor().sample_now());
+        let series = c.query(introspect::REPLICA_STATUS).expect("status");
+        let summary = introspect::replica_summary(&series);
+        let row = &summary.rows[0];
+        let field = |i: usize| row[i].as_integer().expect("integer field");
+        let status = (
+            row[0].as_str().expect("role").to_string(),
+            field(1),
+            field(4),
+        );
+        if until(&status.0, status.1, status.2) || Instant::now() > deadline {
+            return status;
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    }
 }
 
 fn primary_durable(server: &MdmServer) -> u64 {
@@ -79,12 +108,12 @@ fn replica_serves_reads_reports_status_and_survives_restart() {
     assert_eq!(table.rows.len(), 2, "replicated rows visible on replica");
 
     // Status is typed on both ends of the pair.
-    let rs = rc.repl_status().expect("replica status");
-    assert!(rs.replica);
-    assert!(rs.applied_lsn >= target);
-    let ps = pc.repl_status().expect("primary status");
-    assert!(!ps.replica);
-    assert!(ps.replicas >= 1, "primary sees its puller");
+    let (role, applied, _) = replica_status(node.server(), &mut rc, |_, _, _| true);
+    assert_eq!(role, "replica");
+    assert!(applied >= target as i64);
+    let (role, _, replicas) = replica_status(&server, &mut pc, |_, _, n| n >= 1);
+    assert_eq!(role, "primary");
+    assert!(replicas >= 1, "primary sees its puller");
 
     // Writes to the replica are refused with the typed code.
     match rc.execute("append to GADGET (name = \"nope\")") {
@@ -202,8 +231,8 @@ fn stale_replica_refuses_promotion_caught_up_replica_promotes() {
         .query("range of p is PIECE\nretrieve (p.title)")
         .expect("query promoted node");
     assert_eq!(table.rows.len(), 21);
-    let rs = rc.repl_status().expect("status");
-    assert!(!rs.replica, "promoted node reports primary role");
+    let (role, _, _) = replica_status(node.server(), &mut rc, |_, _, _| true);
+    assert_eq!(role, "primary", "promoted node reports primary role");
 
     drop(rc);
     let mdm = node.shutdown().expect("promoted shutdown");
@@ -303,8 +332,8 @@ fn read_fanout_replicas_see_the_same_data() {
         assert_eq!(table.rows.len(), 4);
     }
     let mut pc = client(&server.local_addr().to_string());
-    let ps = pc.repl_status().expect("primary status");
-    assert!(ps.replicas >= 3, "primary sees {} pullers", ps.replicas);
+    let (_, _, replicas) = replica_status(&server, &mut pc, |_, _, n| n >= 3);
+    assert!(replicas >= 3, "primary sees {replicas} pullers");
 
     for node in nodes {
         node.shutdown().expect("replica shutdown");

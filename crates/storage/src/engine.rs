@@ -151,6 +151,8 @@ struct WalInner {
     /// reopened and recovery re-reads what actually persisted.
     poisoned: bool,
     appends: Arc<Counter>,
+    /// `mdm_wal_next_lsn`: the LSN the next appended record gets.
+    next_lsn: Arc<Gauge>,
 }
 
 impl WalInner {
@@ -158,6 +160,7 @@ impl WalInner {
         self.wal.append(rec)?;
         self.seq += 1;
         self.appends.inc();
+        self.next_lsn.set(self.wal.next_lsn() as i64);
         Ok(self.seq)
     }
 }
@@ -173,6 +176,10 @@ struct EngineMetrics {
     wal_eviction_syncs: Arc<Counter>,
     wal_fsync_failures: Arc<Counter>,
     wal_poisoned: Arc<Gauge>,
+    /// Highest LSN known durable (flushed and fsynced, or truncated after
+    /// a checkpoint): replication reads records strictly below it. Only
+    /// ever raised, under the log latch.
+    wal_durable_lsn: Arc<Gauge>,
     txn_begins: Arc<Counter>,
     txn_commits: Arc<Counter>,
     txn_aborts: Arc<Counter>,
@@ -208,6 +215,10 @@ impl EngineMetrics {
                 "mdm_wal_poisoned",
                 "1 if a failed WAL fsync has poisoned the commit path (reopen to recover)",
             ),
+            wal_durable_lsn: registry.gauge(
+                "mdm_wal_durable_lsn",
+                "highest LSN known durable: what replicas may read below",
+            ),
             txn_begins: registry.counter("mdm_txn_begins_total", "transactions started"),
             txn_commits: registry.counter("mdm_txn_commits_total", "transactions committed"),
             txn_aborts: registry.counter(
@@ -234,9 +245,6 @@ struct Inner {
     /// data directory (the catalog persists the floor).
     next_txn: AtomicU64,
     metrics: EngineMetrics,
-    /// Highest LSN known durable (flushed and fsynced, or truncated after
-    /// a checkpoint). Replication reads records strictly below this.
-    durable_lsn: AtomicU64,
 }
 
 impl Inner {
@@ -359,8 +367,7 @@ impl Inner {
         }
         timer.stop();
         self.metrics.wal_fsyncs.inc();
-        self.durable_lsn
-            .fetch_max(w.wal.next_lsn(), Ordering::AcqRel);
+        self.raise_durable(&w);
         // Records made durable by this one fsync.
         self.metrics.wal_group_batch.observe(w.seq - w.synced);
         w.synced = w.seq;
@@ -382,9 +389,15 @@ impl Inner {
             None => w.wal.truncate()?,
         }
         w.synced = w.seq;
-        self.durable_lsn
-            .fetch_max(w.wal.next_lsn(), Ordering::AcqRel);
+        w.next_lsn.set(w.wal.next_lsn() as i64);
+        self.raise_durable(&w);
         Ok(())
+    }
+
+    /// Raises the durable LSN to the log's next LSN; under the log latch.
+    fn raise_durable(&self, w: &WalInner) {
+        let durable = &self.metrics.wal_durable_lsn;
+        durable.set(durable.get().max(w.wal.next_lsn() as i64));
     }
 
     /// Runs `f` on the table's heap handle under the heap-directory
@@ -561,7 +574,7 @@ impl StorageEngine {
         vfs: &dyn Vfs,
     ) -> Result<StorageEngine> {
         let pool = BufferPool::open_with(dir, pool_pages, vfs)?;
-        let (records, _) = Wal::replay(dir)?;
+        let (mut wal, records) = Wal::open_with(dir, vfs)?;
         // A crash can tear an in-place catalog rewrite, leaving the
         // page-0 chain unreadable — but every such rewrite is preceded
         // by a synced page image (and DDL by a snapshot) in the log, so
@@ -583,15 +596,19 @@ impl StorageEngine {
             .max(logged_txns.map_or(0, |t| t + 1))
             .max(1);
         recovered.txn_floor = txn_floor;
-        let mut wal = Wal::open_with(dir, vfs)?;
         if !records.is_empty() {
             // Make the recovered state the new base and empty the log.
             catalog::save(&pool, &recovered)?;
             pool.flush_all()?;
             wal.truncate()?;
         }
-        let durable_lsn = wal.next_lsn();
         let metrics = EngineMetrics::register(registry, &pool);
+        metrics.wal_durable_lsn.set(wal.next_lsn() as i64);
+        let next_lsn = registry.gauge(
+            "mdm_wal_next_lsn",
+            "LSN the next appended WAL record will get",
+        );
+        next_lsn.set(wal.next_lsn() as i64);
         let inner = Arc::new(Inner {
             pool,
             wal: Mutex::new(WalInner {
@@ -600,6 +617,7 @@ impl StorageEngine {
                 synced: 0,
                 poisoned: false,
                 appends: Arc::clone(&metrics.wal_appends),
+                next_lsn,
             }),
             catalog: RwLock::new(recovered),
             heaps: Mutex::new(HashMap::new()),
@@ -607,7 +625,6 @@ impl StorageEngine {
             recovery: outcome,
             next_txn: AtomicU64::new(txn_floor),
             metrics,
-            durable_lsn: AtomicU64::new(durable_lsn),
         });
         // Eviction flush barrier: a `Weak` breaks the cycle (`Inner` owns
         // the pool, the pool's barrier reaches back into `Inner`). An
@@ -895,7 +912,7 @@ impl StorageEngine {
 
     /// Highest LSN known durable: safe to stream to replicas.
     pub fn wal_durable_lsn(&self) -> u64 {
-        self.inner.durable_lsn.load(Ordering::Acquire)
+        self.inner.metrics.wal_durable_lsn.get() as u64
     }
 
     /// Reads the durable records at and above `from_lsn`, up to roughly

@@ -14,7 +14,6 @@
 //! recovered exactly and OS crashes are recovered up to the last log sync.
 
 use std::fs::File;
-use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -316,20 +315,29 @@ fn parse_frames(buf: &[u8], base_lsn: u64) -> Result<(Vec<WalRecord>, Vec<usize>
 /// The `wal.base` sidecar: the LSN of the live log's first record, then
 /// the commit horizon (see [`Wal::horizon`]). Absent, both are 0. A
 /// sidecar that predates the horizon holds the base alone; its horizon
-/// is then taken to be the base, which claims no history below it.
-fn read_sidecar(path: &Path) -> (u64, u64) {
-    let bytes = std::fs::read(path).unwrap_or_default();
-    let word = |i: usize| {
-        bytes
-            .get(8 * i..8 * i + 8)
-            .map(|x| u64::from_le_bytes(x.try_into().unwrap()))
+/// is then taken to be the base, which claims no history below it. Any
+/// other length, or any other read error, fails: taking it as base 0
+/// would renumber records that replicas already hold.
+fn read_sidecar(path: &Path) -> Result<(u64, u64)> {
+    let bytes = match std::fs::read(path) {
+        Ok(b) => b,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((0, 0)),
+        Err(e) => return Err(e.into()),
     };
-    let base = word(0).unwrap_or(0);
-    (base, word(1).unwrap_or(base))
+    let word = |i: usize| u64::from_le_bytes(bytes[8 * i..8 * i + 8].try_into().unwrap());
+    match bytes.len() {
+        8 => Ok((word(0), word(0))),
+        16 => Ok((word(0), word(1))),
+        n => Err(StorageError::Corrupt(format!(
+            "{} holds {n} bytes, not 8 or 16",
+            path.display()
+        ))),
+    }
 }
 
-/// Writes the sidecar by write, fsync and rename, so a reader never
-/// observes a half-written value.
+/// Writes the sidecar by write, fsync, rename and directory fsync, so a
+/// reader never observes a half-written value and a power loss cannot
+/// keep a later truncation of the log but lose the rename.
 fn write_sidecar(path: &Path, base: u64, horizon: u64) -> Result<()> {
     let tmp = path.with_extension("tmp");
     let mut bytes = base.to_le_bytes().to_vec();
@@ -337,6 +345,7 @@ fn write_sidecar(path: &Path, base: u64, horizon: u64) -> Result<()> {
     std::fs::write(&tmp, bytes)?;
     File::open(&tmp)?.sync_all()?;
     std::fs::rename(&tmp, path)?;
+    File::open(path.parent().unwrap_or(Path::new(".")))?.sync_all()?;
     Ok(())
 }
 
@@ -378,34 +387,38 @@ fn commit_end(records: &[WalRecord], base: u64) -> u64 {
 }
 
 impl Wal {
-    /// Opens (creating if absent) the log in `dir`, positioned for append.
-    pub fn open(dir: &Path) -> Result<Wal> {
+    /// Opens (creating if absent) the log in `dir`, positioned for append,
+    /// with every valid record it holds.
+    pub fn open(dir: &Path) -> Result<(Wal, Vec<WalRecord>)> {
         Self::open_with(dir, &FileVfs)
     }
 
     /// As [`Wal::open`], sourcing the backend from `vfs`. The `wal.base`
-    /// sidecar numbers the live log's first record.
-    pub fn open_with(dir: &Path, vfs: &dyn Vfs) -> Result<Wal> {
+    /// sidecar numbers the live log's first record. Reading stops cleanly
+    /// at the first torn or checksum-failing frame, and appends start
+    /// there, overwriting the torn tail; a frame that verifies but does
+    /// not decode is [`StorageError::Corrupt`].
+    pub fn open_with(dir: &Path, vfs: &dyn Vfs) -> Result<(Wal, Vec<WalRecord>)> {
         let path = dir.join("wal.log");
         let backend = vfs.open(&path)?;
-        let file_len = backend.len()?;
-        let (base_lsn, horizon) = read_sidecar(&dir.join("wal.base"));
-        let records = match std::fs::read(&path) {
-            Ok(bytes) => parse_frames(&bytes, base_lsn)?.0,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+        let (base_lsn, horizon) = read_sidecar(&dir.join("wal.base"))?;
+        let (records, _, valid_end) = match std::fs::read(&path) {
+            Ok(bytes) => parse_frames(&bytes, base_lsn)?,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => (Vec::new(), Vec::new(), 0),
             Err(e) => return Err(e.into()),
         };
-        Ok(Wal {
+        let wal = Wal {
             backend,
             buf: Vec::new(),
-            file_len,
+            file_len: valid_end as u64,
             path,
             dir: dir.to_path_buf(),
             base_lsn,
             next_lsn: base_lsn + records.len() as u64,
             horizon,
             commit_end: commit_end(&records, base_lsn),
-        })
+        };
+        Ok((wal, records))
     }
 
     /// Appends one record (buffered; call [`Wal::sync`] to make durable).
@@ -526,24 +539,6 @@ impl Wal {
         }
         Ok(out)
     }
-
-    /// Reads every valid record from the start of the log. Stops cleanly at
-    /// the first torn or checksum-failing frame, returning the records
-    /// read so far and the byte offset where valid data ended; a frame
-    /// that verifies but does not decode is [`StorageError::Corrupt`].
-    pub fn replay(dir: &Path) -> Result<(Vec<WalRecord>, u64)> {
-        let path = dir.join("wal.log");
-        let mut file = match File::open(&path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
-            Err(e) => return Err(e.into()),
-        };
-        let mut buf = Vec::new();
-        file.read_to_end(&mut buf)?;
-        let (base, _) = read_sidecar(&dir.join("wal.base"));
-        let (records, _, pos) = parse_frames(&buf, base)?;
-        Ok((records, pos as u64))
-    }
 }
 
 #[cfg(test)]
@@ -601,32 +596,34 @@ mod tests {
         let dir = tmpdir("rt");
         let recs = sample_records();
         {
-            let mut wal = Wal::open(&dir).unwrap();
+            let (mut wal, _) = Wal::open(&dir).unwrap();
             for r in &recs {
                 wal.append(r).unwrap();
             }
             wal.sync().unwrap();
         }
-        let (read, _) = Wal::replay(&dir).unwrap();
+        let (_, read) = Wal::open(&dir).unwrap();
         assert_eq!(read, recs);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn replay_of_missing_log_is_empty() {
+    fn a_missing_log_opens_empty() {
         let dir = tmpdir("none");
         std::fs::create_dir_all(&dir).unwrap();
-        let (read, off) = Wal::replay(&dir).unwrap();
+        let (wal, read) = Wal::open(&dir).unwrap();
         assert!(read.is_empty());
-        assert_eq!(off, 0);
+        assert_eq!((wal.bytes(), wal.next_lsn()), (0, 0));
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A torn tail ends the read, and the next append overwrites it: a
+    /// record appended after the reopen is read back by the next one.
     #[test]
-    fn torn_tail_is_ignored() {
+    fn torn_tail_is_ignored_and_overwritten() {
         let dir = tmpdir("torn");
         {
-            let mut wal = Wal::open(&dir).unwrap();
+            let (mut wal, _) = Wal::open(&dir).unwrap();
             for r in sample_records() {
                 wal.append(&r).unwrap();
             }
@@ -638,17 +635,23 @@ mod tests {
         let mut torn = full.clone();
         torn.extend_from_slice(&[0xFF, 0x13, 0x00]);
         std::fs::write(&path, &torn).unwrap();
-        let (read, off) = Wal::replay(&dir).unwrap();
-        assert_eq!(read.len(), sample_records().len());
-        assert_eq!(off, full.len() as u64);
+        let (mut wal, read) = Wal::open(&dir).unwrap();
+        assert_eq!(read, sample_records());
+        assert_eq!(wal.bytes(), full.len() as u64);
+        wal.append(&WalRecord::Begin { txn: 9 }).unwrap();
+        wal.sync().unwrap();
+        drop(wal);
+        let (_, read) = Wal::open(&dir).unwrap();
+        assert_eq!(read.len(), sample_records().len() + 1);
+        assert_eq!(read.last(), Some(&WalRecord::Begin { txn: 9 }));
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn corrupt_checksum_stops_replay() {
+    fn corrupt_checksum_stops_the_read() {
         let dir = tmpdir("crc");
         {
-            let mut wal = Wal::open(&dir).unwrap();
+            let (mut wal, _) = Wal::open(&dir).unwrap();
             for r in sample_records() {
                 wal.append(&r).unwrap();
             }
@@ -661,7 +664,7 @@ mod tests {
         let second_payload = 8 + first_len + 8;
         bytes[second_payload] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
-        let (read, _) = Wal::replay(&dir).unwrap();
+        let (_, read) = Wal::open(&dir).unwrap();
         assert_eq!(read.len(), 1, "only the intact first frame survives");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -676,7 +679,7 @@ mod tests {
     fn reads_and_truncations_keep_lsns_and_the_commit_horizon() {
         let dir = tmpdir("horizon");
         std::fs::create_dir_all(&dir).unwrap();
-        let mut wal = Wal::open(&dir).unwrap();
+        let (mut wal, _) = Wal::open(&dir).unwrap();
         let (commit, begin) = (WalRecord::Commit { txn: 1 }, WalRecord::Begin { txn: 2 });
         for rec in [&begin, &commit, &begin, &commit] {
             wal.append(rec).unwrap();
@@ -698,14 +701,14 @@ mod tests {
         assert_eq!(lsns(&wal, 4, 7, 1), [4]);
         drop(wal);
         // A reopened log notes every commit it holds.
-        let mut wal = Wal::open(&dir).unwrap();
+        let (mut wal, _) = Wal::open(&dir).unwrap();
         assert_eq!((wal.base_lsn(), wal.next_lsn(), wal.horizon()), (4, 7, 4));
         wal.truncate().unwrap();
         wal.truncate().unwrap();
         assert_eq!((wal.base_lsn(), wal.horizon()), (7, 6));
         drop(wal);
         std::fs::write(dir.join("wal.base"), 7u64.to_le_bytes()).unwrap();
-        let mut wal = Wal::open(&dir).unwrap();
+        let (mut wal, _) = Wal::open(&dir).unwrap();
         assert_eq!(wal.horizon(), 7);
         // Truncated past a floor, the log numbers on from it and claims
         // no history below; a floor behind it changes nothing but that.
@@ -717,7 +720,7 @@ mod tests {
             (21, 21, 21)
         );
         drop(wal);
-        let wal = Wal::open(&dir).unwrap();
+        let (wal, _) = Wal::open(&dir).unwrap();
         assert_eq!((wal.base_lsn(), wal.horizon()), (21, 21));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -729,7 +732,7 @@ mod tests {
     fn a_verified_frame_that_does_not_decode_is_corrupt() {
         let dir = tmpdir("undecodable");
         std::fs::create_dir_all(&dir).unwrap();
-        let mut wal = Wal::open(&dir).unwrap();
+        let (mut wal, _) = Wal::open(&dir).unwrap();
         wal.append(&WalRecord::Begin { txn: 1 }).unwrap();
         wal.sync().unwrap();
         drop(wal);
@@ -744,11 +747,10 @@ mod tests {
             Err(StorageError::Corrupt(m)) => assert!(m.contains("lsn 1"), "{m}"),
             other => panic!("expected Corrupt, got {other:?}"),
         };
-        corrupt_at_1(Wal::replay(&dir).map(drop));
         corrupt_at_1(Wal::open(&dir).map(drop));
         // A handle opened before the bad frame lands refuses it too.
         std::fs::write(dir.join("wal.log"), &bytes[..bytes.len() - frame.len()]).unwrap();
-        let wal = Wal::open(&dir).unwrap();
+        let (wal, _) = Wal::open(&dir).unwrap();
         std::fs::write(dir.join("wal.log"), &bytes).unwrap();
         corrupt_at_1(wal.read_from(0, 2, usize::MAX).map(drop));
         std::fs::remove_dir_all(&dir).ok();
@@ -757,14 +759,28 @@ mod tests {
     #[test]
     fn truncate_empties_log() {
         let dir = tmpdir("trunc");
-        let mut wal = Wal::open(&dir).unwrap();
+        let (mut wal, _) = Wal::open(&dir).unwrap();
         wal.append(&WalRecord::Begin { txn: 1 }).unwrap();
         wal.sync().unwrap();
         wal.truncate().unwrap();
         wal.append(&WalRecord::Begin { txn: 2 }).unwrap();
         wal.sync().unwrap();
-        let (read, _) = Wal::replay(&dir).unwrap();
+        let (_, read) = Wal::open(&dir).unwrap();
         assert_eq!(read, vec![WalRecord::Begin { txn: 2 }]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Only a missing sidecar means base 0: one of any length but 8 or
+    /// 16 bytes fails the open instead of renumbering the log from 0.
+    #[test]
+    fn a_sidecar_of_the_wrong_length_fails_the_open() {
+        let dir = tmpdir("sidecar");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("wal.base"), [1u8, 2, 3, 4, 5]).unwrap();
+        match Wal::open(&dir) {
+            Err(StorageError::Corrupt(m)) => assert!(m.contains("5 bytes"), "{m}"),
+            other => panic!("expected Corrupt, got {:?}", other.map(|(_, r)| r)),
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -467,7 +467,7 @@ fn wal_tail_truncated_at_every_byte_offset_replays_cleanly() {
     let dir = tmpdir("wal-tail");
     let records = torture_wal_records();
     {
-        let mut wal = Wal::open(&dir).unwrap();
+        let (mut wal, _) = Wal::open(&dir).unwrap();
         for rec in &records {
             wal.append(rec).unwrap();
         }
@@ -481,8 +481,8 @@ fn wal_tail_truncated_at_every_byte_offset_replays_cleanly() {
     fs::create_dir_all(&cut_dir).unwrap();
     for cut in 0..=full.len() {
         fs::write(cut_dir.join("wal.log"), &full[..cut]).unwrap();
-        let (recs, valid) =
-            Wal::replay(&cut_dir).unwrap_or_else(|e| panic!("replay errored at cut {cut}: {e}"));
+        let (wal, recs) =
+            Wal::open(&cut_dir).unwrap_or_else(|e| panic!("open errored at cut {cut}: {e}"));
         let expect = ends.iter().filter(|&&e| e <= cut).count();
         assert_eq!(
             recs.len(),
@@ -491,7 +491,10 @@ fn wal_tail_truncated_at_every_byte_offset_replays_cleanly() {
             recs.len()
         );
         assert_eq!(recs.as_slice(), &records[..expect], "cut at byte {cut}");
-        assert_eq!(valid as usize, ends[..expect].last().copied().unwrap_or(0));
+        assert_eq!(
+            wal.bytes() as usize,
+            ends[..expect].last().copied().unwrap_or(0)
+        );
     }
 
     // Corruption (not truncation): flipping any byte must still yield a
@@ -500,8 +503,8 @@ fn wal_tail_truncated_at_every_byte_offset_replays_cleanly() {
         let mut bytes = full.clone();
         bytes[pos] ^= 0x40;
         fs::write(cut_dir.join("wal.log"), &bytes).unwrap();
-        let (recs, _) = Wal::replay(&cut_dir)
-            .unwrap_or_else(|e| panic!("replay errored with flip at {pos}: {e}"));
+        let (_, recs) =
+            Wal::open(&cut_dir).unwrap_or_else(|e| panic!("open errored with flip at {pos}: {e}"));
         let intact = ends.iter().filter(|&&e| e <= pos).count();
         assert!(
             recs.len() >= intact,

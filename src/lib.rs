@@ -12,7 +12,7 @@
 //! ## Layers
 //!
 //! * [`storage`] — page-based storage engine: buffer pool, heap files,
-//!   B+trees, write-ahead logging, recovery, and the one-writer gate.
+//!   write-ahead logging, recovery, and the one-writer gate.
 //! * [`model`] — the ER + hierarchical-ordering data model, instance
 //!   graphs, the meta-schema, and graphical definitions.
 //! * [`lang`] — the DDL (`define entity` / `define relationship` /

@@ -6,7 +6,8 @@
 //! and statement store behind them, `mdm-core`'s shared read path
 //! (`MusicDataManager::{query_shared, health}`), and `mdm-net`'s
 //! `Query`/`Rows` pair, its single-version `Hello` check and the
-//! `introspect` query texts the shell runs.
+//! `introspect` query texts the shell runs, `\replica status` among
+//! them.
 //!
 //! What a client reads about the system over the wire is what the
 //! embedded manager answers to the same QUEL; the health verdict is the
@@ -164,12 +165,18 @@ fn the_shells_query_texts_parse_and_answer() {
         introspect::stats("mdm_net_"),
         introspect::watch("mdm_net_requests_total"),
         introspect::HEALTH.to_string(),
+        introspect::REPLICA_STATUS.to_string(),
     ];
     for text in &texts {
         let over_wire = c.query(text).unwrap_or_else(|e| panic!("{text}: {e}"));
         assert_eq!(over_wire.columns, embedded(&server, text).columns, "{text}");
         assert!(!over_wire.is_empty(), "{text}:\n{over_wire}");
     }
+    // `\replica status` sums up one sample the same way on both sides.
+    let status = introspect::replica_summary(&c.query(introspect::REPLICA_STATUS).unwrap());
+    let local = introspect::replica_summary(&embedded(&server, introspect::REPLICA_STATUS));
+    assert_eq!(status, local);
+    assert_eq!(status.rows[0][0], Value::String("primary".into()), "{status}");
 
     let filtered = c.query(&introspect::stats("mdm_net_")).unwrap();
     assert!(
@@ -235,8 +242,15 @@ fn another_protocol_version_is_refused_typed() {
 fn retired_admin_tags_are_unknown_messages() {
     let (server, c) = start("retired");
     let mut s = raw(&server);
-    // 9, 13 and 16 were the admin requests (metrics, top, health).
-    for (request_id, tag) in [(1u64, 9u16), (2, 13), (3, 16)] {
+    // 9, 13 and 16 were the admin requests (metrics, top, health), 15
+    // the replication status; 136, 139, 142 and 141 their responses.
+    for tag in [136u16, 139, 141, 142] {
+        assert_eq!(
+            Message::decode(tag, &[]),
+            Err(DecodeError::BadMessageType(tag))
+        );
+    }
+    for (request_id, tag) in [(1u64, 9u16), (2, 13), (3, 15), (4, 16)] {
         assert_eq!(
             Message::decode(tag, &[]),
             Err(DecodeError::BadMessageType(tag))
@@ -250,10 +264,10 @@ fn retired_admin_tags_are_unknown_messages() {
             other => panic!("tag {tag}: expected an Error response, got {other:?}"),
         }
     }
-    // The session survived all three and still speaks the protocol.
+    // The session survived all four and still speaks the protocol.
     assert!(matches!(
-        exchange(&mut s, Message::Ping.msg_type(), 4, &[]),
-        (4, Message::Pong)
+        exchange(&mut s, Message::Ping.msg_type(), 5, &[]),
+        (5, Message::Pong)
     ));
     drop((s, c));
     server.shutdown().unwrap();
