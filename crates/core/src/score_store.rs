@@ -686,11 +686,8 @@ pub fn delete_score(db: &mut Database, score_id: EntityId) -> Result<()> {
         victims.push(page_id);
     }
     victims.push(score_id);
-    for id in victims {
-        if db.store().exists(id) {
-            db.delete_entity(id)?;
-        }
-    }
+    victims.retain(|&id| db.store().exists(id));
+    db.delete_entities(&victims)?;
     Ok(())
 }
 

@@ -22,7 +22,7 @@
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::ops::Bound;
 use std::sync::Arc;
@@ -1010,15 +1010,11 @@ impl Session {
                 "delete target {var} must be an entity variable"
             )));
         }
-        let victims: BTreeSet<EntityId> = plan
-            .bindings(db, |_, binding| Ok(binding[vidx]))?
-            .into_iter()
-            .collect();
-        let n = victims.len();
-        for id in victims {
-            db.delete_entity(id)?;
-        }
-        Ok(StmtResult::Deleted(n))
+        let mut victims = plan.bindings(db, |_, binding| Ok(binding[vidx]))?;
+        victims.sort_unstable();
+        victims.dedup();
+        db.delete_entities(&victims)?;
+        Ok(StmtResult::Deleted(victims.len()))
     }
 }
 

@@ -246,11 +246,28 @@ impl Database {
         Ok(self.store.instances_of(ty))
     }
 
-    /// Deletes an instance (see [`InstanceStore::delete_entity`]).
+    /// Deletes an instance (see [`InstanceStore::delete_entities`]).
     pub fn delete_entity(&mut self, id: EntityId) -> Result<()> {
-        let deleted_ty = self.unindex_entity(id);
-        self.store.delete_entity(id)?;
-        if let Some(ty) = deleted_ty {
+        self.delete_entities(&[id])
+    }
+
+    /// Deletes instances in one batch (see
+    /// [`InstanceStore::delete_entities`]): each victim leaves its
+    /// attribute indexes and counts as one delete, then one store call
+    /// removes them all. An id with no instance fails the call before
+    /// anything changes.
+    pub fn delete_entities(&mut self, ids: &[EntityId]) -> Result<()> {
+        if let Some(&id) = ids.iter().find(|&&id| !self.store.exists(id)) {
+            return Err(ModelError::NoSuchInstance(id));
+        }
+        let mut victims = ids.to_vec();
+        victims.sort_unstable();
+        victims.dedup();
+        let types: Vec<TypeId> = (victims.iter())
+            .filter_map(|&id| self.unindex_entity(id))
+            .collect();
+        self.store.delete_entities(&self.schema, &victims)?;
+        for ty in types {
             self.stats.note_delete(ty);
         }
         Ok(())
@@ -699,12 +716,6 @@ impl Database {
     pub fn ord_parent(&self, ordering: &str, child: EntityId) -> Result<Option<EntityId>> {
         let o = self.schema.ordering_id(ordering)?;
         self.store.ordering_parent(&self.schema, o, child)
-    }
-
-    /// The ordinal position of `child` in the named ordering.
-    pub fn ord_position(&self, ordering: &str, child: EntityId) -> Result<usize> {
-        let o = self.schema.ordering_id(ordering)?;
-        self.store.ordering_position(&self.schema, o, child)
     }
 
     /// `a before b` in the named ordering.

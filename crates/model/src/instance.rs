@@ -15,7 +15,7 @@
 //! each row it changes into a dirty set (`RowKey`). `persist::commit`
 //! writes the current state of each dirty key and clears the set.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use crate::error::{ModelError, Result};
 use crate::schema::{OrderingId, RelTypeId, Schema};
@@ -160,6 +160,37 @@ fn settle_last(ids: &mut [u64]) {
     if let Some((&id, rest)) = ids.split_last() {
         let at = rest.partition_point(|&e| e < id);
         ids[at..].rotate_right(1);
+    }
+}
+
+/// Removes each `(list, id)` of `gone` from `lists[list]`, whose ids
+/// ascend, in one merge pass per touched list: each victim is found by a
+/// binary search past the previous one, and the survivors between two
+/// victims move down as one block, so nothing before the first victim
+/// is touched. Sorts `gone`, so its runs then name one list each.
+fn remove_from_lists(lists: &mut [Vec<u64>], gone: &mut [(u32, u64)]) {
+    gone.sort_unstable();
+    for run in gone.chunk_by(|a, b| a.0 == b.0) {
+        let Some(ids) = lists.get_mut(run[0].0 as usize) else {
+            continue;
+        };
+        // `ids[..kept]` is final; `ids[at..]` is still to be merged.
+        let (mut kept, mut at) = (0, 0);
+        for &(_, id) in run {
+            let next = at + ids[at..].partition_point(|&e| e < id);
+            if ids.get(next) != Some(&id) {
+                continue;
+            }
+            if kept != at {
+                ids.copy_within(at..next, kept);
+            }
+            kept += next - at;
+            at = next + 1;
+        }
+        if kept != at {
+            ids.copy_within(at.., kept);
+        }
+        ids.truncate(kept + (ids.len() - at));
     }
 }
 
@@ -371,42 +402,65 @@ impl InstanceStore {
         self.instances.len()
     }
 
-    /// Deletes an instance: detaches it from every ordering (as child) and
-    /// orphans its children (their P-edges are removed), and removes every
-    /// relationship instance that references it. Entity-valued attributes
-    /// elsewhere that referenced it become dangling; [`Value::Entity`]
-    /// readers must tolerate missing targets.
-    pub fn delete_entity(&mut self, id: EntityId) -> Result<()> {
-        let inst = self
-            .instances
-            .remove(&id)
-            .ok_or(ModelError::NoSuchInstance(id))?;
-        if let Some(v) = self.by_type.get_mut(inst.ty as usize) {
-            v.retain(|&e| e != id);
+    /// Deletes one instance: [`InstanceStore::delete_entities`] with one
+    /// id.
+    pub fn delete_entity(&mut self, schema: &Schema, id: EntityId) -> Result<()> {
+        self.delete_entities(schema, &[id])
+    }
+
+    /// Deletes instances in one batch: detaches each from every ordering
+    /// it is a child in, orphans its children (their P-edges are
+    /// removed), and removes every relationship instance that references
+    /// it. Entity-valued attributes elsewhere that referenced a victim
+    /// become dangling; [`Value::Entity`] readers must tolerate missing
+    /// targets. The store, dirty set included, ends as deleting the
+    /// victims one at a time in any order leaves it. An id given twice
+    /// counts once; an id with no instance fails the call before anything
+    /// changes.
+    ///
+    /// Each touched type list is compacted in one pass from its first
+    /// victim, each touched sibling group once, only the orderings a
+    /// victim's type takes part in are visited (so every edge must join
+    /// the types its ordering names, as [`crate::Database`] checks), and
+    /// the relationship instances are swept once.
+    pub fn delete_entities(&mut self, schema: &Schema, ids: &[EntityId]) -> Result<()> {
+        if let Some(&id) = ids.iter().find(|id| !self.instances.contains_key(id)) {
+            return Err(ModelError::NoSuchInstance(id));
         }
-        self.mark(RowKey::Entity(inst.ty, id), inst.loc);
-        for o in 0..self.orderings.len() {
-            let o = o as OrderingId;
-            if self.state(o).parent_of.contains_key(&id) {
-                self.detach(o, id);
+        let mut gone: Vec<(TypeId, EntityId)> = Vec::with_capacity(ids.len());
+        for &id in ids {
+            if let Some(inst) = self.instances.remove(&id) {
+                self.mark(RowKey::Entity(inst.ty, id), inst.loc);
+                gone.push((inst.ty, id));
             }
-            if let Some(kids) = self.state_mut(o).children.remove(&Some(id)) {
-                for k in kids {
-                    if let Some(edge) = self.state_mut(o).parent_of.remove(&k) {
-                        self.mark(RowKey::Edge(o, k), edge.loc);
-                    }
+        }
+        remove_from_lists(&mut self.by_type, &mut gone);
+        let mut kids: BTreeMap<OrderingId, Vec<EntityId>> = BTreeMap::new();
+        for run in gone.chunk_by(|a, b| a.0 == b.0) {
+            let ty = run[0].0;
+            let of_ty = run.iter().map(|&(_, id)| id);
+            for o in schema.orderings_with_parent(ty) {
+                for id in of_ty.clone() {
+                    self.orphan_children(o, id);
                 }
             }
+            for o in schema.orderings_with_child(ty) {
+                kids.entry(o).or_default().extend(of_ty.clone());
+            }
         }
+        for (o, mut victims) in kids {
+            victims.sort_unstable();
+            self.detach_all(o, &victims);
+        }
+        let mut victims: Vec<EntityId> = gone.iter().map(|&(_, id)| id).collect();
+        victims.sort_unstable();
         let stale: Vec<RelInstanceId> = self
             .rel_instances
             .iter()
-            .filter(|(_, r)| r.entities.contains(&id))
+            .filter(|(_, r)| r.entities.iter().any(|e| victims.binary_search(e).is_ok()))
             .map(|(&rid, _)| rid)
             .collect();
-        for rid in stale {
-            self.remove_relationship(rid)?;
-        }
+        self.remove_relationships(&stale);
         Ok(())
     }
 
@@ -478,15 +532,24 @@ impl InstanceStore {
 
     /// Removes a relationship instance.
     pub fn remove_relationship(&mut self, id: RelInstanceId) -> Result<()> {
-        let r = self
-            .rel_instances
-            .remove(&id)
-            .ok_or(ModelError::NoSuchRelInstance(id))?;
-        if let Some(v) = self.rels_by_type.get_mut(r.rel as usize) {
-            v.retain(|&e| e != id);
+        if !self.rel_instances.contains_key(&id) {
+            return Err(ModelError::NoSuchRelInstance(id));
         }
-        self.mark(RowKey::Rel(id), r.loc);
+        self.remove_relationships(&[id]);
         Ok(())
+    }
+
+    /// Removes the relationship instances `ids` (those present),
+    /// compacting each touched relationship's list once.
+    fn remove_relationships(&mut self, ids: &[RelInstanceId]) {
+        let mut gone = Vec::with_capacity(ids.len());
+        for &id in ids {
+            if let Some(r) = self.rel_instances.remove(&id) {
+                self.mark(RowKey::Rel(id), r.loc);
+                gone.push((r.rel, id));
+            }
+        }
+        remove_from_lists(&mut self.rels_by_type, &mut gone);
     }
 
     /// Ids of all instances of a relationship, ascending by id — their
@@ -630,21 +693,58 @@ impl InstanceStore {
         false
     }
 
-    /// Takes `child` out of its group, marking its edge (with the row
-    /// locator) and every later sibling's edge dirty.
-    fn detach(&mut self, ordering: OrderingId, child: EntityId) -> Option<PEdge> {
-        let state = self.state_mut(ordering);
-        let edge = state.parent_of.remove(&child)?;
-        let mut moved = Vec::new();
-        if let Some(sibs) = state.children.get_mut(&edge.parent()) {
-            if let Some(pos) = sibs.iter().position(|&e| e == child) {
-                sibs.remove(pos);
-                moved = sibs[pos..].to_vec();
+    /// Takes the `victims` (ascending) out of their groups in `ordering`:
+    /// marks each one's edge with its row locator, then compacts each
+    /// touched group once, marking the survivors from its first removed
+    /// position on as shifted.
+    fn detach_all(&mut self, ordering: OrderingId, victims: &[EntityId]) {
+        let Some(state) = self.orderings.get_mut(ordering as usize) else {
+            return;
+        };
+        let mut marks = Vec::new();
+        let mut groups = Vec::new();
+        for &v in victims {
+            if let Some(edge) = state.parent_of.remove(&v) {
+                marks.push((RowKey::Edge(ordering, v), edge.loc));
+                groups.push(edge.parent());
             }
         }
-        self.mark(RowKey::Edge(ordering, child), edge.loc);
-        self.mark_shifted(ordering, &moved);
-        Some(edge)
+        groups.sort_unstable();
+        groups.dedup();
+        for parent in groups {
+            let Some(sibs) = state.children.get_mut(&parent) else {
+                continue;
+            };
+            let mut shifted = false;
+            sibs.retain(|k| {
+                let gone = victims.binary_search(k).is_ok();
+                shifted |= gone;
+                if shifted && !gone {
+                    marks.push((RowKey::Edge(ordering, *k), Loc::NONE));
+                }
+                !gone
+            });
+        }
+        for (key, loc) in marks {
+            self.mark(key, loc);
+        }
+    }
+
+    /// Drops `parent`'s group in `ordering`: its children lose their
+    /// P-edges, each marked with its row locator.
+    fn orphan_children(&mut self, ordering: OrderingId, parent: EntityId) {
+        let Some(state) = self.orderings.get_mut(ordering as usize) else {
+            return;
+        };
+        let Some(kids) = state.children.remove(&Some(parent)) else {
+            return;
+        };
+        let edges: Vec<_> = (kids.into_iter())
+            .filter_map(|k| Some((k, state.parent_of.remove(&k)?)))
+            .collect();
+        for (k, edge) in edges {
+            self.mark(RowKey::Edge(ordering, k), edge.loc);
+        }
     }
 
     /// Appends `child` as the last child of `parent` in `ordering`.
@@ -670,12 +770,14 @@ impl InstanceStore {
         ordering: OrderingId,
         child: EntityId,
     ) -> Result<()> {
-        self.detach(ordering, child)
-            .map(|_| ())
-            .ok_or_else(|| ModelError::NotAChild {
+        if !self.state(ordering).parent_of.contains_key(&child) {
+            return Err(ModelError::NotAChild {
                 ordering: schema.ordering_display_name(ordering),
                 child,
-            })
+            });
+        }
+        self.detach_all(ordering, &[child]);
+        Ok(())
     }
 
     /// The ordered children of `parent` in `ordering`.
@@ -1023,12 +1125,12 @@ mod tests {
         let b = st.create_entity(note, vec![Value::Null]);
         st.ordering_append(&s, o, Some(c), a).unwrap();
         st.ordering_append(&s, o, Some(c), b).unwrap();
-        st.delete_entity(a).unwrap();
+        st.delete_entity(&s, a).unwrap();
         assert_eq!(st.ordering_children(o, Some(c)), &[b]);
         assert!(!st.exists(a));
         assert_eq!(st.instances_of(note), &[b]);
         // Deleting the parent orphans the child.
-        st.delete_entity(c).unwrap();
+        st.delete_entity(&s, c).unwrap();
         assert!(st.ordering_parent(&s, o, b).is_err());
     }
 
@@ -1095,7 +1197,7 @@ mod tests {
         assert_eq!(st.relationship(r).unwrap().entities, vec![p, c]);
         assert_eq!(st.relationships_of(rel), &[r]);
         // Deleting a participant removes the relationship instance.
-        st.delete_entity(p).unwrap();
+        st.delete_entity(&s, p).unwrap();
         assert!(st.relationship(r).is_err());
         assert!(st.relationships_of(rel).is_empty());
     }

@@ -544,13 +544,14 @@ pub fn apply(db: &mut Database, changes: &[RowChange]) -> Result<()> {
             db.put_entity(ty, id, attrs)?;
         }
     }
-    for (&key, state) in &rows {
-        if let (RowKey::Entity(_, id), None) = (key, state) {
-            if db.store().exists(id) {
-                db.delete_entity(id)?;
-            }
-        }
-    }
+    let victims: Vec<EntityId> = (rows.iter())
+        .filter_map(|(&key, state)| match (key, state) {
+            (RowKey::Entity(_, id), None) => Some(id),
+            _ => None,
+        })
+        .filter(|&id| db.store().exists(id))
+        .collect();
+    db.delete_entities(&victims)?;
 
     // Edges: take every touched child out, then put the surviving ones
     // back in (ordering, parent, seq) order. Committed rows hold dense

@@ -73,11 +73,6 @@ impl Rational {
         self.num > 0
     }
 
-    /// The reciprocal. Panics if zero.
-    pub fn recip(&self) -> Rational {
-        Rational::new(self.den, self.num)
-    }
-
     /// Minimum of two rationals.
     pub fn min(self, other: Rational) -> Rational {
         if self <= other {

@@ -153,12 +153,6 @@ impl Note {
         self
     }
 
-    /// Adds an articulation.
-    pub fn with_articulation(mut self, a: Articulation) -> Note {
-        self.articulations.push(a);
-        self
-    }
-
     /// Attaches a lyric syllable.
     pub fn with_syllable(mut self, s: &str) -> Note {
         self.syllable = Some(s.to_string());

@@ -34,16 +34,6 @@ impl Timbre {
         }
     }
 
-    /// A plucked-string-like timbre (bright, fast decay shaped by
-    /// release).
-    pub fn pluck() -> Timbre {
-        Timbre {
-            harmonics: vec![1.0, 0.6, 0.35, 0.2, 0.1, 0.05],
-            attack: 0.002,
-            release: 0.2,
-        }
-    }
-
     /// A pure sine.
     pub fn sine() -> Timbre {
         Timbre {

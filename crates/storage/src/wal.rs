@@ -362,7 +362,6 @@ pub struct Wal {
     buf: Vec<u8>,
     /// Append offset: length of the file as of the last successful flush.
     file_len: u64,
-    path: PathBuf,
     dir: PathBuf,
     /// LSN (global record index for this database) of the first record
     /// in the live log. Persisted in the `wal.base` sidecar so record
@@ -375,6 +374,9 @@ pub struct Wal {
     /// The LSN just past the last noted `Commit` in the live log (0 if
     /// none).
     commit_end: u64,
+    /// File offset of each frame since the base, flushed or buffered:
+    /// frame `lsn` starts at `offsets[lsn - base_lsn]`.
+    offsets: Vec<u64>,
 }
 
 /// The LSN just past the last `Commit` among `records`, the first of
@@ -402,7 +404,7 @@ impl Wal {
         let path = dir.join("wal.log");
         let backend = vfs.open(&path)?;
         let (base_lsn, horizon) = read_sidecar(&dir.join("wal.base"))?;
-        let (records, _, valid_end) = match std::fs::read(&path) {
+        let (records, offsets, valid_end) = match std::fs::read(&path) {
             Ok(bytes) => parse_frames(&bytes, base_lsn)?,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => (Vec::new(), Vec::new(), 0),
             Err(e) => return Err(e.into()),
@@ -411,12 +413,12 @@ impl Wal {
             backend,
             buf: Vec::new(),
             file_len: valid_end as u64,
-            path,
             dir: dir.to_path_buf(),
             base_lsn,
             next_lsn: base_lsn + records.len() as u64,
             horizon,
             commit_end: commit_end(&records, base_lsn),
+            offsets: offsets.into_iter().map(|o| o as u64).collect(),
         };
         Ok((wal, records))
     }
@@ -425,6 +427,7 @@ impl Wal {
     pub fn append(&mut self, rec: &WalRecord) -> Result<()> {
         let mut payload = Vec::with_capacity(64);
         rec.encode(&mut payload);
+        self.offsets.push(self.bytes());
         self.buf
             .extend_from_slice(&(payload.len() as u32).to_le_bytes());
         self.buf
@@ -482,6 +485,8 @@ impl Wal {
         write_sidecar(&self.dir.join("wal.base"), base, horizon)?;
         self.backend.truncate(0)?;
         self.file_len = 0;
+        // Not `clear`: the capacity a large transaction grew goes too.
+        self.offsets = Vec::new();
         self.backend.sync()?;
         (self.base_lsn, self.next_lsn, self.horizon) = (base, base, horizon);
         Ok(())
@@ -511,33 +516,28 @@ impl Wal {
 
     /// The live log's records at and above `from_lsn` and below `end`,
     /// as `(lsn, record)` pairs, stopping once their frames reach
-    /// `max_bytes`. Only OS-flushed frames are visible.
+    /// `max_bytes`. Only OS-flushed frames are visible. One positioned
+    /// read of exactly those frames: nothing below `from_lsn` is read.
     pub fn read_from(
         &self,
         from_lsn: u64,
         end: u64,
         max_bytes: usize,
     ) -> Result<Vec<(u64, WalRecord)>> {
-        let bytes = match std::fs::read(&self.path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(e.into()),
-        };
-        let (records, offsets, valid_end) = parse_frames(&bytes, self.base_lsn)?;
-        let mut out = Vec::new();
-        let mut total = 0usize;
-        for (i, rec) in records.into_iter().enumerate() {
-            let lsn = self.base_lsn + i as u64;
-            if lsn < from_lsn {
-                continue;
-            }
-            if lsn >= end || total >= max_bytes {
-                break;
-            }
-            total += offsets.get(i + 1).copied().unwrap_or(valid_end) - offsets[i];
-            out.push((lsn, rec));
+        let index = |lsn: u64| lsn.saturating_sub(self.base_lsn) as usize;
+        let flushed = self.offsets.partition_point(|&o| o < self.file_len);
+        let (first, last) = (index(from_lsn), index(end).min(flushed));
+        if first >= last {
+            return Ok(Vec::new());
         }
-        Ok(out)
+        let start = self.offsets[first];
+        let within = self.offsets[first..last].partition_point(|&o| o - start < max_bytes as u64);
+        let stop = (self.offsets.get(first + within).copied()).unwrap_or(self.file_len);
+        let mut bytes = vec![0; (stop - start) as usize];
+        self.backend.read_at(&mut bytes, start)?;
+        let first_lsn = self.base_lsn + first as u64;
+        let (records, _, _) = parse_frames(&bytes, first_lsn)?;
+        Ok((first_lsn..).zip(records).collect())
     }
 }
 
@@ -734,25 +734,46 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let (mut wal, _) = Wal::open(&dir).unwrap();
         wal.append(&WalRecord::Begin { txn: 1 }).unwrap();
+        wal.append(&WalRecord::Begin { txn: 2 }).unwrap();
         wal.sync().unwrap();
-        drop(wal);
-        let payload = [10u8, 1, 2, 3];
-        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
-        frame.extend_from_slice(&checksum(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
+        // The second of the two equal-sized frames rewritten in place.
         let mut bytes = std::fs::read(dir.join("wal.log")).unwrap();
-        bytes.extend_from_slice(&frame);
+        let at = bytes.len() / 2;
+        let payload = vec![10u8; at - 8];
+        bytes[at + 4..at + 8].copy_from_slice(&checksum(&payload).to_le_bytes());
+        bytes[at + 8..].copy_from_slice(&payload);
         std::fs::write(dir.join("wal.log"), &bytes).unwrap();
         let corrupt_at_1 = |r: Result<()>| match r {
             Err(StorageError::Corrupt(m)) => assert!(m.contains("lsn 1"), "{m}"),
             other => panic!("expected Corrupt, got {other:?}"),
         };
+        // The handle that wrote the frame refuses it, and so does an open.
+        corrupt_at_1(wal.read_from(1, 2, usize::MAX).map(drop));
+        drop(wal);
         corrupt_at_1(Wal::open(&dir).map(drop));
-        // A handle opened before the bad frame lands refuses it too.
-        std::fs::write(dir.join("wal.log"), &bytes[..bytes.len() - frame.len()]).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `read_from` reads from its cursor's frame on: a frame below the
+    /// cursor, damaged on disk after the open, does not shorten the read.
+    #[test]
+    fn a_read_starts_at_the_cursor_frame() {
+        let dir = tmpdir("cursor");
+        std::fs::create_dir_all(&dir).unwrap();
+        let records = sample_records();
+        let (mut wal, _) = Wal::open(&dir).unwrap();
+        for rec in &records {
+            wal.append(rec).unwrap();
+        }
+        wal.sync().unwrap();
+        drop(wal);
         let (wal, _) = Wal::open(&dir).unwrap();
+        let mut bytes = std::fs::read(dir.join("wal.log")).unwrap();
+        bytes[8] ^= 0xff; // the first frame's payload no longer verifies
         std::fs::write(dir.join("wal.log"), &bytes).unwrap();
-        corrupt_at_1(wal.read_from(0, 2, usize::MAX).map(drop));
+        let read = wal.read_from(1, u64::MAX, usize::MAX).unwrap();
+        let want: Vec<_> = (0..).zip(records).skip(1).collect();
+        assert_eq!(read, want);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -176,7 +176,11 @@ fn the_shells_query_texts_parse_and_answer() {
     let status = introspect::replica_summary(&c.query(introspect::REPLICA_STATUS).unwrap());
     let local = introspect::replica_summary(&embedded(&server, introspect::REPLICA_STATUS));
     assert_eq!(status, local);
-    assert_eq!(status.rows[0][0], Value::String("primary".into()), "{status}");
+    assert_eq!(
+        status.rows[0][0],
+        Value::String("primary".into()),
+        "{status}"
+    );
 
     let filtered = c.query(&introspect::stats("mdm_net_")).unwrap();
     assert!(

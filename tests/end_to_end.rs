@@ -2,6 +2,7 @@
 //! model → language → notation → DARMS → sound → bibliography → MDM.
 
 use musicdb::biblio::{Incipit, MatchKind};
+use musicdb::lang::StmtResult;
 use musicdb::mdm::{Analyst, Composer, Library, MusicDataManager, ScoreEditor};
 use musicdb::model::Value;
 use musicdb::notation::fixtures::bwv578_subject;
@@ -250,6 +251,107 @@ fn darms_export_reimports_identically() {
             .collect()
     };
     assert_eq!(pitches(&a), pitches(&b));
+    drop(mdm);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Pulls and applies until `replica` holds everything `primary`
+/// acknowledged.
+fn catch_up(primary: &MusicDataManager, replica: &mut MusicDataManager) {
+    loop {
+        let (from, offset) = replica.repl_cursor();
+        let (feed, durable) = primary.repl_pull(from, offset, 1 << 16).unwrap();
+        replica.repl_apply(feed).unwrap();
+        if replica.repl_cursor() == (durable, 0) {
+            return;
+        }
+    }
+}
+
+#[test]
+fn a_quel_delete_thins_chords_through_a_reopen_and_a_replica() {
+    use musicdb::notation::{
+        BaseDuration, Chord, Clef, Duration, KeySignature, Movement, Note, Pitch, Score, TempoMap,
+        Voice,
+    };
+    // Chords whose upper notes sit in the middle of their note lists, so
+    // deleting every note above middle C takes members out of the middle
+    // of each sibling group, in one statement.
+    let voicings = [
+        ["C3", "E4", "G4", "G2"],
+        ["F3", "A4", "C5", "F2"],
+        ["G3", "B4", "D5", "G2"],
+        ["C3", "G4", "E5", "C2"],
+    ];
+    let mut voice = Voice::new("organ", "organ", Clef::Bass, KeySignature::natural());
+    for pitches in voicings.iter().cycle().take(12) {
+        let notes = pitches
+            .iter()
+            .map(|p| Note::new(Pitch::parse(p).unwrap()))
+            .collect();
+        voice.push_chord(Chord::new(notes, Duration::new(BaseDuration::Half)));
+    }
+    let mut movement = Movement::new("chorale", TimeSignature::common(), TempoMap::constant(72.0));
+    movement.voices.push(voice);
+    let mut score = Score::new("chorale");
+    score.movements.push(movement);
+
+    let dir = tmpdir("thin-chords");
+    let mut mdm = MusicDataManager::open(&dir.join("primary")).unwrap();
+    let mut replica = MusicDataManager::open(&dir.join("replica")).unwrap();
+    replica.become_replica().unwrap();
+    let id = mdm.store_score(&score).unwrap();
+    mdm.store_score(&bwv578_subject()).unwrap();
+    catch_up(&mdm, &mut replica);
+
+    // Half-note chords are the chorale's: the subject has none.
+    let subject_notes = "range of c is CHORD\nrange of n is NOTE\n\
+                         retrieve (n.midi_key) where n under c in note_in_chord and c.base != \"half\"";
+    let subject = mdm.query(subject_notes).unwrap();
+    let result = mdm
+        .execute(
+            "range of c is CHORD\nrange of n is NOTE\n\
+             delete n where n under c in note_in_chord and c.base = \"half\" and n.midi_key > 60",
+        )
+        .unwrap();
+    assert_eq!(result.last(), Some(&StmtResult::Deleted(24)));
+    assert_eq!(
+        mdm.query(subject_notes).unwrap(),
+        subject,
+        "the subject keeps its notes"
+    );
+    let kept = "range of c is CHORD\nrange of n is NOTE\n\
+                retrieve (n.midi_key) where n under c in note_in_chord";
+    let answer = mdm.query(kept).unwrap();
+    let thinned = mdm.load_score(id).unwrap();
+    let chords: Vec<Vec<i32>> = thinned.movements[0].voices[0]
+        .elements
+        .iter()
+        .filter_map(musicdb::notation::VoiceElement::as_chord)
+        .map(|c| c.notes.iter().map(|n| n.pitch.midi()).collect())
+        .collect();
+    let want: Vec<Vec<i32>> = voicings
+        .iter()
+        .cycle()
+        .take(12)
+        .map(|v| {
+            [v[0], v[3]]
+                .map(|p| Pitch::parse(p).unwrap().midi())
+                .to_vec()
+        })
+        .collect();
+    assert_eq!(
+        chords, want,
+        "each chord keeps its outer, low notes in order"
+    );
+
+    catch_up(&mdm, &mut replica);
+    assert_eq!(replica.query_shared(kept).unwrap(), answer, "replica");
+    assert_eq!(replica.load_score(id).unwrap(), thinned, "replica");
+    drop((mdm, replica));
+    let mut mdm = MusicDataManager::open(&dir.join("primary")).unwrap();
+    assert_eq!(mdm.query(kept).unwrap(), answer, "after a reopen");
+    assert_eq!(mdm.load_score(id).unwrap(), thinned, "after a reopen");
     drop(mdm);
     std::fs::remove_dir_all(&dir).ok();
 }
