@@ -1438,9 +1438,10 @@ impl<'q> Plan<'q> {
     /// The planner's third static step, run once the join order is
     /// fixed: a level that binds an entity variable from its static
     /// domain decides the variable's `v.attr OP literal` conjuncts (see
-    /// [`Selection`]) in one pass over that domain, in id order, each
-    /// tuple fetched once and counted toward the variable's fetches. The
-    /// survivors become the domain and the conjuncts leave the loop.
+    /// [`Selection`]) in one pass over that domain, each tuple fetched
+    /// once and counted toward the variable's fetches; a whole-type
+    /// domain is read straight from the type's row table. The survivors,
+    /// in id order, become the domain and the conjuncts leave the loop.
     /// Derived levels keep theirs: filtering a whole type to feed a
     /// handful of candidates per outer binding would cost more than it
     /// saves. An empty domain anywhere ends the step, as nothing binds.
@@ -1468,15 +1469,31 @@ impl<'q> Plan<'q> {
             if tests.is_empty() {
                 continue;
             }
-            let domain = self.domain(db, var);
+            let holds = |attrs: &[Value]| tests.iter().all(|t| t.holds(attrs));
             let mut kept = Vec::new();
-            for &id in domain {
-                let attrs = &db.store().entity(id)?.attrs;
-                if tests.iter().all(|t| t.holds(attrs)) {
-                    kept.push(id);
+            let read = match &self.domains[var].ids {
+                Some(ids) => {
+                    for &id in ids {
+                        if holds(db.store().entity(id)?.attrs) {
+                            kept.push(id);
+                        }
+                    }
+                    ids.len()
                 }
-            }
-            let read = domain.len();
+                // The whole type: its rows read in place, in row order,
+                // put back in id order only if a reused row broke it.
+                None => {
+                    for (id, attrs) in db.store().rows_of(ty) {
+                        if holds(attrs) {
+                            kept.push(id);
+                        }
+                    }
+                    if !kept.is_sorted() {
+                        kept.sort_unstable();
+                    }
+                    db.store().instances_of(ty).len()
+                }
+            };
             self.tally.vars.borrow_mut()[var].fetched += read as u64;
             let r = &mut self.domains[var];
             r.read = Some(read);

@@ -160,11 +160,13 @@ fn rebuild_after_bulk_store_mutation() {
     db.define_index("note_name", "NOTE", "name").unwrap();
     // Bypass the typed API (bulk loader style), then rebuild.
     let ty = db.schema().entity_type_id("NOTE").unwrap();
-    db.store_mut().create_entity_with_id(
-        4242,
-        ty,
-        vec![Value::Integer(777), Value::String("bulk".into())],
-    );
+    db.store_mut()
+        .create_entity_with_id(
+            4242,
+            ty,
+            vec![Value::Integer(777), Value::String("bulk".into())],
+        )
+        .unwrap();
     db.rebuild_attr_indexes();
     let mut s = Session::new();
     let t = rows(

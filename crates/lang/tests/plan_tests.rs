@@ -267,6 +267,55 @@ fn range_probe_agrees_with_scan_in_rows_and_order() {
 }
 
 #[test]
+fn a_scan_over_reused_rows_answers_in_id_order() {
+    let mut s = Session::new();
+    let mut db = Database::new();
+    s.execute(
+        &mut db,
+        "define entity NOTE (name = integer, midi_key = integer)",
+    )
+    .unwrap();
+    let key = |n: i64| 40 + n * 7 % 48;
+    for n in 0..90 {
+        let attrs = [
+            ("name", Value::Integer(n)),
+            ("midi_key", Value::Integer(key(n))),
+        ];
+        db.create_entity("NOTE", &attrs).unwrap();
+    }
+    let thirds: Vec<_> = db
+        .instances_of("NOTE")
+        .unwrap()
+        .iter()
+        .step_by(3)
+        .copied()
+        .collect();
+    db.delete_entities(&thirds).unwrap();
+    // The new notes take the freed rows, between older ones.
+    for n in 90..120 {
+        let append = format!("append to NOTE (name = {n}, midi_key = {})", key(n));
+        s.execute(&mut db, &append).unwrap();
+    }
+    let q = "range of n is NOTE\nretrieve (n.name, n.midi_key) where n.midi_key >= 60";
+    let (ex, scanned) = s.explain(&db, q).unwrap();
+    assert_eq!(ex.vars[0].path, "scan");
+    s.execute(&mut db, "define index note_by_key on NOTE (midi_key)")
+        .unwrap();
+    let (ex, probed) = s.explain(&db, q).unwrap();
+    assert_eq!(ex.vars[0].path, "index-range(midi_key)");
+    assert_eq!(scanned, probed);
+    // Names grow with creation order: the rows came back in id order.
+    let names: Vec<i64> = (scanned.rows.iter())
+        .map(|r| match r[0] {
+            Value::Integer(n) => n,
+            ref v => panic!("{v:?}"),
+        })
+        .collect();
+    assert!(names.is_sorted(), "{names:?}");
+    assert!(names.iter().any(|&n| n >= 90) && names.iter().any(|&n| n < 90));
+}
+
+#[test]
 fn before_and_after_derive_sibling_slices() {
     let mut s = Session::new();
     let mut db = score_db(&mut s);

@@ -164,7 +164,7 @@ impl Database {
         for (name, v) in attrs {
             values[self.check_attr(ty, name, v)?] = v.clone();
         }
-        let id = self.store.create_entity(ty, values);
+        let id = self.store.create_entity(ty, values)?;
         self.index_entity(ty, id);
         self.stats.note_append(ty);
         Ok(id)
@@ -229,7 +229,7 @@ impl Database {
                 .push(id);
             self.stats.note_index_writes(ty, idx, 2); // delete + insert
         }
-        self.store.entity_mut(id)?.attrs[idx] = value;
+        self.store.set_value(id, idx, value)?;
         self.stats.note_replace(ty);
         Ok(())
     }
@@ -278,9 +278,9 @@ impl Database {
     pub(crate) fn put_entity(&mut self, ty: TypeId, id: EntityId, attrs: Vec<Value>) -> Result<()> {
         if self.store.exists(id) {
             self.unindex_entity(id);
-            self.store.entity_mut(id)?.attrs = attrs.into_boxed_slice();
+            self.store.replace_row(id, attrs)?;
         } else {
-            self.store.create_entity_with_id(id, ty, attrs);
+            self.store.create_entity_with_id(id, ty, attrs)?;
         }
         self.index_entity(ty, id);
         Ok(())
@@ -375,18 +375,22 @@ impl Database {
                 entity: type_name.to_string(),
                 attribute: attr.to_string(),
             })?;
-        let mut index = AttrIndex::new();
-        for &id in self.store.instances_of(ty) {
-            let inst = self.store.entity(id)?;
-            index
-                .entry(crate::encode::value_key(&inst.attrs[idx]))
-                .or_default()
-                .push(id);
-        }
+        let index = self.build_attr_index(ty, idx);
         self.stats
             .note_index_writes(ty, idx, self.store.instances_of(ty).len() as u64);
         self.attr_indexes.insert((ty, idx), index);
         Ok(())
+    }
+
+    /// An index over attribute `idx` of `ty`, read from the type's rows in
+    /// place.
+    fn build_attr_index(&self, ty: TypeId, idx: usize) -> AttrIndex {
+        let mut index = AttrIndex::new();
+        for (id, attrs) in self.store.rows_of(ty) {
+            let key = crate::encode::value_key(&attrs[idx]);
+            index.entry(key).or_default().push(id);
+        }
+        index
     }
 
     /// Drops a secondary attribute index (no-op if absent).
@@ -507,15 +511,7 @@ impl Database {
     pub fn rebuild_attr_indexes(&mut self) {
         let specs: Vec<(TypeId, usize)> = self.attr_indexes.keys().copied().collect();
         for (ty, idx) in specs {
-            let mut index = AttrIndex::new();
-            for &id in self.store.instances_of(ty) {
-                if let Ok(inst) = self.store.entity(id) {
-                    index
-                        .entry(crate::encode::value_key(&inst.attrs[idx]))
-                        .or_default()
-                        .push(id);
-                }
-            }
+            let index = self.build_attr_index(ty, idx);
             self.attr_indexes.insert((ty, idx), index);
         }
         self.refresh_live_counts();

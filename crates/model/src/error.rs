@@ -33,6 +33,15 @@ pub enum ModelError {
     NoSuchInstance(u64),
     /// The relationship instance does not exist.
     NoSuchRelInstance(u64),
+    /// A row of attribute values whose length is not its entity type's
+    /// attribute count.
+    RowWidth {
+        ty: u32,
+        expected: usize,
+        found: usize,
+    },
+    /// An entity id already in use, or 0 (never an entity id).
+    IdInUse(u64),
     /// An entity of the wrong type was used in an ordering or relationship
     /// role.
     WrongEntityType {
@@ -81,6 +90,15 @@ impl fmt::Display for ModelError {
             ModelError::NoSuchRelInstance(id) => {
                 write!(f, "no relationship instance with id {id}")
             }
+            ModelError::RowWidth {
+                ty,
+                expected,
+                found,
+            } => write!(
+                f,
+                "entity type #{ty} rows hold {expected} values, not {found}"
+            ),
+            ModelError::IdInUse(id) => write!(f, "entity id {id} is in use or reserved"),
             ModelError::WrongEntityType {
                 expected,
                 found,

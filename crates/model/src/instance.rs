@@ -8,6 +8,11 @@
 //! the §5.5 restriction that P-edges never form a cycle: an instance can
 //! never be "part of itself".
 //!
+//! Each entity type's instances live together in one row table: a
+//! fixed-width row of attribute values per instance, laid end to end, so
+//! a scan reads them in place (see `DESIGN.md`, "Where an instance
+//! lives").
+//!
 //! The store also keeps what persistence needs to write only what
 //! changed: every entity, P-edge and relationship instance carries the
 //! `Loc` of its row in the storage engine, and every mutation — through
@@ -15,6 +20,7 @@
 //! each row it changes into a dirty set (`RowKey`). `persist::commit`
 //! writes the current state of each dirty key and clears the set.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 
 use crate::error::{ModelError, Result};
@@ -99,15 +105,94 @@ impl Dirty {
     }
 }
 
-/// One entity instance: its type and attribute values (positionally
-/// matching the type's attribute definitions).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Instance {
+/// One entity instance, borrowed from its type's row table: its type and
+/// attribute values (positionally matching the type's attribute
+/// definitions).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Instance<'a> {
     /// The entity type.
     pub ty: TypeId,
     /// Attribute values, indexed like the type's `attributes`.
-    pub attrs: Box<[Value]>,
-    pub(crate) loc: Loc,
+    pub attrs: &'a [Value],
+}
+
+/// One entity type's instances: `width` values per row, rows end to
+/// end. A deleted row is cleared and goes on the free list, and the
+/// type's next instance takes it, so no other row ever moves. Rows are
+/// in id order until one is reused (or a bulk loader creates an id
+/// below the type's largest).
+#[derive(Debug, Clone, Default)]
+struct Table {
+    /// The type's attribute count: the values in every row.
+    width: usize,
+    values: Vec<Value>,
+    /// Each row's entity id, `0` for a free row (ids start at 1).
+    owners: Vec<EntityId>,
+    locs: Vec<Loc>,
+    free: Vec<u32>,
+}
+
+impl Table {
+    fn new(width: usize) -> Table {
+        Table {
+            width,
+            ..Table::default()
+        }
+    }
+
+    /// Refuses a row that is not `width` values long.
+    fn check(&self, ty: TypeId, attrs: &[Value]) -> Result<()> {
+        if attrs.len() == self.width {
+            return Ok(());
+        }
+        Err(ModelError::RowWidth {
+            ty,
+            expected: self.width,
+            found: attrs.len(),
+        })
+    }
+
+    fn row(&self, row: u32) -> &[Value] {
+        let at = row as usize * self.width;
+        &self.values[at..at + self.width]
+    }
+
+    fn row_mut(&mut self, row: u32) -> &mut [Value] {
+        let at = row as usize * self.width;
+        &mut self.values[at..at + self.width]
+    }
+
+    /// The live rows as `(id, values)`, in row order.
+    fn rows(&self) -> impl Iterator<Item = (EntityId, &[Value])> {
+        (self.owners.iter().enumerate())
+            .filter(|&(_, &id)| id != 0)
+            .map(|(row, &id)| (id, self.row(row as u32)))
+    }
+
+    /// Stores `attrs` (exactly `width` values) in a free row or a new
+    /// one, returning the row.
+    fn insert(&mut self, id: EntityId, attrs: Vec<Value>, loc: Loc) -> u32 {
+        let Some(row) = self.free.pop() else {
+            self.values.extend(attrs);
+            self.owners.push(id);
+            self.locs.push(loc);
+            return u32::try_from(self.owners.len() - 1).expect("under 2^32 rows per type");
+        };
+        for (slot, v) in self.row_mut(row).iter_mut().zip(attrs) {
+            *slot = v;
+        }
+        self.owners[row as usize] = id;
+        self.locs[row as usize] = loc;
+        row
+    }
+
+    /// Frees `row`, dropping its values; returns its locator.
+    fn remove(&mut self, row: u32) -> Loc {
+        self.row_mut(row).fill(Value::Null);
+        self.owners[row as usize] = 0;
+        self.free.push(row);
+        std::mem::take(&mut self.locs[row as usize])
+    }
 }
 
 /// One relationship instance: entity ids filling each role, plus
@@ -199,7 +284,10 @@ fn remove_from_lists(lists: &mut [Vec<u64>], gone: &mut [(u32, u64)]) {
 pub struct InstanceStore {
     next_entity: EntityId,
     next_rel: RelInstanceId,
-    instances: HashMap<EntityId, Instance>,
+    /// Each instance's type and row in that type's table.
+    instances: HashMap<EntityId, (TypeId, u32)>,
+    /// The row table of each entity type.
+    tables: Vec<Table>,
     /// Instances per type, ascending by id (deterministic iteration).
     by_type: Vec<Vec<EntityId>>,
     rel_instances: HashMap<RelInstanceId, RelInstance>,
@@ -212,10 +300,13 @@ pub struct InstanceStore {
 /// Equality is content: instances, relationship instances and orderings,
 /// in creation order. Not the id allocators — a load restarts them just
 /// above the highest live id — and not the persistence bookkeeping.
+/// Rows are compared by id, not by position: a reload places them in
+/// id order, while a live table may have reused rows out of it.
 impl PartialEq for InstanceStore {
     fn eq(&self, other: &InstanceStore) -> bool {
-        self.instances == other.instances
-            && self.by_type == other.by_type
+        self.by_type == other.by_type
+            && (self.by_type.iter().flatten())
+                .all(|&id| self.entity(id).ok() == other.entity(id).ok())
             && self.rel_instances == other.rel_instances
             && self.rels_by_type == other.rels_by_type
             && self.orderings == other.orderings
@@ -225,16 +316,13 @@ impl PartialEq for InstanceStore {
 impl InstanceStore {
     /// Creates an empty store shaped for `schema`.
     pub fn new(schema: &Schema) -> InstanceStore {
-        InstanceStore {
+        let mut store = InstanceStore {
             next_entity: 1,
             next_rel: 1,
-            instances: HashMap::new(),
-            by_type: vec![Vec::new(); schema.entity_types().len()],
-            rel_instances: HashMap::new(),
-            rels_by_type: vec![Vec::new(); schema.relationships().len()],
-            orderings: vec![OrderingState::default(); schema.orderings().len()],
-            dirty: Dirty::default(),
-        }
+            ..InstanceStore::default()
+        };
+        store.sync_with_schema(schema);
+        store
     }
 
     /// What changed since the last commit point.
@@ -272,7 +360,8 @@ impl InstanceStore {
     /// Points the in-memory holder of `key`, if present, at `loc`.
     pub(crate) fn set_loc(&mut self, key: RowKey, loc: Loc) {
         let held = match key {
-            RowKey::Entity(_, id) => self.instances.get_mut(&id).map(|i| &mut i.loc),
+            RowKey::Entity(_, id) => (self.instances.get(&id))
+                .map(|&(ty, row)| &mut self.tables[ty as usize].locs[row as usize]),
             RowKey::Edge(o, child) => self.orderings[o as usize]
                 .parent_of
                 .get_mut(&child)
@@ -288,7 +377,8 @@ impl InstanceStore {
     /// has no holder (its entity, edge or relationship was removed).
     pub(crate) fn loc_of(&self, key: RowKey) -> Option<Loc> {
         match key {
-            RowKey::Entity(_, id) => self.instances.get(&id).map(|i| i.loc),
+            RowKey::Entity(_, id) => (self.instances.get(&id))
+                .map(|&(ty, row)| self.tables[ty as usize].locs[row as usize]),
             RowKey::Edge(o, child) => self.orderings[o as usize]
                 .parent_of
                 .get(&child)
@@ -316,7 +406,11 @@ impl InstanceStore {
     /// Grows internal tables after new schema definitions (the schema can
     /// be extended while instances exist).
     pub fn sync_with_schema(&mut self, schema: &Schema) {
-        self.by_type.resize(schema.entity_types().len(), Vec::new());
+        let types = schema.entity_types();
+        for def in &types[self.tables.len().min(types.len())..] {
+            self.tables.push(Table::new(def.attributes.len()));
+        }
+        self.by_type.resize(types.len(), Vec::new());
         self.rels_by_type
             .resize(schema.relationships().len(), Vec::new());
         self.orderings
@@ -329,36 +423,53 @@ impl InstanceStore {
 
     /// Creates an instance of `ty` with the given attribute values
     /// (already positionally arranged and type-checked by the caller).
-    pub fn create_entity(&mut self, ty: TypeId, attrs: Vec<Value>) -> EntityId {
+    /// Fails, changing nothing, on an unknown type or a row whose width
+    /// is not the type's attribute count.
+    pub fn create_entity(&mut self, ty: TypeId, attrs: Vec<Value>) -> Result<EntityId> {
         let id = self.next_entity;
-        self.create_entity_with_id(id, ty, attrs);
-        id
+        self.create_entity_with_id(id, ty, attrs)?;
+        Ok(id)
     }
 
     /// Creates an entity with a specific id (bulk loaders). The id must
     /// not be in use; it takes its place in [`InstanceStore::instances_of`]
-    /// by id, below the type's largest if it is smaller.
-    pub fn create_entity_with_id(&mut self, id: EntityId, ty: TypeId, attrs: Vec<Value>) {
-        self.place_entity(id, ty, attrs, Loc::NONE);
-        self.mark(RowKey::Entity(ty, id), Loc::NONE);
-    }
-
-    /// Places an entity at `loc` keeping its type's ids ascending:
-    /// nothing becomes dirty.
-    pub(crate) fn place_entity(&mut self, id: EntityId, ty: TypeId, attrs: Vec<Value>, loc: Loc) {
-        self.load_entity(id, ty, attrs, loc);
+    /// by id, below the type's largest if it is smaller. Fails as
+    /// [`InstanceStore::create_entity`] does, and on an id in use or 0.
+    pub fn create_entity_with_id(
+        &mut self,
+        id: EntityId,
+        ty: TypeId,
+        attrs: Vec<Value>,
+    ) -> Result<()> {
+        self.load_entity(id, ty, attrs, Loc::NONE)?;
         settle_last(&mut self.by_type[ty as usize]);
+        self.mark(RowKey::Entity(ty, id), Loc::NONE);
+        Ok(())
     }
 
     /// Places an entity read from its committed row at `loc`, appending
-    /// its id: a load reads rows in slot order and restores ascending ids
+    /// its id and taking a free row or a new one: a load places each
+    /// type's rows in id order, and restores every list's ascending ids
     /// with one [`InstanceStore::sort_by_id`]. Nothing becomes dirty.
-    pub(crate) fn load_entity(&mut self, id: EntityId, ty: TypeId, attrs: Vec<Value>, loc: Loc) {
-        debug_assert!(!self.instances.contains_key(&id));
-        let attrs = attrs.into_boxed_slice();
-        self.instances.insert(id, Instance { ty, attrs, loc });
+    pub(crate) fn load_entity(
+        &mut self,
+        id: EntityId,
+        ty: TypeId,
+        attrs: Vec<Value>,
+        loc: Loc,
+    ) -> Result<()> {
+        let Some(table) = self.tables.get_mut(ty as usize) else {
+            return Err(ModelError::UnknownEntityType(format!("#{ty}")));
+        };
+        table.check(ty, &attrs)?;
+        let slot = match self.instances.entry(id) {
+            Entry::Vacant(slot) if id != 0 => slot,
+            _ => return Err(ModelError::IdInUse(id)),
+        };
+        slot.insert((ty, table.insert(id, attrs, loc)));
         self.by_type[ty as usize].push(id);
         self.next_entity = self.next_entity.max(id + 1);
+        Ok(())
     }
 
     /// Puts instances and relationship instances back in creation
@@ -370,19 +481,54 @@ impl InstanceStore {
     }
 
     /// The instance for `id`.
-    pub fn entity(&self, id: EntityId) -> Result<&Instance> {
-        self.instances
-            .get(&id)
-            .ok_or(ModelError::NoSuchInstance(id))
+    pub fn entity(&self, id: EntityId) -> Result<Instance<'_>> {
+        let &(ty, row) = (self.instances.get(&id)).ok_or(ModelError::NoSuchInstance(id))?;
+        Ok(Instance {
+            ty,
+            attrs: self.tables[ty as usize].row(row),
+        })
     }
 
-    /// Mutable access to the instance for `id` (marks its row dirty).
-    pub fn entity_mut(&mut self, id: EntityId) -> Result<&mut Instance> {
-        let ty = self.entity(id)?.ty;
+    /// The live rows of `ty` as `(id, attributes)`, in row order: read in
+    /// place, with no lookup per row. That is ascending id order unless a
+    /// deleted row was reused (see [`InstanceStore::instances_of`] for
+    /// the ids in order).
+    pub fn rows_of(&self, ty: TypeId) -> impl Iterator<Item = (EntityId, &[Value])> {
+        static NONE: Table = Table {
+            width: 0,
+            values: Vec::new(),
+            owners: Vec::new(),
+            locs: Vec::new(),
+            free: Vec::new(),
+        };
+        self.tables.get(ty as usize).unwrap_or(&NONE).rows()
+    }
+
+    /// Writes attribute `idx` of `id` and marks its row dirty. `idx` must
+    /// be below the type's attribute count, as
+    /// [`crate::Database::check_attr`] gives it.
+    pub(crate) fn set_value(&mut self, id: EntityId, idx: usize, value: Value) -> Result<()> {
+        let (ty, row) = self.row_of(id)?;
+        self.tables[ty as usize].row_mut(row)[idx] = value;
         self.mark(RowKey::Entity(ty, id), Loc::NONE);
-        self.instances
-            .get_mut(&id)
-            .ok_or(ModelError::NoSuchInstance(id))
+        Ok(())
+    }
+
+    /// Replaces every attribute of `id` and marks its row dirty. Fails,
+    /// changing nothing, on a row whose width is not the type's.
+    pub(crate) fn replace_row(&mut self, id: EntityId, attrs: Vec<Value>) -> Result<()> {
+        let (ty, row) = self.row_of(id)?;
+        let table = &mut self.tables[ty as usize];
+        table.check(ty, &attrs)?;
+        for (slot, v) in table.row_mut(row).iter_mut().zip(attrs) {
+            *slot = v;
+        }
+        self.mark(RowKey::Entity(ty, id), Loc::NONE);
+        Ok(())
+    }
+
+    fn row_of(&self, id: EntityId) -> Result<(TypeId, u32)> {
+        (self.instances.get(&id).copied()).ok_or(ModelError::NoSuchInstance(id))
     }
 
     /// Whether an instance exists.
@@ -429,9 +575,10 @@ impl InstanceStore {
         }
         let mut gone: Vec<(TypeId, EntityId)> = Vec::with_capacity(ids.len());
         for &id in ids {
-            if let Some(inst) = self.instances.remove(&id) {
-                self.mark(RowKey::Entity(inst.ty, id), inst.loc);
-                gone.push((inst.ty, id));
+            if let Some((ty, row)) = self.instances.remove(&id) {
+                let loc = self.tables[ty as usize].remove(row);
+                self.mark(RowKey::Entity(ty, id), loc);
+                gone.push((ty, id));
             }
         }
         remove_from_lists(&mut self.by_type, &mut gone);
@@ -597,14 +744,12 @@ impl InstanceStore {
                 child,
             });
         }
+        let len = self.ordering_children(ordering, parent).len();
+        if position > len {
+            return Err(ModelError::PositionOutOfBounds { position, len });
+        }
         let state = self.state_mut(ordering);
         let sibs = state.children.entry(parent).or_default();
-        if position > sibs.len() {
-            return Err(ModelError::PositionOutOfBounds {
-                position,
-                len: sibs.len(),
-            });
-        }
         sibs.insert(position, child);
         let moved = sibs[position + 1..].to_vec();
         state.parent_of.insert(child, PEdge::new(parent, Loc::NONE));
@@ -696,7 +841,7 @@ impl InstanceStore {
     /// Takes the `victims` (ascending) out of their groups in `ordering`:
     /// marks each one's edge with its row locator, then compacts each
     /// touched group once, marking the survivors from its first removed
-    /// position on as shifted.
+    /// position on as shifted, and drops a group left empty.
     fn detach_all(&mut self, ordering: OrderingId, victims: &[EntityId]) {
         let Some(state) = self.orderings.get_mut(ordering as usize) else {
             return;
@@ -724,6 +869,10 @@ impl InstanceStore {
                 }
                 !gone
             });
+            // A load makes no empty group: neither does a deletion.
+            if sibs.is_empty() {
+                state.children.remove(&parent);
+            }
         }
         for (key, loc) in marks {
             self.mark(key, loc);
@@ -945,9 +1094,9 @@ mod tests {
         // Fig. 6: parent y with ordered children {u, v, w, x}; "w is the
         // third child of y".
         let (s, mut st, chord, note, o) = setup();
-        let y = st.create_entity(chord, vec![Value::Integer(0)]);
+        let y = st.create_entity(chord, vec![Value::Integer(0)]).unwrap();
         let kids: Vec<EntityId> = (0..4)
-            .map(|i| st.create_entity(note, vec![Value::Integer(i)]))
+            .map(|i| st.create_entity(note, vec![Value::Integer(i)]).unwrap())
             .collect();
         let (u, v, w, x) = (kids[0], kids[1], kids[2], kids[3]);
         for &k in &kids {
@@ -969,10 +1118,10 @@ mod tests {
         // §5.6: "If a and b have different parents, then they are not
         // comparable, and the before clause evaluates to false."
         let (s, mut st, chord, note, o) = setup();
-        let c1 = st.create_entity(chord, vec![Value::Null]);
-        let c2 = st.create_entity(chord, vec![Value::Null]);
-        let n1 = st.create_entity(note, vec![Value::Null]);
-        let n2 = st.create_entity(note, vec![Value::Null]);
+        let c1 = st.create_entity(chord, vec![Value::Null]).unwrap();
+        let c2 = st.create_entity(chord, vec![Value::Null]).unwrap();
+        let n1 = st.create_entity(note, vec![Value::Null]).unwrap();
+        let n2 = st.create_entity(note, vec![Value::Null]).unwrap();
         st.ordering_append(&s, o, Some(c1), n1).unwrap();
         st.ordering_append(&s, o, Some(c2), n2).unwrap();
         assert!(!st.before(o, n1, n2));
@@ -983,8 +1132,8 @@ mod tests {
     #[test]
     fn before_irreflexive() {
         let (s, mut st, chord, note, o) = setup();
-        let c = st.create_entity(chord, vec![Value::Null]);
-        let n = st.create_entity(note, vec![Value::Null]);
+        let c = st.create_entity(chord, vec![Value::Null]).unwrap();
+        let n = st.create_entity(note, vec![Value::Null]).unwrap();
         st.ordering_append(&s, o, Some(c), n).unwrap();
         assert!(!st.before(o, n, n));
     }
@@ -992,10 +1141,10 @@ mod tests {
     #[test]
     fn insert_at_position_shifts() {
         let (s, mut st, chord, note, o) = setup();
-        let c = st.create_entity(chord, vec![Value::Null]);
-        let a = st.create_entity(note, vec![Value::Null]);
-        let b = st.create_entity(note, vec![Value::Null]);
-        let m = st.create_entity(note, vec![Value::Null]);
+        let c = st.create_entity(chord, vec![Value::Null]).unwrap();
+        let a = st.create_entity(note, vec![Value::Null]).unwrap();
+        let b = st.create_entity(note, vec![Value::Null]).unwrap();
+        let m = st.create_entity(note, vec![Value::Null]).unwrap();
         st.ordering_append(&s, o, Some(c), a).unwrap();
         st.ordering_append(&s, o, Some(c), b).unwrap();
         st.ordering_insert(&s, o, Some(c), 1, m).unwrap();
@@ -1006,8 +1155,8 @@ mod tests {
     #[test]
     fn position_out_of_bounds() {
         let (s, mut st, chord, note, o) = setup();
-        let c = st.create_entity(chord, vec![Value::Null]);
-        let n = st.create_entity(note, vec![Value::Null]);
+        let c = st.create_entity(chord, vec![Value::Null]).unwrap();
+        let n = st.create_entity(note, vec![Value::Null]).unwrap();
         assert!(matches!(
             st.ordering_insert(&s, o, Some(c), 1, n),
             Err(ModelError::PositionOutOfBounds { .. })
@@ -1017,9 +1166,9 @@ mod tests {
     #[test]
     fn child_cannot_have_two_parents_in_one_ordering() {
         let (s, mut st, chord, note, o) = setup();
-        let c1 = st.create_entity(chord, vec![Value::Null]);
-        let c2 = st.create_entity(chord, vec![Value::Null]);
-        let n = st.create_entity(note, vec![Value::Null]);
+        let c1 = st.create_entity(chord, vec![Value::Null]).unwrap();
+        let c2 = st.create_entity(chord, vec![Value::Null]).unwrap();
+        let n = st.create_entity(note, vec![Value::Null]).unwrap();
         st.ordering_append(&s, o, Some(c1), n).unwrap();
         assert!(matches!(
             st.ordering_append(&s, o, Some(c2), n),
@@ -1041,9 +1190,9 @@ mod tests {
             .define_ordering(Some("per_staff"), vec![note], Some(staff))
             .unwrap();
         let mut st = InstanceStore::new(&s);
-        let c = st.create_entity(chord, vec![]);
-        let f = st.create_entity(staff, vec![]);
-        let n = st.create_entity(note, vec![]);
+        let c = st.create_entity(chord, vec![]).unwrap();
+        let f = st.create_entity(staff, vec![]).unwrap();
+        let n = st.create_entity(note, vec![]).unwrap();
         st.ordering_append(&s, per_chord, Some(c), n).unwrap();
         st.ordering_append(&s, per_staff, Some(f), n).unwrap();
         assert!(st.under(per_chord, n, c));
@@ -1059,9 +1208,9 @@ mod tests {
             .define_ordering(Some("beams"), vec![bg], Some(bg))
             .unwrap();
         let mut st = InstanceStore::new(&s);
-        let g1 = st.create_entity(bg, vec![]);
-        let g2 = st.create_entity(bg, vec![]);
-        let g3 = st.create_entity(bg, vec![]);
+        let g1 = st.create_entity(bg, vec![]).unwrap();
+        let g2 = st.create_entity(bg, vec![]).unwrap();
+        let g3 = st.create_entity(bg, vec![]).unwrap();
         st.ordering_append(&s, o, Some(g1), g2).unwrap();
         st.ordering_append(&s, o, Some(g2), g3).unwrap();
         // g3 is a descendant of g1; making g1 a child of g3 would cycle.
@@ -1070,7 +1219,7 @@ mod tests {
             Err(ModelError::CycleDetected { .. })
         ));
         // Self-parent is the degenerate cycle.
-        let g4 = st.create_entity(bg, vec![]);
+        let g4 = st.create_entity(bg, vec![]).unwrap();
         assert!(matches!(
             st.ordering_append(&s, o, Some(g4), g4),
             Err(ModelError::CycleDetected { .. })
@@ -1089,10 +1238,10 @@ mod tests {
             .define_ordering(Some("voice_content"), vec![chord, rest], Some(voice))
             .unwrap();
         let mut st = InstanceStore::new(&s);
-        let v = st.create_entity(voice, vec![]);
-        let c1 = st.create_entity(chord, vec![]);
-        let r1 = st.create_entity(rest, vec![]);
-        let c2 = st.create_entity(chord, vec![]);
+        let v = st.create_entity(voice, vec![]).unwrap();
+        let c1 = st.create_entity(chord, vec![]).unwrap();
+        let r1 = st.create_entity(rest, vec![]).unwrap();
+        let c2 = st.create_entity(chord, vec![]).unwrap();
         st.ordering_append(&s, o, Some(v), c1).unwrap();
         st.ordering_append(&s, o, Some(v), r1).unwrap();
         st.ordering_append(&s, o, Some(v), c2).unwrap();
@@ -1104,9 +1253,9 @@ mod tests {
     #[test]
     fn remove_and_reattach() {
         let (s, mut st, chord, note, o) = setup();
-        let c = st.create_entity(chord, vec![Value::Null]);
-        let a = st.create_entity(note, vec![Value::Null]);
-        let b = st.create_entity(note, vec![Value::Null]);
+        let c = st.create_entity(chord, vec![Value::Null]).unwrap();
+        let a = st.create_entity(note, vec![Value::Null]).unwrap();
+        let b = st.create_entity(note, vec![Value::Null]).unwrap();
         st.ordering_append(&s, o, Some(c), a).unwrap();
         st.ordering_append(&s, o, Some(c), b).unwrap();
         st.ordering_remove(&s, o, a).unwrap();
@@ -1120,9 +1269,9 @@ mod tests {
     #[test]
     fn delete_entity_detaches_everywhere() {
         let (s, mut st, chord, note, o) = setup();
-        let c = st.create_entity(chord, vec![Value::Null]);
-        let a = st.create_entity(note, vec![Value::Null]);
-        let b = st.create_entity(note, vec![Value::Null]);
+        let c = st.create_entity(chord, vec![Value::Null]).unwrap();
+        let a = st.create_entity(note, vec![Value::Null]).unwrap();
+        let b = st.create_entity(note, vec![Value::Null]).unwrap();
         st.ordering_append(&s, o, Some(c), a).unwrap();
         st.ordering_append(&s, o, Some(c), b).unwrap();
         st.delete_entity(&s, a).unwrap();
@@ -1135,16 +1284,93 @@ mod tests {
     }
 
     #[test]
+    fn a_row_of_the_wrong_width_or_type_changes_nothing() {
+        let (_, mut st, chord, note, _) = setup();
+        let n = st.create_entity(note, vec![Value::Integer(1)]).unwrap();
+        let before = st.clone();
+        assert!(matches!(
+            st.create_entity(chord, vec![]),
+            Err(ModelError::RowWidth {
+                expected: 1,
+                found: 0,
+                ..
+            })
+        ));
+        assert!(matches!(
+            st.create_entity(note, vec![Value::Null, Value::Null]),
+            Err(ModelError::RowWidth { found: 2, .. })
+        ));
+        assert!(matches!(
+            st.create_entity(7, vec![Value::Null]),
+            Err(ModelError::UnknownEntityType(_))
+        ));
+        assert!(matches!(
+            st.create_entity_with_id(n, note, vec![Value::Null]),
+            Err(ModelError::IdInUse(_))
+        ));
+        assert!(matches!(
+            st.create_entity_with_id(0, note, vec![Value::Null]),
+            Err(ModelError::IdInUse(0))
+        ));
+        assert!(matches!(
+            st.replace_row(n, vec![]),
+            Err(ModelError::RowWidth { .. })
+        ));
+        assert!(st == before);
+        assert_eq!(st.entity_count(), 1);
+        assert_eq!(st.rows_of(chord).count(), 0);
+        // The id allocator did not move either.
+        assert_eq!(st.create_entity(chord, vec![Value::Null]).unwrap(), n + 1);
+    }
+
+    #[test]
+    fn a_deleted_row_is_reused_and_no_other_row_moves() {
+        let (s, mut st, _, note, _) = setup();
+        let ids: Vec<EntityId> = (0..4)
+            .map(|i| st.create_entity(note, vec![Value::Integer(i)]).unwrap())
+            .collect();
+        st.delete_entities(&s, &[ids[1], ids[2]]).unwrap();
+        let row = |st: &InstanceStore| st.rows_of(note).map(|(id, _)| id).collect::<Vec<_>>();
+        assert_eq!(row(&st), [ids[0], ids[3]]);
+        let fresh = st.create_entity(note, vec![Value::Integer(9)]).unwrap();
+        // The freed row, between the two survivors, holds the new id.
+        assert_eq!(row(&st), [ids[0], fresh, ids[3]]);
+        assert_eq!(st.instances_of(note), [ids[0], ids[3], fresh]);
+        for (id, attrs) in st.rows_of(note) {
+            assert_eq!(st.entity(id).unwrap().attrs, attrs);
+        }
+        assert_eq!(st.entity(fresh).unwrap().attrs, [Value::Integer(9)]);
+        st.set_value(ids[3], 0, Value::Integer(5)).unwrap();
+        assert_eq!(st.entity(ids[3]).unwrap().attrs, [Value::Integer(5)]);
+    }
+
+    #[test]
+    fn removing_the_last_child_drops_its_group() {
+        let (s, mut st, chord, note, o) = setup();
+        let c = st.create_entity(chord, vec![Value::Null]).unwrap();
+        let a = st.create_entity(note, vec![Value::Null]).unwrap();
+        let b = st.create_entity(note, vec![Value::Null]).unwrap();
+        st.ordering_append(&s, o, Some(c), a).unwrap();
+        st.ordering_append(&s, o, Some(c), b).unwrap();
+        st.ordering_remove(&s, o, a).unwrap();
+        st.delete_entity(&s, b).unwrap();
+        assert!(st.ordering_groups(o).is_empty());
+        // Nor does a refused insert leave one behind.
+        assert!(st.ordering_insert(&s, o, Some(c), 1, a).is_err());
+        assert!(st.ordering_groups(o).is_empty());
+    }
+
+    #[test]
     fn descendants_preorder() {
         let mut s = Schema::new();
         let bg = s.define_entity("G", vec![]).unwrap();
         let o = s.define_ordering(Some("o"), vec![bg], Some(bg)).unwrap();
         let mut st = InstanceStore::new(&s);
-        let root = st.create_entity(bg, vec![]);
-        let a = st.create_entity(bg, vec![]);
-        let b = st.create_entity(bg, vec![]);
-        let a1 = st.create_entity(bg, vec![]);
-        let a2 = st.create_entity(bg, vec![]);
+        let root = st.create_entity(bg, vec![]).unwrap();
+        let a = st.create_entity(bg, vec![]).unwrap();
+        let b = st.create_entity(bg, vec![]).unwrap();
+        let a1 = st.create_entity(bg, vec![]).unwrap();
+        let a2 = st.create_entity(bg, vec![]).unwrap();
         st.ordering_append(&s, o, Some(root), a).unwrap();
         st.ordering_append(&s, o, Some(root), b).unwrap();
         st.ordering_append(&s, o, Some(a), a1).unwrap();
@@ -1160,8 +1386,8 @@ mod tests {
             .define_ordering(Some("all_measures"), vec![m], None)
             .unwrap();
         let mut st = InstanceStore::new(&s);
-        let m1 = st.create_entity(m, vec![]);
-        let m2 = st.create_entity(m, vec![]);
+        let m1 = st.create_entity(m, vec![]).unwrap();
+        let m2 = st.create_entity(m, vec![]).unwrap();
         st.ordering_append(&s, o, None, m1).unwrap();
         st.ordering_append(&s, o, None, m2).unwrap();
         assert_eq!(st.ordering_children(o, None), &[m1, m2]);
@@ -1191,8 +1417,8 @@ mod tests {
             )
             .unwrap();
         let mut st = InstanceStore::new(&s);
-        let p = st.create_entity(person, vec![]);
-        let c = st.create_entity(comp, vec![]);
+        let p = st.create_entity(person, vec![]).unwrap();
+        let c = st.create_entity(comp, vec![]).unwrap();
         let r = st.relate(rel, vec![p, c], vec![]);
         assert_eq!(st.relationship(r).unwrap().entities, vec![p, c]);
         assert_eq!(st.relationships_of(rel), &[r]);

@@ -289,7 +289,7 @@ fn current_row(store: &InstanceStore, key: RowKey) -> Option<Vec<u8>> {
             let mut rec = Vec::new();
             rec.extend_from_slice(&id.to_le_bytes());
             rec.extend_from_slice(&(inst.attrs.len() as u32).to_le_bytes());
-            for v in &inst.attrs {
+            for v in inst.attrs {
                 encode::encode_value(&mut rec, v);
             }
             Some(rec)
@@ -418,11 +418,16 @@ pub fn load(engine: &StorageEngine) -> Result<Database> {
     let mut store = InstanceStore::new(&schema);
     let loc = |rid: Rid| Loc(rid.to_u64());
 
+    // Each type's rows go into its table in id order, so a scan of a
+    // reopened database reads them in order.
     for (ty, def) in schema.entity_types().iter().enumerate() {
         let table = engine.table_id(&entity_table(&def.name))?;
-        for (rid, rec) in snap.scan(table)? {
+        let mut rows = snap.scan(table)?;
+        // An entity row starts with its id.
+        rows.sort_unstable_by_key(|(_, rec)| rec.first_chunk().map(|b| u64::from_le_bytes(*b)));
+        for (rid, rec) in rows {
             let (id, attrs) = decode_entity_row(&rec, &schema, ty as TypeId)?;
-            store.load_entity(id, ty as TypeId, attrs, loc(rid));
+            store.load_entity(id, ty as TypeId, attrs, loc(rid))?;
         }
     }
 
@@ -944,11 +949,14 @@ mod tests {
 
             // The freed id, now below the type's largest, and the freed
             // slot taken by its row.
-            writer.store_mut().create_entity_with_id(
-                freed,
-                note,
-                vec![Value::Integer(9), Value::String("D4".into())],
-            );
+            writer
+                .store_mut()
+                .create_entity_with_id(
+                    freed,
+                    note,
+                    vec![Value::Integer(9), Value::String("D4".into())],
+                )
+                .unwrap();
             writer.rebuild_attr_indexes();
             assert_eq!(writer.store().instances_of(note), notes.as_slice());
             assert_ascending(&writer, "create_entity_with_id");

@@ -1,7 +1,9 @@
 //! Property test: deleting a set of instances in one batch leaves exactly
 //! what deleting them one at a time leaves — the store, every type's
 //! ascending id list, the rows the next commit writes, and the image a
-//! save and a reload give back.
+//! save and a reload give back. Then new instances take the freed rows:
+//! every type's table still scans to exactly its instances, and the
+//! committed database still reloads equal.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -45,6 +47,23 @@ fn schema() -> Database {
     db.define_relationship("PLAYS", roles, key()).unwrap();
     db.define_index("note_k", "NOTE", "k").unwrap();
     db
+}
+
+/// Every type's table scanned: each live row once, holding what a point
+/// lookup of its id reads, and the ids, once sorted, the type's list.
+fn check_tables(db: &Database) {
+    let store = db.store();
+    for ty in 0..TYPES.len() as u32 {
+        let mut scanned = Vec::new();
+        for (id, attrs) in store.rows_of(ty) {
+            let inst = store.entity(id).unwrap();
+            prop_assert_eq!(inst.ty, ty);
+            prop_assert_eq!(inst.attrs, attrs);
+            scanned.push(id);
+        }
+        scanned.sort_unstable();
+        prop_assert_eq!(scanned.as_slice(), store.instances_of(ty));
+    }
 }
 
 fn pick(rng: &mut TestRng, ids: &[EntityId]) -> Option<EntityId> {
@@ -197,6 +216,37 @@ proptest! {
         prop_assert!(reloaded == saved_and_reloaded(&single, "single-save"));
         prop_assert!(load(&batch_engine).unwrap() == reloaded);
         prop_assert!(load(&single_engine).unwrap() == reloaded);
+        // The live, committed database is what its engine reloads: no
+        // emptied sibling group lingers in memory.
+        prop_assert!(batch == reloaded);
+
+        // New instances take the freed rows, ids above every live one.
+        check_tables(&batch);
+        for _ in 0..victims.len() + rng.below(4) as usize {
+            let t = TYPES[rng.below(TYPES.len() as u64) as usize];
+            let k = Value::Integer(rng.below(4) as i64);
+            let id = batch.create_entity(t, &[("k", k)]).unwrap();
+            if t == "NOTE" {
+                let pos = rng.below(batch.ord_children("all_notes", None).unwrap().len() as u64 + 1);
+                batch.ord_insert("all_notes", None, pos as usize, id).unwrap();
+            }
+        }
+        check_tables(&batch);
+        for k in 0..4 {
+            let mut found = batch.attr_index_get(note, 0, &Value::Integer(k)).unwrap().to_vec();
+            found.sort_unstable();
+            let mut scanned: Vec<EntityId> = (batch.store().rows_of(note))
+                .filter(|(_, attrs)| attrs[0] == Value::Integer(k))
+                .map(|(id, _)| id)
+                .collect();
+            scanned.sort_unstable();
+            prop_assert_eq!(found, scanned);
+        }
+        commit(&mut batch, &batch_engine).unwrap();
+        let back = load(&batch_engine).unwrap();
+        prop_assert!(back == batch);
+        check_tables(&back);
+        prop_assert!(saved_and_reloaded(&batch, "reuse-save") == batch);
 
         drop((batch_engine, single_engine));
         std::fs::remove_dir_all(&batch_dir).ok();

@@ -35,7 +35,7 @@ fn setup() -> (Schema, InstanceStore, EntityId, u32) {
         .define_ordering(Some("o"), vec![note], Some(chord))
         .unwrap();
     let mut st = InstanceStore::new(&s);
-    let parent = st.create_entity(chord, vec![]);
+    let parent = st.create_entity(chord, vec![]).unwrap();
     (s, st, parent, o)
 }
 
@@ -52,7 +52,7 @@ proptest! {
         for op in ops {
             match op {
                 Op::Insert { pos } => {
-                    let child = st.create_entity(note_ty, vec![]);
+                    let child = st.create_entity(note_ty, vec![]).unwrap();
                     let at = pos % (model.len() + 1);
                     st.ordering_insert(&s, o, Some(parent), at, child).unwrap();
                     model.insert(at, child);
@@ -92,7 +92,7 @@ proptest! {
         let note_ty = s.entity_type_id("NOTE").unwrap();
         let kids: Vec<EntityId> = (0..n)
             .map(|_| {
-                let c = st.create_entity(note_ty, vec![]);
+                let c = st.create_entity(note_ty, vec![]).unwrap();
                 st.ordering_append(&s, o, Some(parent), c).unwrap();
                 c
             })
@@ -114,7 +114,7 @@ proptest! {
         let g = s.define_entity("G", vec![]).unwrap();
         let o = s.define_ordering(Some("rec"), vec![g], Some(g)).unwrap();
         let mut st = InstanceStore::new(&s);
-        let nodes: Vec<EntityId> = (0..20).map(|_| st.create_entity(g, vec![])).collect();
+        let nodes: Vec<EntityId> = (0..20).map(|_| st.create_entity(g, vec![]).unwrap()).collect();
         for (p, c) in attachments {
             let parent = nodes[p];
             let child = nodes[c];
