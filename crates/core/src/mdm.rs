@@ -22,6 +22,7 @@ use std::time::{SystemTime, UNIX_EPOCH};
 use mdm_lang::{PlanExplain, QuelMetrics, Session, StmtResult, Table};
 use mdm_model::{persist, Database, EntityId};
 use mdm_notation::{Score, TimeSignature, Voice};
+use mdm_obs::codec::Reader;
 use mdm_obs::{Counter, Gauge, HealthReport, Monitor, Registry, Snapshot, StatementStore, Tracer};
 use mdm_storage::{StorageEngine, StorageError, TableId, Txn};
 
@@ -729,13 +730,11 @@ fn read_watermark(engine: &StorageEngine) -> Result<Option<u64>> {
         return Ok(None);
     };
     let rows = engine.snapshot().scan(table)?;
-    Ok(rows.first().map(|(_, row)| {
-        u64::from_le_bytes(
-            row.get(..8)
-                .and_then(|b| b.try_into().ok())
-                .unwrap_or_default(),
-        )
-    }))
+    let Some((_, row)) = rows.first() else {
+        return Ok(None);
+    };
+    let watermark = Reader::new(row).u64().map_err(StorageError::from)?;
+    Ok(Some(watermark))
 }
 
 /// Brings the watermark row to `watermark` inside `txn`.
@@ -889,6 +888,30 @@ mod tests {
         drop((primary, replica));
         std::fs::remove_dir_all(&dir_p).ok();
         std::fs::remove_dir_all(&dir_r).ok();
+    }
+
+    /// A watermark row shorter than its 8 bytes is corruption, not
+    /// watermark 0 (which would make the node a replica at LSN 0).
+    #[test]
+    fn a_short_watermark_row_is_corrupt() {
+        let dir = tmpdir("short-watermark");
+        let engine = StorageEngine::open(&dir).unwrap();
+        assert_eq!(read_watermark(&engine).unwrap(), None, "a primary");
+        let table = engine.create_table(REPLICA_TABLE).unwrap();
+        let mut txn = engine.begin().unwrap();
+        write_watermark(&engine, table, &mut txn, 42).unwrap();
+        engine.commit(txn).unwrap();
+        assert_eq!(read_watermark(&engine).unwrap(), Some(42));
+        let mut txn = engine.begin().unwrap();
+        let (rid, _) = engine.scan(&mut txn, table).unwrap()[0];
+        engine.update(&mut txn, table, rid, &[1, 2, 3, 4]).unwrap();
+        engine.commit(txn).unwrap();
+        assert!(matches!(
+            read_watermark(&engine),
+            Err(CoreError::Storage(StorageError::Corrupt(_)))
+        ));
+        drop(engine);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Crash injected at the fsync of an execute's commit: the program

@@ -19,8 +19,9 @@
 
 use std::collections::HashMap;
 
-use mdm_model::encode::{self, Reader};
 use mdm_model::persist::{self, RowChange};
+use mdm_model::ModelError;
+use mdm_obs::codec::{self, put_bytes, put_str, Reader};
 use mdm_storage::{StorageEngine, TableId, TxnId, WalRecord};
 
 use crate::error::{CoreError, Result};
@@ -77,8 +78,8 @@ impl SeedSlice {
         drop(snap);
         let mut bytes = Vec::new();
         for row in &rows {
-            encode::put_str(&mut bytes, &row.table);
-            encode::put_bytes(&mut bytes, row.new.as_deref().unwrap_or_default());
+            put_str(&mut bytes, &row.table);
+            put_bytes(&mut bytes, row.new.as_deref().unwrap_or_default());
         }
         Ok(SeedSlice {
             lsn,
@@ -107,11 +108,14 @@ pub(crate) fn seed_rows(bytes: &[u8]) -> Result<Vec<RowChange>> {
     let mut r = Reader::new(bytes);
     let mut rows = Vec::new();
     while r.remaining() > 0 {
-        rows.push(RowChange {
-            table: r.string()?,
-            old: None,
-            new: Some(r.bytes()?),
-        });
+        let mut row = || -> codec::Result<RowChange> {
+            Ok(RowChange {
+                table: r.string()?,
+                old: None,
+                new: Some(r.bytes()?),
+            })
+        };
+        rows.push(row().map_err(ModelError::from)?);
     }
     Ok(rows)
 }
@@ -208,5 +212,55 @@ pub(crate) fn read_txns(
             },
             watermark,
         ));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mdm_model::{AttributeDef, DataType, Database, Value};
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The seed of a one-entity image.
+    const PINNED_SEED: &str = concat!(
+        "0c0000005f5f656e7469746965735f541b0000000100000000000000020000000301000000780107",
+        "00000000000000080000005f5f736368656d61210000000100000001000000540200000001000000",
+        "61020100000062000000000000000000",
+    );
+
+    /// A seed's bytes are pinned, and they decode to the image's rows.
+    #[test]
+    fn a_seed_is_the_image_rows_in_pinned_bytes() {
+        let dir = std::env::temp_dir().join(format!("mdm-seed-pin-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let engine = StorageEngine::open(&dir).unwrap();
+        let mut db = Database::new();
+        let attr = |name: &str, ty| AttributeDef {
+            name: name.into(),
+            ty,
+        };
+        db.define_entity(
+            "T",
+            vec![attr("a", DataType::String), attr("b", DataType::Integer)],
+        )
+        .unwrap();
+        db.create_entity(
+            "T",
+            &[("a", Value::String("x".into())), ("b", Value::Integer(7))],
+        )
+        .unwrap();
+        persist::save(&db, &engine).unwrap();
+        let seed = SeedSlice::read(&engine).unwrap();
+        assert_eq!(hex(&seed.bytes), PINNED_SEED);
+        let snap = engine.snapshot();
+        assert_eq!(
+            seed_rows(&seed.bytes).unwrap(),
+            persist::image_rows(&engine, &snap).unwrap()
+        );
+        drop((snap, engine));
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

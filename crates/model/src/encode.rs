@@ -1,88 +1,17 @@
 //! Binary encodings: values, schemas, and index keys.
 
-use crate::error::{ModelError, Result};
+use mdm_storage::codec::{self, put_bytes, put_len, put_str, Reader};
+
+use crate::error::Result;
 use crate::schema::{AttributeDef, RoleDef, Schema};
 use crate::value::{DataType, Value};
-
-/// A byte cursor with bounds-checked reads.
-pub struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    /// Wraps a byte slice.
-    pub fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0 }
-    }
-
-    /// Remaining unread bytes.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let b = self
-            .buf
-            .get(self.pos..self.pos + n)
-            .ok_or_else(|| ModelError::Corrupt("record truncated".into()))?;
-        self.pos += n;
-        Ok(b)
-    }
-
-    /// Reads a u8.
-    pub fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a little-endian u32.
-    pub fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    /// Reads a little-endian u64.
-    pub fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Reads a little-endian i64.
-    pub fn i64(&mut self) -> Result<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Reads a little-endian f64.
-    pub fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Reads a length-prefixed byte string.
-    pub fn bytes(&mut self) -> Result<Vec<u8>> {
-        let n = self.u32()? as usize;
-        Ok(self.take(n)?.to_vec())
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn string(&mut self) -> Result<String> {
-        String::from_utf8(self.bytes()?).map_err(|_| ModelError::Corrupt("non-utf8 string".into()))
-    }
-}
-
-/// Appends a length-prefixed byte string.
-pub fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-    out.extend_from_slice(b);
-}
-
-/// Appends a length-prefixed UTF-8 string.
-pub fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_bytes(out, s.as_bytes());
-}
 
 // ----------------------------------------------------------------------
 // Values
 // ----------------------------------------------------------------------
 
-/// Appends one tagged value.
+/// Appends one tagged value: the one `Value` encoding, of image rows,
+/// log records and wire payloads alike.
 pub fn encode_value(out: &mut Vec<u8>, v: &Value) {
     match v {
         Value::Null => out.push(0),
@@ -114,16 +43,16 @@ pub fn encode_value(out: &mut Vec<u8>, v: &Value) {
 }
 
 /// Reads one tagged value.
-pub fn decode_value(r: &mut Reader<'_>) -> Result<Value> {
+pub fn decode_value(r: &mut Reader<'_>) -> codec::Result<Value> {
     Ok(match r.u8()? {
         0 => Value::Null,
         1 => Value::Integer(r.i64()?),
         2 => Value::Float(r.f64()?),
         3 => Value::String(r.string()?),
-        4 => Value::Boolean(r.u8()? != 0),
+        4 => Value::Boolean(r.bool()?),
         5 => Value::Bytes(r.bytes()?),
         6 => Value::Entity(r.u64()?),
-        t => return Err(ModelError::Corrupt(format!("bad value tag {t}"))),
+        t => return Err(codec::Error::Invalid("value tag", t.into())),
     })
 }
 
@@ -197,7 +126,7 @@ fn encode_datatype(out: &mut Vec<u8>, t: &DataType) {
     }
 }
 
-fn decode_datatype(r: &mut Reader<'_>) -> Result<DataType> {
+fn decode_datatype(r: &mut Reader<'_>) -> codec::Result<DataType> {
     Ok(match r.u8()? {
         0 => DataType::Integer,
         1 => DataType::Float,
@@ -205,44 +134,41 @@ fn decode_datatype(r: &mut Reader<'_>) -> Result<DataType> {
         3 => DataType::Boolean,
         4 => DataType::Bytes,
         5 => DataType::Entity(r.u32()?),
-        t => return Err(ModelError::Corrupt(format!("bad datatype tag {t}"))),
+        t => return Err(codec::Error::Invalid("datatype tag", t.into())),
     })
 }
 
 fn encode_attrs(out: &mut Vec<u8>, attrs: &[AttributeDef]) {
-    out.extend_from_slice(&(attrs.len() as u32).to_le_bytes());
+    put_len(out, attrs.len());
     for a in attrs {
         put_str(out, &a.name);
         encode_datatype(out, &a.ty);
     }
 }
 
-fn decode_attrs(r: &mut Reader<'_>) -> Result<Vec<AttributeDef>> {
-    let n = r.u32()?;
-    (0..n)
-        .map(|_| {
-            Ok(AttributeDef {
-                name: r.string()?,
-                ty: decode_datatype(r)?,
-            })
+fn decode_attrs(r: &mut Reader<'_>) -> codec::Result<Vec<AttributeDef>> {
+    r.list(5, |r| {
+        Ok(AttributeDef {
+            name: r.string()?,
+            ty: decode_datatype(r)?,
         })
-        .collect()
+    })
 }
 
 /// Serializes a schema.
 pub fn encode_schema(schema: &Schema) -> Vec<u8> {
     let mut out = Vec::new();
     let ents = schema.entity_types();
-    out.extend_from_slice(&(ents.len() as u32).to_le_bytes());
+    put_len(&mut out, ents.len());
     for e in ents {
         put_str(&mut out, &e.name);
         encode_attrs(&mut out, &e.attributes);
     }
     let rels = schema.relationships();
-    out.extend_from_slice(&(rels.len() as u32).to_le_bytes());
+    put_len(&mut out, rels.len());
     for rdef in rels {
         put_str(&mut out, &rdef.name);
-        out.extend_from_slice(&(rdef.roles.len() as u32).to_le_bytes());
+        put_len(&mut out, rdef.roles.len());
         for role in &rdef.roles {
             put_str(&mut out, &role.name);
             out.extend_from_slice(&role.entity_type.to_le_bytes());
@@ -250,7 +176,7 @@ pub fn encode_schema(schema: &Schema) -> Vec<u8> {
         encode_attrs(&mut out, &rdef.attributes);
     }
     let ords = schema.orderings();
-    out.extend_from_slice(&(ords.len() as u32).to_le_bytes());
+    put_len(&mut out, ords.len());
     for o in ords {
         match &o.name {
             Some(n) => {
@@ -259,7 +185,7 @@ pub fn encode_schema(schema: &Schema) -> Vec<u8> {
             }
             None => out.push(0),
         }
-        out.extend_from_slice(&(o.children.len() as u32).to_le_bytes());
+        put_len(&mut out, o.children.len());
         for &c in &o.children {
             out.extend_from_slice(&c.to_le_bytes());
         }
@@ -288,15 +214,12 @@ pub fn decode_schema(buf: &[u8]) -> Result<Schema> {
     let nrels = r.u32()?;
     for _ in 0..nrels {
         let name = r.string()?;
-        let nroles = r.u32()?;
-        let roles = (0..nroles)
-            .map(|_| {
-                Ok(RoleDef {
-                    name: r.string()?,
-                    entity_type: r.u32()?,
-                })
+        let roles = r.list(8, |r| {
+            Ok(RoleDef {
+                name: r.string()?,
+                entity_type: r.u32()?,
             })
-            .collect::<Result<Vec<_>>>()?;
+        })?;
         let attrs = decode_attrs(&mut r)?;
         schema.define_relationship(&name, roles, attrs)?;
     }
@@ -307,8 +230,7 @@ pub fn decode_schema(buf: &[u8]) -> Result<Schema> {
         } else {
             None
         };
-        let nch = r.u32()?;
-        let children = (0..nch).map(|_| r.u32()).collect::<Result<Vec<_>>>()?;
+        let children = r.list(4, Reader::u32)?;
         let parent = if r.u8()? == 1 { Some(r.u32()?) } else { None };
         schema.define_ordering(name.as_deref(), children, parent)?;
     }
@@ -428,6 +350,10 @@ mod tests {
         encode_value(&mut buf, &Value::String("hello".into()));
         buf.truncate(buf.len() - 2);
         let mut r = Reader::new(&buf);
-        assert!(matches!(decode_value(&mut r), Err(ModelError::Corrupt(_))));
+        assert_eq!(decode_value(&mut r), Err(codec::Error::Truncated));
+        // A `Boolean` is 0 or 1: no other byte reads as `true`.
+        let mut r = Reader::new(&[4, 2]);
+        let bad_bool = codec::Error::Invalid("bool byte", 2);
+        assert_eq!(decode_value(&mut r), Err(bad_bool));
     }
 }

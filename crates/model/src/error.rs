@@ -146,5 +146,11 @@ impl From<StorageError> for ModelError {
     }
 }
 
+impl From<mdm_storage::codec::Error> for ModelError {
+    fn from(e: mdm_storage::codec::Error) -> Self {
+        ModelError::Corrupt(e.to_string())
+    }
+}
+
 /// Convenience result alias for model operations.
 pub type Result<T> = std::result::Result<T, ModelError>;

@@ -27,6 +27,7 @@
 
 use std::collections::BTreeMap;
 
+use mdm_storage::codec::{put_len, Reader};
 use mdm_storage::{ReadSnapshot, Rid, StorageEngine, TableId, Txn};
 
 /// Rows a caller adds to an image transaction, written just before it
@@ -34,7 +35,7 @@ use mdm_storage::{ReadSnapshot, Rid, StorageEngine, TableId, Txn};
 pub type Extra<'a> = &'a mut dyn FnMut(&mut Txn) -> mdm_storage::Result<()>;
 
 use crate::db::Database;
-use crate::encode::{self, Reader};
+use crate::encode;
 use crate::error::{ModelError, Result};
 use crate::instance::{InstanceStore, Loc, RelInstance, RelInstanceId, RowKey};
 use crate::schema::{OrderingId, RelTypeId, Schema};
@@ -288,7 +289,7 @@ fn current_row(store: &InstanceStore, key: RowKey) -> Option<Vec<u8>> {
             let inst = store.entity(id).ok()?;
             let mut rec = Vec::new();
             rec.extend_from_slice(&id.to_le_bytes());
-            rec.extend_from_slice(&(inst.attrs.len() as u32).to_le_bytes());
+            put_len(&mut rec, inst.attrs.len());
             for v in inst.attrs {
                 encode::encode_value(&mut rec, v);
             }
@@ -318,11 +319,11 @@ fn rel_row(id: RelInstanceId, r: &RelInstance) -> Vec<u8> {
     let mut rec = Vec::new();
     rec.extend_from_slice(&r.rel.to_le_bytes());
     rec.extend_from_slice(&id.to_le_bytes());
-    rec.extend_from_slice(&(r.entities.len() as u32).to_le_bytes());
+    put_len(&mut rec, r.entities.len());
     for &e in &r.entities {
         rec.extend_from_slice(&e.to_le_bytes());
     }
-    rec.extend_from_slice(&(r.attrs.len() as u32).to_le_bytes());
+    put_len(&mut rec, r.attrs.len());
     for v in &r.attrs {
         encode::encode_value(&mut rec, v);
     }
@@ -370,12 +371,8 @@ fn decode_rel_row(rec: &[u8]) -> Result<RelRow> {
     let mut r = Reader::new(rec);
     let rel = r.u32()?;
     let id = r.u64()?;
-    let n = r.u32()? as usize;
-    let entities = (0..n).map(|_| r.u64()).collect::<Result<Vec<_>>>()?;
-    let nattrs = r.u32()? as usize;
-    let attrs = (0..nattrs)
-        .map(|_| encode::decode_value(&mut r))
-        .collect::<Result<Vec<_>>>()?;
+    let entities = r.list(8, Reader::u64)?;
+    let attrs = r.list(1, encode::decode_value)?;
     Ok((rel, id, entities, attrs))
 }
 
@@ -388,7 +385,7 @@ fn decode_index_row(rec: &[u8]) -> Result<(String, String, String)> {
             "index definition field is {}, not a string",
             v.type_name()
         ))),
-        Err(e) => Err(e),
+        Err(e) => Err(e.into()),
     };
     Ok((field()?, field()?, field()?))
 }
@@ -706,6 +703,17 @@ mod tests {
         let db = build_db();
         let engine = StorageEngine::open(&dir).unwrap();
         save(&db, &engine).unwrap();
+        // The image's rows (the schema, entity, edge, relationship and
+        // index rows) are pinned: an image an earlier build wrote loads.
+        let snap = engine.snapshot();
+        let rows: Vec<(String, String)> = (image_rows(&engine, &snap).unwrap().into_iter())
+            .map(|r| (r.table, hex(&r.new.unwrap())))
+            .collect();
+        drop(snap);
+        let pinned = PINNED_ROWS
+            .iter()
+            .map(|&(t, h)| (t.to_string(), h.to_string()));
+        assert_eq!(rows, pinned.collect::<Vec<_>>());
         // The image carries index definitions, not engine B-trees.
         for ty in db.schema().entity_types() {
             let table = engine.table_id(&entity_table(&ty.name)).unwrap();
@@ -723,6 +731,80 @@ mod tests {
         drop(engine);
         std::fs::remove_dir_all(&dir).ok();
     }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// `build_db()`'s image rows, as `(table, row)`.
+    const PINNED_ROWS: &[(&str, &str)] = &[
+        (
+            "__entities_CHORD",
+            "010000000000000001000000010100000000000000",
+        ),
+        (
+            "__entities_CHORD",
+            "020000000000000001000000010200000000000000",
+        ),
+        (
+            "__entities_NOTE",
+            "03000000000000000200000001000000000000000003020000004334",
+        ),
+        (
+            "__entities_NOTE",
+            "04000000000000000200000001010000000000000003020000004534",
+        ),
+        (
+            "__entities_NOTE",
+            "05000000000000000200000001020000000000000003020000004734",
+        ),
+        (
+            "__entities_PERSON",
+            "060000000000000001000000030400000042616368",
+        ),
+        (
+            "__indexes",
+            "030d0000006e6f74655f62795f706974636803040000004e4f544503050000007069746368",
+        ),
+        (
+            "__orderings",
+            "000000000100000000000000000000000300000000000000",
+        ),
+        (
+            "__orderings",
+            "000000000100000000000000010000000400000000000000",
+        ),
+        (
+            "__orderings",
+            "000000000100000000000000020000000500000000000000",
+        ),
+        (
+            "__orderings",
+            "010000000000000000000000000000000100000000000000",
+        ),
+        (
+            "__orderings",
+            "010000000000000000000000010000000200000000000000",
+        ),
+        (
+            "__relationships",
+            concat!(
+                "00000000010000000000000002000000060000000000000001000000000000000100000002cdcccc",
+                "ccccccec3f",
+            ),
+        ),
+        (
+            "__schema",
+            concat!(
+                "030000000500000043484f524401000000040000006e616d6500040000004e4f5445020000000400",
+                "00006e616d65000500000070697463680206000000504552534f4e01000000040000006e616d6502",
+                "0100000005000000504c4159530200000006000000706c61796572020000000500000063686f7264",
+                "00000000010000000a000000636f6e666964656e63650102000000010d0000006e6f74655f696e5f",
+                "63686f726401000000010000000100000000010a000000616c6c5f63686f72647301000000000000",
+                "0000",
+            ),
+        ),
+    ];
 
     #[test]
     fn roundtrip_survives_reopen() {

@@ -18,6 +18,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use mdm_storage::codec::{self, put_len, Reader};
+
 use crate::value::TypeId;
 
 /// A point-in-time copy of one entity type's counters.
@@ -191,7 +193,7 @@ impl AccessStats {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = vec![1u8]; // format version
         let mut indexes = Vec::new();
-        out.extend_from_slice(&(self.tables.len() as u32).to_le_bytes());
+        put_len(&mut out, self.tables.len());
         for (ty, t) in self.tables.iter().enumerate() {
             out.extend_from_slice(&(ty as TypeId).to_le_bytes());
             for v in [&t.appends, &t.replaces, &t.deletes, &t.heap_fetches] {
@@ -204,7 +206,7 @@ impl AccessStats {
                 }
             }
         }
-        out.extend_from_slice(&(indexes.len() as u32).to_le_bytes());
+        put_len(&mut out, indexes.len());
         for (ty, attr, counts) in indexes {
             out.extend_from_slice(&ty.to_le_bytes());
             out.extend_from_slice(&attr.to_le_bytes());
@@ -220,57 +222,36 @@ impl AccessStats {
     /// malformed input (the stats are best-effort; a bad image must
     /// never fail an open).
     pub fn restore(&self, bytes: &[u8]) -> bool {
-        let pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Option<&[u8]> {
-            let s = bytes.get(*pos..*pos + n)?;
-            *pos += n;
-            Some(s)
-        };
-        let u32_at = |pos: &mut usize| -> Option<u32> {
-            Some(u32::from_le_bytes(take(pos, 4)?.try_into().ok()?))
-        };
-        let u64_at = |pos: &mut usize| -> Option<u64> {
-            Some(u64::from_le_bytes(take(pos, 8)?.try_into().ok()?))
-        };
         // Decoded image rows: per-table counters and per-(type, attr)
         // index counters, in encode order.
         type TableRow = (TypeId, [u64; 4]);
         type IndexRow = ((TypeId, usize), [u64; 3]);
-        let parse = || -> Option<(Vec<TableRow>, Vec<IndexRow>)> {
-            let mut pos = pos;
-            if *take(&mut pos, 1)?.first()? != 1 {
-                return None;
+        let parse = || -> codec::Result<(Vec<TableRow>, Vec<IndexRow>)> {
+            let mut r = Reader::new(bytes);
+            match r.u8()? {
+                1 => {}
+                v => return Err(codec::Error::Invalid("statistics format", v.into())),
             }
-            let nt = u32_at(&mut pos)? as usize;
-            if nt > bytes.len() / 36 + 1 {
-                return None;
-            }
-            let mut tables = Vec::with_capacity(nt);
-            for _ in 0..nt {
-                let ty = u32_at(&mut pos)?;
+            let tables = r.list(36, |r| {
+                let ty = r.u32()?;
                 let mut vals = [0u64; 4];
                 for v in &mut vals {
-                    *v = u64_at(&mut pos)?;
+                    *v = r.u64()?;
                 }
-                tables.push((ty, vals));
-            }
-            let ni = u32_at(&mut pos)? as usize;
-            if ni > bytes.len() / 32 + 1 {
-                return None;
-            }
-            let mut indexes = Vec::with_capacity(ni);
-            for _ in 0..ni {
-                let ty = u32_at(&mut pos)?;
-                let attr = u32_at(&mut pos)? as usize;
+                Ok((ty, vals))
+            })?;
+            let indexes = r.list(32, |r| {
+                let key = (r.u32()?, r.u32()? as usize);
                 let mut vals = [0u64; 3];
                 for v in &mut vals {
-                    *v = u64_at(&mut pos)?;
+                    *v = r.u64()?;
                 }
-                indexes.push(((ty, attr), vals));
-            }
-            (pos == bytes.len()).then_some((tables, indexes))
+                Ok((key, vals))
+            })?;
+            r.finish()?;
+            Ok((tables, indexes))
         };
-        let Some((tables, indexes)) = parse() else {
+        let Ok((tables, indexes)) = parse() else {
             return false;
         };
         // The image is outside input: counters of a type or attribute
@@ -371,6 +352,16 @@ mod tests {
         assert_eq!(s.table(2).heap_fetches, 0, "and so is the original");
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The image `encode_restore_roundtrip_excludes_live` writes.
+    const PINNED_IMAGE: &str = concat!(
+        "01010000000000000001000000000000000000000000000000000000000000000001000000000000",
+        "00010000000000000002000000010000000000000000000000000000000000000000000000",
+    );
+
     #[test]
     fn encode_restore_roundtrip_excludes_live() {
         let s = stats(1);
@@ -378,6 +369,7 @@ mod tests {
         s.credit(0, 1);
         s.note_eq_probe(0, 2);
         let image = s.encode();
+        assert_eq!(hex(&image), PINNED_IMAGE);
         let back = stats(1);
         assert!(back.restore(&image));
         assert_eq!(back.table(0).appends, 1);

@@ -3,10 +3,11 @@
 
 use proptest::prelude::*;
 
-use mdm_model::encode::{decode_value, encode_value, value_key, Reader};
+use mdm_model::encode::{decode_value, encode_value, value_key};
 use mdm_model::instance::InstanceStore;
 use mdm_model::schema::Schema;
 use mdm_model::value::{EntityId, Value};
+use mdm_storage::codec::Reader;
 
 /// Operations applied both to the store and to a Vec reference model.
 #[derive(Debug, Clone)]

@@ -75,6 +75,15 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
+impl From<mdm_obs::codec::Error> for DecodeError {
+    fn from(e: mdm_obs::codec::Error) -> Self {
+        match e {
+            mdm_obs::codec::Error::Truncated => DecodeError::Truncated,
+            e => DecodeError::BadPayload(e.to_string()),
+        }
+    }
+}
+
 /// Error classes a server can put on the wire. The numeric values are
 /// part of the protocol: never reuse one for a different meaning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -12,13 +12,13 @@
 
 use mdm_core::stream::{Feed, ReplTxn, SeedSlice};
 use mdm_lang::{PlanExplain, StmtResult, Table, VarPlan};
+use mdm_model::encode::{decode_value, encode_value};
 use mdm_model::persist::RowChange;
-use mdm_model::Value;
 use mdm_notation::Score;
+use mdm_obs::codec::{self, put_bytes, put_len, put_str, Reader};
 
 use crate::error::{DecodeError, ErrorCode};
 use crate::scorecodec;
-use crate::wire::{put_len, put_str, Cursor};
 
 /// Tracing control operation carried by [`Message::TraceControl`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -394,7 +394,7 @@ impl Message {
     /// Decodes a payload for `msg_type`. Total: unknown tags and every
     /// malformed payload produce a typed error.
     pub fn decode(msg_type: u16, payload: &[u8]) -> Result<Message, DecodeError> {
-        let mut c = Cursor::new(payload);
+        let mut c = Reader::new(payload);
         let msg = match msg_type {
             T_HELLO => Message::Hello {
                 client: c.string()?,
@@ -442,14 +442,9 @@ impl Message {
             T_ROWS => Message::Rows {
                 table: decode_table(&mut c)?,
             },
-            T_RESULTS => {
-                let n = c.len(1)?;
-                let mut results = Vec::with_capacity(n);
-                for _ in 0..n {
-                    results.push(decode_stmt_result(&mut c)?);
-                }
-                Message::Results { results }
-            }
+            T_RESULTS => Message::Results {
+                results: c.list(1, decode_stmt_result)?,
+            },
             T_SCORE_STORED => Message::ScoreStored { id: c.u64()? },
             T_SCORE_DATA => Message::ScoreData {
                 score: scorecodec::decode_score(&mut c)?,
@@ -457,15 +452,9 @@ impl Message {
             T_SCORE_FOUND => Message::ScoreFound {
                 id: if c.bool()? { Some(c.u64()?) } else { None },
             },
-            T_SCORE_LIST => {
-                let n = c.len(12)?;
-                let mut scores = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let id = c.u64()?;
-                    scores.push((id, c.string()?));
-                }
-                Message::ScoreList { scores }
-            }
+            T_SCORE_LIST => Message::ScoreList {
+                scores: c.list(12, |c| Ok((c.u64()?, c.string()?)))?,
+            },
             T_REPL_BATCH => Message::ReplBatch {
                 feed: decode_feed(&mut c)?,
                 durable_lsn: c.u64()?,
@@ -476,17 +465,15 @@ impl Message {
                 chrome_json: c.string()?,
             },
             T_PLAN => {
-                let n = c.len(4)?;
-                let mut vars = Vec::with_capacity(n);
-                for _ in 0..n {
-                    vars.push(VarPlan {
+                let vars = c.list(4, |c| {
+                    Ok(VarPlan {
                         var: c.string()?,
                         target: c.string()?,
                         path: c.string()?,
                         estimated: c.u64()? as usize,
                         stats: c.string()?,
-                    });
-                }
+                    })
+                })?;
                 let explain = PlanExplain {
                     vars,
                     estimated_rows: c.u64()?,
@@ -515,53 +502,8 @@ impl Message {
 }
 
 // ----------------------------------------------------------------------
-// Values, tables, statement results
+// Tables, statement results
 // ----------------------------------------------------------------------
-
-/// Appends one tagged [`Value`].
-pub fn encode_value(out: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => out.push(0),
-        Value::Integer(i) => {
-            out.push(1);
-            out.extend_from_slice(&i.to_le_bytes());
-        }
-        Value::Float(x) => {
-            out.push(2);
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        Value::String(s) => {
-            out.push(3);
-            put_str(out, s);
-        }
-        Value::Boolean(b) => {
-            out.push(4);
-            out.push(*b as u8);
-        }
-        Value::Bytes(b) => {
-            out.push(5);
-            crate::wire::put_bytes(out, b);
-        }
-        Value::Entity(e) => {
-            out.push(6);
-            out.extend_from_slice(&e.to_le_bytes());
-        }
-    }
-}
-
-/// Reads one tagged [`Value`].
-pub fn decode_value(c: &mut Cursor<'_>) -> Result<Value, DecodeError> {
-    Ok(match c.u8()? {
-        0 => Value::Null,
-        1 => Value::Integer(c.i64()?),
-        2 => Value::Float(c.f64()?),
-        3 => Value::String(c.string()?),
-        4 => Value::Boolean(c.bool()?),
-        5 => Value::Bytes(c.bytes()?),
-        6 => Value::Entity(c.u64()?),
-        t => return Err(DecodeError::BadPayload(format!("bad value tag {t}"))),
-    })
-}
 
 fn encode_table(out: &mut Vec<u8>, t: &Table) {
     put_len(out, t.columns.len());
@@ -576,21 +518,16 @@ fn encode_table(out: &mut Vec<u8>, t: &Table) {
     }
 }
 
-fn decode_table(c: &mut Cursor<'_>) -> Result<Table, DecodeError> {
-    let ncols = c.len(4)?;
-    let mut columns = Vec::with_capacity(ncols);
-    for _ in 0..ncols {
-        columns.push(c.string()?);
-    }
-    let nrows = c.len(ncols.max(1))?;
-    let mut rows = Vec::with_capacity(nrows);
-    for _ in 0..nrows {
+fn decode_table(c: &mut Reader<'_>) -> codec::Result<Table> {
+    let columns = c.list(4, Reader::string)?;
+    let ncols = columns.len();
+    let rows = c.list(ncols.max(1), |c| {
         let mut row = Vec::with_capacity(ncols);
         for _ in 0..ncols {
             row.push(decode_value(c)?);
         }
-        rows.push(row);
-    }
+        Ok(row)
+    })?;
     Ok(Table { columns, rows })
 }
 
@@ -620,7 +557,7 @@ fn encode_stmt_result(out: &mut Vec<u8>, r: &StmtResult) {
     }
 }
 
-fn decode_stmt_result(c: &mut Cursor<'_>) -> Result<StmtResult, DecodeError> {
+fn decode_stmt_result(c: &mut Reader<'_>) -> codec::Result<StmtResult> {
     Ok(match c.u8()? {
         0 => StmtResult::Defined(c.string()?),
         1 => StmtResult::RangeDeclared,
@@ -628,7 +565,7 @@ fn decode_stmt_result(c: &mut Cursor<'_>) -> Result<StmtResult, DecodeError> {
         3 => StmtResult::Appended(c.u64()? as usize),
         4 => StmtResult::Replaced(c.u64()? as usize),
         5 => StmtResult::Deleted(c.u64()? as usize),
-        t => return Err(DecodeError::BadPayload(format!("bad result tag {t}"))),
+        t => return Err(codec::Error::Invalid("result tag", t.into())),
     })
 }
 
@@ -639,7 +576,7 @@ fn encode_feed(out: &mut Vec<u8>, feed: &Feed) {
     fn put_image(out: &mut Vec<u8>, image: &Option<Vec<u8>>) {
         out.push(image.is_some() as u8);
         if let Some(b) = image {
-            crate::wire::put_bytes(out, b);
+            put_bytes(out, b);
         }
     }
     match feed {
@@ -662,50 +599,45 @@ fn encode_feed(out: &mut Vec<u8>, feed: &Feed) {
             for v in [slice.lsn, slice.offset, slice.total] {
                 out.extend_from_slice(&v.to_le_bytes());
             }
-            crate::wire::put_bytes(out, &slice.bytes);
+            put_bytes(out, &slice.bytes);
         }
     }
 }
 
-fn decode_feed(c: &mut Cursor<'_>) -> Result<Feed, DecodeError> {
-    fn image(c: &mut Cursor<'_>) -> Result<Option<Vec<u8>>, DecodeError> {
+fn decode_feed(c: &mut Reader<'_>) -> codec::Result<Feed> {
+    fn image(c: &mut Reader<'_>) -> codec::Result<Option<Vec<u8>>> {
         Ok(if c.bool()? { Some(c.bytes()?) } else { None })
     }
     Ok(match c.u8()? {
-        0 => {
-            let n = c.len(12)?;
-            let mut txns = Vec::with_capacity(n);
-            for _ in 0..n {
-                let end_lsn = c.u64()?;
-                let m = c.len(6)?;
-                let mut changes = Vec::with_capacity(m);
-                for _ in 0..m {
-                    changes.push(RowChange {
-                        table: c.string()?,
-                        old: image(c)?,
-                        new: image(c)?,
-                    });
-                }
-                txns.push(ReplTxn { end_lsn, changes });
-            }
-            Feed::Txns {
-                txns,
-                next_lsn: c.u64()?,
-            }
-        }
+        0 => Feed::Txns {
+            txns: c.list(12, |c| {
+                Ok(ReplTxn {
+                    end_lsn: c.u64()?,
+                    changes: c.list(6, |c| {
+                        Ok(RowChange {
+                            table: c.string()?,
+                            old: image(c)?,
+                            new: image(c)?,
+                        })
+                    })?,
+                })
+            })?,
+            next_lsn: c.u64()?,
+        },
         1 => Feed::Seed(SeedSlice {
             lsn: c.u64()?,
             offset: c.u64()?,
             total: c.u64()?,
             bytes: c.bytes()?,
         }),
-        t => return Err(DecodeError::BadPayload(format!("unknown feed tag {t}"))),
+        t => return Err(codec::Error::Invalid("feed tag", t.into())),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mdm_model::Value;
     use mdm_notation::fixtures::bwv578_subject;
 
     fn roundtrip(m: &Message) -> Message {
@@ -861,10 +793,102 @@ mod tests {
                 message: "replica is read-only".into(),
             },
         ];
-        for m in &messages {
+        assert_eq!(messages.len(), PINNED_PAYLOADS.len());
+        for (m, pinned) in messages.iter().zip(PINNED_PAYLOADS) {
+            assert_eq!(hex(&m.encode_payload()), *pinned, "{}", m.type_name());
             assert_eq!(&roundtrip(m), m);
         }
     }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// `bwv578_subject()`, as `encode_score` writes it.
+    const BWV578_SUBJECT: &str = concat!(
+        "0b0000004675676520672d6d6f6c6c01070000004257562035373801150000004a6f68616e6e2053",
+        "656261737469616e2042616368010000000400000046756765040401000000000000000000000001",
+        "0000000000000000000000000055400001000000070000007375626a656374050000006f7267616e",
+        "06000000747265626c65fe1500000000010000004700040000000000000700000071756172746572",
+        "00010100010000004400050000000000000700000071756172746572000101000100000042ff0400",
+        "00000000000700000071756172746572010101000100000041000400000000000006000000656967",
+        "687468000101000100000047000400000000000006000000656967687468000101000100000042ff",
+        "04000000000000060000006569676874680001010001000000410004000000000000060000006569",
+        "67687468000101000100000047000400000000000006000000656967687468000101000100000046",
+        "01040000000000000600000065696768746800010100010000004100040000000000000600000065",
+        "69676874680001010001000000440004000000000000070000007175617274657200010100010000",
+        "00440004000000000000090000007369787465656e74680001010001000000450004000000000000",
+        "090000007369787465656e7468000101000100000046010400000000000009000000736978746565",
+        "6e74680001010001000000470004000000000000090000007369787465656e746800010100010000",
+        "00410004000000000000090000007369787465656e7468000101000100000042ff04000000000000",
+        "090000007369787465656e7468000101000100000043000500000000000009000000736978746565",
+        "6e74680001010001000000410004000000000000090000007369787465656e746800010100010000",
+        "0042ff04000000000000070000007175617274657200010100010000004700040000000000000700",
+        "0000717561727465720001010000000000000000",
+    );
+
+    /// The payloads of `every_message_roundtrips`, in its order.
+    const PINNED_PAYLOADS: &[&str] = &[
+        "050000007368656c6c0500",                             // hello
+        "",                                                   // ping
+        "15000000726574726965766520286e2e6d6964695f6b657929", // query
+        "20000000617070656e6420746f20504552534f4e20286e616d65203d2022426163682229", // execute
+        BWV578_SUBJECT,                                       // store_score
+        "1100000000000000",                                   // load_score
+        "0b0000004675676520672d6d6f6c6c",                     // find_score
+        "",                                                   // list_scores
+        "010400000000000000",                                 // trace_control
+        "000000000000000000",                                 // trace_control
+        "02e02e000000000000",                                 // trace_control
+        "0105000000",                                         // trace_fetch
+        // explain
+        "2400000072616e6765206f66206e206973204e4f54450a726574726965766520286e2e6e616d6529",
+        "070000006d646d20302e310500", // hello_ack
+        "",                           // pong
+        // rows
+        concat!(
+            "02000000040000006e616d65080000006d6964695f6b657902000000030400000042616368014600",
+            "0000000000000002000000000000f83f",
+        ),
+        // results
+        concat!(
+            "060000000008000000656e7469747920580103030000000000000004010000000000000005020000",
+            "000000000002010000000100000061010000000401",
+        ),
+        "0500000000000000",   // score_stored
+        BWV578_SUBJECT,       // score_data
+        "010900000000000000", // score_found
+        "00",                 // score_found
+        "020000000100000000000000010000006102000000000000000100000062", // score_list
+        // trace_dump
+        concat!(
+            "1900000074726163652061622028312075732c2031207370616e73290a120000007b227472616365",
+            "4576656e7473223a5b5d7d",
+        ),
+        // plan
+        concat!(
+            "02000000010000006e040000004e4f54450e000000696e6465782d6571286e616d65290100000000",
+            "000000190000006c6976653d34342064697374696e63743d3430206573743d310100000063050000",
+            "0043484f5244040000007363616e2800000000000000000000002800000000000000040000000000",
+            "00002c0000000000000001000000040000006e616d6501000000013400000000000000",
+        ),
+        "07000000000000002a00000000000000090000000000000000001000", // repl_pull
+        // repl_batch
+        concat!(
+            "00010000002c00000000000000020000000f0000005f5f656e7469746965735f4e4f544500010300",
+            "00000102030b0000005f5f6f72646572696e67730109000000ffffffffffffffffff003000000000",
+            "0000003000000000000000a0f0190000000000",
+        ),
+        // repl_batch
+        concat!(
+            "012a0000000000000064000000000000002c01000000000000640000000707070707070707070707",
+            "07070707070707070707070707070707070707070707070707070707070707070707070707070707",
+            "07070707070707070707070707070707070707070707070707070707070707070707070707070707",
+            "0707070707070707072d000000000000000200000000000000",
+        ),
+        "0300110000006e6f20737563682073636f72653a204039", // error
+        "0900140000007265706c69636120697320726561642d6f6e6c79", // error
+    ];
 
     #[test]
     fn fields_older_versions_omitted_are_required() {

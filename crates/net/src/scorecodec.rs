@@ -12,8 +12,9 @@ use mdm_notation::{
     Voice, VoiceElement,
 };
 
+use mdm_obs::codec::{put_len, put_str, Reader};
+
 use crate::error::DecodeError;
-use crate::wire::{put_len, put_str, Cursor};
 
 fn put_opt_str(out: &mut Vec<u8>, s: &Option<String>) {
     match s {
@@ -25,7 +26,7 @@ fn put_opt_str(out: &mut Vec<u8>, s: &Option<String>) {
     }
 }
 
-fn opt_str(c: &mut Cursor<'_>) -> Result<Option<String>, DecodeError> {
+fn opt_str(c: &mut Reader<'_>) -> Result<Option<String>, DecodeError> {
     Ok(if c.bool()? { Some(c.string()?) } else { None })
 }
 
@@ -45,7 +46,7 @@ pub fn encode_score(out: &mut Vec<u8>, s: &Score) {
 }
 
 /// Reads a score, validating every notation invariant.
-pub fn decode_score(c: &mut Cursor<'_>) -> Result<Score, DecodeError> {
+pub fn decode_score(c: &mut Reader<'_>) -> Result<Score, DecodeError> {
     let title = c.string()?;
     let catalog_id = opt_str(c)?;
     let composer = opt_str(c)?;
@@ -88,7 +89,7 @@ fn encode_movement(out: &mut Vec<u8>, m: &Movement) {
     }
 }
 
-fn decode_movement(c: &mut Cursor<'_>) -> Result<Movement, DecodeError> {
+fn decode_movement(c: &mut Reader<'_>) -> Result<Movement, DecodeError> {
     let name = c.string()?;
     let numerator = c.u8()?;
     let denominator = c.u8()?;
@@ -193,7 +194,7 @@ fn encode_voice(out: &mut Vec<u8>, v: &Voice) {
     }
 }
 
-fn decode_voice(c: &mut Cursor<'_>) -> Result<Voice, DecodeError> {
+fn decode_voice(c: &mut Reader<'_>) -> Result<Voice, DecodeError> {
     let name = c.string()?;
     let instrument = c.string()?;
     let clef_name = c.string()?;
@@ -264,7 +265,7 @@ fn encode_note(out: &mut Vec<u8>, n: &Note) {
     put_opt_str(out, &n.syllable);
 }
 
-fn decode_note(c: &mut Cursor<'_>) -> Result<Note, DecodeError> {
+fn decode_note(c: &mut Reader<'_>) -> Result<Note, DecodeError> {
     let letter = c.u8()? as char;
     let step = Step::from_letter(letter).ok_or_else(|| bad(format!("bad step '{letter}'")))?;
     let alter = c.u8()? as i8 as i32;
@@ -303,7 +304,7 @@ fn encode_duration(out: &mut Vec<u8>, d: &Duration) {
     out.push(d.tuplet.1);
 }
 
-fn decode_duration(c: &mut Cursor<'_>) -> Result<Duration, DecodeError> {
+fn decode_duration(c: &mut Reader<'_>) -> Result<Duration, DecodeError> {
     let base_name = c.string()?;
     let base = BaseDuration::from_name(&base_name)
         .ok_or_else(|| bad(format!("unknown duration '{base_name}'")))?;
@@ -336,7 +337,7 @@ mod tests {
     }
 
     fn decode(bytes: &[u8]) -> Result<Score, DecodeError> {
-        let mut c = Cursor::new(bytes);
+        let mut c = Reader::new(bytes);
         let s = decode_score(&mut c)?;
         c.finish()?;
         Ok(s)

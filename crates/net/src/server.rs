@@ -494,9 +494,11 @@ fn handle_request(shared: &Shared, request: Message) -> Message {
                 Err(e) => core_error_response(&e),
             }
         }
-        // Replication: a replica pulling the stream. Served under the
-        // read half — streaming never blocks writers, and only what is
-        // durable is shipped.
+        // Replication: a replica pulling the stream; only what is
+        // durable is shipped. The pull holds the manager's read lock,
+        // which `Execute` and `StoreScore` wait on for the write lock,
+        // and its log read takes the log latch every commit's sync
+        // needs: a pull does block writers (ROADMAP item 2).
         Message::ReplPull {
             replica_id,
             from_lsn,

@@ -251,140 +251,8 @@ pub fn write_frame_traced<W: Write>(
     Ok(frame.len())
 }
 
-// ----------------------------------------------------------------------
-// Payload cursor
-// ----------------------------------------------------------------------
-
-/// A bounds-checked cursor over a payload, yielding typed decode errors
-/// (never panicking) on truncated or malformed input.
-pub struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    /// Wraps a payload.
-    pub fn new(buf: &'a [u8]) -> Cursor<'a> {
-        Cursor { buf, pos: 0 }
-    }
-
-    /// Unread byte count.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Fails unless the payload was fully consumed — trailing garbage is
-    /// a decode error, not silently ignored.
-    pub fn finish(&self) -> std::result::Result<(), DecodeError> {
-        if self.remaining() != 0 {
-            return Err(DecodeError::BadPayload(format!(
-                "{} trailing bytes after message",
-                self.remaining()
-            )));
-        }
-        Ok(())
-    }
-
-    fn take(&mut self, n: usize) -> std::result::Result<&'a [u8], DecodeError> {
-        let end = self.pos.checked_add(n).ok_or(DecodeError::Truncated)?;
-        let b = self.buf.get(self.pos..end).ok_or(DecodeError::Truncated)?;
-        self.pos = end;
-        Ok(b)
-    }
-
-    /// Reads a u8.
-    pub fn u8(&mut self) -> std::result::Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a bool encoded as 0/1 (other values are malformed).
-    pub fn bool(&mut self) -> std::result::Result<bool, DecodeError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            v => Err(DecodeError::BadPayload(format!("bad bool byte {v}"))),
-        }
-    }
-
-    /// Reads a little-endian u16.
-    pub fn u16(&mut self) -> std::result::Result<u16, DecodeError> {
-        Ok(u16::from_le_bytes(
-            self.take(2)?.try_into().expect("2 bytes"),
-        ))
-    }
-
-    /// Reads a little-endian u32.
-    pub fn u32(&mut self) -> std::result::Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    /// Reads a little-endian u64.
-    pub fn u64(&mut self) -> std::result::Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    /// Reads a little-endian i64.
-    pub fn i64(&mut self) -> std::result::Result<i64, DecodeError> {
-        Ok(i64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    /// Reads a little-endian f64.
-    pub fn f64(&mut self) -> std::result::Result<f64, DecodeError> {
-        Ok(f64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    /// Reads a length-prefixed byte string.
-    pub fn bytes(&mut self) -> std::result::Result<Vec<u8>, DecodeError> {
-        let n = self.u32()? as usize;
-        // Never allocate more than the bytes actually present: a hostile
-        // length prefix larger than the remaining payload is truncation.
-        if n > self.remaining() {
-            return Err(DecodeError::Truncated);
-        }
-        Ok(self.take(n)?.to_vec())
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn string(&mut self) -> std::result::Result<String, DecodeError> {
-        String::from_utf8(self.bytes()?)
-            .map_err(|_| DecodeError::BadPayload("non-UTF-8 string".into()))
-    }
-
-    /// Reads a collection length prefix, bounded by the bytes that could
-    /// possibly back it (`min_item_bytes` per element) so hostile counts
-    /// cannot preallocate unbounded memory.
-    pub fn len(&mut self, min_item_bytes: usize) -> std::result::Result<usize, DecodeError> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(min_item_bytes.max(1)) > self.remaining() {
-            return Err(DecodeError::Truncated);
-        }
-        Ok(n)
-    }
-}
-
-/// Appends a length-prefixed byte string.
-pub fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-    out.extend_from_slice(b);
-}
-
-/// Appends a length-prefixed UTF-8 string.
-pub fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_bytes(out, s.as_bytes());
-}
-
-/// Appends a collection length prefix.
-pub fn put_len(out: &mut Vec<u8>, n: usize) {
-    out.extend_from_slice(&(n as u32).to_le_bytes());
-}
+/// The payload reader, under the name older callers know.
+pub use mdm_obs::codec::Reader as Cursor;
 
 #[cfg(test)]
 mod tests {
@@ -513,23 +381,5 @@ mod tests {
         let frame = encode_frame(1, 1, b"hello world").unwrap();
         let err = read_frame(&mut frame[..frame.len() - 3].as_ref()).unwrap_err();
         assert!(matches!(err, NetError::ConnectionClosed), "{err:?}");
-    }
-
-    #[test]
-    fn cursor_rejects_hostile_length_prefixes() {
-        // A 4 GiB string length inside a 8-byte payload must not allocate.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&u32::MAX.to_le_bytes());
-        buf.extend_from_slice(&[0; 4]);
-        let mut c = Cursor::new(&buf);
-        assert_eq!(c.string(), Err(DecodeError::Truncated));
-    }
-
-    #[test]
-    fn cursor_finish_rejects_trailing_garbage() {
-        let buf = [1u8, 2, 3];
-        let mut c = Cursor::new(&buf);
-        c.u8().unwrap();
-        assert!(matches!(c.finish(), Err(DecodeError::BadPayload(_))));
     }
 }

@@ -9,6 +9,10 @@
 //!   elapsed wall time into a histogram on drop.
 //! * [`registry`] — a [`Registry`] of named, labelled metric handles with
 //!   consistent [`Snapshot`] export as JSON and Prometheus text format.
+//! * [`codec`] — the one byte codec: a bounds-checked [`codec::Reader`]
+//!   and the length-prefixed writers every binary format of the system
+//!   (log, catalog, image rows, seeds, statistics images, wire payloads)
+//!   is written and read with.
 //! * [`json`] — a minimal JSON parser used by tests and by the bench
 //!   smoke-mode validator; the exporters in [`registry`] emit JSON this
 //!   parser round-trips.
@@ -41,6 +45,7 @@
 //! assert!(snap.to_prometheus().contains("mdm_pool_hits_total 1"));
 //! ```
 
+pub mod codec;
 pub mod json;
 pub mod metrics;
 pub mod monitor;

@@ -14,6 +14,7 @@
 use std::collections::HashMap;
 use std::sync::Mutex;
 
+use crate::codec::{self, put_len, put_str, Reader};
 use crate::metrics::LATENCY_MICROS_BOUNDS;
 use crate::registry::HistogramSnap;
 
@@ -243,11 +244,10 @@ impl StatementStore {
         entries.sort_by_key(|a| a.tick);
         let mut out = Vec::new();
         out.push(1u8); // format version
-        out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+        put_len(&mut out, entries.len());
         for slot in entries {
             let s = &slot.stats;
-            out.extend_from_slice(&(s.fingerprint.len() as u32).to_le_bytes());
-            out.extend_from_slice(s.fingerprint.as_bytes());
+            put_str(&mut out, &s.fingerprint);
             for v in [
                 s.calls,
                 s.total_micros,
@@ -260,7 +260,7 @@ impl StatementStore {
             ] {
                 out.extend_from_slice(&v.to_le_bytes());
             }
-            out.extend_from_slice(&(s.buckets.len() as u32).to_le_bytes());
+            put_len(&mut out, s.buckets.len());
             for b in &s.buckets {
                 out.extend_from_slice(&b.to_le_bytes());
             }
@@ -274,7 +274,7 @@ impl StatementStore {
     ///
     /// [`encode`]: Self::encode
     pub fn restore(&self, bytes: &[u8]) -> bool {
-        let Some(decoded) = decode_image(bytes) else {
+        let Ok(decoded) = decode_image(bytes) else {
             return false;
         };
         let mut inner = self.inner.lock().unwrap();
@@ -291,56 +291,37 @@ impl StatementStore {
     }
 }
 
-fn decode_image(bytes: &[u8]) -> Option<Vec<StatementStats>> {
-    let mut pos = 0usize;
-    let take = |pos: &mut usize, n: usize| -> Option<&[u8]> {
-        let s = bytes.get(*pos..*pos + n)?;
-        *pos += n;
-        Some(s)
-    };
-    let u32_at = |pos: &mut usize| -> Option<u32> {
-        Some(u32::from_le_bytes(take(pos, 4)?.try_into().ok()?))
-    };
-    let u64_at = |pos: &mut usize| -> Option<u64> {
-        Some(u64::from_le_bytes(take(pos, 8)?.try_into().ok()?))
-    };
-    if *take(&mut pos, 1)?.first()? != 1 {
-        return None;
+fn decode_image(bytes: &[u8]) -> codec::Result<Vec<StatementStats>> {
+    let mut r = Reader::new(bytes);
+    match r.u8()? {
+        1 => {}
+        v => return Err(codec::Error::Invalid("statistics format", v.into())),
     }
-    let n = u32_at(&mut pos)? as usize;
-    // Each entry is at least 4 + 8*8 + 4 bytes: a length claim beyond
-    // that bound is garbage, not a huge store.
-    if n > bytes.len() / 72 + 1 {
-        return None;
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let flen = u32_at(&mut pos)? as usize;
-        let fingerprint = String::from_utf8(take(&mut pos, flen)?.to_vec()).ok()?;
-        let mut stats = StatementStats::new(&fingerprint);
-        stats.calls = u64_at(&mut pos)?;
-        stats.total_micros = u64_at(&mut pos)?;
-        stats.rows_returned = u64_at(&mut pos)?;
-        stats.rows_scanned = u64_at(&mut pos)?;
-        stats.paths.scan = u64_at(&mut pos)?;
-        stats.paths.index_eq = u64_at(&mut pos)?;
-        stats.paths.index_range = u64_at(&mut pos)?;
-        stats.paths.ord = u64_at(&mut pos)?;
-        let blen = u32_at(&mut pos)? as usize;
+    // Each entry is at least 4 + 8*8 + 4 bytes: a count beyond that
+    // bound is garbage, not a huge store.
+    let out = r.list(72, |r| {
+        let mut stats = StatementStats::new(&r.string()?);
+        stats.calls = r.u64()?;
+        stats.total_micros = r.u64()?;
+        stats.rows_returned = r.u64()?;
+        stats.rows_scanned = r.u64()?;
+        stats.paths.scan = r.u64()?;
+        stats.paths.index_eq = r.u64()?;
+        stats.paths.index_range = r.u64()?;
+        stats.paths.ord = r.u64()?;
+        let blen = r.u32()? as usize;
         if blen > LATENCY_MICROS_BOUNDS.len() + 1 {
-            return None;
+            return Err(codec::Error::Invalid("bucket count", blen as u64));
         }
         let mut buckets = vec![0u64; LATENCY_MICROS_BOUNDS.len() + 1];
         for b in buckets.iter_mut().take(blen) {
-            *b = u64_at(&mut pos)?;
+            *b = r.u64()?;
         }
         stats.buckets = buckets;
-        out.push(stats);
-    }
-    if pos != bytes.len() {
-        return None;
-    }
-    Some(out)
+        Ok(stats)
+    })?;
+    r.finish()?;
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -398,6 +379,25 @@ mod tests {
         assert_eq!(store.evictions(), 1);
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The image `encode_restore_roundtrip` writes.
+    const PINNED_IMAGE: &str = concat!(
+        "0102000000040000007131203f0200000000000000c8000000000000000600000000000000500000",
+        "00000000000400000000000000020000000000000000000000000000000000000000000000100000",
+        "00000000000000000000000000000000000000000000000000010000000000000001000000000000",
+        "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
+        "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
+        "000000000000000000040000007132203f0100000000000000070000000000000000000000000000",
+        "00010000000000000000000000000000000100000000000000000000000000000000000000000000",
+        "00100000000100000000000000000000000000000000000000000000000000000000000000000000",
+        "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
+        "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
+        "00000000000000000000000000",
+    );
+
     #[test]
     fn encode_restore_roundtrip() {
         let store = StatementStore::new();
@@ -405,6 +405,7 @@ mod tests {
         store.record("q1 ?", 80, 3, 40, &mix(2, 1));
         store.record("q2 ?", 7, 0, 1, &mix(0, 1));
         let image = store.encode();
+        assert_eq!(hex(&image), PINNED_IMAGE);
         let back = StatementStore::new();
         assert!(back.restore(&image));
         assert_eq!(back.len(), 2);

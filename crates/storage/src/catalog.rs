@@ -8,6 +8,7 @@
 use std::collections::BTreeMap;
 
 use crate::buffer::BufferPool;
+use crate::codec::{put_len, put_str, Reader};
 use crate::error::{Result, StorageError};
 use crate::page::{PageId, PageType, NO_PAGE, PAGE_SIZE};
 use crate::wal::TableId;
@@ -49,12 +50,8 @@ impl Catalog {
 
     /// Serializes the catalog to bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        fn put_str(out: &mut Vec<u8>, s: &str) {
-            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
-        }
         let mut out = Vec::new();
-        out.extend_from_slice(&(self.tables.len() as u32).to_le_bytes());
+        put_len(&mut out, self.tables.len());
         for (name, t) in &self.tables {
             put_str(&mut out, name);
             out.extend_from_slice(&t.id.to_le_bytes());
@@ -70,32 +67,7 @@ impl Catalog {
 
     /// Deserializes a catalog from bytes.
     pub fn from_bytes(buf: &[u8]) -> Result<Catalog> {
-        struct C<'a> {
-            buf: &'a [u8],
-            pos: usize,
-        }
-        impl<'a> C<'a> {
-            fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-                let b = self
-                    .buf
-                    .get(self.pos..self.pos + n)
-                    .ok_or_else(|| StorageError::Corrupt("catalog truncated".into()))?;
-                self.pos += n;
-                Ok(b)
-            }
-            fn u32(&mut self) -> Result<u32> {
-                Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-            }
-            fn u64(&mut self) -> Result<u64> {
-                Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-            }
-            fn string(&mut self) -> Result<String> {
-                let n = self.u32()? as usize;
-                String::from_utf8(self.take(n)?.to_vec())
-                    .map_err(|_| StorageError::Corrupt("catalog name not utf-8".into()))
-            }
-        }
-        let mut c = C { buf, pos: 0 };
+        let mut c = Reader::new(buf);
         let ntables = c.u32()?;
         let mut tables = BTreeMap::new();
         for _ in 0..ntables {
@@ -112,11 +84,7 @@ impl Catalog {
         let next_table_id = c.u32()?;
         // Older catalogs end here; the floor field is read only when the
         // encoder wrote one.
-        let txn_floor = if c.pos + 8 <= c.buf.len() {
-            c.u64()?
-        } else {
-            0
-        };
+        let txn_floor = if c.remaining() >= 8 { c.u64()? } else { 0 };
         Ok(Catalog {
             tables,
             next_table_id,
@@ -219,8 +187,22 @@ mod tests {
     fn bytes_roundtrip() {
         let mut c = sample();
         c.txn_floor = 12345;
-        assert_eq!(Catalog::from_bytes(&c.to_bytes()).unwrap(), c);
+        let bytes = c.to_bytes();
+        assert_eq!(hex(&bytes), PINNED_CATALOG);
+        assert_eq!(Catalog::from_bytes(&bytes).unwrap(), c);
     }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// `sample()` with floor 12345, as a catalog page chain holds it.
+    const PINNED_CATALOG: &str = concat!(
+        "05000000070000007461626c655f30000000000a0000000000000000000000070000007461626c65",
+        "5f31010000000b0000000000000000000000070000007461626c655f32020000000c000000000000",
+        "0000000000070000007461626c655f33030000000d0000000000000000000000070000007461626c",
+        "655f34040000000e0000000000000000000000050000003930000000000000",
+    );
 
     /// The layout keeps each table's index count, always 0; a catalog
     /// that names an index is refused rather than silently dropped.

@@ -99,5 +99,11 @@ impl From<io::Error> for StorageError {
     }
 }
 
+impl From<mdm_obs::codec::Error> for StorageError {
+    fn from(e: mdm_obs::codec::Error) -> Self {
+        StorageError::Corrupt(e.to_string())
+    }
+}
+
 /// Convenience result alias for storage operations.
 pub type Result<T> = std::result::Result<T, StorageError>;

@@ -70,6 +70,9 @@ pub use engine::{ReadSnapshot, StorageEngine, Txn, DEFAULT_POOL_PAGES};
 pub use error::{Result, StorageError};
 pub use fault::{At, FaultController, FaultKind, FaultPlan, FaultVfs};
 pub use heap::HeapFile;
+/// The byte codec of the log, the catalog and every format above them
+/// (re-exported so that `mdm-model` reaches it without a new dependency).
+pub use mdm_obs::codec;
 pub use page::{PageId, Rid, PAGE_SIZE};
 pub use recovery::RecoveryOutcome;
 pub use torture::{crash_point_sweep, TortureConfig, TortureReport};

@@ -18,6 +18,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::backend::{FileVfs, StorageBackend, Vfs};
+use crate::codec::{self, put_bytes, Reader};
 use crate::error::{Result, StorageError};
 use crate::page::{PageId, Rid};
 
@@ -100,10 +101,6 @@ impl WalRecord {
 
     /// Serializes the record payload (no frame header) into `out`.
     fn encode(&self, out: &mut Vec<u8>) {
-        fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-            out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-            out.extend_from_slice(b);
-        }
         fn put_rid(out: &mut Vec<u8>, rid: Rid) {
             out.extend_from_slice(&rid.page.to_le_bytes());
             out.extend_from_slice(&rid.slot.to_le_bytes());
@@ -188,43 +185,11 @@ impl WalRecord {
 
     /// Decodes one record payload, the counterpart of
     /// [`WalRecord::encode`].
-    fn decode(buf: &[u8]) -> Option<WalRecord> {
-        struct Cursor<'a> {
-            buf: &'a [u8],
-            pos: usize,
+    fn decode(buf: &[u8]) -> codec::Result<WalRecord> {
+        fn rid(c: &mut Reader) -> codec::Result<Rid> {
+            Ok(Rid::new(c.u64()?, c.u16()?))
         }
-        impl<'a> Cursor<'a> {
-            fn u8(&mut self) -> Option<u8> {
-                let v = *self.buf.get(self.pos)?;
-                self.pos += 1;
-                Some(v)
-            }
-            fn u16(&mut self) -> Option<u16> {
-                let b = self.buf.get(self.pos..self.pos + 2)?;
-                self.pos += 2;
-                Some(u16::from_le_bytes(b.try_into().ok()?))
-            }
-            fn u32(&mut self) -> Option<u32> {
-                let b = self.buf.get(self.pos..self.pos + 4)?;
-                self.pos += 4;
-                Some(u32::from_le_bytes(b.try_into().ok()?))
-            }
-            fn u64(&mut self) -> Option<u64> {
-                let b = self.buf.get(self.pos..self.pos + 8)?;
-                self.pos += 8;
-                Some(u64::from_le_bytes(b.try_into().ok()?))
-            }
-            fn bytes(&mut self) -> Option<Vec<u8>> {
-                let len = self.u32()? as usize;
-                let b = self.buf.get(self.pos..self.pos + len)?;
-                self.pos += len;
-                Some(b.to_vec())
-            }
-            fn rid(&mut self) -> Option<Rid> {
-                Some(Rid::new(self.u64()?, self.u16()?))
-            }
-        }
-        let mut c = Cursor { buf, pos: 0 };
+        let mut c = Reader::new(buf);
         let rec = match c.u8()? {
             1 => WalRecord::Begin { txn: c.u64()? },
             2 => WalRecord::Commit { txn: c.u64()? },
@@ -232,20 +197,20 @@ impl WalRecord {
             4 => WalRecord::Insert {
                 txn: c.u64()?,
                 table: c.u32()?,
-                rid: c.rid()?,
+                rid: rid(&mut c)?,
                 body: c.bytes()?,
             },
             5 => WalRecord::Update {
                 txn: c.u64()?,
                 table: c.u32()?,
-                rid: c.rid()?,
+                rid: rid(&mut c)?,
                 old: c.bytes()?,
                 new: c.bytes()?,
             },
             6 => WalRecord::Delete {
                 txn: c.u64()?,
                 table: c.u32()?,
-                rid: c.rid()?,
+                rid: rid(&mut c)?,
                 old: c.bytes()?,
             },
             7 => WalRecord::LinkPage {
@@ -259,9 +224,10 @@ impl WalRecord {
                 bytes: c.bytes()?,
             },
             12 => WalRecord::Checkpoint,
-            _ => return None,
+            t => return Err(codec::Error::Invalid("log record tag", t.into())),
         };
-        (c.pos == buf.len()).then_some(rec)
+        c.finish()?;
+        Ok(rec)
     }
 }
 
@@ -299,9 +265,9 @@ fn parse_frames(buf: &[u8], base_lsn: u64) -> Result<(Vec<WalRecord>, Vec<usize>
         if checksum(payload) != sum {
             break;
         }
-        let rec = WalRecord::decode(payload).ok_or_else(|| {
+        let rec = WalRecord::decode(payload).map_err(|e| {
             StorageError::Corrupt(format!(
-                "log frame at lsn {} verifies but does not decode",
+                "log frame at lsn {} verifies but does not decode: {e}",
                 base_lsn + records.len() as u64
             ))
         })?;
@@ -404,11 +370,9 @@ impl Wal {
         let path = dir.join("wal.log");
         let backend = vfs.open(&path)?;
         let (base_lsn, horizon) = read_sidecar(&dir.join("wal.base"))?;
-        let (records, offsets, valid_end) = match std::fs::read(&path) {
-            Ok(bytes) => parse_frames(&bytes, base_lsn)?,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => (Vec::new(), Vec::new(), 0),
-            Err(e) => return Err(e.into()),
-        };
+        let mut bytes = vec![0; backend.len()? as usize];
+        backend.read_at(&mut bytes, 0)?;
+        let (records, offsets, valid_end) = parse_frames(&bytes, base_lsn)?;
         let wal = Wal {
             backend,
             buf: Vec::new(),
@@ -604,8 +568,30 @@ mod tests {
         }
         let (_, read) = Wal::open(&dir).unwrap();
         assert_eq!(read, recs);
+        // The log's bytes, every record tag among them, are pinned: a
+        // log written by an earlier build must read the same.
+        let bytes = std::fs::read(dir.join("wal.log")).unwrap();
+        assert_eq!(hex(&bytes), PINNED_LOG);
+        assert_eq!(parse_frames(&bytes, 0).unwrap().0, recs);
         std::fs::remove_dir_all(&dir).ok();
     }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// `sample_records`, framed, as the log holds them.
+    const PINNED_LOG: &str = concat!(
+        "09000000eb613b4a010700000000000000200000004f8cd33e040700000000000000020000000300",
+        "00000000000001000500000068656c6c6f2a000000b3bb3d2e050700000000000000020000000300",
+        "00000000000001000500000068656c6c6f06000000776f726c64212100000067d511b40607000000",
+        "00000000020000000300000000000000010006000000776f726c6421150000004e8cb0e307020000",
+        "0003000000000000000900000000000000080000003c0dced908030000000102034d000000f7857c",
+        "8809030000000000000040000000abababababababababababababababababababababababababab",
+        "abababababababababababababababababababababababababababababababababababababab0100",
+        "00006b630c090c0900000082e652f302070000000000000009000000fa3b39d50308000000000000",
+        "00",
+    );
 
     #[test]
     fn a_missing_log_opens_empty() {
